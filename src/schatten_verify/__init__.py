@@ -3,19 +3,17 @@ for higher-order elliptic operators with one constant-coefficient side."""
 
 from .coeff_algebra import (
     HermitianMatrixField,
-    SymbolEvaluation,
-    VolumeEstimate,
+    MonteCarloEstimate,
     clip_coefficients,
     coarea_constant,
     constant_field,
-    evaluate_symbol,
+    field_power,
     lattice_symbol_integral,
     matrix_inv_sqrt,
     matrix_sqrt,
     polyharmonic_coefficients,
     principal_symbol,
     sampled_field,
-    spectral_symbol,
     spectral_symbol_lattice,
     sqrt_field,
     sublevel_bounding_radius,
@@ -42,15 +40,12 @@ from .norms import (
     weighted_profile_norm,
 )
 from .schatten_analysis import (
-    BoundCheck,
     PolarCheck,
-    SingularSpectrum,
     convolution_kernel,
     deift_residual,
     factorization_residual,
     matrix_function,
     operator_norm,
-    operator_norm_check,
     polar_decomposition_check,
     resolvent,
     resolvent_difference,
@@ -60,7 +55,6 @@ from .schatten_analysis import (
     spectral_profile_operator,
 )
 from .torus_operator import (
-    GridFunction,
     LinearOperatorRep,
     TorusGrid,
     assemble_channel_gram,
@@ -69,8 +63,6 @@ from .torus_operator import (
     assemble_variable_coefficient,
     block_multiplication_matrix,
     derivative_operator,
-    materialize,
-    spectral_derivative,
 )
 
 __version__ = "0.1.0"

@@ -5,20 +5,20 @@
 Subcommands: verify (impurity battery), scale (volume sweep), clip
 (coefficient clipping sequence), refine (grid ladder), constants (print the
 bound constants). Exit codes: 0 all assertions pass, 1 an assertion failed,
-2 config or I/O error. SCHATTEN_THREADS caps worker parallelism.
+2 config or I/O error, a coefficient that is not positive definite, or a
+dense dimension over the cap. SCHATTEN_THREADS caps worker parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import os
 import sys
 from importlib import resources
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionCapError, NonPositiveDefiniteError
 from .harness import (
+    CSV_HEADER,
     HarnessConfig,
     StudyResult,
     load_config,
@@ -73,34 +73,23 @@ def run_cli(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
+    except (NonPositiveDefiniteError, DimensionCapError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _execute(subcommand: str, config: HarnessConfig, out_dir: str) -> int:
     if subcommand == "constants":
         lines, extras = run_constants(config)
-        os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, "constants_report.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
-        summary = {
-            "study": "constants",
-            "config": config.raw,
-            "csv": os.path.basename(csv_path),
-            "assertions": [],
-            "all_passed": True,
-            "extras": extras,
-        }
-        json_path = os.path.join(out_dir, "constants_summary.json")
-        with open(json_path, "w", encoding="utf-8") as f:
-            json.dump(summary, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_report(out_dir, subcommand, lines, [], config, extras)
         for line in lines:
             print(line)
         return 0
 
     result: StudyResult = _RUNNERS[subcommand](config)
+    lines = [CSV_HEADER] + [row.csv_line() for row in result.rows]
     csv_path, json_path = write_report(
-        out_dir, subcommand, result.rows, result.assertions, config, result.extras
+        out_dir, subcommand, lines, result.assertions, config, result.extras
     )
     failed = [a for a in result.assertions if not a.passed]
     print(f"{subcommand}: {len(result.rows)} rows -> {csv_path}")

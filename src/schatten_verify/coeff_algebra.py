@@ -81,17 +81,6 @@ class HermitianMatrixField:
             )
         return self.values
 
-    def min_eigenvalue(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(self.values)))
-
-    def map_eigenvalues(self, fn: Callable[[np.ndarray], np.ndarray]) -> "HermitianMatrixField":
-        """Apply a real function to the spectrum at every sample."""
-        w, q = np.linalg.eigh(self.values)
-        fw = fn(w)
-        out = np.einsum("...ab,...b,...cb->...ac", q, fw, np.conj(q))
-        out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
-        return HermitianMatrixField(self.basis, out)
-
 
 def constant_field(basis: MultiIndexBasis, matrix) -> HermitianMatrixField:
     matrix = np.asarray(matrix, dtype=complex)
@@ -122,44 +111,48 @@ def polyharmonic_coefficients(basis: MultiIndexBasis) -> HermitianMatrixField:
     return constant_field(basis, np.diag(np.asarray(weights, dtype=float)))
 
 
-def matrix_sqrt(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian positive-definite matrix.
+def check_positive_definite(eigenvalues: np.ndarray) -> None:
+    """Raise NonPositiveDefiniteError unless every eigenvalue is positive.
 
-    Raises NonPositiveDefiniteError (with the offending eigenvalue) when the
-    smallest eigenvalue is <= 0.
+    ``eigenvalues`` has shape (nu,) for one matrix or (*spatial, nu) for a
+    sampled field; for a field the error lists the failing grid points.
     """
-    a = np.asarray(a, dtype=complex)
-    w, q = np.linalg.eigh(a)
-    if w.min() <= 0:
-        raise NonPositiveDefiniteError(w.min())
-    b = (q * np.sqrt(w)) @ np.conj(q.T)
-    return 0.5 * (b + np.conj(b.T))
+    failing = eigenvalues.min(axis=-1) <= 0
+    if np.any(failing):
+        points = [tuple(map(int, idx)) for idx in np.argwhere(failing)] if failing.ndim else []
+        raise NonPositiveDefiniteError(eigenvalues.min(), points)
+
+
+def _spectral_rebuild(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Hermitian part of Q diag(w) Q*, pointwise over any leading axes."""
+    out = (q * w[..., None, :]) @ np.conj(np.swapaxes(q, -1, -2))
+    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+
+
+def field_power(values, s: float) -> np.ndarray:
+    """Pointwise principal power a^s of a Hermitian positive-definite matrix.
+
+    ``values`` is one (nu, nu) matrix or a (*spatial, nu, nu) field; one
+    eigendecomposition serves both the positivity check and the power.
+    """
+    w, q = np.linalg.eigh(np.asarray(values, dtype=complex))
+    check_positive_definite(w)
+    return _spectral_rebuild(q, w**s)
+
+
+def matrix_sqrt(a: np.ndarray) -> np.ndarray:
+    """Principal square root of a Hermitian positive-definite matrix."""
+    return field_power(a, 0.5)
 
 
 def matrix_inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Inverse principal square root; same positivity contract as matrix_sqrt."""
-    a = np.asarray(a, dtype=complex)
-    w, q = np.linalg.eigh(a)
-    if w.min() <= 0:
-        raise NonPositiveDefiniteError(w.min())
-    b = (q / np.sqrt(w)) @ np.conj(q.T)
-    return 0.5 * (b + np.conj(b.T))
+    """Inverse principal square root of a Hermitian positive-definite matrix."""
+    return field_power(a, -0.5)
 
 
 def sqrt_field(field: HermitianMatrixField) -> HermitianMatrixField:
     """Pointwise principal square root of a positive-definite field."""
-    w = np.linalg.eigvalsh(field.values)
-    if w.min() <= 0:
-        bad = _failing_points(w)
-        raise NonPositiveDefiniteError(w.min(), bad)
-    return field.map_eigenvalues(np.sqrt)
-
-
-def _failing_points(eigenvalues: np.ndarray) -> list:
-    if eigenvalues.ndim == 1:
-        return []
-    mask = eigenvalues.min(axis=-1) <= 0
-    return [tuple(int(i) for i in idx) for idx in np.argwhere(mask)]
+    return HermitianMatrixField(field.basis, field_power(field.values, 0.5))
 
 
 def clip_coefficients(field: HermitianMatrixField, n) -> HermitianMatrixField:
@@ -171,8 +164,8 @@ def clip_coefficients(field: HermitianMatrixField, n) -> HermitianMatrixField:
     """
     if n is None or n < 1:
         raise ValueError(f"clip level must be >= 1, got {n}")
-    lo, hi = 1.0 / float(n), float(n)
-    return field.map_eigenvalues(lambda w: np.clip(w, lo, hi))
+    w, q = np.linalg.eigh(field.values)
+    return HermitianMatrixField(field.basis, _spectral_rebuild(q, np.clip(w, 1.0 / n, float(n))))
 
 
 def symbol_vector(b: np.ndarray, xi, basis: MultiIndexBasis) -> np.ndarray:
@@ -190,57 +183,15 @@ def principal_symbol(b: np.ndarray, xi, basis: MultiIndexBasis) -> np.ndarray:
     return np.sum(np.abs(vec) ** 2, axis=-1)
 
 
-def spectral_symbol(
-    b: np.ndarray, xi, g: Callable, basis: MultiIndexBasis
-) -> np.ndarray:
-    """Rank-one matrix symbol g(A) A^{-1} B (x) conj(B) at a single frequency.
-
-    g must satisfy g(0) = 0; the xi = 0 singularity is removable and the
-    zero matrix is returned there. The operator norm of the result equals
-    |g(A(xi))|.
-    """
-    vec = symbol_vector(b, np.asarray(xi, dtype=float), basis)
-    if vec.ndim != 1:
-        raise ValueError("spectral_symbol takes one frequency; use spectral_symbol_lattice")
-    a_val = float(np.sum(np.abs(vec) ** 2))
-    if a_val == 0.0:
-        return np.zeros((basis.nu, basis.nu), dtype=complex)
-    return (float(g(a_val)) / a_val) * np.outer(vec, np.conj(vec))
-
-
-@dataclass(frozen=True)
-class SymbolEvaluation:
-    """All Fourier-side symbol data at one frequency.
-
-    ``principal`` equals |vector|^2 by construction; ``rank_one`` (present
-    when a profile was supplied) is Hermitian PSD of rank at most one with
-    operator norm |g(principal)|.
-    """
-
-    xi: np.ndarray
-    vector: np.ndarray
-    principal: float
-    rank_one: np.ndarray | None = None
-
-
-def evaluate_symbol(
-    b: np.ndarray,
-    xi,
-    basis: MultiIndexBasis,
-    g: Callable | None = None,
-) -> SymbolEvaluation:
-    """Bundle vector symbol, principal symbol, and optional rank-one symbol."""
-    xi = np.asarray(xi, dtype=float)
-    vec = symbol_vector(b, xi, basis)
-    principal = float(np.sum(np.abs(vec) ** 2))
-    rank_one = None if g is None else spectral_symbol(b, xi, g, basis)
-    return SymbolEvaluation(xi=xi, vector=vec, principal=principal, rank_one=rank_one)
-
-
 def spectral_symbol_lattice(
     b: np.ndarray, points: np.ndarray, g: Callable, basis: MultiIndexBasis
 ) -> np.ndarray:
-    """spectral_symbol evaluated over a batch of frequencies: (..., nu, nu)."""
+    """Rank-one matrix symbols g(A) A^{-1} B (x) conj(B) over a batch of frequencies.
+
+    Returns (..., nu, nu). g must satisfy g(0) = 0; the xi = 0 singularity
+    is removable and the zero matrix is returned there. The operator norm
+    of each symbol equals |g(A(xi))|.
+    """
     mono = monomial_matrix(np.asarray(points, dtype=float), basis)  # (..., nu)
     vec = mono @ np.asarray(b).T
     a_val = np.sum(np.abs(vec) ** 2, axis=-1)
@@ -252,8 +203,8 @@ def spectral_symbol_lattice(
 
 
 @dataclass(frozen=True)
-class VolumeEstimate:
-    """Monte Carlo volume with its binomial standard error."""
+class MonteCarloEstimate:
+    """Monte Carlo value with its binomial standard error."""
 
     value: float
     stderr: float
@@ -268,10 +219,9 @@ def sublevel_bounding_radius(b: np.ndarray, basis: MultiIndexBasis) -> float:
     radius sqrt(N) lambda_min(a)^{-1/(2m)}.
     """
     a = np.asarray(b) @ np.conj(np.asarray(b).T)
-    lam_min = float(np.min(np.linalg.eigvalsh(a)))
-    if lam_min <= 0:
-        raise NonPositiveDefiniteError(lam_min)
-    return float(np.sqrt(basis.N)) * lam_min ** (-1.0 / (2 * basis.m))
+    w = np.linalg.eigvalsh(a)
+    check_positive_definite(w)
+    return float(np.sqrt(basis.N)) * float(w.min()) ** (-1.0 / (2 * basis.m))
 
 
 def sublevel_volume(
@@ -280,7 +230,7 @@ def sublevel_volume(
     samples: int = 1_000_000,
     seed: int = 0,
     chunk: int = 1_000_000,
-) -> VolumeEstimate:
+) -> MonteCarloEstimate:
     """Monte Carlo estimate of vol{xi : A(xi) < 1} with standard error.
 
     Samples uniformly in the enclosing cube of the rigorous bounding ball;
@@ -303,7 +253,7 @@ def sublevel_volume(
     frac = hits / samples
     value = box_volume * frac
     stderr = box_volume * float(np.sqrt(max(frac * (1.0 - frac), 0.0) / samples))
-    return VolumeEstimate(value=value, stderr=stderr, samples=samples)
+    return MonteCarloEstimate(value=value, stderr=stderr, samples=samples)
 
 
 def coarea_constant(
@@ -311,11 +261,16 @@ def coarea_constant(
     basis: MultiIndexBasis,
     samples: int = 1_000_000,
     seed: int = 0,
-) -> float:
-    """c_cov = (2pi)^{-N} (N/2m) vol{A < 1} under the unitary transform convention."""
+) -> MonteCarloEstimate:
+    """c_cov = (2pi)^{-N} (N/2m) vol{A < 1} under the unitary transform convention.
+
+    The volume is the seeded Monte Carlo estimate of sublevel_volume; its
+    standard error is scaled by the same prefactor.
+    """
     vol = sublevel_volume(b, basis, samples=samples, seed=seed)
     N, m = basis.N, basis.m
-    return float((2.0 * np.pi) ** (-N) * (N / (2.0 * m)) * vol.value)
+    prefactor = (2.0 * np.pi) ** (-N) * (N / (2.0 * m))
+    return MonteCarloEstimate(prefactor * vol.value, prefactor * vol.stderr, samples)
 
 
 def lattice_symbol_integral(

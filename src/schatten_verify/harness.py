@@ -9,15 +9,17 @@ emits one ReportRow per instance. Rows go to a CSV with the fixed header
 
 and a JSON summary records the config echo plus one pass/fail flag per
 assertion. Identical config and seed give identical numerical payloads;
-the trailing seconds column is wall time and is excluded from the
-bit-identity contract.
+the trailing seconds column is the wall time since the start of the
+experiment (or sweep step) that produced the row, not a per-row cost, and
+is excluded from the bit-identity contract.
 
 The trace-norm constant per p is (1/2) * c_cov^(1/p) * ||g||_p^* with the
-coarea constant estimated by seeded Monte Carlo; the operator-norm rows
-(p = inf) use the constant 1/4. Ratios are lhs / (constant * rhs) and the
-acceptance envelope of 1.05 absorbs periodization and sampling error of
-the discrete model; an exact <= 1 assertion at coarse grids would encode
-discretization noise, not the underlying inequality.
+coarea constant estimated by seeded Monte Carlo, once per distinct reference
+coefficient in a run; the operator-norm rows (p = inf) use the constant 1/4.
+Ratios are lhs / (constant * rhs) and the acceptance envelope of 1.05
+absorbs periodization and sampling error of the discrete model; an exact
+<= 1 assertion at coarse grids would encode discretization noise, not the
+underlying inequality.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 
 from .coeff_algebra import (
     HermitianMatrixField,
+    MonteCarloEstimate,
     clip_coefficients,
     coarea_constant,
     constant_field,
@@ -64,7 +67,6 @@ from .torus_operator import (
     assemble_constant_coefficient,
     assemble_derivative_factor,
     assemble_variable_coefficient,
-    materialize,
 )
 
 CSV_HEADER = "experiment,p,lhs,rhs,constant,ratio,factorization_residual,deift_residual,n,L,seconds"
@@ -486,6 +488,32 @@ def _ratio(lhs: float, rhs: float, constant: float | None) -> float | None:
     return 0.0 if lhs <= RATIO_ZERO_LHS_TOL else float("inf")
 
 
+def _report_row(
+    experiment: str,
+    p: float,
+    lhs: float,
+    rhs: float,
+    constant: float | None,
+    residuals: tuple[float, float],
+    grid: TorusGrid,
+    start: float,
+) -> ReportRow:
+    """The row of lhs <= constant * rhs; seconds count from ``start``."""
+    return ReportRow(
+        experiment=experiment,
+        p=p,
+        lhs=lhs,
+        rhs=rhs,
+        constant=constant,
+        ratio=_ratio(lhs, rhs, constant),
+        factorization_residual=residuals[0],
+        deift_residual=residuals[1],
+        n=grid.n,
+        L=grid.L,
+        seconds=time.perf_counter() - start,
+    )
+
+
 @dataclass(frozen=True)
 class Assertion:
     name: str
@@ -504,25 +532,34 @@ class StudyResult:
 # the trace-norm constant
 # ---------------------------------------------------------------------------
 
-_COV_CACHE: dict = {}
-
-
-def trace_norm_constant(
-    p: float,
-    basis: MultiIndexBasis,
-    b_sqrt: np.ndarray,
-    mc_samples: int,
-    seed: int,
-) -> float | None:
+def trace_norm_constant(p: float, basis: MultiIndexBasis, c_cov: float) -> float | None:
     """(1/2) c_cov^(1/p) ||g||_p^*, or None when the weighted norm diverges."""
     gstar = resolvent_profile_norm(WeightedNormSpec(p=p, N=basis.N, m=basis.m))
     if gstar is DIVERGENT:
         return None
-    key = (basis.N, basis.m, b_sqrt.tobytes(), mc_samples, seed)
-    if key not in _COV_CACHE:
-        _COV_CACHE[key] = coarea_constant(b_sqrt, basis, samples=mc_samples, seed=seed)
-    c_cov = _COV_CACHE[key]
     return 0.5 * c_cov ** (1.0 / p) * gstar
+
+
+def coarea_constants(
+    config: HarnessConfig, experiments: tuple[ExperimentSpec, ...]
+) -> dict[str, MonteCarloEstimate]:
+    """c_cov with its Monte Carlo error per experiment id.
+
+    The estimate is computed once per distinct reference coefficient, with
+    the run's sample budget and seed.
+    """
+    by_coefficient: dict = {}
+    out = {}
+    for exp in experiments:
+        basis = enumerate_basis(exp.N, exp.m)
+        b_sqrt = sqrt_field(base_coefficient(exp, basis)).constant_matrix()
+        key = (exp.N, exp.m, b_sqrt.tobytes())
+        if key not in by_coefficient:
+            by_coefficient[key] = coarea_constant(
+                b_sqrt, basis, samples=config.mc_samples, seed=config.seed
+            )
+        out[exp.id] = by_coefficient[key]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +573,17 @@ class ExperimentArtifacts:
 
     grid: TorusGrid
     basis: MultiIndexBasis
-    a: HermitianMatrixField
-    a_tilde: HermitianMatrixField
-    b_sqrt: np.ndarray
-    delta_resolvent: np.ndarray
     delta_singular_values: np.ndarray
     v_field: object
     fact_residual: float
     deift_res: float
+
+    def row(self, experiment: str, p: float, constant: float | None, start: float) -> ReportRow:
+        """Schatten-p norm of the resolvent difference against ||V||_p."""
+        lhs = schatten_norm_from_values(self.delta_singular_values, p)
+        rhs = matrix_field_lp_norm(self.v_field, p)
+        residuals = (self.fact_residual, self.deift_res)
+        return _report_row(experiment, p, lhs, rhs, constant, residuals, self.grid, start)
 
 
 def build_artifacts(
@@ -571,23 +611,16 @@ def build_artifacts(
             f"or reduce the amplitude",
         ) from exc
     delta = resolvent(h_var, cap=cap) - resolvent(h_const, cap=cap)
-    svals = singular_spectrum(delta).values
+    svals = singular_spectrum(delta)
 
     v_field = relative_perturbation(a, a_tilde, grid.cell_volume)
-    b_sqrt_field = sqrt_field(a)
     fact = (
         factorization_residual(a, a_tilde, grid, cap=cap) if run_factorization else 0.0
     )
-    t_tilde = materialize(
-        assemble_derivative_factor(sqrt_field(a_tilde), grid), cap=cap
-    )
+    t_tilde = assemble_derivative_factor(sqrt_field(a_tilde), grid).dense(cap=cap)
     return ExperimentArtifacts(
         grid=grid,
         basis=basis,
-        a=a,
-        a_tilde=a_tilde,
-        b_sqrt=b_sqrt_field.constant_matrix(),
-        delta_resolvent=delta,
         delta_singular_values=svals,
         v_field=v_field,
         fact_residual=fact,
@@ -595,48 +628,18 @@ def build_artifacts(
     )
 
 
-def impurity_experiment(exp: ExperimentSpec, config: HarnessConfig) -> list[ReportRow]:
+def impurity_experiment(
+    exp: ExperimentSpec, config: HarnessConfig, c_cov: float
+) -> list[ReportRow]:
     """Trace-norm rows per p plus the operator-norm (p = inf) row."""
     start = time.perf_counter()
     art = build_artifacts(exp, config)
-    rows = []
-    for p in exp.p_values:
-        lhs = schatten_norm_from_values(art.delta_singular_values, p)
-        rhs = matrix_field_lp_norm(art.v_field, p)
-        constant = trace_norm_constant(p, art.basis, art.b_sqrt, config.mc_samples, config.seed)
-        rows.append(
-            ReportRow(
-                experiment=exp.id,
-                p=p,
-                lhs=lhs,
-                rhs=rhs,
-                constant=constant,
-                ratio=_ratio(lhs, rhs, constant),
-                factorization_residual=art.fact_residual,
-                deift_residual=art.deift_res,
-                n=art.grid.n,
-                L=art.grid.L,
-                seconds=time.perf_counter() - start,
-            )
-        )
+    rows = [
+        art.row(exp.id, p, trace_norm_constant(p, art.basis, c_cov), start)
+        for p in exp.p_values
+    ]
     # operator-norm row: constant 1/4, sup-norm of the perturbation
-    lhs_inf = schatten_norm_from_values(art.delta_singular_values, np.inf)
-    rhs_inf = matrix_field_lp_norm(art.v_field, np.inf)
-    rows.append(
-        ReportRow(
-            experiment=exp.id,
-            p=float("inf"),
-            lhs=lhs_inf,
-            rhs=rhs_inf,
-            constant=0.25,
-            ratio=_ratio(lhs_inf, rhs_inf, 0.25),
-            factorization_residual=art.fact_residual,
-            deift_residual=art.deift_res,
-            n=art.grid.n,
-            L=art.grid.L,
-            seconds=time.perf_counter() - start,
-        )
-    )
+    rows.append(art.row(exp.id, np.inf, 0.25, start))
     return rows
 
 
@@ -681,9 +684,13 @@ def _monotonicity_assertions(rows: list[ReportRow]) -> list[Assertion]:
 
 def run_verify(config: HarnessConfig) -> StudyResult:
     """The impurity battery over every configured experiment."""
+    c_cov = coarea_constants(config, config.experiments)
     rows: list[ReportRow] = []
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        for result in pool.map(lambda e: impurity_experiment(e, config), config.experiments):
+        runs = pool.map(
+            lambda e: impurity_experiment(e, config, c_cov[e.id].value), config.experiments
+        )
+        for result in runs:
             rows.extend(result)
     assertions = _ratio_assertions(rows, config.tolerances)
     assertions += _monotonicity_assertions(rows)
@@ -712,6 +719,7 @@ def run_scale(config: HarnessConfig) -> StudyResult:
     rows: list[ReportRow] = []
     volumes: list[float] = []
     p = st.scale_p
+    c_cov = coarea_constants(config, (exp,))[exp.id].value
 
     for rel_w in st.scale_relative_widths:
         start = time.perf_counter()
@@ -722,24 +730,8 @@ def run_scale(config: HarnessConfig) -> StudyResult:
         vol = measured_support_volume(profile, grid)
         volumes.append(vol)
         art = build_artifacts(sub_exp, config, grid=grid)
-        lhs = schatten_norm_from_values(art.delta_singular_values, p)
-        rhs = matrix_field_lp_norm(art.v_field, p)
-        constant = trace_norm_constant(p, art.basis, art.b_sqrt, config.mc_samples, config.seed)
-        rows.append(
-            ReportRow(
-                experiment=f"{exp.id}|U={vol:.12g}",
-                p=p,
-                lhs=lhs,
-                rhs=rhs,
-                constant=constant,
-                ratio=_ratio(lhs, rhs, constant),
-                factorization_residual=art.fact_residual,
-                deift_residual=art.deift_res,
-                n=grid.n,
-                L=grid.L,
-                seconds=time.perf_counter() - start,
-            )
-        )
+        constant = trace_norm_constant(p, art.basis, c_cov)
+        rows.append(art.row(f"{exp.id}|U={vol:.12g}", p, constant, start))
 
     assertions = scale_assertions(rows, config)
     slope = _fit_slope(volumes, [r.rhs for r in rows])
@@ -812,8 +804,8 @@ def run_clip(config: HarnessConfig) -> StudyResult:
 
     h_const = assemble_constant_coefficient(a, grid)
     res_const = resolvent(h_const, cap=cap)
-    b_sqrt = sqrt_field(a).constant_matrix()
-    constant = trace_norm_constant(p, basis, b_sqrt, config.mc_samples, config.seed)
+    c_cov = coarea_constants(config, (exp,))[exp.id].value
+    constant = trace_norm_constant(p, basis, c_cov)
 
     def resolvent_at(level: int) -> np.ndarray:
         clipped = clip_coefficients(degenerate, level)
@@ -824,9 +816,7 @@ def run_clip(config: HarnessConfig) -> StudyResult:
     # gaps shrink only once the clip level exceeds the spectral range of the
     # true (unclipped) operator: below that, halving 1/n still moves
     # grid-resolved modes through the sensitive part of the resolvent
-    spectral_max = operator_norm(
-        materialize(assemble_variable_coefficient(degenerate, grid), cap=cap)
-    )
+    spectral_max = operator_norm(assemble_variable_coefficient(degenerate, grid).dense(cap=cap))
     for level in st.clip_levels:
         start = time.perf_counter()
         clipped = clip_coefficients(degenerate, level)
@@ -835,40 +825,16 @@ def run_clip(config: HarnessConfig) -> StudyResult:
         v_field = relative_perturbation(a, clipped, grid.cell_volume)
         rhs = matrix_field_lp_norm(v_field, p)
         fact = factorization_residual(a, clipped, grid, cap=cap)
-        t_mat = materialize(assemble_derivative_factor(sqrt_field(clipped), grid), cap=cap)
-        rows.append(
-            ReportRow(
-                experiment=f"{exp.id}|clip={level}",
-                p=p,
-                lhs=lhs,
-                rhs=rhs,
-                constant=constant,
-                ratio=_ratio(lhs, rhs, constant),
-                factorization_residual=fact,
-                deift_residual=deift_residual(t_mat),
-                n=grid.n,
-                L=grid.L,
-                seconds=time.perf_counter() - start,
-            )
-        )
-        start = time.perf_counter()
+        t_mat = assemble_derivative_factor(sqrt_field(clipped), grid).dense(cap=cap)
+        residuals = (fact, deift_residual(t_mat))
+        label = f"{exp.id}|clip={level}"
+        rows.append(_report_row(label, p, lhs, rhs, constant, residuals, grid, start))
         diff = operator_norm(resolvent_at(2 * level) - res_level)
         cauchy.append({"level": level, "next": 2 * level, "difference": diff})
-        rows.append(
-            ReportRow(
-                experiment=f"{exp.id}|clip_pair={level}:{2*level}",
-                p=p,
-                lhs=diff,
-                rhs=0.0,
-                constant=0.0,
-                ratio=0.0,
-                factorization_residual=0.0,
-                deift_residual=0.0,
-                n=grid.n,
-                L=grid.L,
-                seconds=time.perf_counter() - start,
-            )
-        )
+        # the Cauchy gap is no inequality instance: its row carries ratio 0
+        label = f"{exp.id}|clip_pair={level}:{2*level}"
+        pair = _report_row(label, p, diff, 0.0, 0.0, (0.0, 0.0), grid, start)
+        rows.append(replace(pair, ratio=0.0))
 
     assertions = clip_assertions(rows, config, spectral_max)
     return StudyResult(
@@ -923,10 +889,11 @@ def run_refine(config: HarnessConfig) -> StudyResult:
     if not st.refine_experiment:
         raise ConfigError("config has no refinement_study section")
     exp = next(e for e in config.experiments if e.id == st.refine_experiment)
+    c_cov = coarea_constants(config, (exp,))[exp.id].value
     rows: list[ReportRow] = []
     for n in st.refine_n_values:
         sub = replace(exp, grid=GridSpec(n=n, L=exp.grid.L), id=exp.id)
-        for row in impurity_experiment(sub, config):
+        for row in impurity_experiment(sub, config, c_cov):
             rows.append(replace(row, experiment=f"{exp.id}|n={n}"))
     assertions = refine_assertions(rows, config, smooth=exp.perturbation.shape == "bump")
     return StudyResult(rows=rows, assertions=assertions, extras={})
@@ -979,40 +946,30 @@ CONSTANTS_CSV_HEADER = "experiment,p,c_cov,c_cov_stderr,weighted_profile_norm,tr
 
 def run_constants(config: HarnessConfig) -> tuple[list[str], dict]:
     """Per-experiment c_cov (with MC stderr), ||g||_p^*, and the bound constant."""
-    from .coeff_algebra import sublevel_volume
-
+    c_cov = coarea_constants(config, config.experiments)
     lines = [CONSTANTS_CSV_HEADER]
     table = []
     for exp in config.experiments:
         basis = enumerate_basis(exp.N, exp.m)
-        a = base_coefficient(exp, basis)
-        b_sqrt = sqrt_field(a).constant_matrix()
-        vol = sublevel_volume(b_sqrt, basis, samples=config.mc_samples, seed=config.seed)
-        pref = (2.0 * np.pi) ** (-exp.N) * exp.N / (2.0 * exp.m)
-        c_cov = pref * vol.value
-        c_err = pref * vol.stderr
+        est = c_cov[exp.id]
         for p in exp.p_values:
             gstar = resolvent_profile_norm(WeightedNormSpec(p=p, N=exp.N, m=exp.m))
-            if gstar is DIVERGENT:
-                g_str, const_str = "divergent", "divergent"
-                entry_const = None
-                entry_g = None
+            const = trace_norm_constant(p, basis, est.value)
+            if const is None:
+                gstar, g_str, const_str = None, "divergent", "divergent"
             else:
-                const = 0.5 * c_cov ** (1.0 / p) * gstar
                 g_str, const_str = f"{gstar:.17g}", f"{const:.17g}"
-                entry_const = const
-                entry_g = gstar
             lines.append(
-                f"{exp.id},{p:g},{c_cov:.17g},{c_err:.17g},{g_str},{const_str}"
+                f"{exp.id},{p:g},{est.value:.17g},{est.stderr:.17g},{g_str},{const_str}"
             )
             table.append(
                 {
                     "experiment": exp.id,
                     "p": p,
-                    "c_cov": c_cov,
-                    "c_cov_stderr": c_err,
-                    "weighted_profile_norm": entry_g,
-                    "trace_norm_constant": entry_const,
+                    "c_cov": est.value,
+                    "c_cov_stderr": est.stderr,
+                    "weighted_profile_norm": gstar,
+                    "trace_norm_constant": const,
                 }
             )
     return lines, {"constants": table}
@@ -1026,18 +983,18 @@ def run_constants(config: HarnessConfig) -> tuple[list[str], dict]:
 def write_report(
     out_dir: str,
     study: str,
-    rows: list[ReportRow],
+    csv_lines: list[str],
     assertions: list[Assertion],
     config: HarnessConfig,
     extras: dict,
 ) -> tuple[str, str]:
+    """Write <study>_report.csv (csv_lines, header first) and <study>_summary.json."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{study}_report.csv")
     json_path = os.path.join(out_dir, f"{study}_summary.json")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(CSV_HEADER + "\n")
-        for row in rows:
-            f.write(row.csv_line() + "\n")
+        for line in csv_lines:
+            f.write(line + "\n")
     summary = {
         "study": study,
         "config": config.raw,
@@ -1064,8 +1021,9 @@ def recompute_assertions_from_csv(
     if study == "scale":
         return scale_assertions(rows, config)
     if study == "clip":
-        spectral_max = float((extras or {}).get("spectral_max", 1.0))
-        return clip_assertions(rows, config, spectral_max)
+        if "spectral_max" not in (extras or {}):
+            raise ConfigError("clip assertions need 'spectral_max' from the clip summary extras")
+        return clip_assertions(rows, config, float(extras["spectral_max"]))
     if study == "refine":
         exp = next(e for e in config.experiments if e.id == config.studies.refine_experiment)
         return refine_assertions(rows, config, smooth=exp.perturbation.shape == "bump")

@@ -20,19 +20,19 @@ Verified identities (all exact in finite dimensions):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .coeff_algebra import (
     HermitianMatrixField,
+    field_power,
     matrix_inv_sqrt,
     matrix_sqrt,
     spectral_symbol_lattice,
     sqrt_field,
 )
-from .errors import NonPositiveDefiniteError
 from .torus_operator import (
     DEFAULT_DENSE_CAP,
     LinearOperatorRep,
@@ -42,46 +42,12 @@ from .torus_operator import (
     assemble_variable_coefficient,
     block_multiplication_matrix,
     derivative_operator,
-    materialize,
 )
 
-__all__ = [
-    "SingularSpectrum",
-    "BoundCheck",
-    "PolarCheck",
-    "singular_spectrum",
-    "schatten_norm",
-    "schatten_norm_from_values",
-    "operator_norm",
-    "resolvent",
-    "resolvent_difference",
-    "matrix_function",
-    "deift_residual",
-    "factorization_residual",
-    "polar_decomposition_check",
-    "convolution_kernel",
-    "operator_norm_check",
-]
 
-
-@dataclass(frozen=True)
-class SingularSpectrum:
+def singular_spectrum(matrix: np.ndarray) -> np.ndarray:
     """Non-increasing singular values of a dense matrix."""
-
-    values: np.ndarray
-    shape: tuple[int, int]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or np.any(v < 0) or np.any(np.diff(v) > 0):
-            raise ValueError("singular values must be a non-increasing 1-D array >= 0")
-        object.__setattr__(self, "values", v)
-
-
-def singular_spectrum(matrix: np.ndarray) -> SingularSpectrum:
-    matrix = np.asarray(matrix)
-    s = np.linalg.svd(matrix, compute_uv=False)
-    return SingularSpectrum(values=s, shape=matrix.shape)
+    return np.linalg.svd(np.asarray(matrix), compute_uv=False)
 
 
 def schatten_norm_from_values(values: np.ndarray, p: float) -> float:
@@ -97,7 +63,7 @@ def schatten_norm_from_values(values: np.ndarray, p: float) -> float:
 
 def schatten_norm(matrix: np.ndarray, p: float) -> float:
     """(sum s_j^p)^(1/p) from the full SVD; p = inf is the operator norm."""
-    return schatten_norm_from_values(singular_spectrum(matrix).values, p)
+    return schatten_norm_from_values(singular_spectrum(matrix), p)
 
 
 def operator_norm(matrix: np.ndarray) -> float:
@@ -168,15 +134,6 @@ def deift_residual(s_matrix: np.ndarray) -> float:
     return operator_norm(resid)
 
 
-def _field_power(values: np.ndarray, power: float) -> np.ndarray:
-    w, q = np.linalg.eigh(values)
-    if w.min() <= 0:
-        mask = w.min(axis=-1) <= 0
-        bad = [tuple(int(i) for i in idx) for idx in np.argwhere(mask)] if w.ndim > 1 else []
-        raise NonPositiveDefiniteError(w.min(), bad)
-    return np.einsum("...ab,...b,...cb->...ac", q, w**power, np.conj(q))
-
-
 def factorization_residual(
     a: HermitianMatrixField,
     a_tilde: HermitianMatrixField,
@@ -197,11 +154,11 @@ def factorization_residual(
     a_mat = a.constant_matrix()
     at_vals = a_tilde.sampled_on(grid.spatial_shape)
 
-    deriv = materialize(derivative_operator(grid, basis), cap=cap)
+    deriv = derivative_operator(grid, basis).dense(cap=cap)
     sqrt_a_blk = block_multiplication_matrix(matrix_sqrt(a_mat), grid)
     isqrt_a_blk = block_multiplication_matrix(matrix_inv_sqrt(a_mat), grid)
-    sqrt_at_blk = block_multiplication_matrix(_field_power(at_vals, 0.5), grid)
-    isqrt_at_blk = block_multiplication_matrix(_field_power(at_vals, -0.5), grid)
+    sqrt_at_blk = block_multiplication_matrix(field_power(at_vals, 0.5), grid)
+    isqrt_at_blk = block_multiplication_matrix(field_power(at_vals, -0.5), grid)
     diff_blk = block_multiplication_matrix(a_mat - at_vals, grid)
 
     gram = deriv @ np.conj(deriv.T)
@@ -257,7 +214,7 @@ def polar_decomposition_check(
     ||U U* U - U||; the truncation rank drops the zero singular values
     coming from the factor's kernel (the constants).
     """
-    factor = materialize(assemble_derivative_factor(sqrt_field(a), grid), cap=cap)
+    factor = assemble_derivative_factor(sqrt_field(a), grid).dense(cap=cap)
     gram = factor @ np.conj(factor.T)
     gram_sqrt = matrix_function(gram, np.sqrt, spectrum_floor=0.0)
     w, s, vh = np.linalg.svd(factor, full_matrices=False)
@@ -288,29 +245,3 @@ def convolution_kernel(
     lattice = spectral_symbol_lattice(b_mat, grid.frequency_points(), profile, b.basis)
     spatial_axes = tuple(range(grid.N))
     return np.fft.ifftn(lattice, axes=spatial_axes) / grid.cell_volume
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """One verified inequality instance lhs <= constant * rhs."""
-
-    lhs: float
-    rhs: float
-    constant: float
-    context: dict = field(default_factory=dict)
-
-    @property
-    def ratio(self) -> float:
-        if self.rhs > 0 and self.constant > 0:
-            return self.lhs / (self.constant * self.rhs)
-        return 0.0 if self.lhs <= 1e-12 else float("inf")
-
-
-def operator_norm_check(op_tilde, op, v_sup: float, cap: int = DEFAULT_DENSE_CAP) -> BoundCheck:
-    """Check ||resolvent difference|| <= (1/4) * sup-norm of the perturbation.
-
-    The 1/4 is the product of the two factors of sup g = 1/2 in the
-    factorized difference.
-    """
-    lhs = operator_norm(resolvent_difference(op_tilde, op, cap=cap))
-    return BoundCheck(lhs=lhs, rhs=float(v_sup), constant=0.25, context={"kind": "operator_norm"})

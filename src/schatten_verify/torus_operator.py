@@ -26,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coeff_algebra import HermitianMatrixField
-from .errors import DimensionCapError, NonPositiveDefiniteError
+from .coeff_algebra import HermitianMatrixField, check_positive_definite
+from .errors import DimensionCapError
 from .multiindex import MultiIndexBasis, monomial_matrix
 
 DEFAULT_DENSE_CAP = 8192
@@ -98,21 +98,6 @@ class TorusGrid:
         return np.exp(1j * np.tensordot(x, xi, axes=([-1], [0])))
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Samples on a TorusGrid: scalar (shape *spatial) or nu-channel
-    (shape (channels, *spatial), channel order fixed by the multi-index basis)."""
-
-    grid: TorusGrid
-    values: np.ndarray
-
-    @property
-    def channels(self) -> int:
-        if self.values.shape == self.grid.spatial_shape:
-            return 1
-        return self.values.shape[0]
-
-
 class LinearOperatorRep:
     """An operator on grid functions: matrix-free apply plus dense materialization.
 
@@ -165,6 +150,7 @@ class LinearOperatorRep:
         return self._present(out, self.in_channels)
 
     def dense(self, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+        """Dense matrix, cached; raises DimensionCapError over ``cap``."""
         if self._dense is not None:
             return self._dense
         dim = max(self.in_dim, self.out_dim)
@@ -178,11 +164,6 @@ class LinearOperatorRep:
             e[j] = 0.0
         self._dense = cols
         return cols
-
-
-def materialize(op: LinearOperatorRep, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Dense matrix of the operator; raises DimensionCapError over budget."""
-    return op.dense(cap=cap)
 
 
 def _derivative_multipliers(grid: TorusGrid, basis: MultiIndexBasis) -> np.ndarray:
@@ -239,22 +220,6 @@ def derivative_operator(grid: TorusGrid, basis: MultiIndexBasis) -> LinearOperat
     return LinearOperatorRep(grid, 1, basis.nu, apply, apply_adjoint, label="derivative_stack")
 
 
-def spectral_derivative(u: GridFunction, basis: MultiIndexBasis) -> GridFunction:
-    """All order-m partial derivatives of a scalar grid function."""
-    op = derivative_operator(u.grid, basis)
-    return GridFunction(u.grid, op.apply(u.values))
-
-
-def _require_pd_samples(field: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
-    vals = field.sampled_on(grid.spatial_shape)
-    w = np.linalg.eigvalsh(vals)
-    if w.min() <= 0:
-        mask = w.min(axis=-1) <= 0
-        bad = [tuple(int(i) for i in idx) for idx in np.argwhere(mask)]
-        raise NonPositiveDefiniteError(w.min(), bad)
-    return vals
-
-
 def constant_multiplier(a: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
     """The real scalar multiplier A(xi) of the constant-coefficient operator."""
     a_mat = a.constant_matrix()
@@ -272,9 +237,7 @@ def assemble_constant_coefficient(
     """
     if not a.is_constant:
         raise ValueError("constant assembly needs a constant coefficient field")
-    lam_min = float(np.min(np.linalg.eigvalsh(a.constant_matrix())))
-    if lam_min <= 0:
-        raise NonPositiveDefiniteError(lam_min)
+    check_positive_definite(np.linalg.eigvalsh(a.constant_matrix()))
     mult = constant_multiplier(a, grid)
 
     def apply(u: np.ndarray) -> np.ndarray:
@@ -292,7 +255,8 @@ def assemble_variable_coefficient(
     product by construction; requires the coefficient to be positive
     definite at every sample and reports the failing points otherwise.
     """
-    vals = _require_pd_samples(a_tilde, grid)
+    vals = a_tilde.sampled_on(grid.spatial_shape)
+    check_positive_definite(np.linalg.eigvalsh(vals))
     der, der_adj = _derivative_pipelines(grid, a_tilde.basis)
 
     def apply(u: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from schatten_verify import (
     factorization_residual,
     is_divergent,
     lattice_symbol_integral,
-    materialize,
     matrix_sqrt,
     polar_decomposition_check,
     polyharmonic_coefficients,
@@ -73,7 +72,7 @@ def test_criterion_01_deift_identity():
 
     grid = TorusGrid(N=1, n=32, L=2 * np.pi)
     basis, a = polyharmonic_setup(1, 1)
-    t = materialize(assemble_derivative_factor(sqrt_field(a), grid))
+    t = assemble_derivative_factor(sqrt_field(a), grid).dense()
     discrete = deift_residual(t)
 
     report(
@@ -164,7 +163,7 @@ def test_criterion_05_coarea_constant():
         edge = resolvent_profile(radius ** (2 * m)) ** 2
         assert edge < 1e-6
         lhs = lattice_symbol_integral(bb, bas, resolvent_profile, spacing=spacing, radius=radius)
-        c_cov = coarea_constant(bb, bas, samples=1_000_000, seed=20260810)
+        c_cov = coarea_constant(bb, bas, samples=1_000_000, seed=20260810).value
         gstar = resolvent_profile_norm(WeightedNormSpec(p=2, N=N, m=m))
         rhs = c_cov * gstar**2
         rel = abs(lhs - rhs) / rhs

@@ -7,12 +7,12 @@ from schatten_verify import (
     coarea_constant,
     constant_field,
     enumerate_basis,
+    field_power,
     lattice_symbol_integral,
     matrix_sqrt,
     polyharmonic_coefficients,
     principal_symbol,
     sampled_field,
-    spectral_symbol,
     spectral_symbol_lattice,
     sublevel_volume,
     symbol_vector,
@@ -43,6 +43,27 @@ class TestMatrixSqrt:
         with pytest.raises(NonPositiveDefiniteError) as err:
             matrix_sqrt(a)
         assert err.value.min_eigenvalue == pytest.approx(-0.25)
+        assert err.value.points == []
+
+    def test_field_power_names_failing_points(self):
+        vals = np.broadcast_to(np.eye(2), (3, 4, 2, 2)).copy()
+        vals[1, 2] = np.diag([1.0, -0.5])
+        vals[2, 0] = np.diag([0.0, 1.0])
+        with pytest.raises(NonPositiveDefiniteError) as err:
+            field_power(vals, 0.5)
+        assert err.value.min_eigenvalue == pytest.approx(-0.5)
+        assert err.value.points == [(1, 2), (2, 0)]
+
+    def test_field_power_round_trip(self):
+        rng = np.random.default_rng(19)
+        for nu in (1, 3, 6):
+            a = random_hermitian_pd(rng, nu)
+            field = np.stack([random_hermitian_pd(rng, nu) for _ in range(5)])
+            for values in (a, field):
+                back = field_power(field_power(values, 0.5), 2)
+                assert np.abs(back - values).max() <= 1e-12 * np.abs(values).max()
+            inv_sqrt = field_power(field, -0.5)
+            assert np.abs(inv_sqrt @ field @ inv_sqrt - np.eye(nu)).max() <= 1e-12
 
 
 class TestClip:
@@ -135,14 +156,14 @@ class TestSpectralSymbol:
     def test_zero_frequency_is_zero_matrix(self):
         basis = enumerate_basis(2, 1)
         b = np.eye(basis.nu)
-        out = spectral_symbol(b, np.zeros(2), resolvent_profile, basis)
-        assert np.all(out == 0)
+        out = spectral_symbol_lattice(b, np.zeros(2), resolvent_profile, basis)
+        assert out.shape == (2, 2) and np.all(out == 0)
 
     def test_scalar_reduction(self):
         basis = enumerate_basis(1, 2)
         b = np.array([[1.7]])
         xi = np.array([0.9])
-        out = spectral_symbol(b, xi, resolvent_profile, basis)
+        out = spectral_symbol_lattice(b, xi, resolvent_profile, basis)
         a_val = (1.7 * 0.9**2) ** 2
         assert out[0, 0] == pytest.approx(resolvent_profile(a_val), rel=1e-12)
 
@@ -150,11 +171,11 @@ class TestSpectralSymbol:
         rng = np.random.default_rng(16)
         basis = enumerate_basis(2, 2)
         b = matrix_sqrt(random_hermitian_pd(rng, basis.nu))
-        for xi in rng.normal(size=(10, 2)):
-            out = spectral_symbol(b, xi, resolvent_profile, basis)
-            a_val = principal_symbol(b, xi, basis)
-            top = np.linalg.svd(out, compute_uv=False)[0]
-            assert abs(top - resolvent_profile(a_val)) <= 1e-12
+        xi = rng.normal(size=(10, 2))
+        out = spectral_symbol_lattice(b, xi, resolvent_profile, basis)
+        top = np.linalg.svd(out, compute_uv=False)[:, 0]
+        expected = resolvent_profile(principal_symbol(b, xi, basis))
+        assert np.abs(top - expected).max() <= 1e-12
 
     def test_rank_at_most_one_and_psd(self):
         rng = np.random.default_rng(17)
@@ -169,17 +190,18 @@ class TestSpectralSymbol:
 
 
 def test_evaluate_symbol_bundle():
-    from schatten_verify import evaluate_symbol
-
+    # vector, principal and rank-one symbols at one frequency agree
     rng = np.random.default_rng(18)
     basis = enumerate_basis(2, 1)
     b = matrix_sqrt(random_hermitian_pd(rng, basis.nu))
     xi = rng.normal(size=2)
-    ev = evaluate_symbol(b, xi, basis, g=resolvent_profile)
-    assert ev.principal == pytest.approx(np.sum(np.abs(ev.vector) ** 2), rel=1e-12)
-    assert np.allclose(ev.rank_one, np.conj(ev.rank_one.T))
-    s = np.linalg.svd(ev.rank_one, compute_uv=False)
-    assert s[0] == pytest.approx(resolvent_profile(ev.principal), rel=1e-12)
+    vector = symbol_vector(b, xi, basis)
+    principal = principal_symbol(b, xi, basis)
+    rank_one = spectral_symbol_lattice(b, xi, resolvent_profile, basis)
+    assert principal == pytest.approx(np.sum(np.abs(vector) ** 2), rel=1e-12)
+    assert np.allclose(rank_one, np.conj(rank_one.T))
+    s = np.linalg.svd(rank_one, compute_uv=False)
+    assert s[0] == pytest.approx(resolvent_profile(principal), rel=1e-12)
     assert s[1] <= 1e-12 * s[0]
 
 
@@ -218,12 +240,15 @@ class TestCoareaConstant:
         basis = enumerate_basis(2, 1)
         b = matrix_sqrt(polyharmonic_coefficients(basis).constant_matrix())
         c = coarea_constant(b, basis, samples=1_000_000, seed=104)
-        assert c == pytest.approx(1.0 / (4.0 * np.pi), rel=5e-3)
+        assert c.value == pytest.approx(1.0 / (4.0 * np.pi), rel=5e-3)
+        vol = sublevel_volume(b, basis, samples=1_000_000, seed=104)
+        assert c.stderr == pytest.approx(vol.stderr / (4.0 * np.pi ** 2), rel=1e-12)
 
     def test_interval_value(self):
         basis = enumerate_basis(1, 1)
         c = coarea_constant(np.eye(1), basis, samples=10_000, seed=105)
-        assert c == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)
+        assert c.value == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)
+        assert c.stderr == 0.0
 
     def test_lattice_identity(self):
         # (2pi)^-N integral g^2(A) dxi == c_cov * (||g||_2^*)^2, checked by

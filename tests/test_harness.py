@@ -8,6 +8,8 @@ from schatten_verify import ConfigError
 from schatten_verify.cli import default_config_path, run_cli
 from schatten_verify.harness import (
     CSV_HEADER,
+    coarea_constants,
+    impurity_experiment,
     load_config,
     parse_config,
     parse_csv_rows,
@@ -50,6 +52,37 @@ def small_config(**overrides):
                     "shape": "bump",
                     "center": [0.0],
                     "radius": L / 4,
+                    "amplitude": 0.5,
+                },
+                "p_values": [4],
+            },
+            {
+                # off-diagonal reference: its eigenvectors are not the
+                # coordinate axes, so every pointwise power rotates
+                "id": "quick_matrix_ball",
+                "N": 2,
+                "m": 1,
+                "grid": {"n": 8, "L": L},
+                "base": "matrix",
+                "base_matrix": [[2.0, 0.5], [0.5, 1.0]],
+                "perturbation": {
+                    "shape": "ball",
+                    "center": [0.0, 0.0],
+                    "radius": 1.0,
+                    "amplitude": 0.5,
+                },
+                "p_values": [4],
+            },
+            {
+                "id": "quick_n3_ball",
+                "N": 3,
+                "m": 1,
+                "grid": {"n": 4, "L": 4.0},
+                "base": "polyharmonic",
+                "perturbation": {
+                    "shape": "ball",
+                    "center": [0.0, 0.0, 0.0],
+                    "radius": 1.5,
                     "amplitude": 0.5,
                 },
                 "p_values": [4],
@@ -155,6 +188,32 @@ class TestVerifyStudy:
         assert not any("p=1" in a.name for a in result.assertions)
 
 
+# (lhs, rhs) per (experiment, p) of the matrix-base and N=3 experiments,
+# pinned to 1e-12 relative: neither depends on the Monte Carlo seed
+PINNED_ROWS = {
+    ("quick_matrix_ball", 4.0): (0.04187013895927889, 0.5410181270469258),
+    ("quick_matrix_ball", math.inf): (0.034474973743537876, 0.40824829046386296),
+    ("quick_n3_ball", 4.0): (0.0681104766550624, 0.8523398132533638),
+    ("quick_n3_ball", math.inf): (0.052037100108993574, 0.4082482904638631),
+}
+
+
+def test_matrix_base_and_three_dimensional_rows():
+    config = parse_config(small_config())
+    assert [e.id for e in config.experiments[2:]] == ["quick_matrix_ball", "quick_n3_ball"]
+    ratio_tol = config.tolerances.ratio
+    experiments = config.experiments[2:]
+    c_cov = coarea_constants(config, experiments)
+    rows = [r for e in experiments for r in impurity_experiment(e, config, c_cov[e.id].value)]
+    assert {(r.experiment, r.p) for r in rows} == set(PINNED_ROWS)
+    for row in rows:
+        lhs, rhs = PINNED_ROWS[(row.experiment, row.p)]
+        assert row.lhs == pytest.approx(lhs, rel=1e-12)
+        assert row.rhs == pytest.approx(rhs, rel=1e-12)
+        assert row.factorization_residual <= 1e-10 and row.deift_residual <= 1e-10
+        assert 0.0 < row.ratio <= ratio_tol
+
+
 class TestScaleStudy:
     def test_slope_and_doubling(self):
         result = run_scale(parse_config(small_config()))
@@ -229,13 +288,14 @@ class TestRefineStudy:
 class TestPositivityGuard:
     def test_experiment_with_indefinite_coefficient_names_itself(self):
         from schatten_verify import NonPositiveDefiniteError
-        from schatten_verify.harness import impurity_experiment
 
         data = small_config()
         data["experiments"][0]["perturbation"]["amplitude"] = -1.5
         config = parse_config(data)
+        exp = config.experiments[0]
+        c_cov = coarea_constants(config, (exp,))[exp.id].value
         with pytest.raises(NonPositiveDefiniteError, match="quick_box"):
-            impurity_experiment(config.experiments[0], config)
+            impurity_experiment(exp, config, c_cov)
 
 
 class TestCli:
@@ -257,6 +317,24 @@ class TestCli:
 
     def test_exit_two_on_missing_config(self, tmp_path):
         assert run_cli(["verify", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+    def test_exit_two_on_indefinite_coefficient(self, tmp_path, capsys):
+        data = small_config()
+        data["experiments"][0]["perturbation"]["amplitude"] = -1.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "not positive definite" in err and "quick_box" in err and "grid points" in err
+        assert "Traceback" not in err
+
+    def test_exit_two_on_dense_cap(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config()))
+        args = ["verify", "--config", str(cfg), "--out", str(tmp_path / "o"), "--max-dim", "16"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert "exceeds cap 16" in err and "Traceback" not in err
 
     def test_exit_one_names_failing_row(self, tmp_path, capsys):
         data = small_config(tolerances={"ratio": 1e-6})
@@ -316,3 +394,14 @@ class TestReportRoundTrip:
         )
         flags = {a["name"]: a["passed"] for a in summary["assertions"]}
         assert {a.name: a.passed for a in recomputed} == flags
+
+    def test_clip_recompute_needs_spectral_max(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config()))
+        out = tmp_path / "out"
+        assert run_cli(["clip", "--config", str(cfg), "--out", str(out)]) == 0
+        csv_text = (out / "clip_report.csv").read_text()
+        config = load_config(str(cfg))
+        for extras in (None, {"cauchy": []}):
+            with pytest.raises(ConfigError, match="spectral_max"):
+                recompute_assertions_from_csv(csv_text, config, "clip", extras=extras)

@@ -67,11 +67,14 @@ class TestQuadrature:
         spec = WeightedNormSpec(p=4, N=1, m=1)
         assert weighted_profile_norm(lambda t: 0.0 * np.asarray(t), spec, tail_decay=1.0) == 0.0
 
-    def test_growth_backstop_flags_non_decaying_profile(self):
-        # t/(1+t) -> 1 at infinity: never integrable against t^w dt
+    def test_non_decaying_profile_needs_declared_decay(self):
+        # t/(1+t) -> 1 at infinity: never integrable against t^w dt, and
+        # flagged only through its declared decay
         spec = WeightedNormSpec(p=4, N=1, m=1)
-        out = weighted_profile_norm(lambda t: t / (1.0 + t), spec)
-        assert out is DIVERGENT
+        profile = lambda t: t / (1.0 + t)
+        assert weighted_profile_norm(profile, spec, tail_decay=0.0) is DIVERGENT
+        with pytest.raises(ValueError, match="tail_decay"):
+            weighted_profile_norm(profile, spec)
 
     def test_declared_tail_decay_shortcut(self):
         spec = WeightedNormSpec(p=1, N=1, m=1)

@@ -3,7 +3,6 @@ import pytest
 
 from schatten_verify import (
     DimensionCapError,
-    GridFunction,
     NonPositiveDefiniteError,
     TorusGrid,
     assemble_channel_gram,
@@ -13,11 +12,9 @@ from schatten_verify import (
     constant_field,
     derivative_operator,
     enumerate_basis,
-    materialize,
     matrix_sqrt,
     polyharmonic_coefficients,
     sampled_field,
-    spectral_derivative,
     sqrt_field,
     symbol_vector,
 )
@@ -41,9 +38,9 @@ class TestDerivativeStack:
     def test_constant_maps_to_zero(self):
         grid = TorusGrid(N=2, n=8, L=2 * np.pi)
         basis = enumerate_basis(2, 1)
-        u = GridFunction(grid, np.full(grid.spatial_shape, 3.7, dtype=complex))
-        out = spectral_derivative(u, basis)
-        assert np.abs(out.values).max() < 1e-14
+        u = np.full(grid.spatial_shape, 3.7, dtype=complex)
+        out = derivative_operator(grid, basis).apply(u)
+        assert np.abs(out).max() < 1e-14
 
     def test_plane_wave_eigenfunction_1d(self):
         grid = TorusGrid(N=1, n=16, L=2 * np.pi)
@@ -100,7 +97,7 @@ class TestConstantOperator:
     def test_dense_hermitian_psd(self):
         grid = TorusGrid(N=2, n=6, L=2 * np.pi)
         basis, a = polyharmonic_setup(2, 1)
-        dense = materialize(assemble_constant_coefficient(a, grid))
+        dense = assemble_constant_coefficient(a, grid).dense()
         assert np.abs(dense - np.conj(dense.T)).max() < 1e-10
         assert np.linalg.eigvalsh(dense).min() >= -1e-10
 
@@ -118,8 +115,8 @@ class TestVariableOperator:
         at = sampled_field(
             basis, np.broadcast_to(a.constant_matrix(), (*grid.spatial_shape, 2, 2)).copy()
         )
-        d1 = materialize(assemble_constant_coefficient(a, grid))
-        d2 = materialize(assemble_variable_coefficient(at, grid))
+        d1 = assemble_constant_coefficient(a, grid).dense()
+        d2 = assemble_variable_coefficient(at, grid).dense()
         assert np.abs(d1 - d2).max() <= 1e-10 * np.abs(d1).max()
 
     def test_linear_in_coefficient(self):
@@ -139,7 +136,7 @@ class TestVariableOperator:
         basis = enumerate_basis(1, 2)
         vals = np.stack([random_hermitian_pd(rng, 1) for _ in range(12)])
         at = sampled_field(basis, vals)
-        dense = materialize(assemble_variable_coefficient(at, grid))
+        dense = assemble_variable_coefficient(at, grid).dense()
         assert np.abs(dense - np.conj(dense.T)).max() < 1e-10
         assert np.linalg.eigvalsh(dense).min() >= -1e-8
 
@@ -192,8 +189,8 @@ class TestFactorAndGram:
     def test_factor_star_factor_equals_operator(self):
         grid = TorusGrid(N=2, n=6, L=2 * np.pi)
         basis, a = polyharmonic_setup(2, 1)
-        t = materialize(assemble_derivative_factor(sqrt_field(a), grid))
-        h = materialize(assemble_constant_coefficient(a, grid))
+        t = assemble_derivative_factor(sqrt_field(a), grid).dense()
+        h = assemble_constant_coefficient(a, grid).dense()
         assert np.abs(np.conj(t.T) @ t - h).max() <= 1e-10 * np.abs(h).max()
 
     def test_gram_fourier_blocks_are_rank_one_symbols(self):
@@ -218,7 +215,7 @@ class TestFactorAndGram:
     def test_singular_values_of_factor_match_gram_eigenvalues(self):
         grid = TorusGrid(N=1, n=16, L=2 * np.pi)
         basis, a = polyharmonic_setup(1, 2)
-        t = materialize(assemble_derivative_factor(sqrt_field(a), grid))
+        t = assemble_derivative_factor(sqrt_field(a), grid).dense()
         s = np.linalg.svd(t, compute_uv=False)
         inner_eigs = np.sort(np.linalg.eigvalsh(np.conj(t.T) @ t))[::-1]
         outer_eigs = np.sort(np.linalg.eigvalsh(t @ np.conj(t.T)))[::-1][: len(s)]
@@ -232,12 +229,12 @@ class TestMaterialize:
         from schatten_verify import LinearOperatorRep
 
         op = LinearOperatorRep(grid, 1, 1, lambda u: u, lambda u: u)
-        assert np.allclose(materialize(op), np.eye(8))
+        assert np.allclose(op.dense(), np.eye(8))
 
     def test_constant_coefficient_matrix_is_circulant(self):
         grid = TorusGrid(N=1, n=8, L=2 * np.pi)
         basis, a = polyharmonic_setup(1, 1)
-        dense = materialize(assemble_constant_coefficient(a, grid))
+        dense = assemble_constant_coefficient(a, grid).dense()
         for i in range(8):
             for j in range(8):
                 assert dense[i, j] == pytest.approx(dense[(i + 1) % 8, (j + 1) % 8], abs=1e-12)
@@ -246,4 +243,4 @@ class TestMaterialize:
         grid = TorusGrid(N=1, n=64, L=1.0)
         basis, a = polyharmonic_setup(1, 1)
         with pytest.raises(DimensionCapError):
-            materialize(assemble_constant_coefficient(a, grid), cap=32)
+            assemble_constant_coefficient(a, grid).dense(cap=32)
