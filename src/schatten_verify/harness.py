@@ -591,7 +591,6 @@ def build_artifacts(
     config: HarnessConfig,
     grid: TorusGrid | None = None,
     a_tilde: HermitianMatrixField | None = None,
-    run_factorization: bool = True,
 ) -> ExperimentArtifacts:
     grid = grid or TorusGrid(N=exp.N, n=exp.grid.n, L=exp.grid.L)
     basis = enumerate_basis(exp.N, exp.m)
@@ -614,9 +613,7 @@ def build_artifacts(
     svals = singular_spectrum(delta)
 
     v_field = relative_perturbation(a, a_tilde, grid.cell_volume)
-    fact = (
-        factorization_residual(a, a_tilde, grid, cap=cap) if run_factorization else 0.0
-    )
+    fact = factorization_residual(a, a_tilde, grid, delta, cap=cap)
     t_tilde = assemble_derivative_factor(sqrt_field(a_tilde), grid).dense(cap=cap)
     return ExperimentArtifacts(
         grid=grid,
@@ -790,25 +787,25 @@ def _clip_target_field(
 
 
 def run_clip(config: HarnessConfig) -> StudyResult:
-    """Clipping sequence on a degenerate coefficient; operator-norm bound per level."""
+    """Clipping sequence on a degenerate coefficient, one bound row per level.
+
+    A level's lhs is the *operator* norm of the resolvent difference, set against
+    the trace-norm constant * ||V||_p: weaker than the Schatten-p bound, as
+    ||.||_op <= ||.||_p. A ``clip_pair`` row holds the Cauchy gap of levels n, 2n.
+    """
     st = config.studies
     if not st.clip_experiment:
         raise ConfigError("config has no clip_study section")
     exp = next(e for e in config.experiments if e.id == st.clip_experiment)
     grid = TorusGrid(N=exp.N, n=exp.grid.n, L=exp.grid.L)
     basis = enumerate_basis(exp.N, exp.m)
-    a = base_coefficient(exp, basis)
-    degenerate = _clip_target_field(exp, a, grid, st.clip_floor)
+    degenerate = _clip_target_field(exp, base_coefficient(exp, basis), grid, st.clip_floor)
     p = st.clip_p
     cap = config.max_dim
-
-    h_const = assemble_constant_coefficient(a, grid)
-    res_const = resolvent(h_const, cap=cap)
     c_cov = coarea_constants(config, (exp,))[exp.id].value
     constant = trace_norm_constant(p, basis, c_cov)
 
-    def resolvent_at(level: int) -> np.ndarray:
-        clipped = clip_coefficients(degenerate, level)
+    def resolvent_of(clipped: HermitianMatrixField) -> np.ndarray:
         return resolvent(assemble_variable_coefficient(clipped, grid), cap=cap)
 
     rows: list[ReportRow] = []
@@ -820,16 +817,14 @@ def run_clip(config: HarnessConfig) -> StudyResult:
     for level in st.clip_levels:
         start = time.perf_counter()
         clipped = clip_coefficients(degenerate, level)
-        res_level = resolvent_at(level)
-        lhs = operator_norm(res_level - res_const)
-        v_field = relative_perturbation(a, clipped, grid.cell_volume)
-        rhs = matrix_field_lp_norm(v_field, p)
-        fact = factorization_residual(a, clipped, grid, cap=cap)
-        t_mat = assemble_derivative_factor(sqrt_field(clipped), grid).dense(cap=cap)
-        residuals = (fact, deift_residual(t_mat))
+        art = build_artifacts(exp, config, grid=grid, a_tilde=clipped)
+        lhs = schatten_norm_from_values(art.delta_singular_values, np.inf)
+        rhs = matrix_field_lp_norm(art.v_field, p)
+        residuals = (art.fact_residual, art.deift_res)
         label = f"{exp.id}|clip={level}"
         rows.append(_report_row(label, p, lhs, rhs, constant, residuals, grid, start))
-        diff = operator_norm(resolvent_at(2 * level) - res_level)
+        doubled = clip_coefficients(degenerate, 2 * level)
+        diff = operator_norm(resolvent_of(doubled) - resolvent_of(clipped))
         cauchy.append({"level": level, "next": 2 * level, "difference": diff})
         # the Cauchy gap is no inequality instance: its row carries ratio 0
         label = f"{exp.id}|clip_pair={level}:{2*level}"

@@ -3,8 +3,11 @@
 import numpy as np
 
 from schatten_verify import (
+    assemble_constant_coefficient,
+    assemble_variable_coefficient,
     enumerate_basis,
     polyharmonic_coefficients,
+    resolvent_difference,
     sampled_field,
 )
 
@@ -46,3 +49,10 @@ def bump_perturbed_field(grid, basis, a, amplitude, rel_radius=0.25, center=None
 def polyharmonic_setup(N, m):
     basis = enumerate_basis(N, m)
     return basis, polyharmonic_coefficients(basis)
+
+
+def direct_difference(a, at, grid):
+    """(op_tilde + 1)^{-1} - (op + 1)^{-1} for the sampled and the constant coefficient."""
+    return resolvent_difference(
+        assemble_variable_coefficient(at, grid), assemble_constant_coefficient(a, grid)
+    )

@@ -1,5 +1,9 @@
+import inspect
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,3 +409,25 @@ class TestReportRoundTrip:
         for extras in (None, {"cauchy": []}):
             with pytest.raises(ConfigError, match="spectral_max"):
                 recompute_assertions_from_csv(csv_text, config, "clip", extras=extras)
+
+
+def test_perfbench_tracer_installs():
+    # perfbench/tracer.py wraps functions by module attribute and reads these
+    # parameters by name; a rename or a dropped import breaks ``--trace 1``
+    from schatten_verify import coeff_algebra, harness, schatten_analysis
+
+    script = (
+        "import sys; sys.path[:0]=['perfbench','src']; "
+        "import tracer; tracer.install(tracer.Tracer())"
+    )
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for fn, names in (
+        (harness.impurity_experiment, {"exp"}),
+        (schatten_analysis.singular_spectrum, {"matrix"}),
+        (schatten_analysis.deift_residual, {"s_matrix"}),
+        (schatten_analysis.factorization_residual, {"a", "grid"}),
+        (coeff_algebra.sublevel_volume, {"samples"}),
+    ):
+        assert names <= set(inspect.signature(fn).parameters), fn.__name__

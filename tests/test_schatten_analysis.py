@@ -27,6 +27,7 @@ from schatten_verify.norms import resolvent_profile
 from helpers import (
     box_perturbed_field,
     bump_perturbed_field,
+    direct_difference,
     polyharmonic_setup,
     random_hermitian_pd,
 )
@@ -126,7 +127,7 @@ class TestFactorization:
         grid = TorusGrid(N=1, n=32, L=2 * np.pi)
         basis, a = polyharmonic_setup(1, 1)
         at = box_perturbed_field(grid, basis, a, amplitude=0.0)
-        assert factorization_residual(a, at, grid) < 1e-12
+        assert factorization_residual(a, at, grid, direct_difference(a, at, grid)) < 1e-12
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_one_dimensional_bump(self, m):
@@ -134,25 +135,31 @@ class TestFactorization:
         grid = TorusGrid(N=1, n=64, L=L)
         basis, a = polyharmonic_setup(1, m)
         at = bump_perturbed_field(grid, basis, a, amplitude=0.75, rel_radius=0.125)
-        assert factorization_residual(a, at, grid) < 1e-10
+        assert factorization_residual(a, at, grid, direct_difference(a, at, grid)) < 1e-10
 
     def test_two_dimensional_box(self):
         grid = TorusGrid(N=2, n=16, L=2 * np.pi)
         basis, a = polyharmonic_setup(2, 1)
         at = box_perturbed_field(grid, basis, a, amplitude=0.5, rel_width=0.25)
-        assert factorization_residual(a, at, grid) < 1e-9
+        assert factorization_residual(a, at, grid, direct_difference(a, at, grid)) < 1e-9
 
     def test_translation_invariance(self):
         grid = TorusGrid(N=1, n=32, L=2 * np.pi)
         basis, a = polyharmonic_setup(1, 1)
-        r0 = factorization_residual(
-            a, bump_perturbed_field(grid, basis, a, 0.6, 0.2, center=[0.0]), grid
-        )
+        at0 = bump_perturbed_field(grid, basis, a, 0.6, 0.2, center=[0.0])
+        r0 = factorization_residual(a, at0, grid, direct_difference(a, at0, grid))
         shift = 5 * grid.h
-        r1 = factorization_residual(
-            a, bump_perturbed_field(grid, basis, a, 0.6, 0.2, center=[shift]), grid
-        )
+        at1 = bump_perturbed_field(grid, basis, a, 0.6, 0.2, center=[shift])
+        r1 = factorization_residual(a, at1, grid, direct_difference(a, at1, grid))
         assert abs(r0 - r1) < 1e-12
+
+    def test_compares_against_the_given_difference(self):
+        grid = TorusGrid(N=1, n=32, L=2 * np.pi)
+        basis, a = polyharmonic_setup(1, 1)
+        at = bump_perturbed_field(grid, basis, a, amplitude=0.75, rel_radius=0.125)
+        direct = direct_difference(a, at, grid)
+        shifted = direct + 1e-6 * operator_norm(direct) * np.eye(direct.shape[0])
+        assert factorization_residual(a, at, grid, shifted) >= 1e-7
 
 
 class TestPolar:
