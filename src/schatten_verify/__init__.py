@@ -29,6 +29,7 @@ from .norms import (
     relative_perturbation,
 )
 from .schatten_analysis import (
+    channel_solve,
     convolution_kernel,
     deift_residual,
     factorization_residual,
@@ -48,6 +49,7 @@ from .torus_operator import (
     assemble_derivative_factor,
     assemble_variable_coefficient,
     block_multiplication_matrix,
+    constant_resolvent,
     derivative_operator,
 )
 

@@ -1,14 +1,15 @@
 """Resolvents, Schatten norms, and the exact operator identities.
 
 Everything here works on dense matrices obtained from small-grid
-discretizations; Schatten norms come from full singular value
-decompositions, which at desk scale is both exact and free of the failure
-modes of iterative methods.
+discretizations. Schatten norms come from the full spectrum, never from
+iterative methods: the singular values of a general matrix by SVD, those of
+a Hermitian one (a resolvent difference) as the absolute eigenvalues of its
+Hermitian part, which is exact and cheaper.
 
 Verified identities (all exact in finite dimensions):
 
 * the resolvent partition (S*S + 1)^{-1} + S* (SS* + 1)^{-1} S = 1 for an
-  arbitrary rectangular S;
+  arbitrary rectangular S, given the channel-side solve (SS* + 1)^{-1} S;
 * the factorization of a resolvent difference through the coefficient
   difference: the direct difference of (op + 1)^{-1} matrices equals the
   chain  Tt* (Gt+1)^{-1} at^{-1/2} (a - at) a^{-1/2} (G+1)^{-1} T, where
@@ -46,9 +47,17 @@ from .torus_operator import (
 )
 
 
-def singular_spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Non-increasing singular values of a dense matrix."""
-    return np.linalg.svd(np.asarray(matrix), compute_uv=False)
+def singular_spectrum(matrix: np.ndarray, hermitian: bool = False) -> np.ndarray:
+    """Non-increasing singular values of a dense matrix.
+
+    With ``hermitian`` they are the absolute eigenvalues of the matrix's
+    Hermitian part, by ``eigvalsh`` instead of an SVD.
+    """
+    m = np.asarray(matrix)
+    if not hermitian:
+        return np.linalg.svd(m, compute_uv=False)
+    eigenvalues = np.linalg.eigvalsh(0.5 * (m + np.conj(m.T)))
+    return np.sort(np.abs(eigenvalues))[::-1]
 
 
 def schatten_norm_from_values(values: np.ndarray, p: float) -> float:
@@ -122,17 +131,24 @@ def spectral_profile_operator(gram_dense: np.ndarray, profile: Callable) -> np.n
     )
 
 
-def deift_residual(s_matrix: np.ndarray) -> float:
-    """Operator norm of (S*S+1)^{-1} + S*(SS*+1)^{-1}S - 1."""
+def channel_solve(factor: np.ndarray) -> np.ndarray:
+    """(F F* + 1)^{-1} F by one dense solve, for a rectangular factor F."""
+    f = np.asarray(factor, dtype=complex)
+    gram = f @ np.conj(f.T)
+    gram[np.diag_indices_from(gram)] += 1.0
+    return np.linalg.solve(gram, f)
+
+
+def deift_residual(s_matrix: np.ndarray, left: np.ndarray) -> float:
+    """Operator norm of (S*S+1)^{-1} + S* left - 1, with left = (SS*+1)^{-1} S.
+
+    ``left`` is ``channel_solve(s_matrix)``, the solve that the factorization
+    check shares; (S*S+1)^{-1} is solved here from S.
+    """
     s = np.asarray(s_matrix, dtype=complex)
     cols = s.shape[1]
-    rows = s.shape[0]
-    sts = np.conj(s.T) @ s
-    sst = s @ np.conj(s.T)
-    r_in = np.linalg.solve(sts + np.eye(cols), np.eye(cols, dtype=complex))
-    r_out = np.linalg.solve(sst + np.eye(rows), np.eye(rows, dtype=complex))
-    resid = r_in + np.conj(s.T) @ r_out @ s - np.eye(cols)
-    return operator_norm(resid)
+    r_in = np.linalg.solve(np.conj(s.T) @ s + np.eye(cols), np.eye(cols, dtype=complex))
+    return operator_norm(r_in + np.conj(s.T) @ left - np.eye(cols))
 
 
 def factorization_residual(
@@ -140,15 +156,20 @@ def factorization_residual(
     a_tilde: HermitianMatrixField,
     grid: TorusGrid,
     direct: np.ndarray,
+    left: np.ndarray,
+    scale: float,
     cap: int = DEFAULT_DENSE_CAP,
 ) -> float:
     """Residual between ``direct`` = (op_tilde+1)^{-1} - (op+1)^{-1} and the chain
 
         Tt* (Gt+1)^{-1} . at^{-1/2} (a - at) a^{-1/2} . (G+1)^{-1} T
 
-    with its own two channel-side solves and the middle field applied
-    pointwise. Returns the relative operator-norm residual, or the absolute
-    residual when the direct difference is numerically zero.
+    ``left`` = (Gt+1)^{-1} Tt is ``channel_solve`` of the perturbed factor
+    (the Deift check shares it); (G+1)^{-1} T is solved here, and the middle
+    field is applied pointwise. ``scale`` is ||direct||, which the caller has
+    from the spectrum of ``direct``. Returns the relative operator-norm
+    residual, or the absolute residual when the direct difference is
+    numerically zero.
     """
     basis = a.basis
     a_mat = a.constant_matrix()
@@ -156,20 +177,13 @@ def factorization_residual(
     points = grid.total_points
 
     t = assemble_derivative_factor(constant_field(basis, matrix_sqrt(a_mat)), grid).dense(cap=cap)
-    t_tilde = assemble_derivative_factor(sqrt_field(a_tilde), grid).dense(cap=cap)
     middle = field_power(at_vals, -0.5) @ (a_mat - at_vals) @ matrix_inv_sqrt(a_mat)
 
-    def solve_gram(factor: np.ndarray) -> np.ndarray:
-        gram = factor @ np.conj(factor.T)
-        return np.linalg.solve(gram + np.eye(gram.shape[0]), factor)
-
-    right = solve_gram(t).reshape(basis.nu, points, points)
-    left = solve_gram(t_tilde)
+    right = channel_solve(t).reshape(basis.nu, points, points)
     middle_right = np.einsum("pab,bpk->apk", middle.reshape(points, basis.nu, basis.nu), right)
     chain = np.conj(left.T) @ middle_right.reshape(basis.nu * points, points)
 
     gap = operator_norm(direct - chain)
-    scale = operator_norm(direct)
     if scale <= 1e-14:
         return gap
     return gap / scale

@@ -14,9 +14,10 @@ pairing here has |alpha| = |beta| = m, the i-powers cancel and the constant-
 coefficient operator is the real Fourier multiplier
 A(xi) = sum_{alpha beta} xi^alpha a[alpha, beta] xi^beta.
 
-Internally every pipeline works on arrays of shape (channels, *spatial),
-including channels == 1; the public apply()/apply_adjoint() drop the channel
-axis for single-channel results.
+Internally every pipeline works on arrays of shape (*batch, channels,
+*spatial), including channels == 1, so one call maps a whole block of
+inputs; the public apply()/apply_adjoint() take a single input and drop the
+channel axis for single-channel results.
 """
 
 from __future__ import annotations
@@ -150,20 +151,22 @@ class LinearOperatorRep:
         return self._present(out, self.in_channels)
 
     def dense(self, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-        """Dense matrix, cached; raises DimensionCapError over ``cap``."""
+        """Dense matrix, cached; raises DimensionCapError over ``cap``.
+
+        One pipeline call on the identity block: row j of its output is the
+        image of the j-th point-basis vector, i.e. column j of the matrix.
+        """
         if self._dense is not None:
             return self._dense
         dim = max(self.in_dim, self.out_dim)
         if dim > cap:
             raise DimensionCapError(dim, cap)
-        cols = np.empty((self.out_dim, self.in_dim), dtype=complex)
-        e = np.zeros(self.in_dim, dtype=complex)
-        for j in range(self.in_dim):
-            e[j] = 1.0
-            cols[:, j] = self.apply(e).reshape(self.out_dim)
-            e[j] = 0.0
-        self._dense = cols
-        return cols
+        basis = np.eye(self.in_dim, dtype=complex).reshape(
+            self.in_dim, self.in_channels, *self.grid.spatial_shape
+        )
+        images = self._apply(basis).reshape(self.in_dim, self.out_dim)
+        self._dense = np.ascontiguousarray(images.T)
+        return self._dense
 
 
 def _derivative_multipliers(grid: TorusGrid, basis: MultiIndexBasis) -> np.ndarray:
@@ -194,24 +197,30 @@ def _derivative_pipelines(grid: TorusGrid, basis: MultiIndexBasis):
     mult = _derivative_multipliers(grid, basis)
 
     def apply(u: np.ndarray) -> np.ndarray:
-        u_hat = _fft(u[0], grid)
-        return _ifft(mult * u_hat[None, ...], grid)
+        return _ifft(mult * _fft(u, grid), grid)
 
     def apply_adjoint(v: np.ndarray) -> np.ndarray:
-        acc = np.sum(np.conj(mult) * _fft(v, grid), axis=0)
-        return _ifft(acc, grid)[None, ...]
+        acc = np.sum(np.conj(mult) * _fft(v, grid), axis=-grid.N - 1, keepdims=True)
+        return _ifft(acc, grid)
 
     return apply, apply_adjoint
 
 
-def _pointwise_matvec(field_values: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # field (*spatial, nu, nu) or constant (nu, nu); v channel-first (nu, *spatial)
-    vm = np.moveaxis(v, 0, -1)
+def _pointwise_field(b: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
+    """The coefficient as (nu, nu) if constant, else (n^N, nu, nu) in C order."""
+    if b.is_constant:
+        return b.constant_matrix()
+    return b.sampled_on(grid.spatial_shape).reshape(grid.total_points, b.basis.nu, b.basis.nu)
+
+
+def _pointwise_matvec(field_values: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    # field from _pointwise_field; v (*batch, nu, *spatial)
+    flat = v.reshape(*v.shape[: v.ndim - grid.N], grid.total_points)
     if field_values.ndim == 2:
-        out = np.einsum("ab,...b->...a", field_values, vm)
+        out = np.einsum("ab,...bp->...ap", field_values, flat)
     else:
-        out = np.einsum("...ab,...b->...a", field_values, vm)
-    return np.moveaxis(out, -1, 0)
+        out = np.einsum("pab,...bp->...ap", field_values, flat)
+    return out.reshape(v.shape)
 
 
 def derivative_operator(grid: TorusGrid, basis: MultiIndexBasis) -> LinearOperatorRep:
@@ -241,9 +250,32 @@ def assemble_constant_coefficient(
     mult = constant_multiplier(a, grid)
 
     def apply(u: np.ndarray) -> np.ndarray:
-        return _ifft(mult * _fft(u[0], grid), grid)[None, ...]
+        return _ifft(mult * _fft(u, grid), grid)
 
     return LinearOperatorRep(grid, 1, 1, apply, apply, label="constant_operator")
+
+
+def constant_resolvent(
+    a: HermitianMatrixField, grid: TorusGrid, cap: int = DEFAULT_DENSE_CAP
+) -> np.ndarray:
+    """(op + 1)^{-1} of the constant-coefficient operator, in closed form.
+
+    The operator is the Fourier multiplier A(xi), so its resolvent is the
+    circulant F* diag(1/(1+A)) F: the entry at (x, y) is the kernel
+    ifftn(1/(1+A)) at the periodic difference x - y. No operator is
+    materialized and nothing is solved.
+    """
+    if not a.is_constant:
+        raise ValueError("constant resolvent needs a constant coefficient field")
+    check_positive_definite(np.linalg.eigvalsh(a.constant_matrix()))
+    points = grid.total_points
+    if points > cap:
+        raise DimensionCapError(points, cap)
+    kernel = _ifft(1.0 / (1.0 + constant_multiplier(a, grid)), grid).ravel()
+    difference = np.zeros((points, points), dtype=np.intp)
+    for index in np.indices(grid.spatial_shape).reshape(grid.N, points):
+        difference = difference * grid.n + (index[:, None] - index[None, :]) % grid.n
+    return kernel[difference]
 
 
 def assemble_variable_coefficient(
@@ -255,12 +287,12 @@ def assemble_variable_coefficient(
     product by construction; requires the coefficient to be positive
     definite at every sample and reports the failing points otherwise.
     """
-    vals = a_tilde.sampled_on(grid.spatial_shape)
-    check_positive_definite(np.linalg.eigvalsh(vals))
+    check_positive_definite(np.linalg.eigvalsh(a_tilde.sampled_on(grid.spatial_shape)))
+    vals = _pointwise_field(a_tilde, grid)
     der, der_adj = _derivative_pipelines(grid, a_tilde.basis)
 
     def apply(u: np.ndarray) -> np.ndarray:
-        return der_adj(_pointwise_matvec(vals, der(u)))
+        return der_adj(_pointwise_matvec(vals, der(u), grid))
 
     return LinearOperatorRep(grid, 1, 1, apply, apply, label="variable_operator")
 
@@ -273,14 +305,14 @@ def assemble_derivative_factor(
     ``b`` is the pointwise principal square root of the coefficient field.
     """
     der, der_adj = _derivative_pipelines(grid, b.basis)
-    vals = b.constant_matrix() if b.is_constant else b.sampled_on(grid.spatial_shape)
+    vals = _pointwise_field(b, grid)
     vals_h = np.conj(np.swapaxes(vals, -1, -2))
 
     def apply(u: np.ndarray) -> np.ndarray:
-        return _pointwise_matvec(vals, der(u))
+        return _pointwise_matvec(vals, der(u), grid)
 
     def apply_adjoint(v: np.ndarray) -> np.ndarray:
-        return der_adj(_pointwise_matvec(vals_h, v))
+        return der_adj(_pointwise_matvec(vals_h, v, grid))
 
     return LinearOperatorRep(grid, 1, b.basis.nu, apply, apply_adjoint, label="derivative_factor")
 
@@ -288,12 +320,12 @@ def assemble_derivative_factor(
 def assemble_channel_gram(b: HermitianMatrixField, grid: TorusGrid) -> LinearOperatorRep:
     """The channel-side Gram operator factor . factor* acting on nu channels."""
     der, der_adj = _derivative_pipelines(grid, b.basis)
-    vals = b.constant_matrix() if b.is_constant else b.sampled_on(grid.spatial_shape)
+    vals = _pointwise_field(b, grid)
     vals_h = np.conj(np.swapaxes(vals, -1, -2))
 
     def apply(v: np.ndarray) -> np.ndarray:
-        inner = der_adj(_pointwise_matvec(vals_h, v))
-        return _pointwise_matvec(vals, der(inner))
+        inner = der_adj(_pointwise_matvec(vals_h, v, grid))
+        return _pointwise_matvec(vals, der(inner), grid)
 
     return LinearOperatorRep(
         grid, b.basis.nu, b.basis.nu, apply, apply, label="channel_gram"

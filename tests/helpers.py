@@ -4,11 +4,17 @@ import numpy as np
 
 from schatten_verify import (
     assemble_constant_coefficient,
+    assemble_derivative_factor,
     assemble_variable_coefficient,
+    channel_solve,
+    deift_residual,
     enumerate_basis,
+    factorization_residual,
+    operator_norm,
     polyharmonic_coefficients,
     resolvent_difference,
     sampled_field,
+    sqrt_field,
 )
 
 
@@ -56,3 +62,17 @@ def direct_difference(a, at, grid):
     return resolvent_difference(
         assemble_variable_coefficient(at, grid), assemble_constant_coefficient(a, grid)
     )
+
+
+def deift_of(s):
+    """deift_residual of S with its channel-side solve (SS*+1)^{-1} S computed here."""
+    return deift_residual(s, channel_solve(s))
+
+
+def factorization_of(a, at, grid, direct):
+    """factorization_residual of ``direct``, with the solve it shares and ||direct|| computed here.
+
+    The shared solve is (G~+1)^{-1} T~ for the derivative factor T~ = at^{1/2} D.
+    """
+    left = channel_solve(assemble_derivative_factor(sqrt_field(at), grid).dense())
+    return factorization_residual(a, at, grid, direct, left, operator_norm(direct))

@@ -18,9 +18,7 @@ from schatten_verify import (
     TorusGrid,
     assemble_derivative_factor,
     coarea_constant,
-    deift_residual,
     enumerate_basis,
-    factorization_residual,
     is_divergent,
     lattice_symbol_integral,
     matrix_sqrt,
@@ -41,7 +39,9 @@ from schatten_verify.norms import (
 from helpers import (
     box_perturbed_field,
     bump_perturbed_field,
+    deift_of,
     direct_difference,
+    factorization_of,
     polyharmonic_setup,
 )
 
@@ -73,12 +73,12 @@ def test_criterion_01_deift_identity():
     for i in range(20):
         rows, cols = shapes[i % len(shapes)]
         s = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-        worst_random = max(worst_random, deift_residual(s))
+        worst_random = max(worst_random, deift_of(s))
 
     grid = TorusGrid(N=1, n=32, L=2 * np.pi)
     basis, a = polyharmonic_setup(1, 1)
     t = assemble_derivative_factor(sqrt_field(a), grid).dense()
-    discrete = deift_residual(t)
+    discrete = deift_of(t)
 
     report(
         1,
@@ -103,7 +103,7 @@ def test_criterion_02_factorization():
             ("box", box_perturbed_field(grid, basis, a, amplitude=0.5, rel_width=0.125)),
             ("bump", bump_perturbed_field(grid, basis, a, amplitude=0.5, rel_radius=0.2)),
         ):
-            res = factorization_residual(a, field, grid, direct_difference(a, field, grid))
+            res = factorization_of(a, field, grid, direct_difference(a, field, grid))
             ok = ok and res < tol
             details.append(f"N={N},m={m},{kind}: {res:.2e}")
     report(2, "factorization identity", ok, "; ".join(details))

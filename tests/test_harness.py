@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schatten_verify import ConfigError
+from schatten_verify import ConfigError, enumerate_basis
 from schatten_verify.cli import default_config_path, run_cli
 from schatten_verify.harness import (
     CSV_HEADER,
@@ -270,6 +270,19 @@ class TestClipStudy:
         assert gated == sorted(gated, reverse=True)
         assert len(gated) >= 2
 
+    def test_spectral_max_matches_svd(self):
+        from schatten_verify import TorusGrid, assemble_variable_coefficient, operator_norm
+        from schatten_verify.harness import _clip_target_field, base_coefficient
+
+        config = parse_config(small_config())
+        exp = config.experiments[0]
+        assert exp.id == config.studies.clip_experiment
+        grid = TorusGrid(N=exp.N, n=exp.grid.n, L=exp.grid.L)
+        a = base_coefficient(exp, enumerate_basis(exp.N, exp.m))
+        degenerate = _clip_target_field(exp, a, grid, config.studies.clip_floor)
+        svd = operator_norm(assemble_variable_coefficient(degenerate, grid).dense())
+        assert run_clip(config).extras["spectral_max"] == pytest.approx(svd, rel=1e-12)
+
 
 class TestRefineStudy:
     def test_bump_refinement(self):
@@ -312,6 +325,19 @@ class TestCli:
         assert text.splitlines()[0] == CSV_HEADER
         summary = json.loads((out / "verify_summary.json").read_text())
         assert summary["all_passed"] is True
+
+    def test_verify_imports_no_scipy(self, tmp_path):
+        # the dense path is numpy-only; scipy serves the quadrature cross-check alone
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config()))
+        args = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        script = (
+            "import sys; sys.path[:0] = ['src']; from schatten_verify.cli import run_cli; "
+            f"code = run_cli({args!r}); print(code, 'scipy' in sys.modules)"
+        )
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True, text=True)
+        assert proc.stdout.splitlines()[-1].split() == ["0", "False"], proc.stderr
 
     def test_exit_two_on_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"

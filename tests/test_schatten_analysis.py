@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from schatten_verify import (
+    DimensionCapError,
     TorusGrid,
     assemble_channel_gram,
     assemble_constant_coefficient,
+    assemble_derivative_factor,
     assemble_variable_coefficient,
     block_multiplication_matrix,
+    channel_solve,
+    constant_field,
+    constant_resolvent,
     convolution_kernel,
     deift_residual,
-    factorization_residual,
+    enumerate_basis,
     matrix_field_lp_norm,
     operator_norm,
     polar_decomposition_check,
@@ -23,11 +28,14 @@ from schatten_verify import (
 )
 from schatten_verify.harness import _ratio
 from schatten_verify.norms import resolvent_profile
+from schatten_verify.schatten_analysis import singular_spectrum
 
 from helpers import (
     box_perturbed_field,
     bump_perturbed_field,
+    deift_of,
     direct_difference,
+    factorization_of,
     polyharmonic_setup,
     random_hermitian_pd,
 )
@@ -62,6 +70,17 @@ class TestSchattenNorm:
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
             schatten_norm(np.eye(2), 0.5)
+
+    def test_hermitian_spectrum_matches_svd(self):
+        # the resolvent difference of an N=2 experiment, as the harness takes its spectrum
+        grid = TorusGrid(N=2, n=8, L=2 * np.pi)
+        basis, a = polyharmonic_setup(2, 1)
+        at = box_perturbed_field(grid, basis, a, amplitude=0.5, rel_width=0.25)
+        delta = direct_difference(a, at, grid)
+        svd = singular_spectrum(delta)
+        eig = singular_spectrum(delta, hermitian=True)
+        assert eig.shape == svd.shape and np.all(np.diff(eig) <= 0.0)
+        assert np.abs(eig - svd).max() <= 1e-12 * svd[0]
 
     def test_holder_with_operator_norm_factor(self):
         rng = np.random.default_rng(43)
@@ -106,12 +125,33 @@ class TestResolvent:
             assert operator_norm((dense + eye) @ res - eye) < 1e-10
 
 
+class TestConstantResolvent:
+    @pytest.mark.parametrize("N,n", [(1, 16), (2, 8), (3, 4)])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_closed_form_matches_dense_solve(self, N, n, m):
+        grid = TorusGrid(N=N, n=n, L=2 * np.pi)
+        basis = enumerate_basis(N, m)
+        rng = np.random.default_rng(10 * N + m)
+        # polyharmonic, and a matrix base with off-diagonal entries (nu > 1)
+        matrix_base = constant_field(basis, random_hermitian_pd(rng, basis.nu))
+        for a in (polyharmonic_setup(N, m)[1], matrix_base):
+            closed = constant_resolvent(a, grid)
+            dense = resolvent(assemble_constant_coefficient(a, grid))
+            assert np.abs(closed - dense).max() <= 1e-12
+
+    def test_dimension_cap(self):
+        grid = TorusGrid(N=1, n=64, L=2 * np.pi)
+        basis, a = polyharmonic_setup(1, 1)
+        with pytest.raises(DimensionCapError):
+            constant_resolvent(a, grid, cap=32)
+
+
 class TestDeift:
     def test_scalar_one(self):
-        assert deift_residual(np.array([[1.0]])) < 1e-15
+        assert deift_of(np.array([[1.0]])) < 1e-15
 
     def test_zero_matrix(self):
-        assert deift_residual(np.zeros((4, 6))) < 1e-15
+        assert deift_of(np.zeros((4, 6))) < 1e-15
 
     def test_random_rectangular_battery(self):
         rng = np.random.default_rng(45)
@@ -119,7 +159,16 @@ class TestDeift:
         for _ in range(20):
             rows, cols = shapes[int(rng.integers(0, len(shapes)))]
             s = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-            assert deift_residual(s) < 1e-12
+            assert deift_of(s) < 1e-12
+
+    def test_compares_against_the_given_solve(self):
+        grid = TorusGrid(N=1, n=32, L=2 * np.pi)
+        basis, a = polyharmonic_setup(1, 1)
+        at = bump_perturbed_field(grid, basis, a, amplitude=0.75, rel_radius=0.125)
+        t_tilde = assemble_derivative_factor(sqrt_field(at), grid).dense()
+        left = channel_solve(t_tilde)
+        assert deift_residual(t_tilde, left) < 1e-10
+        assert deift_residual(t_tilde, left * (1 + 1e-6)) >= 1e-7
 
 
 class TestFactorization:
@@ -127,7 +176,7 @@ class TestFactorization:
         grid = TorusGrid(N=1, n=32, L=2 * np.pi)
         basis, a = polyharmonic_setup(1, 1)
         at = box_perturbed_field(grid, basis, a, amplitude=0.0)
-        assert factorization_residual(a, at, grid, direct_difference(a, at, grid)) < 1e-12
+        assert factorization_of(a, at, grid, direct_difference(a, at, grid)) < 1e-12
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_one_dimensional_bump(self, m):
@@ -135,22 +184,22 @@ class TestFactorization:
         grid = TorusGrid(N=1, n=64, L=L)
         basis, a = polyharmonic_setup(1, m)
         at = bump_perturbed_field(grid, basis, a, amplitude=0.75, rel_radius=0.125)
-        assert factorization_residual(a, at, grid, direct_difference(a, at, grid)) < 1e-10
+        assert factorization_of(a, at, grid, direct_difference(a, at, grid)) < 1e-10
 
     def test_two_dimensional_box(self):
         grid = TorusGrid(N=2, n=16, L=2 * np.pi)
         basis, a = polyharmonic_setup(2, 1)
         at = box_perturbed_field(grid, basis, a, amplitude=0.5, rel_width=0.25)
-        assert factorization_residual(a, at, grid, direct_difference(a, at, grid)) < 1e-9
+        assert factorization_of(a, at, grid, direct_difference(a, at, grid)) < 1e-9
 
     def test_translation_invariance(self):
         grid = TorusGrid(N=1, n=32, L=2 * np.pi)
         basis, a = polyharmonic_setup(1, 1)
         at0 = bump_perturbed_field(grid, basis, a, 0.6, 0.2, center=[0.0])
-        r0 = factorization_residual(a, at0, grid, direct_difference(a, at0, grid))
+        r0 = factorization_of(a, at0, grid, direct_difference(a, at0, grid))
         shift = 5 * grid.h
         at1 = bump_perturbed_field(grid, basis, a, 0.6, 0.2, center=[shift])
-        r1 = factorization_residual(a, at1, grid, direct_difference(a, at1, grid))
+        r1 = factorization_of(a, at1, grid, direct_difference(a, at1, grid))
         assert abs(r0 - r1) < 1e-12
 
     def test_compares_against_the_given_difference(self):
@@ -159,7 +208,7 @@ class TestFactorization:
         at = bump_perturbed_field(grid, basis, a, amplitude=0.75, rel_radius=0.125)
         direct = direct_difference(a, at, grid)
         shifted = direct + 1e-6 * operator_norm(direct) * np.eye(direct.shape[0])
-        assert factorization_residual(a, at, grid, shifted) >= 1e-7
+        assert factorization_of(a, at, grid, shifted) >= 1e-7
 
 
 class TestPolar:
@@ -183,7 +232,7 @@ class TestPolar:
         assert np.linalg.norm(out - u) < 1e-9
 
     def test_gram_sqrt_psd_hermitian(self):
-        from schatten_verify import assemble_derivative_factor, matrix_function
+        from schatten_verify import matrix_function
 
         grid = TorusGrid(N=1, n=16, L=2 * np.pi)
         basis, a = polyharmonic_setup(1, 1)

@@ -239,6 +239,29 @@ class TestMaterialize:
             for j in range(8):
                 assert dense[i, j] == pytest.approx(dense[(i + 1) % 8, (j + 1) % 8], abs=1e-12)
 
+    @pytest.mark.parametrize("N,m,n", [(1, 1, 16), (1, 2, 16), (2, 1, 8), (3, 1, 4)])
+    def test_batched_dense_matches_column_apply(self, N, m, n):
+        grid = TorusGrid(N=N, n=n, L=3.0)
+        basis = enumerate_basis(N, m)
+        rng = np.random.default_rng(31)
+        a = constant_field(basis, random_hermitian_pd(rng, basis.nu))
+        at = bump_perturbed_field(grid, basis, a, amplitude=0.75, rel_radius=0.3)
+        for op in (
+            assemble_constant_coefficient(a, grid),
+            assemble_variable_coefficient(at, grid),
+            assemble_derivative_factor(sqrt_field(at), grid),
+            assemble_channel_gram(sqrt_field(at), grid),
+        ):
+            # reference: one apply per point-basis vector
+            columns = []
+            for j in range(op.in_dim):
+                e = np.zeros(op.in_dim, dtype=complex)
+                e[j] = 1.0
+                columns.append(op.apply(e).reshape(op.out_dim))
+            reference = np.stack(columns, axis=1)
+            assert op.dense().shape == reference.shape
+            assert np.abs(op.dense() - reference).max() <= 1e-13 * np.abs(reference).max()
+
     def test_dimension_cap(self):
         grid = TorusGrid(N=1, n=64, L=1.0)
         basis, a = polyharmonic_setup(1, 1)
