@@ -616,10 +616,11 @@ def build_artifacts(
     svals = singular_spectrum(delta, hermitian=True)
 
     v_field = relative_perturbation(a, a_tilde, grid.cell_volume)
-    # one T~ and one channel solve (G~+1)^{-1} T~, shared by both identity checks
+    # one T~ and one channel solve (G~+1)^{-1} T~, shared by both identity checks;
+    # T~*T~ = H~, so the Deift check's (T~*T~+1)^{-1} is r_tilde itself
     t_tilde = assemble_derivative_factor(sqrt_field(a_tilde), grid).dense(cap=cap)
     left = channel_solve(t_tilde)
-    fact = factorization_residual(a, a_tilde, grid, delta, left, svals[0], cap=cap)
+    fact = factorization_residual(a, v_field.values, grid, delta, left, svals[0], cap=cap)
     return ExperimentArtifacts(
         grid=grid,
         basis=basis,
@@ -627,7 +628,7 @@ def build_artifacts(
         delta_singular_values=svals,
         v_field=v_field,
         fact_residual=fact,
-        deift_res=deift_residual(t_tilde, left),
+        deift_res=deift_residual(t_tilde, left, r_tilde),
     )
 
 

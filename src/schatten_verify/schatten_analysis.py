@@ -4,16 +4,19 @@ Everything here works on dense matrices obtained from small-grid
 discretizations. Schatten norms come from the full spectrum, never from
 iterative methods: the singular values of a general matrix by SVD, those of
 a Hermitian one (a resolvent difference) as the absolute eigenvalues of its
-Hermitian part, which is exact and cheaper.
+Hermitian part, which is exact and cheaper. The identity residuals need only
+an operator norm, taken exactly as sqrt of the largest eigenvalue of X* X.
 
 Verified identities (all exact in finite dimensions):
 
 * the resolvent partition (S*S + 1)^{-1} + S* (SS* + 1)^{-1} S = 1 for an
-  arbitrary rectangular S, given the channel-side solve (SS* + 1)^{-1} S;
+  arbitrary rectangular S, given both solves; the harness passes S = Tt, so
+  (S*S + 1)^{-1} = (Ht + 1)^{-1} is the resolvent behind every lhs;
 * the factorization of a resolvent difference through the coefficient
   difference: the direct difference of (op + 1)^{-1} matrices equals the
   chain  Tt* (Gt+1)^{-1} at^{-1/2} (a - at) a^{-1/2} (G+1)^{-1} T, where
   T = a^{1/2} D, Tt = at^{1/2} D are the derivative factors, G, Gt their Grams;
+  the left end is a dense solve, the right end T (H+1)^{-1} a closed form;
 * the polar decomposition a^{1/2} D = G^{1/2} U with U a partial isometry;
 * the translation-invariant convolution kernel of profile(G) for constant
   coefficients.
@@ -26,16 +29,14 @@ from typing import Callable
 
 import numpy as np
 
+# perfbench/tracer.py patches names of both imports here; some have no caller in this module
 from .coeff_algebra import (
     HermitianMatrixField,
-    constant_field,
-    field_power,
     matrix_inv_sqrt,
     matrix_sqrt,
     spectral_symbol_lattice,
     sqrt_field,
 )
-# perfbench/tracer.py patches these names here; some have no caller in this module
 from .torus_operator import (
     DEFAULT_DENSE_CAP,
     LinearOperatorRep,
@@ -44,6 +45,7 @@ from .torus_operator import (
     assemble_derivative_factor,
     assemble_variable_coefficient,
     block_multiplication_matrix,
+    constant_factor_resolvent,
 )
 
 
@@ -139,21 +141,24 @@ def channel_solve(factor: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, f)
 
 
-def deift_residual(s_matrix: np.ndarray, left: np.ndarray) -> float:
-    """Operator norm of (S*S+1)^{-1} + S* left - 1, with left = (SS*+1)^{-1} S.
+def _residual_norm(x: np.ndarray) -> float:
+    """||X||_op, exact like the SVD but cheaper: sqrt of the largest eigenvalue of X* X."""
+    return float(np.sqrt(max(np.linalg.eigvalsh(np.conj(x.T) @ x)[-1], 0.0)))
 
-    ``left`` is ``channel_solve(s_matrix)``, the solve that the factorization
-    check shares; (S*S+1)^{-1} is solved here from S.
+
+def deift_residual(s_matrix: np.ndarray, left: np.ndarray, r_in: np.ndarray) -> float:
+    """Operator norm of r_in + S* left - 1, with left = (SS*+1)^{-1} S.
+
+    ``r_in`` is the given (S*S+1)^{-1} and ``left`` is ``channel_solve(s_matrix)``;
+    the residual vanishes when the two solves agree.
     """
     s = np.asarray(s_matrix, dtype=complex)
-    cols = s.shape[1]
-    r_in = np.linalg.solve(np.conj(s.T) @ s + np.eye(cols), np.eye(cols, dtype=complex))
-    return operator_norm(r_in + np.conj(s.T) @ left - np.eye(cols))
+    return _residual_norm(r_in + np.conj(s.T) @ left - np.eye(s.shape[1]))
 
 
 def factorization_residual(
     a: HermitianMatrixField,
-    a_tilde: HermitianMatrixField,
+    v: np.ndarray,
     grid: TorusGrid,
     direct: np.ndarray,
     left: np.ndarray,
@@ -165,25 +170,17 @@ def factorization_residual(
         Tt* (Gt+1)^{-1} . at^{-1/2} (a - at) a^{-1/2} . (G+1)^{-1} T
 
     ``left`` = (Gt+1)^{-1} Tt is ``channel_solve`` of the perturbed factor
-    (the Deift check shares it); (G+1)^{-1} T is solved here, and the middle
-    field is applied pointwise. ``scale`` is ||direct||, which the caller has
-    from the spectrum of ``direct``. Returns the relative operator-norm
-    residual, or the absolute residual when the direct difference is
-    numerically zero.
+    (the Deift check shares it), the right end (G+1)^{-1} T = T (op+1)^{-1}
+    is a closed form, and the middle field -V, for the (*spatial, nu, nu)
+    values ``v`` of ``relative_perturbation``, is applied pointwise. ``scale``
+    is ||direct||, from the spectrum of ``direct``. Returns the relative
+    residual, or the absolute one when the direct difference is numerically 0.
     """
-    basis = a.basis
-    a_mat = a.constant_matrix()
-    at_vals = a_tilde.sampled_on(grid.spatial_shape)
-    points = grid.total_points
-
-    t = assemble_derivative_factor(constant_field(basis, matrix_sqrt(a_mat)), grid).dense(cap=cap)
-    middle = field_power(at_vals, -0.5) @ (a_mat - at_vals) @ matrix_inv_sqrt(a_mat)
-
-    right = channel_solve(t).reshape(basis.nu, points, points)
-    middle_right = np.einsum("pab,bpk->apk", middle.reshape(points, basis.nu, basis.nu), right)
-    chain = np.conj(left.T) @ middle_right.reshape(basis.nu * points, points)
-
-    gap = operator_norm(direct - chain)
+    nu, points = a.basis.nu, grid.total_points
+    right = constant_factor_resolvent(a, grid, cap=cap).reshape(nu, points, points)
+    v_right = np.einsum("pab,bpk->apk", v.reshape(points, nu, nu), right)
+    # the chain carries -V, so direct - chain = direct + left* V right
+    gap = _residual_norm(direct + np.conj(left.T) @ v_right.reshape(nu * points, points))
     if scale <= 1e-14:
         return gap
     return gap / scale

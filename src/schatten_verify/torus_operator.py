@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coeff_algebra import HermitianMatrixField, check_positive_definite
+from .coeff_algebra import HermitianMatrixField, check_positive_definite, matrix_sqrt
 from .errors import DimensionCapError
 from .multiindex import MultiIndexBasis, monomial_matrix
 
@@ -255,6 +255,22 @@ def assemble_constant_coefficient(
     return LinearOperatorRep(grid, 1, 1, apply, apply, label="constant_operator")
 
 
+def _circulant_blocks(kernels: np.ndarray, grid: TorusGrid, cap: int) -> np.ndarray:
+    """Dense (channels * n^N, n^N) matrix of a Fourier multiplier, one channel per block.
+
+    ``kernels`` (channels, *spatial) is the inverse FFT of each channel's symbol;
+    block c has entry kernels[c] at the periodic difference x - y in (x, y).
+    """
+    points = grid.total_points
+    rows = kernels.shape[0] * points
+    if rows > cap:
+        raise DimensionCapError(rows, cap)
+    difference = np.zeros((points, points), dtype=np.intp)
+    for index in np.indices(grid.spatial_shape).reshape(grid.N, points):
+        difference = difference * grid.n + (index[:, None] - index[None, :]) % grid.n
+    return kernels.reshape(-1, points)[:, difference].reshape(rows, points)
+
+
 def constant_resolvent(
     a: HermitianMatrixField, grid: TorusGrid, cap: int = DEFAULT_DENSE_CAP
 ) -> np.ndarray:
@@ -268,14 +284,22 @@ def constant_resolvent(
     if not a.is_constant:
         raise ValueError("constant resolvent needs a constant coefficient field")
     check_positive_definite(np.linalg.eigvalsh(a.constant_matrix()))
-    points = grid.total_points
-    if points > cap:
-        raise DimensionCapError(points, cap)
-    kernel = _ifft(1.0 / (1.0 + constant_multiplier(a, grid)), grid).ravel()
-    difference = np.zeros((points, points), dtype=np.intp)
-    for index in np.indices(grid.spatial_shape).reshape(grid.N, points):
-        difference = difference * grid.n + (index[:, None] - index[None, :]) % grid.n
-    return kernel[difference]
+    kernel = _ifft(1.0 / (1.0 + constant_multiplier(a, grid)), grid)
+    return _circulant_blocks(kernel[None], grid, cap)
+
+
+def constant_factor_resolvent(
+    a: HermitianMatrixField, grid: TorusGrid, cap: int = DEFAULT_DENSE_CAP
+) -> np.ndarray:
+    """T (op + 1)^{-1} = (T T* + 1)^{-1} T for T = a^{1/2} D, in closed form.
+
+    Channel c is the Fourier multiplier sum_b (a^{1/2})_{cb} (i xi)^beta_b
+    / (1 + A(xi)); the result is (nu * n^N, n^N), nothing is solved.
+    """
+    symbol = np.einsum(
+        "cb,b...->c...", matrix_sqrt(a.constant_matrix()), _derivative_multipliers(grid, a.basis)
+    )
+    return _circulant_blocks(_ifft(symbol / (1.0 + constant_multiplier(a, grid)), grid), grid, cap)
 
 
 def assemble_variable_coefficient(

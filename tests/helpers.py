@@ -12,6 +12,8 @@ from schatten_verify import (
     factorization_residual,
     operator_norm,
     polyharmonic_coefficients,
+    relative_perturbation,
+    resolvent,
     resolvent_difference,
     sampled_field,
     sqrt_field,
@@ -65,14 +67,16 @@ def direct_difference(a, at, grid):
 
 
 def deift_of(s):
-    """deift_residual of S with its channel-side solve (SS*+1)^{-1} S computed here."""
-    return deift_residual(s, channel_solve(s))
+    """deift_residual of S with both of its solves, (S*S+1)^{-1} and (SS*+1)^{-1} S, done here."""
+    s = np.asarray(s, dtype=complex)
+    return deift_residual(s, channel_solve(s), resolvent(np.conj(s.T) @ s))
 
 
 def factorization_of(a, at, grid, direct):
-    """factorization_residual of ``direct``, with the solve it shares and ||direct|| computed here.
+    """factorization_residual of ``direct``, with V, the solve it shares and ||direct|| computed here.
 
     The shared solve is (G~+1)^{-1} T~ for the derivative factor T~ = at^{1/2} D.
     """
     left = channel_solve(assemble_derivative_factor(sqrt_field(at), grid).dense())
-    return factorization_residual(a, at, grid, direct, left, operator_norm(direct))
+    v = relative_perturbation(a, at, grid.cell_volume).values
+    return factorization_residual(a, v, grid, direct, left, operator_norm(direct))

@@ -10,6 +10,7 @@ import math
 import shutil
 import subprocess
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +63,24 @@ def default_config():
 def battery(default_config):
     start = time.perf_counter()
     result = run_verify(default_config)
+    result.extras["wall_seconds"] = time.perf_counter() - start
+    return result
+
+
+@pytest.fixture(scope="module")
+def scale(default_config):
+    return run_scale(default_config)
+
+
+@pytest.fixture(scope="module")
+def clip(default_config):
+    return run_clip(default_config)
+
+
+@pytest.fixture(scope="module")
+def refine(default_config):
+    start = time.perf_counter()
+    result = run_refine(default_config)
     result.extras["wall_seconds"] = time.perf_counter() - start
     return result
 
@@ -177,17 +196,15 @@ def test_criterion_05_coarea_constant():
     report(5, "coarea constant", mc_ok and lattice_ok, "; ".join(details))
 
 
-def test_criterion_06_trace_norm_battery(default_config, battery):
-    start = time.perf_counter()
+def test_criterion_06_trace_norm_battery(battery, refine):
     trace_rows = [r for r in battery.rows if not math.isinf(r.p) and r.ratio is not None]
     ratios_ok = all(r.ratio <= 1.05 for r in trace_rows)
     worst = max(r.ratio for r in trace_rows)
 
-    refine = run_refine(default_config)
     drift_ok = all(
         a.passed for a in refine.assertions if a.name.startswith("refine_ratio_drift")
     )
-    elapsed = battery.extras["wall_seconds"] + time.perf_counter() - start
+    elapsed = battery.extras["wall_seconds"] + refine.extras["wall_seconds"]
     report(
         6,
         "trace-norm bound battery",
@@ -210,26 +227,24 @@ def test_criterion_07_operator_norm_bound(battery):
     )
 
 
-def test_criterion_08_impurity_scaling_law(default_config):
-    result = run_scale(default_config)
-    slope = result.extras["slope"]
+def test_criterion_08_impurity_scaling_law(default_config, scale):
+    slope = scale.extras["slope"]
     p = default_config.studies.scale_p
     slope_ok = abs(slope - 1.0 / p) <= 1e-6
-    bound_ok = all(r.lhs <= r.constant * r.rhs for r in result.rows)
+    bound_ok = all(r.lhs <= r.constant * r.rhs for r in scale.rows)
     report(
         8,
         "impurity scaling law",
-        slope_ok and bound_ok and len(result.rows) == 6,
-        f"slope {slope:.9f} vs 1/p {1.0/p:.9f}; bound holds at all {len(result.rows)} volumes",
+        slope_ok and bound_ok and len(scale.rows) == 6,
+        f"slope {slope:.9f} vs 1/p {1.0/p:.9f}; bound holds at all {len(scale.rows)} volumes",
     )
 
 
-def test_criterion_09_clipping(default_config):
-    result = run_clip(default_config)
-    level_rows = [r for r in result.rows if "|clip=" in r.experiment]
+def test_criterion_09_clipping(clip):
+    level_rows = [r for r in clip.rows if "|clip=" in r.experiment]
     ratios_ok = all(r.ratio is not None and r.ratio <= 1.05 for r in level_rows)
-    cauchy = result.extras["cauchy"]
-    gate = result.extras["spectral_max"]
+    cauchy = clip.extras["cauchy"]
+    gate = clip.extras["spectral_max"]
     gated = [c["difference"] for c in cauchy if c["level"] >= gate]
     monotone_ok = len(gated) >= 2 and all(
         d1 > d2 for d1, d2 in zip(gated, gated[1:])
@@ -267,4 +282,38 @@ def test_criterion_10_end_to_end(tmp_path):
         "end-to-end determinism",
         code_a == 0 and code_b == 0 and identical and summary_a["all_passed"],
         f"exit codes ({code_a}, {code_b}), {len(csv_a) - 1} payload rows bit-identical",
+    )
+
+
+def test_criterion_11_frozen_reference(battery, scale, clip, refine):
+    # the seed's numbers, frozen in perfbench/reference.json, with the rule of
+    # perfbench/checks.py: every reference key present, no row without a
+    # reference, lhs and rhs to 1e-10 relative; every residual <= 1e-10
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    frozen = json.loads(path.read_text(encoding="utf-8"))
+    studies = {
+        "verify": (battery, frozen["battery"]["verify"]),
+        "scale": (scale, frozen["studies"]["scale"]),
+        "clip": (clip, frozen["studies"]["clip"]),
+        "refine": (refine, frozen["studies"]["refine"]),
+    }
+    failures = []
+    worst_residual = 0.0
+    for name, (result, reference) in studies.items():
+        seen = {f"{r.experiment}@{r.p:g}": r for r in result.rows}
+        failures += [f"{name} {key}: no row" for key in reference.keys() - seen.keys()]
+        failures += [f"{name} {key}: no reference" for key in seen.keys() - reference.keys()]
+        for key in reference.keys() & seen.keys():
+            row = seen[key]
+            for column, value, ref in zip(("lhs", "rhs"), (row.lhs, row.rhs), reference[key]):
+                if not abs(value - ref) <= 1e-10 * abs(ref):
+                    failures.append(f"{name} {key}: {column} {value!r} != {ref!r}")
+        for row in result.rows:
+            worst_residual = max(worst_residual, row.factorization_residual, row.deift_residual)
+    rows = sum(len(reference) for _, reference in studies.values())
+    report(
+        11,
+        "frozen reference",
+        not failures and worst_residual <= 1e-10,
+        f"{rows} rows; worst residual {worst_residual:.2e}; " + ("; ".join(failures[:5]) or "all match"),
     )

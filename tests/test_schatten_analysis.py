@@ -28,7 +28,8 @@ from schatten_verify import (
 )
 from schatten_verify.harness import _ratio
 from schatten_verify.norms import resolvent_profile
-from schatten_verify.schatten_analysis import singular_spectrum
+from schatten_verify.schatten_analysis import _residual_norm, singular_spectrum
+from schatten_verify.torus_operator import constant_factor_resolvent
 
 from helpers import (
     box_perturbed_field,
@@ -146,6 +147,31 @@ class TestConstantResolvent:
             constant_resolvent(a, grid, cap=32)
 
 
+class TestConstantFactorResolvent:
+    @pytest.mark.parametrize("N,n", [(1, 16), (2, 8), (3, 4)])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_closed_form_matches_channel_solve(self, N, n, m):
+        # T (op+1)^{-1} in closed form against the dense solve (TT*+1)^{-1} T
+        grid = TorusGrid(N=N, n=n, L=2 * np.pi)
+        basis = enumerate_basis(N, m)
+        rng = np.random.default_rng(10 * N + m)
+        matrix_base = constant_field(basis, random_hermitian_pd(rng, basis.nu))
+        for a in (polyharmonic_setup(N, m)[1], matrix_base):
+            closed = constant_factor_resolvent(a, grid)
+            dense = channel_solve(assemble_derivative_factor(sqrt_field(a), grid).dense())
+            assert closed.shape == dense.shape == (basis.nu * grid.total_points, grid.total_points)
+            assert np.abs(closed - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_dimension_cap_counts_channels(self):
+        # P = 16 fits the cap, the channel side nu * P = 32 does not
+        grid = TorusGrid(N=2, n=4, L=2 * np.pi)
+        basis, a = polyharmonic_setup(2, 1)
+        assert constant_resolvent(a, grid, cap=20).shape == (16, 16)
+        with pytest.raises(DimensionCapError) as err:
+            constant_factor_resolvent(a, grid, cap=20)
+        assert err.value.dim == 32
+
+
 class TestDeift:
     def test_scalar_one(self):
         assert deift_of(np.array([[1.0]])) < 1e-15
@@ -167,8 +193,42 @@ class TestDeift:
         at = bump_perturbed_field(grid, basis, a, amplitude=0.75, rel_radius=0.125)
         t_tilde = assemble_derivative_factor(sqrt_field(at), grid).dense()
         left = channel_solve(t_tilde)
-        assert deift_residual(t_tilde, left) < 1e-10
-        assert deift_residual(t_tilde, left * (1 + 1e-6)) >= 1e-7
+        r_in = resolvent(np.conj(t_tilde.T) @ t_tilde)
+        assert deift_residual(t_tilde, left, r_in) < 1e-10
+        assert deift_residual(t_tilde, left * (1 + 1e-6), r_in) >= 1e-7
+
+    def test_compares_against_the_given_resolvent(self):
+        # r_in is taken as given: the resolvent the harness feeds in, not a fresh solve
+        grid = TorusGrid(N=1, n=32, L=2 * np.pi)
+        basis, a = polyharmonic_setup(1, 1)
+        at = bump_perturbed_field(grid, basis, a, amplitude=0.75, rel_radius=0.125)
+        t_tilde = assemble_derivative_factor(sqrt_field(at), grid).dense()
+        left = channel_solve(t_tilde)
+        r_in = resolvent(assemble_variable_coefficient(at, grid))
+        assert deift_residual(t_tilde, left, r_in) < 1e-10
+        assert deift_residual(t_tilde, left, r_in * (1 + 1e-6)) >= 1e-7
+
+
+class TestResidualNorm:
+    def test_matches_svd_operator_norm(self):
+        rng = np.random.default_rng(46)
+        cases = []
+        for rows, cols in ((12, 12), (20, 7), (7, 20), (40, 40)):
+            cases.append(rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))
+        # residuals live at roundoff scale
+        cases.append(1e-15 * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))))
+        # Hermitian plus a small anti-Hermitian part: a Hermitian-part norm would miss it
+        h = random_hermitian_pd(rng, 16)
+        k = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        skew = 1e-3 * (k - np.conj(k.T))
+        cases.append(h + skew)
+        cases.append(skew)
+        for x in cases:
+            svd = operator_norm(x)
+            assert abs(_residual_norm(x) - svd) <= 1e-12 * svd
+        # the Hermitian part of h + skew under-reports its norm by far more than 1e-12
+        hermitian_part = operator_norm(h + 0.5 * (skew + np.conj(skew.T)))
+        assert operator_norm(h + skew) - hermitian_part > 1e-9 * hermitian_part
 
 
 class TestFactorization:
