@@ -24,7 +24,6 @@ from .multiindex import (
     monomial_matrix,
 )
 from .norms import (
-    is_divergent,
     matrix_field_lp_norm,
     relative_perturbation,
 )

@@ -5,8 +5,10 @@
 Subcommands: verify (impurity battery), scale (volume sweep), clip
 (coefficient clipping sequence), refine (grid ladder), constants (print the
 bound constants). Exit codes: 0 all assertions pass, 1 an assertion failed,
-2 config or I/O error, a coefficient that is not positive definite, or a
-dense dimension over the cap. SCHATTEN_THREADS caps worker parallelism.
+2 a bad input: a config error (the whole config is validated on load, before
+anything runs), an I/O error, a coefficient that is not positive definite, or
+an experiment whose dense dimension nu * n^N exceeds max_dim.
+SCHATTEN_THREADS caps worker parallelism.
 """
 
 from __future__ import annotations

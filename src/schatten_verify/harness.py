@@ -31,7 +31,8 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,10 +46,9 @@ from .coeff_algebra import (
     sampled_field,
     sqrt_field,
 )
-from .errors import ConfigError, NonPositiveDefiniteError
+from .errors import ConfigError, DimensionCapError, NonPositiveDefiniteError
 from .multiindex import MultiIndexBasis, enumerate_basis
 from .norms import (
-    DIVERGENT,
     WeightedNormSpec,
     matrix_field_lp_norm,
     relative_perturbation,
@@ -82,39 +82,42 @@ RATIO_ZERO_LHS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    n: int
-    L: float
-
-
-@dataclass(frozen=True)
 class PerturbationSpec:
-    """Impurity set plus amplitude: ``shape`` is box, ball, or bump.
+    """Impurity set: ``shape`` is box, ball, or bump.
 
     box uses per-axis ``width``; ball and bump use scalar ``radius``.
-    ``amplitude`` scales the base coefficient matrix inside the support,
-    i.e. the coefficient jump is amplitude * a (an explicit matrix jump can
-    be given instead via ``amplitude_matrix``).
     """
 
     shape: str
     center: tuple[float, ...]
     width: tuple[float, ...] | None = None
     radius: float | None = None
-    amplitude: float | None = None
-    amplitude_matrix: tuple | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentSpec:
+    """One validated experiment, ready to run.
+
+    ``reference`` is the constant coefficient a; inside the impurity the
+    coefficient is a + profile(x) * ``jump``, where the (nu, nu) jump is
+    amplitude * a or the config's explicit ``amplitude_matrix``.
+    """
+
     id: str
-    N: int
-    m: int
-    grid: GridSpec
-    base: str  # "polyharmonic" or explicit matrix via base_matrix
+    grid: TorusGrid
+    basis: MultiIndexBasis
+    reference: HermitianMatrixField
+    jump: np.ndarray
     perturbation: PerturbationSpec
     p_values: tuple[float, ...]
-    base_matrix: tuple | None = None
+
+    @property
+    def N(self) -> int:
+        return self.basis.N
+
+    @property
+    def m(self) -> int:
+        return self.basis.m
 
 
 @dataclass(frozen=True)
@@ -127,16 +130,24 @@ class Tolerances:
 
 
 @dataclass(frozen=True)
-class StudySettings:
-    scale_experiment: str = ""
-    scale_relative_widths: tuple[float, ...] = ()
-    scale_p: float = 4.0
-    clip_experiment: str = ""
-    clip_levels: tuple[int, ...] = ()
-    clip_p: float = 4.0
-    clip_floor: float = 1e-6
-    refine_experiment: str = ""
-    refine_n_values: tuple[int, ...] = ()
+class ScaleStudy:
+    experiment: ExperimentSpec
+    relative_widths: tuple[float, ...]
+    p: float = 4.0
+
+
+@dataclass(frozen=True)
+class ClipStudy:
+    experiment: ExperimentSpec
+    levels: tuple[int, ...]
+    p: float = 4.0
+    floor: float = 1e-6
+
+
+@dataclass(frozen=True)
+class RefineStudy:
+    experiment: ExperimentSpec
+    grids: tuple[TorusGrid, ...]
 
 
 @dataclass(frozen=True)
@@ -146,11 +157,26 @@ class HarnessConfig:
     mc_samples: int = 400_000
     max_dim: int = 8192
     tolerances: Tolerances = field(default_factory=Tolerances)
-    studies: StudySettings = field(default_factory=StudySettings)
+    scale: ScaleStudy | None = None
+    clip: ClipStudy | None = None
+    refine: RefineStudy | None = None
     raw: dict = field(default_factory=dict)
 
 
+@contextmanager
+def _entry(context: str):
+    """Re-raise a constructor's ValueError or TypeError as a ConfigError naming ``context``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
 def _check_keys(d: dict, allowed: set[str], context: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{context} must be a JSON object")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
@@ -162,7 +188,14 @@ def _require(d: dict, key: str, context: str):
     return d[key]
 
 
-def _parse_perturbation(d: dict, context: str) -> PerturbationSpec:
+def _present(d: dict, **casts) -> dict:
+    """The keys of ``d`` that are set, converted; an absent key keeps its dataclass default."""
+    return {key: cast(d[key]) for key, cast in casts.items() if key in d}
+
+
+def _parse_perturbation(d: dict, context: str, reference: HermitianMatrixField):
+    """The impurity set and the (nu, nu) coefficient jump inside it."""
+    N = reference.basis.N
     _check_keys(
         d,
         {"shape", "center", "width", "radius", "amplitude", "amplitude_matrix"},
@@ -172,146 +205,135 @@ def _parse_perturbation(d: dict, context: str) -> PerturbationSpec:
     if shape not in ("box", "ball", "bump"):
         raise ConfigError(f"{context}: shape must be box, ball, or bump, got {shape!r}")
     center = tuple(float(c) for c in _require(d, "center", context))
-    width = d.get("width")
-    radius = d.get("radius")
+    if len(center) != N:
+        raise ConfigError(f"{context}: center must have {N} entries")
+    width = radius = None
     if shape == "box":
-        if width is None:
-            raise ConfigError(f"{context}: box perturbation needs 'width'")
-        width = tuple(float(w) for w in width)
+        width = tuple(float(w) for w in _require(d, "width", f"{context} (box)"))
+        if len(width) != N:
+            raise ConfigError(f"{context}: box width must have {N} entries")
     else:
-        if radius is None:
-            raise ConfigError(f"{context}: {shape} perturbation needs 'radius'")
-        radius = float(radius)
-    amp = d.get("amplitude")
-    amp_mat = d.get("amplitude_matrix")
-    if amp is None and amp_mat is None:
+        radius = float(_require(d, "radius", f"{context} ({shape})"))
+    if d.get("amplitude_matrix") is not None:
+        with _entry(f"{context}.amplitude_matrix"):
+            jump = constant_field(reference.basis, d["amplitude_matrix"]).values
+    elif d.get("amplitude") is not None:
+        jump = float(d["amplitude"]) * reference.constant_matrix()
+    else:
         raise ConfigError(f"{context}: need 'amplitude' or 'amplitude_matrix'")
-    return PerturbationSpec(
-        shape=shape,
-        center=center,
-        width=width,
-        radius=radius,
-        amplitude=None if amp is None else float(amp),
-        amplitude_matrix=None if amp_mat is None else tuple(map(tuple, amp_mat)),
-    )
+    return PerturbationSpec(shape, center, width, radius), jump
 
 
 def _parse_experiment(d: dict, context: str) -> ExperimentSpec:
     _check_keys(
         d, {"id", "N", "m", "grid", "base", "base_matrix", "perturbation", "p_values"}, context
     )
-    grid_d = _require(d, "grid", context)
-    _check_keys(grid_d, {"n", "L"}, f"{context}.grid")
-    base = _require(d, "base", context)
-    if base not in ("polyharmonic", "matrix"):
-        raise ConfigError(f"{context}: base must be 'polyharmonic' or 'matrix'")
-    if base == "matrix" and "base_matrix" not in d:
-        raise ConfigError(f"{context}: base 'matrix' needs 'base_matrix'")
-    p_values = tuple(float(p) for p in _require(d, "p_values", context))
-    if any(p < 1 for p in p_values):
-        raise ConfigError(f"{context}: every p must be >= 1")
-    return ExperimentSpec(
-        id=str(_require(d, "id", context)),
-        N=int(_require(d, "N", context)),
-        m=int(_require(d, "m", context)),
-        grid=GridSpec(n=int(_require(grid_d, "n", f"{context}.grid")),
-                      L=float(_require(grid_d, "L", f"{context}.grid"))),
-        base=base,
-        base_matrix=None if "base_matrix" not in d else tuple(map(tuple, d["base_matrix"])),
-        perturbation=_parse_perturbation(_require(d, "perturbation", context), f"{context}.perturbation"),
-        p_values=p_values,
-    )
+    exp_id = str(_require(d, "id", context))
+    context = f"{context} ({exp_id!r})"
+    with _entry(context):
+        grid_d = _require(d, "grid", context)
+        _check_keys(grid_d, {"n", "L"}, f"{context}.grid")
+        base = _require(d, "base", context)
+        if base not in ("polyharmonic", "matrix"):
+            raise ConfigError(f"{context}: base must be 'polyharmonic' or 'matrix'")
+        p_values = tuple(float(p) for p in _require(d, "p_values", context))
+        if any(p < 1 for p in p_values):
+            raise ConfigError(f"{context}: every p must be >= 1")
+        grid = TorusGrid(
+            N=int(_require(d, "N", context)),
+            n=int(_require(grid_d, "n", f"{context}.grid")),
+            L=float(_require(grid_d, "L", f"{context}.grid")),
+        )
+        basis = enumerate_basis(grid.N, int(_require(d, "m", context)))
+        if base == "polyharmonic":
+            reference = polyharmonic_coefficients(basis)
+        else:
+            with _entry(f"{context}.base_matrix"):
+                reference = constant_field(basis, _require(d, "base_matrix", context))
+        perturbation, jump = _parse_perturbation(
+            _require(d, "perturbation", context), f"{context}.perturbation", reference
+        )
+    return ExperimentSpec(exp_id, grid, basis, reference, jump, perturbation, p_values)
+
+
+def _check_p(study, context: str):
+    if study.p < 1:
+        raise ConfigError(f"{context}: p must be >= 1")
+    return study
+
+
+def _study_experiment(d: dict, keys: set[str], by_id: dict, context: str) -> ExperimentSpec:
+    _check_keys(d, keys | {"experiment"}, context)
+    exp_id = _require(d, "experiment", context)
+    if exp_id not in by_id:
+        raise ConfigError(f"{context}: unknown experiment id {exp_id!r}")
+    return by_id[exp_id]
+
+
+def _parse_scale(d: dict, by_id: dict) -> ScaleStudy:
+    exp = _study_experiment(d, {"relative_widths", "p"}, by_id, "scale_study")
+    if exp.perturbation.shape == "bump":
+        raise ConfigError("scale_study needs an indicator (box/ball) perturbation")
+    widths = tuple(float(w) for w in _require(d, "relative_widths", "scale_study"))
+    if any(w2 <= w1 for w1, w2 in zip(widths, widths[1:])) or not widths:
+        raise ConfigError("scale_study: relative_widths must be strictly increasing")
+    return _check_p(ScaleStudy(exp, widths, **_present(d, p=float)), "scale_study")
+
+
+def _parse_clip(d: dict, by_id: dict) -> ClipStudy:
+    exp = _study_experiment(d, {"levels", "p", "floor"}, by_id, "clip_study")
+    levels = tuple(int(v) for v in _require(d, "levels", "clip_study"))
+    if any(v < 1 for v in levels):
+        raise ConfigError("clip_study: levels must be positive integers")
+    return _check_p(ClipStudy(exp, levels, **_present(d, p=float, floor=float)), "clip_study")
+
+
+def _parse_refine(d: dict, by_id: dict) -> RefineStudy:
+    exp = _study_experiment(d, {"n_values"}, by_id, "refinement_study")
+    n_values = tuple(int(v) for v in _require(d, "n_values", "refinement_study"))
+    if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])) or len(n_values) < 2:
+        raise ConfigError("refinement_study: n_values must be strictly increasing, >= 2 entries")
+    return RefineStudy(exp, tuple(TorusGrid(N=exp.N, n=n, L=exp.grid.L) for n in n_values))
+
+
+_STUDY_SECTIONS = {
+    "scale_study": ("scale", _parse_scale),
+    "clip_study": ("clip", _parse_clip),
+    "refinement_study": ("refine", _parse_refine),
+}
 
 
 def parse_config(data: dict) -> HarnessConfig:
+    """Validate a config object into ready experiments and studies.
+
+    Every malformed entry raises a ConfigError naming it; an absent optional
+    key keeps the default of its dataclass.
+    """
     _check_keys(
-        data,
-        {
-            "experiments",
-            "seed",
-            "mc_samples",
-            "max_dim",
-            "tolerances",
-            "scale_study",
-            "clip_study",
-            "refinement_study",
-        },
-        "config",
+        data, {"experiments", "seed", "mc_samples", "max_dim", "tolerances", *_STUDY_SECTIONS}, "config"
     )
-    exps = tuple(
-        _parse_experiment(e, f"experiments[{i}]")
-        for i, e in enumerate(_require(data, "experiments", "config"))
-    )
+    with _entry("experiments"):
+        exps = tuple(
+            _parse_experiment(e, f"experiments[{i}]")
+            for i, e in enumerate(_require(data, "experiments", "config"))
+        )
     if not exps:
         raise ConfigError("config needs at least one experiment")
-    ids = [e.id for e in exps]
-    if len(set(ids)) != len(ids):
+    by_id = {e.id: e for e in exps}
+    if len(by_id) != len(exps):
         raise ConfigError("experiment ids must be unique")
-
     tol_d = data.get("tolerances", {})
-    _check_keys(
-        tol_d, {"ratio", "slope", "refine_drift", "shrink_factor", "shrink_floor"}, "tolerances"
-    )
-    tol = Tolerances(
-        ratio=float(tol_d.get("ratio", 1.05)),
-        slope=float(tol_d.get("slope", 1e-6)),
-        refine_drift=float(tol_d.get("refine_drift", 0.02)),
-        shrink_factor=float(tol_d.get("shrink_factor", 4.0)),
-        shrink_floor=float(tol_d.get("shrink_floor", 1e-9)),
-    )
-
-    def _lookup(exp_id: str, context: str) -> str:
-        if exp_id not in ids:
-            raise ConfigError(f"{context}: unknown experiment id {exp_id!r}")
-        return exp_id
-
-    studies = StudySettings()
-    if "scale_study" in data:
-        sd = data["scale_study"]
-        _check_keys(sd, {"experiment", "relative_widths", "p"}, "scale_study")
-        widths = tuple(float(w) for w in _require(sd, "relative_widths", "scale_study"))
-        if any(w2 <= w1 for w1, w2 in zip(widths, widths[1:])) or not widths:
-            raise ConfigError("scale_study: relative_widths must be strictly increasing")
-        studies = replace(
-            studies,
-            scale_experiment=_lookup(_require(sd, "experiment", "scale_study"), "scale_study"),
-            scale_relative_widths=widths,
-            scale_p=float(sd.get("p", 4.0)),
-        )
-    if "clip_study" in data:
-        cd = data["clip_study"]
-        _check_keys(cd, {"experiment", "levels", "p", "floor"}, "clip_study")
-        levels = tuple(int(v) for v in _require(cd, "levels", "clip_study"))
-        if any(v < 1 for v in levels):
-            raise ConfigError("clip_study: levels must be positive integers")
-        studies = replace(
-            studies,
-            clip_experiment=_lookup(_require(cd, "experiment", "clip_study"), "clip_study"),
-            clip_levels=levels,
-            clip_p=float(cd.get("p", 4.0)),
-            clip_floor=float(cd.get("floor", 1e-6)),
-        )
-    if "refinement_study" in data:
-        rd = data["refinement_study"]
-        _check_keys(rd, {"experiment", "n_values"}, "refinement_study")
-        n_values = tuple(int(v) for v in _require(rd, "n_values", "refinement_study"))
-        if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])) or len(n_values) < 2:
-            raise ConfigError("refinement_study: n_values must be strictly increasing, >= 2 entries")
-        studies = replace(
-            studies,
-            refine_experiment=_lookup(_require(rd, "experiment", "refinement_study"), "refinement_study"),
-            refine_n_values=n_values,
-        )
-
-    return HarnessConfig(
-        experiments=exps,
-        seed=int(data.get("seed", 0)),
-        mc_samples=int(data.get("mc_samples", 400_000)),
-        max_dim=int(data.get("max_dim", 8192)),
-        tolerances=tol,
-        studies=studies,
-        raw=data,
-    )
+    _check_keys(tol_d, {f.name for f in fields(Tolerances)}, "tolerances")
+    with _entry("tolerances"):
+        tolerances = Tolerances(**{key: float(value) for key, value in tol_d.items()})
+    studies = {}
+    for section, (name, parse) in _STUDY_SECTIONS.items():
+        if section in data:
+            with _entry(section):
+                studies[name] = parse(data[section], by_id)
+    with _entry("config"):
+        settings = _present(data, seed=int, mc_samples=int, max_dim=int)
+    return HarnessConfig(experiments=exps, tolerances=tolerances, raw=data, **studies, **settings)
 
 
 def load_config(path: str) -> HarnessConfig:
@@ -353,16 +375,10 @@ def indicator_profile(spec: PerturbationSpec, grid: TorusGrid) -> np.ndarray:
     Box membership is half-open per axis with a tiny inward nudge so a
     boundary landing exactly on a grid point resolves deterministically.
     """
-    pts = grid.points()
-    center = np.asarray(spec.center, dtype=float)
-    if center.shape != (grid.N,):
-        raise ConfigError(f"perturbation center must have {grid.N} entries")
-    d = _min_image(pts, center, grid.L)
+    d = _min_image(grid.points(), np.asarray(spec.center, dtype=float), grid.L)
     nudge = 1e-9 * grid.h
     if spec.shape == "box":
         width = np.asarray(spec.width, dtype=float)
-        if width.shape != (grid.N,):
-            raise ConfigError(f"box width must have {grid.N} entries")
         inside = np.all((d >= -width / 2.0 - nudge) & (d < width / 2.0 - nudge), axis=-1)
         return inside.astype(float)
     r2 = np.sum(d**2, axis=-1)
@@ -382,30 +398,14 @@ def measured_support_volume(profile: np.ndarray, grid: TorusGrid) -> float:
     return grid.cell_volume * float(np.count_nonzero(profile))
 
 
-def base_coefficient(exp: ExperimentSpec, basis: MultiIndexBasis) -> HermitianMatrixField:
-    if exp.base == "polyharmonic":
-        return polyharmonic_coefficients(basis)
-    return constant_field(basis, np.asarray(exp.base_matrix, dtype=complex))
-
-
-def amplitude_matrix(exp: ExperimentSpec, a: HermitianMatrixField) -> np.ndarray:
-    if exp.perturbation.amplitude_matrix is not None:
-        return np.asarray(exp.perturbation.amplitude_matrix, dtype=complex)
-    return exp.perturbation.amplitude * a.constant_matrix()
-
-
 def perturbed_coefficient(
-    exp: ExperimentSpec,
-    a: HermitianMatrixField,
-    grid: TorusGrid,
-    profile: np.ndarray | None = None,
+    exp: ExperimentSpec, profile: np.ndarray | None = None
 ) -> HermitianMatrixField:
-    """a + profile(x) * jump, sampled on the grid."""
+    """a + profile(x) * jump, sampled on the experiment's grid."""
     if profile is None:
-        profile = indicator_profile(exp.perturbation, grid)
-    jump = amplitude_matrix(exp, a)
-    vals = a.constant_matrix()[(None,) * grid.N] + profile[..., None, None] * jump
-    return sampled_field(a.basis, np.ascontiguousarray(vals))
+        profile = indicator_profile(exp.perturbation, exp.grid)
+    vals = exp.reference.constant_matrix()[(None,) * exp.N] + profile[..., None, None] * exp.jump
+    return sampled_field(exp.basis, np.ascontiguousarray(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +534,14 @@ class StudyResult:
 # the trace-norm constant
 # ---------------------------------------------------------------------------
 
+def _bound_constant(p: float, c_cov: float, gstar: float | None) -> float | None:
+    return None if gstar is None else 0.5 * c_cov ** (1.0 / p) * gstar
+
+
 def trace_norm_constant(p: float, basis: MultiIndexBasis, c_cov: float) -> float | None:
     """(1/2) c_cov^(1/p) ||g||_p^*, or None when the weighted norm diverges."""
     gstar = resolvent_profile_norm(WeightedNormSpec(p=p, N=basis.N, m=basis.m))
-    if gstar is DIVERGENT:
-        return None
-    return 0.5 * c_cov ** (1.0 / p) * gstar
+    return _bound_constant(p, c_cov, gstar)
 
 
 def coarea_constants(
@@ -553,12 +555,11 @@ def coarea_constants(
     by_coefficient: dict = {}
     out = {}
     for exp in experiments:
-        basis = enumerate_basis(exp.N, exp.m)
-        b_sqrt = sqrt_field(base_coefficient(exp, basis)).constant_matrix()
+        b_sqrt = sqrt_field(exp.reference).constant_matrix()
         key = (exp.N, exp.m, b_sqrt.tobytes())
         if key not in by_coefficient:
             by_coefficient[key] = coarea_constant(
-                b_sqrt, basis, samples=config.mc_samples, seed=config.seed
+                b_sqrt, exp.basis, samples=config.mc_samples, seed=config.seed
             )
         out[exp.id] = by_coefficient[key]
     return out
@@ -569,12 +570,22 @@ def coarea_constants(
 # ---------------------------------------------------------------------------
 
 
+def _check_dense_size(exp: ExperimentSpec, config: HarnessConfig) -> None:
+    """Refuse an experiment whose largest dense object exceeds ``max_dim``.
+
+    That object is the channel side of the derivative factor and of the
+    closed-form factor resolvent, nu * n^N rows; every other one is n^N.
+    """
+    dim = exp.basis.nu * exp.grid.total_points
+    if dim > config.max_dim:
+        raise DimensionCapError(dim, config.max_dim)
+
+
 @dataclass
 class ExperimentArtifacts:
     """Dense objects shared by the per-p rows of one experiment."""
 
     grid: TorusGrid
-    basis: MultiIndexBasis
     perturbed_resolvent: np.ndarray
     delta_singular_values: np.ndarray
     v_field: object
@@ -592,15 +603,13 @@ class ExperimentArtifacts:
 def build_artifacts(
     exp: ExperimentSpec,
     config: HarnessConfig,
-    grid: TorusGrid | None = None,
     a_tilde: HermitianMatrixField | None = None,
 ) -> ExperimentArtifacts:
-    grid = grid or TorusGrid(N=exp.N, n=exp.grid.n, L=exp.grid.L)
-    basis = enumerate_basis(exp.N, exp.m)
-    a = base_coefficient(exp, basis)
+    """The dense pass of one experiment; ``a_tilde`` defaults to its impurity."""
+    _check_dense_size(exp, config)
+    grid, a = exp.grid, exp.reference
     if a_tilde is None:
-        a_tilde = perturbed_coefficient(exp, a, grid)
-    cap = config.max_dim
+        a_tilde = perturbed_coefficient(exp)
 
     try:
         h_var = assemble_variable_coefficient(a_tilde, grid)
@@ -611,19 +620,18 @@ def build_artifacts(
             hint=f"experiment {exp.id!r}: clip the coefficient first (clip study) "
             f"or reduce the amplitude",
         ) from exc
-    r_tilde = resolvent(h_var, cap=cap)
-    delta = r_tilde - constant_resolvent(a, grid, cap=cap)
+    r_tilde = resolvent(h_var.dense())
+    delta = r_tilde - constant_resolvent(a, grid)
     svals = singular_spectrum(delta, hermitian=True)
 
     v_field = relative_perturbation(a, a_tilde, grid.cell_volume)
     # one T~ and one channel solve (G~+1)^{-1} T~, shared by both identity checks;
     # T~*T~ = H~, so the Deift check's (T~*T~+1)^{-1} is r_tilde itself
-    t_tilde = assemble_derivative_factor(sqrt_field(a_tilde), grid).dense(cap=cap)
+    t_tilde = assemble_derivative_factor(sqrt_field(a_tilde), grid).dense()
     left = channel_solve(t_tilde)
-    fact = factorization_residual(a, v_field.values, grid, delta, left, svals[0], cap=cap)
+    fact = factorization_residual(a, v_field.values, grid, delta, left, svals[0])
     return ExperimentArtifacts(
         grid=grid,
-        basis=basis,
         perturbed_resolvent=r_tilde,
         delta_singular_values=svals,
         v_field=v_field,
@@ -639,7 +647,7 @@ def impurity_experiment(
     start = time.perf_counter()
     art = build_artifacts(exp, config)
     rows = [
-        art.row(exp.id, p, trace_norm_constant(p, art.basis, c_cov), start)
+        art.row(exp.id, p, trace_norm_constant(p, exp.basis, c_cov), start)
         for p in exp.p_values
     ]
     # operator-norm row: constant 1/4, sup-norm of the perturbation
@@ -696,9 +704,13 @@ def run_verify(config: HarnessConfig) -> StudyResult:
         )
         for result in runs:
             rows.extend(result)
-    assertions = _ratio_assertions(rows, config.tolerances)
-    assertions += _monotonicity_assertions(rows)
-    return StudyResult(rows=rows, assertions=assertions, extras={})
+    return StudyResult(rows=rows, assertions=study_assertions("verify", rows, config, {}), extras={})
+
+
+def _study(study, section: str):
+    if study is None:
+        raise ConfigError(f"config has no {section} section")
+    return study
 
 
 # ---------------------------------------------------------------------------
@@ -710,36 +722,23 @@ def run_scale(config: HarnessConfig) -> StudyResult:
     """Sweep the impurity volume; the rhs must follow the exact indicator law.
 
     The sweep uses centered boxes (widths = relative_widths * L) with the
-    target experiment's amplitude so the support measure is an exact cell
-    count at every size.
+    target experiment's jump so the support measure is an exact cell count
+    at every size.
     """
-    st = config.studies
-    if not st.scale_experiment:
-        raise ConfigError("config has no scale_study section")
-    exp = next(e for e in config.experiments if e.id == st.scale_experiment)
-    if exp.perturbation.shape == "bump":
-        raise ConfigError("scale_study needs an indicator (box/ball) perturbation")
-    grid = TorusGrid(N=exp.N, n=exp.grid.n, L=exp.grid.L)
+    study = _study(config.scale, "scale_study")
+    exp, p, grid = study.experiment, study.p, study.experiment.grid
+    constant = trace_norm_constant(p, exp.basis, coarea_constants(config, (exp,))[exp.id].value)
     rows: list[ReportRow] = []
     volumes: list[float] = []
-    p = st.scale_p
-    c_cov = coarea_constants(config, (exp,))[exp.id].value
-
-    for rel_w in st.scale_relative_widths:
+    for rel_w in study.relative_widths:
         start = time.perf_counter()
-        width = tuple(rel_w * grid.L for _ in range(exp.N))
-        pert = replace(exp.perturbation, shape="box", width=width, radius=None)
-        sub_exp = replace(exp, perturbation=pert, p_values=(p,))
-        profile = indicator_profile(pert, grid)
-        vol = measured_support_volume(profile, grid)
-        volumes.append(vol)
-        art = build_artifacts(sub_exp, config, grid=grid)
-        constant = trace_norm_constant(p, art.basis, c_cov)
-        rows.append(art.row(f"{exp.id}|U={vol:.12g}", p, constant, start))
-
-    assertions = scale_assertions(rows, config)
-    slope = _fit_slope(volumes, [r.rhs for r in rows])
-    return StudyResult(rows=rows, assertions=assertions, extras={"volumes": volumes, "slope": slope})
+        box = PerturbationSpec("box", exp.perturbation.center, width=(rel_w * grid.L,) * exp.N)
+        profile = indicator_profile(box, grid)
+        volumes.append(measured_support_volume(profile, grid))
+        art = build_artifacts(exp, config, a_tilde=perturbed_coefficient(exp, profile))
+        rows.append(art.row(f"{exp.id}|U={volumes[-1]:.12g}", p, constant, start))
+    extras = {"volumes": volumes, "slope": _fit_slope(volumes, [r.rhs for r in rows])}
+    return StudyResult(rows=rows, assertions=study_assertions("scale", rows, config, extras), extras=extras)
 
 
 def _fit_slope(xs: list[float], ys: list[float]) -> float:
@@ -747,18 +746,8 @@ def _fit_slope(xs: list[float], ys: list[float]) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def _scale_volume_of(row: ReportRow) -> float:
-    tag = row.experiment.rsplit("|U=", 1)
-    if len(tag) != 2:
-        raise ConfigError(f"not a scale-study row: {row.experiment}")
-    return float(tag[1])
-
-
-def scale_assertions(rows: list[ReportRow], config: HarnessConfig) -> list[Assertion]:
-    tol = config.tolerances
-    vols = [_scale_volume_of(r) for r in rows]
+def _scale_assertions(rows: list[ReportRow], tol: Tolerances, slope: float) -> list[Assertion]:
     p = rows[0].p
-    slope = _fit_slope(vols, [r.rhs for r in rows])
     out = [
         Assertion(
             name="scale_slope",
@@ -782,15 +771,13 @@ def scale_assertions(rows: list[ReportRow], config: HarnessConfig) -> list[Asser
 # ---------------------------------------------------------------------------
 
 
-def _clip_target_field(
-    exp: ExperimentSpec, a: HermitianMatrixField, grid: TorusGrid, floor: float
-) -> HermitianMatrixField:
+def _clip_target_field(exp: ExperimentSpec, floor: float) -> HermitianMatrixField:
     """Degenerate coefficient: base scaled to the floor inside the support."""
-    profile = indicator_profile(exp.perturbation, grid)
+    profile = indicator_profile(exp.perturbation, exp.grid)
     support = (profile > 0).astype(float)
     scale = 1.0 + (floor - 1.0) * support
-    vals = a.constant_matrix()[(None,) * grid.N] * scale[..., None, None]
-    return sampled_field(a.basis, np.ascontiguousarray(vals))
+    vals = exp.reference.constant_matrix()[(None,) * exp.N] * scale[..., None, None]
+    return sampled_field(exp.basis, np.ascontiguousarray(vals))
 
 
 def run_clip(config: HarnessConfig) -> StudyResult:
@@ -800,60 +787,46 @@ def run_clip(config: HarnessConfig) -> StudyResult:
     the trace-norm constant * ||V||_p: weaker than the Schatten-p bound, as
     ||.||_op <= ||.||_p. A ``clip_pair`` row holds the Cauchy gap of levels n, 2n.
     """
-    st = config.studies
-    if not st.clip_experiment:
-        raise ConfigError("config has no clip_study section")
-    exp = next(e for e in config.experiments if e.id == st.clip_experiment)
-    grid = TorusGrid(N=exp.N, n=exp.grid.n, L=exp.grid.L)
-    basis = enumerate_basis(exp.N, exp.m)
-    a = base_coefficient(exp, basis)
-    degenerate = _clip_target_field(exp, a, grid, st.clip_floor)
-    p = st.clip_p
-    cap = config.max_dim
-    c_cov = coarea_constants(config, (exp,))[exp.id].value
-    constant = trace_norm_constant(p, basis, c_cov)
+    study = _study(config.clip, "clip_study")
+    exp, p, grid = study.experiment, study.p, study.experiment.grid
+    _check_dense_size(exp, config)
+    degenerate = _clip_target_field(exp, study.floor)
+    constant = trace_norm_constant(p, exp.basis, coarea_constants(config, (exp,))[exp.id].value)
 
     rows: list[ReportRow] = []
     cauchy: list[dict] = []
     # gaps shrink only once the clip level exceeds the spectral range of the
     # true (unclipped) operator: below that, halving 1/n still moves
     # grid-resolved modes through the sensitive part of the resolvent
-    degenerate_op = assemble_variable_coefficient(degenerate, grid).dense(cap=cap)
+    degenerate_op = assemble_variable_coefficient(degenerate, grid).dense()
     spectral_max = float(singular_spectrum(degenerate_op, hermitian=True)[0])
     # a level's lhs is the SVD norm of its difference to the reference resolvent
     # by dense solve: at level 1 the clipped coefficient is the reference, the
     # difference is roundoff (~1e-15), and this arithmetic keeps the value that
     # perfbench/reference.json checks to 1e-10 relative
-    reference = resolvent(assemble_constant_coefficient(a, grid), cap=cap)
-    for level in st.clip_levels:
+    reference = resolvent(assemble_constant_coefficient(exp.reference, grid).dense())
+    for level in study.levels:
         start = time.perf_counter()
         clipped = clip_coefficients(degenerate, level)
-        art = build_artifacts(exp, config, grid=grid, a_tilde=clipped)
+        art = build_artifacts(exp, config, a_tilde=clipped)
         lhs = operator_norm(art.perturbed_resolvent - reference)
         rhs = matrix_field_lp_norm(art.v_field, p)
         residuals = (art.fact_residual, art.deift_res)
         label = f"{exp.id}|clip={level}"
         rows.append(_report_row(label, p, lhs, rhs, constant, residuals, grid, start))
         doubled = assemble_variable_coefficient(clip_coefficients(degenerate, 2 * level), grid)
-        diff = operator_norm(resolvent(doubled, cap=cap) - art.perturbed_resolvent)
+        diff = operator_norm(resolvent(doubled.dense()) - art.perturbed_resolvent)
         cauchy.append({"level": level, "next": 2 * level, "difference": diff})
         # the Cauchy gap is no inequality instance: its row carries ratio 0
         label = f"{exp.id}|clip_pair={level}:{2*level}"
         pair = _report_row(label, p, diff, 0.0, 0.0, (0.0, 0.0), grid, start)
         rows.append(replace(pair, ratio=0.0))
 
-    assertions = clip_assertions(rows, config, spectral_max)
-    return StudyResult(
-        rows=rows,
-        assertions=assertions,
-        extras={"cauchy": cauchy, "spectral_max": spectral_max},
-    )
+    extras = {"cauchy": cauchy, "spectral_max": spectral_max}
+    return StudyResult(rows=rows, assertions=study_assertions("clip", rows, config, extras), extras=extras)
 
 
-def clip_assertions(
-    rows: list[ReportRow], config: HarnessConfig, spectral_max: float
-) -> list[Assertion]:
-    tol = config.tolerances
+def _clip_assertions(rows: list[ReportRow], tol: Tolerances, spectral_max: float) -> list[Assertion]:
     out = []
     level_rows = [r for r in rows if "|clip=" in r.experiment]
     pair_rows = [r for r in rows if "|clip_pair=" in r.experiment]
@@ -891,24 +864,17 @@ def clip_assertions(
 
 def run_refine(config: HarnessConfig) -> StudyResult:
     """Repeat the impurity experiment over a grid ladder to expose truncation error."""
-    st = config.studies
-    if not st.refine_experiment:
-        raise ConfigError("config has no refinement_study section")
-    exp = next(e for e in config.experiments if e.id == st.refine_experiment)
+    study = _study(config.refine, "refinement_study")
+    exp = study.experiment
     c_cov = coarea_constants(config, (exp,))[exp.id].value
     rows: list[ReportRow] = []
-    for n in st.refine_n_values:
-        sub = replace(exp, grid=GridSpec(n=n, L=exp.grid.L), id=exp.id)
-        for row in impurity_experiment(sub, config, c_cov):
-            rows.append(replace(row, experiment=f"{exp.id}|n={n}"))
-    assertions = refine_assertions(rows, config, smooth=exp.perturbation.shape == "bump")
-    return StudyResult(rows=rows, assertions=assertions, extras={})
+    for grid in study.grids:
+        for row in impurity_experiment(replace(exp, grid=grid), config, c_cov):
+            rows.append(replace(row, experiment=f"{exp.id}|n={grid.n}"))
+    return StudyResult(rows=rows, assertions=study_assertions("refine", rows, config, {}), extras={})
 
 
-def refine_assertions(
-    rows: list[ReportRow], config: HarnessConfig, smooth: bool
-) -> list[Assertion]:
-    tol = config.tolerances
+def _refine_assertions(rows: list[ReportRow], tol: Tolerances, smooth: bool) -> list[Assertion]:
     by_p: dict[float, list[ReportRow]] = {}
     for row in rows:
         by_p.setdefault(row.p, []).append(row)
@@ -944,6 +910,38 @@ def refine_assertions(
 
 
 # ---------------------------------------------------------------------------
+# the assertions of a study
+# ---------------------------------------------------------------------------
+
+
+def _extra(extras: dict, key: str, study: str) -> float:
+    if key not in extras:
+        raise ConfigError(f"{study} assertions need {key!r} from the {study} summary extras")
+    return float(extras[key])
+
+
+def study_assertions(
+    study: str, rows: list[ReportRow], config: HarnessConfig, extras: dict
+) -> list[Assertion]:
+    """The pass/fail flags of a study's rows.
+
+    ``extras`` is the study's summary extras: the scale study's fitted
+    ``slope`` and the clip study's ``spectral_max`` are not in its rows.
+    """
+    tol = config.tolerances
+    if study == "verify":
+        return _ratio_assertions(rows, tol) + _monotonicity_assertions(rows)
+    if study == "scale":
+        return _scale_assertions(rows, tol, _extra(extras, "slope", study))
+    if study == "clip":
+        return _clip_assertions(rows, tol, _extra(extras, "spectral_max", study))
+    if study == "refine":
+        shape = _study(config.refine, "refinement_study").experiment.perturbation.shape
+        return _refine_assertions(rows, tol, smooth=shape == "bump")
+    raise ConfigError(f"unknown study {study!r}")
+
+
+# ---------------------------------------------------------------------------
 # constants study
 # ---------------------------------------------------------------------------
 
@@ -956,13 +954,12 @@ def run_constants(config: HarnessConfig) -> tuple[list[str], dict]:
     lines = [CONSTANTS_CSV_HEADER]
     table = []
     for exp in config.experiments:
-        basis = enumerate_basis(exp.N, exp.m)
         est = c_cov[exp.id]
         for p in exp.p_values:
             gstar = resolvent_profile_norm(WeightedNormSpec(p=p, N=exp.N, m=exp.m))
-            const = trace_norm_constant(p, basis, est.value)
-            if const is None:
-                gstar, g_str, const_str = None, "divergent", "divergent"
+            const = _bound_constant(p, est.value, gstar)
+            if gstar is None:
+                g_str = const_str = "divergent"
             else:
                 g_str, const_str = f"{gstar:.17g}", f"{const:.17g}"
             lines.append(
@@ -1020,17 +1017,5 @@ def write_report(
 def recompute_assertions_from_csv(
     csv_text: str, config: HarnessConfig, study: str, extras: dict | None = None
 ) -> list[Assertion]:
-    """Re-derive the pass/fail flags from a written CSV report."""
-    rows = parse_csv_rows(csv_text)
-    if study == "verify":
-        return _ratio_assertions(rows, config.tolerances) + _monotonicity_assertions(rows)
-    if study == "scale":
-        return scale_assertions(rows, config)
-    if study == "clip":
-        if "spectral_max" not in (extras or {}):
-            raise ConfigError("clip assertions need 'spectral_max' from the clip summary extras")
-        return clip_assertions(rows, config, float(extras["spectral_max"]))
-    if study == "refine":
-        exp = next(e for e in config.experiments if e.id == config.studies.refine_experiment)
-        return refine_assertions(rows, config, smooth=exp.perturbation.shape == "bump")
-    raise ConfigError(f"unknown study {study!r}")
+    """Re-derive the pass/fail flags from a written CSV report and its summary extras."""
+    return study_assertions(study, parse_csv_rows(csv_text), config, extras or {})

@@ -21,27 +21,6 @@ import numpy as np
 from .coeff_algebra import HermitianMatrixField, field_power, matrix_inv_sqrt
 
 
-class _DivergentType:
-    """Singleton marker for a weighted norm that is infinite."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Divergent"
-
-
-DIVERGENT = _DivergentType()
-
-
-def is_divergent(value) -> bool:
-    return value is DIVERGENT
-
-
 def resolvent_profile(t):
     """g(t) = sqrt(t)/(1+t): the scalar profile of op^(1/2) (op+1)^(-1).
 
@@ -82,8 +61,8 @@ class WeightedNormSpec:
         return self.p > self.N / self.m
 
 
-def resolvent_profile_norm(spec: WeightedNormSpec):
-    """Closed-form ||g||_p^* for the canonical profile, or DIVERGENT.
+def resolvent_profile_norm(spec: WeightedNormSpec) -> float | None:
+    """Closed-form ||g||_p^* for the canonical profile, or None when infinite.
 
     The integrand t^(p/2 + w) (1+t)^(-p) is a Beta integral with
     x = p/2 + N/(2m), y = p/2 - N/(2m); it converges iff y > 0, i.e.
@@ -92,7 +71,7 @@ def resolvent_profile_norm(spec: WeightedNormSpec):
     x = spec.p / 2.0 + spec.N / (2.0 * spec.m)
     y = spec.p / 2.0 - spec.N / (2.0 * spec.m)
     if y <= 0:
-        return DIVERGENT
+        return None
     log_beta = math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
     return math.exp(log_beta / spec.p)
 
@@ -102,8 +81,8 @@ def weighted_profile_norm(
     spec: WeightedNormSpec,
     tol: float = 1e-11,
     tail_decay: float | None = None,
-):
-    """Quadrature of (integral |g|^p t^w dt)^(1/p); DIVERGENT when infinite.
+) -> float | None:
+    """Quadrature of (integral |g|^p t^w dt)^(1/p); None when infinite.
 
     The improper integral is mapped to (0, 1) by t = s/(1-s). Divergence is
     decided analytically from the tail decay of g (g(t) ~ t^-decay): the
@@ -121,7 +100,7 @@ def weighted_profile_norm(
             raise ValueError("tail_decay is required for a profile other than resolvent_profile")
         tail_decay = _RESOLVENT_PROFILE_DECAY
     if spec.p * tail_decay <= w + 1.0:
-        return DIVERGENT
+        return None
 
     def integrand(s: float) -> float:
         t = s / (1.0 - s)

@@ -38,8 +38,6 @@ from .coeff_algebra import (
     sqrt_field,
 )
 from .torus_operator import (
-    DEFAULT_DENSE_CAP,
-    LinearOperatorRep,
     TorusGrid,
     assemble_constant_coefficient,
     assemble_derivative_factor,
@@ -82,21 +80,15 @@ def operator_norm(matrix: np.ndarray) -> float:
     return schatten_norm(matrix, np.inf)
 
 
-def _dense_of(op, cap: int) -> np.ndarray:
-    if isinstance(op, LinearOperatorRep):
-        return op.dense(cap=cap)
-    return np.asarray(op, dtype=complex)
-
-
-def resolvent(op, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """(op + 1)^{-1} by dense solve; accepts a rep or a dense matrix."""
-    m = _dense_of(op, cap)
+def resolvent(matrix: np.ndarray) -> np.ndarray:
+    """(M + 1)^{-1} of a dense Hermitian matrix M by dense solve."""
+    m = np.asarray(matrix, dtype=complex)
     m = 0.5 * (m + np.conj(m.T))
     return np.linalg.solve(m + np.eye(m.shape[0]), np.eye(m.shape[0], dtype=complex))
 
 
-def resolvent_difference(op_tilde, op, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    return resolvent(op_tilde, cap) - resolvent(op, cap)
+def resolvent_difference(matrix_tilde: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    return resolvent(matrix_tilde) - resolvent(matrix)
 
 
 def matrix_function(
@@ -163,7 +155,6 @@ def factorization_residual(
     direct: np.ndarray,
     left: np.ndarray,
     scale: float,
-    cap: int = DEFAULT_DENSE_CAP,
 ) -> float:
     """Residual between ``direct`` = (op_tilde+1)^{-1} - (op+1)^{-1} and the chain
 
@@ -177,7 +168,7 @@ def factorization_residual(
     residual, or the absolute one when the direct difference is numerically 0.
     """
     nu, points = a.basis.nu, grid.total_points
-    right = constant_factor_resolvent(a, grid, cap=cap).reshape(nu, points, points)
+    right = constant_factor_resolvent(a, grid).reshape(nu, points, points)
     v_right = np.einsum("pab,bpk->apk", v.reshape(points, nu, nu), right)
     # the chain carries -V, so direct - chain = direct + left* V right
     gap = _residual_norm(direct + np.conj(left.T) @ v_right.reshape(nu * points, points))
@@ -199,7 +190,6 @@ class PolarCheck:
 def polar_decomposition_check(
     a: HermitianMatrixField,
     grid: TorusGrid,
-    cap: int = DEFAULT_DENSE_CAP,
     rank_rtol: float = 1e-11,
 ) -> PolarCheck:
     """Build the partial isometry from the SVD of the derivative factor.
@@ -208,7 +198,7 @@ def polar_decomposition_check(
     ||U U* U - U||; the truncation rank drops the zero singular values
     coming from the factor's kernel (the constants).
     """
-    factor = assemble_derivative_factor(sqrt_field(a), grid).dense(cap=cap)
+    factor = assemble_derivative_factor(sqrt_field(a), grid).dense()
     gram = factor @ np.conj(factor.T)
     gram_sqrt = matrix_function(gram, np.sqrt, spectrum_floor=0.0)
     w, s, vh = np.linalg.svd(factor, full_matrices=False)

@@ -28,10 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .coeff_algebra import HermitianMatrixField, check_positive_definite, matrix_sqrt
-from .errors import DimensionCapError
 from .multiindex import MultiIndexBasis, monomial_matrix
-
-DEFAULT_DENSE_CAP = 8192
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,6 @@ class LinearOperatorRep:
         self._apply = apply
         self._apply_adjoint = apply_adjoint
         self.label = label
-        self._dense: np.ndarray | None = None
 
     @property
     def in_dim(self) -> int:
@@ -150,23 +146,17 @@ class LinearOperatorRep:
         out = self._apply_adjoint(self._normalize(values, self.out_channels))
         return self._present(out, self.in_channels)
 
-    def dense(self, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-        """Dense matrix, cached; raises DimensionCapError over ``cap``.
+    def dense(self) -> np.ndarray:
+        """Dense matrix by one pipeline call on the identity block.
 
-        One pipeline call on the identity block: row j of its output is the
-        image of the j-th point-basis vector, i.e. column j of the matrix.
+        Row j of the pipeline's output is the image of the j-th point-basis
+        vector, i.e. column j of the matrix.
         """
-        if self._dense is not None:
-            return self._dense
-        dim = max(self.in_dim, self.out_dim)
-        if dim > cap:
-            raise DimensionCapError(dim, cap)
         basis = np.eye(self.in_dim, dtype=complex).reshape(
             self.in_dim, self.in_channels, *self.grid.spatial_shape
         )
         images = self._apply(basis).reshape(self.in_dim, self.out_dim)
-        self._dense = np.ascontiguousarray(images.T)
-        return self._dense
+        return np.ascontiguousarray(images.T)
 
 
 def _derivative_multipliers(grid: TorusGrid, basis: MultiIndexBasis) -> np.ndarray:
@@ -255,7 +245,7 @@ def assemble_constant_coefficient(
     return LinearOperatorRep(grid, 1, 1, apply, apply, label="constant_operator")
 
 
-def _circulant_blocks(kernels: np.ndarray, grid: TorusGrid, cap: int) -> np.ndarray:
+def _circulant_blocks(kernels: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Dense (channels * n^N, n^N) matrix of a Fourier multiplier, one channel per block.
 
     ``kernels`` (channels, *spatial) is the inverse FFT of each channel's symbol;
@@ -263,17 +253,13 @@ def _circulant_blocks(kernels: np.ndarray, grid: TorusGrid, cap: int) -> np.ndar
     """
     points = grid.total_points
     rows = kernels.shape[0] * points
-    if rows > cap:
-        raise DimensionCapError(rows, cap)
     difference = np.zeros((points, points), dtype=np.intp)
     for index in np.indices(grid.spatial_shape).reshape(grid.N, points):
         difference = difference * grid.n + (index[:, None] - index[None, :]) % grid.n
     return kernels.reshape(-1, points)[:, difference].reshape(rows, points)
 
 
-def constant_resolvent(
-    a: HermitianMatrixField, grid: TorusGrid, cap: int = DEFAULT_DENSE_CAP
-) -> np.ndarray:
+def constant_resolvent(a: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
     """(op + 1)^{-1} of the constant-coefficient operator, in closed form.
 
     The operator is the Fourier multiplier A(xi), so its resolvent is the
@@ -285,12 +271,10 @@ def constant_resolvent(
         raise ValueError("constant resolvent needs a constant coefficient field")
     check_positive_definite(np.linalg.eigvalsh(a.constant_matrix()))
     kernel = _ifft(1.0 / (1.0 + constant_multiplier(a, grid)), grid)
-    return _circulant_blocks(kernel[None], grid, cap)
+    return _circulant_blocks(kernel[None], grid)
 
 
-def constant_factor_resolvent(
-    a: HermitianMatrixField, grid: TorusGrid, cap: int = DEFAULT_DENSE_CAP
-) -> np.ndarray:
+def constant_factor_resolvent(a: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
     """T (op + 1)^{-1} = (T T* + 1)^{-1} T for T = a^{1/2} D, in closed form.
 
     Channel c is the Fourier multiplier sum_b (a^{1/2})_{cb} (i xi)^beta_b
@@ -299,7 +283,7 @@ def constant_factor_resolvent(
     symbol = np.einsum(
         "cb,b...->c...", matrix_sqrt(a.constant_matrix()), _derivative_multipliers(grid, a.basis)
     )
-    return _circulant_blocks(_ifft(symbol / (1.0 + constant_multiplier(a, grid)), grid), grid, cap)
+    return _circulant_blocks(_ifft(symbol / (1.0 + constant_multiplier(a, grid)), grid), grid)
 
 
 def assemble_variable_coefficient(

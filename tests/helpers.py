@@ -62,7 +62,8 @@ def polyharmonic_setup(N, m):
 def direct_difference(a, at, grid):
     """(op_tilde + 1)^{-1} - (op + 1)^{-1} for the sampled and the constant coefficient."""
     return resolvent_difference(
-        assemble_variable_coefficient(at, grid), assemble_constant_coefficient(a, grid)
+        assemble_variable_coefficient(at, grid).dense(),
+        assemble_constant_coefficient(a, grid).dense(),
     )
 
 

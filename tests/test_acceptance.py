@@ -20,7 +20,6 @@ from schatten_verify import (
     assemble_derivative_factor,
     coarea_constant,
     enumerate_basis,
-    is_divergent,
     lattice_symbol_integral,
     matrix_sqrt,
     polar_decomposition_check,
@@ -155,14 +154,12 @@ def test_criterion_04_weighted_norm_oracle():
                     worst = max(worst, rel)
                     checked += 1
                 else:
-                    divergence_ok = divergence_ok and is_divergent(closed) and is_divergent(quad)
+                    divergence_ok = divergence_ok and closed is None and quad is None
     # p exactly at the threshold, where representable with p >= 1
     for N, m in ((1, 1), (2, 1), (3, 1), (2, 2), (3, 3)):
         spec = WeightedNormSpec(p=N / m, N=N, m=m)
-        divergence_ok = divergence_ok and is_divergent(resolvent_profile_norm(spec))
-        divergence_ok = divergence_ok and is_divergent(
-            weighted_profile_norm(resolvent_profile, spec)
-        )
+        divergence_ok = divergence_ok and resolvent_profile_norm(spec) is None
+        divergence_ok = divergence_ok and weighted_profile_norm(resolvent_profile, spec) is None
     report(
         4,
         "weighted norm oracle",
@@ -229,7 +226,7 @@ def test_criterion_07_operator_norm_bound(battery):
 
 def test_criterion_08_impurity_scaling_law(default_config, scale):
     slope = scale.extras["slope"]
-    p = default_config.studies.scale_p
+    p = default_config.scale.p
     slope_ok = abs(slope - 1.0 / p) <= 1e-6
     bound_ok = all(r.lhs <= r.constant * r.rhs for r in scale.rows)
     report(

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -8,10 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schatten_verify import ConfigError, enumerate_basis
+from schatten_verify import ConfigError, DimensionCapError, harness
 from schatten_verify.cli import default_config_path, run_cli
 from schatten_verify.harness import (
     CSV_HEADER,
+    ClipStudy,
+    HarnessConfig,
+    ScaleStudy,
+    Tolerances,
+    build_artifacts,
     coarea_constants,
     impurity_experiment,
     load_config,
@@ -113,7 +119,7 @@ class TestConfigParsing:
     def test_bundled_default_parses(self):
         config = load_config(default_config_path())
         assert len(config.experiments) >= 27
-        assert config.studies.clip_levels == (1, 4, 16, 64)
+        assert config.clip.levels == (1, 4, 16, 64)
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -148,6 +154,24 @@ class TestConfigParsing:
         data["experiments"][0]["p_values"] = [0.5]
         with pytest.raises(ConfigError, match="p must be"):
             parse_config(data)
+        for section in ("scale_study", "clip_study"):
+            data = small_config()
+            data[section]["p"] = 0.5
+            with pytest.raises(ConfigError, match=f"{section}: p must be >= 1"):
+                parse_config(data)
+
+    def test_absent_keys_keep_dataclass_defaults(self):
+        config = parse_config({"experiments": small_config()["experiments"]})
+        defaults = {f.name: f.default for f in dataclasses.fields(HarnessConfig)}
+        assert config.tolerances == Tolerances()
+        for key in ("seed", "mc_samples", "max_dim", "scale", "clip", "refine"):
+            assert getattr(config, key) == defaults[key], key
+        data = small_config()
+        del data["scale_study"]["p"], data["clip_study"]["p"], data["clip_study"]["floor"]
+        config = parse_config(data)
+        assert config.scale.p == ScaleStudy.p
+        assert (config.clip.p, config.clip.floor) == (ClipStudy.p, ClipStudy.floor)
+        assert config.scale.experiment is config.clip.experiment is config.experiments[0]
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("SCHATTEN_THREADS", "2")
@@ -271,16 +295,13 @@ class TestClipStudy:
         assert len(gated) >= 2
 
     def test_spectral_max_matches_svd(self):
-        from schatten_verify import TorusGrid, assemble_variable_coefficient, operator_norm
-        from schatten_verify.harness import _clip_target_field, base_coefficient
+        from schatten_verify import assemble_variable_coefficient, operator_norm
+        from schatten_verify.harness import _clip_target_field
 
         config = parse_config(small_config())
-        exp = config.experiments[0]
-        assert exp.id == config.studies.clip_experiment
-        grid = TorusGrid(N=exp.N, n=exp.grid.n, L=exp.grid.L)
-        a = base_coefficient(exp, enumerate_basis(exp.N, exp.m))
-        degenerate = _clip_target_field(exp, a, grid, config.studies.clip_floor)
-        svd = operator_norm(assemble_variable_coefficient(degenerate, grid).dense())
+        exp = config.clip.experiment
+        degenerate = _clip_target_field(exp, config.clip.floor)
+        svd = operator_norm(assemble_variable_coefficient(degenerate, exp.grid).dense())
         assert run_clip(config).extras["spectral_max"] == pytest.approx(svd, rel=1e-12)
 
 
@@ -315,7 +336,91 @@ class TestPositivityGuard:
             impurity_experiment(exp, config, c_cov)
 
 
+class TestDenseCap:
+    @staticmethod
+    def _n2_config(max_dim):
+        # N = 2, m = 1, n = 4: P = 16 grid points, nu * P = 32 channel rows
+        exp = {
+            "id": "n2_small",
+            "N": 2,
+            "m": 1,
+            "grid": {"n": 4, "L": 4.0},
+            "base": "polyharmonic",
+            "perturbation": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0, "amplitude": 0.5},
+            "p_values": [4],
+        }
+        return parse_config({"experiments": [exp], "max_dim": max_dim})
+
+    def test_counts_channels_before_any_dense_object(self, monkeypatch):
+        config = self._n2_config(32)
+        assert build_artifacts(config.experiments[0], config).perturbed_resolvent.shape == (16, 16)
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("a dense solve ran before the cap check")
+
+        config = self._n2_config(20)
+        monkeypatch.setattr(harness, "resolvent", no_dense)
+        with pytest.raises(DimensionCapError) as err:
+            build_artifacts(config.experiments[0], config)
+        assert (err.value.dim, err.value.cap) == (32, 20)
+
+    def test_clip_checks_before_its_own_dense_objects(self, monkeypatch):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("an operator was assembled before the cap check")
+
+        config = parse_config(small_config(max_dim=16))
+        monkeypatch.setattr(harness, "assemble_variable_coefficient", no_assembly)
+        with pytest.raises(DimensionCapError) as err:
+            run_clip(config)
+        assert (err.value.dim, err.value.cap) == (32, 16)
+
+
+def _set(path, value):
+    """A config edit: set the entry at ``path`` (keys and indices) of small_config()."""
+
+    def apply(data):
+        *head, last = path
+        target = data
+        for key in head:
+            target = target[key]
+        target[last] = value
+
+    return apply
+
+
+# one malformed entry each; (subcommand, edit, the entry the message must name)
+MALFORMED = {
+    "odd_n": ("verify", _set(["experiments", 0, "grid", "n"], 31), "experiments[0] ('quick_box')"),
+    "zero_L": ("verify", _set(["experiments", 0, "grid", "L"], 0), "experiments[0] ('quick_box')"),
+    "zero_m": ("verify", _set(["experiments", 1, "m"], 0), "experiments[1] ('quick_bump')"),
+    "base_matrix_shape": (
+        "verify",
+        _set(["experiments", 2, "base_matrix"], [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0]]),
+        "experiments[2] ('quick_matrix_ball').base_matrix",
+    ),
+    "amplitude_matrix_shape": (
+        "verify",
+        _set(["experiments", 2, "perturbation", "amplitude_matrix"], [[1.0]]),
+        "experiments[2] ('quick_matrix_ball').perturbation.amplitude_matrix",
+    ),
+    "odd_refine_n": ("refine", _set(["refinement_study", "n_values"], [32, 63, 128]), "refinement_study"),
+    "experiment_not_object": ("verify", _set(["experiments", 1], 5), "experiments[1] must be a JSON object"),
+    "tolerances_not_object": ("verify", _set(["tolerances"], 5), "tolerances must be a JSON object"),
+}
+
+
 class TestCli:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_exit_two_on_malformed_entry(self, case, tmp_path, capsys):
+        subcommand, edit, entry = MALFORMED[case]
+        data = small_config()
+        edit(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {entry}") and "Traceback" not in err, err
+
     def test_verify_small_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(small_config()))
@@ -424,6 +529,15 @@ class TestReportRoundTrip:
         )
         flags = {a["name"]: a["passed"] for a in summary["assertions"]}
         assert {a.name: a.passed for a in recomputed} == flags
+
+    def test_scale_recompute_needs_slope(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config()))
+        out = tmp_path / "out"
+        assert run_cli(["scale", "--config", str(cfg), "--out", str(out)]) == 0
+        csv_text = (out / "scale_report.csv").read_text()
+        with pytest.raises(ConfigError, match="slope"):
+            recompute_assertions_from_csv(csv_text, load_config(str(cfg)), "scale", extras={})
 
     def test_clip_recompute_needs_spectral_max(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,12 +7,10 @@ from schatten_verify import (
     clip_coefficients,
     constant_field,
     enumerate_basis,
-    is_divergent,
     matrix_field_lp_norm,
     relative_perturbation,
 )
 from schatten_verify.norms import (
-    DIVERGENT,
     PerturbationField,
     WeightedNormSpec,
     resolvent_profile,
@@ -37,7 +35,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("N,m,p", [(2, 1, 2), (3, 1, 3), (1, 1, 1), (3, 1, 2)])
     def test_divergent_at_and_below_threshold(self, N, m, p):
         assert N / m >= p  # sanity: these sit at or below the threshold
-        assert is_divergent(resolvent_profile_norm(WeightedNormSpec(p=p, N=N, m=m)))
+        assert resolvent_profile_norm(WeightedNormSpec(p=p, N=N, m=m)) is None
 
     def test_spec_flags(self):
         spec = WeightedNormSpec(p=4, N=2, m=1)
@@ -58,8 +56,8 @@ class TestQuadrature:
         spec = WeightedNormSpec(p=p, N=N, m=m)
         closed = resolvent_profile_norm(spec)
         quad = weighted_profile_norm(resolvent_profile, spec)
-        if is_divergent(closed):
-            assert is_divergent(quad)
+        if closed is None:
+            assert quad is None
         else:
             assert quad == pytest.approx(closed, rel=1e-8)
 
@@ -72,14 +70,14 @@ class TestQuadrature:
         # flagged only through its declared decay
         spec = WeightedNormSpec(p=4, N=1, m=1)
         profile = lambda t: t / (1.0 + t)
-        assert weighted_profile_norm(profile, spec, tail_decay=0.0) is DIVERGENT
+        assert weighted_profile_norm(profile, spec, tail_decay=0.0) is None
         with pytest.raises(ValueError, match="tail_decay"):
             weighted_profile_norm(profile, spec)
 
     def test_declared_tail_decay_shortcut(self):
         spec = WeightedNormSpec(p=1, N=1, m=1)
         out = weighted_profile_norm(lambda t: np.sqrt(t) / (1 + t), spec, tail_decay=0.5)
-        assert out is DIVERGENT
+        assert out is None
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,8 @@ from schatten_verify import (
     spectral_profile_operator,
     sqrt_field,
 )
-from schatten_verify.harness import _ratio
+from schatten_verify import harness, schatten_analysis
+from schatten_verify.harness import _ratio, build_artifacts, parse_config
 from schatten_verify.norms import resolvent_profile
 from schatten_verify.schatten_analysis import _residual_norm, singular_spectrum
 from schatten_verify.torus_operator import constant_factor_resolvent
@@ -102,7 +103,7 @@ class TestResolvent:
         grid = TorusGrid(N=1, n=16, L=2 * np.pi)
         basis, a = polyharmonic_setup(1, 1)
         op = assemble_constant_coefficient(a, grid)
-        res = resolvent(op)
+        res = resolvent(op.dense())
         for k in (0, 1, 5, -7):
             u = grid.plane_wave((k,))
             expected = u / (1.0 + float(k) ** 2)
@@ -121,7 +122,7 @@ class TestResolvent:
             basis, a = polyharmonic_setup(N, m)
             op = assemble_constant_coefficient(a, grid)
             dense = op.dense()
-            res = resolvent(op)
+            res = resolvent(dense)
             eye = np.eye(dense.shape[0])
             assert operator_norm((dense + eye) @ res - eye) < 1e-10
 
@@ -137,14 +138,16 @@ class TestConstantResolvent:
         matrix_base = constant_field(basis, random_hermitian_pd(rng, basis.nu))
         for a in (polyharmonic_setup(N, m)[1], matrix_base):
             closed = constant_resolvent(a, grid)
-            dense = resolvent(assemble_constant_coefficient(a, grid))
+            dense = resolvent(assemble_constant_coefficient(a, grid).dense())
             assert np.abs(closed - dense).max() <= 1e-12
 
-    def test_dimension_cap(self):
-        grid = TorusGrid(N=1, n=64, L=2 * np.pi)
-        basis, a = polyharmonic_setup(1, 1)
-        with pytest.raises(DimensionCapError):
-            constant_resolvent(a, grid, cap=32)
+    def test_dimension_cap(self, monkeypatch):
+        # the experiment's size guard refuses P = 64 > 32 before the closed form runs
+        config = _capped_config(N=1, n=64, max_dim=32)
+        monkeypatch.setattr(harness, "constant_resolvent", _never_called)
+        with pytest.raises(DimensionCapError) as err:
+            build_artifacts(config.experiments[0], config)
+        assert (err.value.dim, err.value.cap) == (64, 32)
 
 
 class TestConstantFactorResolvent:
@@ -162,14 +165,34 @@ class TestConstantFactorResolvent:
             assert closed.shape == dense.shape == (basis.nu * grid.total_points, grid.total_points)
             assert np.abs(closed - dense).max() <= 1e-12 * np.abs(dense).max()
 
-    def test_dimension_cap_counts_channels(self):
+    def test_dimension_cap_counts_channels(self, monkeypatch):
         # P = 16 fits the cap, the channel side nu * P = 32 does not
-        grid = TorusGrid(N=2, n=4, L=2 * np.pi)
-        basis, a = polyharmonic_setup(2, 1)
-        assert constant_resolvent(a, grid, cap=20).shape == (16, 16)
+        config = _capped_config(N=2, n=4, max_dim=20)
+        exp = config.experiments[0]
+        assert exp.grid.total_points <= config.max_dim
+        monkeypatch.setattr(harness, "constant_resolvent", _never_called)
+        monkeypatch.setattr(schatten_analysis, "constant_factor_resolvent", _never_called)
         with pytest.raises(DimensionCapError) as err:
-            constant_factor_resolvent(a, grid, cap=20)
+            build_artifacts(exp, config)
         assert err.value.dim == 32
+
+
+def _capped_config(N, n, max_dim):
+    """One polyharmonic m = 1 experiment on an n^N grid under ``max_dim``."""
+    exp = {
+        "id": f"capped_{N}d",
+        "N": N,
+        "m": 1,
+        "grid": {"n": n, "L": 4.0},
+        "base": "polyharmonic",
+        "perturbation": {"shape": "ball", "center": [0.0] * N, "radius": 1.0, "amplitude": 0.5},
+        "p_values": [4],
+    }
+    return parse_config({"experiments": [exp], "max_dim": max_dim})
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("a closed-form resolvent ran before the size check")
 
 
 class TestDeift:
@@ -204,7 +227,7 @@ class TestDeift:
         at = bump_perturbed_field(grid, basis, a, amplitude=0.75, rel_radius=0.125)
         t_tilde = assemble_derivative_factor(sqrt_field(at), grid).dense()
         left = channel_solve(t_tilde)
-        r_in = resolvent(assemble_variable_coefficient(at, grid))
+        r_in = resolvent(assemble_variable_coefficient(at, grid).dense())
         assert deift_residual(t_tilde, left, r_in) < 1e-10
         assert deift_residual(t_tilde, left, r_in * (1 + 1e-6)) >= 1e-7
 
@@ -379,7 +402,7 @@ def operator_norm_ratio(ht, h, v_sup):
     The 1/4 is the product of the two factors of sup g = 1/2 in the
     factorized difference.
     """
-    lhs = operator_norm(resolvent_difference(ht, h))
+    lhs = operator_norm(resolvent_difference(ht.dense(), h.dense()))
     return lhs, _ratio(lhs, v_sup, 0.25)
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from schatten_verify import (
-    DimensionCapError,
     NonPositiveDefiniteError,
     TorusGrid,
     assemble_channel_gram,
@@ -261,9 +260,3 @@ class TestMaterialize:
             reference = np.stack(columns, axis=1)
             assert op.dense().shape == reference.shape
             assert np.abs(op.dense() - reference).max() <= 1e-13 * np.abs(reference).max()
-
-    def test_dimension_cap(self):
-        grid = TorusGrid(N=1, n=64, L=1.0)
-        basis, a = polyharmonic_setup(1, 1)
-        with pytest.raises(DimensionCapError):
-            assemble_constant_coefficient(a, grid).dense(cap=32)
