@@ -28,7 +28,6 @@ from .norms import (
     relative_perturbation,
 )
 from .schatten_analysis import (
-    channel_solve,
     convolution_kernel,
     deift_residual,
     factorization_residual,

@@ -55,13 +55,13 @@ from .norms import (
     resolvent_profile_norm,
 )
 from .schatten_analysis import (
-    channel_solve,
     deift_residual,
     factorization_residual,
     operator_norm,
     resolvent,
     schatten_norm_from_values,
     singular_spectrum,
+    woodbury_left_end,
 )
 from .torus_operator import (
     TorusGrid,
@@ -574,7 +574,9 @@ def _check_dense_size(exp: ExperimentSpec, config: HarnessConfig) -> None:
     """Refuse an experiment whose largest dense object exceeds ``max_dim``.
 
     That object is the channel side of the derivative factor and of the
-    closed-form factor resolvent, nu * n^N rows; every other one is n^N.
+    factorization chain's left end, nu * n^N rows; every other one is n^N.
+    The runners check every experiment (every refinement rung) first, before
+    any Monte Carlo draw or dense object.
     """
     dim = exp.basis.nu * exp.grid.total_points
     if dim > config.max_dim:
@@ -625,11 +627,11 @@ def build_artifacts(
     svals = singular_spectrum(delta, hermitian=True)
 
     v_field = relative_perturbation(a, a_tilde, grid.cell_volume)
-    # one T~ and one channel solve (G~+1)^{-1} T~, shared by both identity checks;
+    # the left end (G~+1)^{-1} T~, built without H~ or r_tilde, is shared by both identity checks
+    left = woodbury_left_end(a, a_tilde, grid)
+    fact = factorization_residual(a, v_field.values, grid, delta, left, svals[0])
     # T~*T~ = H~, so the Deift check's (T~*T~+1)^{-1} is r_tilde itself
     t_tilde = assemble_derivative_factor(sqrt_field(a_tilde), grid).dense()
-    left = channel_solve(t_tilde)
-    fact = factorization_residual(a, v_field.values, grid, delta, left, svals[0])
     return ExperimentArtifacts(
         grid=grid,
         perturbed_resolvent=r_tilde,
@@ -696,6 +698,8 @@ def _monotonicity_assertions(rows: list[ReportRow]) -> list[Assertion]:
 
 def run_verify(config: HarnessConfig) -> StudyResult:
     """The impurity battery over every configured experiment."""
+    for exp in config.experiments:
+        _check_dense_size(exp, config)
     c_cov = coarea_constants(config, config.experiments)
     rows: list[ReportRow] = []
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
@@ -727,6 +731,7 @@ def run_scale(config: HarnessConfig) -> StudyResult:
     """
     study = _study(config.scale, "scale_study")
     exp, p, grid = study.experiment, study.p, study.experiment.grid
+    _check_dense_size(exp, config)
     constant = trace_norm_constant(p, exp.basis, coarea_constants(config, (exp,))[exp.id].value)
     rows: list[ReportRow] = []
     volumes: list[float] = []
@@ -865,12 +870,15 @@ def _clip_assertions(rows: list[ReportRow], tol: Tolerances, spectral_max: float
 def run_refine(config: HarnessConfig) -> StudyResult:
     """Repeat the impurity experiment over a grid ladder to expose truncation error."""
     study = _study(config.refine, "refinement_study")
+    rungs = [replace(study.experiment, grid=grid) for grid in study.grids]
+    for rung in rungs:
+        _check_dense_size(rung, config)
     exp = study.experiment
     c_cov = coarea_constants(config, (exp,))[exp.id].value
     rows: list[ReportRow] = []
-    for grid in study.grids:
-        for row in impurity_experiment(replace(exp, grid=grid), config, c_cov):
-            rows.append(replace(row, experiment=f"{exp.id}|n={grid.n}"))
+    for rung in rungs:
+        for row in impurity_experiment(rung, config, c_cov):
+            rows.append(replace(row, experiment=f"{exp.id}|n={rung.grid.n}"))
     return StudyResult(rows=rows, assertions=study_assertions("refine", rows, config, {}), extras={})
 
 

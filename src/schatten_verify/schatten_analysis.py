@@ -10,13 +10,17 @@ an operator norm, taken exactly as sqrt of the largest eigenvalue of X* X.
 Verified identities (all exact in finite dimensions):
 
 * the resolvent partition (S*S + 1)^{-1} + S* (SS* + 1)^{-1} S = 1 for an
-  arbitrary rectangular S, given both solves; the harness passes S = Tt, so
-  (S*S + 1)^{-1} = (Ht + 1)^{-1} is the resolvent behind every lhs;
+  arbitrary rectangular S, given both (S*S + 1)^{-1} and (SS* + 1)^{-1} S;
+  the harness passes S = Tt, so (S*S + 1)^{-1} = (Ht + 1)^{-1} is the
+  resolvent behind every lhs, and (SS* + 1)^{-1} S is the left end below;
 * the factorization of a resolvent difference through the coefficient
   difference: the direct difference of (op + 1)^{-1} matrices equals the
   chain  Tt* (Gt+1)^{-1} at^{-1/2} (a - at) a^{-1/2} (G+1)^{-1} T, where
   T = a^{1/2} D, Tt = at^{1/2} D are the derivative factors, G, Gt their Grams;
-  the left end is a dense solve, the right end T (H+1)^{-1} a closed form;
+  the left end (Gt+1)^{-1} Tt is the reference's closed-form channel resolvent
+  plus a Woodbury correction sized by the impurity's support, built without
+  Ht, and the right end T (H+1)^{-1} is a closed form; the middle field
+  vanishes off the support, so the chain is taken over the support rows;
 * the polar decomposition a^{1/2} D = G^{1/2} U with U a partial isometry;
 * the translation-invariant convolution kernel of profile(G) for constant
   coefficients.
@@ -32,6 +36,7 @@ import numpy as np
 # perfbench/tracer.py patches names of both imports here; some have no caller in this module
 from .coeff_algebra import (
     HermitianMatrixField,
+    field_power,
     matrix_inv_sqrt,
     matrix_sqrt,
     spectral_symbol_lattice,
@@ -43,7 +48,8 @@ from .torus_operator import (
     assemble_derivative_factor,
     assemble_variable_coefficient,
     block_multiplication_matrix,
-    constant_factor_resolvent,
+    channel_resolvent_symbols,
+    circulant_lookup,
 )
 
 
@@ -125,24 +131,60 @@ def spectral_profile_operator(gram_dense: np.ndarray, profile: Callable) -> np.n
     )
 
 
-def channel_solve(factor: np.ndarray) -> np.ndarray:
-    """(F F* + 1)^{-1} F by one dense solve, for a rectangular factor F."""
-    f = np.asarray(factor, dtype=complex)
-    gram = f @ np.conj(f.T)
-    gram[np.diag_indices_from(gram)] += 1.0
-    return np.linalg.solve(gram, f)
-
-
 def _residual_norm(x: np.ndarray) -> float:
     """||X||_op, exact like the SVD but cheaper: sqrt of the largest eigenvalue of X* X."""
     return float(np.sqrt(max(np.linalg.eigvalsh(np.conj(x.T) @ x)[-1], 0.0)))
 
 
+def woodbury_left_end(
+    a: HermitianMatrixField, a_tilde: HermitianMatrixField, grid: TorusGrid
+) -> np.ndarray:
+    """(Gt+1)^{-1} Tt for Tt = at^{1/2} D, from the impurity's support.
+
+    With B = at^{1/2} and C = D D* + a^{-1}, Gt + 1 = B (D D* + at^{-1}) B and
+    D D* + at^{-1} = C + E* W E, where E restricts to the nu K channels of the
+    K points at which at differs from a and W = at^{-1} - a^{-1} there.
+    Woodbury gives
+
+        (Gt+1)^{-1} Tt = B^{-1} [C^{-1} D - C^{-1} E* W (1 + Z W)^{-1} M],
+
+    with the closed-form lookups Z = E C^{-1} E* and M = E C^{-1} D, W applied
+    pointwise, and one nu K x nu K solve with n^N right-hand sides; on the
+    support rows the bracket is (1 + Z W)^{-1} M itself. Nothing of op_tilde
+    or its resolvent enters. Returns (nu * n^N, n^N).
+    """
+    nu, points = a.basis.nu, grid.total_points
+    at = a_tilde.sampled_on(grid.spatial_shape).reshape(points, nu, nu)
+    differs = np.any(at != a.constant_matrix(), axis=(1, 2))
+    support, rest = np.flatnonzero(differs), np.flatnonzero(~differs)
+    k = support.size
+    c_inv, c_inv_d = channel_resolvent_symbols(a, grid)
+    inner = circulant_lookup(c_inv_d, grid).reshape(nu, points, points)  # C^{-1} D
+    z = circulant_lookup(c_inv, grid, rows=support, cols=support).reshape(nu * k, nu, k)
+    w = field_power(at[support], -1.0) - field_power(a.constant_matrix(), -1.0)
+    # Z W: W acts on the columns of Z, support point by support point
+    zw = np.matmul(z.transpose(2, 0, 1), w).transpose(1, 2, 0).reshape(nu * k, nu * k)
+    zw[np.diag_indices_from(zw)] += 1.0
+    y = np.linalg.solve(zw, inner[:, support].reshape(nu * k, points))
+    # on the support M - Z W Y is Y itself; off it, C^{-1} D - (C^{-1} E*) W Y
+    coupling = circulant_lookup(c_inv, grid, rows=rest, cols=support)
+    inner[:, rest] -= (coupling @ _pointwise_rows(w, y)).reshape(nu, rest.size, points)
+    inner[:, support] = y.reshape(nu, k, points)
+    return _pointwise_rows(field_power(at, -0.5), inner.reshape(nu * points, points))
+
+
+def _pointwise_rows(field: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Field (K, nu, nu) applied point by point to the channel-major rows (nu K, cols)."""
+    (k, nu, _), cols = field.shape, stack.shape[-1]
+    by_point = stack.reshape(nu, k, cols).transpose(1, 0, 2)
+    return np.matmul(field, by_point).transpose(1, 0, 2).reshape(nu * k, cols)
+
+
 def deift_residual(s_matrix: np.ndarray, left: np.ndarray, r_in: np.ndarray) -> float:
     """Operator norm of r_in + S* left - 1, with left = (SS*+1)^{-1} S.
 
-    ``r_in`` is the given (S*S+1)^{-1} and ``left`` is ``channel_solve(s_matrix)``;
-    the residual vanishes when the two solves agree.
+    ``r_in`` is the given (S*S+1)^{-1} and ``left`` the given (SS*+1)^{-1} S;
+    the residual vanishes when the two agree.
     """
     s = np.asarray(s_matrix, dtype=complex)
     return _residual_norm(r_in + np.conj(s.T) @ left - np.eye(s.shape[1]))
@@ -160,18 +202,25 @@ def factorization_residual(
 
         Tt* (Gt+1)^{-1} . at^{-1/2} (a - at) a^{-1/2} . (G+1)^{-1} T
 
-    ``left`` = (Gt+1)^{-1} Tt is ``channel_solve`` of the perturbed factor
-    (the Deift check shares it), the right end (G+1)^{-1} T = T (op+1)^{-1}
-    is a closed form, and the middle field -V, for the (*spatial, nu, nu)
-    values ``v`` of ``relative_perturbation``, is applied pointwise. ``scale``
-    is ||direct||, from the spectrum of ``direct``. Returns the relative
-    residual, or the absolute one when the direct difference is numerically 0.
+    ``left`` = (Gt+1)^{-1} Tt is the given left end (the Deift check shares
+    it), and the middle field -V, for the (*spatial, nu, nu) values ``v`` of
+    ``relative_perturbation``, is applied pointwise. V vanishes off the
+    impurity's support, so the chain is taken over the support rows only:
+    the left end's rows there and the right end's, (G+1)^{-1} T = a^{-1/2}
+    C^{-1} D in closed form. ``scale`` is ||direct||, from the spectrum of
+    ``direct``. Returns the relative residual, or the absolute one when the
+    direct difference is numerically 0.
     """
     nu, points = a.basis.nu, grid.total_points
-    right = constant_factor_resolvent(a, grid).reshape(nu, points, points)
-    v_right = np.einsum("pab,bpk->apk", v.reshape(points, nu, nu), right)
+    v = v.reshape(points, nu, nu)
+    support = np.flatnonzero(np.any(v != 0, axis=(1, 2)))
+    right_symbol = np.einsum(
+        "ab,bc...->ac...", matrix_inv_sqrt(a.constant_matrix()), channel_resolvent_symbols(a, grid)[1]
+    )
+    right = circulant_lookup(right_symbol, grid, rows=support)  # (nu K, P)
+    left_support = left.reshape(nu, points, points)[:, support].reshape(-1, points)
     # the chain carries -V, so direct - chain = direct + left* V right
-    gap = _residual_norm(direct + np.conj(left.T) @ v_right.reshape(nu * points, points))
+    gap = _residual_norm(direct + np.conj(left_support.T) @ _pointwise_rows(v[support], right))
     if scale <= 1e-14:
         return gap
     return gap / scale

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coeff_algebra import HermitianMatrixField, check_positive_definite, matrix_sqrt
+from .coeff_algebra import HermitianMatrixField, check_positive_definite
 from .multiindex import MultiIndexBasis, monomial_matrix
 
 
@@ -245,18 +245,34 @@ def assemble_constant_coefficient(
     return LinearOperatorRep(grid, 1, 1, apply, apply, label="constant_operator")
 
 
-def _circulant_blocks(kernels: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Dense (channels * n^N, n^N) matrix of a Fourier multiplier, one channel per block.
+def circulant_lookup(
+    symbols: np.ndarray,
+    grid: TorusGrid,
+    rows: np.ndarray | None = None,
+    cols: np.ndarray | None = None,
+) -> np.ndarray:
+    """Dense block of a matrix Fourier multiplier over point subsets.
 
-    ``kernels`` (channels, *spatial) is the inverse FFT of each channel's symbol;
-    block c has entry kernels[c] at the periodic difference x - y in (x, y).
+    ``symbols`` (out, in, *spatial) holds the multiplier's (out, in) matrix
+    symbol over the frequency lattice; entry ((c, x), (d, y)) of the result is
+    ifftn(symbols[c, d]) at the periodic difference x - y, for the flat point
+    indices x in ``rows`` and y in ``cols`` (default: every point). The result
+    is (out * len(rows), in * len(cols)) in channel-major order; nothing is
+    materialized beyond it and nothing is solved.
     """
     points = grid.total_points
-    rows = kernels.shape[0] * points
-    difference = np.zeros((points, points), dtype=np.intp)
-    for index in np.indices(grid.spatial_shape).reshape(grid.N, points):
-        difference = difference * grid.n + (index[:, None] - index[None, :]) % grid.n
-    return kernels.reshape(-1, points)[:, difference].reshape(rows, points)
+    rows = np.arange(points) if rows is None else np.asarray(rows)
+    cols = np.arange(points) if cols is None else np.asarray(cols)
+    wrap = np.subtract.outer(np.arange(grid.n), np.arange(grid.n)) % grid.n
+    difference = np.zeros((rows.size, cols.size), dtype=np.intp)
+    for axis in np.indices(grid.spatial_shape).reshape(grid.N, points):
+        difference = difference * grid.n + wrap[axis[rows, None], axis[None, cols]]
+    out_ch, in_ch = symbols.shape[:2]
+    kernels = _ifft(symbols, grid).reshape(out_ch, in_ch, points)
+    out = np.empty((out_ch, rows.size, in_ch, cols.size), dtype=complex)
+    for c, d in np.ndindex(out_ch, in_ch):
+        out[c, :, d] = kernels[c, d, difference]
+    return out.reshape(out_ch * rows.size, in_ch * cols.size)
 
 
 def constant_resolvent(a: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
@@ -270,20 +286,26 @@ def constant_resolvent(a: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
     if not a.is_constant:
         raise ValueError("constant resolvent needs a constant coefficient field")
     check_positive_definite(np.linalg.eigvalsh(a.constant_matrix()))
-    kernel = _ifft(1.0 / (1.0 + constant_multiplier(a, grid)), grid)
-    return _circulant_blocks(kernel[None], grid)
+    return circulant_lookup((1.0 / (1.0 + constant_multiplier(a, grid)))[None, None], grid)
 
 
-def constant_factor_resolvent(a: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
-    """T (op + 1)^{-1} = (T T* + 1)^{-1} T for T = a^{1/2} D, in closed form.
+def channel_resolvent_symbols(
+    a: HermitianMatrixField, grid: TorusGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symbols of C^{-1} and C^{-1} D for the channel-side C = D D* + a^{-1}.
 
-    Channel c is the Fourier multiplier sum_b (a^{1/2})_{cb} (i xi)^beta_b
-    / (1 + A(xi)); the result is (nu * n^N, n^N), nothing is solved.
+    With d = ((i xi)^alpha)_alpha, C has the symbol d d* + a^{-1}, whose
+    inverse is a - (a d)(a d)* / (1 + A) by Sherman-Morrison (d* a d = A);
+    so C^{-1} D has the symbol a d / (1 + A), and a^{-1/2} C^{-1} D is the
+    factor resolvent T (op + 1)^{-1} = (G + 1)^{-1} T of T = a^{1/2} D.
+    Returns (nu, nu, *spatial) and (nu, 1, *spatial), for ``circulant_lookup``.
     """
-    symbol = np.einsum(
-        "cb,b...->c...", matrix_sqrt(a.constant_matrix()), _derivative_multipliers(grid, a.basis)
-    )
-    return _circulant_blocks(_ifft(symbol / (1.0 + constant_multiplier(a, grid)), grid), grid)
+    a_mat = a.constant_matrix()
+    ad = np.einsum("ab,b...->a...", a_mat, _derivative_multipliers(grid, a.basis))
+    denominator = 1.0 + constant_multiplier(a, grid)
+    spatial = (None,) * grid.N
+    c_inv = a_mat[(..., *spatial)] - ad[:, None] * np.conj(ad[None, :]) / denominator
+    return c_inv, (ad / denominator)[:, None]
 
 
 def assemble_variable_coefficient(

@@ -6,7 +6,6 @@ from schatten_verify import (
     assemble_constant_coefficient,
     assemble_derivative_factor,
     assemble_variable_coefficient,
-    channel_solve,
     deift_residual,
     enumerate_basis,
     factorization_residual,
@@ -18,6 +17,8 @@ from schatten_verify import (
     sampled_field,
     sqrt_field,
 )
+
+from oracles import channel_solve
 
 
 def random_hermitian(rng, nu):

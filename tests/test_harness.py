@@ -374,6 +374,21 @@ class TestDenseCap:
             run_clip(config)
         assert (err.value.dim, err.value.cap) == (32, 16)
 
+    @pytest.mark.parametrize("subcommand,cap,dim", [("verify", 300, 512), ("refine", 200, 256)])
+    def test_runner_checks_every_experiment_first(
+        self, subcommand, cap, dim, tmp_path, capsys, monkeypatch
+    ):
+        # the default battery's N=2 experiments and refine's last rung are over the cap:
+        # the exit comes before any Monte Carlo draw and before any experiment or rung is built
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the cap check")
+
+        monkeypatch.setattr(harness, "coarea_constant", no_work)
+        monkeypatch.setattr(harness, "build_artifacts", no_work)
+        args = [subcommand, "--out", str(tmp_path / "o"), "--max-dim", str(cap)]
+        assert run_cli(args) == 2
+        assert f"dense dimension {dim} exceeds cap {cap}" in capsys.readouterr().err
+
 
 def _set(path, value):
     """A config edit: set the entry at ``path`` (keys and indices) of small_config()."""

@@ -9,7 +9,6 @@ from schatten_verify import (
     assemble_derivative_factor,
     assemble_variable_coefficient,
     block_multiplication_matrix,
-    channel_solve,
     constant_field,
     constant_resolvent,
     convolution_kernel,
@@ -26,11 +25,28 @@ from schatten_verify import (
     spectral_profile_operator,
     sqrt_field,
 )
-from schatten_verify import harness, schatten_analysis
-from schatten_verify.harness import _ratio, build_artifacts, parse_config
+from schatten_verify import harness
+from schatten_verify.cli import default_config_path
+from schatten_verify.coeff_algebra import clip_coefficients, matrix_inv_sqrt
+from schatten_verify.harness import (
+    _clip_target_field,
+    _ratio,
+    build_artifacts,
+    load_config,
+    parse_config,
+)
 from schatten_verify.norms import resolvent_profile
-from schatten_verify.schatten_analysis import _residual_norm, singular_spectrum
-from schatten_verify.torus_operator import constant_factor_resolvent
+from schatten_verify.schatten_analysis import (
+    _residual_norm,
+    factorization_residual,
+    singular_spectrum,
+    woodbury_left_end,
+)
+from schatten_verify.torus_operator import (
+    channel_resolvent_symbols,
+    circulant_lookup,
+    derivative_operator,
+)
 
 from helpers import (
     box_perturbed_field,
@@ -39,8 +55,10 @@ from helpers import (
     direct_difference,
     factorization_of,
     polyharmonic_setup,
+    random_hermitian,
     random_hermitian_pd,
 )
+from oracles import channel_solve
 
 
 class TestSchattenNorm:
@@ -154,16 +172,44 @@ class TestConstantFactorResolvent:
     @pytest.mark.parametrize("N,n", [(1, 16), (2, 8), (3, 4)])
     @pytest.mark.parametrize("m", [1, 2])
     def test_closed_form_matches_channel_solve(self, N, n, m):
-        # T (op+1)^{-1} in closed form against the dense solve (TT*+1)^{-1} T
+        # the lookup on all rows: a^{-1/2} C^{-1} D = T (op+1)^{-1} against (TT*+1)^{-1} T
         grid = TorusGrid(N=N, n=n, L=2 * np.pi)
         basis = enumerate_basis(N, m)
         rng = np.random.default_rng(10 * N + m)
         matrix_base = constant_field(basis, random_hermitian_pd(rng, basis.nu))
         for a in (polyharmonic_setup(N, m)[1], matrix_base):
-            closed = constant_factor_resolvent(a, grid)
+            symbol = np.einsum(
+                "ab,bc...->ac...",
+                matrix_inv_sqrt(a.constant_matrix()),
+                channel_resolvent_symbols(a, grid)[1],
+            )
+            closed = circulant_lookup(symbol, grid)
             dense = channel_solve(assemble_derivative_factor(sqrt_field(a), grid).dense())
             assert closed.shape == dense.shape == (basis.nu * grid.total_points, grid.total_points)
             assert np.abs(closed - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("N,n,m", [(1, 16, 2), (2, 8, 1), (3, 4, 1)])
+    def test_channel_inverse_matches_dense(self, N, n, m):
+        # C^{-1} for C = D D* + a^{-1}, on all rows and columns, against a dense inverse
+        grid = TorusGrid(N=N, n=n, L=2 * np.pi)
+        basis = enumerate_basis(N, m)
+        a = constant_field(basis, random_hermitian_pd(np.random.default_rng(N + m), basis.nu))
+        d = derivative_operator(grid, basis).dense()
+        a_inv = np.kron(np.linalg.inv(a.constant_matrix()), np.eye(grid.total_points))
+        dense = np.linalg.inv(d @ np.conj(d.T) + a_inv)
+        closed = circulant_lookup(channel_resolvent_symbols(a, grid)[0], grid)
+        assert np.abs(closed - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_point_subsets_are_blocks_of_the_full_lookup(self):
+        grid = TorusGrid(N=2, n=8, L=2 * np.pi)
+        basis = enumerate_basis(2, 1)
+        a = constant_field(basis, random_hermitian_pd(np.random.default_rng(3), basis.nu))
+        c_inv = channel_resolvent_symbols(a, grid)[0]
+        full = circulant_lookup(c_inv, grid).reshape(2, 64, 2, 64)
+        rows, cols = np.array([5, 0, 63, 17]), np.array([9, 40])
+        block = circulant_lookup(c_inv, grid, rows=rows, cols=cols)
+        assert np.array_equal(block, full[:, rows][:, :, :, cols].reshape(8, 4))
+        assert circulant_lookup(c_inv, grid, cols=np.array([], dtype=int)).shape == (128, 0)
 
     def test_dimension_cap_counts_channels(self, monkeypatch):
         # P = 16 fits the cap, the channel side nu * P = 32 does not
@@ -171,10 +217,94 @@ class TestConstantFactorResolvent:
         exp = config.experiments[0]
         assert exp.grid.total_points <= config.max_dim
         monkeypatch.setattr(harness, "constant_resolvent", _never_called)
-        monkeypatch.setattr(schatten_analysis, "constant_factor_resolvent", _never_called)
+        monkeypatch.setattr(harness, "woodbury_left_end", _never_called)
         with pytest.raises(DimensionCapError) as err:
             build_artifacts(exp, config)
         assert err.value.dim == 32
+
+
+def _support_size(a, at):
+    return int(np.count_nonzero(np.any(at.values != a.constant_matrix(), axis=(-1, -2))))
+
+
+def _assert_left_end_matches_dense(a, at, grid):
+    dense = channel_solve(assemble_derivative_factor(sqrt_field(at), grid).dense())
+    left = woodbury_left_end(a, at, grid)
+    assert left.shape == dense.shape
+    assert np.abs(left - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+class TestWoodburyLeftEnd:
+    @pytest.mark.parametrize("N,n", [(1, 16), (2, 8), (3, 4)])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("amplitude", [0.5, 8.0])
+    def test_matches_channel_solve(self, N, n, m, amplitude):
+        grid = TorusGrid(N=N, n=n, L=2 * np.pi)
+        basis = enumerate_basis(N, m)
+        rng = np.random.default_rng(100 * N + 10 * m)
+        matrix_base = constant_field(basis, random_hermitian_pd(rng, basis.nu))
+        for a in (polyharmonic_setup(N, m)[1], matrix_base):
+            at = box_perturbed_field(grid, basis, a, amplitude, rel_width=0.5)
+            assert 0 < _support_size(a, at) < grid.total_points
+            _assert_left_end_matches_dense(a, at, grid)
+
+    def test_off_diagonal_jump(self):
+        # a jump that is not a multiple of a: W is not a multiple of a^{-1}
+        grid = TorusGrid(N=2, n=8, L=2 * np.pi)
+        basis = enumerate_basis(2, 2)
+        rng = np.random.default_rng(7)
+        a = constant_field(basis, random_hermitian_pd(rng, basis.nu))
+        jump = 0.3 * random_hermitian(rng, basis.nu)
+        inside = np.all(np.abs(grid.points()) < grid.L / 4, axis=-1)
+        vals = a.constant_matrix() + inside[..., None, None] * jump
+        _assert_left_end_matches_dense(a, sampled_field(basis, vals), grid)
+
+    @pytest.fixture(scope="class")
+    def clip_experiment(self):
+        study = load_config(default_config_path()).clip
+        return study.experiment, _clip_target_field(study.experiment, study.floor)
+
+    def test_clip_top_level(self, clip_experiment):
+        # the degenerate coefficient clipped at 64: W = 63 a^{-1} on the support
+        exp, degenerate = clip_experiment
+        at = clip_coefficients(degenerate, 64)
+        assert _support_size(exp.reference, at) > 0
+        _assert_left_end_matches_dense(exp.reference, at, exp.grid)
+
+    def test_empty_support(self, clip_experiment):
+        # clip level 1 gives back a bit for bit: K = 0, the left end is the closed form alone
+        exp, degenerate = clip_experiment
+        at = clip_coefficients(degenerate, 1)
+        assert _support_size(exp.reference, at) == 0
+        _assert_left_end_matches_dense(exp.reference, at, exp.grid)
+
+    @pytest.mark.parametrize("N,n,m", [(1, 16, 1), (2, 8, 1), (2, 8, 2)])
+    def test_support_covering_every_point(self, N, n, m):
+        grid = TorusGrid(N=N, n=n, L=2 * np.pi)
+        basis, a = polyharmonic_setup(N, m)
+        at = box_perturbed_field(grid, basis, a, 2.0, rel_width=1.5)
+        assert _support_size(a, at) == grid.total_points
+        _assert_left_end_matches_dense(a, at, grid)
+
+
+class TestSupportRowGap:
+    @pytest.mark.parametrize("N,n,m", [(1, 32, 1), (2, 8, 1), (2, 8, 2)])
+    def test_equals_full_row_gap(self, N, n, m):
+        # against direct + left* V right over every row, with the dense left and right ends;
+        # a random Hermitian ``direct`` keeps the gap far from roundoff
+        grid = TorusGrid(N=N, n=n, L=2 * np.pi)
+        basis = enumerate_basis(N, m)
+        rng = np.random.default_rng(N + 2 * m)
+        a = constant_field(basis, random_hermitian_pd(rng, basis.nu))
+        at = box_perturbed_field(grid, basis, a, 2.0, rel_width=0.5)
+        left = channel_solve(assemble_derivative_factor(sqrt_field(at), grid).dense())
+        right = channel_solve(assemble_derivative_factor(sqrt_field(a), grid).dense())
+        v = relative_perturbation(a, at, grid.cell_volume).values
+        full_v = block_multiplication_matrix(v, grid)
+        direct = random_hermitian(rng, grid.total_points)
+        full = operator_norm(direct + np.conj(left.T) @ full_v @ right)
+        support = factorization_residual(a, v, grid, direct, left, 1.0)
+        assert abs(support - full) <= 1e-12 * full
 
 
 def _capped_config(N, n, max_dim):
