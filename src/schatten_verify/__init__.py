@@ -28,16 +28,12 @@ from .norms import (
     relative_perturbation,
 )
 from .schatten_analysis import (
-    convolution_kernel,
     deift_residual,
     factorization_residual,
-    matrix_function,
     operator_norm,
-    polar_decomposition_check,
     resolvent,
     resolvent_difference,
     schatten_norm,
-    spectral_profile_operator,
 )
 from .torus_operator import (
     LinearOperatorRep,

@@ -56,11 +56,14 @@ from .norms import (
 )
 from .schatten_analysis import (
     deift_residual,
+    delta_spectrum,
     factorization_residual,
+    impurity_support,
     operator_norm,
     resolvent,
     schatten_norm_from_values,
     singular_spectrum,
+    spectrum_residual,
     woodbury_left_end,
 )
 from .torus_operator import (
@@ -624,14 +627,18 @@ def build_artifacts(
         ) from exc
     r_tilde = resolvent(h_var.dense())
     delta = r_tilde - constant_resolvent(a, grid)
-    svals = singular_spectrum(delta, hermitian=True)
+    # the support, W and 1 + Z W serve both the spectrum and the left end
+    imp = impurity_support(a, a_tilde, grid)
+    svals = delta_spectrum(imp, delta)
 
     v_field = relative_perturbation(a, a_tilde, grid.cell_volume)
     # the left end (G~+1)^{-1} T~, built without H~ or r_tilde, is shared by both identity checks
-    left = woodbury_left_end(a, a_tilde, grid)
-    fact = factorization_residual(a, v_field.values, grid, delta, left, svals[0])
-    # T~*T~ = H~, so the Deift check's (T~*T~+1)^{-1} is r_tilde itself
-    t_tilde = assemble_derivative_factor(sqrt_field(a_tilde), grid).dense()
+    left = woodbury_left_end(imp)
+    fact = factorization_residual(a, v_field.values, grid, delta, left, svals[0] if svals.size else 0.0)
+    # the chain does not see the spectrum's own steps; ||delta||_F = ||svals||_2 ties them to delta
+    fact = max(fact, spectrum_residual(delta, svals))
+    # T~*T~ = H~, so the Deift check's (T~*T~+1)^{-1} is r_tilde itself; T~* runs by FFT
+    t_tilde = assemble_derivative_factor(sqrt_field(a_tilde), grid)
     return ExperimentArtifacts(
         grid=grid,
         perturbed_resolvent=r_tilde,

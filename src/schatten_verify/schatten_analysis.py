@@ -1,18 +1,22 @@
 """Resolvents, Schatten norms, and the exact operator identities.
 
 Everything here works on dense matrices obtained from small-grid
-discretizations. Schatten norms come from the full spectrum, never from
-iterative methods: the singular values of a general matrix by SVD, those of
-a Hermitian one (a resolvent difference) as the absolute eigenvalues of its
-Hermitian part, which is exact and cheaper. The identity residuals need only
-an operator norm, taken exactly as sqrt of the largest eigenvalue of X* X.
+discretizations. Schatten norms come from a full spectrum, never from
+iterative methods: the singular values of a general matrix by SVD. Those of
+the resolvent difference, which is Hermitian, are absolute eigenvalues: of
+the nu K x nu K Birman-Schwinger matrix on the impurity's K support points
+(``support_spectrum``) while nu K is at most half the grid's n^N points,
+else of the dense difference by ``eigvalsh`` (``delta_spectrum``). The
+identity residuals need only an operator norm, taken exactly as sqrt of the
+largest eigenvalue of X* X.
 
 Verified identities (all exact in finite dimensions):
 
 * the resolvent partition (S*S + 1)^{-1} + S* (SS* + 1)^{-1} S = 1 for an
   arbitrary rectangular S, given both (S*S + 1)^{-1} and (SS* + 1)^{-1} S;
-  the harness passes S = Tt, so (S*S + 1)^{-1} = (Ht + 1)^{-1} is the
-  resolvent behind every lhs, and (SS* + 1)^{-1} S is the left end below;
+  the harness passes S = Tt as an operator, whose adjoint FFT pipeline
+  applies Tt* to (SS* + 1)^{-1} S = the left end below, so no dense Tt is
+  formed, and (S*S + 1)^{-1} = (Ht + 1)^{-1} is the resolvent behind every lhs;
 * the factorization of a resolvent difference through the coefficient
   difference: the direct difference of (op + 1)^{-1} matrices equals the
   chain  Tt* (Gt+1)^{-1} at^{-1/2} (a - at) a^{-1/2} (G+1)^{-1} T, where
@@ -20,16 +24,12 @@ Verified identities (all exact in finite dimensions):
   the left end (Gt+1)^{-1} Tt is the reference's closed-form channel resolvent
   plus a Woodbury correction sized by the impurity's support, built without
   Ht, and the right end T (H+1)^{-1} is a closed form; the middle field
-  vanishes off the support, so the chain is taken over the support rows;
-* the polar decomposition a^{1/2} D = G^{1/2} U with U a partial isometry;
-* the translation-invariant convolution kernel of profile(G) for constant
-  coefficients.
+  vanishes off the support, so the chain is taken over the support rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -39,10 +39,9 @@ from .coeff_algebra import (
     field_power,
     matrix_inv_sqrt,
     matrix_sqrt,
-    spectral_symbol_lattice,
-    sqrt_field,
 )
 from .torus_operator import (
+    LinearOperatorRep,
     TorusGrid,
     assemble_constant_coefficient,
     assemble_derivative_factor,
@@ -50,6 +49,7 @@ from .torus_operator import (
     block_multiplication_matrix,
     channel_resolvent_symbols,
     circulant_lookup,
+    pointwise_rows,
 )
 
 
@@ -97,54 +97,53 @@ def resolvent_difference(matrix_tilde: np.ndarray, matrix: np.ndarray) -> np.nda
     return resolvent(matrix_tilde) - resolvent(matrix)
 
 
-def matrix_function(
-    matrix: np.ndarray,
-    fn: Callable,
-    spectrum_floor: float | None = None,
-    spectrum_snap_rtol: float | None = None,
-) -> np.ndarray:
-    """fn applied to a Hermitian matrix through its eigendecomposition.
-
-    spectrum_floor clips eigenvalues from below first (e.g. 0.0 for
-    functions defined on [0, inf) applied to a semidefinite matrix whose
-    smallest eigenvalues are roundoff-negative). spectrum_snap_rtol sends
-    eigenvalues below rtol * max|eigenvalue| to exactly 0; needed when fn
-    has infinite slope at 0 (sqrt-like profiles) and the zero eigenspace is
-    structural, since fn(roundoff) would otherwise be amplified to
-    sqrt(roundoff).
-    """
-    m = np.asarray(matrix, dtype=complex)
-    m = 0.5 * (m + np.conj(m.T))
-    w, q = np.linalg.eigh(m)
-    if spectrum_snap_rtol is not None and w.size:
-        w = np.where(np.abs(w) <= spectrum_snap_rtol * np.abs(w).max(), 0.0, w)
-    if spectrum_floor is not None:
-        w = np.maximum(w, spectrum_floor)
-    fw = np.asarray(fn(w), dtype=complex)
-    return (q * fw) @ np.conj(q.T)
-
-
-def spectral_profile_operator(gram_dense: np.ndarray, profile: Callable) -> np.ndarray:
-    """profile applied to a PSD Gram matrix, with roundoff eigenvalues snapped to 0."""
-    return matrix_function(
-        gram_dense, profile, spectrum_floor=0.0, spectrum_snap_rtol=1e-12
-    )
-
-
 def _residual_norm(x: np.ndarray) -> float:
     """||X||_op, exact like the SVD but cheaper: sqrt of the largest eigenvalue of X* X."""
     return float(np.sqrt(max(np.linalg.eigvalsh(np.conj(x.T) @ x)[-1], 0.0)))
 
 
-def woodbury_left_end(
+@dataclass(frozen=True)
+class ImpuritySupport:
+    """The Woodbury objects of at against a, on the K points where they differ.
+
+    With E the restriction to the nu K channels of the support ``points``
+    (flat indices, where at != a exactly) and C = D D* + a^{-1}: ``w`` is
+    W = at^{-1} - a^{-1} there, (K, nu, nu); ``one_zw`` is 1 + Z W for
+    Z = E C^{-1} E*, (nu K, nu K); ``at`` is the sampled at, (n^N, nu, nu);
+    ``c_inv`` and ``c_inv_d`` are the symbols of C^{-1} and C^{-1} D.
+    """
+
+    grid: TorusGrid
+    points: np.ndarray
+    at: np.ndarray
+    w: np.ndarray
+    one_zw: np.ndarray
+    c_inv: np.ndarray
+    c_inv_d: np.ndarray
+
+
+def impurity_support(
     a: HermitianMatrixField, a_tilde: HermitianMatrixField, grid: TorusGrid
-) -> np.ndarray:
+) -> ImpuritySupport:
+    """The support, W and 1 + Z W, looked up once for the left end and the spectrum."""
+    nu, points = a.basis.nu, grid.total_points
+    at = a_tilde.sampled_on(grid.spatial_shape).reshape(points, nu, nu)
+    support = np.flatnonzero(np.any(at != a.constant_matrix(), axis=(1, 2)))
+    k = support.size
+    c_inv, c_inv_d = channel_resolvent_symbols(a, grid)
+    z = circulant_lookup(c_inv, grid, rows=support, cols=support).reshape(nu * k, nu, k)
+    w = field_power(at[support], -1.0) - field_power(a.constant_matrix(), -1.0)
+    # Z W: W acts on the columns of Z, support point by support point
+    zw = np.matmul(z.transpose(2, 0, 1), w).transpose(1, 2, 0).reshape(nu * k, nu * k)
+    zw[np.diag_indices_from(zw)] += 1.0
+    return ImpuritySupport(grid, support, at, w, zw, c_inv, c_inv_d)
+
+
+def woodbury_left_end(imp: ImpuritySupport) -> np.ndarray:
     """(Gt+1)^{-1} Tt for Tt = at^{1/2} D, from the impurity's support.
 
     With B = at^{1/2} and C = D D* + a^{-1}, Gt + 1 = B (D D* + at^{-1}) B and
-    D D* + at^{-1} = C + E* W E, where E restricts to the nu K channels of the
-    K points at which at differs from a and W = at^{-1} - a^{-1} there.
-    Woodbury gives
+    D D* + at^{-1} = C + E* W E (see ``ImpuritySupport``). Woodbury gives
 
         (Gt+1)^{-1} Tt = B^{-1} [C^{-1} D - C^{-1} E* W (1 + Z W)^{-1} M],
 
@@ -153,41 +152,80 @@ def woodbury_left_end(
     support rows the bracket is (1 + Z W)^{-1} M itself. Nothing of op_tilde
     or its resolvent enters. Returns (nu * n^N, n^N).
     """
-    nu, points = a.basis.nu, grid.total_points
-    at = a_tilde.sampled_on(grid.spatial_shape).reshape(points, nu, nu)
-    differs = np.any(at != a.constant_matrix(), axis=(1, 2))
-    support, rest = np.flatnonzero(differs), np.flatnonzero(~differs)
-    k = support.size
-    c_inv, c_inv_d = channel_resolvent_symbols(a, grid)
-    inner = circulant_lookup(c_inv_d, grid).reshape(nu, points, points)  # C^{-1} D
-    z = circulant_lookup(c_inv, grid, rows=support, cols=support).reshape(nu * k, nu, k)
-    w = field_power(at[support], -1.0) - field_power(a.constant_matrix(), -1.0)
-    # Z W: W acts on the columns of Z, support point by support point
-    zw = np.matmul(z.transpose(2, 0, 1), w).transpose(1, 2, 0).reshape(nu * k, nu * k)
-    zw[np.diag_indices_from(zw)] += 1.0
-    y = np.linalg.solve(zw, inner[:, support].reshape(nu * k, points))
+    grid, support = imp.grid, imp.points
+    (points, nu, _), k = imp.at.shape, support.size
+    rest = np.setdiff1d(np.arange(points), support)
+    inner = circulant_lookup(imp.c_inv_d, grid).reshape(nu, points, points)  # C^{-1} D
+    y = np.linalg.solve(imp.one_zw, inner[:, support].reshape(nu * k, points))
     # on the support M - Z W Y is Y itself; off it, C^{-1} D - (C^{-1} E*) W Y
-    coupling = circulant_lookup(c_inv, grid, rows=rest, cols=support)
-    inner[:, rest] -= (coupling @ _pointwise_rows(w, y)).reshape(nu, rest.size, points)
+    coupling = circulant_lookup(imp.c_inv, grid, rows=rest, cols=support)
+    inner[:, rest] -= (coupling @ pointwise_rows(imp.w, y)).reshape(nu, rest.size, points)
     inner[:, support] = y.reshape(nu, k, points)
-    return _pointwise_rows(field_power(at, -0.5), inner.reshape(nu * points, points))
+    return pointwise_rows(field_power(imp.at, -0.5), inner.reshape(nu * points, points))
 
 
-def _pointwise_rows(field: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Field (K, nu, nu) applied point by point to the channel-major rows (nu K, cols)."""
-    (k, nu, _), cols = field.shape, stack.shape[-1]
-    by_point = stack.reshape(nu, k, cols).transpose(1, 0, 2)
-    return np.matmul(field, by_point).transpose(1, 0, 2).reshape(nu * k, cols)
+def support_spectrum(imp: ImpuritySupport) -> np.ndarray:
+    """Non-increasing singular values of the resolvent difference, from the support.
+
+    By Woodbury the difference is M* Phi M, with M = E C^{-1} D and the
+    Hermitian Phi = W (1 + Z W)^{-1}; so its nonzero spectrum is that of
+    R* Phi R for G = M M* = Q L Q* and R = Q L^{1/2} (Birman-Schwinger). G is
+    the lookup of the symbol (a d)(a d)* / (1 + A)^2 on the support. Every
+    object is nu K x nu K; returns nu K values, none for an empty support.
+    """
+    c_inv_d = imp.c_inv_d[:, 0]
+    g_symbol = c_inv_d[:, None] * np.conj(c_inv_d[None, :])
+    lam, q = np.linalg.eigh(circulant_lookup(g_symbol, imp.grid, rows=imp.points, cols=imp.points))
+    r = q * np.sqrt(np.maximum(lam, 0.0))
+    middle = np.conj(r.T) @ pointwise_rows(imp.w, np.linalg.solve(imp.one_zw, r))
+    return singular_spectrum(middle, hermitian=True)
 
 
-def deift_residual(s_matrix: np.ndarray, left: np.ndarray, r_in: np.ndarray) -> float:
+# The support spectrum's cost grows as (nu K)^3 with an eigendecomposition in
+# it; it overtook eigvalsh of the dense n^N x n^N difference, which is formed
+# anyway, at nu K / n^N between 0.5 and 0.57 (n^N = 256 and 1024, nu = 1 to 3,
+# 1 and 2 BLAS threads). At nu K / n^N = 2 it was 25x (n^N = 256) to 44x (1024) slower.
+SUPPORT_SPECTRUM_MAX_SHARE = 0.5
+
+
+def delta_spectrum(imp: ImpuritySupport, delta: np.ndarray) -> np.ndarray:
+    """Singular values of the resolvent difference ``delta``, by the cheaper exact route."""
+    if imp.one_zw.shape[0] <= SUPPORT_SPECTRUM_MAX_SHARE * imp.grid.total_points:
+        return support_spectrum(imp)
+    return singular_spectrum(delta, hermitian=True)
+
+
+def spectrum_residual(direct: np.ndarray, values: np.ndarray) -> float:
+    """Gap between ||direct||_F and the l2 norm of ``values``, its claimed singular values.
+
+    Exact in finite dimensions and O(n^2): it ties a spectrum not taken from
+    ``direct`` itself (``support_spectrum``) back to it. Relative, or absolute
+    when the claimed spectrum is numerically 0 (an empty support).
+    """
+    claimed = float(np.linalg.norm(values))
+    gap = abs(float(np.linalg.norm(direct)) - claimed)
+    if claimed <= 1e-14:
+        return gap
+    return gap / claimed
+
+
+def deift_residual(
+    s_matrix: np.ndarray | LinearOperatorRep, left: np.ndarray, r_in: np.ndarray
+) -> float:
     """Operator norm of r_in + S* left - 1, with left = (SS*+1)^{-1} S.
 
     ``r_in`` is the given (S*S+1)^{-1} and ``left`` the given (SS*+1)^{-1} S;
-    the residual vanishes when the two agree.
+    the residual vanishes when the two agree. S is a dense matrix, or an
+    operator whose adjoint pipeline applies S* to the columns of ``left``
+    (``LinearOperatorRep.adjoint_matmul``).
     """
-    s = np.asarray(s_matrix, dtype=complex)
-    return _residual_norm(r_in + np.conj(s.T) @ left - np.eye(s.shape[1]))
+    if isinstance(s_matrix, LinearOperatorRep):
+        x = s_matrix.adjoint_matmul(left)
+    else:
+        x = np.conj(np.asarray(s_matrix, dtype=complex).T) @ left
+    x += r_in
+    x[np.diag_indices_from(x)] -= 1.0
+    return _residual_norm(x)
 
 
 def factorization_residual(
@@ -220,61 +258,7 @@ def factorization_residual(
     right = circulant_lookup(right_symbol, grid, rows=support)  # (nu K, P)
     left_support = left.reshape(nu, points, points)[:, support].reshape(-1, points)
     # the chain carries -V, so direct - chain = direct + left* V right
-    gap = _residual_norm(direct + np.conj(left_support.T) @ _pointwise_rows(v[support], right))
+    gap = _residual_norm(direct + np.conj(left_support.T) @ pointwise_rows(v[support], right))
     if scale <= 1e-14:
         return gap
     return gap / scale
-
-
-@dataclass(frozen=True)
-class PolarCheck:
-    """Residuals of the polar decomposition factor = gram^{1/2} . isometry."""
-
-    factor_residual: float
-    isometry_residual: float
-    rank: int
-    partial_isometry: np.ndarray
-
-
-def polar_decomposition_check(
-    a: HermitianMatrixField,
-    grid: TorusGrid,
-    rank_rtol: float = 1e-11,
-) -> PolarCheck:
-    """Build the partial isometry from the SVD of the derivative factor.
-
-    With T the factor and G = T T*, checks ||T - G^{1/2} U|| and
-    ||U U* U - U||; the truncation rank drops the zero singular values
-    coming from the factor's kernel (the constants).
-    """
-    factor = assemble_derivative_factor(sqrt_field(a), grid).dense()
-    gram = factor @ np.conj(factor.T)
-    gram_sqrt = matrix_function(gram, np.sqrt, spectrum_floor=0.0)
-    w, s, vh = np.linalg.svd(factor, full_matrices=False)
-    rank = int(np.count_nonzero(s > rank_rtol * s[0]))
-    isometry = w[:, :rank] @ vh[:rank, :]
-    res_factor = operator_norm(factor - gram_sqrt @ isometry)
-    res_isometry = operator_norm(
-        isometry @ np.conj(isometry.T) @ isometry - isometry
-    )
-    return PolarCheck(
-        factor_residual=res_factor,
-        isometry_residual=res_isometry,
-        rank=rank,
-        partial_isometry=isometry,
-    )
-
-
-def convolution_kernel(
-    b: HermitianMatrixField, grid: TorusGrid, profile: Callable
-) -> np.ndarray:
-    """Translation-invariant kernel of profile(channel gram), constant coefficients.
-
-    Returns k with shape (*spatial, nu, nu), indexed by the periodic
-    difference coordinate; the dense matrix entry at (x, alpha), (y, beta)
-    of profile(gram) equals h^N * k[x - y][alpha, beta].
-    """
-    b_mat = b.constant_matrix()
-    lattice = spectral_symbol_lattice(b_mat, grid.frequency_points(), profile, b.basis)
-    spatial_axes = tuple(range(grid.N))
-    return np.fft.ifftn(lattice, axes=spatial_axes) / grid.cell_volume

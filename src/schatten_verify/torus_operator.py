@@ -127,6 +127,11 @@ class LinearOperatorRep:
     def out_dim(self) -> int:
         return self.out_channels * self.grid.total_points
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(out_dim, in_dim), the shape of the dense matrix."""
+        return self.out_dim, self.in_dim
+
     def _normalize(self, values: np.ndarray, channels: int) -> np.ndarray:
         arr = np.asarray(values, dtype=complex)
         return arr.reshape((channels, *self.grid.spatial_shape))
@@ -145,6 +150,17 @@ class LinearOperatorRep:
             raise NotImplementedError(f"no adjoint pipeline for {self.label or 'operator'}")
         out = self._apply_adjoint(self._normalize(values, self.out_channels))
         return self._present(out, self.in_channels)
+
+    def adjoint_matmul(self, stack: np.ndarray) -> np.ndarray:
+        """op* @ stack for a dense (out_dim, k) stack, without the dense matrix.
+
+        The adjoint pipeline maps the stack's k columns as one batch, read
+        through a transposed view, so the stack is not copied; returns an
+        (in_dim, k) view of the pipeline's output.
+        """
+        k = stack.shape[1]
+        columns = stack.T.reshape(k, self.out_channels, *self.grid.spatial_shape)
+        return self._apply_adjoint(columns).reshape(k, self.in_dim).T
 
     def dense(self) -> np.ndarray:
         """Dense matrix by one pipeline call on the identity block.
@@ -172,26 +188,36 @@ def _derivative_multipliers(grid: TorusGrid, basis: MultiIndexBasis) -> np.ndarr
     return mult
 
 
-def _fft(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return np.fft.fftn(u, axes=tuple(range(-grid.N, 0)))
+def _fft(u: np.ndarray, grid: TorusGrid, out: np.ndarray | None = None) -> np.ndarray:
+    return np.fft.fftn(u, axes=tuple(range(-grid.N, 0)), out=out)
 
 
-def _ifft(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return np.fft.ifftn(u, axes=tuple(range(-grid.N, 0)))
+def _ifft(u: np.ndarray, grid: TorusGrid, out: np.ndarray | None = None) -> np.ndarray:
+    return np.fft.ifftn(u, axes=tuple(range(-grid.N, 0)), out=out)
 
 
 def _derivative_pipelines(grid: TorusGrid, basis: MultiIndexBasis):
-    """Raw (channels, *spatial) pipelines for the order-m derivative stack."""
+    """Raw (channels, *spatial) pipelines for the order-m derivative stack.
+
+    The adjoint overwrites its input, so callers pass a buffer of their own.
+    """
     if basis.N != grid.N:
         raise ValueError("basis dimension does not match grid")
     mult = _derivative_multipliers(grid, basis)
+    conj_mult = np.conj(mult)
 
     def apply(u: np.ndarray) -> np.ndarray:
         return _ifft(mult * _fft(u, grid), grid)
 
     def apply_adjoint(v: np.ndarray) -> np.ndarray:
-        acc = np.sum(np.conj(mult) * _fft(v, grid), axis=-grid.N - 1, keepdims=True)
-        return _ifft(acc, grid)
+        # FFT, conj((i xi)^alpha) and the sum over channels in place, into channel 0's slot
+        spectrum = _fft(v, grid, out=v)
+        np.multiply(conj_mult, spectrum, out=spectrum)
+        channels = np.moveaxis(spectrum, -grid.N - 1, 0)
+        for c in range(1, basis.nu):
+            channels[0] += channels[c]
+        acc = np.expand_dims(channels[0], -grid.N - 1)
+        return _ifft(acc, grid, out=acc)
 
     return apply, apply_adjoint
 
@@ -203,20 +229,46 @@ def _pointwise_field(b: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
     return b.sampled_on(grid.spatial_shape).reshape(grid.total_points, b.basis.nu, b.basis.nu)
 
 
+def _field_sum(f: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[a] = sum_b f[a, b] * v[b] over the leading channel axis.
+
+    ``f`` is (nu, nu, ...) and broadcasts against each channel v[b]; the nu^2
+    products are broadcast multiply-adds into ``out``, with no transposed copy.
+    """
+    nu = f.shape[0]
+    term = np.empty_like(out[0]) if nu > 1 else None
+    for a in range(nu):
+        np.multiply(f[a, 0], v[0], out=out[a])
+        for b in range(1, nu):
+            out[a] += np.multiply(f[a, b], v[b], out=term)
+    return out
+
+
 def _pointwise_matvec(field_values: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
     # field from _pointwise_field; v (*batch, nu, *spatial)
     flat = v.reshape(*v.shape[: v.ndim - grid.N], grid.total_points)
-    if field_values.ndim == 2:
-        out = np.einsum("ab,...bp->...ap", field_values, flat)
-    else:
-        out = np.einsum("pab,...bp->...ap", field_values, flat)
+    f = field_values if field_values.ndim == 2 else field_values.transpose(1, 2, 0)
+    out = np.empty(flat.shape, dtype=np.result_type(f, flat))
+    _field_sum(f, np.moveaxis(flat, -2, 0), np.moveaxis(out, -2, 0))
     return out.reshape(v.shape)
+
+
+def pointwise_rows(field_values: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Field (nu, nu) or (K, nu, nu) applied point by point to the channel-major rows (nu K, cols)."""
+    nu = field_values.shape[-1]
+    by_channel = (nu, stack.shape[0] // nu, stack.shape[1])
+    f = field_values if field_values.ndim == 2 else field_values.transpose(1, 2, 0)[..., None]
+    out = np.empty(stack.shape, dtype=complex)
+    _field_sum(f, stack.reshape(by_channel), out.reshape(by_channel))
+    return out
 
 
 def derivative_operator(grid: TorusGrid, basis: MultiIndexBasis) -> LinearOperatorRep:
     """The order-m derivative stack: scalar -> nu channels, exact on the lattice."""
     apply, apply_adjoint = _derivative_pipelines(grid, basis)
-    return LinearOperatorRep(grid, 1, basis.nu, apply, apply_adjoint, label="derivative_stack")
+    return LinearOperatorRep(
+        grid, 1, basis.nu, apply, lambda v: apply_adjoint(v.copy()), label="derivative_stack"
+    )
 
 
 def constant_multiplier(a: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:

@@ -1,6 +1,18 @@
 """Dense oracles: independent reference computations the package no longer runs."""
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
+
+from schatten_verify import (
+    TorusGrid,
+    assemble_derivative_factor,
+    operator_norm,
+    spectral_symbol_lattice,
+    sqrt_field,
+)
+from schatten_verify.coeff_algebra import HermitianMatrixField
 
 
 def channel_solve(factor):
@@ -9,3 +21,91 @@ def channel_solve(factor):
     gram = f @ np.conj(f.T)
     gram[np.diag_indices_from(gram)] += 1.0
     return np.linalg.solve(gram, f)
+
+
+def matrix_function(
+    matrix: np.ndarray,
+    fn: Callable,
+    spectrum_floor: float | None = None,
+    spectrum_snap_rtol: float | None = None,
+) -> np.ndarray:
+    """fn applied to a Hermitian matrix through its eigendecomposition.
+
+    spectrum_floor clips eigenvalues from below first (e.g. 0.0 for
+    functions defined on [0, inf) applied to a semidefinite matrix whose
+    smallest eigenvalues are roundoff-negative). spectrum_snap_rtol sends
+    eigenvalues below rtol * max|eigenvalue| to exactly 0; needed when fn
+    has infinite slope at 0 (sqrt-like profiles) and the zero eigenspace is
+    structural, since fn(roundoff) would otherwise be amplified to
+    sqrt(roundoff).
+    """
+    m = np.asarray(matrix, dtype=complex)
+    m = 0.5 * (m + np.conj(m.T))
+    w, q = np.linalg.eigh(m)
+    if spectrum_snap_rtol is not None and w.size:
+        w = np.where(np.abs(w) <= spectrum_snap_rtol * np.abs(w).max(), 0.0, w)
+    if spectrum_floor is not None:
+        w = np.maximum(w, spectrum_floor)
+    fw = np.asarray(fn(w), dtype=complex)
+    return (q * fw) @ np.conj(q.T)
+
+
+def spectral_profile_operator(gram_dense: np.ndarray, profile: Callable) -> np.ndarray:
+    """profile applied to a PSD Gram matrix, with roundoff eigenvalues snapped to 0."""
+    return matrix_function(
+        gram_dense, profile, spectrum_floor=0.0, spectrum_snap_rtol=1e-12
+    )
+
+
+@dataclass(frozen=True)
+class PolarCheck:
+    """Residuals of the polar decomposition factor = gram^{1/2} . isometry."""
+
+    factor_residual: float
+    isometry_residual: float
+    rank: int
+    partial_isometry: np.ndarray
+
+
+def polar_decomposition_check(
+    a: HermitianMatrixField,
+    grid: TorusGrid,
+    rank_rtol: float = 1e-11,
+) -> PolarCheck:
+    """Build the partial isometry from the SVD of the derivative factor.
+
+    With T the factor and G = T T*, checks ||T - G^{1/2} U|| and
+    ||U U* U - U||; the truncation rank drops the zero singular values
+    coming from the factor's kernel (the constants).
+    """
+    factor = assemble_derivative_factor(sqrt_field(a), grid).dense()
+    gram = factor @ np.conj(factor.T)
+    gram_sqrt = matrix_function(gram, np.sqrt, spectrum_floor=0.0)
+    w, s, vh = np.linalg.svd(factor, full_matrices=False)
+    rank = int(np.count_nonzero(s > rank_rtol * s[0]))
+    isometry = w[:, :rank] @ vh[:rank, :]
+    res_factor = operator_norm(factor - gram_sqrt @ isometry)
+    res_isometry = operator_norm(
+        isometry @ np.conj(isometry.T) @ isometry - isometry
+    )
+    return PolarCheck(
+        factor_residual=res_factor,
+        isometry_residual=res_isometry,
+        rank=rank,
+        partial_isometry=isometry,
+    )
+
+
+def convolution_kernel(
+    b: HermitianMatrixField, grid: TorusGrid, profile: Callable
+) -> np.ndarray:
+    """Translation-invariant kernel of profile(channel gram), constant coefficients.
+
+    Returns k with shape (*spatial, nu, nu), indexed by the periodic
+    difference coordinate; the dense matrix entry at (x, alpha), (y, beta)
+    of profile(gram) equals h^N * k[x - y][alpha, beta].
+    """
+    b_mat = b.constant_matrix()
+    lattice = spectral_symbol_lattice(b_mat, grid.frequency_points(), profile, b.basis)
+    spatial_axes = tuple(range(grid.N))
+    return np.fft.ifftn(lattice, axes=spatial_axes) / grid.cell_volume

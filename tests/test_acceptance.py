@@ -22,7 +22,6 @@ from schatten_verify import (
     enumerate_basis,
     lattice_symbol_integral,
     matrix_sqrt,
-    polar_decomposition_check,
     polyharmonic_coefficients,
     sqrt_field,
     sublevel_volume,
@@ -44,6 +43,7 @@ from helpers import (
     factorization_of,
     polyharmonic_setup,
 )
+from oracles import polar_decomposition_check
 
 
 def report(number: int, name: str, passed: bool, detail: str = "") -> None:

@@ -351,6 +351,22 @@ class TestDenseCap:
         }
         return parse_config({"experiments": [exp], "max_dim": max_dim})
 
+    def test_one_dense_operator_per_experiment(self, monkeypatch):
+        # H~ is the only materialized operator: no nu P x P T~ for the Deift check
+        from schatten_verify.torus_operator import LinearOperatorRep
+
+        dense = LinearOperatorRep.dense
+        labels = []
+
+        def counted(op):
+            labels.append(op.label)
+            return dense(op)
+
+        monkeypatch.setattr(LinearOperatorRep, "dense", counted)
+        config = self._n2_config(32)
+        build_artifacts(config.experiments[0], config)
+        assert labels == ["variable_operator"]
+
     def test_counts_channels_before_any_dense_object(self, monkeypatch):
         config = self._n2_config(32)
         assert build_artifacts(config.experiments[0], config).perturbed_resolvent.shape == (16, 16)

@@ -11,18 +11,15 @@ from schatten_verify import (
     block_multiplication_matrix,
     constant_field,
     constant_resolvent,
-    convolution_kernel,
     deift_residual,
     enumerate_basis,
     matrix_field_lp_norm,
     operator_norm,
-    polar_decomposition_check,
     relative_perturbation,
     resolvent,
     resolvent_difference,
     sampled_field,
     schatten_norm,
-    spectral_profile_operator,
     sqrt_field,
 )
 from schatten_verify import harness
@@ -37,9 +34,15 @@ from schatten_verify.harness import (
 )
 from schatten_verify.norms import resolvent_profile
 from schatten_verify.schatten_analysis import (
+    SUPPORT_SPECTRUM_MAX_SHARE,
     _residual_norm,
+    delta_spectrum,
     factorization_residual,
+    impurity_support,
+    schatten_norm_from_values,
     singular_spectrum,
+    spectrum_residual,
+    support_spectrum,
     woodbury_left_end,
 )
 from schatten_verify.torus_operator import (
@@ -58,7 +61,13 @@ from helpers import (
     random_hermitian,
     random_hermitian_pd,
 )
-from oracles import channel_solve
+from oracles import (
+    channel_solve,
+    convolution_kernel,
+    matrix_function,
+    polar_decomposition_check,
+    spectral_profile_operator,
+)
 
 
 class TestSchattenNorm:
@@ -229,7 +238,7 @@ def _support_size(a, at):
 
 def _assert_left_end_matches_dense(a, at, grid):
     dense = channel_solve(assemble_derivative_factor(sqrt_field(at), grid).dense())
-    left = woodbury_left_end(a, at, grid)
+    left = woodbury_left_end(impurity_support(a, at, grid))
     assert left.shape == dense.shape
     assert np.abs(left - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -285,6 +294,105 @@ class TestWoodburyLeftEnd:
         at = box_perturbed_field(grid, basis, a, 2.0, rel_width=1.5)
         assert _support_size(a, at) == grid.total_points
         _assert_left_end_matches_dense(a, at, grid)
+
+
+def _assert_spectrum_matches_dense(a, at, grid):
+    """The support spectrum's Schatten norms against eigvalsh of the dense difference."""
+    dense = singular_spectrum(direct_difference(a, at, grid), hermitian=True)
+    support = support_spectrum(impurity_support(a, at, grid))
+    assert support.size == a.basis.nu * _support_size(a, at)
+    assert np.all(np.diff(support) <= 0.0)
+    for p in (4, 6, 8, np.inf):
+        expected = schatten_norm_from_values(dense, p)
+        assert abs(schatten_norm_from_values(support, p) - expected) <= 1e-12 * expected
+
+
+def _off_diagonal_jump(grid, basis, a, amplitude, rng):
+    """a + (amplitude a + H) on a centered box, H Hermitian with ||H|| = lambda_min(a) / 4."""
+    h = random_hermitian(rng, basis.nu)
+    h *= 0.25 * np.linalg.eigvalsh(a.constant_matrix())[0] / np.abs(np.linalg.eigvalsh(h)).max()
+    inside = np.all(np.abs(grid.points()) < grid.L / 4, axis=-1)
+    return sampled_field(basis, a.constant_matrix() + inside[..., None, None] * (amplitude * a.constant_matrix() + h))
+
+
+class TestSupportSpectrum:
+    @pytest.mark.parametrize("N,n", [(1, 16), (2, 8), (3, 4)])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("amplitude", [0.5, 8.0])
+    def test_matches_dense_eigvalsh(self, N, n, m, amplitude):
+        grid = TorusGrid(N=N, n=n, L=2 * np.pi)
+        basis, poly = polyharmonic_setup(N, m)
+        rng = np.random.default_rng(100 * N + 10 * m + int(amplitude))
+        matrix_base = constant_field(basis, random_hermitian_pd(rng, basis.nu))
+        _assert_spectrum_matches_dense(poly, box_perturbed_field(grid, basis, poly, amplitude, 0.5), grid)
+        _assert_spectrum_matches_dense(
+            matrix_base, _off_diagonal_jump(grid, basis, matrix_base, amplitude, rng), grid
+        )
+
+    @pytest.fixture(scope="class")
+    def clip_experiment(self):
+        study = load_config(default_config_path()).clip
+        return study.experiment, _clip_target_field(study.experiment, study.floor)
+
+    @pytest.mark.parametrize("level", [4, 64])
+    def test_clip_levels(self, clip_experiment, level):
+        exp, degenerate = clip_experiment
+        _assert_spectrum_matches_dense(exp.reference, clip_coefficients(degenerate, level), exp.grid)
+
+    def test_empty_support(self, clip_experiment, monkeypatch):
+        # clip level 1: K = 0, no values, scale 0, and the factorization residual is the absolute gap
+        exp, degenerate = clip_experiment
+        at = clip_coefficients(degenerate, 1)
+        assert support_spectrum(impurity_support(exp.reference, at, exp.grid)).size == 0
+        # the dense spectrum is roundoff, below the absolute branch's 1e-14 as well
+        direct = direct_difference(exp.reference, at, exp.grid)
+        assert singular_spectrum(direct, hermitian=True)[0] <= 1e-14
+        scales = []
+
+        def record_scale(a, v, grid, direct, left, scale):
+            scales.append(scale)
+            return factorization_residual(a, v, grid, direct, left, scale)
+
+        monkeypatch.setattr(harness, "factorization_residual", record_scale)
+        config = load_config(default_config_path())
+        art = build_artifacts(exp, config, a_tilde=at)
+        assert art.delta_singular_values.size == 0 and scales == [0.0]
+        assert art.fact_residual < 1e-12
+
+    def test_wrong_spectrum_shows_in_the_residual(self, monkeypatch):
+        # the chain does not see the spectrum's own steps; ||Delta||_F = ||svals||_2 does
+        config = load_config(default_config_path())
+        exp = next(e for e in config.experiments if e.id == "n2m1_bump_a05")
+        assert build_artifacts(exp, config).fact_residual <= 1e-10
+        spectrum = harness.delta_spectrum
+        monkeypatch.setattr(harness, "delta_spectrum", lambda imp, d: spectrum(imp, d) * (1 + 1e-6))
+        assert build_artifacts(exp, config).fact_residual >= 1e-7
+
+    def test_spectrum_residual(self):
+        rng = np.random.default_rng(47)
+        direct = random_hermitian(rng, 24)
+        values = singular_spectrum(direct, hermitian=True)
+        assert spectrum_residual(direct, values) <= 1e-14
+        assert spectrum_residual(direct, values[:-1]) > 0.0
+        # an empty spectrum: the absolute gap, ||direct||_F itself
+        assert spectrum_residual(direct, values[:0]) == pytest.approx(np.linalg.norm(direct))
+
+    @pytest.mark.parametrize("rel_width,route", [(0.5, "support"), (0.75, "dense")])
+    def test_size_rule(self, rel_width, route):
+        # nu K / P of 0.28 and 0.78, on either side of the size rule: nu K or P values
+        grid = TorusGrid(N=2, n=8, L=2 * np.pi)
+        basis, a = polyharmonic_setup(2, 1)
+        at = box_perturbed_field(grid, basis, a, 2.0, rel_width=rel_width)
+        imp = impurity_support(a, at, grid)
+        share = basis.nu * imp.points.size / grid.total_points
+        assert (share <= SUPPORT_SPECTRUM_MAX_SHARE) == (route == "support")
+        direct = direct_difference(a, at, grid)
+        values = delta_spectrum(imp, direct)
+        dense = singular_spectrum(direct, hermitian=True)
+        assert values.size == (basis.nu * imp.points.size if route == "support" else grid.total_points)
+        for p in (4, 6, 8, np.inf):
+            expected = schatten_norm_from_values(dense, p)
+            assert abs(schatten_norm_from_values(values, p) - expected) <= 1e-12 * expected
 
 
 class TestSupportRowGap:
@@ -360,6 +468,39 @@ class TestDeift:
         r_in = resolvent(assemble_variable_coefficient(at, grid).dense())
         assert deift_residual(t_tilde, left, r_in) < 1e-10
         assert deift_residual(t_tilde, left, r_in * (1 + 1e-6)) >= 1e-7
+
+
+def _factor_case(N, m, constant=False):
+    """(operator T~, dense T~, T~*T~) for a bump on an N-dimensional polyharmonic reference."""
+    grid = TorusGrid(N=N, n=32 if N == 1 else 8, L=2 * np.pi)
+    basis, a = polyharmonic_setup(N, m)
+    at = a if constant else bump_perturbed_field(grid, basis, a, amplitude=0.75, rel_radius=0.25)
+    op = assemble_derivative_factor(sqrt_field(at), grid)
+    h_tilde = (assemble_constant_coefficient if constant else assemble_variable_coefficient)(at, grid)
+    return op, op.dense(), h_tilde.dense()
+
+
+class TestDeiftOperator:
+    @pytest.mark.parametrize("N,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_adjoint_product_matches_dense(self, N, m, constant):
+        op, t_tilde, _ = _factor_case(N, m, constant)
+        assert op.shape == t_tilde.shape
+        left = channel_solve(t_tilde)
+        given = left.copy()
+        expected = np.conj(t_tilde.T) @ left
+        assert np.abs(op.adjoint_matmul(left) - expected).max() <= 1e-12 * np.abs(expected).max()
+        # the pipeline reads the stack through a view and transforms only its own buffer
+        assert np.array_equal(left, given)
+
+    @pytest.mark.parametrize("N,m", [(1, 1), (2, 1)])
+    def test_operator_sensitivity(self, N, m):
+        # the checks of TestDeift, with T~ passed as an operator
+        op, t_tilde, h_tilde = _factor_case(N, m)
+        left, r_in = channel_solve(t_tilde), resolvent(h_tilde)
+        assert deift_residual(op, left, r_in) < 1e-10
+        assert deift_residual(op, left * (1 + 1e-6), r_in) >= 1e-7
+        assert deift_residual(op, left, r_in * (1 + 1e-6)) >= 1e-7
 
 
 class TestResidualNorm:
@@ -445,8 +586,6 @@ class TestPolar:
         assert np.linalg.norm(out - u) < 1e-9
 
     def test_gram_sqrt_psd_hermitian(self):
-        from schatten_verify import matrix_function
-
         grid = TorusGrid(N=1, n=16, L=2 * np.pi)
         basis, a = polyharmonic_setup(1, 1)
         t = assemble_derivative_factor(sqrt_field(a), grid).dense()

@@ -68,9 +68,12 @@ class TestDerivativeStack:
             u = rng.normal(size=grid.spatial_shape) + 1j * rng.normal(size=grid.spatial_shape)
             v_shape = (basis.nu, *grid.spatial_shape)
             v = rng.normal(size=v_shape) + 1j * rng.normal(size=v_shape)
+            given = v.copy()
             lhs = grid.inner(op.apply(u), v)
             rhs = grid.inner(u, op.apply_adjoint(v))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+            # the raw adjoint transforms its buffer in place; the caller's array is left alone
+            assert np.array_equal(v, given)
 
 
 class TestConstantOperator:
@@ -260,3 +263,30 @@ class TestMaterialize:
             reference = np.stack(columns, axis=1)
             assert op.dense().shape == reference.shape
             assert np.abs(op.dense() - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+class TestPointwiseField:
+    @pytest.mark.parametrize("N,m,n", [(1, 1, 16), (1, 2, 16), (2, 1, 8), (2, 2, 8), (3, 1, 4)])
+    def test_matches_einsum(self, N, m, n):
+        # bit for bit where nu = 1: H~ and its LU solve keep their arithmetic, and with them
+        # the roundoff lhs of clip level 1; to roundoff for nu > 1
+        from schatten_verify.torus_operator import _pointwise_field, _pointwise_matvec
+
+        grid = TorusGrid(N=N, n=n, L=3.0)
+        basis = enumerate_basis(N, m)
+        rng = np.random.default_rng(37)
+        a = constant_field(basis, random_hermitian_pd(rng, basis.nu))
+        at = bump_perturbed_field(grid, basis, a, amplitude=0.75, rel_radius=0.3)
+        v = rng.normal(size=(3, basis.nu, *grid.spatial_shape)) + 1j * rng.normal(
+            size=(3, basis.nu, *grid.spatial_shape)
+        )
+        flat = v.reshape(3, basis.nu, grid.total_points)
+        for b in (a, at, sqrt_field(at)):
+            field = _pointwise_field(b, grid)
+            spec = "ab,...bp->...ap" if field.ndim == 2 else "pab,...bp->...ap"
+            expected = np.einsum(spec, field, flat).reshape(v.shape)
+            got = _pointwise_matvec(field, v, grid)
+            if basis.nu == 1:
+                assert np.array_equal(got, expected)
+            else:
+                assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
