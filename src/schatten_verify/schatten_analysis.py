@@ -7,8 +7,9 @@ the resolvent difference, which is Hermitian, are absolute eigenvalues: of
 the nu K x nu K Birman-Schwinger matrix on the impurity's K support points
 (``support_spectrum``) while nu K is at most half the grid's n^N points,
 else of the dense difference by ``eigvalsh`` (``delta_spectrum``). The
-identity residuals need only an operator norm, taken exactly as sqrt of the
-largest eigenvalue of X* X.
+identity residuals are Frobenius (C^2, Hilbert-Schmidt) norms, O(n^2): they
+bound the operator norm from above, so a small residual certifies the
+identity in operator norm as well.
 
 Verified identities (all exact in finite dimensions):
 
@@ -87,19 +88,18 @@ def operator_norm(matrix: np.ndarray) -> float:
 
 
 def resolvent(matrix: np.ndarray) -> np.ndarray:
-    """(M + 1)^{-1} of a dense Hermitian matrix M by dense solve."""
+    """(M + 1)^{-1} of a dense Hermitian matrix M by dense inverse (LU)."""
     m = np.asarray(matrix, dtype=complex)
-    m = 0.5 * (m + np.conj(m.T))
-    return np.linalg.solve(m + np.eye(m.shape[0]), np.eye(m.shape[0], dtype=complex))
+    # the Hermitian part and the shift in one new array
+    shifted = np.conj(m.T)
+    shifted += m
+    shifted *= 0.5
+    shifted[np.diag_indices_from(shifted)] += 1.0
+    return np.linalg.inv(shifted)
 
 
 def resolvent_difference(matrix_tilde: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return resolvent(matrix_tilde) - resolvent(matrix)
-
-
-def _residual_norm(x: np.ndarray) -> float:
-    """||X||_op, exact like the SVD but cheaper: sqrt of the largest eigenvalue of X* X."""
-    return float(np.sqrt(max(np.linalg.eigvalsh(np.conj(x.T) @ x)[-1], 0.0)))
 
 
 @dataclass(frozen=True)
@@ -212,12 +212,13 @@ def spectrum_residual(direct: np.ndarray, values: np.ndarray) -> float:
 def deift_residual(
     s_matrix: np.ndarray | LinearOperatorRep, left: np.ndarray, r_in: np.ndarray
 ) -> float:
-    """Operator norm of r_in + S* left - 1, with left = (SS*+1)^{-1} S.
+    """Frobenius norm of r_in + S* left - 1, with left = (SS*+1)^{-1} S.
 
     ``r_in`` is the given (S*S+1)^{-1} and ``left`` the given (SS*+1)^{-1} S;
     the residual vanishes when the two agree. S is a dense matrix, or an
     operator whose adjoint pipeline applies S* to the columns of ``left``
-    (``LinearOperatorRep.adjoint_matmul``).
+    (``LinearOperatorRep.adjoint_matmul``). The Frobenius norm bounds the
+    operator norm, so a small residual certifies the identity in both.
     """
     if isinstance(s_matrix, LinearOperatorRep):
         x = s_matrix.adjoint_matmul(left)
@@ -225,7 +226,7 @@ def deift_residual(
         x = np.conj(np.asarray(s_matrix, dtype=complex).T) @ left
     x += r_in
     x[np.diag_indices_from(x)] -= 1.0
-    return _residual_norm(x)
+    return float(np.linalg.norm(x))
 
 
 def factorization_residual(
@@ -245,9 +246,11 @@ def factorization_residual(
     ``relative_perturbation``, is applied pointwise. V vanishes off the
     impurity's support, so the chain is taken over the support rows only:
     the left end's rows there and the right end's, (G+1)^{-1} T = a^{-1/2}
-    C^{-1} D in closed form. ``scale`` is ||direct||, from the spectrum of
-    ``direct``. Returns the relative residual, or the absolute one when the
-    direct difference is numerically 0.
+    C^{-1} D in closed form. The gap is a Frobenius norm, an upper bound on
+    its operator norm; ``scale`` is ||direct||_op, the largest of the spectrum
+    of ``direct``, which is at most ||direct||_F, so the relative residual
+    errs high. Returns it, or the absolute gap when the direct difference is
+    numerically 0.
     """
     nu, points = a.basis.nu, grid.total_points
     v = v.reshape(points, nu, nu)
@@ -258,7 +261,9 @@ def factorization_residual(
     right = circulant_lookup(right_symbol, grid, rows=support)  # (nu K, P)
     left_support = left.reshape(nu, points, points)[:, support].reshape(-1, points)
     # the chain carries -V, so direct - chain = direct + left* V right
-    gap = _residual_norm(direct + np.conj(left_support.T) @ pointwise_rows(v[support], right))
+    x = np.conj(left_support.T) @ pointwise_rows(v[support], right)
+    x += direct
+    gap = float(np.linalg.norm(x))
     if scale <= 1e-14:
         return gap
     return gap / scale

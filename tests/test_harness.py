@@ -352,7 +352,9 @@ class TestDenseCap:
         return parse_config({"experiments": [exp], "max_dim": max_dim})
 
     def test_one_dense_operator_per_experiment(self, monkeypatch):
-        # H~ is the only materialized operator: no nu P x P T~ for the Deift check
+        # H~ is the only materialized operator: no nu P x P T~ for the Deift check;
+        # below the size rule no eigen-solve or SVD is P x P: the residuals are Frobenius norms
+        from schatten_verify.schatten_analysis import SUPPORT_SPECTRUM_MAX_SHARE, impurity_support
         from schatten_verify.torus_operator import LinearOperatorRep
 
         dense = LinearOperatorRep.dense
@@ -362,10 +364,27 @@ class TestDenseCap:
             labels.append(op.label)
             return dense(op)
 
+        rows = []
+
+        def sized(solver):
+            def wrapped(a, *args, **kwargs):
+                rows.append((solver.__name__, np.shape(a)[-2]))
+                return solver(a, *args, **kwargs)
+
+            return wrapped
+
         monkeypatch.setattr(LinearOperatorRep, "dense", counted)
+        for name in ("eigvalsh", "eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, sized(getattr(np.linalg, name)))
         config = self._n2_config(32)
-        build_artifacts(config.experiments[0], config)
+        exp = config.experiments[0]
+        points = exp.grid.total_points
+        imp = impurity_support(exp.reference, harness.perturbed_coefficient(exp), exp.grid)
+        assert 0 < imp.one_zw.shape[0] <= SUPPORT_SPECTRUM_MAX_SHARE * points
+        rows.clear()
+        build_artifacts(exp, config)
         assert labels == ["variable_operator"]
+        assert rows and max(size for _, size in rows) < points
 
     def test_counts_channels_before_any_dense_object(self, monkeypatch):
         config = self._n2_config(32)

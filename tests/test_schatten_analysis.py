@@ -35,7 +35,6 @@ from schatten_verify.harness import (
 from schatten_verify.norms import resolvent_profile
 from schatten_verify.schatten_analysis import (
     SUPPORT_SPECTRUM_MAX_SHARE,
-    _residual_norm,
     delta_spectrum,
     factorization_residual,
     impurity_support,
@@ -125,6 +124,17 @@ class TestSchattenNorm:
 class TestResolvent:
     def test_zero_operator(self):
         assert np.allclose(resolvent(np.zeros((5, 5))), np.eye(5))
+
+    def test_matches_dense_solve_bitwise(self):
+        # the in-place Hermitian part and shift, then inv: the arithmetic of solve(sym + 1, 1)
+        grid = TorusGrid(N=2, n=4, L=4.0)
+        basis, a = polyharmonic_setup(2, 1)
+        at = bump_perturbed_field(grid, basis, a, amplitude=0.5, rel_radius=0.4)
+        m = assemble_variable_coefficient(at, grid).dense()
+        m = m + 1e-3 * np.triu(m, 1)  # a non-Hermitian input: only its Hermitian part counts
+        sym = 0.5 * (m + np.conj(m.T))
+        eye = np.eye(m.shape[0])
+        assert np.array_equal(resolvent(m), np.linalg.solve(sym + eye, eye.astype(complex)))
 
     def test_multiplier_resolvent_on_plane_waves(self):
         grid = TorusGrid(N=1, n=16, L=2 * np.pi)
@@ -410,7 +420,7 @@ class TestSupportRowGap:
         v = relative_perturbation(a, at, grid.cell_volume).values
         full_v = block_multiplication_matrix(v, grid)
         direct = random_hermitian(rng, grid.total_points)
-        full = operator_norm(direct + np.conj(left.T) @ full_v @ right)
+        full = np.linalg.norm(direct + np.conj(left.T) @ full_v @ right)
         support = factorization_residual(a, v, grid, direct, left, 1.0)
         assert abs(support - full) <= 1e-12 * full
 
@@ -503,12 +513,31 @@ class TestDeiftOperator:
         assert deift_residual(op, left, r_in * (1 + 1e-6)) >= 1e-7
 
 
+def _residual_inputs(x):
+    """(residual, X) for both residuals, on inputs whose X is ``x``.
+
+    The factorization gap is direct + left* V right; with V = 0 it is ``direct``
+    = x exactly. The Deift X is S* left + r_in - 1; with S = 0 and r_in = x + 1
+    it is (x + 1) - 1, x up to the roundoff of the shift, returned as formed.
+    """
+    n = x.shape[0]
+    grid = TorusGrid(N=1, n=n, L=2 * np.pi)
+    _, a = polyharmonic_setup(1, 1)
+    fact = factorization_residual(
+        a, np.zeros((n, 1, 1)), grid, x, np.zeros((n, n), dtype=complex), 1.0
+    )
+    eye = np.eye(n)
+    r_in = x + eye
+    zeros = np.zeros((1, n), dtype=complex)
+    deift = deift_residual(zeros, zeros, r_in)
+    return [(fact, x), (deift, r_in - eye)]
+
+
 class TestResidualNorm:
-    def test_matches_svd_operator_norm(self):
+    def test_is_frobenius_above_operator_norm(self):
+        # both residuals are the l2 norm of X's singular values, never below the largest
         rng = np.random.default_rng(46)
-        cases = []
-        for rows, cols in ((12, 12), (20, 7), (7, 20), (40, 40)):
-            cases.append(rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))
+        cases = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in (12, 20, 6, 40)]
         # residuals live at roundoff scale
         cases.append(1e-15 * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))))
         # Hermitian plus a small anti-Hermitian part: a Hermitian-part norm would miss it
@@ -517,12 +546,18 @@ class TestResidualNorm:
         skew = 1e-3 * (k - np.conj(k.T))
         cases.append(h + skew)
         cases.append(skew)
-        for x in cases:
-            svd = operator_norm(x)
-            assert abs(_residual_norm(x) - svd) <= 1e-12 * svd
-        # the Hermitian part of h + skew under-reports its norm by far more than 1e-12
-        hermitian_part = operator_norm(h + 0.5 * (skew + np.conj(skew.T)))
-        assert operator_norm(h + skew) - hermitian_part > 1e-9 * hermitian_part
+        for case in cases:
+            for residual, x in _residual_inputs(case):
+                values = singular_spectrum(x)
+                frobenius = float(np.linalg.norm(values))
+                assert abs(residual - frobenius) <= 1e-12 * frobenius
+                assert residual >= values[0]
+        # the anti-Hermitian part alone shows, and adds to the Hermitian part's norm
+        (fact_skew, _), _ = _residual_inputs(skew)
+        assert fact_skew >= operator_norm(skew) > 0.0
+        (fact_sum, _), _ = _residual_inputs(h + skew)
+        hermitian_part = np.linalg.norm(h + 0.5 * (skew + np.conj(skew.T)))
+        assert fact_sum - hermitian_part > 1e-9 * hermitian_part
 
 
 class TestFactorization:
