@@ -8,7 +8,6 @@ bound constants). Exit codes: 0 all assertions pass, 1 an assertion failed,
 2 a bad input: a config error (the whole config is validated on load, before
 anything runs), an I/O error, a coefficient that is not positive definite, or
 an experiment whose dense dimension nu * n^N exceeds max_dim.
-SCHATTEN_THREADS caps worker parallelism.
 """
 
 from __future__ import annotations

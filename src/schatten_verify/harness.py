@@ -30,7 +30,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
@@ -165,6 +164,13 @@ class HarnessConfig:
     refine: RefineStudy | None = None
     raw: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # here, not in parse_config, so that a --seed override is checked too
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.mc_samples < 1:
+            raise ConfigError(f"mc_samples must be >= 1, got {self.mc_samples}")
+
 
 @contextmanager
 def _entry(context: str):
@@ -280,6 +286,11 @@ def _parse_scale(d: dict, by_id: dict) -> ScaleStudy:
     widths = tuple(float(w) for w in _require(d, "relative_widths", "scale_study"))
     if any(w2 <= w1 for w1, w2 in zip(widths, widths[1:])) or not widths:
         raise ConfigError("scale_study: relative_widths must be strictly increasing")
+    for i, rel_w in enumerate(widths):
+        if not indicator_profile(_scale_box(exp, rel_w), exp.grid).any():
+            raise ConfigError(
+                f"scale_study: relative_widths[{i}] = {rel_w:g} gives a box with no grid point"
+            )
     return _check_p(ScaleStudy(exp, widths, **_present(d, p=float)), "scale_study")
 
 
@@ -352,16 +363,6 @@ def load_config(path: str) -> HarnessConfig:
     return parse_config(data)
 
 
-def worker_count() -> int:
-    env = os.environ.get("SCHATTEN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"SCHATTEN_THREADS must be an integer, got {env!r}") from exc
-    return min(4, os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # geometry and field construction
 # ---------------------------------------------------------------------------
@@ -416,6 +417,11 @@ def perturbed_coefficient(
 # ---------------------------------------------------------------------------
 
 
+def _p_label(p: float) -> str:
+    """The exponent as the CSV and the assertion names print it; math.inf is "inf"."""
+    return "inf" if math.isinf(p) else f"{p:g}"
+
+
 @dataclass(frozen=True)
 class ReportRow:
     """One verified inequality instance, one CSV line."""
@@ -436,13 +442,12 @@ class ReportRow:
         def num(x) -> str:
             return f"{x:.17g}"
 
-        p_str = "inf" if math.isinf(self.p) else f"{self.p:g}"
         const_str = "divergent" if self.constant is None else num(self.constant)
         ratio_str = "" if self.ratio is None else num(self.ratio)
         return ",".join(
             [
                 self.experiment,
-                p_str,
+                _p_label(self.p),
                 num(self.lhs),
                 num(self.rhs),
                 const_str,
@@ -469,7 +474,7 @@ def parse_csv_rows(text: str) -> list[ReportRow]:
         rows.append(
             ReportRow(
                 experiment=rec[0],
-                p=float("inf") if rec[1] == "inf" else float(rec[1]),
+                p=float(rec[1]),
                 lhs=float(rec[2]),
                 rhs=float(rec[3]),
                 constant=None if rec[4] == "divergent" else float(rec[4]),
@@ -669,10 +674,9 @@ def _ratio_assertions(rows: list[ReportRow], tol: Tolerances) -> list[Assertion]
     for row in rows:
         if row.ratio is None:
             continue
-        p_str = "inf" if math.isinf(row.p) else f"{row.p:g}"
         out.append(
             Assertion(
-                name=f"ratio:{row.experiment}:p={p_str}",
+                name=f"ratio:{row.experiment}:p={_p_label(row.p)}",
                 passed=bool(row.ratio <= tol.ratio),
                 detail=f"ratio={row.ratio:.6g} <= {tol.ratio:g}",
             )
@@ -709,12 +713,8 @@ def run_verify(config: HarnessConfig) -> StudyResult:
         _check_dense_size(exp, config)
     c_cov = coarea_constants(config, config.experiments)
     rows: list[ReportRow] = []
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        runs = pool.map(
-            lambda e: impurity_experiment(e, config, c_cov[e.id].value), config.experiments
-        )
-        for result in runs:
-            rows.extend(result)
+    for exp in config.experiments:
+        rows.extend(impurity_experiment(exp, config, c_cov[exp.id].value))
     return StudyResult(rows=rows, assertions=study_assertions("verify", rows, config, {}), extras={})
 
 
@@ -744,13 +744,17 @@ def run_scale(config: HarnessConfig) -> StudyResult:
     volumes: list[float] = []
     for rel_w in study.relative_widths:
         start = time.perf_counter()
-        box = PerturbationSpec("box", exp.perturbation.center, width=(rel_w * grid.L,) * exp.N)
-        profile = indicator_profile(box, grid)
+        profile = indicator_profile(_scale_box(exp, rel_w), grid)
         volumes.append(measured_support_volume(profile, grid))
         art = build_artifacts(exp, config, a_tilde=perturbed_coefficient(exp, profile))
         rows.append(art.row(f"{exp.id}|U={volumes[-1]:.12g}", p, constant, start))
     extras = {"volumes": volumes, "slope": _fit_slope(volumes, [r.rhs for r in rows])}
     return StudyResult(rows=rows, assertions=study_assertions("scale", rows, config, extras), extras=extras)
+
+
+def _scale_box(exp: ExperimentSpec, rel_w: float) -> PerturbationSpec:
+    """The scale study's box: centered on the impurity, each side rel_w * L."""
+    return PerturbationSpec("box", exp.perturbation.center, width=(rel_w * exp.grid.L,) * exp.N)
 
 
 def _fit_slope(xs: list[float], ys: list[float]) -> float:
@@ -896,7 +900,7 @@ def _refine_assertions(rows: list[ReportRow], tol: Tolerances, smooth: bool) -> 
     out = []
     for p, group in sorted(by_p.items()):
         group = sorted(group, key=lambda r: r.n)
-        p_str = "inf" if math.isinf(p) else f"{p:g}"
+        p_str = _p_label(p)
         fine, finest = group[-2], group[-1]
         if finest.ratio is not None and fine.ratio is not None and finest.ratio > 0:
             drift = abs(fine.ratio - finest.ratio) / finest.ratio

@@ -35,8 +35,6 @@ def resolvent_profile(t):
 # divergence check in weighted_profile_norm
 _RESOLVENT_PROFILE_DECAY = 0.5
 
-RESOLVENT_PROFILE_SUP = 0.5
-
 
 @dataclass(frozen=True)
 class WeightedNormSpec:

@@ -109,7 +109,7 @@ class LinearOperatorRep:
         in_channels: int,
         out_channels: int,
         apply: Callable[[np.ndarray], np.ndarray],
-        apply_adjoint: Callable[[np.ndarray], np.ndarray] | None = None,
+        apply_adjoint: Callable[[np.ndarray], np.ndarray],
         label: str = "",
     ):
         self.grid = grid
@@ -146,8 +146,6 @@ class LinearOperatorRep:
         return self._present(out, self.out_channels)
 
     def apply_adjoint(self, values: np.ndarray) -> np.ndarray:
-        if self._apply_adjoint is None:
-            raise NotImplementedError(f"no adjoint pipeline for {self.label or 'operator'}")
         out = self._apply_adjoint(self._normalize(values, self.out_channels))
         return self._present(out, self.in_channels)
 

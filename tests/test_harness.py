@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from schatten_verify.harness import (
     run_refine,
     run_scale,
     run_verify,
-    worker_count,
 )
 
 
@@ -173,13 +173,6 @@ class TestConfigParsing:
         assert (config.clip.p, config.clip.floor) == (ClipStudy.p, ClipStudy.floor)
         assert config.scale.experiment is config.clip.experiment is config.experiments[0]
 
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("SCHATTEN_THREADS", "2")
-        assert worker_count() == 2
-        monkeypatch.setenv("SCHATTEN_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            worker_count()
-
 
 class TestVerifyStudy:
     def test_zero_amplitude_rows(self):
@@ -200,6 +193,15 @@ class TestVerifyStudy:
         assert finite and all(0 < r.ratio <= 1.05 for r in finite)
         by_p = {r.p: r.lhs for r in result.rows if r.experiment == "quick_box" and not math.isinf(r.p)}
         assert by_p[4.0] >= by_p[8.0]
+
+    def test_starts_no_thread(self, monkeypatch):
+        # experiments run one after another; BLAS is the only parallelism
+        def refuse(self):
+            raise AssertionError(f"verify started thread {self.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        result = run_verify(parse_config(small_config()))
+        assert result.rows and all(a.passed for a in result.assertions)
 
     def test_divergent_constant_reported(self):
         # p = N/m sits at the divergence threshold: the row must carry a
@@ -456,6 +458,13 @@ MALFORMED = {
     "odd_refine_n": ("refine", _set(["refinement_study", "n_values"], [32, 63, 128]), "refinement_study"),
     "experiment_not_object": ("verify", _set(["experiments", 1], 5), "experiments[1] must be a JSON object"),
     "tolerances_not_object": ("verify", _set(["tolerances"], 5), "tolerances must be a JSON object"),
+    "zero_mc_samples": ("verify", _set(["mc_samples"], 0), "mc_samples must be >= 1"),
+    "negative_seed": ("verify", _set(["seed"], -1), "seed must be >= 0"),
+    "zero_scale_width": (
+        "scale",
+        _set(["scale_study", "relative_widths"], [0.0, 0.125, 0.25]),
+        "scale_study: relative_widths[0] = 0",
+    ),
 }
 
 
@@ -493,6 +502,14 @@ class TestCli:
         root = Path(__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True, text=True)
         assert proc.stdout.splitlines()[-1].split() == ["0", "False"], proc.stderr
+
+    def test_exit_two_on_negative_seed_override(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_config()))
+        args = ["verify", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "-1"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed must be >= 0, got -1") and "Traceback" not in err
 
     def test_exit_two_on_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
