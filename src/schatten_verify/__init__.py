@@ -6,7 +6,6 @@ from .coeff_algebra import (
     coarea_constant,
     constant_field,
     field_power,
-    lattice_symbol_integral,
     matrix_sqrt,
     polyharmonic_coefficients,
     principal_symbol,
@@ -16,7 +15,7 @@ from .coeff_algebra import (
     sublevel_volume,
     symbol_vector,
 )
-from .errors import ConfigError, DimensionCapError, NonPositiveDefiniteError
+from .errors import ConfigError, DimensionCapError, NonPositiveDefiniteError, QuadratureError
 from .multiindex import (
     MultiIndex,
     enumerate_basis,

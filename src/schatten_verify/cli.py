@@ -6,8 +6,10 @@ Subcommands: verify (impurity battery), scale (volume sweep), clip
 (coefficient clipping sequence), refine (grid ladder), constants (print the
 bound constants). Exit codes: 0 all assertions pass, 1 an assertion failed,
 2 a bad input: a config error (the whole config is validated on load, before
-anything runs), an I/O error, a coefficient that is not positive definite, or
-an experiment whose dense dimension nu * n^N exceeds max_dim.
+anything runs), an I/O error, a coefficient that is not positive definite, an
+experiment whose dense dimension nu * n^N exceeds max_dim, or a base whose
+coarea constant the sphere quadrature cannot resolve. No output depends on
+--seed: it is validated and kept for compatibility.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import dataclasses
 import sys
 from importlib import resources
 
-from .errors import ConfigError, DimensionCapError, NonPositiveDefiniteError
+from .errors import ConfigError, DimensionCapError, NonPositiveDefiniteError, QuadratureError
 from .harness import (
     CSV_HEADER,
     HarnessConfig,
@@ -46,7 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", default=None, help="JSON config path (default: bundled)")
     parser.add_argument("--out", default="out", help="output directory for CSV/JSON reports")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="override the config seed (>= 0; no output depends on it)"
+    )
     parser.add_argument("--max-dim", type=int, default=None, help="override the dense-dimension cap")
     return parser
 
@@ -74,7 +78,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
-    except (NonPositiveDefiniteError, DimensionCapError) as exc:
+    except (NonPositiveDefiniteError, DimensionCapError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

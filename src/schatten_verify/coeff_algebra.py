@@ -15,17 +15,21 @@ the weighted half-line integrals used by the trace-norm estimates:
     (2pi)^{-N} integral g^2(A(xi)) dxi = c_cov * integral g^2(t) t^{(N-2m)/2m} dt
 
 with c_cov = (2pi)^{-N} (N/2m) vol{A < 1}; all 2pi bookkeeping lives in
-c_cov because the transform convention is unitary throughout.
+c_cov because the transform convention is unitary throughout. The CLI takes
+the volume from a deterministic quadrature on the unit sphere
+(coarea_constant); the Monte Carlo sublevel_volume is kept as the tests'
+independent check of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonPositiveDefiniteError
+from .errors import NonPositiveDefiniteError, QuadratureError
 from .multiindex import MultiIndexBasis, monomial_matrix
 
 HERMITICITY_RTOL = 1e-12
@@ -256,56 +260,62 @@ def sublevel_volume(
     return MonteCarloEstimate(value=value, stderr=stderr, samples=samples)
 
 
-def coarea_constant(
-    b: np.ndarray,
-    basis: MultiIndexBasis,
-    samples: int = 1_000_000,
-    seed: int = 0,
-) -> MonteCarloEstimate:
-    """c_cov = (2pi)^{-N} (N/2m) vol{A < 1} under the unitary transform convention.
+SPHERE_RULE_RTOL = 1e-13
+SPHERE_RULE_MAX_POINTS = 2**20
 
-    The volume is the seeded Monte Carlo estimate of sublevel_volume; its
-    standard error is scaled by the same prefactor.
+
+def _sphere_rule(N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (M, N) on the unit sphere S^{N-1} and weights summing to its area.
+
+    N = 1: the two points +-1. N >= 2: the periodic trapezoid rule with n
+    nodes in the azimuth, times n/2-point Gauss-Legendre in each of the N - 2
+    polar angles, whose weights carry the Jacobian sin^k.
     """
-    vol = sublevel_volume(b, basis, samples=samples, seed=seed)
-    N, m = basis.N, basis.m
-    prefactor = (2.0 * np.pi) ** (-N) * (N / (2.0 * m))
-    return MonteCarloEstimate(prefactor * vol.value, prefactor * vol.stderr, samples)
-
-
-def lattice_symbol_integral(
-    b: np.ndarray,
-    basis: MultiIndexBasis,
-    g: Callable,
-    spacing: float,
-    radius: float,
-    chunk_rows: int = 64,
-) -> float:
-    """Riemann-sum approximation of (2pi)^{-N} integral g^2(A(xi)) dxi.
-
-    Sums g^2(A) over the lattice spacing*Z^N intersected with [-radius, radius]^N,
-    weighting each point by the cell volume. Used to validate the coarea
-    constant by direct numerical equality.
-    """
-    N = basis.N
-    axis = np.arange(-radius, radius + spacing / 2, spacing)
-    b = np.asarray(b)
-    cell = spacing**N / (2.0 * np.pi) ** N
     if N == 1:
-        vals = np.sum(np.abs(monomial_matrix(axis[:, None], basis) @ b.T) ** 2, axis=-1)
-        return cell * float(np.sum(np.asarray(g(vals)) ** 2))
-    total = 0.0
-    rest = np.meshgrid(*([axis] * (N - 1)), indexing="ij")
-    rest_stack = np.stack([r.ravel() for r in rest], axis=-1)  # (M, N-1)
-    for start in range(0, len(axis), chunk_rows):
-        first = axis[start : start + chunk_rows]
-        pts = np.concatenate(
-            [
-                np.repeat(first, len(rest_stack))[:, None],
-                np.tile(rest_stack, (len(first), 1)),
-            ],
-            axis=1,
-        )
-        vals = np.sum(np.abs(monomial_matrix(pts, basis) @ b.T) ** 2, axis=-1)
-        total += float(np.sum(np.asarray(g(vals)) ** 2))
-    return cell * total
+        return np.array([[1.0], [-1.0]]), np.ones(2)
+    phi = 2.0 * np.pi * np.arange(n) / n
+    nodes = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    weights = np.full(n, 2.0 * np.pi / n)
+    if N > 2:
+        t, w = np.polynomial.legendre.leggauss(n // 2)
+        theta, w = 0.5 * np.pi * (t + 1.0), 0.5 * np.pi * w
+    for k in range(1, N - 1):
+        # S^{k+1} from S^k: x = (cos theta, sin theta * x'), area element sin^k theta dtheta dx'
+        first = np.broadcast_to(np.cos(theta)[:, None, None], (len(theta), len(nodes), 1))
+        nodes = np.concatenate([first, np.sin(theta)[:, None, None] * nodes], axis=-1).reshape(-1, k + 2)
+        weights = np.outer(w * np.sin(theta) ** k, weights).ravel()
+    return nodes, weights
+
+
+def _rule_points(N: int, n: int) -> int:
+    return n * (n // 2) ** max(N - 2, 0)
+
+
+def coarea_constant(b: np.ndarray, basis: MultiIndexBasis) -> tuple[float, float]:
+    """c_cov = (2pi)^{-N} (N/2m) vol{A < 1} by a rule on the unit sphere: (value, error).
+
+    A is homogeneous of degree 2m, so vol{A < 1} = (1/N) integral_{S^{N-1}} A^{-N/2m}.
+    The integrand is smooth and periodic in the angles, where the trapezoid
+    rule converges exponentially (Trefethen & Weideman, SIAM Rev. 56 (2014)
+    385-458). From 64 azimuth nodes the rule doubles until two successive
+    values agree to SPHERE_RULE_RTOL; their difference is the error estimate.
+    Raises QuadratureError when no two rules of at most SPHERE_RULE_MAX_POINTS
+    points agree.
+    """
+    N, m = basis.N, basis.m
+    prefactor = (2.0 * np.pi) ** (-N) * (N / (2.0 * m)) / N
+    n, previous, relative_gap = 64, None, math.inf
+    while _rule_points(N, n) <= SPHERE_RULE_MAX_POINTS:
+        nodes, weights = _sphere_rule(N, n)
+        value = prefactor * float(weights @ principal_symbol(b, nodes, basis) ** (-N / (2.0 * m)))
+        if previous is not None:
+            relative_gap = abs(value - previous) / value
+            if relative_gap <= SPHERE_RULE_RTOL:
+                return value, abs(value - previous)
+        n, previous = 2 * n, value
+    raise QuadratureError(
+        f"the coarea constant's sphere rule did not converge within {SPHERE_RULE_MAX_POINTS} "
+        f"points: successive rules differ by {relative_gap:.3g} relative, not "
+        f"{SPHERE_RULE_RTOL:g}; the principal symbol is too anisotropic, or N too large, "
+        f"for the rule"
+    )

@@ -36,3 +36,7 @@ class DimensionCapError(ValueError):
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
+
+
+class QuadratureError(ValueError):
+    """The sphere rule for the coarea constant did not converge under its node cap."""

@@ -8,16 +8,16 @@ emits one ReportRow per instance. Rows go to a CSV with the fixed header
     experiment,p,lhs,rhs,constant,ratio,factorization_residual,deift_residual,n,L,seconds
 
 and a JSON summary records the config echo plus one pass/fail flag per
-assertion. Identical config and seed give identical numerical payloads;
-the trailing seconds column is the wall time since the start of the
+assertion. An identical config gives identical numerical payloads, whatever
+the seed; the trailing seconds column is the wall time since the start of the
 experiment (or sweep step) that produced the row, not a per-row cost, and
 is excluded from the bit-identity contract.
 
 The trace-norm constant per p is (1/2) * c_cov^(1/p) * ||g||_p^* with the
-coarea constant estimated by seeded Monte Carlo, once per distinct reference
-coefficient in a run; the operator-norm rows (p = inf) use the constant 1/4.
+coarea constant from a deterministic quadrature on the unit sphere, once per
+experiment; the operator-norm rows (p = inf) use the constant 1/4.
 Ratios are lhs / (constant * rhs) and the acceptance envelope of 1.05
-absorbs periodization and sampling error of the discrete model; an exact
+absorbs the periodization error of the discrete model; an exact
 <= 1 assertion at coarse grids would encode discretization noise, not the
 underlying inequality.
 """
@@ -37,7 +37,6 @@ import numpy as np
 
 from .coeff_algebra import (
     HermitianMatrixField,
-    MonteCarloEstimate,
     clip_coefficients,
     coarea_constant,
     constant_field,
@@ -45,7 +44,7 @@ from .coeff_algebra import (
     sampled_field,
     sqrt_field,
 )
-from .errors import ConfigError, DimensionCapError, NonPositiveDefiniteError
+from .errors import ConfigError, DimensionCapError, NonPositiveDefiniteError, QuadratureError
 from .multiindex import MultiIndexBasis, enumerate_basis
 from .norms import (
     WeightedNormSpec,
@@ -155,6 +154,7 @@ class RefineStudy:
 @dataclass(frozen=True)
 class HarnessConfig:
     experiments: tuple[ExperimentSpec, ...]
+    # seed and mc_samples are validated but inert: c_cov is a deterministic quadrature
     seed: int = 0
     mc_samples: int = 400_000
     max_dim: int = 8192
@@ -195,6 +195,13 @@ def _require(d: dict, key: str, context: str):
     if key not in d:
         raise ConfigError(f"missing key '{key}' in {context}")
     return d[key]
+
+
+def _int(value, name: str) -> int:
+    """A JSON integer; a bool, a float such as 32.7 or 1.0, or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _present(d: dict, **casts) -> dict:
@@ -249,11 +256,11 @@ def _parse_experiment(d: dict, context: str) -> ExperimentSpec:
         if any(p < 1 for p in p_values):
             raise ConfigError(f"{context}: every p must be >= 1")
         grid = TorusGrid(
-            N=int(_require(d, "N", context)),
-            n=int(_require(grid_d, "n", f"{context}.grid")),
+            N=_int(_require(d, "N", context), "N"),
+            n=_int(_require(grid_d, "n", f"{context}.grid"), "grid.n"),
             L=float(_require(grid_d, "L", f"{context}.grid")),
         )
-        basis = enumerate_basis(grid.N, int(_require(d, "m", context)))
+        basis = enumerate_basis(grid.N, _int(_require(d, "m", context), "m"))
         if base == "polyharmonic":
             reference = polyharmonic_coefficients(basis)
         else:
@@ -296,7 +303,7 @@ def _parse_scale(d: dict, by_id: dict) -> ScaleStudy:
 
 def _parse_clip(d: dict, by_id: dict) -> ClipStudy:
     exp = _study_experiment(d, {"levels", "p", "floor"}, by_id, "clip_study")
-    levels = tuple(int(v) for v in _require(d, "levels", "clip_study"))
+    levels = tuple(_int(v, f"levels[{i}]") for i, v in enumerate(_require(d, "levels", "clip_study")))
     if any(v < 1 for v in levels):
         raise ConfigError("clip_study: levels must be positive integers")
     return _check_p(ClipStudy(exp, levels, **_present(d, p=float, floor=float)), "clip_study")
@@ -304,7 +311,9 @@ def _parse_clip(d: dict, by_id: dict) -> ClipStudy:
 
 def _parse_refine(d: dict, by_id: dict) -> RefineStudy:
     exp = _study_experiment(d, {"n_values"}, by_id, "refinement_study")
-    n_values = tuple(int(v) for v in _require(d, "n_values", "refinement_study"))
+    n_values = tuple(
+        _int(v, f"n_values[{i}]") for i, v in enumerate(_require(d, "n_values", "refinement_study"))
+    )
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])) or len(n_values) < 2:
         raise ConfigError("refinement_study: n_values must be strictly increasing, >= 2 entries")
     return RefineStudy(exp, tuple(TorusGrid(N=exp.N, n=n, L=exp.grid.L) for n in n_values))
@@ -346,14 +355,22 @@ def parse_config(data: dict) -> HarnessConfig:
             with _entry(section):
                 studies[name] = parse(data[section], by_id)
     with _entry("config"):
-        settings = _present(data, seed=int, mc_samples=int, max_dim=int)
+        settings = {key: _int(data[key], key) for key in ("seed", "mc_samples", "max_dim") if key in data}
     return HarnessConfig(experiments=exps, tolerances=tolerances, raw=data, **studies, **settings)
+
+
+def _finite(token: str) -> float:
+    """A JSON number as a float; NaN, Infinity and an overflow such as 1e400 are refused."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {token} in the config")
+    return value
 
 
 def load_config(path: str) -> HarnessConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
+            data = json.load(f, parse_constant=_finite, parse_float=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -552,25 +569,12 @@ def trace_norm_constant(p: float, basis: MultiIndexBasis, c_cov: float) -> float
     return _bound_constant(p, c_cov, gstar)
 
 
-def coarea_constants(
-    config: HarnessConfig, experiments: tuple[ExperimentSpec, ...]
-) -> dict[str, MonteCarloEstimate]:
-    """c_cov with its Monte Carlo error per experiment id.
-
-    The estimate is computed once per distinct reference coefficient, with
-    the run's sample budget and seed.
-    """
-    by_coefficient: dict = {}
-    out = {}
-    for exp in experiments:
-        b_sqrt = sqrt_field(exp.reference).constant_matrix()
-        key = (exp.N, exp.m, b_sqrt.tobytes())
-        if key not in by_coefficient:
-            by_coefficient[key] = coarea_constant(
-                b_sqrt, exp.basis, samples=config.mc_samples, seed=config.seed
-            )
-        out[exp.id] = by_coefficient[key]
-    return out
+def experiment_coarea(exp: ExperimentSpec) -> tuple[float, float]:
+    """c_cov of the experiment's reference coefficient and the quadrature's error estimate."""
+    try:
+        return coarea_constant(sqrt_field(exp.reference).constant_matrix(), exp.basis)
+    except QuadratureError as exc:
+        raise QuadratureError(f"experiment {exp.id!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +588,7 @@ def _check_dense_size(exp: ExperimentSpec, config: HarnessConfig) -> None:
     That object is the channel side of the derivative factor and of the
     factorization chain's left end, nu * n^N rows; every other one is n^N.
     The runners check every experiment (every refinement rung) first, before
-    any Monte Carlo draw or dense object.
+    any quadrature or dense object.
     """
     dim = exp.basis.nu * exp.grid.total_points
     if dim > config.max_dim:
@@ -711,10 +715,9 @@ def run_verify(config: HarnessConfig) -> StudyResult:
     """The impurity battery over every configured experiment."""
     for exp in config.experiments:
         _check_dense_size(exp, config)
-    c_cov = coarea_constants(config, config.experiments)
     rows: list[ReportRow] = []
     for exp in config.experiments:
-        rows.extend(impurity_experiment(exp, config, c_cov[exp.id].value))
+        rows.extend(impurity_experiment(exp, config, experiment_coarea(exp)[0]))
     return StudyResult(rows=rows, assertions=study_assertions("verify", rows, config, {}), extras={})
 
 
@@ -739,7 +742,7 @@ def run_scale(config: HarnessConfig) -> StudyResult:
     study = _study(config.scale, "scale_study")
     exp, p, grid = study.experiment, study.p, study.experiment.grid
     _check_dense_size(exp, config)
-    constant = trace_norm_constant(p, exp.basis, coarea_constants(config, (exp,))[exp.id].value)
+    constant = trace_norm_constant(p, exp.basis, experiment_coarea(exp)[0])
     rows: list[ReportRow] = []
     volumes: list[float] = []
     for rel_w in study.relative_widths:
@@ -807,7 +810,7 @@ def run_clip(config: HarnessConfig) -> StudyResult:
     exp, p, grid = study.experiment, study.p, study.experiment.grid
     _check_dense_size(exp, config)
     degenerate = _clip_target_field(exp, study.floor)
-    constant = trace_norm_constant(p, exp.basis, coarea_constants(config, (exp,))[exp.id].value)
+    constant = trace_norm_constant(p, exp.basis, experiment_coarea(exp)[0])
 
     rows: list[ReportRow] = []
     cauchy: list[dict] = []
@@ -885,7 +888,7 @@ def run_refine(config: HarnessConfig) -> StudyResult:
     for rung in rungs:
         _check_dense_size(rung, config)
     exp = study.experiment
-    c_cov = coarea_constants(config, (exp,))[exp.id].value
+    c_cov = experiment_coarea(exp)[0]
     rows: list[ReportRow] = []
     for rung in rungs:
         for row in impurity_experiment(rung, config, c_cov):
@@ -968,28 +971,31 @@ CONSTANTS_CSV_HEADER = "experiment,p,c_cov,c_cov_stderr,weighted_profile_norm,tr
 
 
 def run_constants(config: HarnessConfig) -> tuple[list[str], dict]:
-    """Per-experiment c_cov (with MC stderr), ||g||_p^*, and the bound constant."""
-    c_cov = coarea_constants(config, config.experiments)
+    """Per-experiment c_cov, ||g||_p^*, and the bound constant.
+
+    The ``c_cov_stderr`` column holds the quadrature's error estimate: the
+    difference of its last two rules.
+    """
     lines = [CONSTANTS_CSV_HEADER]
     table = []
     for exp in config.experiments:
-        est = c_cov[exp.id]
+        c_cov, error = experiment_coarea(exp)
         for p in exp.p_values:
             gstar = resolvent_profile_norm(WeightedNormSpec(p=p, N=exp.N, m=exp.m))
-            const = _bound_constant(p, est.value, gstar)
+            const = _bound_constant(p, c_cov, gstar)
             if gstar is None:
                 g_str = const_str = "divergent"
             else:
                 g_str, const_str = f"{gstar:.17g}", f"{const:.17g}"
             lines.append(
-                f"{exp.id},{p:g},{est.value:.17g},{est.stderr:.17g},{g_str},{const_str}"
+                f"{exp.id},{p:g},{c_cov:.17g},{error:.17g},{g_str},{const_str}"
             )
             table.append(
                 {
                     "experiment": exp.id,
                     "p": p,
-                    "c_cov": est.value,
-                    "c_cov_stderr": est.stderr,
+                    "c_cov": c_cov,
+                    "c_cov_stderr": error,
                     "weighted_profile_norm": gstar,
                     "trace_norm_constant": const,
                 }

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,11 +28,6 @@ def resolvent_profile(t):
     """
     t = np.asarray(t, dtype=float)
     return np.sqrt(t) / (1.0 + t)
-
-
-# tail decay exponent of the canonical profile, used by the analytic
-# divergence check in weighted_profile_norm
-_RESOLVENT_PROFILE_DECAY = 0.5
 
 
 @dataclass(frozen=True)
@@ -72,40 +66,6 @@ def resolvent_profile_norm(spec: WeightedNormSpec) -> float | None:
         return None
     log_beta = math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
     return math.exp(log_beta / spec.p)
-
-
-def weighted_profile_norm(
-    g: Callable,
-    spec: WeightedNormSpec,
-    tol: float = 1e-11,
-    tail_decay: float | None = None,
-) -> float | None:
-    """Quadrature of (integral |g|^p t^w dt)^(1/p); None when infinite.
-
-    The improper integral is mapped to (0, 1) by t = s/(1-s). Divergence is
-    decided analytically from the tail decay of g (g(t) ~ t^-decay): the
-    integral converges iff p*decay > w + 1. The canonical profile's decay is
-    known; any other profile must declare ``tail_decay``. This quadrature is
-    the independent check of resolvent_profile_norm's closed form.
-    """
-    from scipy.integrate import quad
-
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    w = spec.weight_exponent
-    if tail_decay is None:
-        if g is not resolvent_profile:
-            raise ValueError("tail_decay is required for a profile other than resolvent_profile")
-        tail_decay = _RESOLVENT_PROFILE_DECAY
-    if spec.p * tail_decay <= w + 1.0:
-        return None
-
-    def integrand(s: float) -> float:
-        t = s / (1.0 - s)
-        return abs(float(g(t))) ** spec.p * t**w / (1.0 - s) ** 2
-
-    value, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=tol, limit=400)
-    return value ** (1.0 / spec.p)
 
 
 @dataclass(frozen=True)

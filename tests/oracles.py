@@ -1,4 +1,4 @@
-"""Dense oracles: independent reference computations the package no longer runs."""
+"""Oracles: independent reference computations the package does not run."""
 
 from dataclasses import dataclass
 from typing import Callable
@@ -8,11 +8,14 @@ import numpy as np
 from schatten_verify import (
     TorusGrid,
     assemble_derivative_factor,
+    monomial_matrix,
     operator_norm,
     spectral_symbol_lattice,
     sqrt_field,
 )
 from schatten_verify.coeff_algebra import HermitianMatrixField
+from schatten_verify.multiindex import MultiIndexBasis
+from schatten_verify.norms import WeightedNormSpec, resolvent_profile
 
 
 def channel_solve(factor):
@@ -109,3 +112,80 @@ def convolution_kernel(
     lattice = spectral_symbol_lattice(b_mat, grid.frequency_points(), profile, b.basis)
     spatial_axes = tuple(range(grid.N))
     return np.fft.ifftn(lattice, axes=spatial_axes) / grid.cell_volume
+
+
+def lattice_symbol_integral(
+    b: np.ndarray,
+    basis: MultiIndexBasis,
+    g: Callable,
+    spacing: float,
+    radius: float,
+    chunk_rows: int = 64,
+) -> float:
+    """Riemann-sum approximation of (2pi)^{-N} integral g^2(A(xi)) dxi.
+
+    Sums g^2(A) over the lattice spacing*Z^N intersected with [-radius, radius]^N,
+    weighting each point by the cell volume. Used to validate the coarea
+    constant by direct numerical equality.
+    """
+    N = basis.N
+    axis = np.arange(-radius, radius + spacing / 2, spacing)
+    b = np.asarray(b)
+    cell = spacing**N / (2.0 * np.pi) ** N
+    if N == 1:
+        vals = np.sum(np.abs(monomial_matrix(axis[:, None], basis) @ b.T) ** 2, axis=-1)
+        return cell * float(np.sum(np.asarray(g(vals)) ** 2))
+    total = 0.0
+    rest = np.meshgrid(*([axis] * (N - 1)), indexing="ij")
+    rest_stack = np.stack([r.ravel() for r in rest], axis=-1)  # (M, N-1)
+    for start in range(0, len(axis), chunk_rows):
+        first = axis[start : start + chunk_rows]
+        pts = np.concatenate(
+            [
+                np.repeat(first, len(rest_stack))[:, None],
+                np.tile(rest_stack, (len(first), 1)),
+            ],
+            axis=1,
+        )
+        vals = np.sum(np.abs(monomial_matrix(pts, basis) @ b.T) ** 2, axis=-1)
+        total += float(np.sum(np.asarray(g(vals)) ** 2))
+    return cell * total
+
+
+# tail decay exponent of the canonical profile, used by the analytic
+# divergence check in weighted_profile_norm
+_RESOLVENT_PROFILE_DECAY = 0.5
+
+
+def weighted_profile_norm(
+    g: Callable,
+    spec: WeightedNormSpec,
+    tol: float = 1e-11,
+    tail_decay: float | None = None,
+) -> float | None:
+    """Quadrature of (integral |g|^p t^w dt)^(1/p); None when infinite.
+
+    The improper integral is mapped to (0, 1) by t = s/(1-s). Divergence is
+    decided analytically from the tail decay of g (g(t) ~ t^-decay): the
+    integral converges iff p*decay > w + 1. The canonical profile's decay is
+    known; any other profile must declare ``tail_decay``. This quadrature is
+    the independent check of resolvent_profile_norm's closed form.
+    """
+    from scipy.integrate import quad
+
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    w = spec.weight_exponent
+    if tail_decay is None:
+        if g is not resolvent_profile:
+            raise ValueError("tail_decay is required for a profile other than resolvent_profile")
+        tail_decay = _RESOLVENT_PROFILE_DECAY
+    if spec.p * tail_decay <= w + 1.0:
+        return None
+
+    def integrand(s: float) -> float:
+        t = s / (1.0 - s)
+        return abs(float(g(t))) ** spec.p * t**w / (1.0 - s) ** 2
+
+    value, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=tol, limit=400)
+    return value ** (1.0 / spec.p)

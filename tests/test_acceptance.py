@@ -20,7 +20,6 @@ from schatten_verify import (
     assemble_derivative_factor,
     coarea_constant,
     enumerate_basis,
-    lattice_symbol_integral,
     matrix_sqrt,
     polyharmonic_coefficients,
     sqrt_field,
@@ -32,7 +31,6 @@ from schatten_verify.norms import (
     WeightedNormSpec,
     resolvent_profile,
     resolvent_profile_norm,
-    weighted_profile_norm,
 )
 
 from helpers import (
@@ -43,7 +41,7 @@ from helpers import (
     factorization_of,
     polyharmonic_setup,
 )
-from oracles import polar_decomposition_check
+from oracles import lattice_symbol_integral, polar_decomposition_check, weighted_profile_norm
 
 
 def report(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -169,28 +167,31 @@ def test_criterion_04_weighted_norm_oracle():
 
 
 def test_criterion_05_coarea_constant():
+    # the sphere rule against the closed form 1/(4 pi) and the independent Monte Carlo volume
     basis = enumerate_basis(2, 1)
     b = matrix_sqrt(polyharmonic_coefficients(basis).constant_matrix())
+    c_cov, error = coarea_constant(b, basis)
+    rule_ok = abs(c_cov * 4.0 * np.pi - 1.0) <= 1e-13 and error <= 1e-13 * c_cov
     est = sublevel_volume(b, basis, samples=1_000_000, seed=20260810)
-    z = abs(est.value - np.pi) / est.stderr
+    z = abs(est.value - 4.0 * np.pi**2 * c_cov) / est.stderr
     mc_ok = z <= 3.0
 
     # lattice identity at a truncation radius where g^2(A) < 1e-6
     lattice_ok = True
-    details = [f"MC vol {est.value:.5f} (z={z:.2f})"]
+    details = [f"rule c_cov {c_cov:.15g} (error {error:.1e})", f"MC vol {est.value:.5f} (z={z:.2f})"]
     for N, m, radius, spacing in ((1, 1, 1100.0, 0.01), (2, 2, 32.0, 0.05)):
         bas = enumerate_basis(N, m)
         bb = matrix_sqrt(polyharmonic_coefficients(bas).constant_matrix())
         edge = resolvent_profile(radius ** (2 * m)) ** 2
         assert edge < 1e-6
         lhs = lattice_symbol_integral(bb, bas, resolvent_profile, spacing=spacing, radius=radius)
-        c_cov = coarea_constant(bb, bas, samples=1_000_000, seed=20260810).value
+        c_cov = coarea_constant(bb, bas)[0]
         gstar = resolvent_profile_norm(WeightedNormSpec(p=2, N=N, m=m))
         rhs = c_cov * gstar**2
         rel = abs(lhs - rhs) / rhs
         lattice_ok = lattice_ok and rel < 0.02
         details.append(f"lattice N={N},m={m}: rel {rel:.4f}")
-    report(5, "coarea constant", mc_ok and lattice_ok, "; ".join(details))
+    report(5, "coarea constant", rule_ok and mc_ok and lattice_ok, "; ".join(details))
 
 
 def test_criterion_06_trace_norm_battery(battery, refine):

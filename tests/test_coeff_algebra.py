@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from schatten_verify import (
     NonPositiveDefiniteError,
+    QuadratureError,
     clip_coefficients,
     coarea_constant,
     constant_field,
     enumerate_basis,
     field_power,
-    lattice_symbol_integral,
     matrix_sqrt,
     polyharmonic_coefficients,
     principal_symbol,
@@ -20,6 +22,7 @@ from schatten_verify import (
 from schatten_verify.norms import WeightedNormSpec, resolvent_profile, resolvent_profile_norm
 
 from helpers import random_hermitian, random_hermitian_pd
+from oracles import lattice_symbol_integral
 
 
 class TestMatrixSqrt:
@@ -205,6 +208,12 @@ def test_evaluate_symbol_bundle():
     assert s[1] <= 1e-12 * s[0]
 
 
+def _polyharmonic_c_cov(N: int, m: int) -> float:
+    """(2pi)^-N (N/2m) omega_N: A(xi) = |xi|^2m makes {A < 1} the unit ball."""
+    ball = np.pi ** (N / 2) / math.gamma(N / 2 + 1)
+    return (2.0 * np.pi) ** (-N) * N / (2.0 * m) * ball
+
+
 class TestSublevelVolume:
     def test_interval(self):
         basis = enumerate_basis(1, 1)
@@ -225,30 +234,69 @@ class TestSublevelVolume:
         assert abs(est.value - np.pi) <= 3.0 * est.stderr
 
     def test_scaling_of_coefficient(self):
-        # replacing b by lam*b scales the sublevel volume by lam^(-N/m)
-        basis = enumerate_basis(2, 1)
-        b = matrix_sqrt(polyharmonic_coefficients(basis).constant_matrix())
+        # replacing b by lam*b scales vol{A < 1}, and with it c_cov, by exactly lam^(-N/m)
+        rng = np.random.default_rng(103)
         lam = 1.7
-        est1 = sublevel_volume(b, basis, samples=400_000, seed=103)
-        est2 = sublevel_volume(lam * b, basis, samples=400_000, seed=103)
-        expected = est1.value * lam ** (-basis.N / basis.m)
-        assert abs(est2.value - expected) <= 3.0 * (est2.stderr + est1.stderr)
+        for N, m in ((1, 1), (2, 1), (2, 2), (3, 1)):
+            basis = enumerate_basis(N, m)
+            b = matrix_sqrt(random_hermitian_pd(rng, basis.nu))
+            c1, _ = coarea_constant(b, basis)
+            c2, _ = coarea_constant(lam * b, basis)
+            assert c2 == pytest.approx(c1 * lam ** (-N / m), rel=1e-13), (N, m)
 
 
 class TestCoareaConstant:
     def test_disk_value(self):
         basis = enumerate_basis(2, 1)
         b = matrix_sqrt(polyharmonic_coefficients(basis).constant_matrix())
-        c = coarea_constant(b, basis, samples=1_000_000, seed=104)
-        assert c.value == pytest.approx(1.0 / (4.0 * np.pi), rel=5e-3)
-        vol = sublevel_volume(b, basis, samples=1_000_000, seed=104)
-        assert c.stderr == pytest.approx(vol.stderr / (4.0 * np.pi ** 2), rel=1e-12)
+        c, error = coarea_constant(b, basis)
+        assert c == pytest.approx(1.0 / (4.0 * np.pi), rel=1e-13)
+        assert error <= 1e-13 * c
 
     def test_interval_value(self):
         basis = enumerate_basis(1, 1)
-        c = coarea_constant(np.eye(1), basis, samples=10_000, seed=105)
-        assert c.value == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)
-        assert c.stderr == 0.0
+        c, error = coarea_constant(np.eye(1), basis)
+        assert c == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-13)
+        assert error == 0.0
+
+    # with test_interval_value (N=1, m=1) and test_disk_value (N=2, m=1): N in {1, 2, 3}, m in {1, 2}
+    @pytest.mark.parametrize("N,m", [(1, 2), (2, 2), (3, 1), (3, 2)])
+    def test_polyharmonic_closed_form(self, N, m):
+        basis = enumerate_basis(N, m)
+        b = matrix_sqrt(polyharmonic_coefficients(basis).constant_matrix())
+        c, error = coarea_constant(b, basis)
+        assert c == pytest.approx(_polyharmonic_c_cov(N, m), rel=1e-13)
+        assert error <= 1e-13 * c
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_ellipsoid_closed_form(self, N):
+        # m = 1: A(xi) = xi^T a xi = xi^T Re(a) xi for real xi, as the imaginary
+        # part of a Hermitian a is antisymmetric; {A < 1} is an ellipsoid of
+        # volume omega_N / sqrt(det Re a)
+        rng = np.random.default_rng(104 + N)
+        basis = enumerate_basis(N, 1)
+        for _ in range(4):
+            a = random_hermitian_pd(rng, basis.nu)
+            c, _ = coarea_constant(matrix_sqrt(a), basis)
+            exact = _polyharmonic_c_cov(N, 1) / np.sqrt(np.linalg.det(a.real))
+            assert c == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_agrees_with_monte_carlo(self, N):
+        # m = 2 has no closed form: the Monte Carlo volume is the independent check
+        rng = np.random.default_rng(110 + N)
+        basis = enumerate_basis(N, 2)
+        b = matrix_sqrt(random_hermitian_pd(rng, basis.nu))
+        c, _ = coarea_constant(b, basis)
+        vol = sublevel_volume(b, basis, samples=400_000, seed=111)
+        prefactor = (2.0 * np.pi) ** (-N) * N / 4.0
+        assert abs(c - prefactor * vol.value) <= 4.0 * prefactor * vol.stderr
+
+    def test_unconverged_rule_is_named(self):
+        # A = xi_1^2 + 1e-12 xi_2^2 peaks over a 1e-6 wide arc: no rule under the cap resolves it
+        basis = enumerate_basis(2, 1)
+        with pytest.raises(QuadratureError, match="did not converge within"):
+            coarea_constant(matrix_sqrt(np.diag([1.0, 1e-12])), basis)
 
     def test_lattice_identity(self):
         # (2pi)^-N integral g^2(A) dxi == c_cov * (||g||_2^*)^2, checked by
@@ -258,7 +306,7 @@ class TestCoareaConstant:
             np.eye(1), basis, resolvent_profile, spacing=0.01, radius=1000.0
         )
         gstar = resolvent_profile_norm(WeightedNormSpec(p=2, N=1, m=1))
-        rhs = 1.0 / (2.0 * np.pi) * gstar**2
+        rhs = coarea_constant(np.eye(1), basis)[0] * gstar**2
         assert lhs == pytest.approx(rhs, rel=0.02)
 
 

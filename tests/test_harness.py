@@ -19,7 +19,7 @@ from schatten_verify.harness import (
     ScaleStudy,
     Tolerances,
     build_artifacts,
-    coarea_constants,
+    experiment_coarea,
     impurity_experiment,
     load_config,
     parse_config,
@@ -219,7 +219,7 @@ class TestVerifyStudy:
 
 
 # (lhs, rhs) per (experiment, p) of the matrix-base and N=3 experiments,
-# pinned to 1e-12 relative: neither depends on the Monte Carlo seed
+# pinned to 1e-12 relative: neither depends on c_cov
 PINNED_ROWS = {
     ("quick_matrix_ball", 4.0): (0.04187013895927889, 0.5410181270469258),
     ("quick_matrix_ball", math.inf): (0.034474973743537876, 0.40824829046386296),
@@ -233,8 +233,7 @@ def test_matrix_base_and_three_dimensional_rows():
     assert [e.id for e in config.experiments[2:]] == ["quick_matrix_ball", "quick_n3_ball"]
     ratio_tol = config.tolerances.ratio
     experiments = config.experiments[2:]
-    c_cov = coarea_constants(config, experiments)
-    rows = [r for e in experiments for r in impurity_experiment(e, config, c_cov[e.id].value)]
+    rows = [r for e in experiments for r in impurity_experiment(e, config, experiment_coarea(e)[0])]
     assert {(r.experiment, r.p) for r in rows} == set(PINNED_ROWS)
     for row in rows:
         lhs, rhs = PINNED_ROWS[(row.experiment, row.p)]
@@ -333,9 +332,8 @@ class TestPositivityGuard:
         data["experiments"][0]["perturbation"]["amplitude"] = -1.5
         config = parse_config(data)
         exp = config.experiments[0]
-        c_cov = coarea_constants(config, (exp,))[exp.id].value
         with pytest.raises(NonPositiveDefiniteError, match="quick_box"):
-            impurity_experiment(exp, config, c_cov)
+            impurity_experiment(exp, config, experiment_coarea(exp)[0])
 
 
 class TestDenseCap:
@@ -416,7 +414,7 @@ class TestDenseCap:
         self, subcommand, cap, dim, tmp_path, capsys, monkeypatch
     ):
         # the default battery's N=2 experiments and refine's last rung are over the cap:
-        # the exit comes before any Monte Carlo draw and before any experiment or rung is built
+        # the exit comes before the coarea quadrature and before any experiment or rung is built
         def no_work(*args, **kwargs):
             raise AssertionError("work ran before the cap check")
 
@@ -460,6 +458,32 @@ MALFORMED = {
     "tolerances_not_object": ("verify", _set(["tolerances"], 5), "tolerances must be a JSON object"),
     "zero_mc_samples": ("verify", _set(["mc_samples"], 0), "mc_samples must be >= 1"),
     "negative_seed": ("verify", _set(["seed"], -1), "seed must be >= 0"),
+    "fractional_seed": ("verify", _set(["seed"], 1.9), "config: seed must be an integer, got 1.9"),
+    "string_mc_samples": ("verify", _set(["mc_samples"], "400000"), "config: mc_samples must be an integer"),
+    "fractional_n": (
+        "verify",
+        _set(["experiments", 0, "grid", "n"], 32.7),
+        "experiments[0] ('quick_box'): grid.n must be an integer, got 32.7",
+    ),
+    "bool_N": ("verify", _set(["experiments", 0, "N"], True), "experiments[0] ('quick_box'): N must be an integer"),
+    "float_level": ("clip", _set(["clip_study", "levels"], [1, 4.0]), "clip_study: levels[1] must be an integer"),
+    "fractional_refine_n": (
+        "refine",
+        _set(["refinement_study", "n_values"], [32, 64.5]),
+        "refinement_study: n_values[1] must be an integer",
+    ),
+    "nan_p": ("verify", _set(["experiments", 0, "p_values"], [float("nan")]), "non-finite number NaN"),
+    "nan_tolerance": ("verify", _set(["tolerances"], {"ratio": float("nan")}), "non-finite number NaN"),
+    "nan_amplitude": (
+        "verify",
+        _set(["experiments", 0, "perturbation", "amplitude"], float("nan")),
+        "non-finite number NaN",
+    ),
+    "infinite_width": (
+        "scale",
+        _set(["experiments", 0, "perturbation", "width"], [float("inf")]),
+        "non-finite number Infinity",
+    ),
     "zero_scale_width": (
         "scale",
         _set(["scale_study", "relative_widths"], [0.0, 0.125, 0.25]),
@@ -559,17 +583,33 @@ class TestCli:
         first = lines[1].split(",")
         assert float(first[2]) == pytest.approx(1.0 / (2 * np.pi), rel=1e-12)
 
-    def test_seed_override_changes_config(self, tmp_path):
+    def test_outputs_do_not_depend_on_seed(self, tmp_path):
+        # the bundled battery's N=2 c_cov was once a seeded Monte Carlo estimate
+        for seed in ("1", "2"):
+            assert run_cli(["constants", "--out", str(tmp_path / seed), "--seed", seed]) == 0
+        for name in ("constants_report.csv", "constants_summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("subcommand", ["verify", "constants"])
+    def test_draws_no_random_number(self, subcommand, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random generator was created")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(small_config()))
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        assert run_cli(["verify", "--config", str(cfg), "--out", str(out_a), "--seed", "1"]) == 0
-        assert run_cli(["verify", "--config", str(cfg), "--out", str(out_b), "--seed", "1"]) == 0
-        mask = lambda text: [line.rsplit(",", 1)[0] for line in text.splitlines()]
-        assert mask((out_a / "verify_report.csv").read_text()) == mask(
-            (out_b / "verify_report.csv").read_text()
-        )
+        assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_exit_two_on_unresolved_coarea_constant(self, tmp_path, capsys):
+        # diag(1, 1e-12) puts A's reciprocal on a 1e-6 wide arc: the sphere rule cannot converge
+        data = small_config()
+        data["experiments"][2]["base_matrix"] = [[1.0, 0.0], [0.0, 1e-12]]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment 'quick_matrix_ball': the coarea constant's sphere rule")
+        assert "Traceback" not in err
 
 
 class TestReportRoundTrip:

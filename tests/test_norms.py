@@ -15,10 +15,10 @@ from schatten_verify.norms import (
     WeightedNormSpec,
     resolvent_profile,
     resolvent_profile_norm,
-    weighted_profile_norm,
 )
 
 from helpers import box_perturbed_field, random_hermitian_pd
+from oracles import weighted_profile_norm
 
 
 class TestClosedForm:
