@@ -10,7 +10,6 @@ from .coeff_algebra import (
     polyharmonic_coefficients,
     principal_symbol,
     sampled_field,
-    spectral_symbol_lattice,
     sqrt_field,
     sublevel_volume,
     symbol_vector,
@@ -19,7 +18,6 @@ from .errors import ConfigError, DimensionCapError, NonPositiveDefiniteError, Qu
 from .multiindex import (
     MultiIndex,
     enumerate_basis,
-    monomial,
     monomial_matrix,
 )
 from .norms import (
@@ -31,19 +29,16 @@ from .schatten_analysis import (
     factorization_residual,
     operator_norm,
     resolvent,
-    resolvent_difference,
     schatten_norm,
 )
 from .torus_operator import (
     LinearOperatorRep,
     TorusGrid,
-    assemble_channel_gram,
     assemble_constant_coefficient,
     assemble_derivative_factor,
     assemble_variable_coefficient,
     block_multiplication_matrix,
     constant_resolvent,
-    derivative_operator,
 )
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from .harness import (
     CSV_HEADER,
     HarnessConfig,
     StudyResult,
+    check_seed,
     load_config,
     run_clip,
     run_constants,
@@ -68,7 +69,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config or default_config_path())
         if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
+            check_seed(args.seed)
         if args.max_dim is not None:
             config = dataclasses.replace(config, max_dim=args.max_dim)
         return _execute(args.subcommand, config, args.out)

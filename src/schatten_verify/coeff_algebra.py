@@ -5,9 +5,7 @@ nu x nu matrix (constant for the reference operator, sampled on a grid for
 the perturbed one), with rows/columns indexed by the order-m multi-index
 basis. On the Fourier side the constant-coefficient operator is described
 by the vector symbol B(xi) = b xi^(m) (b the matrix square root of the
-coefficient), the scalar principal symbol A(xi) = |B(xi)|^2, and, for a
-scalar profile g with g(0) = 0, the rank-one matrix symbol
-g(A) A^{-1} B (x) B of g applied to the channel-side operator.
+coefficient) and the scalar principal symbol A(xi) = |B(xi)|^2.
 
 The coarea constant converts frequency-space integrals of g^2(A(xi)) into
 the weighted half-line integrals used by the trace-norm estimates:
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -178,32 +175,13 @@ def symbol_vector(b: np.ndarray, xi, basis: MultiIndexBasis) -> np.ndarray:
     if b.shape != (basis.nu, basis.nu):
         raise ValueError(f"matrix shape {b.shape} does not match nu={basis.nu}")
     mono = monomial_matrix(np.asarray(xi, dtype=float), basis)
-    return mono @ b.T if mono.ndim > 1 else b @ mono
+    return mono @ b.T
 
 
 def principal_symbol(b: np.ndarray, xi, basis: MultiIndexBasis) -> np.ndarray:
     """Scalar symbol |b xi^(m)|^2; non-negative, homogeneous of degree 2m."""
     vec = symbol_vector(b, xi, basis)
     return np.sum(np.abs(vec) ** 2, axis=-1)
-
-
-def spectral_symbol_lattice(
-    b: np.ndarray, points: np.ndarray, g: Callable, basis: MultiIndexBasis
-) -> np.ndarray:
-    """Rank-one matrix symbols g(A) A^{-1} B (x) conj(B) over a batch of frequencies.
-
-    Returns (..., nu, nu). g must satisfy g(0) = 0; the xi = 0 singularity
-    is removable and the zero matrix is returned there. The operator norm
-    of each symbol equals |g(A(xi))|.
-    """
-    mono = monomial_matrix(np.asarray(points, dtype=float), basis)  # (..., nu)
-    vec = mono @ np.asarray(b).T
-    a_val = np.sum(np.abs(vec) ** 2, axis=-1)
-    gv = np.asarray(g(a_val), dtype=float)
-    scale = np.zeros_like(a_val)
-    nz = a_val > 0
-    scale[nz] = gv[nz] / a_val[nz]
-    return scale[..., None, None] * (vec[..., :, None] * np.conj(vec[..., None, :]))
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ underlying inequality.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -46,12 +44,7 @@ from .coeff_algebra import (
 )
 from .errors import ConfigError, DimensionCapError, NonPositiveDefiniteError, QuadratureError
 from .multiindex import MultiIndexBasis, enumerate_basis
-from .norms import (
-    WeightedNormSpec,
-    matrix_field_lp_norm,
-    relative_perturbation,
-    resolvent_profile_norm,
-)
+from .norms import matrix_field_lp_norm, relative_perturbation, resolvent_profile_norm
 from .schatten_analysis import (
     deift_residual,
     delta_spectrum,
@@ -129,6 +122,14 @@ class Tolerances:
     shrink_factor: float = 4.0
     shrink_floor: float = 1e-9
 
+    def __post_init__(self):
+        # a tolerance no row can meet would exit 1, which must mean a failed estimate
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 0 or (value == 0 and f.name != "shrink_floor"):
+                bound = ">= 0" if f.name == "shrink_floor" else "> 0"
+                raise ValueError(f"{f.name} must be {bound}, got {value:g}")
+
 
 @dataclass(frozen=True)
 class ScaleStudy:
@@ -154,9 +155,6 @@ class RefineStudy:
 @dataclass(frozen=True)
 class HarnessConfig:
     experiments: tuple[ExperimentSpec, ...]
-    # seed and mc_samples are validated but inert: c_cov is a deterministic quadrature
-    seed: int = 0
-    mc_samples: int = 400_000
     max_dim: int = 8192
     tolerances: Tolerances = field(default_factory=Tolerances)
     scale: ScaleStudy | None = None
@@ -164,12 +162,11 @@ class HarnessConfig:
     refine: RefineStudy | None = None
     raw: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        # here, not in parse_config, so that a --seed override is checked too
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.mc_samples < 1:
-            raise ConfigError(f"mc_samples must be >= 1, got {self.mc_samples}")
+
+def check_seed(seed: int) -> None:
+    """A config ``seed`` or a ``--seed`` override: accepted and checked, but no output depends on it."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 @contextmanager
@@ -209,6 +206,18 @@ def _present(d: dict, **casts) -> dict:
     return {key: cast(d[key]) for key, cast in casts.items() if key in d}
 
 
+def _distinct(values: tuple, name: str) -> None:
+    """Refuse a list that repeats an entry: a repeat writes duplicate rows."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{name} repeats an entry: {list(values)}")
+
+
+def _require_grid_point(spec: PerturbationSpec, grid: TorusGrid, message: str) -> None:
+    """Refuse, with ``message``, an impurity set whose profile vanishes at every point of ``grid``."""
+    if not indicator_profile(spec, grid).any():
+        raise ConfigError(message)
+
+
 def _parse_perturbation(d: dict, context: str, reference: HermitianMatrixField):
     """The impurity set and the (nu, nu) coefficient jump inside it."""
     N = reference.basis.N
@@ -228,8 +237,12 @@ def _parse_perturbation(d: dict, context: str, reference: HermitianMatrixField):
         width = tuple(float(w) for w in _require(d, "width", f"{context} (box)"))
         if len(width) != N:
             raise ConfigError(f"{context}: box width must have {N} entries")
+        if any(w <= 0 for w in width):
+            raise ConfigError(f"{context}: box width must be > 0, got {list(width)}")
     else:
         radius = float(_require(d, "radius", f"{context} ({shape})"))
+        if radius <= 0:
+            raise ConfigError(f"{context}: {shape} radius must be > 0, got {radius:g}")
     if d.get("amplitude_matrix") is not None:
         with _entry(f"{context}.amplitude_matrix"):
             jump = constant_field(reference.basis, d["amplitude_matrix"]).values
@@ -237,6 +250,8 @@ def _parse_perturbation(d: dict, context: str, reference: HermitianMatrixField):
         jump = float(d["amplitude"]) * reference.constant_matrix()
     else:
         raise ConfigError(f"{context}: need 'amplitude' or 'amplitude_matrix'")
+    if not np.any(jump):
+        raise ConfigError(f"{context}: the coefficient jump is zero, so nothing is perturbed")
     return PerturbationSpec(shape, center, width, radius), jump
 
 
@@ -253,6 +268,7 @@ def _parse_experiment(d: dict, context: str) -> ExperimentSpec:
         if base not in ("polyharmonic", "matrix"):
             raise ConfigError(f"{context}: base must be 'polyharmonic' or 'matrix'")
         p_values = tuple(float(p) for p in _require(d, "p_values", context))
+        _distinct(p_values, f"{context}: p_values")
         if any(p < 1 for p in p_values):
             raise ConfigError(f"{context}: every p must be >= 1")
         grid = TorusGrid(
@@ -268,6 +284,9 @@ def _parse_experiment(d: dict, context: str) -> ExperimentSpec:
                 reference = constant_field(basis, _require(d, "base_matrix", context))
         perturbation, jump = _parse_perturbation(
             _require(d, "perturbation", context), f"{context}.perturbation", reference
+        )
+        _require_grid_point(
+            perturbation, grid, f"{context}.perturbation: the {perturbation.shape} holds no grid point"
         )
     return ExperimentSpec(exp_id, grid, basis, reference, jump, perturbation, p_values)
 
@@ -294,18 +313,19 @@ def _parse_scale(d: dict, by_id: dict) -> ScaleStudy:
     if any(w2 <= w1 for w1, w2 in zip(widths, widths[1:])) or not widths:
         raise ConfigError("scale_study: relative_widths must be strictly increasing")
     for i, rel_w in enumerate(widths):
-        if not indicator_profile(_scale_box(exp, rel_w), exp.grid).any():
-            raise ConfigError(
-                f"scale_study: relative_widths[{i}] = {rel_w:g} gives a box with no grid point"
-            )
+        message = f"scale_study: relative_widths[{i}] = {rel_w:g} gives a box with no grid point"
+        _require_grid_point(_scale_box(exp, rel_w), exp.grid, message)
     return _check_p(ScaleStudy(exp, widths, **_present(d, p=float)), "scale_study")
 
 
 def _parse_clip(d: dict, by_id: dict) -> ClipStudy:
     exp = _study_experiment(d, {"levels", "p", "floor"}, by_id, "clip_study")
     levels = tuple(_int(v, f"levels[{i}]") for i, v in enumerate(_require(d, "levels", "clip_study")))
+    if not levels:
+        raise ConfigError("clip_study: levels must not be empty")
     if any(v < 1 for v in levels):
         raise ConfigError("clip_study: levels must be positive integers")
+    _distinct(levels, "clip_study: levels")
     return _check_p(ClipStudy(exp, levels, **_present(d, p=float, floor=float)), "clip_study")
 
 
@@ -316,7 +336,11 @@ def _parse_refine(d: dict, by_id: dict) -> RefineStudy:
     )
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])) or len(n_values) < 2:
         raise ConfigError("refinement_study: n_values must be strictly increasing, >= 2 entries")
-    return RefineStudy(exp, tuple(TorusGrid(N=exp.N, n=n, L=exp.grid.L) for n in n_values))
+    grids = tuple(TorusGrid(N=exp.N, n=n, L=exp.grid.L) for n in n_values)
+    for i, grid in enumerate(grids):
+        message = f"refinement_study: n_values[{i}] = {grid.n} gives a {exp.perturbation.shape} with no grid point"
+        _require_grid_point(exp.perturbation, grid, message)
+    return RefineStudy(exp, grids)
 
 
 _STUDY_SECTIONS = {
@@ -356,6 +380,11 @@ def parse_config(data: dict) -> HarnessConfig:
                 studies[name] = parse(data[section], by_id)
     with _entry("config"):
         settings = {key: _int(data[key], key) for key in ("seed", "mc_samples", "max_dim") if key in data}
+    # seed and mc_samples are accepted and checked, but no output depends on them
+    check_seed(settings.pop("seed", 0))
+    mc_samples = settings.pop("mc_samples", 1)
+    if mc_samples < 1:
+        raise ConfigError(f"mc_samples must be >= 1, got {mc_samples}")
     return HarnessConfig(experiments=exps, tolerances=tolerances, raw=data, **studies, **settings)
 
 
@@ -478,34 +507,6 @@ class ReportRow:
         )
 
 
-def parse_csv_rows(text: str) -> list[ReportRow]:
-    """Inverse of csv_line, for recomputing assertions from a written report."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if ",".join(header) != CSV_HEADER:
-        raise ConfigError(f"unexpected CSV header {header}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        rows.append(
-            ReportRow(
-                experiment=rec[0],
-                p=float(rec[1]),
-                lhs=float(rec[2]),
-                rhs=float(rec[3]),
-                constant=None if rec[4] == "divergent" else float(rec[4]),
-                ratio=None if rec[5] == "" else float(rec[5]),
-                factorization_residual=float(rec[6]),
-                deift_residual=float(rec[7]),
-                n=int(rec[8]),
-                L=float(rec[9]),
-                seconds=float(rec[10]),
-            )
-        )
-    return rows
-
-
 def _ratio(lhs: float, rhs: float, constant: float | None) -> float | None:
     if constant is None:
         return None
@@ -565,7 +566,7 @@ def _bound_constant(p: float, c_cov: float, gstar: float | None) -> float | None
 
 def trace_norm_constant(p: float, basis: MultiIndexBasis, c_cov: float) -> float | None:
     """(1/2) c_cov^(1/p) ||g||_p^*, or None when the weighted norm diverges."""
-    gstar = resolvent_profile_norm(WeightedNormSpec(p=p, N=basis.N, m=basis.m))
+    gstar = resolvent_profile_norm(p, basis.N, basis.m)
     return _bound_constant(p, c_cov, gstar)
 
 
@@ -602,14 +603,14 @@ class ExperimentArtifacts:
     grid: TorusGrid
     perturbed_resolvent: np.ndarray
     delta_singular_values: np.ndarray
-    v_field: object
+    v: np.ndarray  # the relative perturbation V, (*spatial, nu, nu)
     fact_residual: float
     deift_res: float
 
     def row(self, experiment: str, p: float, constant: float | None, start: float) -> ReportRow:
         """Schatten-p norm of the resolvent difference against ||V||_p."""
         lhs = schatten_norm_from_values(self.delta_singular_values, p)
-        rhs = matrix_field_lp_norm(self.v_field, p)
+        rhs = matrix_field_lp_norm(self.v, self.grid.cell_volume, p)
         residuals = (self.fact_residual, self.deift_res)
         return _report_row(experiment, p, lhs, rhs, constant, residuals, self.grid, start)
 
@@ -640,10 +641,10 @@ def build_artifacts(
     imp = impurity_support(a, a_tilde, grid)
     svals = delta_spectrum(imp, delta)
 
-    v_field = relative_perturbation(a, a_tilde, grid.cell_volume)
+    v = relative_perturbation(a, a_tilde)
     # the left end (G~+1)^{-1} T~, built without H~ or r_tilde, is shared by both identity checks
     left = woodbury_left_end(imp)
-    fact = factorization_residual(a, v_field.values, grid, delta, left, svals[0] if svals.size else 0.0)
+    fact = factorization_residual(a, v, grid, delta, left, svals[0] if svals.size else 0.0)
     # the chain does not see the spectrum's own steps; ||delta||_F = ||svals||_2 ties them to delta
     fact = max(fact, spectrum_residual(delta, svals))
     # T~*T~ = H~, so the Deift check's (T~*T~+1)^{-1} is r_tilde itself; T~* runs by FFT
@@ -652,7 +653,7 @@ def build_artifacts(
         grid=grid,
         perturbed_resolvent=r_tilde,
         delta_singular_values=svals,
-        v_field=v_field,
+        v=v,
         fact_residual=fact,
         deift_res=deift_residual(t_tilde, left, r_tilde),
     )
@@ -829,7 +830,7 @@ def run_clip(config: HarnessConfig) -> StudyResult:
         clipped = clip_coefficients(degenerate, level)
         art = build_artifacts(exp, config, a_tilde=clipped)
         lhs = operator_norm(art.perturbed_resolvent - reference)
-        rhs = matrix_field_lp_norm(art.v_field, p)
+        rhs = matrix_field_lp_norm(art.v, grid.cell_volume, p)
         residuals = (art.fact_residual, art.deift_res)
         label = f"{exp.id}|clip={level}"
         rows.append(_report_row(label, p, lhs, rhs, constant, residuals, grid, start))
@@ -981,7 +982,7 @@ def run_constants(config: HarnessConfig) -> tuple[list[str], dict]:
     for exp in config.experiments:
         c_cov, error = experiment_coarea(exp)
         for p in exp.p_values:
-            gstar = resolvent_profile_norm(WeightedNormSpec(p=p, N=exp.N, m=exp.m))
+            gstar = resolvent_profile_norm(p, exp.N, exp.m)
             const = _bound_constant(p, c_cov, gstar)
             if gstar is None:
                 g_str = const_str = "divergent"
@@ -1037,10 +1038,3 @@ def write_report(
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
     return csv_path, json_path
-
-
-def recompute_assertions_from_csv(
-    csv_text: str, config: HarnessConfig, study: str, extras: dict | None = None
-) -> list[Assertion]:
-    """Re-derive the pass/fail flags from a written CSV report and its summary extras."""
-    return study_assertions(study, parse_csv_rows(csv_text), config, extras or {})

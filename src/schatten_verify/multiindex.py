@@ -25,17 +25,6 @@ class MultiIndex:
         if any(e < 0 for e in self.exponents):
             raise ValueError(f"negative exponent in {self.exponents}")
 
-    @property
-    def order(self) -> int:
-        return sum(self.exponents)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.exponents)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.exponents)
-
 
 @dataclass(frozen=True)
 class MultiIndexBasis:
@@ -79,22 +68,6 @@ def enumerate_basis(N: int, m: int) -> MultiIndexBasis:
     entries = tuple(MultiIndex(e) for e in _compositions(N, m))
     assert len(entries) == comb(N + m - 1, N - 1)
     return MultiIndexBasis(N=N, m=m, entries=entries)
-
-
-def monomial(xi, gamma: MultiIndex):
-    """Evaluate xi^gamma = prod_i xi_i**gamma_i, with the 0**0 = 1 convention.
-
-    The empty-exponent convention makes the zero frequency well-defined:
-    all-zero gamma gives 1 regardless of xi.
-    """
-    xi = np.asarray(xi)
-    if xi.shape[-1] != gamma.dimension:
-        raise ValueError(
-            f"point has dimension {xi.shape[-1]}, multi-index has {gamma.dimension}"
-        )
-    exps = np.asarray(gamma.exponents)
-    # numpy already evaluates 0.0**0 as 1.0, matching the convention
-    return np.prod(xi ** exps, axis=-1)
 
 
 def monomial_matrix(points: np.ndarray, basis: MultiIndexBasis) -> np.ndarray:

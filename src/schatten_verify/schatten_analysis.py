@@ -13,11 +13,11 @@ identity in operator norm as well.
 
 Verified identities (all exact in finite dimensions):
 
-* the resolvent partition (S*S + 1)^{-1} + S* (SS* + 1)^{-1} S = 1 for an
-  arbitrary rectangular S, given both (S*S + 1)^{-1} and (SS* + 1)^{-1} S;
-  the harness passes S = Tt as an operator, whose adjoint FFT pipeline
-  applies Tt* to (SS* + 1)^{-1} S = the left end below, so no dense Tt is
-  formed, and (S*S + 1)^{-1} = (Ht + 1)^{-1} is the resolvent behind every lhs;
+* the resolvent partition (S*S + 1)^{-1} + S* (SS* + 1)^{-1} S = 1, given
+  both (S*S + 1)^{-1} and (SS* + 1)^{-1} S; the harness passes S = Tt as an
+  operator, whose adjoint FFT pipeline applies Tt* to (SS* + 1)^{-1} S = the
+  left end below, so no dense Tt is formed, and (S*S + 1)^{-1} = (Ht + 1)^{-1}
+  is the resolvent behind every lhs;
 * the factorization of a resolvent difference through the coefficient
   difference: the direct difference of (op + 1)^{-1} matrices equals the
   chain  Tt* (Gt+1)^{-1} at^{-1/2} (a - at) a^{-1/2} (G+1)^{-1} T, where
@@ -96,10 +96,6 @@ def resolvent(matrix: np.ndarray) -> np.ndarray:
     shifted *= 0.5
     shifted[np.diag_indices_from(shifted)] += 1.0
     return np.linalg.inv(shifted)
-
-
-def resolvent_difference(matrix_tilde: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    return resolvent(matrix_tilde) - resolvent(matrix)
 
 
 @dataclass(frozen=True)
@@ -209,21 +205,16 @@ def spectrum_residual(direct: np.ndarray, values: np.ndarray) -> float:
     return gap / claimed
 
 
-def deift_residual(
-    s_matrix: np.ndarray | LinearOperatorRep, left: np.ndarray, r_in: np.ndarray
-) -> float:
+def deift_residual(s_matrix: LinearOperatorRep, left: np.ndarray, r_in: np.ndarray) -> float:
     """Frobenius norm of r_in + S* left - 1, with left = (SS*+1)^{-1} S.
 
     ``r_in`` is the given (S*S+1)^{-1} and ``left`` the given (SS*+1)^{-1} S;
-    the residual vanishes when the two agree. S is a dense matrix, or an
-    operator whose adjoint pipeline applies S* to the columns of ``left``
+    the residual vanishes when the two agree. S is an operator whose adjoint
+    pipeline applies S* to the columns of ``left``
     (``LinearOperatorRep.adjoint_matmul``). The Frobenius norm bounds the
     operator norm, so a small residual certifies the identity in both.
     """
-    if isinstance(s_matrix, LinearOperatorRep):
-        x = s_matrix.adjoint_matmul(left)
-    else:
-        x = np.conj(np.asarray(s_matrix, dtype=complex).T) @ left
+    x = s_matrix.adjoint_matmul(left)
     x += r_in
     x[np.diag_indices_from(x)] -= 1.0
     return float(np.linalg.norm(x))

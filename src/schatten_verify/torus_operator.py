@@ -16,8 +16,8 @@ A(xi) = sum_{alpha beta} xi^alpha a[alpha, beta] xi^beta.
 
 Internally every pipeline works on arrays of shape (*batch, channels,
 *spatial), including channels == 1, so one call maps a whole block of
-inputs; the public apply()/apply_adjoint() take a single input and drop the
-channel axis for single-channel results.
+inputs; the public apply() takes a single input and drops the channel axis
+for single-channel results.
 """
 
 from __future__ import annotations
@@ -80,21 +80,6 @@ class TorusGrid:
         mesh = np.meshgrid(*([self.frequency_axis()] * self.N), indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
-        """Discrete inner product h^N sum u conj(v), summed over channels too."""
-        return complex(
-            self.cell_volume * np.vdot(np.asarray(v).ravel(), np.asarray(u).ravel())
-        )
-
-    def norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(self.inner(u, u).real))
-
-    def plane_wave(self, k: tuple[int, ...]) -> np.ndarray:
-        """exp(i <xi_k, x>) sampled on the grid, for an integer lattice index k."""
-        x = self.points()
-        xi = 2.0 * np.pi / self.L * np.asarray(k, dtype=float)
-        return np.exp(1j * np.tensordot(x, xi, axes=([-1], [0])))
-
 
 class LinearOperatorRep:
     """An operator on grid functions: matrix-free apply plus dense materialization.
@@ -144,10 +129,6 @@ class LinearOperatorRep:
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = self._apply(self._normalize(values, self.in_channels))
         return self._present(out, self.out_channels)
-
-    def apply_adjoint(self, values: np.ndarray) -> np.ndarray:
-        out = self._apply_adjoint(self._normalize(values, self.out_channels))
-        return self._present(out, self.in_channels)
 
     def adjoint_matmul(self, stack: np.ndarray) -> np.ndarray:
         """op* @ stack for a dense (out_dim, k) stack, without the dense matrix.
@@ -221,9 +202,7 @@ def _derivative_pipelines(grid: TorusGrid, basis: MultiIndexBasis):
 
 
 def _pointwise_field(b: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
-    """The coefficient as (nu, nu) if constant, else (n^N, nu, nu) in C order."""
-    if b.is_constant:
-        return b.constant_matrix()
+    """The coefficient as (n^N, nu, nu) in C order."""
     return b.sampled_on(grid.spatial_shape).reshape(grid.total_points, b.basis.nu, b.basis.nu)
 
 
@@ -245,28 +224,20 @@ def _field_sum(f: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _pointwise_matvec(field_values: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
     # field from _pointwise_field; v (*batch, nu, *spatial)
     flat = v.reshape(*v.shape[: v.ndim - grid.N], grid.total_points)
-    f = field_values if field_values.ndim == 2 else field_values.transpose(1, 2, 0)
+    f = field_values.transpose(1, 2, 0)
     out = np.empty(flat.shape, dtype=np.result_type(f, flat))
     _field_sum(f, np.moveaxis(flat, -2, 0), np.moveaxis(out, -2, 0))
     return out.reshape(v.shape)
 
 
 def pointwise_rows(field_values: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Field (nu, nu) or (K, nu, nu) applied point by point to the channel-major rows (nu K, cols)."""
+    """Field (K, nu, nu) applied point by point to the channel-major rows (nu K, cols)."""
     nu = field_values.shape[-1]
     by_channel = (nu, stack.shape[0] // nu, stack.shape[1])
-    f = field_values if field_values.ndim == 2 else field_values.transpose(1, 2, 0)[..., None]
+    f = field_values.transpose(1, 2, 0)[..., None]
     out = np.empty(stack.shape, dtype=complex)
     _field_sum(f, stack.reshape(by_channel), out.reshape(by_channel))
     return out
-
-
-def derivative_operator(grid: TorusGrid, basis: MultiIndexBasis) -> LinearOperatorRep:
-    """The order-m derivative stack: scalar -> nu channels, exact on the lattice."""
-    apply, apply_adjoint = _derivative_pipelines(grid, basis)
-    return LinearOperatorRep(
-        grid, 1, basis.nu, apply, lambda v: apply_adjoint(v.copy()), label="derivative_stack"
-    )
 
 
 def constant_multiplier(a: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
@@ -395,21 +366,6 @@ def assemble_derivative_factor(
         return der_adj(_pointwise_matvec(vals_h, v, grid))
 
     return LinearOperatorRep(grid, 1, b.basis.nu, apply, apply_adjoint, label="derivative_factor")
-
-
-def assemble_channel_gram(b: HermitianMatrixField, grid: TorusGrid) -> LinearOperatorRep:
-    """The channel-side Gram operator factor . factor* acting on nu channels."""
-    der, der_adj = _derivative_pipelines(grid, b.basis)
-    vals = _pointwise_field(b, grid)
-    vals_h = np.conj(np.swapaxes(vals, -1, -2))
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        inner = der_adj(_pointwise_matvec(vals_h, v, grid))
-        return _pointwise_matvec(vals, der(inner), grid)
-
-    return LinearOperatorRep(
-        grid, b.basis.nu, b.basis.nu, apply, apply, label="channel_gram"
-    )
 
 
 def block_multiplication_matrix(values: np.ndarray, grid: TorusGrid) -> np.ndarray:

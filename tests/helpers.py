@@ -13,12 +13,11 @@ from schatten_verify import (
     polyharmonic_coefficients,
     relative_perturbation,
     resolvent,
-    resolvent_difference,
     sampled_field,
     sqrt_field,
 )
 
-from oracles import channel_solve
+from oracles import channel_solve, resolvent_difference
 
 
 def random_hermitian(rng, nu):
@@ -68,10 +67,21 @@ def direct_difference(a, at, grid):
     )
 
 
+class DenseAdjoint:
+    """A dense matrix S in the role of an operator: ``adjoint_matmul`` is S* @ stack."""
+
+    def __init__(self, s):
+        self.s = np.asarray(s, dtype=complex)
+        self.shape = self.s.shape
+
+    def adjoint_matmul(self, stack):
+        return np.conj(self.s.T) @ stack
+
+
 def deift_of(s):
     """deift_residual of S with both of its solves, (S*S+1)^{-1} and (SS*+1)^{-1} S, done here."""
     s = np.asarray(s, dtype=complex)
-    return deift_residual(s, channel_solve(s), resolvent(np.conj(s.T) @ s))
+    return deift_residual(DenseAdjoint(s), channel_solve(s), resolvent(np.conj(s.T) @ s))
 
 
 def factorization_of(a, at, grid, direct):
@@ -80,5 +90,5 @@ def factorization_of(a, at, grid, direct):
     The shared solve is (G~+1)^{-1} T~ for the derivative factor T~ = at^{1/2} D.
     """
     left = channel_solve(assemble_derivative_factor(sqrt_field(at), grid).dense())
-    v = relative_perturbation(a, at, grid.cell_volume).values
+    v = relative_perturbation(a, at)
     return factorization_residual(a, v, grid, direct, left, operator_norm(direct))

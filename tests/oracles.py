@@ -1,21 +1,108 @@
 """Oracles: independent reference computations the package does not run."""
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from schatten_verify import (
+    LinearOperatorRep,
     TorusGrid,
     assemble_derivative_factor,
     monomial_matrix,
     operator_norm,
-    spectral_symbol_lattice,
+    resolvent,
     sqrt_field,
 )
 from schatten_verify.coeff_algebra import HermitianMatrixField
-from schatten_verify.multiindex import MultiIndexBasis
-from schatten_verify.norms import WeightedNormSpec, resolvent_profile
+from schatten_verify.errors import ConfigError
+from schatten_verify.harness import CSV_HEADER, Assertion, HarnessConfig, ReportRow, study_assertions
+from schatten_verify.multiindex import MultiIndex, MultiIndexBasis
+from schatten_verify.torus_operator import _derivative_pipelines, _pointwise_field, _pointwise_matvec
+
+
+def inner(grid: TorusGrid, u: np.ndarray, v: np.ndarray) -> complex:
+    """Discrete inner product h^N sum u conj(v), summed over channels too."""
+    return complex(grid.cell_volume * np.vdot(np.asarray(v).ravel(), np.asarray(u).ravel()))
+
+
+def plane_wave(grid: TorusGrid, k: tuple[int, ...]) -> np.ndarray:
+    """exp(i <xi_k, x>) sampled on the grid, for an integer lattice index k."""
+    xi = 2.0 * np.pi / grid.L * np.asarray(k, dtype=float)
+    return np.exp(1j * np.tensordot(grid.points(), xi, axes=([-1], [0])))
+
+
+def monomial(xi, gamma: MultiIndex):
+    """Evaluate xi^gamma = prod_i xi_i**gamma_i, with the 0**0 = 1 convention.
+
+    The empty-exponent convention makes the zero frequency well-defined:
+    all-zero gamma gives 1 regardless of xi.
+    """
+    xi = np.asarray(xi)
+    if xi.shape[-1] != len(gamma.exponents):
+        raise ValueError(
+            f"point has dimension {xi.shape[-1]}, multi-index has {len(gamma.exponents)}"
+        )
+    # numpy already evaluates 0.0**0 as 1.0, matching the convention
+    return np.prod(xi ** np.asarray(gamma.exponents), axis=-1)
+
+
+def resolvent_profile(t):
+    """g(t) = sqrt(t)/(1+t): the scalar profile of op^(1/2) (op+1)^(-1).
+
+    Bounded by 1/2 (attained at t = 1), continuous, g(0) = 0, and decaying
+    like t^(-1/2) at infinity.
+    """
+    t = np.asarray(t, dtype=float)
+    return np.sqrt(t) / (1.0 + t)
+
+
+def resolvent_difference(matrix_tilde: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    return resolvent(matrix_tilde) - resolvent(matrix)
+
+
+def derivative_operator(grid: TorusGrid, basis: MultiIndexBasis) -> LinearOperatorRep:
+    """The order-m derivative stack: scalar -> nu channels, exact on the lattice."""
+    apply, apply_adjoint = _derivative_pipelines(grid, basis)
+    return LinearOperatorRep(
+        grid, 1, basis.nu, apply, lambda v: apply_adjoint(v.copy()), label="derivative_stack"
+    )
+
+
+def assemble_channel_gram(b: HermitianMatrixField, grid: TorusGrid) -> LinearOperatorRep:
+    """The channel-side Gram operator factor . factor* acting on nu channels."""
+    der, der_adj = _derivative_pipelines(grid, b.basis)
+    vals = _pointwise_field(b, grid)
+    vals_h = np.conj(np.swapaxes(vals, -1, -2))
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        back = der_adj(_pointwise_matvec(vals_h, v, grid))
+        return _pointwise_matvec(vals, der(back), grid)
+
+    return LinearOperatorRep(
+        grid, b.basis.nu, b.basis.nu, apply, apply, label="channel_gram"
+    )
+
+
+def spectral_symbol_lattice(
+    b: np.ndarray, points: np.ndarray, g: Callable, basis: MultiIndexBasis
+) -> np.ndarray:
+    """Rank-one matrix symbols g(A) A^{-1} B (x) conj(B) over a batch of frequencies.
+
+    Returns (..., nu, nu). g must satisfy g(0) = 0; the xi = 0 singularity
+    is removable and the zero matrix is returned there. The operator norm
+    of each symbol equals |g(A(xi))|.
+    """
+    mono = monomial_matrix(np.asarray(points, dtype=float), basis)  # (..., nu)
+    vec = mono @ np.asarray(b).T
+    a_val = np.sum(np.abs(vec) ** 2, axis=-1)
+    gv = np.asarray(g(a_val), dtype=float)
+    scale = np.zeros_like(a_val)
+    nz = a_val > 0
+    scale[nz] = gv[nz] / a_val[nz]
+    return scale[..., None, None] * (vec[..., :, None] * np.conj(vec[..., None, :]))
 
 
 def channel_solve(factor):
@@ -159,11 +246,13 @@ _RESOLVENT_PROFILE_DECAY = 0.5
 
 def weighted_profile_norm(
     g: Callable,
-    spec: WeightedNormSpec,
+    p: float,
+    N: int,
+    m: int,
     tol: float = 1e-11,
     tail_decay: float | None = None,
 ) -> float | None:
-    """Quadrature of (integral |g|^p t^w dt)^(1/p); None when infinite.
+    """Quadrature of (integral |g|^p t^w dt)^(1/p), w = (N - 2m)/(2m); None when infinite.
 
     The improper integral is mapped to (0, 1) by t = s/(1-s). Divergence is
     decided analytically from the tail decay of g (g(t) ~ t^-decay): the
@@ -175,17 +264,52 @@ def weighted_profile_norm(
 
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    w = spec.weight_exponent
+    w = (N - 2 * m) / (2.0 * m)
     if tail_decay is None:
         if g is not resolvent_profile:
             raise ValueError("tail_decay is required for a profile other than resolvent_profile")
         tail_decay = _RESOLVENT_PROFILE_DECAY
-    if spec.p * tail_decay <= w + 1.0:
+    if p * tail_decay <= w + 1.0:
         return None
 
     def integrand(s: float) -> float:
         t = s / (1.0 - s)
-        return abs(float(g(t))) ** spec.p * t**w / (1.0 - s) ** 2
+        return abs(float(g(t))) ** p * t**w / (1.0 - s) ** 2
 
     value, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=tol, limit=400)
-    return value ** (1.0 / spec.p)
+    return value ** (1.0 / p)
+
+
+def parse_csv_rows(text: str) -> list[ReportRow]:
+    """Inverse of ReportRow.csv_line, for recomputing assertions from a written report."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if ",".join(header) != CSV_HEADER:
+        raise ConfigError(f"unexpected CSV header {header}")
+    rows = []
+    for rec in reader:
+        if not rec:
+            continue
+        rows.append(
+            ReportRow(
+                experiment=rec[0],
+                p=float(rec[1]),
+                lhs=float(rec[2]),
+                rhs=float(rec[3]),
+                constant=None if rec[4] == "divergent" else float(rec[4]),
+                ratio=None if rec[5] == "" else float(rec[5]),
+                factorization_residual=float(rec[6]),
+                deift_residual=float(rec[7]),
+                n=int(rec[8]),
+                L=float(rec[9]),
+                seconds=float(rec[10]),
+            )
+        )
+    return rows
+
+
+def recompute_assertions_from_csv(
+    csv_text: str, config: HarnessConfig, study: str, extras: dict | None = None
+) -> list[Assertion]:
+    """Re-derive the pass/fail flags from a written CSV report and its summary extras."""
+    return study_assertions(study, parse_csv_rows(csv_text), config, extras or {})

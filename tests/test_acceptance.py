@@ -27,11 +27,7 @@ from schatten_verify import (
 )
 from schatten_verify.cli import default_config_path, run_cli
 from schatten_verify.harness import load_config, run_clip, run_refine, run_scale, run_verify
-from schatten_verify.norms import (
-    WeightedNormSpec,
-    resolvent_profile,
-    resolvent_profile_norm,
-)
+from schatten_verify.norms import resolvent_profile_norm
 
 from helpers import (
     box_perturbed_field,
@@ -41,7 +37,12 @@ from helpers import (
     factorization_of,
     polyharmonic_setup,
 )
-from oracles import lattice_symbol_integral, polar_decomposition_check, weighted_profile_norm
+from oracles import (
+    lattice_symbol_integral,
+    polar_decomposition_check,
+    resolvent_profile,
+    weighted_profile_norm,
+)
 
 
 def report(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -144,9 +145,8 @@ def test_criterion_04_weighted_norm_oracle():
     for N in (1, 2, 3):
         for m in (1, 2, 3):
             for p in (2, 3, 4, 6, 8):
-                spec = WeightedNormSpec(p=p, N=N, m=m)
-                closed = resolvent_profile_norm(spec)
-                quad = weighted_profile_norm(resolvent_profile, spec)
+                closed = resolvent_profile_norm(p, N, m)
+                quad = weighted_profile_norm(resolvent_profile, p, N, m)
                 if p > N / m:
                     rel = abs(quad - closed) / closed
                     worst = max(worst, rel)
@@ -155,9 +155,8 @@ def test_criterion_04_weighted_norm_oracle():
                     divergence_ok = divergence_ok and closed is None and quad is None
     # p exactly at the threshold, where representable with p >= 1
     for N, m in ((1, 1), (2, 1), (3, 1), (2, 2), (3, 3)):
-        spec = WeightedNormSpec(p=N / m, N=N, m=m)
-        divergence_ok = divergence_ok and resolvent_profile_norm(spec) is None
-        divergence_ok = divergence_ok and weighted_profile_norm(resolvent_profile, spec) is None
+        divergence_ok = divergence_ok and resolvent_profile_norm(N / m, N, m) is None
+        divergence_ok = divergence_ok and weighted_profile_norm(resolvent_profile, N / m, N, m) is None
     report(
         4,
         "weighted norm oracle",
@@ -186,7 +185,7 @@ def test_criterion_05_coarea_constant():
         assert edge < 1e-6
         lhs = lattice_symbol_integral(bb, bas, resolvent_profile, spacing=spacing, radius=radius)
         c_cov = coarea_constant(bb, bas)[0]
-        gstar = resolvent_profile_norm(WeightedNormSpec(p=2, N=N, m=m))
+        gstar = resolvent_profile_norm(2, N, m)
         rhs = c_cov * gstar**2
         rel = abs(lhs - rhs) / rhs
         lattice_ok = lattice_ok and rel < 0.02

@@ -15,14 +15,13 @@ from schatten_verify import (
     polyharmonic_coefficients,
     principal_symbol,
     sampled_field,
-    spectral_symbol_lattice,
     sublevel_volume,
     symbol_vector,
 )
-from schatten_verify.norms import WeightedNormSpec, resolvent_profile, resolvent_profile_norm
+from schatten_verify.norms import resolvent_profile_norm
 
 from helpers import random_hermitian, random_hermitian_pd
-from oracles import lattice_symbol_integral
+from oracles import lattice_symbol_integral, resolvent_profile, spectral_symbol_lattice
 
 
 class TestMatrixSqrt:
@@ -305,7 +304,7 @@ class TestCoareaConstant:
         lhs = lattice_symbol_integral(
             np.eye(1), basis, resolvent_profile, spacing=0.01, radius=1000.0
         )
-        gstar = resolvent_profile_norm(WeightedNormSpec(p=2, N=1, m=1))
+        gstar = resolvent_profile_norm(2, 1, 1)
         rhs = coarea_constant(np.eye(1), basis)[0] * gstar**2
         assert lhs == pytest.approx(rhs, rel=0.02)
 

@@ -23,13 +23,13 @@ from schatten_verify.harness import (
     impurity_experiment,
     load_config,
     parse_config,
-    parse_csv_rows,
-    recompute_assertions_from_csv,
     run_clip,
     run_refine,
     run_scale,
     run_verify,
 )
+
+from oracles import parse_csv_rows, recompute_assertions_from_csv
 
 
 def small_config(**overrides):
@@ -164,7 +164,7 @@ class TestConfigParsing:
         config = parse_config({"experiments": small_config()["experiments"]})
         defaults = {f.name: f.default for f in dataclasses.fields(HarnessConfig)}
         assert config.tolerances == Tolerances()
-        for key in ("seed", "mc_samples", "max_dim", "scale", "clip", "refine"):
+        for key in ("max_dim", "scale", "clip", "refine"):
             assert getattr(config, key) == defaults[key], key
         data = small_config()
         del data["scale_study"]["p"], data["clip_study"]["p"], data["clip_study"]["floor"]
@@ -176,12 +176,14 @@ class TestConfigParsing:
 
 class TestVerifyStudy:
     def test_zero_amplitude_rows(self):
+        # a config refuses a zero jump; an unperturbed experiment built here still gives lhs 0, ratio 0
         data = small_config()
-        data["experiments"][0]["perturbation"]["amplitude"] = 0.0
         data["experiments"] = data["experiments"][:1]
         for key in ("scale_study", "clip_study", "refinement_study"):
             del data[key]
-        result = run_verify(parse_config(data))
+        config = parse_config(data)
+        exp = dataclasses.replace(config.experiments[0], jump=np.zeros_like(config.experiments[0].jump))
+        result = run_verify(dataclasses.replace(config, experiments=(exp,)))
         for row in result.rows:
             assert row.lhs < 1e-12
             assert row.ratio == 0.0
@@ -318,9 +320,11 @@ class TestRefineStudy:
 
     def test_constant_field_has_zero_lhs_at_every_n(self):
         data = small_config()
-        data["experiments"][1]["perturbation"]["amplitude"] = 0.0
         data["refinement_study"]["n_values"] = [16, 32]
-        result = run_refine(parse_config(data))
+        config = parse_config(data)
+        study = config.refine
+        exp = dataclasses.replace(study.experiment, jump=np.zeros_like(study.experiment.jump))
+        result = run_refine(dataclasses.replace(config, refine=dataclasses.replace(study, experiment=exp)))
         assert all(r.lhs < 1e-12 for r in result.rows)
 
 
@@ -438,6 +442,16 @@ def _set(path, value):
     return apply
 
 
+def _both(*edits):
+    """Several config edits applied in turn."""
+
+    def apply(data):
+        for edit in edits:
+            edit(data)
+
+    return apply
+
+
 # one malformed entry each; (subcommand, edit, the entry the message must name)
 MALFORMED = {
     "odd_n": ("verify", _set(["experiments", 0, "grid", "n"], 31), "experiments[0] ('quick_box')"),
@@ -489,7 +503,125 @@ MALFORMED = {
         _set(["scale_study", "relative_widths"], [0.0, 0.125, 0.25]),
         "scale_study: relative_widths[0] = 0",
     ),
+    # impurities that perturb nothing: lhs = rhs = 0 would pass vacuously
+    "zero_box_width": (
+        "verify",
+        _set(["experiments", 0, "perturbation", "width"], [0.0]),
+        "experiments[0] ('quick_box').perturbation: box width must be > 0",
+    ),
+    "zero_ball_radius": (
+        "verify",
+        _set(["experiments", 2, "perturbation", "radius"], 0.0),
+        "experiments[2] ('quick_matrix_ball').perturbation: ball radius must be > 0",
+    ),
+    "negative_ball_radius": (
+        "verify",
+        _set(["experiments", 2, "perturbation", "radius"], -1.0),
+        "experiments[2] ('quick_matrix_ball').perturbation: ball radius must be > 0, got -1",
+    ),
+    "zero_bump_radius": (
+        "refine",
+        _set(["experiments", 1, "perturbation", "radius"], 0.0),
+        "experiments[1] ('quick_bump').perturbation: bump radius must be > 0",
+    ),
+    "zero_amplitude": (
+        "verify",
+        _set(["experiments", 0, "perturbation", "amplitude"], 0.0),
+        "experiments[0] ('quick_box').perturbation: the coefficient jump is zero",
+    ),
+    "zero_amplitude_matrix": (
+        "verify",
+        _set(["experiments", 2, "perturbation", "amplitude_matrix"], [[0.0, 0.0], [0.0, 0.0]]),
+        "experiments[2] ('quick_matrix_ball').perturbation: the coefficient jump is zero",
+    ),
+    "ball_between_grid_points": (
+        # n = 8, L = 2 pi: (h/2, h/2) is 0.56 from every grid point
+        "verify",
+        _both(
+            _set(["experiments", 2, "perturbation", "center"], [math.pi / 8, math.pi / 8]),
+            _set(["experiments", 2, "perturbation", "radius"], 0.1),
+        ),
+        "experiments[2] ('quick_matrix_ball').perturbation: the ball holds no grid point",
+    ),
+    "refine_rung_without_grid_point": (
+        # pi/4 is a point of the n = 32 grid but sits between those of n = 4
+        "refine",
+        _both(
+            _set(["experiments", 1, "perturbation", "center"], [math.pi / 4]),
+            _set(["experiments", 1, "perturbation", "radius"], 0.15),
+            _set(["refinement_study", "n_values"], [4, 32, 64]),
+        ),
+        "refinement_study: n_values[0] = 4 gives a bump with no grid point",
+    ),
+    "repeated_p": (
+        "verify",
+        _set(["experiments", 0, "p_values"], [4, 8, 4]),
+        "experiments[0] ('quick_box'): p_values repeats an entry",
+    ),
+    "repeated_level": ("clip", _set(["clip_study", "levels"], [1, 4, 4]), "clip_study: levels repeats an entry"),
+    "empty_levels": ("clip", _set(["clip_study", "levels"], []), "clip_study: levels must not be empty"),
+    # a tolerance that no row can meet would exit 1, which means a failed estimate
+    "negative_ratio_tolerance": (
+        "verify",
+        _set(["tolerances"], {"ratio": -1}),
+        "tolerances: ratio must be > 0, got -1",
+    ),
+    "zero_drift_tolerance": (
+        "refine",
+        _set(["tolerances"], {"refine_drift": 0}),
+        "tolerances: refine_drift must be > 0",
+    ),
+    "negative_shrink_floor": (
+        "refine",
+        _set(["tolerances"], {"shrink_floor": -1e-9}),
+        "tolerances: shrink_floor must be >= 0",
+    ),
 }
+
+
+def test_package_exports():
+    # the top-level API: what the CLI path and the tests use, and the names perfbench patches
+    import schatten_verify
+
+    exported = {
+        name
+        for name, value in vars(schatten_verify).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert exported == {
+        "ConfigError",
+        "DimensionCapError",
+        "LinearOperatorRep",
+        "MultiIndex",
+        "NonPositiveDefiniteError",
+        "QuadratureError",
+        "TorusGrid",
+        "assemble_constant_coefficient",
+        "assemble_derivative_factor",
+        "assemble_variable_coefficient",
+        "block_multiplication_matrix",
+        "clip_coefficients",
+        "coarea_constant",
+        "constant_field",
+        "constant_resolvent",
+        "deift_residual",
+        "enumerate_basis",
+        "factorization_residual",
+        "field_power",
+        "matrix_field_lp_norm",
+        "matrix_sqrt",
+        "monomial_matrix",
+        "operator_norm",
+        "polyharmonic_coefficients",
+        "principal_symbol",
+        "relative_perturbation",
+        "resolvent",
+        "sampled_field",
+        "schatten_norm",
+        "sqrt_field",
+        "sublevel_volume",
+        "symbol_vector",
+    }
 
 
 class TestCli:

@@ -10,42 +10,29 @@ from schatten_verify import (
     matrix_field_lp_norm,
     relative_perturbation,
 )
-from schatten_verify.norms import (
-    PerturbationField,
-    WeightedNormSpec,
-    resolvent_profile,
-    resolvent_profile_norm,
-)
+from schatten_verify.norms import resolvent_profile_norm
 
 from helpers import box_perturbed_field, random_hermitian_pd
-from oracles import weighted_profile_norm
+from oracles import resolvent_profile, weighted_profile_norm
 
 
 class TestClosedForm:
     def test_beta_value_p4(self):
         # Beta(3, 1) = 1/3
-        spec = WeightedNormSpec(p=4, N=2, m=1)
-        assert resolvent_profile_norm(spec) == pytest.approx((1.0 / 3.0) ** 0.25, rel=1e-14)
+        assert resolvent_profile_norm(4, 2, 1) == pytest.approx((1.0 / 3.0) ** 0.25, rel=1e-14)
 
     def test_beta_value_p2(self):
         # Beta(3/2, 1/2) = pi/2
-        spec = WeightedNormSpec(p=2, N=1, m=1)
-        assert resolvent_profile_norm(spec) == pytest.approx(np.sqrt(np.pi / 2.0), rel=1e-14)
+        assert resolvent_profile_norm(2, 1, 1) == pytest.approx(np.sqrt(np.pi / 2.0), rel=1e-14)
 
     @pytest.mark.parametrize("N,m,p", [(2, 1, 2), (3, 1, 3), (1, 1, 1), (3, 1, 2)])
     def test_divergent_at_and_below_threshold(self, N, m, p):
         assert N / m >= p  # sanity: these sit at or below the threshold
-        assert resolvent_profile_norm(WeightedNormSpec(p=p, N=N, m=m)) is None
-
-    def test_spec_flags(self):
-        spec = WeightedNormSpec(p=4, N=2, m=1)
-        assert spec.weight_exponent == 0.0
-        assert spec.canonical_profile_finite
-        assert not WeightedNormSpec(p=2, N=2, m=1).canonical_profile_finite
+        assert resolvent_profile_norm(p, N, m) is None
 
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
-            WeightedNormSpec(p=0.5, N=1, m=1)
+            resolvent_profile_norm(0.5, 1, 1)
 
 
 class TestQuadrature:
@@ -53,74 +40,63 @@ class TestQuadrature:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("p", [2, 3, 4, 6, 8])
     def test_matches_closed_form(self, N, m, p):
-        spec = WeightedNormSpec(p=p, N=N, m=m)
-        closed = resolvent_profile_norm(spec)
-        quad = weighted_profile_norm(resolvent_profile, spec)
+        closed = resolvent_profile_norm(p, N, m)
+        quad = weighted_profile_norm(resolvent_profile, p, N, m)
         if closed is None:
             assert quad is None
         else:
             assert quad == pytest.approx(closed, rel=1e-8)
 
     def test_zero_profile(self):
-        spec = WeightedNormSpec(p=4, N=1, m=1)
-        assert weighted_profile_norm(lambda t: 0.0 * np.asarray(t), spec, tail_decay=1.0) == 0.0
+        assert weighted_profile_norm(lambda t: 0.0 * np.asarray(t), 4, 1, 1, tail_decay=1.0) == 0.0
 
     def test_non_decaying_profile_needs_declared_decay(self):
         # t/(1+t) -> 1 at infinity: never integrable against t^w dt, and
         # flagged only through its declared decay
-        spec = WeightedNormSpec(p=4, N=1, m=1)
         profile = lambda t: t / (1.0 + t)
-        assert weighted_profile_norm(profile, spec, tail_decay=0.0) is None
+        assert weighted_profile_norm(profile, 4, 1, 1, tail_decay=0.0) is None
         with pytest.raises(ValueError, match="tail_decay"):
-            weighted_profile_norm(profile, spec)
+            weighted_profile_norm(profile, 4, 1, 1)
 
     def test_declared_tail_decay_shortcut(self):
-        spec = WeightedNormSpec(p=1, N=1, m=1)
-        out = weighted_profile_norm(lambda t: np.sqrt(t) / (1 + t), spec, tail_decay=0.5)
+        out = weighted_profile_norm(lambda t: np.sqrt(t) / (1 + t), 1, 1, 1, tail_decay=0.5)
         assert out is None
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
-            weighted_profile_norm(resolvent_profile, WeightedNormSpec(p=4, N=1, m=1), tol=0.0)
+            weighted_profile_norm(resolvent_profile, 4, 1, 1, tol=0.0)
 
 
 class TestMatrixFieldNorm:
-    def _field(self, values, cell):
-        return PerturbationField(values=np.asarray(values, dtype=complex), cell_volume=cell)
-
     def test_indicator_scaling(self):
         # identity on 5 cells of volume 0.25 inside, zero outside
-        vals = np.zeros((12, 2, 2))
+        vals = np.zeros((12, 2, 2), dtype=complex)
         vals[3:8] = np.eye(2)
-        field = self._field(vals, 0.25)
         for p in (1, 2, 4):
-            assert matrix_field_lp_norm(field, p) == pytest.approx((5 * 0.25) ** (1.0 / p))
+            assert matrix_field_lp_norm(vals, 0.25, p) == pytest.approx((5 * 0.25) ** (1.0 / p))
 
     def test_sup_norm_spike(self):
-        vals = np.zeros((9, 1, 1))
+        vals = np.zeros((9, 1, 1), dtype=complex)
         vals[4, 0, 0] = 7.0
-        assert matrix_field_lp_norm(self._field(vals, 0.1), np.inf) == 7.0
+        assert matrix_field_lp_norm(vals, 0.1, np.inf) == 7.0
 
     def test_p2_matches_per_point_svd(self):
         rng = np.random.default_rng(20)
         vals = rng.normal(size=(30, 3, 3)) + 1j * rng.normal(size=(30, 3, 3))
-        field = self._field(vals, 0.05)
         tops = np.array([np.linalg.svd(v, compute_uv=False)[0] for v in vals])
         expected = np.sqrt(0.05 * np.sum(tops**2))
-        assert matrix_field_lp_norm(field, 2) == pytest.approx(expected, rel=1e-12)
+        assert matrix_field_lp_norm(vals, 0.05, 2) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_under_pointwise_dominance(self):
         rng = np.random.default_rng(21)
-        small = rng.normal(size=(20, 2, 2))
+        small = rng.normal(size=(20, 2, 2)).astype(complex)
         big = small * rng.uniform(1.0, 2.0, size=(20, 1, 1))
-        f_small = self._field(small, 0.2)
-        f_big = self._field(big, 0.2)
         for p in (1, 2, 4, np.inf):
-            assert matrix_field_lp_norm(f_small, p) <= matrix_field_lp_norm(f_big, p) + 1e-14
+            assert matrix_field_lp_norm(small, 0.2, p) <= matrix_field_lp_norm(big, 0.2, p) + 1e-14
 
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
-            matrix_field_lp_norm(self._field(np.zeros((3, 1, 1)), 1.0), 0.5)
+            matrix_field_lp_norm(np.zeros((3, 1, 1), dtype=complex), 1.0, 0.5)
 
 
 class TestRelativePerturbation:
@@ -129,8 +105,8 @@ class TestRelativePerturbation:
         basis = enumerate_basis(1, 1)
         a = constant_field(basis, np.eye(1))
         at = box_perturbed_field(grid, basis, a, amplitude=0.0)
-        v = relative_perturbation(a, at, grid.cell_volume)
-        assert np.abs(v.values).max() == 0.0
+        v = relative_perturbation(a, at)
+        assert np.abs(v).max() == 0.0
 
     def test_scalar_arithmetic(self):
         basis = enumerate_basis(1, 1)
@@ -140,8 +116,8 @@ class TestRelativePerturbation:
         from schatten_verify import sampled_field
 
         at_s = sampled_field(basis, at.values[None, :, :])
-        v = relative_perturbation(a, at_s, 1.0)
-        assert v.values[0, 0, 0] == pytest.approx(1.5)
+        v = relative_perturbation(a, at_s)
+        assert v[0, 0, 0] == pytest.approx(1.5)
 
     def test_commuting_scaling_case(self):
         rng = np.random.default_rng(22)
@@ -152,9 +128,9 @@ class TestRelativePerturbation:
         from schatten_verify import sampled_field
 
         at = sampled_field(basis, np.broadcast_to(lam * a_mat, (6, *a_mat.shape)).copy())
-        v = relative_perturbation(a, at, 1.0)
+        v = relative_perturbation(a, at)
         expected = (lam - 1.0) / np.sqrt(lam) * np.eye(basis.nu)
-        assert np.allclose(v.values, expected, atol=1e-12)
+        assert np.allclose(v, expected, atol=1e-12)
 
     def test_reports_failing_points(self):
         grid = TorusGrid(N=1, n=8, L=1.0)
@@ -162,7 +138,7 @@ class TestRelativePerturbation:
         a = constant_field(basis, np.eye(1))
         at = box_perturbed_field(grid, basis, a, amplitude=-1.5)  # negative inside the box
         with pytest.raises(NonPositiveDefiniteError) as err:
-            relative_perturbation(a, at, grid.cell_volume)
+            relative_perturbation(a, at)
         assert err.value.points  # names the offending samples
 
     def test_clipping_then_perturbation_converges(self):
@@ -171,6 +147,6 @@ class TestRelativePerturbation:
         basis = enumerate_basis(1, 1)
         a = constant_field(basis, np.eye(1))
         at = box_perturbed_field(grid, basis, a, amplitude=2.0)  # spectrum in [1, 3]
-        v_direct = relative_perturbation(a, at, grid.cell_volume)
-        v_clipped = relative_perturbation(a, clip_coefficients(at, 4), grid.cell_volume)
-        assert np.abs(v_direct.values - v_clipped.values).max() < 1e-12
+        v_direct = relative_perturbation(a, at)
+        v_clipped = relative_perturbation(a, clip_coefficients(at, 4))
+        assert np.abs(v_direct - v_clipped).max() < 1e-12

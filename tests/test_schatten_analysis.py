@@ -4,7 +4,6 @@ import pytest
 from schatten_verify import (
     DimensionCapError,
     TorusGrid,
-    assemble_channel_gram,
     assemble_constant_coefficient,
     assemble_derivative_factor,
     assemble_variable_coefficient,
@@ -17,7 +16,6 @@ from schatten_verify import (
     operator_norm,
     relative_perturbation,
     resolvent,
-    resolvent_difference,
     sampled_field,
     schatten_norm,
     sqrt_field,
@@ -32,7 +30,6 @@ from schatten_verify.harness import (
     load_config,
     parse_config,
 )
-from schatten_verify.norms import resolvent_profile
 from schatten_verify.schatten_analysis import (
     SUPPORT_SPECTRUM_MAX_SHARE,
     delta_spectrum,
@@ -44,13 +41,10 @@ from schatten_verify.schatten_analysis import (
     support_spectrum,
     woodbury_left_end,
 )
-from schatten_verify.torus_operator import (
-    channel_resolvent_symbols,
-    circulant_lookup,
-    derivative_operator,
-)
+from schatten_verify.torus_operator import channel_resolvent_symbols, circulant_lookup
 
 from helpers import (
+    DenseAdjoint,
     box_perturbed_field,
     bump_perturbed_field,
     deift_of,
@@ -61,10 +55,15 @@ from helpers import (
     random_hermitian_pd,
 )
 from oracles import (
+    assemble_channel_gram,
     channel_solve,
     convolution_kernel,
+    derivative_operator,
     matrix_function,
+    plane_wave,
     polar_decomposition_check,
+    resolvent_difference,
+    resolvent_profile,
     spectral_profile_operator,
 )
 
@@ -142,7 +141,7 @@ class TestResolvent:
         op = assemble_constant_coefficient(a, grid)
         res = resolvent(op.dense())
         for k in (0, 1, 5, -7):
-            u = grid.plane_wave((k,))
+            u = plane_wave(grid, (k,))
             expected = u / (1.0 + float(k) ** 2)
             assert np.abs(res @ u - expected).max() < 1e-12
 
@@ -417,7 +416,7 @@ class TestSupportRowGap:
         at = box_perturbed_field(grid, basis, a, 2.0, rel_width=0.5)
         left = channel_solve(assemble_derivative_factor(sqrt_field(at), grid).dense())
         right = channel_solve(assemble_derivative_factor(sqrt_field(a), grid).dense())
-        v = relative_perturbation(a, at, grid.cell_volume).values
+        v = relative_perturbation(a, at)
         full_v = block_multiplication_matrix(v, grid)
         direct = random_hermitian(rng, grid.total_points)
         full = np.linalg.norm(direct + np.conj(left.T) @ full_v @ right)
@@ -462,22 +461,23 @@ class TestDeift:
         grid = TorusGrid(N=1, n=32, L=2 * np.pi)
         basis, a = polyharmonic_setup(1, 1)
         at = bump_perturbed_field(grid, basis, a, amplitude=0.75, rel_radius=0.125)
-        t_tilde = assemble_derivative_factor(sqrt_field(at), grid).dense()
+        op = assemble_derivative_factor(sqrt_field(at), grid)
+        t_tilde = op.dense()
         left = channel_solve(t_tilde)
         r_in = resolvent(np.conj(t_tilde.T) @ t_tilde)
-        assert deift_residual(t_tilde, left, r_in) < 1e-10
-        assert deift_residual(t_tilde, left * (1 + 1e-6), r_in) >= 1e-7
+        assert deift_residual(op, left, r_in) < 1e-10
+        assert deift_residual(op, left * (1 + 1e-6), r_in) >= 1e-7
 
     def test_compares_against_the_given_resolvent(self):
         # r_in is taken as given: the resolvent the harness feeds in, not a fresh solve
         grid = TorusGrid(N=1, n=32, L=2 * np.pi)
         basis, a = polyharmonic_setup(1, 1)
         at = bump_perturbed_field(grid, basis, a, amplitude=0.75, rel_radius=0.125)
-        t_tilde = assemble_derivative_factor(sqrt_field(at), grid).dense()
-        left = channel_solve(t_tilde)
+        op = assemble_derivative_factor(sqrt_field(at), grid)
+        left = channel_solve(op.dense())
         r_in = resolvent(assemble_variable_coefficient(at, grid).dense())
-        assert deift_residual(t_tilde, left, r_in) < 1e-10
-        assert deift_residual(t_tilde, left, r_in * (1 + 1e-6)) >= 1e-7
+        assert deift_residual(op, left, r_in) < 1e-10
+        assert deift_residual(op, left, r_in * (1 + 1e-6)) >= 1e-7
 
 
 def _factor_case(N, m, constant=False):
@@ -529,7 +529,7 @@ def _residual_inputs(x):
     eye = np.eye(n)
     r_in = x + eye
     zeros = np.zeros((1, n), dtype=complex)
-    deift = deift_residual(zeros, zeros, r_in)
+    deift = deift_residual(DenseAdjoint(zeros), zeros, r_in)
     return [(fact, x), (deift, r_in - eye)]
 
 
@@ -724,8 +724,7 @@ class TestOperatorNormCheck:
         grid = TorusGrid(N=1, n=48, L=2 * np.pi)
         basis, a = polyharmonic_setup(1, 1)
         at = bump_perturbed_field(grid, basis, a, amplitude=3.0, rel_radius=0.2)
-        v = relative_perturbation(a, at, grid.cell_volume)
-        v_sup = matrix_field_lp_norm(v, np.inf)
+        v_sup = matrix_field_lp_norm(relative_perturbation(a, at), grid.cell_volume, np.inf)
         h = assemble_constant_coefficient(a, grid)
         ht = assemble_variable_coefficient(at, grid)
         lhs, ratio = operator_norm_ratio(ht, h, v_sup=v_sup)
@@ -738,8 +737,7 @@ class TestOperatorNormCheck:
         at = sampled_field(
             basis, np.broadcast_to(2.0 * a.constant_matrix(), (64, 1, 1)).copy()
         )
-        v = relative_perturbation(a, at, grid.cell_volume)
-        v_sup = matrix_field_lp_norm(v, np.inf)
+        v_sup = matrix_field_lp_norm(relative_perturbation(a, at), grid.cell_volume, np.inf)
         h = assemble_constant_coefficient(a, grid)
         ht = assemble_variable_coefficient(at, grid)
         lhs, ratio = operator_norm_ratio(ht, h, v_sup=v_sup)

@@ -4,12 +4,10 @@ import pytest
 from schatten_verify import (
     NonPositiveDefiniteError,
     TorusGrid,
-    assemble_channel_gram,
     assemble_constant_coefficient,
     assemble_derivative_factor,
     assemble_variable_coefficient,
     constant_field,
-    derivative_operator,
     enumerate_basis,
     matrix_sqrt,
     polyharmonic_coefficients,
@@ -18,6 +16,7 @@ from schatten_verify import (
     symbol_vector,
 )
 from helpers import bump_perturbed_field, polyharmonic_setup, random_hermitian_pd
+from oracles import assemble_channel_gram, derivative_operator, inner, plane_wave
 
 
 def test_grid_requires_even_n():
@@ -44,7 +43,7 @@ class TestDerivativeStack:
     def test_plane_wave_eigenfunction_1d(self):
         grid = TorusGrid(N=1, n=16, L=2 * np.pi)
         basis = enumerate_basis(1, 1)
-        u = grid.plane_wave((3,))
+        u = plane_wave(grid, (3,))
         out = derivative_operator(grid, basis).apply(u)
         assert np.abs(out - 3j * u).max() < 1e-12
 
@@ -53,7 +52,7 @@ class TestDerivativeStack:
         basis = enumerate_basis(2, 2)
         k = (2, -1)
         xi = 2 * np.pi / grid.L * np.asarray(k, float)
-        u = grid.plane_wave(k)
+        u = plane_wave(grid, k)
         out = derivative_operator(grid, basis).apply(u)
         for c, mi in enumerate(basis.entries):
             factor = np.prod((1j * xi) ** np.asarray(mi.exponents))
@@ -69,8 +68,8 @@ class TestDerivativeStack:
             v_shape = (basis.nu, *grid.spatial_shape)
             v = rng.normal(size=v_shape) + 1j * rng.normal(size=v_shape)
             given = v.copy()
-            lhs = grid.inner(op.apply(u), v)
-            rhs = grid.inner(u, op.apply_adjoint(v))
+            lhs = inner(grid, op.apply(u), v)
+            rhs = inner(grid, u, op.adjoint_matmul(v.reshape(-1, 1)))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
             # the raw adjoint transforms its buffer in place; the caller's array is left alone
             assert np.array_equal(v, given)
@@ -83,7 +82,7 @@ class TestConstantOperator:
         op = assemble_constant_coefficient(a, grid)
         worst = 0.0
         for k in range(-16, 16):
-            u = grid.plane_wave((k,))
+            u = plane_wave(grid, (k,))
             expected = float(k) ** 4 * u
             err = np.abs(op.apply(u) - expected).max()
             worst = max(worst, err / max(float(k) ** 4, 1.0))
@@ -185,7 +184,7 @@ class TestFactorAndGram:
         for _ in range(5):
             u = rng.normal(size=16) + 1j * rng.normal(size=16)
             tu = factor.apply(u)
-            val = grid.inner(tu, tu).real
+            val = inner(grid, tu, tu).real
             assert val >= 0.0
 
     def test_factor_star_factor_equals_operator(self):
@@ -204,7 +203,7 @@ class TestFactorAndGram:
             xi = 2 * np.pi / grid.L * np.asarray(k, float)
             vec = symbol_vector(b, xi, basis)
             block = np.outer(vec, np.conj(vec))
-            pw = grid.plane_wave(k)
+            pw = plane_wave(grid, k)
             for beta in range(basis.nu):
                 v = np.zeros((basis.nu, *grid.spatial_shape), dtype=complex)
                 v[beta] = pw
@@ -283,8 +282,7 @@ class TestPointwiseField:
         flat = v.reshape(3, basis.nu, grid.total_points)
         for b in (a, at, sqrt_field(at)):
             field = _pointwise_field(b, grid)
-            spec = "ab,...bp->...ap" if field.ndim == 2 else "pab,...bp->...ap"
-            expected = np.einsum(spec, field, flat).reshape(v.shape)
+            expected = np.einsum("pab,...bp->...ap", field, flat).reshape(v.shape)
             got = _pointwise_matvec(field, v, grid)
             if basis.nu == 1:
                 assert np.array_equal(got, expected)
