@@ -38,7 +38,6 @@ from .torus_operator import (
     assemble_derivative_factor,
     assemble_variable_coefficient,
     block_multiplication_matrix,
-    constant_resolvent,
 )
 
 __version__ = "0.1.0"

@@ -130,15 +130,20 @@ def _spectral_rebuild(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
-def field_power(values, s: float) -> np.ndarray:
-    """Pointwise principal power a^s of a Hermitian positive-definite matrix.
+def field_powers(values, *exponents: float) -> tuple[np.ndarray, ...]:
+    """Pointwise principal powers a^s, one per exponent, of a Hermitian positive-definite matrix.
 
     ``values`` is one (nu, nu) matrix or a (*spatial, nu, nu) field; one
-    eigendecomposition serves both the positivity check and the power.
+    eigendecomposition serves the positivity check and every power.
     """
     w, q = np.linalg.eigh(np.asarray(values, dtype=complex))
     check_positive_definite(w)
-    return _spectral_rebuild(q, w**s)
+    return tuple(_spectral_rebuild(q, w**s) for s in exponents)
+
+
+def field_power(values, s: float) -> np.ndarray:
+    """Pointwise principal power a^s (``field_powers`` with one exponent)."""
+    return field_powers(values, s)[0]
 
 
 def matrix_sqrt(a: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .coeff_algebra import (
     HermitianMatrixField,
+    check_positive_definite,
     clip_coefficients,
     coarea_constant,
     constant_field,
@@ -62,7 +63,7 @@ from .torus_operator import (
     assemble_constant_coefficient,
     assemble_derivative_factor,
     assemble_variable_coefficient,
-    constant_resolvent,
+    circulant_lookup,
 )
 
 CSV_HEADER = "experiment,p,lhs,rhs,constant,ratio,factorization_residual,deift_residual,n,L,seconds"
@@ -176,7 +177,7 @@ def _entry(context: str):
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -201,9 +202,24 @@ def _int(value, name: str) -> int:
     return value
 
 
+def _float(value, name: str) -> float:
+    """A JSON number; a bool or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _floats(values, name: str) -> tuple[float, ...]:
+    return tuple(_float(v, f"{name}[{i}]") for i, v in enumerate(values))
+
+
+def _matrix(rows) -> list[tuple[float, ...]]:
+    return [_floats(row, f"entry [{i}]") for i, row in enumerate(rows)]
+
+
 def _present(d: dict, **casts) -> dict:
-    """The keys of ``d`` that are set, converted; an absent key keeps its dataclass default."""
-    return {key: cast(d[key]) for key, cast in casts.items() if key in d}
+    """The keys of ``d`` that are set, as ``cast(value, key)``; an absent key keeps its dataclass default."""
+    return {key: cast(d[key], key) for key, cast in casts.items() if key in d}
 
 
 def _distinct(values: tuple, name: str) -> None:
@@ -229,25 +245,25 @@ def _parse_perturbation(d: dict, context: str, reference: HermitianMatrixField):
     shape = _require(d, "shape", context)
     if shape not in ("box", "ball", "bump"):
         raise ConfigError(f"{context}: shape must be box, ball, or bump, got {shape!r}")
-    center = tuple(float(c) for c in _require(d, "center", context))
+    center = _floats(_require(d, "center", context), "perturbation.center")
     if len(center) != N:
         raise ConfigError(f"{context}: center must have {N} entries")
     width = radius = None
     if shape == "box":
-        width = tuple(float(w) for w in _require(d, "width", f"{context} (box)"))
+        width = _floats(_require(d, "width", f"{context} (box)"), "perturbation.width")
         if len(width) != N:
             raise ConfigError(f"{context}: box width must have {N} entries")
         if any(w <= 0 for w in width):
             raise ConfigError(f"{context}: box width must be > 0, got {list(width)}")
     else:
-        radius = float(_require(d, "radius", f"{context} ({shape})"))
+        radius = _float(_require(d, "radius", f"{context} ({shape})"), "perturbation.radius")
         if radius <= 0:
             raise ConfigError(f"{context}: {shape} radius must be > 0, got {radius:g}")
     if d.get("amplitude_matrix") is not None:
         with _entry(f"{context}.amplitude_matrix"):
-            jump = constant_field(reference.basis, d["amplitude_matrix"]).values
+            jump = constant_field(reference.basis, _matrix(d["amplitude_matrix"])).values
     elif d.get("amplitude") is not None:
-        jump = float(d["amplitude"]) * reference.constant_matrix()
+        jump = _float(d["amplitude"], "perturbation.amplitude") * reference.constant_matrix()
     else:
         raise ConfigError(f"{context}: need 'amplitude' or 'amplitude_matrix'")
     if not np.any(jump):
@@ -267,21 +283,22 @@ def _parse_experiment(d: dict, context: str) -> ExperimentSpec:
         base = _require(d, "base", context)
         if base not in ("polyharmonic", "matrix"):
             raise ConfigError(f"{context}: base must be 'polyharmonic' or 'matrix'")
-        p_values = tuple(float(p) for p in _require(d, "p_values", context))
+        p_values = _floats(_require(d, "p_values", context), "p_values")
         _distinct(p_values, f"{context}: p_values")
         if any(p < 1 for p in p_values):
             raise ConfigError(f"{context}: every p must be >= 1")
         grid = TorusGrid(
             N=_int(_require(d, "N", context), "N"),
             n=_int(_require(grid_d, "n", f"{context}.grid"), "grid.n"),
-            L=float(_require(grid_d, "L", f"{context}.grid")),
+            L=_float(_require(grid_d, "L", f"{context}.grid"), "grid.L"),
         )
         basis = enumerate_basis(grid.N, _int(_require(d, "m", context), "m"))
         if base == "polyharmonic":
             reference = polyharmonic_coefficients(basis)
         else:
             with _entry(f"{context}.base_matrix"):
-                reference = constant_field(basis, _require(d, "base_matrix", context))
+                reference = constant_field(basis, _matrix(_require(d, "base_matrix", context)))
+                check_positive_definite(np.linalg.eigvalsh(reference.values))
         perturbation, jump = _parse_perturbation(
             _require(d, "perturbation", context), f"{context}.perturbation", reference
         )
@@ -309,13 +326,13 @@ def _parse_scale(d: dict, by_id: dict) -> ScaleStudy:
     exp = _study_experiment(d, {"relative_widths", "p"}, by_id, "scale_study")
     if exp.perturbation.shape == "bump":
         raise ConfigError("scale_study needs an indicator (box/ball) perturbation")
-    widths = tuple(float(w) for w in _require(d, "relative_widths", "scale_study"))
+    widths = _floats(_require(d, "relative_widths", "scale_study"), "relative_widths")
     if any(w2 <= w1 for w1, w2 in zip(widths, widths[1:])) or not widths:
         raise ConfigError("scale_study: relative_widths must be strictly increasing")
     for i, rel_w in enumerate(widths):
         message = f"scale_study: relative_widths[{i}] = {rel_w:g} gives a box with no grid point"
         _require_grid_point(_scale_box(exp, rel_w), exp.grid, message)
-    return _check_p(ScaleStudy(exp, widths, **_present(d, p=float)), "scale_study")
+    return _check_p(ScaleStudy(exp, widths, **_present(d, p=_float)), "scale_study")
 
 
 def _parse_clip(d: dict, by_id: dict) -> ClipStudy:
@@ -326,7 +343,11 @@ def _parse_clip(d: dict, by_id: dict) -> ClipStudy:
     if any(v < 1 for v in levels):
         raise ConfigError("clip_study: levels must be positive integers")
     _distinct(levels, "clip_study: levels")
-    return _check_p(ClipStudy(exp, levels, **_present(d, p=float, floor=float)), "clip_study")
+    study = ClipStudy(exp, levels, **_present(d, p=_float, floor=_float))
+    # floor <= 0 degenerates past positive definiteness; floor >= 1 leaves nothing to clip
+    if not 0 < study.floor < 1:
+        raise ConfigError(f"clip_study.floor must be in (0, 1), got {study.floor:g}")
+    return _check_p(study, "clip_study")
 
 
 def _parse_refine(d: dict, by_id: dict) -> RefineStudy:
@@ -372,7 +393,7 @@ def parse_config(data: dict) -> HarnessConfig:
     tol_d = data.get("tolerances", {})
     _check_keys(tol_d, {f.name for f in fields(Tolerances)}, "tolerances")
     with _entry("tolerances"):
-        tolerances = Tolerances(**{key: float(value) for key, value in tol_d.items()})
+        tolerances = Tolerances(**{key: _float(value, key) for key, value in tol_d.items()})
     studies = {}
     for section, (name, parse) in _STUDY_SECTIONS.items():
         if section in data:
@@ -603,7 +624,7 @@ class ExperimentArtifacts:
     grid: TorusGrid
     perturbed_resolvent: np.ndarray
     delta_singular_values: np.ndarray
-    v: np.ndarray  # the relative perturbation V, (*spatial, nu, nu)
+    v: np.ndarray  # the relative perturbation V, (n^N, nu, nu)
     fact_residual: float
     deift_res: float
 
@@ -627,7 +648,10 @@ def build_artifacts(
         a_tilde = perturbed_coefficient(exp)
 
     try:
-        h_var = assemble_variable_coefficient(a_tilde, grid)
+        r_tilde = resolvent(assemble_variable_coefficient(a_tilde, grid).dense())
+        # a~'s one decomposition and the reference's one symbol pass serve every step below;
+        # built after the dense route, so that 1 + Z W is not alive at its peak
+        imp = impurity_support(a, a_tilde, grid)
     except NonPositiveDefiniteError as exc:
         raise NonPositiveDefiniteError(
             exc.min_eigenvalue,
@@ -635,20 +659,18 @@ def build_artifacts(
             hint=f"experiment {exp.id!r}: clip the coefficient first (clip study) "
             f"or reduce the amplitude",
         ) from exc
-    r_tilde = resolvent(h_var.dense())
-    delta = r_tilde - constant_resolvent(a, grid)
-    # the support, W and 1 + Z W serve both the spectrum and the left end
-    imp = impurity_support(a, a_tilde, grid)
+    delta = r_tilde - circulant_lookup(imp.r, grid)
     svals = delta_spectrum(imp, delta)
 
-    v = relative_perturbation(a, a_tilde)
+    v = relative_perturbation(a, imp.at, imp.at_inv_sqrt)
     # the left end (G~+1)^{-1} T~, built without H~ or r_tilde, is shared by both identity checks
     left = woodbury_left_end(imp)
-    fact = factorization_residual(a, v, grid, delta, left, svals[0] if svals.size else 0.0)
+    fact = factorization_residual(a, imp.c_inv_d, v, grid, delta, left, svals[0] if svals.size else 0.0)
     # the chain does not see the spectrum's own steps; ||delta||_F = ||svals||_2 ties them to delta
     fact = max(fact, spectrum_residual(delta, svals))
     # T~*T~ = H~, so the Deift check's (T~*T~+1)^{-1} is r_tilde itself; T~* runs by FFT
-    t_tilde = assemble_derivative_factor(sqrt_field(a_tilde), grid)
+    at_sqrt = sampled_field(exp.basis, imp.at_sqrt.reshape(*grid.spatial_shape, *a.values.shape))
+    t_tilde = assemble_derivative_factor(at_sqrt, grid)
     return ExperimentArtifacts(
         grid=grid,
         perturbed_resolvent=r_tilde,

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .coeff_algebra import HermitianMatrixField, field_power, matrix_inv_sqrt
+from .coeff_algebra import HermitianMatrixField, matrix_inv_sqrt
 
 
 def resolvent_profile_norm(p: float, N: int, m: int) -> float | None:
@@ -36,19 +36,17 @@ def resolvent_profile_norm(p: float, N: int, m: int) -> float | None:
     return math.exp(log_beta / p)
 
 
-def relative_perturbation(a: HermitianMatrixField, a_tilde: HermitianMatrixField) -> np.ndarray:
+def relative_perturbation(a: HermitianMatrixField, at: np.ndarray, at_inv_sqrt: np.ndarray) -> np.ndarray:
     """Pointwise atilde^(-1/2) (atilde - a) a^(-1/2) with principal roots.
 
-    ``a`` is constant and ``a_tilde`` sampled; returns (*spatial, nu, nu)
-    complex values, not Hermitian in general (they are when the two
-    coefficients commute pointwise). Raises NonPositiveDefiniteError listing
-    the failing grid points; callers holding a degenerate coefficient should
-    clip first.
+    ``a`` is constant; ``at`` holds the sampled atilde and ``at_inv_sqrt``
+    its principal atilde^(-1/2), both (..., nu, nu) of one shape (see
+    ``impurity_support``). Returns complex values of that shape, not
+    Hermitian in general (they are when the two coefficients commute
+    pointwise).
     """
     a_mat = a.constant_matrix()
-    inv_sqrt_a = matrix_inv_sqrt(a_mat)
-    vals = a_tilde.values
-    return field_power(vals, -0.5) @ (vals - a_mat) @ inv_sqrt_a
+    return at_inv_sqrt @ (at - a_mat) @ matrix_inv_sqrt(a_mat)
 
 
 def matrix_field_lp_norm(values: np.ndarray, cell_volume: float, p: float) -> float:

@@ -38,6 +38,7 @@ import numpy as np
 from .coeff_algebra import (
     HermitianMatrixField,
     field_power,
+    field_powers,
     matrix_inv_sqrt,
     matrix_sqrt,
 )
@@ -100,39 +101,46 @@ def resolvent(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ImpuritySupport:
-    """The Woodbury objects of at against a, on the K points where they differ.
+    """The coefficient objects of one experiment, and the K points where at and a differ.
 
     With E the restriction to the nu K channels of the support ``points``
     (flat indices, where at != a exactly) and C = D D* + a^{-1}: ``w`` is
     W = at^{-1} - a^{-1} there, (K, nu, nu); ``one_zw`` is 1 + Z W for
-    Z = E C^{-1} E*, (nu K, nu K); ``at`` is the sampled at, (n^N, nu, nu);
-    ``c_inv`` and ``c_inv_d`` are the symbols of C^{-1} and C^{-1} D.
+    Z = E C^{-1} E*, (nu K, nu K); ``at`` and its roots ``at_sqrt``,
+    ``at_inv_sqrt`` are (n^N, nu, nu); ``c_inv``, ``c_inv_d`` and ``r`` are
+    the symbols of C^{-1}, C^{-1} D and the reference's (op + 1)^{-1}.
     """
 
     grid: TorusGrid
     points: np.ndarray
     at: np.ndarray
+    at_sqrt: np.ndarray
+    at_inv_sqrt: np.ndarray
     w: np.ndarray
     one_zw: np.ndarray
     c_inv: np.ndarray
     c_inv_d: np.ndarray
+    r: np.ndarray
 
 
 def impurity_support(
     a: HermitianMatrixField, a_tilde: HermitianMatrixField, grid: TorusGrid
 ) -> ImpuritySupport:
-    """The support, W and 1 + Z W, looked up once for the left end and the spectrum."""
+    """One eigendecomposition of at, which names the points where at is not positive
+    definite, and one pass over the reference's symbols; every check reads them here."""
     nu, points = a.basis.nu, grid.total_points
-    at = a_tilde.sampled_on(grid.spatial_shape).reshape(points, nu, nu)
+    at = a_tilde.sampled_on(grid.spatial_shape)
+    roots = field_powers(at, 0.5, -0.5, -1.0)
+    at, at_sqrt, at_inv_sqrt, at_inv = (x.reshape(points, nu, nu) for x in (at, *roots))
     support = np.flatnonzero(np.any(at != a.constant_matrix(), axis=(1, 2)))
     k = support.size
-    c_inv, c_inv_d = channel_resolvent_symbols(a, grid)
+    c_inv, c_inv_d, r = channel_resolvent_symbols(a, grid)
     z = circulant_lookup(c_inv, grid, rows=support, cols=support).reshape(nu * k, nu, k)
-    w = field_power(at[support], -1.0) - field_power(a.constant_matrix(), -1.0)
+    w = at_inv[support] - field_power(a.constant_matrix(), -1.0)
     # Z W: W acts on the columns of Z, support point by support point
     zw = np.matmul(z.transpose(2, 0, 1), w).transpose(1, 2, 0).reshape(nu * k, nu * k)
     zw[np.diag_indices_from(zw)] += 1.0
-    return ImpuritySupport(grid, support, at, w, zw, c_inv, c_inv_d)
+    return ImpuritySupport(grid, support, at, at_sqrt, at_inv_sqrt, w, zw, c_inv, c_inv_d, r)
 
 
 def woodbury_left_end(imp: ImpuritySupport) -> np.ndarray:
@@ -157,7 +165,7 @@ def woodbury_left_end(imp: ImpuritySupport) -> np.ndarray:
     coupling = circulant_lookup(imp.c_inv, grid, rows=rest, cols=support)
     inner[:, rest] -= (coupling @ pointwise_rows(imp.w, y)).reshape(nu, rest.size, points)
     inner[:, support] = y.reshape(nu, k, points)
-    return pointwise_rows(field_power(imp.at, -0.5), inner.reshape(nu * points, points))
+    return pointwise_rows(imp.at_inv_sqrt, inner.reshape(nu * points, points))
 
 
 def support_spectrum(imp: ImpuritySupport) -> np.ndarray:
@@ -222,6 +230,7 @@ def deift_residual(s_matrix: LinearOperatorRep, left: np.ndarray, r_in: np.ndarr
 
 def factorization_residual(
     a: HermitianMatrixField,
+    c_inv_d: np.ndarray,
     v: np.ndarray,
     grid: TorusGrid,
     direct: np.ndarray,
@@ -233,22 +242,20 @@ def factorization_residual(
         Tt* (Gt+1)^{-1} . at^{-1/2} (a - at) a^{-1/2} . (G+1)^{-1} T
 
     ``left`` = (Gt+1)^{-1} Tt is the given left end (the Deift check shares
-    it), and the middle field -V, for the (*spatial, nu, nu) values ``v`` of
+    it), and the middle field -V, for the values ``v`` of
     ``relative_perturbation``, is applied pointwise. V vanishes off the
     impurity's support, so the chain is taken over the support rows only:
     the left end's rows there and the right end's, (G+1)^{-1} T = a^{-1/2}
-    C^{-1} D in closed form. The gap is a Frobenius norm, an upper bound on
-    its operator norm; ``scale`` is ||direct||_op, the largest of the spectrum
-    of ``direct``, which is at most ||direct||_F, so the relative residual
-    errs high. Returns it, or the absolute gap when the direct difference is
-    numerically 0.
+    C^{-1} D in closed form from ``c_inv_d``, the symbol of C^{-1} D. The
+    gap is a Frobenius norm, an upper bound on its operator norm; ``scale``
+    is ||direct||_op, the largest of the spectrum of ``direct``, which is at
+    most ||direct||_F, so the relative residual errs high. Returns it, or
+    the absolute gap when the direct difference is numerically 0.
     """
     nu, points = a.basis.nu, grid.total_points
     v = v.reshape(points, nu, nu)
     support = np.flatnonzero(np.any(v != 0, axis=(1, 2)))
-    right_symbol = np.einsum(
-        "ab,bc...->ac...", matrix_inv_sqrt(a.constant_matrix()), channel_resolvent_symbols(a, grid)[1]
-    )
+    right_symbol = np.einsum("ab,bc...->ac...", matrix_inv_sqrt(a.constant_matrix()), c_inv_d)
     right = circulant_lookup(right_symbol, grid, rows=support)  # (nu K, P)
     left_support = left.reshape(nu, points, points)[:, support].reshape(-1, points)
     # the chain carries -V, so direct - chain = direct + left* V right

@@ -296,37 +296,24 @@ def circulant_lookup(
     return out.reshape(out_ch * rows.size, in_ch * cols.size)
 
 
-def constant_resolvent(a: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
-    """(op + 1)^{-1} of the constant-coefficient operator, in closed form.
-
-    The operator is the Fourier multiplier A(xi), so its resolvent is the
-    circulant F* diag(1/(1+A)) F: the entry at (x, y) is the kernel
-    ifftn(1/(1+A)) at the periodic difference x - y. No operator is
-    materialized and nothing is solved.
-    """
-    if not a.is_constant:
-        raise ValueError("constant resolvent needs a constant coefficient field")
-    check_positive_definite(np.linalg.eigvalsh(a.constant_matrix()))
-    return circulant_lookup((1.0 / (1.0 + constant_multiplier(a, grid)))[None, None], grid)
-
-
 def channel_resolvent_symbols(
     a: HermitianMatrixField, grid: TorusGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symbols of C^{-1} and C^{-1} D for the channel-side C = D D* + a^{-1}.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symbols of C^{-1}, C^{-1} D and (op + 1)^{-1}, for the channel-side C = D D* + a^{-1}.
 
     With d = ((i xi)^alpha)_alpha, C has the symbol d d* + a^{-1}, whose
     inverse is a - (a d)(a d)* / (1 + A) by Sherman-Morrison (d* a d = A);
     so C^{-1} D has the symbol a d / (1 + A), and a^{-1/2} C^{-1} D is the
-    factor resolvent T (op + 1)^{-1} = (G + 1)^{-1} T of T = a^{1/2} D.
-    Returns (nu, nu, *spatial) and (nu, 1, *spatial), for ``circulant_lookup``.
+    factor resolvent T (op + 1)^{-1} = (G + 1)^{-1} T of T = a^{1/2} D. The
+    operator is the multiplier A(xi), so (op + 1)^{-1} has the symbol 1 / (1 + A).
+    Returns (nu, nu, *spatial), (nu, 1, *spatial) and (1, 1, *spatial).
     """
     a_mat = a.constant_matrix()
     ad = np.einsum("ab,b...->a...", a_mat, _derivative_multipliers(grid, a.basis))
     denominator = 1.0 + constant_multiplier(a, grid)
     spatial = (None,) * grid.N
     c_inv = a_mat[(..., *spatial)] - ad[:, None] * np.conj(ad[None, :]) / denominator
-    return c_inv, (ad / denominator)[:, None]
+    return c_inv, (ad / denominator)[:, None], (1.0 / denominator)[None, None]
 
 
 def assemble_variable_coefficient(

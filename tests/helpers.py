@@ -9,6 +9,7 @@ from schatten_verify import (
     deift_residual,
     enumerate_basis,
     factorization_residual,
+    field_power,
     operator_norm,
     polyharmonic_coefficients,
     relative_perturbation,
@@ -16,6 +17,8 @@ from schatten_verify import (
     sampled_field,
     sqrt_field,
 )
+
+from schatten_verify.torus_operator import channel_resolvent_symbols
 
 from oracles import channel_solve, resolvent_difference
 
@@ -84,11 +87,17 @@ def deift_of(s):
     return deift_residual(DenseAdjoint(s), channel_solve(s), resolvent(np.conj(s.T) @ s))
 
 
+def relative_perturbation_of(a, at):
+    """relative_perturbation of the field ``at``, with its root at^{-1/2} taken here."""
+    return relative_perturbation(a, at.values, field_power(at.values, -0.5))
+
+
 def factorization_of(a, at, grid, direct):
     """factorization_residual of ``direct``, with V, the solve it shares and ||direct|| computed here.
 
     The shared solve is (G~+1)^{-1} T~ for the derivative factor T~ = at^{1/2} D.
     """
     left = channel_solve(assemble_derivative_factor(sqrt_field(at), grid).dense())
-    v = relative_perturbation(a, at)
-    return factorization_residual(a, v, grid, direct, left, operator_norm(direct))
+    c_inv_d = channel_resolvent_symbols(a, grid)[1]
+    v = relative_perturbation_of(a, at)
+    return factorization_residual(a, c_inv_d, v, grid, direct, left, operator_norm(direct))

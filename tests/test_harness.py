@@ -390,6 +390,30 @@ class TestDenseCap:
         assert labels == ["variable_operator"]
         assert rows and max(size for _, size in rows) < points
 
+    def test_one_coefficient_pass_per_experiment(self, monkeypatch):
+        # a~ is decomposed once over its P points and the reference's symbols are built once
+        from schatten_verify import schatten_analysis, torus_operator
+
+        config = self._n2_config(32)
+        exp = config.experiments[0]
+        calls = []
+
+        def counted(module, name, size=lambda *args: None):
+            fn = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append((name, size(*args)))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        counted(np.linalg, "eigh", lambda values: int(np.prod(np.shape(values)[:-2])))
+        counted(schatten_analysis, "channel_resolvent_symbols")
+        counted(torus_operator, "constant_multiplier")
+        build_artifacts(exp, config)
+        pinned = [("eigh", exp.grid.total_points), ("channel_resolvent_symbols", None), ("constant_multiplier", None)]
+        assert [calls.count(call) for call in pinned] == [1, 1, 1]
+
     def test_counts_channels_before_any_dense_object(self, monkeypatch):
         config = self._n2_config(32)
         assert build_artifacts(config.experiments[0], config).perturbed_resolvent.shape == (16, 16)
@@ -576,6 +600,80 @@ MALFORMED = {
         _set(["tolerances"], {"shrink_floor": -1e-9}),
         "tolerances: shrink_floor must be >= 0",
     ),
+    # a bool or a string where a number belongs
+    "string_L": (
+        "verify",
+        _set(["experiments", 0, "grid", "L"], "6.283185307179586"),
+        "experiments[0] ('quick_box'): grid.L must be a number, got '6.283185307179586'",
+    ),
+    "bool_center": (
+        "verify",
+        _set(["experiments", 0, "perturbation", "center"], [True]),
+        "experiments[0] ('quick_box'): perturbation.center[0] must be a number, got True",
+    ),
+    "string_width": (
+        "verify",
+        _set(["experiments", 0, "perturbation", "width"], ["0.785"]),
+        "experiments[0] ('quick_box'): perturbation.width[0] must be a number",
+    ),
+    "bool_radius": (
+        "verify",
+        _set(["experiments", 2, "perturbation", "radius"], True),
+        "experiments[2] ('quick_matrix_ball'): perturbation.radius must be a number, got True",
+    ),
+    "bool_amplitude": (
+        "verify",
+        _set(["experiments", 0, "perturbation", "amplitude"], True),
+        "experiments[0] ('quick_box'): perturbation.amplitude must be a number, got True",
+    ),
+    "string_p": (
+        "verify",
+        _set(["experiments", 0, "p_values"], ["4", 8]),
+        "experiments[0] ('quick_box'): p_values[0] must be a number, got '4'",
+    ),
+    "string_relative_width": (
+        "scale",
+        _set(["scale_study", "relative_widths"], ["0.0625", 0.125, 0.25]),
+        "scale_study: relative_widths[0] must be a number, got '0.0625'",
+    ),
+    "string_ratio_tolerance": (
+        "verify",
+        _set(["tolerances"], {"ratio": "1.05"}),
+        "tolerances: ratio must be a number, got '1.05'",
+    ),
+    "bool_ratio_tolerance": ("verify", _set(["tolerances"], {"ratio": True}), "tolerances: ratio must be a number"),
+    "bool_scale_p": ("scale", _set(["scale_study", "p"], True), "scale_study: p must be a number, got True"),
+    "bool_clip_p": ("clip", _set(["clip_study", "p"], True), "clip_study: p must be a number, got True"),
+    "string_floor": ("clip", _set(["clip_study", "floor"], "1e-6"), "clip_study: floor must be a number"),
+    "string_base_matrix_entry": (
+        "verify",
+        _set(["experiments", 2, "base_matrix"], [["2.0", 0.5], [0.5, 1.0]]),
+        "experiments[2] ('quick_matrix_ball').base_matrix: entry [0][0] must be a number, got '2.0'",
+    ),
+    "bool_base_matrix_entry": (
+        "verify",
+        _set(["experiments", 2, "base_matrix"], [[2.0, 0.5], [0.5, True]]),
+        "experiments[2] ('quick_matrix_ball').base_matrix: entry [1][1] must be a number, got True",
+    ),
+    "string_amplitude_matrix_entry": (
+        "verify",
+        _set(["experiments", 2, "perturbation", "amplitude_matrix"], [[1.0, "0"], [0.0, 1.0]]),
+        "experiments[2] ('quick_matrix_ball').perturbation.amplitude_matrix: entry [0][1] must be a number",
+    ),
+    "bool_amplitude_matrix_entry": (
+        "verify",
+        _set(["experiments", 2, "perturbation", "amplitude_matrix"], [[True, 0.0], [0.0, 1.0]]),
+        "experiments[2] ('quick_matrix_ball').perturbation.amplitude_matrix: entry [0][0] must be a number",
+    ),
+    # a floor of 0 or below is no coefficient; a floor of 1 leaves a unclipped, with every gap 0
+    "zero_floor": ("clip", _set(["clip_study", "floor"], 0.0), "clip_study.floor must be in (0, 1), got 0"),
+    "negative_floor": ("clip", _set(["clip_study", "floor"], -0.5), "clip_study.floor must be in (0, 1), got -0.5"),
+    "unit_floor": ("clip", _set(["clip_study", "floor"], 1.0), "clip_study.floor must be in (0, 1), got 1"),
+    "indefinite_base_matrix": (
+        "clip",
+        _set(["experiments", 2, "base_matrix"], [[-1.0, 0.0], [0.0, 1.0]]),
+        "experiments[2] ('quick_matrix_ball').base_matrix: matrix not positive definite",
+    ),
 }
 
 
@@ -603,7 +701,6 @@ def test_package_exports():
         "clip_coefficients",
         "coarea_constant",
         "constant_field",
-        "constant_resolvent",
         "deift_residual",
         "enumerate_basis",
         "factorization_residual",

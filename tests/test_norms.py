@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from schatten_verify import (
-    NonPositiveDefiniteError,
     TorusGrid,
     clip_coefficients,
     constant_field,
@@ -12,7 +11,7 @@ from schatten_verify import (
 )
 from schatten_verify.norms import resolvent_profile_norm
 
-from helpers import box_perturbed_field, random_hermitian_pd
+from helpers import box_perturbed_field, random_hermitian_pd, relative_perturbation_of
 from oracles import resolvent_profile, weighted_profile_norm
 
 
@@ -105,18 +104,13 @@ class TestRelativePerturbation:
         basis = enumerate_basis(1, 1)
         a = constant_field(basis, np.eye(1))
         at = box_perturbed_field(grid, basis, a, amplitude=0.0)
-        v = relative_perturbation(a, at)
+        v = relative_perturbation_of(a, at)
         assert np.abs(v).max() == 0.0
 
     def test_scalar_arithmetic(self):
-        basis = enumerate_basis(1, 1)
-        a = constant_field(basis, np.eye(1))
-        at = constant_field(basis, 4.0 * np.eye(1))
-        # lift to a one-point sampled field
-        from schatten_verify import sampled_field
-
-        at_s = sampled_field(basis, at.values[None, :, :])
-        v = relative_perturbation(a, at_s)
+        # at = 4 at one point, with its root at^{-1/2} = 1/2 given: V = (4 - 1) / 2
+        a = constant_field(enumerate_basis(1, 1), np.eye(1))
+        v = relative_perturbation(a, np.full((1, 1, 1), 4.0), np.full((1, 1, 1), 0.5))
         assert v[0, 0, 0] == pytest.approx(1.5)
 
     def test_commuting_scaling_case(self):
@@ -128,18 +122,9 @@ class TestRelativePerturbation:
         from schatten_verify import sampled_field
 
         at = sampled_field(basis, np.broadcast_to(lam * a_mat, (6, *a_mat.shape)).copy())
-        v = relative_perturbation(a, at)
+        v = relative_perturbation_of(a, at)
         expected = (lam - 1.0) / np.sqrt(lam) * np.eye(basis.nu)
         assert np.allclose(v, expected, atol=1e-12)
-
-    def test_reports_failing_points(self):
-        grid = TorusGrid(N=1, n=8, L=1.0)
-        basis = enumerate_basis(1, 1)
-        a = constant_field(basis, np.eye(1))
-        at = box_perturbed_field(grid, basis, a, amplitude=-1.5)  # negative inside the box
-        with pytest.raises(NonPositiveDefiniteError) as err:
-            relative_perturbation(a, at)
-        assert err.value.points  # names the offending samples
 
     def test_clipping_then_perturbation_converges(self):
         # clip(a~, n) -> a~ entrywise once n covers the spectrum, so V stabilizes
@@ -147,6 +132,6 @@ class TestRelativePerturbation:
         basis = enumerate_basis(1, 1)
         a = constant_field(basis, np.eye(1))
         at = box_perturbed_field(grid, basis, a, amplitude=2.0)  # spectrum in [1, 3]
-        v_direct = relative_perturbation(a, at)
-        v_clipped = relative_perturbation(a, clip_coefficients(at, 4))
+        v_direct = relative_perturbation_of(a, at)
+        v_clipped = relative_perturbation_of(a, clip_coefficients(at, 4))
         assert np.abs(v_direct - v_clipped).max() < 1e-12

@@ -3,18 +3,17 @@ import pytest
 
 from schatten_verify import (
     DimensionCapError,
+    NonPositiveDefiniteError,
     TorusGrid,
     assemble_constant_coefficient,
     assemble_derivative_factor,
     assemble_variable_coefficient,
     block_multiplication_matrix,
     constant_field,
-    constant_resolvent,
     deift_residual,
     enumerate_basis,
     matrix_field_lp_norm,
     operator_norm,
-    relative_perturbation,
     resolvent,
     sampled_field,
     schatten_norm,
@@ -53,6 +52,7 @@ from helpers import (
     polyharmonic_setup,
     random_hermitian,
     random_hermitian_pd,
+    relative_perturbation_of,
 )
 from oracles import (
     assemble_channel_gram,
@@ -173,14 +173,14 @@ class TestConstantResolvent:
         # polyharmonic, and a matrix base with off-diagonal entries (nu > 1)
         matrix_base = constant_field(basis, random_hermitian_pd(rng, basis.nu))
         for a in (polyharmonic_setup(N, m)[1], matrix_base):
-            closed = constant_resolvent(a, grid)
+            closed = circulant_lookup(channel_resolvent_symbols(a, grid)[2], grid)
             dense = resolvent(assemble_constant_coefficient(a, grid).dense())
             assert np.abs(closed - dense).max() <= 1e-12
 
     def test_dimension_cap(self, monkeypatch):
         # the experiment's size guard refuses P = 64 > 32 before the closed form runs
         config = _capped_config(N=1, n=64, max_dim=32)
-        monkeypatch.setattr(harness, "constant_resolvent", _never_called)
+        monkeypatch.setattr(harness, "impurity_support", _never_called)
         with pytest.raises(DimensionCapError) as err:
             build_artifacts(config.experiments[0], config)
         assert (err.value.dim, err.value.cap) == (64, 32)
@@ -234,7 +234,7 @@ class TestConstantFactorResolvent:
         config = _capped_config(N=2, n=4, max_dim=20)
         exp = config.experiments[0]
         assert exp.grid.total_points <= config.max_dim
-        monkeypatch.setattr(harness, "constant_resolvent", _never_called)
+        monkeypatch.setattr(harness, "impurity_support", _never_called)
         monkeypatch.setattr(harness, "woodbury_left_end", _never_called)
         with pytest.raises(DimensionCapError) as err:
             build_artifacts(exp, config)
@@ -250,6 +250,32 @@ def _assert_left_end_matches_dense(a, at, grid):
     left = woodbury_left_end(impurity_support(a, at, grid))
     assert left.shape == dense.shape
     assert np.abs(left - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+class TestImpuritySupport:
+    def test_reports_failing_points(self):
+        # the one decomposition of at checks positivity and names the failing samples
+        grid = TorusGrid(N=2, n=8, L=1.0)
+        basis, a = polyharmonic_setup(2, 1)
+        at = box_perturbed_field(grid, basis, a, amplitude=-1.5)  # negative inside the box
+        with pytest.raises(NonPositiveDefiniteError) as err:
+            impurity_support(a, at, grid)
+        assert err.value.points == [(4, 4)]
+
+    def test_roots(self):
+        grid = TorusGrid(N=2, n=8, L=2 * np.pi)
+        basis = enumerate_basis(2, 1)
+        rng = np.random.default_rng(5)
+        a = constant_field(basis, random_hermitian_pd(rng, basis.nu))
+        at = _off_diagonal_jump(grid, basis, a, 2.0, rng)
+        imp = impurity_support(a, at, grid)
+        values = at.values.reshape(grid.total_points, basis.nu, basis.nu)
+        assert np.array_equal(imp.at, values)
+        assert np.abs(imp.at_sqrt @ imp.at_sqrt - values).max() <= 1e-12
+        assert np.abs(imp.at_inv_sqrt @ imp.at_sqrt - np.eye(basis.nu)).max() <= 1e-12
+        a_inv = np.linalg.inv(a.constant_matrix())
+        w = np.linalg.inv(values[imp.points]) - a_inv
+        assert np.abs(imp.w - w).max() <= 1e-12
 
 
 class TestWoodburyLeftEnd:
@@ -358,9 +384,9 @@ class TestSupportSpectrum:
         assert singular_spectrum(direct, hermitian=True)[0] <= 1e-14
         scales = []
 
-        def record_scale(a, v, grid, direct, left, scale):
+        def record_scale(a, c_inv_d, v, grid, direct, left, scale):
             scales.append(scale)
-            return factorization_residual(a, v, grid, direct, left, scale)
+            return factorization_residual(a, c_inv_d, v, grid, direct, left, scale)
 
         monkeypatch.setattr(harness, "factorization_residual", record_scale)
         config = load_config(default_config_path())
@@ -416,11 +442,12 @@ class TestSupportRowGap:
         at = box_perturbed_field(grid, basis, a, 2.0, rel_width=0.5)
         left = channel_solve(assemble_derivative_factor(sqrt_field(at), grid).dense())
         right = channel_solve(assemble_derivative_factor(sqrt_field(a), grid).dense())
-        v = relative_perturbation(a, at)
+        v = relative_perturbation_of(a, at)
         full_v = block_multiplication_matrix(v, grid)
         direct = random_hermitian(rng, grid.total_points)
         full = np.linalg.norm(direct + np.conj(left.T) @ full_v @ right)
-        support = factorization_residual(a, v, grid, direct, left, 1.0)
+        c_inv_d = channel_resolvent_symbols(a, grid)[1]
+        support = factorization_residual(a, c_inv_d, v, grid, direct, left, 1.0)
         assert abs(support - full) <= 1e-12 * full
 
 
@@ -523,9 +550,8 @@ def _residual_inputs(x):
     n = x.shape[0]
     grid = TorusGrid(N=1, n=n, L=2 * np.pi)
     _, a = polyharmonic_setup(1, 1)
-    fact = factorization_residual(
-        a, np.zeros((n, 1, 1)), grid, x, np.zeros((n, n), dtype=complex), 1.0
-    )
+    zero_v, zero_left = np.zeros((n, 1, 1)), np.zeros((n, n), dtype=complex)
+    fact = factorization_residual(a, channel_resolvent_symbols(a, grid)[1], zero_v, grid, x, zero_left, 1.0)
     eye = np.eye(n)
     r_in = x + eye
     zeros = np.zeros((1, n), dtype=complex)
@@ -724,7 +750,7 @@ class TestOperatorNormCheck:
         grid = TorusGrid(N=1, n=48, L=2 * np.pi)
         basis, a = polyharmonic_setup(1, 1)
         at = bump_perturbed_field(grid, basis, a, amplitude=3.0, rel_radius=0.2)
-        v_sup = matrix_field_lp_norm(relative_perturbation(a, at), grid.cell_volume, np.inf)
+        v_sup = matrix_field_lp_norm(relative_perturbation_of(a, at), grid.cell_volume, np.inf)
         h = assemble_constant_coefficient(a, grid)
         ht = assemble_variable_coefficient(at, grid)
         lhs, ratio = operator_norm_ratio(ht, h, v_sup=v_sup)
@@ -737,7 +763,7 @@ class TestOperatorNormCheck:
         at = sampled_field(
             basis, np.broadcast_to(2.0 * a.constant_matrix(), (64, 1, 1)).copy()
         )
-        v_sup = matrix_field_lp_norm(relative_perturbation(a, at), grid.cell_volume, np.inf)
+        v_sup = matrix_field_lp_norm(relative_perturbation_of(a, at), grid.cell_volume, np.inf)
         h = assemble_constant_coefficient(a, grid)
         ht = assemble_variable_coefficient(at, grid)
         lhs, ratio = operator_norm_ratio(ht, h, v_sup=v_sup)
