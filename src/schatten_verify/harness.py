@@ -46,24 +46,27 @@ from .coeff_algebra import (
 from .errors import ConfigError, DimensionCapError, NonPositiveDefiniteError, QuadratureError
 from .multiindex import MultiIndexBasis, enumerate_basis
 from .norms import matrix_field_lp_norm, relative_perturbation, resolvent_profile_norm
+# perfbench/tracer.py patches names of the next two imports here; deift_residual,
+# factorization_residual and assemble_derivative_factor have no caller in this module
 from .schatten_analysis import (
+    chain_gap,
     deift_residual,
-    delta_spectrum,
     factorization_residual,
     impurity_support,
+    moments_gap,
     operator_norm,
     resolvent,
+    resolvent_certificate,
     schatten_norm_from_values,
     singular_spectrum,
-    spectrum_residual,
-    woodbury_left_end,
+    support_core,
+    support_spectrum,
 )
 from .torus_operator import (
     TorusGrid,
     assemble_constant_coefficient,
     assemble_derivative_factor,
     assemble_variable_coefficient,
-    circulant_lookup,
 )
 
 CSV_HEADER = "experiment,p,lhs,rhs,constant,ratio,factorization_residual,deift_residual,n,L,seconds"
@@ -605,12 +608,12 @@ def experiment_coarea(exp: ExperimentSpec) -> tuple[float, float]:
 
 
 def _check_dense_size(exp: ExperimentSpec, config: HarnessConfig) -> None:
-    """Refuse an experiment whose largest dense object exceeds ``max_dim``.
+    """Refuse an experiment whose channel dimension nu * n^N exceeds ``max_dim``.
 
-    That object is the channel side of the derivative factor and of the
-    factorization chain's left end, nu * n^N rows; every other one is n^N.
-    The runners check every experiment (every refinement rung) first, before
-    any quadrature or dense object.
+    nu * n^N bounds the size nu K of the support core's solves and lookups
+    (K <= n^N), and n^N is the side of the clip study's dense matrices. The
+    runners check every experiment (every refinement rung) first, before any
+    quadrature or support object.
     """
     dim = exp.basis.nu * exp.grid.total_points
     if dim > config.max_dim:
@@ -619,10 +622,9 @@ def _check_dense_size(exp: ExperimentSpec, config: HarnessConfig) -> None:
 
 @dataclass
 class ExperimentArtifacts:
-    """Dense objects shared by the per-p rows of one experiment."""
+    """Objects shared by the per-p rows of one experiment."""
 
     grid: TorusGrid
-    perturbed_resolvent: np.ndarray
     delta_singular_values: np.ndarray
     v: np.ndarray  # the relative perturbation V, (n^N, nu, nu)
     fact_residual: float
@@ -641,16 +643,19 @@ def build_artifacts(
     config: HarnessConfig,
     a_tilde: HermitianMatrixField | None = None,
 ) -> ExperimentArtifacts:
-    """The dense pass of one experiment; ``a_tilde`` defaults to its impurity."""
+    """The support-sized pass of one experiment; ``a_tilde`` defaults to its impurity.
+
+    The resolvent difference is U Xi U* on the impurity's support. The
+    factorization column is the larger of the chain gap and the moments gap,
+    the Deift column the resolvent certificate (``schatten_analysis``).
+    """
     _check_dense_size(exp, config)
     grid, a = exp.grid, exp.reference
     if a_tilde is None:
         a_tilde = perturbed_coefficient(exp)
 
     try:
-        r_tilde = resolvent(assemble_variable_coefficient(a_tilde, grid).dense())
-        # a~'s one decomposition and the reference's one symbol pass serve every step below;
-        # built after the dense route, so that 1 + Z W is not alive at its peak
+        # a~'s one decomposition and the reference's one symbol pass serve every step below
         imp = impurity_support(a, a_tilde, grid)
     except NonPositiveDefiniteError as exc:
         raise NonPositiveDefiniteError(
@@ -659,25 +664,16 @@ def build_artifacts(
             hint=f"experiment {exp.id!r}: clip the coefficient first (clip study) "
             f"or reduce the amplitude",
         ) from exc
-    delta = r_tilde - circulant_lookup(imp.r, grid)
-    svals = delta_spectrum(imp, delta)
-
-    v = relative_perturbation(a, imp.at, imp.at_inv_sqrt)
-    # the left end (G~+1)^{-1} T~, built without H~ or r_tilde, is shared by both identity checks
-    left = woodbury_left_end(imp)
-    fact = factorization_residual(a, imp.c_inv_d, v, grid, delta, left, svals[0] if svals.size else 0.0)
-    # the chain does not see the spectrum's own steps; ||delta||_F = ||svals||_2 ties them to delta
-    fact = max(fact, spectrum_residual(delta, svals))
-    # T~*T~ = H~, so the Deift check's (T~*T~+1)^{-1} is r_tilde itself; T~* runs by FFT
-    at_sqrt = sampled_field(exp.basis, imp.at_sqrt.reshape(*grid.spatial_shape, *a.values.shape))
-    t_tilde = assemble_derivative_factor(at_sqrt, grid)
+    svals = support_spectrum(imp)
+    v = relative_perturbation(imp.at, imp.at_inv_sqrt, imp.a, imp.a_inv_sqrt)
+    xi = support_core(imp)
+    chain = chain_gap(imp, xi, v, svals[0] if svals.size else 0.0)
     return ExperimentArtifacts(
         grid=grid,
-        perturbed_resolvent=r_tilde,
         delta_singular_values=svals,
         v=v,
-        fact_residual=fact,
-        deift_res=deift_residual(t_tilde, left, r_tilde),
+        fact_residual=max(chain, moments_gap(imp, xi, svals)),
+        deift_res=resolvent_certificate(imp, xi),
     )
 
 
@@ -842,8 +838,8 @@ def run_clip(config: HarnessConfig) -> StudyResult:
     # grid-resolved modes through the sensitive part of the resolvent
     degenerate_op = assemble_variable_coefficient(degenerate, grid).dense()
     spectral_max = float(singular_spectrum(degenerate_op, hermitian=True)[0])
-    # a level's lhs is the SVD norm of its difference to the reference resolvent
-    # by dense solve: at level 1 the clipped coefficient is the reference, the
+    # a level's lhs is the SVD norm of its difference to the reference resolvent,
+    # both by dense solve: at level 1 the clipped coefficient is the reference, the
     # difference is roundoff (~1e-15), and this arithmetic keeps the value that
     # perfbench/reference.json checks to 1e-10 relative
     reference = resolvent(assemble_constant_coefficient(exp.reference, grid).dense())
@@ -851,13 +847,14 @@ def run_clip(config: HarnessConfig) -> StudyResult:
         start = time.perf_counter()
         clipped = clip_coefficients(degenerate, level)
         art = build_artifacts(exp, config, a_tilde=clipped)
-        lhs = operator_norm(art.perturbed_resolvent - reference)
+        r_tilde = resolvent(assemble_variable_coefficient(clipped, grid).dense())
+        lhs = operator_norm(r_tilde - reference)
         rhs = matrix_field_lp_norm(art.v, grid.cell_volume, p)
         residuals = (art.fact_residual, art.deift_res)
         label = f"{exp.id}|clip={level}"
         rows.append(_report_row(label, p, lhs, rhs, constant, residuals, grid, start))
         doubled = assemble_variable_coefficient(clip_coefficients(degenerate, 2 * level), grid)
-        diff = operator_norm(resolvent(doubled.dense()) - art.perturbed_resolvent)
+        diff = operator_norm(resolvent(doubled.dense()) - r_tilde)
         cauchy.append({"level": level, "next": 2 * level, "difference": diff})
         # the Cauchy gap is no inequality instance: its row carries ratio 0
         label = f"{exp.id}|clip_pair={level}:{2*level}"

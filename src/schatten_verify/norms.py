@@ -16,8 +16,6 @@ import math
 
 import numpy as np
 
-from .coeff_algebra import HermitianMatrixField, matrix_inv_sqrt
-
 
 def resolvent_profile_norm(p: float, N: int, m: int) -> float | None:
     """Closed-form ||g||_p^* for the canonical profile, or None when infinite.
@@ -36,17 +34,19 @@ def resolvent_profile_norm(p: float, N: int, m: int) -> float | None:
     return math.exp(log_beta / p)
 
 
-def relative_perturbation(a: HermitianMatrixField, at: np.ndarray, at_inv_sqrt: np.ndarray) -> np.ndarray:
+def relative_perturbation(
+    at: np.ndarray, at_inv_sqrt: np.ndarray, a: np.ndarray, a_inv_sqrt: np.ndarray
+) -> np.ndarray:
     """Pointwise atilde^(-1/2) (atilde - a) a^(-1/2) with principal roots.
 
-    ``a`` is constant; ``at`` holds the sampled atilde and ``at_inv_sqrt``
-    its principal atilde^(-1/2), both (..., nu, nu) of one shape (see
-    ``impurity_support``). Returns complex values of that shape, not
+    ``at`` holds the sampled atilde and ``at_inv_sqrt`` its principal
+    atilde^(-1/2), both (..., nu, nu) of one shape; ``a`` is the constant
+    (nu, nu) reference and ``a_inv_sqrt`` its a^(-1/2) (see
+    ``impurity_support``). Returns complex values of the shape of ``at``, not
     Hermitian in general (they are when the two coefficients commute
     pointwise).
     """
-    a_mat = a.constant_matrix()
-    return at_inv_sqrt @ (at - a_mat) @ matrix_inv_sqrt(a_mat)
+    return at_inv_sqrt @ (at - a) @ a_inv_sqrt
 
 
 def matrix_field_lp_norm(values: np.ndarray, cell_volume: float, p: float) -> float:

@@ -1,31 +1,20 @@
 """Resolvents, Schatten norms, and the exact operator identities.
 
-Everything here works on dense matrices obtained from small-grid
-discretizations. Schatten norms come from a full spectrum, never from
-iterative methods: the singular values of a general matrix by SVD. Those of
-the resolvent difference, which is Hermitian, are absolute eigenvalues: of
-the nu K x nu K Birman-Schwinger matrix on the impurity's K support points
-(``support_spectrum``) while nu K is at most half the grid's n^N points,
-else of the dense difference by ``eigvalsh`` (``delta_spectrum``). The
-identity residuals are Frobenius (C^2, Hilbert-Schmidt) norms, O(n^2): they
-bound the operator norm from above, so a small residual certifies the
-identity in operator norm as well.
+The CLI checks an impurity experiment on its K support points alone. With
+U* = E D (op + 1)^{-1} the support rows of the derivative resolvent, the
+resolvent difference is Delta = U Xi U* with the nu K x nu K core
+Xi = a W (1 + Z W)^{-1} a (Woodbury; Hager, SIAM Rev. 31 (1989) 221-239).
+``support_spectrum`` gives its singular values (Birman-Schwinger; Simon,
+*Trace Ideals and Their Applications*, 2nd ed., AMS 2005), and three
+nu K x nu K checks certify it: ``resolvent_certificate`` (the resolvent
+equation of the perturbed operator), ``chain_gap`` (the factorization chain
+through the printed V) and ``moments_gap`` (tr((Xi G2)^p) against the
+printed spectrum). The residuals are Frobenius norms, which bound the
+operator norm from above.
 
-Verified identities (all exact in finite dimensions):
-
-* the resolvent partition (S*S + 1)^{-1} + S* (SS* + 1)^{-1} S = 1, given
-  both (S*S + 1)^{-1} and (SS* + 1)^{-1} S; the harness passes S = Tt as an
-  operator, whose adjoint FFT pipeline applies Tt* to (SS* + 1)^{-1} S = the
-  left end below, so no dense Tt is formed, and (S*S + 1)^{-1} = (Ht + 1)^{-1}
-  is the resolvent behind every lhs;
-* the factorization of a resolvent difference through the coefficient
-  difference: the direct difference of (op + 1)^{-1} matrices equals the
-  chain  Tt* (Gt+1)^{-1} at^{-1/2} (a - at) a^{-1/2} (G+1)^{-1} T, where
-  T = a^{1/2} D, Tt = at^{1/2} D are the derivative factors, G, Gt their Grams;
-  the left end (Gt+1)^{-1} Tt is the reference's closed-form channel resolvent
-  plus a Woodbury correction sized by the impurity's support, built without
-  Ht, and the right end T (H+1)^{-1} is a closed form; the middle field
-  vanishes off the support, so the chain is taken over the support rows.
+The dense functions run on small grids: ``resolvent`` by LU and Schatten
+norms by SVD, which the clip study uses, and the tests' dense identity
+checks ``deift_residual`` and ``factorization_residual``.
 """
 
 from __future__ import annotations
@@ -37,7 +26,6 @@ import numpy as np
 # perfbench/tracer.py patches names of both imports here; some have no caller in this module
 from .coeff_algebra import (
     HermitianMatrixField,
-    field_power,
     field_powers,
     matrix_inv_sqrt,
     matrix_sqrt,
@@ -106,66 +94,48 @@ class ImpuritySupport:
     With E the restriction to the nu K channels of the support ``points``
     (flat indices, where at != a exactly) and C = D D* + a^{-1}: ``w`` is
     W = at^{-1} - a^{-1} there, (K, nu, nu); ``one_zw`` is 1 + Z W for
-    Z = E C^{-1} E*, (nu K, nu K); ``at`` and its roots ``at_sqrt``,
-    ``at_inv_sqrt`` are (n^N, nu, nu); ``c_inv``, ``c_inv_d`` and ``r`` are
-    the symbols of C^{-1}, C^{-1} D and the reference's (op + 1)^{-1}.
+    Z = E C^{-1} E*; ``at`` and ``at_inv_sqrt`` are (n^N, nu, nu), ``a`` and
+    its roots (nu, nu); ``c_inv_d`` is the symbol of C^{-1} D; ``kernels``
+    are G1, G2 and N, the support lookups of d d*, d d* / (1 + A)^2 and
+    d d* / (1 + A). The matrices are (nu K, nu K).
     """
 
     grid: TorusGrid
     points: np.ndarray
     at: np.ndarray
-    at_sqrt: np.ndarray
     at_inv_sqrt: np.ndarray
+    a: np.ndarray
+    a_sqrt: np.ndarray
+    a_inv_sqrt: np.ndarray
     w: np.ndarray
     one_zw: np.ndarray
-    c_inv: np.ndarray
     c_inv_d: np.ndarray
-    r: np.ndarray
+    kernels: np.ndarray
 
 
 def impurity_support(
     a: HermitianMatrixField, a_tilde: HermitianMatrixField, grid: TorusGrid
 ) -> ImpuritySupport:
     """One eigendecomposition of at, which names the points where at is not positive
-    definite, and one pass over the reference's symbols; every check reads them here."""
+    definite, one of a, and one pass over the reference's symbols; every check reads them here."""
     nu, points = a.basis.nu, grid.total_points
+    a_mat = a.constant_matrix()
     at = a_tilde.sampled_on(grid.spatial_shape)
-    roots = field_powers(at, 0.5, -0.5, -1.0)
-    at, at_sqrt, at_inv_sqrt, at_inv = (x.reshape(points, nu, nu) for x in (at, *roots))
-    support = np.flatnonzero(np.any(at != a.constant_matrix(), axis=(1, 2)))
+    roots = field_powers(at, -0.5, -1.0)
+    at, at_inv_sqrt, at_inv = (x.reshape(points, nu, nu) for x in (at, *roots))
+    a_inv, a_inv_sqrt, a_sqrt = field_powers(a_mat, -1.0, -0.5, 0.5)
+    support = np.flatnonzero(np.any(at != a_mat, axis=(1, 2)))
     k = support.size
-    c_inv, c_inv_d, r = channel_resolvent_symbols(a, grid)
+    c_inv, c_inv_d, r, d = channel_resolvent_symbols(a, grid)
     z = circulant_lookup(c_inv, grid, rows=support, cols=support).reshape(nu * k, nu, k)
-    w = at_inv[support] - field_power(a.constant_matrix(), -1.0)
+    w = at_inv[support] - a_inv
     # Z W: W acts on the columns of Z, support point by support point
     zw = np.matmul(z.transpose(2, 0, 1), w).transpose(1, 2, 0).reshape(nu * k, nu * k)
     zw[np.diag_indices_from(zw)] += 1.0
-    return ImpuritySupport(grid, support, at, at_sqrt, at_inv_sqrt, w, zw, c_inv, c_inv_d, r)
-
-
-def woodbury_left_end(imp: ImpuritySupport) -> np.ndarray:
-    """(Gt+1)^{-1} Tt for Tt = at^{1/2} D, from the impurity's support.
-
-    With B = at^{1/2} and C = D D* + a^{-1}, Gt + 1 = B (D D* + at^{-1}) B and
-    D D* + at^{-1} = C + E* W E (see ``ImpuritySupport``). Woodbury gives
-
-        (Gt+1)^{-1} Tt = B^{-1} [C^{-1} D - C^{-1} E* W (1 + Z W)^{-1} M],
-
-    with the closed-form lookups Z = E C^{-1} E* and M = E C^{-1} D, W applied
-    pointwise, and one nu K x nu K solve with n^N right-hand sides; on the
-    support rows the bracket is (1 + Z W)^{-1} M itself. Nothing of op_tilde
-    or its resolvent enters. Returns (nu * n^N, n^N).
-    """
-    grid, support = imp.grid, imp.points
-    (points, nu, _), k = imp.at.shape, support.size
-    rest = np.setdiff1d(np.arange(points), support)
-    inner = circulant_lookup(imp.c_inv_d, grid).reshape(nu, points, points)  # C^{-1} D
-    y = np.linalg.solve(imp.one_zw, inner[:, support].reshape(nu * k, points))
-    # on the support M - Z W Y is Y itself; off it, C^{-1} D - (C^{-1} E*) W Y
-    coupling = circulant_lookup(imp.c_inv, grid, rows=rest, cols=support)
-    inner[:, rest] -= (coupling @ pointwise_rows(imp.w, y)).reshape(nu, rest.size, points)
-    inner[:, support] = y.reshape(nu, k, points)
-    return pointwise_rows(imp.at_inv_sqrt, inner.reshape(nu * points, points))
+    u = d * r[0]  # the symbol of D (op + 1)^{-1}
+    symbols = np.concatenate([x[:, None] * np.conj(y[None]) for x, y in ((d, d), (u, u), (u, d))])
+    kernels = circulant_lookup(symbols, grid, rows=support, cols=support).reshape(3, nu * k, nu * k)
+    return ImpuritySupport(grid, support, at, at_inv_sqrt, a_mat, a_sqrt, a_inv_sqrt, w, zw, c_inv_d, kernels)
 
 
 def support_spectrum(imp: ImpuritySupport) -> np.ndarray:
@@ -185,32 +155,67 @@ def support_spectrum(imp: ImpuritySupport) -> np.ndarray:
     return singular_spectrum(middle, hermitian=True)
 
 
-# The support spectrum's cost grows as (nu K)^3 with an eigendecomposition in
-# it; it overtook eigvalsh of the dense n^N x n^N difference, which is formed
-# anyway, at nu K / n^N between 0.5 and 0.57 (n^N = 256 and 1024, nu = 1 to 3,
-# 1 and 2 BLAS threads). At nu K / n^N = 2 it was 25x (n^N = 256) to 44x (1024) slower.
-SUPPORT_SPECTRUM_MAX_SHARE = 0.5
+def _on_support(imp: ImpuritySupport, field: np.ndarray) -> np.ndarray:
+    """The (nu K, nu K) matrix of a pointwise (K, nu, nu) or constant (nu, nu) field on the support."""
+    field = np.broadcast_to(field, (imp.points.size, *imp.a.shape))
+    return pointwise_rows(field, np.eye(imp.one_zw.shape[0]))
 
 
-def delta_spectrum(imp: ImpuritySupport, delta: np.ndarray) -> np.ndarray:
-    """Singular values of the resolvent difference ``delta``, by the cheaper exact route."""
-    if imp.one_zw.shape[0] <= SUPPORT_SPECTRUM_MAX_SHARE * imp.grid.total_points:
-        return support_spectrum(imp)
-    return singular_spectrum(delta, hermitian=True)
+def _trace_form(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
+    """tr(x* left x right)^{1/2} = ||L x R*||_F for left = L* L and right = R* R."""
+    return float(np.sqrt(abs(np.vdot(left @ x, x @ right))))
 
 
-def spectrum_residual(direct: np.ndarray, values: np.ndarray) -> float:
-    """Gap between ||direct||_F and the l2 norm of ``values``, its claimed singular values.
+def support_core(imp: ImpuritySupport) -> np.ndarray:
+    """Xi = a Phi a: with U* = E D (op + 1)^{-1}, M = E C^{-1} D = a U*, so the
+    resolvent difference M* Phi M (``support_spectrum``) is U Xi U*."""
+    solved = np.linalg.solve(imp.one_zw, _on_support(imp, imp.a))
+    return pointwise_rows(imp.a @ imp.w, solved)
 
-    Exact in finite dimensions and O(n^2): it ties a spectrum not taken from
-    ``direct`` itself (``support_spectrum``) back to it. Relative, or absolute
-    when the claimed spectrum is numerically 0 (an empty support).
+
+def resolvent_certificate(imp: ImpuritySupport, xi: np.ndarray) -> float:
+    """||(Ht + 1)((op + 1)^{-1} + U Xi U*) - 1||_F, absolute, from the support alone.
+
+    Ht = op + D* E* Omega E D with Omega = at - a, and (op + 1) U = D* E*, so
+    the residual is D* E* Y U* with Y = Omega + Xi + Omega N Xi. Omega and N
+    never touch Z or W: the Woodbury core is checked against the operator's
+    definition. The computed resolvent is off by at most the residual.
     """
-    claimed = float(np.linalg.norm(values))
-    gap = abs(float(np.linalg.norm(direct)) - claimed)
-    if claimed <= 1e-14:
-        return gap
-    return gap / claimed
+    g1, g2, n = imp.kernels
+    omega = imp.at[imp.points] - imp.a
+    y = pointwise_rows(omega, n @ xi) + _on_support(imp, omega) + xi
+    return _trace_form(y, g1, g2)
+
+
+def chain_gap(imp: ImpuritySupport, xi: np.ndarray, v: np.ndarray, scale: float) -> float:
+    """||U Xi U* - chain||_F for the chain Tt* (Gt+1)^{-1} (-V) (G+1)^{-1} T, relative to ``scale``.
+
+    On the support the chain is U Xi_V U* with Xi_V = -a (1 + W Z)^{-1}
+    at^{-1/2} V a^{1/2}, from its own solve, for the printed values ``v`` of
+    V. Off the support V vanishes; its part of the chain there is at most
+    ||V||_F / 4, which is added. Absolute when ``scale`` = ||Delta||_op is 0.
+    """
+    support = imp.points
+    field = imp.at_inv_sqrt[support] @ v[support] @ imp.a_sqrt
+    solved = np.linalg.solve(np.conj(imp.one_zw.T), _on_support(imp, field))
+    x = pointwise_rows(np.broadcast_to(imp.a, field.shape), solved) + xi
+    gap = _trace_form(x, imp.kernels[1], imp.kernels[1])
+    gap += 0.25 * float(np.linalg.norm(np.delete(v, support, axis=0)))
+    return gap / scale if scale > 1e-14 else gap
+
+
+def moments_gap(imp: ImpuritySupport, xi: np.ndarray, values: np.ndarray) -> float:
+    """Largest gap between tr((Xi G2)^p) and the sum of ``values``^p, p = 4, 6, 8.
+
+    Xi G2 = Xi U* U has the nonzero eigenvalues of U Xi U*, whose absolute
+    values ``support_spectrum`` gave. Relative, or absolute for an empty support.
+    """
+    b = xi @ imp.kernels[1]
+    b2 = b @ b
+    b4 = b2 @ b2
+    traces = (np.trace(b4), np.sum(b4 * b2.T), np.sum(b4 * b4.T))
+    moments = (float(np.sum(values**p)) for p in (4, 6, 8))
+    return max(abs(trace - moment) / (moment or 1.0) for trace, moment in zip(traces, moments))
 
 
 def deift_residual(s_matrix: LinearOperatorRep, left: np.ndarray, r_in: np.ndarray) -> float:
@@ -237,20 +242,15 @@ def factorization_residual(
     left: np.ndarray,
     scale: float,
 ) -> float:
-    """Residual between ``direct`` = (op_tilde+1)^{-1} - (op+1)^{-1} and the chain
+    """Frobenius gap between the dense ``direct`` = (Ht+1)^{-1} - (H+1)^{-1} and the chain
 
         Tt* (Gt+1)^{-1} . at^{-1/2} (a - at) a^{-1/2} . (G+1)^{-1} T
 
-    ``left`` = (Gt+1)^{-1} Tt is the given left end (the Deift check shares
-    it), and the middle field -V, for the values ``v`` of
-    ``relative_perturbation``, is applied pointwise. V vanishes off the
-    impurity's support, so the chain is taken over the support rows only:
-    the left end's rows there and the right end's, (G+1)^{-1} T = a^{-1/2}
-    C^{-1} D in closed form from ``c_inv_d``, the symbol of C^{-1} D. The
-    gap is a Frobenius norm, an upper bound on its operator norm; ``scale``
-    is ||direct||_op, the largest of the spectrum of ``direct``, which is at
-    most ||direct||_F, so the relative residual errs high. Returns it, or
-    the absolute gap when the direct difference is numerically 0.
+    for a given dense left end ``left`` = (Gt+1)^{-1} Tt and the values ``v``
+    of V (``relative_perturbation``). V vanishes off the impurity's support,
+    so the chain runs over the support rows, where the right end is the
+    lookup of a^{-1/2} times ``c_inv_d``, the symbol of C^{-1} D. Relative to
+    ``scale`` = ||direct||_op, or absolute when that is numerically 0.
     """
     nu, points = a.basis.nu, grid.total_points
     v = v.reshape(points, nu, nu)

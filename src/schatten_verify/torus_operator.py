@@ -298,22 +298,23 @@ def circulant_lookup(
 
 def channel_resolvent_symbols(
     a: HermitianMatrixField, grid: TorusGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symbols of C^{-1}, C^{-1} D and (op + 1)^{-1}, for the channel-side C = D D* + a^{-1}.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Symbols of C^{-1}, C^{-1} D, (op + 1)^{-1} and D, for the channel-side C = D D* + a^{-1}.
 
     With d = ((i xi)^alpha)_alpha, C has the symbol d d* + a^{-1}, whose
     inverse is a - (a d)(a d)* / (1 + A) by Sherman-Morrison (d* a d = A);
     so C^{-1} D has the symbol a d / (1 + A), and a^{-1/2} C^{-1} D is the
     factor resolvent T (op + 1)^{-1} = (G + 1)^{-1} T of T = a^{1/2} D. The
     operator is the multiplier A(xi), so (op + 1)^{-1} has the symbol 1 / (1 + A).
-    Returns (nu, nu, *spatial), (nu, 1, *spatial) and (1, 1, *spatial).
+    Returns (nu, nu, *spatial), (nu, 1, *spatial), (1, 1, *spatial) and (nu, *spatial).
     """
     a_mat = a.constant_matrix()
-    ad = np.einsum("ab,b...->a...", a_mat, _derivative_multipliers(grid, a.basis))
+    d = _derivative_multipliers(grid, a.basis)
+    ad = np.einsum("ab,b...->a...", a_mat, d)
     denominator = 1.0 + constant_multiplier(a, grid)
     spatial = (None,) * grid.N
     c_inv = a_mat[(..., *spatial)] - ad[:, None] * np.conj(ad[None, :]) / denominator
-    return c_inv, (ad / denominator)[:, None], (1.0 / denominator)[None, None]
+    return c_inv, (ad / denominator)[:, None], (1.0 / denominator)[None, None], d
 
 
 def assemble_variable_coefficient(

@@ -88,8 +88,9 @@ def deift_of(s):
 
 
 def relative_perturbation_of(a, at):
-    """relative_perturbation of the field ``at``, with its root at^{-1/2} taken here."""
-    return relative_perturbation(a, at.values, field_power(at.values, -0.5))
+    """relative_perturbation of the field ``at``, with the roots at^{-1/2} and a^{-1/2} taken here."""
+    a_mat = a.constant_matrix()
+    return relative_perturbation(at.values, field_power(at.values, -0.5), a_mat, field_power(a_mat, -0.5))
 
 
 def factorization_of(a, at, grid, direct):

@@ -20,7 +20,14 @@ from schatten_verify.coeff_algebra import HermitianMatrixField
 from schatten_verify.errors import ConfigError
 from schatten_verify.harness import CSV_HEADER, Assertion, HarnessConfig, ReportRow, study_assertions
 from schatten_verify.multiindex import MultiIndex, MultiIndexBasis
-from schatten_verify.torus_operator import _derivative_pipelines, _pointwise_field, _pointwise_matvec
+from schatten_verify.torus_operator import (
+    _derivative_pipelines,
+    _pointwise_field,
+    _pointwise_matvec,
+    channel_resolvent_symbols,
+    circulant_lookup,
+    pointwise_rows,
+)
 
 
 def inner(grid: TorusGrid, u: np.ndarray, v: np.ndarray) -> complex:
@@ -111,6 +118,30 @@ def channel_solve(factor):
     gram = f @ np.conj(f.T)
     gram[np.diag_indices_from(gram)] += 1.0
     return np.linalg.solve(gram, f)
+
+
+def woodbury_left_end(a: HermitianMatrixField, imp) -> np.ndarray:
+    """(Gt+1)^{-1} Tt for Tt = at^{1/2} D, from the impurity's support ``imp``.
+
+    With B = at^{1/2} and C = D D* + a^{-1}, Gt + 1 = B (D D* + at^{-1}) B and
+    D D* + at^{-1} = C + E* W E. Woodbury gives
+
+        (Gt+1)^{-1} Tt = B^{-1} [C^{-1} D - C^{-1} E* W (1 + Z W)^{-1} M],
+
+    with the lookups Z = E C^{-1} E* and M = E C^{-1} D; on the support rows
+    the bracket is (1 + Z W)^{-1} M itself. Reads W, 1 + Z W, at^{-1/2} and
+    the C^{-1} D symbol from ``imp``. Returns (nu * n^N, n^N).
+    """
+    grid, support = imp.grid, imp.points
+    (points, nu, _), k = imp.at.shape, support.size
+    rest = np.setdiff1d(np.arange(points), support)
+    inner = circulant_lookup(imp.c_inv_d, grid).reshape(nu, points, points)  # C^{-1} D
+    y = np.linalg.solve(imp.one_zw, inner[:, support].reshape(nu * k, points))
+    # on the support M - Z W Y is Y itself; off it, C^{-1} D - (C^{-1} E*) W Y
+    coupling = circulant_lookup(channel_resolvent_symbols(a, grid)[0], grid, rows=rest, cols=support)
+    inner[:, rest] -= (coupling @ pointwise_rows(imp.w, y)).reshape(nu, rest.size, points)
+    inner[:, support] = y.reshape(nu, k, points)
+    return pointwise_rows(imp.at_inv_sqrt, inner.reshape(nu * points, points))
 
 
 def matrix_function(

@@ -245,6 +245,27 @@ def test_matrix_base_and_three_dimensional_rows():
         assert 0.0 < row.ratio <= ratio_tol
 
 
+def test_residual_budget_on_a_short_torus():
+    # a weak impurity on a fine grid (N = m = 1, n = 8, L = 0.39): a residual formed from
+    # the dense H~ carries its roundoff, eps (pi / h)^2, and read 2.4e-10 here; the support
+    # checks never apply H~ and stay at roundoff
+    L = 0.39
+    exp = {
+        "id": "short_torus",
+        "N": 1,
+        "m": 1,
+        "grid": {"n": 8, "L": L},
+        "base": "matrix",
+        "base_matrix": [[0.602]],
+        "perturbation": {"shape": "box", "center": [0.0], "width": [L / 4], "amplitude_matrix": [[0.0753]]},
+        "p_values": [4],
+    }
+    config = parse_config({"experiments": [exp]})
+    art = build_artifacts(config.experiments[0], config)
+    assert art.delta_singular_values.size == 2
+    assert art.fact_residual <= 1e-10 and art.deift_res <= 1e-10
+
+
 class TestScaleStudy:
     def test_slope_and_doubling(self):
         result = run_scale(parse_config(small_config()))
@@ -356,39 +377,55 @@ class TestDenseCap:
         return parse_config({"experiments": [exp], "max_dim": max_dim})
 
     def test_one_dense_operator_per_experiment(self, monkeypatch):
-        # H~ is the only materialized operator: no nu P x P T~ for the Deift check;
-        # below the size rule no eigen-solve or SVD is P x P: the residuals are Frobenius norms
-        from schatten_verify.schatten_analysis import SUPPORT_SPECTRUM_MAX_SHARE, impurity_support
+        # verify, scale and refine form no dense operator and no P x P solve: every kernel
+        # lookup is support by support, and no eigen-solve or SVD is P x P
+        from schatten_verify import schatten_analysis
         from schatten_verify.torus_operator import LinearOperatorRep
 
-        dense = LinearOperatorRep.dense
-        labels = []
+        labels, lookups, supports, solves = [], [], [], []
 
         def counted(op):
             labels.append(op.label)
-            return dense(op)
+            raise AssertionError(f"{op.label} materialized")
 
-        rows = []
+        def no_resolvent(*args, **kwargs):
+            raise AssertionError("a dense resolvent ran")
+
+        lookup, support = schatten_analysis.circulant_lookup, harness.impurity_support
+
+        def sized_lookup(symbols, grid, rows=None, cols=None):
+            lookups.append(tuple(None if x is None else len(x) for x in (rows, cols)))
+            return lookup(symbols, grid, rows=rows, cols=cols)
+
+        def recorded_support(a, a_tilde, grid):
+            imp = support(a, a_tilde, grid)
+            supports.append(imp.points.size)
+            return imp
 
         def sized(solver):
             def wrapped(a, *args, **kwargs):
-                rows.append((solver.__name__, np.shape(a)[-2]))
+                solves.append((solver.__name__, np.shape(a)[-2]))
                 return solver(a, *args, **kwargs)
 
             return wrapped
 
         monkeypatch.setattr(LinearOperatorRep, "dense", counted)
+        monkeypatch.setattr(harness, "resolvent", no_resolvent)
+        monkeypatch.setattr(schatten_analysis, "resolvent", no_resolvent)
+        monkeypatch.setattr(schatten_analysis, "circulant_lookup", sized_lookup)
+        monkeypatch.setattr(harness, "impurity_support", recorded_support)
         for name in ("eigvalsh", "eigh", "svd"):
             monkeypatch.setattr(np.linalg, name, sized(getattr(np.linalg, name)))
         config = self._n2_config(32)
-        exp = config.experiments[0]
-        points = exp.grid.total_points
-        imp = impurity_support(exp.reference, harness.perturbed_coefficient(exp), exp.grid)
-        assert 0 < imp.one_zw.shape[0] <= SUPPORT_SPECTRUM_MAX_SHARE * points
-        rows.clear()
-        build_artifacts(exp, config)
-        assert labels == ["variable_operator"]
-        assert rows and max(size for _, size in rows) < points
+        build_artifacts(config.experiments[0], config)
+        assert labels == [] and solves and max(size for _, size in solves) < 16
+        config = parse_config(small_config())
+        for runner in (run_verify, run_scale, run_refine):
+            lookups.clear()
+            supports.clear()
+            runner(config)
+            assert supports and set(lookups) <= {(k, k) for k in supports}, runner.__name__
+        assert labels == []
 
     def test_one_coefficient_pass_per_experiment(self, monkeypatch):
         # a~ is decomposed once over its P points and the reference's symbols are built once
@@ -416,7 +453,7 @@ class TestDenseCap:
 
     def test_counts_channels_before_any_dense_object(self, monkeypatch):
         config = self._n2_config(32)
-        assert build_artifacts(config.experiments[0], config).perturbed_resolvent.shape == (16, 16)
+        assert build_artifacts(config.experiments[0], config).v.shape == (16, 2, 2)
 
         def no_dense(*args, **kwargs):
             raise AssertionError("a dense solve ran before the cap check")
@@ -907,3 +944,36 @@ def test_perfbench_tracer_installs():
         (coeff_algebra.sublevel_volume, {"samples"}),
     ):
         assert names <= set(inspect.signature(fn).parameters), fn.__name__
+
+
+def test_perfbench_traced_run_of_every_subcommand(tmp_path):
+    # each subcommand as perfbench runs it with --trace 1: one CLI process under
+    # perfbench/launch.py with the tracer installed; a process that dies under the
+    # tracer writes no report, and layer_metrics must read every report written
+    import importlib.util
+    import os
+    import time
+
+    from schatten_verify.cli import SUBCOMMANDS
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("tracer", root / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config()))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    reports = []
+    for sub in SUBCOMMANDS:
+        report = tmp_path / f"{sub}.json"
+        env["PERFBENCH_SPAWN"] = repr(time.clock_gettime(time.CLOCK_MONOTONIC))
+        args = [sub, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        launch = [sys.executable, str(root / "perfbench" / "launch.py"), str(report), "1", "0", "--", *args]
+        proc = subprocess.run(launch, cwd=root, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, f"{sub}: {proc.stderr}"
+        reports.append(json.loads(report.read_text()))
+        assert reports[-1]["subcommand"] == sub and reports[-1]["spans"], sub
+    metrics, breakdown = tracer.layer_metrics(reports)
+    assert metrics["cli.run_s"] > 0.0
+    assert {f"cli.{sub}_s" for sub in SUBCOMMANDS} <= set(breakdown)

@@ -108,9 +108,8 @@ class TestRelativePerturbation:
         assert np.abs(v).max() == 0.0
 
     def test_scalar_arithmetic(self):
-        # at = 4 at one point, with its root at^{-1/2} = 1/2 given: V = (4 - 1) / 2
-        a = constant_field(enumerate_basis(1, 1), np.eye(1))
-        v = relative_perturbation(a, np.full((1, 1, 1), 4.0), np.full((1, 1, 1), 0.5))
+        # at = 4 at one point, with its root at^{-1/2} = 1/2 given, and a = 1: V = (4 - 1) / 2
+        v = relative_perturbation(np.full((1, 1, 1), 4.0), np.full((1, 1, 1), 0.5), np.eye(1), np.eye(1))
         assert v[0, 0, 0] == pytest.approx(1.5)
 
     def test_commuting_scaling_case(self):

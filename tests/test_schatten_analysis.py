@@ -30,15 +30,15 @@ from schatten_verify.harness import (
     parse_config,
 )
 from schatten_verify.schatten_analysis import (
-    SUPPORT_SPECTRUM_MAX_SHARE,
-    delta_spectrum,
+    chain_gap,
     factorization_residual,
     impurity_support,
+    moments_gap,
+    resolvent_certificate,
     schatten_norm_from_values,
     singular_spectrum,
-    spectrum_residual,
+    support_core,
     support_spectrum,
-    woodbury_left_end,
 )
 from schatten_verify.torus_operator import channel_resolvent_symbols, circulant_lookup
 
@@ -65,6 +65,7 @@ from oracles import (
     resolvent_difference,
     resolvent_profile,
     spectral_profile_operator,
+    woodbury_left_end,
 )
 
 
@@ -235,7 +236,6 @@ class TestConstantFactorResolvent:
         exp = config.experiments[0]
         assert exp.grid.total_points <= config.max_dim
         monkeypatch.setattr(harness, "impurity_support", _never_called)
-        monkeypatch.setattr(harness, "woodbury_left_end", _never_called)
         with pytest.raises(DimensionCapError) as err:
             build_artifacts(exp, config)
         assert err.value.dim == 32
@@ -247,7 +247,7 @@ def _support_size(a, at):
 
 def _assert_left_end_matches_dense(a, at, grid):
     dense = channel_solve(assemble_derivative_factor(sqrt_field(at), grid).dense())
-    left = woodbury_left_end(impurity_support(a, at, grid))
+    left = woodbury_left_end(a, impurity_support(a, at, grid))
     assert left.shape == dense.shape
     assert np.abs(left - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -271,8 +271,10 @@ class TestImpuritySupport:
         imp = impurity_support(a, at, grid)
         values = at.values.reshape(grid.total_points, basis.nu, basis.nu)
         assert np.array_equal(imp.at, values)
-        assert np.abs(imp.at_sqrt @ imp.at_sqrt - values).max() <= 1e-12
-        assert np.abs(imp.at_inv_sqrt @ imp.at_sqrt - np.eye(basis.nu)).max() <= 1e-12
+        assert np.abs(imp.at_inv_sqrt @ values @ imp.at_inv_sqrt - np.eye(basis.nu)).max() <= 1e-12
+        assert np.array_equal(imp.a, a.constant_matrix())
+        assert np.abs(imp.a_sqrt @ imp.a_sqrt - imp.a).max() <= 1e-12
+        assert np.abs(imp.a_inv_sqrt @ imp.a_sqrt - np.eye(basis.nu)).max() <= 1e-12
         a_inv = np.linalg.inv(a.constant_matrix())
         w = np.linalg.inv(values[imp.points]) - a_inv
         assert np.abs(imp.w - w).max() <= 1e-12
@@ -374,60 +376,102 @@ class TestSupportSpectrum:
         exp, degenerate = clip_experiment
         _assert_spectrum_matches_dense(exp.reference, clip_coefficients(degenerate, level), exp.grid)
 
-    def test_empty_support(self, clip_experiment, monkeypatch):
-        # clip level 1: K = 0, no values, scale 0, and the factorization residual is the absolute gap
+    def test_empty_support(self, clip_experiment):
+        # clip level 1: K = 0, no values, scale 0, and every check is exactly 0
         exp, degenerate = clip_experiment
         at = clip_coefficients(degenerate, 1)
         assert support_spectrum(impurity_support(exp.reference, at, exp.grid)).size == 0
         # the dense spectrum is roundoff, below the absolute branch's 1e-14 as well
         direct = direct_difference(exp.reference, at, exp.grid)
         assert singular_spectrum(direct, hermitian=True)[0] <= 1e-14
-        scales = []
-
-        def record_scale(a, c_inv_d, v, grid, direct, left, scale):
-            scales.append(scale)
-            return factorization_residual(a, c_inv_d, v, grid, direct, left, scale)
-
-        monkeypatch.setattr(harness, "factorization_residual", record_scale)
         config = load_config(default_config_path())
         art = build_artifacts(exp, config, a_tilde=at)
-        assert art.delta_singular_values.size == 0 and scales == [0.0]
-        assert art.fact_residual < 1e-12
+        assert art.delta_singular_values.size == 0
+        assert art.fact_residual == 0.0 and art.deift_res == 0.0
 
     def test_wrong_spectrum_shows_in_the_residual(self, monkeypatch):
-        # the chain does not see the spectrum's own steps; ||Delta||_F = ||svals||_2 does
+        # the chain does not see the spectrum's own steps; its moments tr((Xi G2)^p) do
         config = load_config(default_config_path())
         exp = next(e for e in config.experiments if e.id == "n2m1_bump_a05")
         assert build_artifacts(exp, config).fact_residual <= 1e-10
-        spectrum = harness.delta_spectrum
-        monkeypatch.setattr(harness, "delta_spectrum", lambda imp, d: spectrum(imp, d) * (1 + 1e-6))
+        spectrum = harness.support_spectrum
+        monkeypatch.setattr(harness, "support_spectrum", lambda imp: spectrum(imp) * (1 + 1e-6))
         assert build_artifacts(exp, config).fact_residual >= 1e-7
 
-    def test_spectrum_residual(self):
-        rng = np.random.default_rng(47)
-        direct = random_hermitian(rng, 24)
-        values = singular_spectrum(direct, hermitian=True)
-        assert spectrum_residual(direct, values) <= 1e-14
-        assert spectrum_residual(direct, values[:-1]) > 0.0
-        # an empty spectrum: the absolute gap, ||direct||_F itself
-        assert spectrum_residual(direct, values[:0]) == pytest.approx(np.linalg.norm(direct))
 
-    @pytest.mark.parametrize("rel_width,route", [(0.5, "support"), (0.75, "dense")])
-    def test_size_rule(self, rel_width, route):
-        # nu K / P of 0.28 and 0.78, on either side of the size rule: nu K or P values
-        grid = TorusGrid(N=2, n=8, L=2 * np.pi)
-        basis, a = polyharmonic_setup(2, 1)
-        at = box_perturbed_field(grid, basis, a, 2.0, rel_width=rel_width)
-        imp = impurity_support(a, at, grid)
-        share = basis.nu * imp.points.size / grid.total_points
-        assert (share <= SUPPORT_SPECTRUM_MAX_SHARE) == (route == "support")
-        direct = direct_difference(a, at, grid)
-        values = delta_spectrum(imp, direct)
-        dense = singular_spectrum(direct, hermitian=True)
-        assert values.size == (basis.nu * imp.points.size if route == "support" else grid.total_points)
-        for p in (4, 6, 8, np.inf):
-            expected = schatten_norm_from_values(dense, p)
-            assert abs(schatten_norm_from_values(values, p) - expected) <= 1e-12 * expected
+def _core_case(N, n, m, amplitude, seed):
+    """(a, at, grid, imp, U*) for a matrix base with an off-diagonal box jump; U* on every column."""
+    grid = TorusGrid(N=N, n=n, L=2 * np.pi)
+    basis = enumerate_basis(N, m)
+    rng = np.random.default_rng(seed)
+    a = constant_field(basis, random_hermitian_pd(rng, basis.nu))
+    at = _off_diagonal_jump(grid, basis, a, amplitude, rng)
+    imp = impurity_support(a, at, grid)
+    _, _, r, d = channel_resolvent_symbols(a, grid)
+    return a, at, grid, imp, circulant_lookup((d * r[0])[:, None], grid, rows=imp.points)
+
+
+def _perturbed_core(imp, seed):
+    """Xi plus a random Hermitian 1e-6 ||Xi||: a core the checks must measure, not round."""
+    xi = support_core(imp)
+    noise = random_hermitian(np.random.default_rng(seed), xi.shape[0])
+    return xi + 1e-6 * np.abs(xi).max() * noise
+
+
+class TestSupportCore:
+    @pytest.mark.parametrize("N,n,m", [(1, 16, 1), (1, 16, 2), (2, 8, 1), (2, 8, 2), (3, 4, 1)])
+    @pytest.mark.parametrize("amplitude", [0.5, 8.0])
+    def test_matches_dense_difference(self, N, n, m, amplitude):
+        a, at, grid, imp, u_star = _core_case(N, n, m, amplitude, 10 * N + m)
+        core = np.conj(u_star.T) @ support_core(imp) @ u_star
+        dense = direct_difference(a, at, grid)
+        # the dense LU's own roundoff grows with ||Ht||, up to 1e-12 relative here
+        assert np.abs(core - dense).max() <= 1e-11 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("N,n,m", [(1, 16, 2), (2, 8, 1), (3, 4, 1)])
+    def test_certificate_is_the_dense_residual(self, N, n, m):
+        # ||(Ht+1)(r + U Xi U*) - 1||_F with Ht and r dense, for a core off by 1e-6
+        a, at, grid, imp, u_star = _core_case(N, n, m, 2.0, N + m)
+        xi = _perturbed_core(imp, N)
+        h_tilde = assemble_variable_coefficient(at, grid).dense()
+        r = resolvent(assemble_constant_coefficient(a, grid).dense())
+        x = (h_tilde + np.eye(grid.total_points)) @ (r + np.conj(u_star.T) @ xi @ u_star)
+        dense = np.linalg.norm(x - np.eye(grid.total_points))
+        assert abs(resolvent_certificate(imp, xi) - dense) <= 1e-6 * dense
+        assert resolvent_certificate(imp, support_core(imp)) <= 1e-12
+
+    @pytest.mark.parametrize("N,n,m", [(1, 16, 2), (2, 8, 1), (3, 4, 1)])
+    def test_chain_gap_is_the_dense_gap(self, N, n, m):
+        # ||U Xi U* + left* V right||_F with both ends and V dense, for a core off by 1e-6
+        a, at, grid, imp, u_star = _core_case(N, n, m, 2.0, N + m)
+        xi = _perturbed_core(imp, N)
+        left = channel_solve(assemble_derivative_factor(sqrt_field(at), grid).dense())
+        right = channel_solve(assemble_derivative_factor(sqrt_field(a), grid).dense())
+        v = relative_perturbation_of(a, at)
+        chain = np.conj(left.T) @ block_multiplication_matrix(v, grid) @ right
+        dense = np.linalg.norm(np.conj(u_star.T) @ xi @ u_star + chain)
+        v = v.reshape(imp.at.shape)
+        assert abs(chain_gap(imp, xi, v, 1.0) - dense) <= 1e-6 * dense
+        assert chain_gap(imp, support_core(imp), v, 1.0) <= 1e-12
+
+    def test_chain_gap_counts_v_off_the_support(self):
+        # V is 0 off the support by construction; a value there adds ||V||_F / 4, the bound on its part
+        a, at, grid, imp, _ = _core_case(2, 8, 1, 2.0, 3)
+        xi = support_core(imp)
+        v = relative_perturbation_of(a, at).reshape(imp.at.shape)
+        outside = np.setdiff1d(np.arange(grid.total_points), imp.points)[0]
+        v[outside] = np.eye(a.basis.nu)
+        gap = chain_gap(imp, xi, v, 1.0)
+        assert abs(gap - 0.25 * np.sqrt(a.basis.nu)) <= 1e-12
+
+    @pytest.mark.parametrize("N,n,m", [(1, 16, 2), (2, 8, 1), (3, 4, 1)])
+    def test_moments_gap(self, N, n, m):
+        a, at, grid, imp, _ = _core_case(N, n, m, 2.0, N + m)
+        xi = support_core(imp)
+        values = singular_spectrum(direct_difference(a, at, grid), hermitian=True)
+        assert moments_gap(imp, xi, values) <= 1e-12
+        # values 1e-6 too large: the 8th moment is off by 8e-6
+        assert moments_gap(imp, xi, values * (1 + 1e-6)) == pytest.approx(8e-6, rel=1e-3)
 
 
 class TestSupportRowGap:
