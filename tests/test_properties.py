@@ -1,4 +1,4 @@
-"""Property test: the dense pass on random matrix bases and box impurities.
+"""Property tests: an experiment's pass on random matrix bases and box impurities.
 
 For each dimension N and order m, hypothesis draws the grid, a Hermitian positive
 definite base with off-diagonal entries, and a box impurity whose jump keeps
