@@ -14,7 +14,7 @@ from .coeff_algebra import (
     sublevel_volume,
     symbol_vector,
 )
-from .errors import ConfigError, DimensionCapError, NonPositiveDefiniteError, QuadratureError
+from .errors import ConfigError, NonPositiveDefiniteError, QuadratureError
 from .multiindex import (
     MultiIndex,
     enumerate_basis,

@@ -1,25 +1,26 @@
 """Command-line entry point.
 
-    schatten-verify SUBCOMMAND [--config PATH] [--out DIR] [--seed INT] [--max-dim INT]
+    schatten-verify SUBCOMMAND [--config PATH] [--out DIR] [--seed INT]
 
 Subcommands: verify (impurity battery), scale (volume sweep), clip
 (coefficient clipping sequence), refine (grid ladder), constants (print the
 bound constants). Exit codes: 0 all assertions pass, 1 an assertion failed,
-2 a bad input: a config error (the whole config is validated on load, before
-anything runs), an I/O error, a coefficient that is not positive definite, an
-experiment whose dense dimension nu * n^N exceeds max_dim, or a base whose
-coarea constant the sphere quadrature cannot resolve. No output depends on
---seed: it is validated and kept for compatibility.
+2 a bad input or an I/O error. Every input is refused at load, before any
+grid is sampled: a config error names the entry, including an experiment or
+refinement rung whose nu * n^N exceeds max_dim and a jump for which a + jump
+is not positive definite. Two refusals come later: a base whose coarea
+constant the sphere quadrature cannot resolve, and a coefficient that
+rounding leaves not positive definite at some grid point. No output depends
+on --seed: it is validated and kept for compatibility.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from importlib import resources
 
-from .errors import ConfigError, DimensionCapError, NonPositiveDefiniteError, QuadratureError
+from .errors import ConfigError, NonPositiveDefiniteError, QuadratureError
 from .harness import (
     CSV_HEADER,
     HarnessConfig,
@@ -52,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, default=None, help="override the config seed (>= 0; no output depends on it)"
     )
-    parser.add_argument("--max-dim", type=int, default=None, help="override the dense-dimension cap")
     return parser
 
 
@@ -70,8 +70,6 @@ def run_cli(argv: list[str] | None = None) -> int:
         config = load_config(args.config or default_config_path())
         if args.seed is not None:
             check_seed(args.seed)
-        if args.max_dim is not None:
-            config = dataclasses.replace(config, max_dim=args.max_dim)
         return _execute(args.subcommand, config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -79,7 +77,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
-    except (NonPositiveDefiniteError, DimensionCapError, QuadratureError) as exc:
+    except (NonPositiveDefiniteError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

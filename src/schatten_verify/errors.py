@@ -10,7 +10,7 @@ class NonPositiveDefiniteError(ValueError):
     grid indices where positivity fails.
     """
 
-    def __init__(self, min_eigenvalue: float, points: list | None = None, hint: str = ""):
+    def __init__(self, min_eigenvalue: float, points: list | None = None):
         self.min_eigenvalue = float(min_eigenvalue)
         self.points = points or []
         where = ""
@@ -18,20 +18,10 @@ class NonPositiveDefiniteError(ValueError):
             shown = ", ".join(str(p) for p in self.points[:8])
             more = "" if len(self.points) <= 8 else f" (+{len(self.points) - 8} more)"
             where = f" at grid points [{shown}]{more}"
-        suffix = f"; {hint}" if hint else ""
         super().__init__(
             f"matrix not positive definite: smallest eigenvalue "
-            f"{self.min_eigenvalue:.6g}{where}{suffix}"
+            f"{self.min_eigenvalue:.6g}{where}"
         )
-
-
-class DimensionCapError(ValueError):
-    """Dense materialization was requested beyond the configured size cap."""
-
-    def __init__(self, dim: int, cap: int):
-        self.dim = int(dim)
-        self.cap = int(cap)
-        super().__init__(f"dense dimension {dim} exceeds cap {cap}")
 
 
 class ConfigError(ValueError):

@@ -30,6 +30,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .coeff_algebra import (
     sampled_field,
     sqrt_field,
 )
-from .errors import ConfigError, DimensionCapError, NonPositiveDefiniteError, QuadratureError
+from .errors import ConfigError, QuadratureError
 from .multiindex import MultiIndexBasis, enumerate_basis
 from .norms import matrix_field_lp_norm, relative_perturbation, resolvent_profile_norm
 # perfbench/tracer.py patches names of the next two imports here; deift_residual,
@@ -72,6 +73,14 @@ from .torus_operator import (
 CSV_HEADER = "experiment,p,lhs,rhs,constant,ratio,factorization_residual,deift_residual,n,L,seconds"
 
 RATIO_ZERO_LHS_TOL = 1e-12
+
+# a refinement study's successive lhs changes must shrink by this factor per doubling,
+# or sit below the floor relative to the finest lhs
+REFINE_SHRINK_FACTOR = 4.0
+REFINE_SHRINK_FLOOR = 1e-9
+
+# the default cap on nu * n^N per experiment and per refinement rung (config key max_dim)
+DEFAULT_MAX_DIM = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +132,13 @@ class Tolerances:
     ratio: float = 1.05
     slope: float = 1e-6
     refine_drift: float = 0.02
-    shrink_factor: float = 4.0
-    shrink_floor: float = 1e-9
 
     def __post_init__(self):
         # a tolerance no row can meet would exit 1, which must mean a failed estimate
         for f in fields(self):
             value = getattr(self, f.name)
-            if value < 0 or (value == 0 and f.name != "shrink_floor"):
-                bound = ">= 0" if f.name == "shrink_floor" else "> 0"
-                raise ValueError(f"{f.name} must be {bound}, got {value:g}")
+            if value <= 0:
+                raise ValueError(f"{f.name} must be > 0, got {value:g}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +165,6 @@ class RefineStudy:
 @dataclass(frozen=True)
 class HarnessConfig:
     experiments: tuple[ExperimentSpec, ...]
-    max_dim: int = 8192
     tolerances: Tolerances = field(default_factory=Tolerances)
     scale: ScaleStudy | None = None
     clip: ClipStudy | None = None
@@ -231,6 +236,17 @@ def _distinct(values: tuple, name: str) -> None:
         raise ConfigError(f"{name} repeats an entry: {list(values)}")
 
 
+def _check_size(basis: MultiIndexBasis, grid: TorusGrid, max_dim: int, context: str) -> None:
+    """Refuse a grid whose channel dimension nu * n^N exceeds ``max_dim``, before anything samples it.
+
+    nu * n^N bounds the size nu K of the support core's solves and lookups
+    (K <= n^N), and n^N is the side of the clip study's dense matrices.
+    """
+    dim = basis.nu * grid.total_points
+    if dim > max_dim:
+        raise ConfigError(f"{context}: nu * n^N = {dim} exceeds max_dim {max_dim}")
+
+
 def _require_grid_point(spec: PerturbationSpec, grid: TorusGrid, message: str) -> None:
     """Refuse, with ``message``, an impurity set whose profile vanishes at every point of ``grid``."""
     if not indicator_profile(spec, grid).any():
@@ -271,10 +287,14 @@ def _parse_perturbation(d: dict, context: str, reference: HermitianMatrixField):
         raise ConfigError(f"{context}: need 'amplitude' or 'amplitude_matrix'")
     if not np.any(jump):
         raise ConfigError(f"{context}: the coefficient jump is zero, so nothing is perturbed")
+    # a profile takes values in [0, 1] and the smallest eigenvalue is concave along
+    # a + t * jump (Weyl), so a + jump positive definite makes a~ so at every point
+    with _entry(f"{context}: a + jump"):
+        check_positive_definite(np.linalg.eigvalsh(reference.constant_matrix() + jump))
     return PerturbationSpec(shape, center, width, radius), jump
 
 
-def _parse_experiment(d: dict, context: str) -> ExperimentSpec:
+def _parse_experiment(d: dict, context: str, max_dim: int) -> ExperimentSpec:
     _check_keys(
         d, {"id", "N", "m", "grid", "base", "base_matrix", "perturbation", "p_values"}, context
     )
@@ -296,6 +316,7 @@ def _parse_experiment(d: dict, context: str) -> ExperimentSpec:
             L=_float(_require(grid_d, "L", f"{context}.grid"), "grid.L"),
         )
         basis = enumerate_basis(grid.N, _int(_require(d, "m", context), "m"))
+        _check_size(basis, grid, max_dim, context)
         if base == "polyharmonic":
             reference = polyharmonic_coefficients(basis)
         else:
@@ -353,7 +374,7 @@ def _parse_clip(d: dict, by_id: dict) -> ClipStudy:
     return _check_p(study, "clip_study")
 
 
-def _parse_refine(d: dict, by_id: dict) -> RefineStudy:
+def _parse_refine(d: dict, by_id: dict, max_dim: int) -> RefineStudy:
     exp = _study_experiment(d, {"n_values"}, by_id, "refinement_study")
     n_values = tuple(
         _int(v, f"n_values[{i}]") for i, v in enumerate(_require(d, "n_values", "refinement_study"))
@@ -362,30 +383,34 @@ def _parse_refine(d: dict, by_id: dict) -> RefineStudy:
         raise ConfigError("refinement_study: n_values must be strictly increasing, >= 2 entries")
     grids = tuple(TorusGrid(N=exp.N, n=n, L=exp.grid.L) for n in n_values)
     for i, grid in enumerate(grids):
+        _check_size(exp.basis, grid, max_dim, f"refinement_study: n_values[{i}]")
         message = f"refinement_study: n_values[{i}] = {grid.n} gives a {exp.perturbation.shape} with no grid point"
         _require_grid_point(exp.perturbation, grid, message)
     return RefineStudy(exp, grids)
-
-
-_STUDY_SECTIONS = {
-    "scale_study": ("scale", _parse_scale),
-    "clip_study": ("clip", _parse_clip),
-    "refinement_study": ("refine", _parse_refine),
-}
 
 
 def parse_config(data: dict) -> HarnessConfig:
     """Validate a config object into ready experiments and studies.
 
     Every malformed entry raises a ConfigError naming it; an absent optional
-    key keeps the default of its dataclass.
+    key keeps the default of its dataclass. The size cap ``max_dim`` is read
+    first: every grid is checked against it before any is sampled.
     """
     _check_keys(
-        data, {"experiments", "seed", "mc_samples", "max_dim", "tolerances", *_STUDY_SECTIONS}, "config"
+        data,
+        {"experiments", "seed", "mc_samples", "max_dim", "tolerances", "scale_study", "clip_study", "refinement_study"},
+        "config",
     )
+    with _entry("config"):
+        settings = {key: _int(data[key], key) for key in ("seed", "mc_samples", "max_dim") if key in data}
+    # seed and mc_samples are accepted and checked, but no output depends on them
+    check_seed(settings.get("seed", 0))
+    if settings.get("mc_samples", 1) < 1:
+        raise ConfigError(f"mc_samples must be >= 1, got {settings['mc_samples']}")
+    max_dim = settings.get("max_dim", DEFAULT_MAX_DIM)
     with _entry("experiments"):
         exps = tuple(
-            _parse_experiment(e, f"experiments[{i}]")
+            _parse_experiment(e, f"experiments[{i}]", max_dim)
             for i, e in enumerate(_require(data, "experiments", "config"))
         )
     if not exps:
@@ -397,19 +422,18 @@ def parse_config(data: dict) -> HarnessConfig:
     _check_keys(tol_d, {f.name for f in fields(Tolerances)}, "tolerances")
     with _entry("tolerances"):
         tolerances = Tolerances(**{key: _float(value, key) for key, value in tol_d.items()})
+    sections = {
+        "scale_study": ("scale", _parse_scale),
+        "clip_study": ("clip", _parse_clip),
+        # the one study with grids of its own, each checked against the cap
+        "refinement_study": ("refine", partial(_parse_refine, max_dim=max_dim)),
+    }
     studies = {}
-    for section, (name, parse) in _STUDY_SECTIONS.items():
+    for section, (name, parse) in sections.items():
         if section in data:
             with _entry(section):
                 studies[name] = parse(data[section], by_id)
-    with _entry("config"):
-        settings = {key: _int(data[key], key) for key in ("seed", "mc_samples", "max_dim") if key in data}
-    # seed and mc_samples are accepted and checked, but no output depends on them
-    check_seed(settings.pop("seed", 0))
-    mc_samples = settings.pop("mc_samples", 1)
-    if mc_samples < 1:
-        raise ConfigError(f"mc_samples must be >= 1, got {mc_samples}")
-    return HarnessConfig(experiments=exps, tolerances=tolerances, raw=data, **studies, **settings)
+    return HarnessConfig(experiments=exps, tolerances=tolerances, raw=data, **studies)
 
 
 def _finite(token: str) -> float:
@@ -607,19 +631,6 @@ def experiment_coarea(exp: ExperimentSpec) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _check_dense_size(exp: ExperimentSpec, config: HarnessConfig) -> None:
-    """Refuse an experiment whose channel dimension nu * n^N exceeds ``max_dim``.
-
-    nu * n^N bounds the size nu K of the support core's solves and lookups
-    (K <= n^N), and n^N is the side of the clip study's dense matrices. The
-    runners check every experiment (every refinement rung) first, before any
-    quadrature or support object.
-    """
-    dim = exp.basis.nu * exp.grid.total_points
-    if dim > config.max_dim:
-        raise DimensionCapError(dim, config.max_dim)
-
-
 @dataclass
 class ExperimentArtifacts:
     """Objects shared by the per-p rows of one experiment."""
@@ -638,32 +649,18 @@ class ExperimentArtifacts:
         return _report_row(experiment, p, lhs, rhs, constant, residuals, self.grid, start)
 
 
-def build_artifacts(
-    exp: ExperimentSpec,
-    config: HarnessConfig,
-    a_tilde: HermitianMatrixField | None = None,
-) -> ExperimentArtifacts:
+def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = None) -> ExperimentArtifacts:
     """The support-sized pass of one experiment; ``a_tilde`` defaults to its impurity.
 
     The resolvent difference is U Xi U* on the impurity's support. The
     factorization column is the larger of the chain gap and the moments gap,
     the Deift column the resolvent certificate (``schatten_analysis``).
     """
-    _check_dense_size(exp, config)
     grid, a = exp.grid, exp.reference
     if a_tilde is None:
         a_tilde = perturbed_coefficient(exp)
-
-    try:
-        # a~'s one decomposition and the reference's one symbol pass serve every step below
-        imp = impurity_support(a, a_tilde, grid)
-    except NonPositiveDefiniteError as exc:
-        raise NonPositiveDefiniteError(
-            exc.min_eigenvalue,
-            exc.points,
-            hint=f"experiment {exp.id!r}: clip the coefficient first (clip study) "
-            f"or reduce the amplitude",
-        ) from exc
+    # a~'s one decomposition and the reference's one symbol pass serve every step below
+    imp = impurity_support(a, a_tilde, grid)
     svals = support_spectrum(imp)
     v = relative_perturbation(imp.at, imp.at_inv_sqrt, imp.a, imp.a_inv_sqrt)
     xi = support_core(imp)
@@ -677,12 +674,10 @@ def build_artifacts(
     )
 
 
-def impurity_experiment(
-    exp: ExperimentSpec, config: HarnessConfig, c_cov: float
-) -> list[ReportRow]:
+def impurity_experiment(exp: ExperimentSpec, c_cov: float) -> list[ReportRow]:
     """Trace-norm rows per p plus the operator-norm (p = inf) row."""
     start = time.perf_counter()
-    art = build_artifacts(exp, config)
+    art = build_artifacts(exp)
     rows = [
         art.row(exp.id, p, trace_norm_constant(p, exp.basis, c_cov), start)
         for p in exp.p_values
@@ -732,11 +727,9 @@ def _monotonicity_assertions(rows: list[ReportRow]) -> list[Assertion]:
 
 def run_verify(config: HarnessConfig) -> StudyResult:
     """The impurity battery over every configured experiment."""
-    for exp in config.experiments:
-        _check_dense_size(exp, config)
     rows: list[ReportRow] = []
     for exp in config.experiments:
-        rows.extend(impurity_experiment(exp, config, experiment_coarea(exp)[0]))
+        rows.extend(impurity_experiment(exp, experiment_coarea(exp)[0]))
     return StudyResult(rows=rows, assertions=study_assertions("verify", rows, config, {}), extras={})
 
 
@@ -760,7 +753,6 @@ def run_scale(config: HarnessConfig) -> StudyResult:
     """
     study = _study(config.scale, "scale_study")
     exp, p, grid = study.experiment, study.p, study.experiment.grid
-    _check_dense_size(exp, config)
     constant = trace_norm_constant(p, exp.basis, experiment_coarea(exp)[0])
     rows: list[ReportRow] = []
     volumes: list[float] = []
@@ -768,7 +760,7 @@ def run_scale(config: HarnessConfig) -> StudyResult:
         start = time.perf_counter()
         profile = indicator_profile(_scale_box(exp, rel_w), grid)
         volumes.append(measured_support_volume(profile, grid))
-        art = build_artifacts(exp, config, a_tilde=perturbed_coefficient(exp, profile))
+        art = build_artifacts(exp, a_tilde=perturbed_coefficient(exp, profile))
         rows.append(art.row(f"{exp.id}|U={volumes[-1]:.12g}", p, constant, start))
     extras = {"volumes": volumes, "slope": _fit_slope(volumes, [r.rhs for r in rows])}
     return StudyResult(rows=rows, assertions=study_assertions("scale", rows, config, extras), extras=extras)
@@ -827,7 +819,6 @@ def run_clip(config: HarnessConfig) -> StudyResult:
     """
     study = _study(config.clip, "clip_study")
     exp, p, grid = study.experiment, study.p, study.experiment.grid
-    _check_dense_size(exp, config)
     degenerate = _clip_target_field(exp, study.floor)
     constant = trace_norm_constant(p, exp.basis, experiment_coarea(exp)[0])
 
@@ -846,7 +837,7 @@ def run_clip(config: HarnessConfig) -> StudyResult:
     for level in study.levels:
         start = time.perf_counter()
         clipped = clip_coefficients(degenerate, level)
-        art = build_artifacts(exp, config, a_tilde=clipped)
+        art = build_artifacts(exp, a_tilde=clipped)
         r_tilde = resolvent(assemble_variable_coefficient(clipped, grid).dense())
         lhs = operator_norm(r_tilde - reference)
         rhs = matrix_field_lp_norm(art.v, grid.cell_volume, p)
@@ -904,15 +895,12 @@ def _clip_assertions(rows: list[ReportRow], tol: Tolerances, spectral_max: float
 def run_refine(config: HarnessConfig) -> StudyResult:
     """Repeat the impurity experiment over a grid ladder to expose truncation error."""
     study = _study(config.refine, "refinement_study")
-    rungs = [replace(study.experiment, grid=grid) for grid in study.grids]
-    for rung in rungs:
-        _check_dense_size(rung, config)
     exp = study.experiment
     c_cov = experiment_coarea(exp)[0]
     rows: list[ReportRow] = []
-    for rung in rungs:
-        for row in impurity_experiment(rung, config, c_cov):
-            rows.append(replace(row, experiment=f"{exp.id}|n={rung.grid.n}"))
+    for grid in study.grids:
+        for row in impurity_experiment(replace(exp, grid=grid), c_cov):
+            rows.append(replace(row, experiment=f"{exp.id}|n={grid.n}"))
     return StudyResult(rows=rows, assertions=study_assertions("refine", rows, config, {}), extras={})
 
 
@@ -937,7 +925,7 @@ def _refine_assertions(rows: list[ReportRow], tol: Tolerances, smooth: bool) -> 
         if smooth and len(group) >= 3:
             changes = [abs(g2.lhs - g1.lhs) for g1, g2 in zip(group, group[1:])]
             ok = all(
-                c2 <= c1 / tol.shrink_factor or c2 <= tol.shrink_floor * max(1.0, group[-1].lhs)
+                c2 <= c1 / REFINE_SHRINK_FACTOR or c2 <= REFINE_SHRINK_FLOOR * max(1.0, group[-1].lhs)
                 for c1, c2 in zip(changes, changes[1:])
             )
             seq = ", ".join(f"{c:.3g}" for c in changes)
@@ -945,7 +933,7 @@ def _refine_assertions(rows: list[ReportRow], tol: Tolerances, smooth: bool) -> 
                 Assertion(
                     name=f"refine_lhs_shrink:p={p_str}",
                     passed=bool(ok),
-                    detail=f"successive lhs changes [{seq}] shrink {tol.shrink_factor:g}x per doubling",
+                    detail=f"successive lhs changes [{seq}] shrink {REFINE_SHRINK_FACTOR:g}x per doubling",
                 )
             )
     return out

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schatten_verify import ConfigError, DimensionCapError, harness
+from schatten_verify import ConfigError, harness
 from schatten_verify.cli import default_config_path, run_cli
 from schatten_verify.harness import (
     CSV_HEADER,
@@ -164,7 +164,7 @@ class TestConfigParsing:
         config = parse_config({"experiments": small_config()["experiments"]})
         defaults = {f.name: f.default for f in dataclasses.fields(HarnessConfig)}
         assert config.tolerances == Tolerances()
-        for key in ("max_dim", "scale", "clip", "refine"):
+        for key in ("scale", "clip", "refine"):
             assert getattr(config, key) == defaults[key], key
         data = small_config()
         del data["scale_study"]["p"], data["clip_study"]["p"], data["clip_study"]["floor"]
@@ -235,7 +235,7 @@ def test_matrix_base_and_three_dimensional_rows():
     assert [e.id for e in config.experiments[2:]] == ["quick_matrix_ball", "quick_n3_ball"]
     ratio_tol = config.tolerances.ratio
     experiments = config.experiments[2:]
-    rows = [r for e in experiments for r in impurity_experiment(e, config, experiment_coarea(e)[0])]
+    rows = [r for e in experiments for r in impurity_experiment(e, experiment_coarea(e)[0])]
     assert {(r.experiment, r.p) for r in rows} == set(PINNED_ROWS)
     for row in rows:
         lhs, rhs = PINNED_ROWS[(row.experiment, row.p)]
@@ -260,8 +260,7 @@ def test_residual_budget_on_a_short_torus():
         "perturbation": {"shape": "box", "center": [0.0], "width": [L / 4], "amplitude_matrix": [[0.0753]]},
         "p_values": [4],
     }
-    config = parse_config({"experiments": [exp]})
-    art = build_artifacts(config.experiments[0], config)
+    art = build_artifacts(parse_config({"experiments": [exp]}).experiments[0])
     assert art.delta_singular_values.size == 2
     assert art.fact_residual <= 1e-10 and art.deift_res <= 1e-10
 
@@ -349,16 +348,31 @@ class TestRefineStudy:
         assert all(r.lhs < 1e-12 for r in result.rows)
 
 
-class TestPositivityGuard:
-    def test_experiment_with_indefinite_coefficient_names_itself(self):
-        from schatten_verify import NonPositiveDefiniteError
+def _no_grid(*args, **kwargs):
+    raise AssertionError("a grid was sampled before the refusal")
 
+
+class TestPositivityGuard:
+    def test_experiment_with_indefinite_coefficient_names_itself(self, monkeypatch):
+        # a + jump = -0.5 a is refused at load, by one nu x nu eigvalsh, before any grid is sampled
         data = small_config()
         data["experiments"][0]["perturbation"]["amplitude"] = -1.5
-        config = parse_config(data)
-        exp = config.experiments[0]
-        with pytest.raises(NonPositiveDefiniteError, match="quick_box"):
-            impurity_experiment(exp, config, experiment_coarea(exp)[0])
+        monkeypatch.setattr(harness, "indicator_profile", _no_grid)
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert str(err.value) == (
+            "experiments[0] ('quick_box').perturbation: a + jump: "
+            "matrix not positive definite: smallest eigenvalue -0.5"
+        )
+
+    def test_bump_whose_grid_misses_its_peak_is_refused(self):
+        # the bump's center sits between two points of the n = 32 grid, where its profile
+        # peaks at 0.996: a~ >= 0.002 there, although a + jump = -0.002 is refused
+        data = small_config()
+        data["experiments"][1]["perturbation"]["center"] = [math.pi / 32]
+        data["experiments"][1]["perturbation"]["amplitude"] = -1.002
+        with pytest.raises(ConfigError, match=r"experiments\[1\] \('quick_bump'\)\.perturbation: a \+ jump"):
+            parse_config(data)
 
 
 class TestDenseCap:
@@ -416,8 +430,7 @@ class TestDenseCap:
         monkeypatch.setattr(harness, "impurity_support", recorded_support)
         for name in ("eigvalsh", "eigh", "svd"):
             monkeypatch.setattr(np.linalg, name, sized(getattr(np.linalg, name)))
-        config = self._n2_config(32)
-        build_artifacts(config.experiments[0], config)
+        build_artifacts(self._n2_config(32).experiments[0])
         assert labels == [] and solves and max(size for _, size in solves) < 16
         config = parse_config(small_config())
         for runner in (run_verify, run_scale, run_refine):
@@ -431,8 +444,7 @@ class TestDenseCap:
         # a~ is decomposed once over its P points and the reference's symbols are built once
         from schatten_verify import schatten_analysis, torus_operator
 
-        config = self._n2_config(32)
-        exp = config.experiments[0]
+        exp = self._n2_config(32).experiments[0]
         calls = []
 
         def counted(module, name, size=lambda *args: None):
@@ -447,47 +459,70 @@ class TestDenseCap:
         counted(np.linalg, "eigh", lambda values: int(np.prod(np.shape(values)[:-2])))
         counted(schatten_analysis, "channel_resolvent_symbols")
         counted(torus_operator, "constant_multiplier")
-        build_artifacts(exp, config)
+        build_artifacts(exp)
         pinned = [("eigh", exp.grid.total_points), ("channel_resolvent_symbols", None), ("constant_multiplier", None)]
         assert [calls.count(call) for call in pinned] == [1, 1, 1]
 
     def test_counts_channels_before_any_dense_object(self, monkeypatch):
-        config = self._n2_config(32)
-        assert build_artifacts(config.experiments[0], config).v.shape == (16, 2, 2)
-
-        def no_dense(*args, **kwargs):
-            raise AssertionError("a dense solve ran before the cap check")
-
-        config = self._n2_config(20)
-        monkeypatch.setattr(harness, "resolvent", no_dense)
-        with pytest.raises(DimensionCapError) as err:
-            build_artifacts(config.experiments[0], config)
-        assert (err.value.dim, err.value.cap) == (32, 20)
+        # P = 16 fits a cap of 20, the channel side nu * P = 32 does not; the grid is never sampled
+        assert build_artifacts(self._n2_config(32).experiments[0]).v.shape == (16, 2, 2)
+        monkeypatch.setattr(harness, "indicator_profile", _no_grid)
+        with pytest.raises(ConfigError) as err:
+            self._n2_config(20)
+        assert str(err.value) == "experiments[0] ('n2_small'): nu * n^N = 32 exceeds max_dim 20"
 
     def test_clip_checks_before_its_own_dense_objects(self, monkeypatch):
+        # the clip study's experiment is over the cap: the config is refused before any
+        # operator is assembled or any grid is sampled
         def no_assembly(*args, **kwargs):
             raise AssertionError("an operator was assembled before the cap check")
 
-        config = parse_config(small_config(max_dim=16))
         monkeypatch.setattr(harness, "assemble_variable_coefficient", no_assembly)
-        with pytest.raises(DimensionCapError) as err:
-            run_clip(config)
-        assert (err.value.dim, err.value.cap) == (32, 16)
+        monkeypatch.setattr(harness, "indicator_profile", _no_grid)
+        with pytest.raises(ConfigError) as err:
+            parse_config(small_config(max_dim=16))
+        assert str(err.value) == "experiments[0] ('quick_box'): nu * n^N = 32 exceeds max_dim 16"
 
     @pytest.mark.parametrize("subcommand,cap,dim", [("verify", 300, 512), ("refine", 200, 256)])
     def test_runner_checks_every_experiment_first(
         self, subcommand, cap, dim, tmp_path, capsys, monkeypatch
     ):
-        # the default battery's N=2 experiments and refine's last rung are over the cap:
-        # the exit comes before the coarea quadrature and before any experiment or rung is built
+        # the default battery's first N=2 experiment, or (with the N=1 experiments alone)
+        # refine's last rung, is over the cap: the config is refused at load, before the
+        # coarea quadrature and before any experiment or rung is built
         def no_work(*args, **kwargs):
             raise AssertionError("work ran before the cap check")
 
+        data = json.loads(Path(default_config_path()).read_text())
+        data["max_dim"] = cap
+        entry = "experiments[18] ('n2m1_box_a05')"
+        if subcommand == "refine":
+            data["experiments"] = [e for e in data["experiments"] if e["N"] == 1]
+            entry = "refinement_study: n_values[3]"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
         monkeypatch.setattr(harness, "coarea_constant", no_work)
         monkeypatch.setattr(harness, "build_artifacts", no_work)
-        args = [subcommand, "--out", str(tmp_path / "o"), "--max-dim", str(cap)]
-        assert run_cli(args) == 2
-        assert f"dense dimension {dim} exceeds cap {cap}" in capsys.readouterr().err
+        assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {entry}: nu * n^N = {dim} exceeds max_dim {cap}\n"
+
+    def test_huge_grid_is_refused_before_any_grid_is_sampled(self, monkeypatch):
+        # n = 2^50: sampling the grid would allocate petabytes
+        data = small_config()
+        data["experiments"][0]["grid"]["n"] = 2**50
+        monkeypatch.setattr(harness, "indicator_profile", _no_grid)
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert str(err.value) == "experiments[0] ('quick_box'): nu * n^N = 1125899906842624 exceeds max_dim 8192"
+
+    def test_refinement_rung_over_the_cap_is_named(self):
+        # every experiment fits a cap of 200 (the largest is nu * n^N = 192); the rung n = 256 does not
+        data = small_config(max_dim=200)
+        data["refinement_study"]["n_values"] = [32, 64, 256]
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert str(err.value) == "refinement_study: n_values[2]: nu * n^N = 256 exceeds max_dim 200"
 
 
 def _set(path, value):
@@ -632,10 +667,16 @@ MALFORMED = {
         _set(["tolerances"], {"refine_drift": 0}),
         "tolerances: refine_drift must be > 0",
     ),
+    # the refinement study's shrink factor and floor are constants, not tolerances
     "negative_shrink_floor": (
         "refine",
         _set(["tolerances"], {"shrink_floor": -1e-9}),
-        "tolerances: shrink_floor must be >= 0",
+        "unknown key(s) ['shrink_floor'] in tolerances",
+    ),
+    "shrink_factor_key": (
+        "refine",
+        _set(["tolerances"], {"shrink_factor": 4.0}),
+        "unknown key(s) ['shrink_factor'] in tolerances",
     ),
     # a bool or a string where a number belongs
     "string_L": (
@@ -725,7 +766,6 @@ def test_package_exports():
     }
     assert exported == {
         "ConfigError",
-        "DimensionCapError",
         "LinearOperatorRep",
         "MultiIndex",
         "NonPositiveDefiniteError",
@@ -810,23 +850,37 @@ class TestCli:
     def test_exit_two_on_missing_config(self, tmp_path):
         assert run_cli(["verify", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
-    def test_exit_two_on_indefinite_coefficient(self, tmp_path, capsys):
+    def test_exit_two_on_indefinite_coefficient(self, tmp_path, capsys, monkeypatch):
+        # a + jump = 0 is a config error; a coefficient that loses positivity after load
+        # (here by a patch, in practice by rounding) is caught by the support pass and named
         data = small_config()
         data["experiments"][0]["perturbation"]["amplitude"] = -1.0
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
         assert run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "not positive definite" in err and "quick_box" in err and "grid points" in err
+        assert err.startswith("config error: experiments[0] ('quick_box').perturbation: a + jump: ")
+        assert "not positive definite: smallest eigenvalue 0" in err and "Traceback" not in err
+        perturbed = harness.perturbed_coefficient
+
+        def indefinite(exp):
+            return perturbed(dataclasses.replace(exp, jump=-2.0 * exp.jump))
+
+        monkeypatch.setattr(harness, "perturbed_coefficient", indefinite)
+        cfg.write_text(json.dumps(small_config()))
+        assert run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix not positive definite") and "at grid points" in err
         assert "Traceback" not in err
 
     def test_exit_two_on_dense_cap(self, tmp_path, capsys):
+        # an entry over the cap refuses the config for every subcommand, the ones that never run it too
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(small_config()))
-        args = ["verify", "--config", str(cfg), "--out", str(tmp_path / "o"), "--max-dim", "16"]
-        assert run_cli(args) == 2
-        err = capsys.readouterr().err
-        assert "exceeds cap 16" in err and "Traceback" not in err
+        cfg.write_text(json.dumps(small_config(max_dim=16)))
+        for subcommand in ("verify", "scale", "clip", "refine", "constants"):
+            assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err == "config error: experiments[0] ('quick_box'): nu * n^N = 32 exceeds max_dim 16\n"
 
     def test_exit_one_names_failing_row(self, tmp_path, capsys):
         data = small_config(tolerances={"ratio": 1e-6})

@@ -7,6 +7,10 @@ patch one function that the CLI path calls. A defect is caught when the run
 would exit 1 (an assertion fails) or a residual column is over 1e-10, the
 bound that the frozen-reference test and perfbench/checks.py hold every row
 to. README.md tabulates which column fires for each.
+
+A conjugate is tried on a variant of the experiment whose reference has
+imaginary off-diagonal entries: on the bundled one, whose config matrices
+are real, the conjugates of W, C^{-1} D, a~ and a~^{-1/2} change nothing.
 """
 
 import dataclasses
@@ -14,7 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from schatten_verify import harness, sampled_field, schatten_analysis
+from schatten_verify import constant_field, harness, sampled_field, schatten_analysis
 from schatten_verify.cli import default_config_path
 from schatten_verify.torus_operator import channel_resolvent_symbols, circulant_lookup
 
@@ -72,6 +76,26 @@ def _channels_swapped(imp, a, a_tilde):
     return dataclasses.replace(imp, c_inv_d=imp.c_inv_d[::-1])
 
 
+def _kernel_scaled(index):
+    def defect(imp, a, a_tilde):
+        kernels = imp.kernels.copy()
+        kernels[index] *= SCALE
+        return dataclasses.replace(imp, kernels=kernels)
+
+    return defect
+
+
+def _g1_g2_swapped(imp, a, a_tilde):
+    return dataclasses.replace(imp, kernels=imp.kernels[[1, 0, 2]])
+
+
+def _conjugated(name):
+    def defect(imp, a, a_tilde):
+        return dataclasses.replace(imp, **{name: np.conj(getattr(imp, name))})
+
+    return defect
+
+
 SUPPORT_DEFECTS = {
     "w_sign_one_point": _w_sign_one_point,
     "one_zw_diagonal": _one_zw_diagonal,
@@ -82,7 +106,19 @@ SUPPORT_DEFECTS = {
     "dropped_support_point": _dropped_support_point,
     "z_lookup_shifted": _z_lookup_shifted,
     "channels_swapped": _channels_swapped,
+    # the moments check reads G2; the spectrum takes its own lookup of a G2 a from C^{-1} D,
+    # so the two stay independent, and a wrong G2 shows in their gap
+    "g2_scaled": _kernel_scaled(1),
+    "g1_scaled": _kernel_scaled(0),
+    "g1_g2_swapped": _g1_g2_swapped,
 }
+
+# defects that no check catches, each with the reason
+MISSED = {
+    "g1_scaled": "G1 enters only the certificate's norm tr(Y* G1 Y G2), and Y is roundoff on a correct core",
+}
+
+CONJUGATED = ("w", "one_zw", "c_inv_d", "kernels", "at", "at_inv_sqrt")
 
 
 def _lookups_shifted(monkeypatch):
@@ -118,10 +154,26 @@ def experiment():
     return config, exp, harness.experiment_coarea(exp)[0]
 
 
+@pytest.fixture(scope="module")
+def complex_experiment(experiment):
+    """The bundled bump over the reference [[1, 0.3i], [-0.3i, 1]], with jump 0.5 times it."""
+    config, exp, _ = experiment
+    reference = np.array([[1.0, 0.3j], [-0.3j, 1.0]])
+    exp = dataclasses.replace(exp, reference=constant_field(exp.basis, reference), jump=0.5 * reference)
+    return config, exp, harness.experiment_coarea(exp)[0]
+
+
+def _patch_support(monkeypatch, defect):
+    def defective(a, a_tilde, grid):
+        return defect(_ORIGINAL(a, a_tilde, grid), a, a_tilde)
+
+    monkeypatch.setattr(harness, "impurity_support", defective)
+
+
 def _verdict(experiment):
     """(largest residual, every assertion passed) of the experiment's verify rows."""
     config, exp, c_cov = experiment
-    rows = harness.impurity_experiment(exp, config, c_cov)
+    rows = harness.impurity_experiment(exp, c_cov)
     residual = max(max(r.factorization_residual, r.deift_residual) for r in rows)
     passed = all(a.passed for a in harness.study_assertions("verify", rows, config, {}))
     return residual, passed
@@ -132,15 +184,28 @@ def test_the_experiment_passes_as_built(experiment):
     assert residual <= RESIDUAL_GATE and passed
 
 
-@pytest.mark.parametrize("name", sorted(SUPPORT_DEFECTS))
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=pytest.mark.xfail(reason=MISSED[name], strict=True)) if name in MISSED else name
+        for name in sorted(SUPPORT_DEFECTS)
+    ],
+)
 def test_support_defect_is_caught(name, experiment, monkeypatch):
-    defect = SUPPORT_DEFECTS[name]
-
-    def defective(a, a_tilde, grid):
-        return defect(_ORIGINAL(a, a_tilde, grid), a, a_tilde)
-
-    monkeypatch.setattr(harness, "impurity_support", defective)
+    _patch_support(monkeypatch, SUPPORT_DEFECTS[name])
     residual, passed = _verdict(experiment)
+    assert residual > RESIDUAL_GATE or not passed, f"{name}: residual {residual:.3g}"
+
+
+def test_the_complex_experiment_passes_as_built(complex_experiment):
+    residual, passed = _verdict(complex_experiment)
+    assert residual <= RESIDUAL_GATE and passed
+
+
+@pytest.mark.parametrize("name", CONJUGATED)
+def test_conjugate_defect_is_caught(name, complex_experiment, monkeypatch):
+    _patch_support(monkeypatch, _conjugated(name))
+    residual, passed = _verdict(complex_experiment)
     assert residual > RESIDUAL_GATE or not passed, f"{name}: residual {residual:.3g}"
 
 

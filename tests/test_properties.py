@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from schatten_verify import TorusGrid, constant_field, enumerate_basis
 from schatten_verify.harness import (
     ExperimentSpec,
-    HarnessConfig,
     PerturbationSpec,
     build_artifacts,
     perturbed_coefficient,
@@ -69,7 +68,7 @@ def box_experiments(draw, N, m, shortest=1.0):
 @given(data=st.data())
 def test_dense_pass_on_random_box_impurities(N, m, data):
     exp = data.draw(box_experiments(N, m))
-    art = build_artifacts(exp, HarnessConfig(experiments=(exp,)))
+    art = build_artifacts(exp)
     assert art.fact_residual <= 1e-10
     assert art.deift_res <= 1e-10
 
@@ -90,6 +89,6 @@ def test_dense_pass_on_random_box_impurities(N, m, data):
 @given(data=st.data())
 def test_residuals_on_short_tori(N, m, data):
     exp = data.draw(box_experiments(N, m, shortest=0.05))
-    art = build_artifacts(exp, HarnessConfig(experiments=(exp,)))
+    art = build_artifacts(exp)
     assert art.fact_residual <= 1e-10
     assert art.deift_res <= 1e-10

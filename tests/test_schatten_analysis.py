@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from schatten_verify import (
-    DimensionCapError,
+    ConfigError,
     NonPositiveDefiniteError,
     TorusGrid,
     assemble_constant_coefficient,
@@ -178,13 +178,10 @@ class TestConstantResolvent:
             dense = resolvent(assemble_constant_coefficient(a, grid).dense())
             assert np.abs(closed - dense).max() <= 1e-12
 
-    def test_dimension_cap(self, monkeypatch):
-        # the experiment's size guard refuses P = 64 > 32 before the closed form runs
-        config = _capped_config(N=1, n=64, max_dim=32)
-        monkeypatch.setattr(harness, "impurity_support", _never_called)
-        with pytest.raises(DimensionCapError) as err:
-            build_artifacts(config.experiments[0], config)
-        assert (err.value.dim, err.value.cap) == (64, 32)
+    def test_dimension_cap(self):
+        # the size rule refuses P = 64 > 32 at load, so no closed form can run
+        with pytest.raises(ConfigError, match=r"nu \* n\^N = 64 exceeds max_dim 32"):
+            _capped_config(N=1, n=64, max_dim=32)
 
 
 class TestConstantFactorResolvent:
@@ -230,15 +227,11 @@ class TestConstantFactorResolvent:
         assert np.array_equal(block, full[:, rows][:, :, :, cols].reshape(8, 4))
         assert circulant_lookup(c_inv, grid, cols=np.array([], dtype=int)).shape == (128, 0)
 
-    def test_dimension_cap_counts_channels(self, monkeypatch):
+    def test_dimension_cap_counts_channels(self):
         # P = 16 fits the cap, the channel side nu * P = 32 does not
-        config = _capped_config(N=2, n=4, max_dim=20)
-        exp = config.experiments[0]
-        assert exp.grid.total_points <= config.max_dim
-        monkeypatch.setattr(harness, "impurity_support", _never_called)
-        with pytest.raises(DimensionCapError) as err:
-            build_artifacts(exp, config)
-        assert err.value.dim == 32
+        assert _capped_config(N=2, n=4, max_dim=32).experiments[0].grid.total_points == 16
+        with pytest.raises(ConfigError, match=r"nu \* n\^N = 32 exceeds max_dim 20"):
+            _capped_config(N=2, n=4, max_dim=20)
 
 
 def _support_size(a, at):
@@ -384,8 +377,7 @@ class TestSupportSpectrum:
         # the dense spectrum is roundoff, below the absolute branch's 1e-14 as well
         direct = direct_difference(exp.reference, at, exp.grid)
         assert singular_spectrum(direct, hermitian=True)[0] <= 1e-14
-        config = load_config(default_config_path())
-        art = build_artifacts(exp, config, a_tilde=at)
+        art = build_artifacts(exp, a_tilde=at)
         assert art.delta_singular_values.size == 0
         assert art.fact_residual == 0.0 and art.deift_res == 0.0
 
@@ -393,10 +385,10 @@ class TestSupportSpectrum:
         # the chain does not see the spectrum's own steps; its moments tr((Xi G2)^p) do
         config = load_config(default_config_path())
         exp = next(e for e in config.experiments if e.id == "n2m1_bump_a05")
-        assert build_artifacts(exp, config).fact_residual <= 1e-10
+        assert build_artifacts(exp).fact_residual <= 1e-10
         spectrum = harness.support_spectrum
         monkeypatch.setattr(harness, "support_spectrum", lambda imp: spectrum(imp) * (1 + 1e-6))
-        assert build_artifacts(exp, config).fact_residual >= 1e-7
+        assert build_artifacts(exp).fact_residual >= 1e-7
 
 
 def _core_case(N, n, m, amplitude, seed):
@@ -507,10 +499,6 @@ def _capped_config(N, n, max_dim):
         "p_values": [4],
     }
     return parse_config({"experiments": [exp], "max_dim": max_dim})
-
-
-def _never_called(*args, **kwargs):
-    raise AssertionError("a closed-form resolvent ran before the size check")
 
 
 class TestDeift:
