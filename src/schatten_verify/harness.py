@@ -44,9 +44,15 @@ from .coeff_algebra import (
     sampled_field,
     sqrt_field,
 )
-from .errors import ConfigError, QuadratureError
+from .errors import ConfigError, NonPositiveDefiniteError, QuadratureError
 from .multiindex import MultiIndexBasis, enumerate_basis
-from .norms import matrix_field_lp_norm, relative_perturbation, resolvent_profile_norm
+from .norms import (
+    lp_norm_of_pointwise,
+    matrix_field_lp_norm,
+    pointwise_operator_norms,
+    relative_perturbation,
+    resolvent_profile_norm,
+)
 # perfbench/tracer.py patches names of the next two imports here; deift_residual,
 # factorization_residual and assemble_derivative_factor have no caller in this module
 from .schatten_analysis import (
@@ -61,6 +67,7 @@ from .schatten_analysis import (
     schatten_norm_from_values,
     singular_spectrum,
     support_core,
+    support_kernels,
     support_spectrum,
 )
 from .torus_operator import (
@@ -638,13 +645,14 @@ class ExperimentArtifacts:
     grid: TorusGrid
     delta_singular_values: np.ndarray
     v: np.ndarray  # the relative perturbation V, (n^N, nu, nu)
+    v_norms: np.ndarray  # ||V(x)||_op at every point, one SVD pass for every p
     fact_residual: float
     deift_res: float
 
     def row(self, experiment: str, p: float, constant: float | None, start: float) -> ReportRow:
         """Schatten-p norm of the resolvent difference against ||V||_p."""
         lhs = schatten_norm_from_values(self.delta_singular_values, p)
-        rhs = matrix_field_lp_norm(self.v, self.grid.cell_volume, p)
+        rhs = lp_norm_of_pointwise(self.v_norms, self.grid.cell_volume, p)
         residuals = (self.fact_residual, self.deift_res)
         return _report_row(experiment, p, lhs, rhs, constant, residuals, self.grid, start)
 
@@ -654,23 +662,33 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
 
     The resolvent difference is U Xi U* on the impurity's support. The
     factorization column is the larger of the chain gap and the moments gap,
-    the Deift column the resolvent certificate (``schatten_analysis``).
+    the Deift column the resolvent certificate (``schatten_analysis``). There
+    are two solves against 1 + Z W, the spectrum's and the core's, whose
+    result the chain gap reads too and which is dropped once it has. The
+    checks' kernels are looked up after the spectrum's eigh.
     """
     grid, a = exp.grid, exp.reference
     if a_tilde is None:
         a_tilde = perturbed_coefficient(exp)
     # a~'s one decomposition and the reference's one symbol pass serve every step below
-    imp = impurity_support(a, a_tilde, grid)
+    try:
+        imp = impurity_support(a, a_tilde, grid)
+    except NonPositiveDefiniteError as exc:
+        raise NonPositiveDefiniteError(exc.min_eigenvalue, exc.points, experiment=exp.id) from None
     svals = support_spectrum(imp)
     v = relative_perturbation(imp.at, imp.at_inv_sqrt, imp.a, imp.a_inv_sqrt)
-    xi = support_core(imp)
-    chain = chain_gap(imp, xi, v, svals[0] if svals.size else 0.0)
+    xi, solved = support_core(imp)
+    kernels = support_kernels(imp)
+    chain = chain_gap(imp, xi, solved, kernels[1], v, svals[0] if svals.size else 0.0)
+    del solved
+    moments = moments_gap(xi, kernels[1], svals)
     return ExperimentArtifacts(
         grid=grid,
         delta_singular_values=svals,
         v=v,
-        fact_residual=max(chain, moments_gap(imp, xi, svals)),
-        deift_res=resolvent_certificate(imp, xi),
+        v_norms=pointwise_operator_norms(v),
+        fact_residual=max(chain, moments),
+        deift_res=resolvent_certificate(imp, xi, kernels),
     )
 
 

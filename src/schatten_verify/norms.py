@@ -49,16 +49,24 @@ def relative_perturbation(
     return at_inv_sqrt @ (at - a) @ a_inv_sqrt
 
 
+def pointwise_operator_norms(values: np.ndarray) -> np.ndarray:
+    """||V(x)||_op, the largest singular value, at every point of (*spatial, nu, nu) ``values``; flat."""
+    return np.linalg.svd(values.reshape(-1, *values.shape[-2:]), compute_uv=False)[:, 0]
+
+
+def lp_norm_of_pointwise(top: np.ndarray, cell_volume: float, p: float) -> float:
+    """(h^N sum_x top(x)^p)^(1/p) of pointwise norms ``top``; p = inf gives the sup."""
+    if p != np.inf and p < 1:
+        raise ValueError(f"norm exponent must be >= 1 or inf, got {p}")
+    if p == np.inf:
+        return float(top.max())
+    return float((cell_volume * np.sum(top**p)) ** (1.0 / p))
+
+
 def matrix_field_lp_norm(values: np.ndarray, cell_volume: float, p: float) -> float:
     """(h^N sum_x ||V(x)||_op^p)^(1/p) over (*spatial, nu, nu) ``values``; p = inf gives the sup.
 
     The pointwise norm is the largest singular value of V(x) acting on
     C^nu; ``cell_volume`` is h^N.
     """
-    if p != np.inf and p < 1:
-        raise ValueError(f"norm exponent must be >= 1 or inf, got {p}")
-    vals = values.reshape(-1, *values.shape[-2:])
-    top = np.linalg.svd(vals, compute_uv=False)[:, 0]
-    if p == np.inf:
-        return float(top.max())
-    return float((cell_volume * np.sum(top**p)) ** (1.0 / p))
+    return lp_norm_of_pointwise(pointwise_operator_norms(values), cell_volume, p)

@@ -43,6 +43,10 @@ from .torus_operator import (
 )
 
 
+# the number of row blocks in which _trace_form forms its two products
+_BLOCKS = 8
+
+
 def singular_spectrum(matrix: np.ndarray, hermitian: bool = False) -> np.ndarray:
     """Non-increasing singular values of a dense matrix.
 
@@ -94,10 +98,10 @@ class ImpuritySupport:
     With E the restriction to the nu K channels of the support ``points``
     (flat indices, where at != a exactly) and C = D D* + a^{-1}: ``w`` is
     W = at^{-1} - a^{-1} there, (K, nu, nu); ``one_zw`` is 1 + Z W for
-    Z = E C^{-1} E*; ``at`` and ``at_inv_sqrt`` are (n^N, nu, nu), ``a`` and
-    its roots (nu, nu); ``c_inv_d`` is the symbol of C^{-1} D; ``kernels``
-    are G1, G2 and N, the support lookups of d d*, d d* / (1 + A)^2 and
-    d d* / (1 + A). The matrices are (nu K, nu K).
+    Z = E C^{-1} E*, (nu K, nu K); ``at`` and ``at_inv_sqrt`` are
+    (n^N, nu, nu), ``a`` and its roots (nu, nu); ``c_inv_d`` is the symbol of
+    C^{-1} D, ``d`` that of D and ``u`` that of D (op + 1)^{-1}, from which
+    ``support_kernels`` looks up the checks' kernels.
     """
 
     grid: TorusGrid
@@ -110,7 +114,8 @@ class ImpuritySupport:
     w: np.ndarray
     one_zw: np.ndarray
     c_inv_d: np.ndarray
-    kernels: np.ndarray
+    d: np.ndarray
+    u: np.ndarray
 
 
 def impurity_support(
@@ -129,13 +134,11 @@ def impurity_support(
     c_inv, c_inv_d, r, d = channel_resolvent_symbols(a, grid)
     z = circulant_lookup(c_inv, grid, rows=support, cols=support).reshape(nu * k, nu, k)
     w = at_inv[support] - a_inv
-    # Z W: W acts on the columns of Z, support point by support point
-    zw = np.matmul(z.transpose(2, 0, 1), w).transpose(1, 2, 0).reshape(nu * k, nu * k)
+    # Z W: W acts on the columns of Z, support point by support point, written in its final layout
+    zw = np.empty((nu * k, nu * k), dtype=complex)
+    np.matmul(z.transpose(2, 0, 1), w, out=zw.reshape(nu * k, nu, k).transpose(2, 0, 1))
     zw[np.diag_indices_from(zw)] += 1.0
-    u = d * r[0]  # the symbol of D (op + 1)^{-1}
-    symbols = np.concatenate([x[:, None] * np.conj(y[None]) for x, y in ((d, d), (u, u), (u, d))])
-    kernels = circulant_lookup(symbols, grid, rows=support, cols=support).reshape(3, nu * k, nu * k)
-    return ImpuritySupport(grid, support, at, at_inv_sqrt, a_mat, a_sqrt, a_inv_sqrt, w, zw, c_inv_d, kernels)
+    return ImpuritySupport(grid, support, at, at_inv_sqrt, a_mat, a_sqrt, a_inv_sqrt, w, zw, c_inv_d, d, d * r[0])
 
 
 def support_spectrum(imp: ImpuritySupport) -> np.ndarray:
@@ -149,71 +152,102 @@ def support_spectrum(imp: ImpuritySupport) -> np.ndarray:
     """
     c_inv_d = imp.c_inv_d[:, 0]
     g_symbol = c_inv_d[:, None] * np.conj(c_inv_d[None, :])
-    lam, q = np.linalg.eigh(circulant_lookup(g_symbol, imp.grid, rows=imp.points, cols=imp.points))
-    r = q * np.sqrt(np.maximum(lam, 0.0))
+    lam, r = np.linalg.eigh(circulant_lookup(g_symbol, imp.grid, rows=imp.points, cols=imp.points))
+    r *= np.sqrt(np.maximum(lam, 0.0))  # R = Q L^{1/2}, in place
     middle = np.conj(r.T) @ pointwise_rows(imp.w, np.linalg.solve(imp.one_zw, r))
     return singular_spectrum(middle, hermitian=True)
 
 
-def _on_support(imp: ImpuritySupport, field: np.ndarray) -> np.ndarray:
-    """The (nu K, nu K) matrix of a pointwise (K, nu, nu) or constant (nu, nu) field on the support."""
-    field = np.broadcast_to(field, (imp.points.size, *imp.a.shape))
-    return pointwise_rows(field, np.eye(imp.one_zw.shape[0]))
+def support_kernels(imp: ImpuritySupport) -> np.ndarray:
+    """The checks' kernels G1, G2 and N, (3, nu K, nu K): the support lookups of
+    d d*, u u* = d d* / (1 + A)^2 and u d* = d d* / (1 + A)."""
+    d, u, size = imp.d, imp.u, imp.one_zw.shape[0]
+    symbols = np.concatenate([x[:, None] * np.conj(y[None]) for x, y in ((d, d), (u, u), (u, d))])
+    return circulant_lookup(symbols, imp.grid, rows=imp.points, cols=imp.points).reshape(3, size, size)
 
 
 def _trace_form(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
-    """tr(x* left x right)^{1/2} = ||L x R*||_F for left = L* L and right = R* R."""
-    return float(np.sqrt(abs(np.vdot(left @ x, x @ right))))
+    """tr(x* left x right)^{1/2} = ||L x R*||_F for left = L* L and right = R* R.
+
+    Summed over _BLOCKS row blocks of left x and x right, so that no
+    product of x's full size is formed.
+    """
+    step = max(1, -(-x.shape[0] // _BLOCKS))
+    total = sum(np.vdot(left[i : i + step] @ x, x[i : i + step] @ right) for i in range(0, x.shape[0], step))
+    return float(np.sqrt(abs(total)))
 
 
-def support_core(imp: ImpuritySupport) -> np.ndarray:
-    """Xi = a Phi a: with U* = E D (op + 1)^{-1}, M = E C^{-1} D = a U*, so the
-    resolvent difference M* Phi M (``support_spectrum``) is U Xi U*."""
-    solved = np.linalg.solve(imp.one_zw, _on_support(imp, imp.a))
-    return pointwise_rows(imp.a @ imp.w, solved)
+def support_core(imp: ImpuritySupport) -> tuple[np.ndarray, np.ndarray]:
+    """Xi = a Phi a and S = (1 + Z W)^{-1} a, a at every support point, from one solve.
+
+    Xi = a W S. With U* = E D (op + 1)^{-1}, M = E C^{-1} D = a U*, so the
+    resolvent difference M* Phi M (``support_spectrum``) is U Xi U*.
+    ``chain_gap`` reads S in place of a solve against 1 + W Z.
+    """
+    solved = np.linalg.solve(imp.one_zw, np.kron(imp.a, np.eye(imp.points.size)))
+    return pointwise_rows(imp.a @ imp.w, solved), solved
 
 
-def resolvent_certificate(imp: ImpuritySupport, xi: np.ndarray) -> float:
+def resolvent_certificate(imp: ImpuritySupport, xi: np.ndarray, kernels: np.ndarray) -> float:
     """||(Ht + 1)((op + 1)^{-1} + U Xi U*) - 1||_F, absolute, from the support alone.
 
     Ht = op + D* E* Omega E D with Omega = at - a, and (op + 1) U = D* E*, so
     the residual is D* E* Y U* with Y = Omega + Xi + Omega N Xi. Omega and N
     never touch Z or W: the Woodbury core is checked against the operator's
     definition. The computed resolvent is off by at most the residual.
+
+    G1 enters only this norm, tr(Y* G1 Y G2), where Y is roundoff on a
+    correct core; so the residual is at least the relative gap between
+    tr(G1) and K sum_xi |d(xi)|^2 / P, the trace its symbol gives.
     """
-    g1, g2, n = imp.kernels
+    g1, g2, n = kernels
+    k = imp.points.size
     omega = imp.at[imp.points] - imp.a
-    y = pointwise_rows(omega, n @ xi) + _on_support(imp, omega) + xi
-    return _trace_form(y, g1, g2)
+    y = pointwise_rows(omega, n @ xi)
+    y += xi
+    # Omega's (c, c') entries sit on the diagonal of channel block (c, c'), point by point
+    nu = omega.shape[-1]
+    y.reshape(nu, k, nu, k)[:, np.arange(k), :, np.arange(k)] += omega
+    expected = k * float(np.sum(np.abs(imp.d) ** 2)) / imp.grid.total_points
+    g1_gap = abs(np.trace(g1) - expected) / (expected or 1.0)
+    return max(_trace_form(y, g1, g2), g1_gap)
 
 
-def chain_gap(imp: ImpuritySupport, xi: np.ndarray, v: np.ndarray, scale: float) -> float:
+def chain_gap(
+    imp: ImpuritySupport, xi: np.ndarray, solved: np.ndarray, g2: np.ndarray, v: np.ndarray, scale: float
+) -> float:
     """||U Xi U* - chain||_F for the chain Tt* (Gt+1)^{-1} (-V) (G+1)^{-1} T, relative to ``scale``.
 
-    On the support the chain is U Xi_V U* with Xi_V = -a (1 + W Z)^{-1}
-    at^{-1/2} V a^{1/2}, from its own solve, for the printed values ``v`` of
-    V. Off the support V vanishes; its part of the chain there is at most
-    ||V||_F / 4, which is added. Absolute when ``scale`` = ||Delta||_op is 0.
+    On the support the chain is U Xi_V U* with Xi_V = -a (1 + W Z)^{-1} F,
+    F = at^{-1/2} V a^{1/2}, for the printed values ``v`` of V. W and Z are
+    Hermitian, so (1 + W Z)^{-1} = ((1 + Z W)^{-1})*, and a (1 + W Z)^{-1} is
+    S* for the core's ``solved`` S = (1 + Z W)^{-1} a; Xi_V = -S* F needs no
+    solve of its own. Off the support V vanishes; its part of the chain there
+    is at most ||V||_F / 4, which is added. Absolute when ``scale`` =
+    ||Delta||_op is 0. ``g2`` is the kernel G2 = U* U.
     """
     support = imp.points
     field = imp.at_inv_sqrt[support] @ v[support] @ imp.a_sqrt
-    solved = np.linalg.solve(np.conj(imp.one_zw.T), _on_support(imp, field))
-    x = pointwise_rows(np.broadcast_to(imp.a, field.shape), solved) + xi
-    gap = _trace_form(x, imp.kernels[1], imp.kernels[1])
+    # Xi - Xi_V = Xi + (F* S)*, formed in F* S's own buffer
+    x = pointwise_rows(np.conj(field.transpose(0, 2, 1)), solved)
+    x = np.conjugate(x, out=x).T
+    x += xi
+    gap = _trace_form(x, g2, g2)
     gap += 0.25 * float(np.linalg.norm(np.delete(v, support, axis=0)))
     return gap / scale if scale > 1e-14 else gap
 
 
-def moments_gap(imp: ImpuritySupport, xi: np.ndarray, values: np.ndarray) -> float:
+def moments_gap(xi: np.ndarray, g2: np.ndarray, values: np.ndarray) -> float:
     """Largest gap between tr((Xi G2)^p) and the sum of ``values``^p, p = 4, 6, 8.
 
     Xi G2 = Xi U* U has the nonzero eigenvalues of U Xi U*, whose absolute
     values ``support_spectrum`` gave. Relative, or absolute for an empty support.
     """
-    b = xi @ imp.kernels[1]
+    b = xi @ g2
     b2 = b @ b
+    del b  # only its powers are read below
     b4 = b2 @ b2
-    traces = (np.trace(b4), np.sum(b4 * b2.T), np.sum(b4 * b4.T))
+    traces = (np.trace(b4), np.einsum("ij,ji->", b4, b2), np.einsum("ij,ji->", b4, b4))
     moments = (float(np.sum(values**p)) for p in (4, 6, 8))
     return max(abs(trace - moment) / (moment or 1.0) for trace, moment in zip(traces, moments))
 

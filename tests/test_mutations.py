@@ -2,11 +2,13 @@
 
 Every defect runs the ``verify`` rows of one bundled experiment with one
 object or one function made wrong. Most hand the experiment a defective copy
-of its ``ImpuritySupport`` (``harness.impurity_support`` patched); the rest
-patch one function that the CLI path calls. A defect is caught when the run
-would exit 1 (an assertion fails) or a residual column is over 1e-10, the
-bound that the frozen-reference test and perfbench/checks.py hold every row
-to. README.md tabulates which column fires for each.
+of its ``ImpuritySupport`` (``harness.impurity_support`` patched) or of the
+checks' kernels, which are looked up after the spectrum
+(``harness.support_kernels`` patched); the rest patch one function that the
+CLI path calls. A defect is caught when the run would exit 1 (an assertion
+fails) or a residual column is over 1e-10, the bound that the
+frozen-reference test and perfbench/checks.py hold every row to. README.md
+tabulates which column fires for each.
 
 A conjugate is tried on a variant of the experiment whose reference has
 imaginary off-diagonal entries: on the bundled one, whose config matrices
@@ -26,6 +28,7 @@ RESIDUAL_GATE = 1e-10
 EXPERIMENT = "n2m1_bump_a05"
 SCALE = 1 + 1e-9
 _ORIGINAL = schatten_analysis.impurity_support
+_KERNELS = schatten_analysis.support_kernels
 
 
 def _middle(imp):
@@ -77,16 +80,15 @@ def _channels_swapped(imp, a, a_tilde):
 
 
 def _kernel_scaled(index):
-    def defect(imp, a, a_tilde):
-        kernels = imp.kernels.copy()
+    def defect(kernels):
         kernels[index] *= SCALE
-        return dataclasses.replace(imp, kernels=kernels)
+        return kernels
 
     return defect
 
 
-def _g1_g2_swapped(imp, a, a_tilde):
-    return dataclasses.replace(imp, kernels=imp.kernels[[1, 0, 2]])
+def _g1_g2_swapped(kernels):
+    return kernels[[1, 0, 2]]
 
 
 def _conjugated(name):
@@ -106,16 +108,17 @@ SUPPORT_DEFECTS = {
     "dropped_support_point": _dropped_support_point,
     "z_lookup_shifted": _z_lookup_shifted,
     "channels_swapped": _channels_swapped,
+}
+
+# defects of the kernels G1, G2, N, each a function of the looked-up (3, nu K, nu K) array
+KERNEL_DEFECTS = {
     # the moments check reads G2; the spectrum takes its own lookup of a G2 a from C^{-1} D,
     # so the two stay independent, and a wrong G2 shows in their gap
     "g2_scaled": _kernel_scaled(1),
+    # G1 enters the certificate's norm tr(Y* G1 Y G2), where Y is roundoff on a correct core;
+    # the certificate also ties tr(G1) to its symbol
     "g1_scaled": _kernel_scaled(0),
     "g1_g2_swapped": _g1_g2_swapped,
-}
-
-# defects that no check catches, each with the reason
-MISSED = {
-    "g1_scaled": "G1 enters only the certificate's norm tr(Y* G1 Y G2), and Y is roundoff on a correct core",
 }
 
 CONJUGATED = ("w", "one_zw", "c_inv_d", "kernels", "at", "at_inv_sqrt")
@@ -170,6 +173,10 @@ def _patch_support(monkeypatch, defect):
     monkeypatch.setattr(harness, "impurity_support", defective)
 
 
+def _patch_kernels(monkeypatch, defect):
+    monkeypatch.setattr(harness, "support_kernels", lambda imp: defect(_KERNELS(imp)))
+
+
 def _verdict(experiment):
     """(largest residual, every assertion passed) of the experiment's verify rows."""
     config, exp, c_cov = experiment
@@ -184,15 +191,12 @@ def test_the_experiment_passes_as_built(experiment):
     assert residual <= RESIDUAL_GATE and passed
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(name, marks=pytest.mark.xfail(reason=MISSED[name], strict=True)) if name in MISSED else name
-        for name in sorted(SUPPORT_DEFECTS)
-    ],
-)
+@pytest.mark.parametrize("name", sorted(SUPPORT_DEFECTS.keys() | KERNEL_DEFECTS.keys()))
 def test_support_defect_is_caught(name, experiment, monkeypatch):
-    _patch_support(monkeypatch, SUPPORT_DEFECTS[name])
+    if name in KERNEL_DEFECTS:
+        _patch_kernels(monkeypatch, KERNEL_DEFECTS[name])
+    else:
+        _patch_support(monkeypatch, SUPPORT_DEFECTS[name])
     residual, passed = _verdict(experiment)
     assert residual > RESIDUAL_GATE or not passed, f"{name}: residual {residual:.3g}"
 
@@ -204,7 +208,10 @@ def test_the_complex_experiment_passes_as_built(complex_experiment):
 
 @pytest.mark.parametrize("name", CONJUGATED)
 def test_conjugate_defect_is_caught(name, complex_experiment, monkeypatch):
-    _patch_support(monkeypatch, _conjugated(name))
+    if name == "kernels":
+        _patch_kernels(monkeypatch, np.conj)
+    else:
+        _patch_support(monkeypatch, _conjugated(name))
     residual, passed = _verdict(complex_experiment)
     assert residual > RESIDUAL_GATE or not passed, f"{name}: residual {residual:.3g}"
 

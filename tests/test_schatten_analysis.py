@@ -38,6 +38,7 @@ from schatten_verify.schatten_analysis import (
     schatten_norm_from_values,
     singular_spectrum,
     support_core,
+    support_kernels,
     support_spectrum,
 )
 from schatten_verify.torus_operator import channel_resolvent_symbols, circulant_lookup
@@ -405,7 +406,7 @@ def _core_case(N, n, m, amplitude, seed):
 
 def _perturbed_core(imp, seed):
     """Xi plus a random Hermitian 1e-6 ||Xi||: a core the checks must measure, not round."""
-    xi = support_core(imp)
+    xi = support_core(imp)[0]
     noise = random_hermitian(np.random.default_rng(seed), xi.shape[0])
     return xi + 1e-6 * np.abs(xi).max() * noise
 
@@ -415,7 +416,7 @@ class TestSupportCore:
     @pytest.mark.parametrize("amplitude", [0.5, 8.0])
     def test_matches_dense_difference(self, N, n, m, amplitude):
         a, at, grid, imp, u_star = _core_case(N, n, m, amplitude, 10 * N + m)
-        core = np.conj(u_star.T) @ support_core(imp) @ u_star
+        core = np.conj(u_star.T) @ support_core(imp)[0] @ u_star
         dense = direct_difference(a, at, grid)
         # the dense LU's own roundoff grows with ||Ht||, up to 1e-12 relative here
         assert np.abs(core - dense).max() <= 1e-11 * np.abs(dense).max()
@@ -429,8 +430,9 @@ class TestSupportCore:
         r = resolvent(assemble_constant_coefficient(a, grid).dense())
         x = (h_tilde + np.eye(grid.total_points)) @ (r + np.conj(u_star.T) @ xi @ u_star)
         dense = np.linalg.norm(x - np.eye(grid.total_points))
-        assert abs(resolvent_certificate(imp, xi) - dense) <= 1e-6 * dense
-        assert resolvent_certificate(imp, support_core(imp)) <= 1e-12
+        kernels = support_kernels(imp)
+        assert abs(resolvent_certificate(imp, xi, kernels) - dense) <= 1e-6 * dense
+        assert resolvent_certificate(imp, support_core(imp)[0], kernels) <= 1e-12
 
     @pytest.mark.parametrize("N,n,m", [(1, 16, 2), (2, 8, 1), (3, 4, 1)])
     def test_chain_gap_is_the_dense_gap(self, N, n, m):
@@ -443,27 +445,39 @@ class TestSupportCore:
         chain = np.conj(left.T) @ block_multiplication_matrix(v, grid) @ right
         dense = np.linalg.norm(np.conj(u_star.T) @ xi @ u_star + chain)
         v = v.reshape(imp.at.shape)
-        assert abs(chain_gap(imp, xi, v, 1.0) - dense) <= 1e-6 * dense
-        assert chain_gap(imp, support_core(imp), v, 1.0) <= 1e-12
+        # the chain reads the core's solve S = (1 + Z W)^{-1} a, which the perturbation leaves exact
+        core, solved = support_core(imp)
+        g2 = support_kernels(imp)[1]
+        assert abs(chain_gap(imp, xi, solved, g2, v, 1.0) - dense) <= 1e-6 * dense
+        assert chain_gap(imp, core, solved, g2, v, 1.0) <= 1e-12
+
+    def test_certificate_ties_g1_to_its_symbol(self):
+        # Y is roundoff on a correct core, so the norm tr(Y* G1 Y G2) cannot see a wrong G1;
+        # tr(G1) against K sum_xi |d(xi)|^2 / P can
+        _, _, _, imp, _ = _core_case(2, 8, 1, 2.0, 3)
+        xi, kernels = support_core(imp)[0], support_kernels(imp)
+        assert resolvent_certificate(imp, xi, kernels) <= 1e-12
+        kernels[0] *= 1 + 1e-9
+        assert resolvent_certificate(imp, xi, kernels) == pytest.approx(1e-9, rel=1e-3)
 
     def test_chain_gap_counts_v_off_the_support(self):
         # V is 0 off the support by construction; a value there adds ||V||_F / 4, the bound on its part
         a, at, grid, imp, _ = _core_case(2, 8, 1, 2.0, 3)
-        xi = support_core(imp)
+        xi, solved = support_core(imp)
         v = relative_perturbation_of(a, at).reshape(imp.at.shape)
         outside = np.setdiff1d(np.arange(grid.total_points), imp.points)[0]
         v[outside] = np.eye(a.basis.nu)
-        gap = chain_gap(imp, xi, v, 1.0)
+        gap = chain_gap(imp, xi, solved, support_kernels(imp)[1], v, 1.0)
         assert abs(gap - 0.25 * np.sqrt(a.basis.nu)) <= 1e-12
 
     @pytest.mark.parametrize("N,n,m", [(1, 16, 2), (2, 8, 1), (3, 4, 1)])
     def test_moments_gap(self, N, n, m):
         a, at, grid, imp, _ = _core_case(N, n, m, 2.0, N + m)
-        xi = support_core(imp)
+        xi, g2 = support_core(imp)[0], support_kernels(imp)[1]
         values = singular_spectrum(direct_difference(a, at, grid), hermitian=True)
-        assert moments_gap(imp, xi, values) <= 1e-12
+        assert moments_gap(xi, g2, values) <= 1e-12
         # values 1e-6 too large: the 8th moment is off by 8e-6
-        assert moments_gap(imp, xi, values * (1 + 1e-6)) == pytest.approx(8e-6, rel=1e-3)
+        assert moments_gap(xi, g2, values * (1 + 1e-6)) == pytest.approx(8e-6, rel=1e-3)
 
 
 class TestSupportRowGap:
