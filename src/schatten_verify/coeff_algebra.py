@@ -216,28 +216,19 @@ def sublevel_volume(
     basis: MultiIndexBasis,
     samples: int = 1_000_000,
     seed: int = 0,
-    chunk: int = 1_000_000,
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of vol{xi : A(xi) < 1} with standard error.
 
-    Samples uniformly in the enclosing cube of the rigorous bounding ball;
-    deterministic for a fixed seed.
+    Samples uniformly in the enclosing cube of the rigorous bounding ball,
+    all in one draw; deterministic for a fixed seed.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     radius = sublevel_bounding_radius(b, basis)
     box_volume = (2.0 * radius) ** basis.N
-    rng = np.random.default_rng(seed)
-    hits = 0
-    remaining = samples
-    b = np.asarray(b)
-    while remaining > 0:
-        take = min(chunk, remaining)
-        pts = rng.uniform(-radius, radius, size=(take, basis.N))
-        vals = np.sum(np.abs(monomial_matrix(pts, basis) @ b.T) ** 2, axis=-1)
-        hits += int(np.count_nonzero(vals < 1.0))
-        remaining -= take
-    frac = hits / samples
+    pts = np.random.default_rng(seed).uniform(-radius, radius, size=(samples, basis.N))
+    vals = np.sum(np.abs(monomial_matrix(pts, basis) @ np.asarray(b).T) ** 2, axis=-1)
+    frac = int(np.count_nonzero(vals < 1.0)) / samples
     value = box_volume * frac
     stderr = box_volume * float(np.sqrt(max(frac * (1.0 - frac), 0.0) / samples))
     return MonteCarloEstimate(value=value, stderr=stderr, samples=samples)

@@ -46,6 +46,8 @@ from .coeff_algebra import (
 )
 from .errors import ConfigError, NonPositiveDefiniteError, QuadratureError
 from .multiindex import MultiIndexBasis, enumerate_basis
+# perfbench/tracer.py patches names of the next three imports here; matrix_field_lp_norm,
+# deift_residual, factorization_residual and assemble_derivative_factor have no caller in this module
 from .norms import (
     lp_norm_of_pointwise,
     matrix_field_lp_norm,
@@ -53,8 +55,6 @@ from .norms import (
     relative_perturbation,
     resolvent_profile_norm,
 )
-# perfbench/tracer.py patches names of the next two imports here; deift_residual,
-# factorization_residual and assemble_derivative_factor have no caller in this module
 from .schatten_analysis import (
     chain_gap,
     deift_residual,
@@ -340,8 +340,12 @@ def _parse_experiment(d: dict, context: str, max_dim: int) -> ExperimentSpec:
 
 
 def _check_p(study, context: str):
+    """Refuse a study p below 1, or at or below N/m, where the constant of every bound row diverges."""
+    exp = study.experiment
     if study.p < 1:
         raise ConfigError(f"{context}: p must be >= 1")
+    if study.p <= exp.N / exp.m:
+        raise ConfigError(f"{context}: p = {study.p:g} must be > N/m = {exp.N / exp.m:g} ({exp.id!r})")
     return study
 
 
@@ -358,9 +362,12 @@ def _parse_scale(d: dict, by_id: dict) -> ScaleStudy:
     if exp.perturbation.shape == "bump":
         raise ConfigError("scale_study needs an indicator (box/ball) perturbation")
     widths = _floats(_require(d, "relative_widths", "scale_study"), "relative_widths")
-    if any(w2 <= w1 for w1, w2 in zip(widths, widths[1:])) or not widths:
-        raise ConfigError("scale_study: relative_widths must be strictly increasing")
+    # the slope needs two sizes; a box wider than L wraps around and repeats the width-1 row
+    if any(w2 <= w1 for w1, w2 in zip(widths, widths[1:])) or len(widths) < 2:
+        raise ConfigError("scale_study: relative_widths must be strictly increasing, >= 2 entries")
     for i, rel_w in enumerate(widths):
+        if not 0 < rel_w <= 1:
+            raise ConfigError(f"scale_study: relative_widths[{i}] = {rel_w:g} must be in (0, 1]")
         message = f"scale_study: relative_widths[{i}] = {rel_w:g} gives a box with no grid point"
         _require_grid_point(_scale_box(exp, rel_w), exp.grid, message)
     return _check_p(ScaleStudy(exp, widths, **_present(d, p=_float)), "scale_study")
@@ -644,7 +651,6 @@ class ExperimentArtifacts:
 
     grid: TorusGrid
     delta_singular_values: np.ndarray
-    v: np.ndarray  # the relative perturbation V, (n^N, nu, nu)
     v_norms: np.ndarray  # ||V(x)||_op at every point, one SVD pass for every p
     fact_residual: float
     deift_res: float
@@ -685,7 +691,6 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
     return ExperimentArtifacts(
         grid=grid,
         delta_singular_values=svals,
-        v=v,
         v_norms=pointwise_operator_norms(v),
         fact_residual=max(chain, moments),
         deift_res=resolvent_certificate(imp, xi, kernels),
@@ -858,7 +863,7 @@ def run_clip(config: HarnessConfig) -> StudyResult:
         art = build_artifacts(exp, a_tilde=clipped)
         r_tilde = resolvent(assemble_variable_coefficient(clipped, grid).dense())
         lhs = operator_norm(r_tilde - reference)
-        rhs = matrix_field_lp_norm(art.v, grid.cell_volume, p)
+        rhs = lp_norm_of_pointwise(art.v_norms, grid.cell_volume, p)
         residuals = (art.fact_residual, art.deift_res)
         label = f"{exp.id}|clip={level}"
         rows.append(_report_row(label, p, lhs, rhs, constant, residuals, grid, start))

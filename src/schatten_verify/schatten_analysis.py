@@ -81,14 +81,9 @@ def operator_norm(matrix: np.ndarray) -> float:
 
 
 def resolvent(matrix: np.ndarray) -> np.ndarray:
-    """(M + 1)^{-1} of a dense Hermitian matrix M by dense inverse (LU)."""
+    """(M + 1)^{-1} of a dense Hermitian matrix M, by dense inverse (LU) of its Hermitian part plus 1."""
     m = np.asarray(matrix, dtype=complex)
-    # the Hermitian part and the shift in one new array
-    shifted = np.conj(m.T)
-    shifted += m
-    shifted *= 0.5
-    shifted[np.diag_indices_from(shifted)] += 1.0
-    return np.linalg.inv(shifted)
+    return np.linalg.inv(0.5 * (m + np.conj(m.T)) + np.eye(m.shape[0]))
 
 
 @dataclass(frozen=True)

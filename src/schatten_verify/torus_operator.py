@@ -155,31 +155,20 @@ class LinearOperatorRep:
 
 
 def _derivative_multipliers(grid: TorusGrid, basis: MultiIndexBasis) -> np.ndarray:
-    """(nu, *spatial) array of (i xi)^alpha over the frequency lattice."""
-    freq = grid.frequency_points()  # (*spatial, N)
-    mult = np.empty((basis.nu, *grid.spatial_shape), dtype=complex)
-    for c, mi in enumerate(basis.entries):
-        acc = np.ones(grid.spatial_shape, dtype=complex)
-        for ax, e in enumerate(mi.exponents):
-            if e:
-                acc = acc * (1j * freq[..., ax]) ** e
-        mult[c] = acc
-    return mult
+    """(nu, *spatial) array of (i xi)^alpha = i^m xi^alpha over the frequency lattice."""
+    return 1j**basis.m * np.moveaxis(monomial_matrix(grid.frequency_points(), basis), -1, 0)
 
 
-def _fft(u: np.ndarray, grid: TorusGrid, out: np.ndarray | None = None) -> np.ndarray:
-    return np.fft.fftn(u, axes=tuple(range(-grid.N, 0)), out=out)
+def _fft(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    return np.fft.fftn(u, axes=tuple(range(-grid.N, 0)))
 
 
-def _ifft(u: np.ndarray, grid: TorusGrid, out: np.ndarray | None = None) -> np.ndarray:
-    return np.fft.ifftn(u, axes=tuple(range(-grid.N, 0)), out=out)
+def _ifft(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    return np.fft.ifftn(u, axes=tuple(range(-grid.N, 0)))
 
 
 def _derivative_pipelines(grid: TorusGrid, basis: MultiIndexBasis):
-    """Raw (channels, *spatial) pipelines for the order-m derivative stack.
-
-    The adjoint overwrites its input, so callers pass a buffer of their own.
-    """
+    """Raw (channels, *spatial) pipelines for the order-m derivative stack."""
     if basis.N != grid.N:
         raise ValueError("basis dimension does not match grid")
     mult = _derivative_multipliers(grid, basis)
@@ -189,14 +178,8 @@ def _derivative_pipelines(grid: TorusGrid, basis: MultiIndexBasis):
         return _ifft(mult * _fft(u, grid), grid)
 
     def apply_adjoint(v: np.ndarray) -> np.ndarray:
-        # FFT, conj((i xi)^alpha) and the sum over channels in place, into channel 0's slot
-        spectrum = _fft(v, grid, out=v)
-        np.multiply(conj_mult, spectrum, out=spectrum)
-        channels = np.moveaxis(spectrum, -grid.N - 1, 0)
-        for c in range(1, basis.nu):
-            channels[0] += channels[c]
-        acc = np.expand_dims(channels[0], -grid.N - 1)
-        return _ifft(acc, grid, out=acc)
+        spectrum = np.sum(conj_mult * _fft(v, grid), axis=-grid.N - 1, keepdims=True)
+        return _ifft(spectrum, grid)
 
     return apply, apply_adjoint
 

@@ -73,9 +73,7 @@ def resolvent_difference(matrix_tilde: np.ndarray, matrix: np.ndarray) -> np.nda
 def derivative_operator(grid: TorusGrid, basis: MultiIndexBasis) -> LinearOperatorRep:
     """The order-m derivative stack: scalar -> nu channels, exact on the lattice."""
     apply, apply_adjoint = _derivative_pipelines(grid, basis)
-    return LinearOperatorRep(
-        grid, 1, basis.nu, apply, lambda v: apply_adjoint(v.copy()), label="derivative_stack"
-    )
+    return LinearOperatorRep(grid, 1, basis.nu, apply, apply_adjoint, label="derivative_stack")
 
 
 def assemble_channel_gram(b: HermitianMatrixField, grid: TorusGrid) -> LinearOperatorRep:

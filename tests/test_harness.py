@@ -474,7 +474,7 @@ class TestDenseCap:
 
         monkeypatch.setattr(np.linalg, "solve", counted)
         art = build_artifacts(self._n2_config(32).experiments[0])
-        k = np.count_nonzero(np.any(art.v != 0, axis=(1, 2)))
+        k = np.count_nonzero(art.v_norms)
         assert k > 0 and sizes == [(2 * k, 2 * k)] * 2
 
     def test_support_pass_peak_memory(self):
@@ -492,13 +492,13 @@ class TestDenseCap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        nu_k = 2 * np.count_nonzero(np.any(art.v != 0, axis=(1, 2)))
+        nu_k = 2 * np.count_nonzero(art.v_norms)
         assert nu_k == 386
         assert peak <= 8.5 * 16 * nu_k**2
 
     def test_counts_channels_before_any_dense_object(self, monkeypatch):
         # P = 16 fits a cap of 20, the channel side nu * P = 32 does not; the grid is never sampled
-        assert build_artifacts(self._n2_config(32).experiments[0]).v.shape == (16, 2, 2)
+        assert build_artifacts(self._n2_config(32).experiments[0]).v_norms.shape == (16,)
         monkeypatch.setattr(harness, "indicator_profile", _no_grid)
         with pytest.raises(ConfigError) as err:
             self._n2_config(20)
@@ -632,6 +632,20 @@ MALFORMED = {
         _set(["scale_study", "relative_widths"], [0.0, 0.125, 0.25]),
         "scale_study: relative_widths[0] = 0",
     ),
+    # scale and clip studies whose rows cannot hold: one width fits no slope, a width above 1
+    # wraps around the torus and repeats the width-1 row, and at p <= N/m every bound row diverges
+    "single_scale_width": (
+        "scale",
+        _set(["scale_study", "relative_widths"], [0.25]),
+        "scale_study: relative_widths must be strictly increasing, >= 2 entries",
+    ),
+    "scale_width_above_one": (
+        "scale",
+        _set(["scale_study", "relative_widths"], [0.5, 1.0, 1.5]),
+        "scale_study: relative_widths[2] = 1.5 must be in (0, 1]",
+    ),
+    "scale_p_at_n_over_m": ("scale", _set(["scale_study", "p"], 1), "scale_study: p = 1 must be > N/m = 1 ('quick_box')"),
+    "clip_p_at_n_over_m": ("clip", _set(["clip_study", "p"], 1), "clip_study: p = 1 must be > N/m = 1 ('quick_box')"),
     # impurities that perturb nothing: lhs = rhs = 0 would pass vacuously
     "zero_box_width": (
         "verify",

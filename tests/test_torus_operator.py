@@ -15,6 +15,7 @@ from schatten_verify import (
     sqrt_field,
     symbol_vector,
 )
+from schatten_verify.torus_operator import _derivative_multipliers, _derivative_pipelines
 from helpers import bump_perturbed_field, polyharmonic_setup, random_hermitian_pd
 from oracles import assemble_channel_gram, derivative_operator, inner, plane_wave
 
@@ -71,8 +72,27 @@ class TestDerivativeStack:
             lhs = inner(grid, op.apply(u), v)
             rhs = inner(grid, u, op.adjoint_matmul(v.reshape(-1, 1)))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
-            # the raw adjoint transforms its buffer in place; the caller's array is left alone
+            # the adjoint is out of place: the caller's array is left alone
             assert np.array_equal(v, given)
+
+    def test_raw_adjoint_leaves_input_unchanged(self):
+        grid = TorusGrid(N=2, n=6, L=3.0)
+        basis = enumerate_basis(2, 2)
+        _, apply_adjoint = _derivative_pipelines(grid, basis)
+        v = np.random.default_rng(31).normal(size=(4, basis.nu, *grid.spatial_shape)).astype(complex)
+        given = v.copy()
+        out = apply_adjoint(v)
+        assert out.shape == (4, 1, *grid.spatial_shape)
+        assert np.array_equal(v, given)
+
+    @pytest.mark.parametrize("N, m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)])
+    def test_multipliers_are_the_channel_symbols(self, N, m):
+        grid = TorusGrid(N=N, n=6, L=3.0)
+        basis = enumerate_basis(N, m)
+        xi = grid.frequency_points()
+        for c, mi in enumerate(basis.entries):
+            symbol = np.prod((1j * xi) ** np.asarray(mi.exponents), axis=-1)
+            assert np.allclose(_derivative_multipliers(grid, basis)[c], symbol, rtol=1e-13, atol=0)
 
 
 class TestConstantOperator:
