@@ -64,7 +64,6 @@ from .schatten_analysis import (
     operator_norm,
     resolvent,
     resolvent_certificate,
-    schatten_norm_from_values,
     singular_spectrum,
     support_core,
     support_kernels,
@@ -314,6 +313,8 @@ def _parse_experiment(d: dict, context: str, max_dim: int) -> ExperimentSpec:
         if base not in ("polyharmonic", "matrix"):
             raise ConfigError(f"{context}: base must be 'polyharmonic' or 'matrix'")
         p_values = _floats(_require(d, "p_values", context), "p_values")
+        if not p_values:
+            raise ConfigError(f"{context}: p_values must not be empty")
         _distinct(p_values, f"{context}: p_values")
         if any(p < 1 for p in p_values):
             raise ConfigError(f"{context}: every p must be >= 1")
@@ -622,14 +623,10 @@ class StudyResult:
 # the trace-norm constant
 # ---------------------------------------------------------------------------
 
-def _bound_constant(p: float, c_cov: float, gstar: float | None) -> float | None:
-    return None if gstar is None else 0.5 * c_cov ** (1.0 / p) * gstar
-
-
 def trace_norm_constant(p: float, basis: MultiIndexBasis, c_cov: float) -> float | None:
     """(1/2) c_cov^(1/p) ||g||_p^*, or None when the weighted norm diverges."""
     gstar = resolvent_profile_norm(p, basis.N, basis.m)
-    return _bound_constant(p, c_cov, gstar)
+    return None if gstar is None else 0.5 * c_cov ** (1.0 / p) * gstar
 
 
 def experiment_coarea(exp: ExperimentSpec) -> tuple[float, float]:
@@ -657,7 +654,7 @@ class ExperimentArtifacts:
 
     def row(self, experiment: str, p: float, constant: float | None, start: float) -> ReportRow:
         """Schatten-p norm of the resolvent difference against ||V||_p."""
-        lhs = schatten_norm_from_values(self.delta_singular_values, p)
+        lhs = lp_norm_of_pointwise(self.delta_singular_values, 1.0, p)
         rhs = lp_norm_of_pointwise(self.v_norms, self.grid.cell_volume, p)
         residuals = (self.fact_residual, self.deift_res)
         return _report_row(experiment, p, lhs, rhs, constant, residuals, self.grid, start)
@@ -669,9 +666,9 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
     The resolvent difference is U Xi U* on the impurity's support. The
     factorization column is the larger of the chain gap and the moments gap,
     the Deift column the resolvent certificate (``schatten_analysis``). There
-    are two solves against 1 + Z W, the spectrum's and the core's, whose
-    result the chain gap reads too and which is dropped once it has. The
-    checks' kernels are looked up after the spectrum's eigh.
+    are two solves against 1 + Z W, the spectrum's and the core's. 1 + Z W is
+    dropped after the core, and the core's S once the chain gap has read it.
+    The checks' kernels are looked up after the spectrum's eigh.
     """
     grid, a = exp.grid, exp.reference
     if a_tilde is None:
@@ -684,6 +681,7 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
     svals = support_spectrum(imp)
     v = relative_perturbation(imp.at, imp.at_inv_sqrt, imp.a, imp.a_inv_sqrt)
     xi, solved = support_core(imp)
+    imp = replace(imp, one_zw=None)
     kernels = support_kernels(imp)
     chain = chain_gap(imp, xi, solved, kernels[1], v, svals[0] if svals.size else 0.0)
     del solved
@@ -838,7 +836,8 @@ def run_clip(config: HarnessConfig) -> StudyResult:
 
     A level's lhs is the *operator* norm of the resolvent difference, set against
     the trace-norm constant * ||V||_p: weaker than the Schatten-p bound, as
-    ||.||_op <= ||.||_p. A ``clip_pair`` row holds the Cauchy gap of levels n, 2n.
+    ||.||_op <= ||.||_p. The Cauchy gap of levels n, 2n goes to the extras, which
+    the flags read, and to a ``clip_pair`` row, which is output only.
     """
     study = _study(config.clip, "clip_study")
     exp, p, grid = study.experiment, study.p, study.experiment.grid
@@ -879,11 +878,11 @@ def run_clip(config: HarnessConfig) -> StudyResult:
     return StudyResult(rows=rows, assertions=study_assertions("clip", rows, config, extras), extras=extras)
 
 
-def _clip_assertions(rows: list[ReportRow], tol: Tolerances, spectral_max: float) -> list[Assertion]:
+def _clip_assertions(
+    rows: list[ReportRow], tol: Tolerances, spectral_max: float, cauchy: list[dict]
+) -> list[Assertion]:
     out = []
-    level_rows = [r for r in rows if "|clip=" in r.experiment]
-    pair_rows = [r for r in rows if "|clip_pair=" in r.experiment]
-    for row in level_rows:
+    for row in (r for r in rows if "|clip=" in r.experiment):
         out.append(
             Assertion(
                 name=f"clip_bound:{row.experiment}",
@@ -892,12 +891,7 @@ def _clip_assertions(rows: list[ReportRow], tol: Tolerances, spectral_max: float
             )
         )
     # Cauchy monotonicity once the clip level dominates the true spectrum
-    diffs = []
-    for row in pair_rows:
-        level = int(row.experiment.rsplit("|clip_pair=", 1)[1].split(":")[0])
-        if level >= spectral_max:
-            diffs.append((level, row.lhs))
-    diffs.sort()
+    diffs = sorted((c["level"], c["difference"]) for c in cauchy if c["level"] >= spectral_max)
     monotone = all(d1 > d2 for (_, d1), (_, d2) in zip(diffs, diffs[1:]))
     seq = ", ".join(f"{lv}->{2*lv}: {d:.6g}" for lv, d in diffs)
     out.append(
@@ -922,8 +916,7 @@ def run_refine(config: HarnessConfig) -> StudyResult:
     c_cov = experiment_coarea(exp)[0]
     rows: list[ReportRow] = []
     for grid in study.grids:
-        for row in impurity_experiment(replace(exp, grid=grid), c_cov):
-            rows.append(replace(row, experiment=f"{exp.id}|n={grid.n}"))
+        rows.extend(impurity_experiment(replace(exp, id=f"{exp.id}|n={grid.n}", grid=grid), c_cov))
     return StudyResult(rows=rows, assertions=study_assertions("refine", rows, config, {}), extras={})
 
 
@@ -967,10 +960,10 @@ def _refine_assertions(rows: list[ReportRow], tol: Tolerances, smooth: bool) -> 
 # ---------------------------------------------------------------------------
 
 
-def _extra(extras: dict, key: str, study: str) -> float:
+def _extra(extras: dict, key: str, study: str):
     if key not in extras:
         raise ConfigError(f"{study} assertions need {key!r} from the {study} summary extras")
-    return float(extras[key])
+    return extras[key]
 
 
 def study_assertions(
@@ -978,16 +971,17 @@ def study_assertions(
 ) -> list[Assertion]:
     """The pass/fail flags of a study's rows.
 
-    ``extras`` is the study's summary extras: the scale study's fitted
-    ``slope`` and the clip study's ``spectral_max`` are not in its rows.
+    ``extras`` is the study's summary extras, which hold what the rows do not: the
+    scale study's fitted ``slope``, the clip study's ``spectral_max`` and ``cauchy`` gaps.
     """
     tol = config.tolerances
     if study == "verify":
         return _ratio_assertions(rows, tol) + _monotonicity_assertions(rows)
     if study == "scale":
-        return _scale_assertions(rows, tol, _extra(extras, "slope", study))
+        return _scale_assertions(rows, tol, float(_extra(extras, "slope", study)))
     if study == "clip":
-        return _clip_assertions(rows, tol, _extra(extras, "spectral_max", study))
+        spectral_max = float(_extra(extras, "spectral_max", study))
+        return _clip_assertions(rows, tol, spectral_max, _extra(extras, "cauchy", study))
     if study == "refine":
         shape = _study(config.refine, "refinement_study").experiment.perturbation.shape
         return _refine_assertions(rows, tol, smooth=shape == "bump")
@@ -1013,7 +1007,7 @@ def run_constants(config: HarnessConfig) -> tuple[list[str], dict]:
         c_cov, error = experiment_coarea(exp)
         for p in exp.p_values:
             gstar = resolvent_profile_norm(p, exp.N, exp.m)
-            const = _bound_constant(p, c_cov, gstar)
+            const = trace_norm_constant(p, exp.basis, c_cov)
             if gstar is None:
                 g_str = const_str = "divergent"
             else:

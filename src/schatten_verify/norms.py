@@ -55,11 +55,11 @@ def pointwise_operator_norms(values: np.ndarray) -> np.ndarray:
 
 
 def lp_norm_of_pointwise(top: np.ndarray, cell_volume: float, p: float) -> float:
-    """(h^N sum_x top(x)^p)^(1/p) of pointwise norms ``top``; p = inf gives the sup."""
+    """(h^N sum_x top(x)^p)^(1/p) of pointwise norms ``top``; p = inf gives the sup, 0 when empty."""
     if p != np.inf and p < 1:
         raise ValueError(f"norm exponent must be >= 1 or inf, got {p}")
     if p == np.inf:
-        return float(top.max())
+        return float(top.max(initial=0.0))
     return float((cell_volume * np.sum(top**p)) ** (1.0 / p))
 
 

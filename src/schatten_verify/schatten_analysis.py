@@ -30,6 +30,7 @@ from .coeff_algebra import (
     matrix_inv_sqrt,
     matrix_sqrt,
 )
+from .norms import lp_norm_of_pointwise
 from .torus_operator import (
     LinearOperatorRep,
     TorusGrid,
@@ -60,20 +61,9 @@ def singular_spectrum(matrix: np.ndarray, hermitian: bool = False) -> np.ndarray
     return np.sort(np.abs(eigenvalues))[::-1]
 
 
-def schatten_norm_from_values(values: np.ndarray, p: float) -> float:
-    if p != np.inf and p < 1:
-        raise ValueError(f"Schatten exponent must be >= 1 or inf, got {p}")
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return 0.0
-    if p == np.inf:
-        return float(values.max())
-    return float(np.sum(values**p) ** (1.0 / p))
-
-
 def schatten_norm(matrix: np.ndarray, p: float) -> float:
     """(sum s_j^p)^(1/p) from the full SVD; p = inf is the operator norm."""
-    return schatten_norm_from_values(singular_spectrum(matrix), p)
+    return lp_norm_of_pointwise(singular_spectrum(matrix), 1.0, p)
 
 
 def operator_norm(matrix: np.ndarray) -> float:
@@ -93,10 +83,10 @@ class ImpuritySupport:
     With E the restriction to the nu K channels of the support ``points``
     (flat indices, where at != a exactly) and C = D D* + a^{-1}: ``w`` is
     W = at^{-1} - a^{-1} there, (K, nu, nu); ``one_zw`` is 1 + Z W for
-    Z = E C^{-1} E*, (nu K, nu K); ``at`` and ``at_inv_sqrt`` are
-    (n^N, nu, nu), ``a`` and its roots (nu, nu); ``c_inv_d`` is the symbol of
-    C^{-1} D, ``d`` that of D and ``u`` that of D (op + 1)^{-1}, from which
-    ``support_kernels`` looks up the checks' kernels.
+    Z = E C^{-1} E*, (nu K, nu K), read by the spectrum and the core only;
+    ``at`` and ``at_inv_sqrt`` are (n^N, nu, nu), ``a`` and its roots (nu, nu);
+    ``c_inv_d`` is the symbol of C^{-1} D, ``d`` that of D and ``u`` that of
+    D (op + 1)^{-1}, from which ``support_kernels`` looks up the checks' kernels.
     """
 
     grid: TorusGrid
@@ -107,7 +97,7 @@ class ImpuritySupport:
     a_sqrt: np.ndarray
     a_inv_sqrt: np.ndarray
     w: np.ndarray
-    one_zw: np.ndarray
+    one_zw: np.ndarray | None  # None once build_artifacts has run the core
     c_inv_d: np.ndarray
     d: np.ndarray
     u: np.ndarray
@@ -156,7 +146,7 @@ def support_spectrum(imp: ImpuritySupport) -> np.ndarray:
 def support_kernels(imp: ImpuritySupport) -> np.ndarray:
     """The checks' kernels G1, G2 and N, (3, nu K, nu K): the support lookups of
     d d*, u u* = d d* / (1 + A)^2 and u d* = d d* / (1 + A)."""
-    d, u, size = imp.d, imp.u, imp.one_zw.shape[0]
+    d, u, size = imp.d, imp.u, imp.a.shape[0] * imp.points.size
     symbols = np.concatenate([x[:, None] * np.conj(y[None]) for x, y in ((d, d), (u, u), (u, d))])
     return circulant_lookup(symbols, imp.grid, rows=imp.points, cols=imp.points).reshape(3, size, size)
 

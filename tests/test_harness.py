@@ -28,6 +28,7 @@ from schatten_verify.harness import (
     run_refine,
     run_scale,
     run_verify,
+    study_assertions,
 )
 
 from oracles import parse_csv_rows, recompute_assertions_from_csv
@@ -478,9 +479,10 @@ class TestDenseCap:
         assert k > 0 and sizes == [(2 * k, 2 * k)] * 2
 
     def test_support_pass_peak_memory(self):
-        # traced peak inside build_artifacts, in units of one nu K x nu K complex matrix: 7.8 here,
-        # with the checks' kernels looked up after the spectrum's eigh and no full-size product
-        # formed for a trace; with the kernels alive during the eigh it reads 9.7
+        # traced peak inside build_artifacts, in units of one nu K x nu K complex matrix: 6.7 here,
+        # with the checks' kernels looked up after the spectrum's eigh, 1 + Z W dropped after the
+        # core and no full-size product formed for a trace; with 1 + Z W alive through the checks
+        # it reads 7.7, and with the kernels alive during the eigh too, 9.7
         from schatten_verify import TorusGrid
 
         config = load_config(default_config_path())
@@ -494,7 +496,7 @@ class TestDenseCap:
             tracemalloc.stop()
         nu_k = 2 * np.count_nonzero(art.v_norms)
         assert nu_k == 386
-        assert peak <= 8.5 * 16 * nu_k**2
+        assert peak <= 7.5 * 16 * nu_k**2
 
     def test_counts_channels_before_any_dense_object(self, monkeypatch):
         # P = 16 fits a cap of 20, the channel side nu * P = 32 does not; the grid is never sampled
@@ -700,6 +702,12 @@ MALFORMED = {
         "verify",
         _set(["experiments", 0, "p_values"], [4, 8, 4]),
         "experiments[0] ('quick_box'): p_values repeats an entry",
+    ),
+    # an empty list would leave only the p = inf row and no schatten_monotone flag
+    "empty_p_values": (
+        "verify",
+        _set(["experiments", 0, "p_values"], []),
+        "experiments[0] ('quick_box'): p_values must not be empty",
     ),
     "repeated_level": ("clip", _set(["clip_study", "levels"], [1, 4, 4]), "clip_study: levels repeats an entry"),
     "empty_levels": ("clip", _set(["clip_study", "levels"], []), "clip_study: levels must not be empty"),
@@ -1023,6 +1031,11 @@ class TestReportRoundTrip:
         for extras in (None, {"cauchy": []}):
             with pytest.raises(ConfigError, match="spectral_max"):
                 recompute_assertions_from_csv(csv_text, config, "clip", extras=extras)
+
+    def test_clip_flags_need_cauchy(self):
+        # the Cauchy flag reads the gaps from the extras, not from the clip_pair rows
+        with pytest.raises(ConfigError, match="'cauchy'"):
+            study_assertions("clip", [], parse_config(small_config()), {"spectral_max": 16.0})
 
 
 def test_perfbench_tracer_installs():

@@ -9,7 +9,7 @@ from schatten_verify import (
     matrix_field_lp_norm,
     relative_perturbation,
 )
-from schatten_verify.norms import resolvent_profile_norm
+from schatten_verify.norms import lp_norm_of_pointwise, resolvent_profile_norm
 
 from helpers import box_perturbed_field, random_hermitian_pd, relative_perturbation_of
 from oracles import resolvent_profile, weighted_profile_norm
@@ -96,6 +96,11 @@ class TestMatrixFieldNorm:
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
             matrix_field_lp_norm(np.zeros((3, 1, 1), dtype=complex), 1.0, 0.5)
+
+    @pytest.mark.parametrize("p", [4.0, np.inf])
+    def test_empty_values_give_zero(self, p):
+        # an empty impurity support has no singular value: every Schatten norm of it is 0
+        assert lp_norm_of_pointwise(np.array([]), 1.0, p) == 0.0
 
 
 class TestRelativePerturbation:
