@@ -65,6 +65,7 @@ from .schatten_analysis import (
     resolvent,
     resolvent_certificate,
     singular_spectrum,
+    spectrum_factor,
     support_core,
     support_kernels,
     support_spectrum,
@@ -304,7 +305,10 @@ def _parse_experiment(d: dict, context: str, max_dim: int) -> ExperimentSpec:
     _check_keys(
         d, {"id", "N", "m", "grid", "base", "base_matrix", "perturbation", "p_values"}, context
     )
-    exp_id = str(_require(d, "id", context))
+    exp_id = _require(d, "id", context)
+    # the id is a CSV field and a label: a comma, a quote or a line break would split its row
+    if not isinstance(exp_id, str) or not exp_id or any(c in exp_id for c in ',"\r\n'):
+        raise ConfigError(f"{context}: id must be a non-empty string with no comma, quote, CR or LF, got {exp_id!r}")
     context = f"{context} ({exp_id!r})"
     with _entry(context):
         grid_d = _require(d, "grid", context)
@@ -663,12 +667,11 @@ class ExperimentArtifacts:
 def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = None) -> ExperimentArtifacts:
     """The support-sized pass of one experiment; ``a_tilde`` defaults to its impurity.
 
-    The resolvent difference is U Xi U* on the impurity's support. The
+    The resolvent difference is U Xi U* on the impurity's support; the one
+    solve against 1 + Z W gives Xi, from which the spectrum is read. The
     factorization column is the larger of the chain gap and the moments gap,
-    the Deift column the resolvent certificate (``schatten_analysis``). There
-    are two solves against 1 + Z W, the spectrum's and the core's. 1 + Z W is
-    dropped after the core, and the core's S once the chain gap has read it.
-    The checks' kernels are looked up after the spectrum's eigh.
+    the Deift column the resolvent certificate (``schatten_analysis``). The
+    spectrum's eigh runs before the core, the kernels are looked up after it.
     """
     grid, a = exp.grid, exp.reference
     if a_tilde is None:
@@ -678,10 +681,11 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
         imp = impurity_support(a, a_tilde, grid)
     except NonPositiveDefiniteError as exc:
         raise NonPositiveDefiniteError(exc.min_eigenvalue, exc.points, experiment=exp.id) from None
-    svals = support_spectrum(imp)
+    factor = spectrum_factor(imp)
     v = relative_perturbation(imp.at, imp.at_inv_sqrt, imp.a, imp.a_inv_sqrt)
     xi, solved = support_core(imp)
-    imp = replace(imp, one_zw=None)
+    svals = support_spectrum(factor, xi)
+    del factor
     kernels = support_kernels(imp)
     chain = chain_gap(imp, xi, solved, kernels[1], v, svals[0] if svals.size else 0.0)
     del solved
@@ -1012,19 +1016,9 @@ def run_constants(config: HarnessConfig) -> tuple[list[str], dict]:
                 g_str = const_str = "divergent"
             else:
                 g_str, const_str = f"{gstar:.17g}", f"{const:.17g}"
-            lines.append(
-                f"{exp.id},{p:g},{c_cov:.17g},{error:.17g},{g_str},{const_str}"
-            )
-            table.append(
-                {
-                    "experiment": exp.id,
-                    "p": p,
-                    "c_cov": c_cov,
-                    "c_cov_stderr": error,
-                    "weighted_profile_norm": gstar,
-                    "trace_norm_constant": const,
-                }
-            )
+            lines.append(f"{exp.id},{p:g},{c_cov:.17g},{error:.17g},{g_str},{const_str}")
+            # the summary's table is keyed by the CSV's columns
+            table.append(dict(zip(CONSTANTS_CSV_HEADER.split(","), (exp.id, p, c_cov, error, gstar, const))))
     return lines, {"constants": table}
 
 

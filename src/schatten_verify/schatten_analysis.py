@@ -4,8 +4,8 @@ The CLI checks an impurity experiment on its K support points alone. With
 U* = E D (op + 1)^{-1} the support rows of the derivative resolvent, the
 resolvent difference is Delta = U Xi U* with the nu K x nu K core
 Xi = a W (1 + Z W)^{-1} a (Woodbury; Hager, SIAM Rev. 31 (1989) 221-239).
-``support_spectrum`` gives its singular values (Birman-Schwinger; Simon,
-*Trace Ideals and Their Applications*, 2nd ed., AMS 2005), and three
+``support_spectrum`` reads its singular values from Xi (Birman-Schwinger;
+Simon, *Trace Ideals*, 2nd ed., AMS 2005), and three
 nu K x nu K checks certify it: ``resolvent_certificate`` (the resolvent
 equation of the perturbed operator), ``chain_gap`` (the factorization chain
 through the printed V) and ``moments_gap`` (tr((Xi G2)^p) against the
@@ -82,11 +82,11 @@ class ImpuritySupport:
 
     With E the restriction to the nu K channels of the support ``points``
     (flat indices, where at != a exactly) and C = D D* + a^{-1}: ``w`` is
-    W = at^{-1} - a^{-1} there, (K, nu, nu); ``one_zw`` is 1 + Z W for
-    Z = E C^{-1} E*, (nu K, nu K), read by the spectrum and the core only;
-    ``at`` and ``at_inv_sqrt`` are (n^N, nu, nu), ``a`` and its roots (nu, nu);
-    ``c_inv_d`` is the symbol of C^{-1} D, ``d`` that of D and ``u`` that of
-    D (op + 1)^{-1}, from which ``support_kernels`` looks up the checks' kernels.
+    W = at^{-1} - a^{-1} there, (K, nu, nu); ``at`` and ``at_inv_sqrt`` are
+    (n^N, nu, nu), ``a`` and its roots (nu, nu); ``c_inv`` is the symbol of
+    C^{-1}, from which ``support_core`` looks up Z = E C^{-1} E*; ``c_inv_d``
+    is that of C^{-1} D, ``d`` that of D and ``u`` that of D (op + 1)^{-1},
+    from which ``support_kernels`` looks up the checks' kernels.
     """
 
     grid: TorusGrid
@@ -97,7 +97,7 @@ class ImpuritySupport:
     a_sqrt: np.ndarray
     a_inv_sqrt: np.ndarray
     w: np.ndarray
-    one_zw: np.ndarray | None  # None once build_artifacts has run the core
+    c_inv: np.ndarray
     c_inv_d: np.ndarray
     d: np.ndarray
     u: np.ndarray
@@ -115,32 +115,27 @@ def impurity_support(
     at, at_inv_sqrt, at_inv = (x.reshape(points, nu, nu) for x in (at, *roots))
     a_inv, a_inv_sqrt, a_sqrt = field_powers(a_mat, -1.0, -0.5, 0.5)
     support = np.flatnonzero(np.any(at != a_mat, axis=(1, 2)))
-    k = support.size
     c_inv, c_inv_d, r, d = channel_resolvent_symbols(a, grid)
-    z = circulant_lookup(c_inv, grid, rows=support, cols=support).reshape(nu * k, nu, k)
     w = at_inv[support] - a_inv
-    # Z W: W acts on the columns of Z, support point by support point, written in its final layout
-    zw = np.empty((nu * k, nu * k), dtype=complex)
-    np.matmul(z.transpose(2, 0, 1), w, out=zw.reshape(nu * k, nu, k).transpose(2, 0, 1))
-    zw[np.diag_indices_from(zw)] += 1.0
-    return ImpuritySupport(grid, support, at, at_inv_sqrt, a_mat, a_sqrt, a_inv_sqrt, w, zw, c_inv_d, d, d * r[0])
+    return ImpuritySupport(grid, support, at, at_inv_sqrt, a_mat, a_sqrt, a_inv_sqrt, w, c_inv, c_inv_d, d, d * r[0])
 
 
-def support_spectrum(imp: ImpuritySupport) -> np.ndarray:
-    """Non-increasing singular values of the resolvent difference, from the support.
+def spectrum_factor(imp: ImpuritySupport) -> np.ndarray:
+    """R' = (a^{-1} x 1) Q L^{1/2} with R' R'* = U* U, for G = Q L Q* = M M* and M = E C^{-1} D = a U*.
 
-    By Woodbury the difference is M* Phi M, with M = E C^{-1} D and the
-    Hermitian Phi = W (1 + Z W)^{-1}; so its nonzero spectrum is that of
-    R* Phi R for G = M M* = Q L Q* and R = Q L^{1/2} (Birman-Schwinger). G is
-    the lookup of the symbol (a d)(a d)* / (1 + A)^2 on the support. Every
-    object is nu K x nu K; returns nu K values, none for an empty support.
+    G is the lookup of (a d)(a d)* / (1 + A)^2, apart from the kernels' G2, so the moments gap ties the two.
     """
     c_inv_d = imp.c_inv_d[:, 0]
     g_symbol = c_inv_d[:, None] * np.conj(c_inv_d[None, :])
     lam, r = np.linalg.eigh(circulant_lookup(g_symbol, imp.grid, rows=imp.points, cols=imp.points))
     r *= np.sqrt(np.maximum(lam, 0.0))  # R = Q L^{1/2}, in place
-    middle = np.conj(r.T) @ pointwise_rows(imp.w, np.linalg.solve(imp.one_zw, r))
-    return singular_spectrum(middle, hermitian=True)
+    a_inv = imp.a_inv_sqrt @ imp.a_inv_sqrt
+    return pointwise_rows(np.broadcast_to(a_inv, (imp.points.size, *a_inv.shape)), r)
+
+
+def support_spectrum(factor: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The nu K singular values of U Xi U*, non-increasing: those of R'* Xi R' for ``factor`` R' R'* = U* U."""
+    return singular_spectrum(np.conj(factor.T) @ (xi @ factor), hermitian=True)
 
 
 def support_kernels(imp: ImpuritySupport) -> np.ndarray:
@@ -162,14 +157,24 @@ def _trace_form(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
     return float(np.sqrt(abs(total)))
 
 
-def support_core(imp: ImpuritySupport) -> tuple[np.ndarray, np.ndarray]:
-    """Xi = a Phi a and S = (1 + Z W)^{-1} a, a at every support point, from one solve.
+def one_plus_zw(imp: ImpuritySupport) -> np.ndarray:
+    """1 + Z W, (nu K, nu K), for the lookup Z = E C^{-1} E* of C^{-1} on the support."""
+    nu, k = imp.a.shape[0], imp.points.size
+    z = circulant_lookup(imp.c_inv, imp.grid, rows=imp.points, cols=imp.points).reshape(nu * k, nu, k)
+    # Z W: W acts on the columns of Z, support point by support point, written in its final layout
+    zw = np.empty((nu * k, nu * k), dtype=complex)
+    np.matmul(z.transpose(2, 0, 1), imp.w, out=zw.reshape(nu * k, nu, k).transpose(2, 0, 1))
+    zw[np.diag_indices_from(zw)] += 1.0
+    return zw
 
-    Xi = a W S. With U* = E D (op + 1)^{-1}, M = E C^{-1} D = a U*, so the
-    resolvent difference M* Phi M (``support_spectrum``) is U Xi U*.
-    ``chain_gap`` reads S in place of a solve against 1 + W Z.
+
+def support_core(imp: ImpuritySupport) -> tuple[np.ndarray, np.ndarray]:
+    """Xi = a W S and S = (1 + Z W)^{-1} a, a at every support point, from the experiment's one solve.
+
+    With U* = E D (op + 1)^{-1} the resolvent difference is U Xi U*; 1 + Z W
+    is freed on return. ``chain_gap`` reads S in place of a solve against 1 + W Z.
     """
-    solved = np.linalg.solve(imp.one_zw, np.kron(imp.a, np.eye(imp.points.size)))
+    solved = np.linalg.solve(one_plus_zw(imp), np.kron(imp.a, np.eye(imp.points.size)))
     return pointwise_rows(imp.a @ imp.w, solved), solved
 
 
@@ -226,7 +231,8 @@ def moments_gap(xi: np.ndarray, g2: np.ndarray, values: np.ndarray) -> float:
     """Largest gap between tr((Xi G2)^p) and the sum of ``values``^p, p = 4, 6, 8.
 
     Xi G2 = Xi U* U has the nonzero eigenvalues of U Xi U*, whose absolute
-    values ``support_spectrum`` gave. Relative, or absolute for an empty support.
+    values ``support_spectrum`` gave from its own factor of U* U. Relative,
+    or absolute for an empty support.
     """
     b = xi @ g2
     b2 = b @ b

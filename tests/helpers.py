@@ -18,9 +18,16 @@ from schatten_verify import (
     sqrt_field,
 )
 
+from schatten_verify.schatten_analysis import impurity_support, spectrum_factor, support_core, support_spectrum
 from schatten_verify.torus_operator import channel_resolvent_symbols
 
 from oracles import channel_solve, resolvent_difference
+
+
+def support_values(a, at, grid):
+    """The support spectrum of at against a, as ``build_artifacts`` takes it: the factor, then the core."""
+    imp = impurity_support(a, at, grid)
+    return support_spectrum(spectrum_factor(imp), support_core(imp)[0])
 
 
 def random_hermitian(rng, nu):

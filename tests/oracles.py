@@ -20,6 +20,7 @@ from schatten_verify.coeff_algebra import HermitianMatrixField
 from schatten_verify.errors import ConfigError
 from schatten_verify.harness import CSV_HEADER, Assertion, HarnessConfig, ReportRow, study_assertions
 from schatten_verify.multiindex import MultiIndex, MultiIndexBasis
+from schatten_verify.schatten_analysis import one_plus_zw
 from schatten_verify.torus_operator import (
     _derivative_pipelines,
     _pointwise_field,
@@ -127,14 +128,15 @@ def woodbury_left_end(a: HermitianMatrixField, imp) -> np.ndarray:
         (Gt+1)^{-1} Tt = B^{-1} [C^{-1} D - C^{-1} E* W (1 + Z W)^{-1} M],
 
     with the lookups Z = E C^{-1} E* and M = E C^{-1} D; on the support rows
-    the bracket is (1 + Z W)^{-1} M itself. Reads W, 1 + Z W, at^{-1/2} and
-    the C^{-1} D symbol from ``imp``. Returns (nu * n^N, n^N).
+    the bracket is (1 + Z W)^{-1} M itself. Reads W, at^{-1/2} and the
+    C^{-1} D symbol from ``imp``, and the core's own 1 + Z W
+    (``one_plus_zw``). Returns (nu * n^N, n^N).
     """
     grid, support = imp.grid, imp.points
     (points, nu, _), k = imp.at.shape, support.size
     rest = np.setdiff1d(np.arange(points), support)
     inner = circulant_lookup(imp.c_inv_d, grid).reshape(nu, points, points)  # C^{-1} D
-    y = np.linalg.solve(imp.one_zw, inner[:, support].reshape(nu * k, points))
+    y = np.linalg.solve(one_plus_zw(imp), inner[:, support].reshape(nu * k, points))
     # on the support M - Z W Y is Y itself; off it, C^{-1} D - (C^{-1} E*) W Y
     coupling = circulant_lookup(channel_resolvent_symbols(a, grid)[0], grid, rows=rest, cols=support)
     inner[:, rest] -= (coupling @ pointwise_rows(imp.w, y)).reshape(nu, rest.size, points)

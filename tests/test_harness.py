@@ -465,8 +465,8 @@ class TestDenseCap:
         pinned = [("eigh", exp.grid.total_points), ("channel_resolvent_symbols", None), ("constant_multiplier", None)]
         assert [calls.count(call) for call in pinned] == [1, 1, 1]
 
-    def test_two_solves_per_experiment(self, monkeypatch):
-        # the spectrum solves against 1 + Z W once, and the core once; the chain gap reads the core's solve
+    def test_one_solve_per_experiment(self, monkeypatch):
+        # the core solves against 1 + Z W once; the spectrum reads its Xi and the chain gap its S
         solve, sizes = np.linalg.solve, []
 
         def counted(a, b):
@@ -476,13 +476,13 @@ class TestDenseCap:
         monkeypatch.setattr(np.linalg, "solve", counted)
         art = build_artifacts(self._n2_config(32).experiments[0])
         k = np.count_nonzero(art.v_norms)
-        assert k > 0 and sizes == [(2 * k, 2 * k)] * 2
+        assert k > 0 and sizes == [(2 * k, 2 * k)]
 
     def test_support_pass_peak_memory(self):
-        # traced peak inside build_artifacts, in units of one nu K x nu K complex matrix: 6.7 here,
-        # with the checks' kernels looked up after the spectrum's eigh, 1 + Z W dropped after the
-        # core and no full-size product formed for a trace; with 1 + Z W alive through the checks
-        # it reads 7.7, and with the kernels alive during the eigh too, 9.7
+        # traced peak inside build_artifacts, in units of one nu K x nu K complex matrix: 6.8 here,
+        # with the checks' kernels looked up after the spectrum's eigh, 1 + Z W freed when the
+        # core returns and no full-size product formed for a trace; with 1 + Z W alive through
+        # the checks it read 7.7, and with the kernels alive during the eigh too, 9.7
         from schatten_verify import TorusGrid
 
         config = load_config(default_config_path())
@@ -583,6 +583,8 @@ def _both(*edits):
     return apply
 
 
+_BAD_ID = "experiments[0]: id must be a non-empty string with no comma, quote, CR or LF,"
+
 # one malformed entry each; (subcommand, edit, the entry the message must name)
 MALFORMED = {
     "odd_n": ("verify", _set(["experiments", 0, "grid", "n"], 31), "experiments[0] ('quick_box')"),
@@ -611,6 +613,15 @@ MALFORMED = {
         "experiments[0] ('quick_box'): grid.n must be an integer, got 32.7",
     ),
     "bool_N": ("verify", _set(["experiments", 0, "N"], True), "experiments[0] ('quick_box'): N must be an integer"),
+    # an id is a CSV field and a row label: it must be a non-empty string that cannot split its row
+    "id_with_comma": ("verify", _set(["experiments", 0, "id"], "a,b"), f"{_BAD_ID} got 'a,b'"),
+    "id_with_quote": ("verify", _set(["experiments", 0, "id"], 'a"b'), f"{_BAD_ID} got 'a\"b'"),
+    "id_with_line_feed": ("verify", _set(["experiments", 0, "id"], "x\ny"), f"{_BAD_ID} got 'x\\ny'"),
+    "id_with_carriage_return": ("verify", _set(["experiments", 0, "id"], "x\ry"), f"{_BAD_ID} got 'x\\ry'"),
+    "empty_id": ("verify", _set(["experiments", 0, "id"], ""), f"{_BAD_ID} got ''"),
+    "null_id": ("verify", _set(["experiments", 0, "id"], None), f"{_BAD_ID} got None"),
+    "bool_id": ("verify", _set(["experiments", 0, "id"], True), f"{_BAD_ID} got True"),
+    "integer_id": ("verify", _set(["experiments", 0, "id"], 3), f"{_BAD_ID} got 3"),
     "float_level": ("clip", _set(["clip_study", "levels"], [1, 4.0]), "clip_study: levels[1] must be an integer"),
     "fractional_refine_n": (
         "refine",

@@ -2,17 +2,18 @@
 
 Every defect runs the ``verify`` rows of one bundled experiment with one
 object or one function made wrong. Most hand the experiment a defective copy
-of its ``ImpuritySupport`` (``harness.impurity_support`` patched) or of the
-checks' kernels, which are looked up after the spectrum
-(``harness.support_kernels`` patched); the rest patch one function that the
-CLI path calls. A defect is caught when the run would exit 1 (an assertion
-fails) or a residual column is over 1e-10, the bound that the
+of its ``ImpuritySupport`` (``harness.impurity_support`` patched), of the
+core's 1 + Z W (``schatten_analysis.one_plus_zw`` patched) or of the checks'
+kernels (``harness.support_kernels`` patched); the rest patch one function
+that the CLI path calls. A defect is caught when the run would exit 1 (an
+assertion fails) or a residual column is over 1e-10, the bound that the
 frozen-reference test and perfbench/checks.py hold every row to. README.md
 tabulates which column fires for each.
 
 A conjugate is tried on a variant of the experiment whose reference has
 imaginary off-diagonal entries: on the bundled one, whose config matrices
 are real, the conjugates of W, C^{-1} D, a~ and a~^{-1/2} change nothing.
+So is the spectrum's factor taken without a^{-1}: on the bundled one a = 1.
 """
 
 import dataclasses
@@ -22,13 +23,15 @@ import pytest
 
 from schatten_verify import constant_field, harness, sampled_field, schatten_analysis
 from schatten_verify.cli import default_config_path
-from schatten_verify.torus_operator import channel_resolvent_symbols, circulant_lookup
+from schatten_verify.torus_operator import circulant_lookup
 
 RESIDUAL_GATE = 1e-10
 EXPERIMENT = "n2m1_bump_a05"
 SCALE = 1 + 1e-9
 _ORIGINAL = schatten_analysis.impurity_support
 _KERNELS = schatten_analysis.support_kernels
+_ONE_ZW = schatten_analysis.one_plus_zw
+_FACTOR = schatten_analysis.spectrum_factor
 
 
 def _middle(imp):
@@ -49,8 +52,9 @@ def _w_sign_one_point(imp, a, a_tilde):
     return dataclasses.replace(imp, w=w)
 
 
-def _one_zw_diagonal(imp, a, a_tilde):
-    return dataclasses.replace(imp, one_zw=imp.one_zw + 1e-9 * np.eye(imp.one_zw.shape[0]))
+def _one_zw_diagonal(imp):
+    one_zw = _ONE_ZW(imp)
+    return one_zw + 1e-9 * np.eye(one_zw.shape[0])
 
 
 def _dropped_support_point(imp, a, a_tilde):
@@ -63,16 +67,15 @@ def _dropped_support_point(imp, a, a_tilde):
     return dataclasses.replace(drop, at=imp.at, at_inv_sqrt=imp.at_inv_sqrt)
 
 
-def _z_lookup_shifted(imp, a, a_tilde):
+def _z_lookup_shifted(imp):
     # Z = E C^{-1} E* read one point off: rows x + 1 instead of x
     grid, points, w = imp.grid, imp.points, imp.w
-    nu, k = a.basis.nu, points.size
-    c_inv = channel_resolvent_symbols(a, grid)[0]
+    nu, k = imp.a.shape[0], points.size
     shifted = (points + 1) % grid.total_points
-    z = circulant_lookup(c_inv, grid, rows=shifted, cols=points).reshape(nu * k, nu, k)
+    z = circulant_lookup(imp.c_inv, grid, rows=shifted, cols=points).reshape(nu * k, nu, k)
     zw = np.matmul(z.transpose(2, 0, 1), w).transpose(1, 2, 0).reshape(nu * k, nu * k)
     zw[np.diag_indices_from(zw)] += 1.0
-    return dataclasses.replace(imp, one_zw=zw)
+    return zw
 
 
 def _channels_swapped(imp, a, a_tilde):
@@ -100,14 +103,19 @@ def _conjugated(name):
 
 SUPPORT_DEFECTS = {
     "w_sign_one_point": _w_sign_one_point,
-    "one_zw_diagonal": _one_zw_diagonal,
     "c_inv_d_scaled": _scaled("c_inv_d"),
     "at_inv_sqrt_scaled": _scaled("at_inv_sqrt"),
     "w_scaled": _scaled("w"),
     "at_scaled": _scaled("at"),
     "dropped_support_point": _dropped_support_point,
-    "z_lookup_shifted": _z_lookup_shifted,
     "channels_swapped": _channels_swapped,
+}
+
+# defects of the core's 1 + Z W, each a function of the ImpuritySupport in place of one_plus_zw;
+# the spectrum reads the core's Xi, so these reach the printed values too
+CORE_DEFECTS = {
+    "one_zw_diagonal": _one_zw_diagonal,
+    "z_lookup_shifted": _z_lookup_shifted,
 }
 
 # defects of the kernels G1, G2, N, each a function of the looked-up (3, nu K, nu K) array
@@ -177,6 +185,10 @@ def _patch_kernels(monkeypatch, defect):
     monkeypatch.setattr(harness, "support_kernels", lambda imp: defect(_KERNELS(imp)))
 
 
+def _patch_core(monkeypatch, defect):
+    monkeypatch.setattr(schatten_analysis, "one_plus_zw", defect)
+
+
 def _verdict(experiment):
     """(largest residual, every assertion passed) of the experiment's verify rows."""
     config, exp, c_cov = experiment
@@ -191,10 +203,12 @@ def test_the_experiment_passes_as_built(experiment):
     assert residual <= RESIDUAL_GATE and passed
 
 
-@pytest.mark.parametrize("name", sorted(SUPPORT_DEFECTS.keys() | KERNEL_DEFECTS.keys()))
+@pytest.mark.parametrize("name", sorted(SUPPORT_DEFECTS.keys() | KERNEL_DEFECTS.keys() | CORE_DEFECTS.keys()))
 def test_support_defect_is_caught(name, experiment, monkeypatch):
     if name in KERNEL_DEFECTS:
         _patch_kernels(monkeypatch, KERNEL_DEFECTS[name])
+    elif name in CORE_DEFECTS:
+        _patch_core(monkeypatch, CORE_DEFECTS[name])
     else:
         _patch_support(monkeypatch, SUPPORT_DEFECTS[name])
     residual, passed = _verdict(experiment)
@@ -210,6 +224,8 @@ def test_the_complex_experiment_passes_as_built(complex_experiment):
 def test_conjugate_defect_is_caught(name, complex_experiment, monkeypatch):
     if name == "kernels":
         _patch_kernels(monkeypatch, np.conj)
+    elif name == "one_zw":
+        _patch_core(monkeypatch, lambda imp: np.conj(_ONE_ZW(imp)))
     else:
         _patch_support(monkeypatch, _conjugated(name))
     residual, passed = _verdict(complex_experiment)
@@ -221,3 +237,14 @@ def test_function_defect_is_caught(name, experiment, monkeypatch):
     FUNCTION_DEFECTS[name](monkeypatch)
     residual, passed = _verdict(experiment)
     assert residual > RESIDUAL_GATE or not passed, f"{name}: residual {residual:.3g}"
+
+
+def test_spectrum_without_a_inverse_is_caught(complex_experiment, monkeypatch):
+    # the spectrum's factor R = Q L^{1/2} of G = a G2 a in place of R' = (a^{-1} x 1) R:
+    # R R* = a G2 a, not G2, so the printed values are those of U (a Xi a) U*
+    def without_a_inverse(imp):
+        return np.kron(imp.a, np.eye(imp.points.size)) @ _FACTOR(imp)
+
+    monkeypatch.setattr(harness, "spectrum_factor", without_a_inverse)
+    residual, passed = _verdict(complex_experiment)
+    assert residual > RESIDUAL_GATE or not passed, f"residual {residual:.3g}"

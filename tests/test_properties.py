@@ -19,9 +19,9 @@ from schatten_verify.harness import (
     perturbed_coefficient,
 )
 from schatten_verify.norms import lp_norm_of_pointwise
-from schatten_verify.schatten_analysis import impurity_support, singular_spectrum, support_spectrum
+from schatten_verify.schatten_analysis import singular_spectrum
 
-from helpers import direct_difference, random_hermitian, random_hermitian_pd
+from helpers import direct_difference, random_hermitian, random_hermitian_pd, support_values
 
 # n per axis, keeping P = n^N <= 64
 _SIDES = {1: (8, 16, 32, 64), 2: (4, 6, 8), 3: (4,)}
@@ -70,7 +70,7 @@ def test_dense_pass_on_random_box_impurities(N, m, data):
 
     a, at = exp.reference, perturbed_coefficient(exp)
     dense = singular_spectrum(direct_difference(a, at, exp.grid), hermitian=True)
-    support = support_spectrum(impurity_support(a, at, exp.grid))
+    support = support_values(a, at, exp.grid)
     # nu K support values against P dense ones: the longer list's tail is 0
     size = max(support.size, dense.size)
     support, dense = (np.pad(values, (0, size - values.size)) for values in (support, dense))
