@@ -67,7 +67,7 @@ from .schatten_analysis import (
     singular_spectrum,
     spectrum_factor,
     support_core,
-    support_kernels,
+    support_kernel,
     support_spectrum,
 )
 from .torus_operator import (
@@ -306,9 +306,12 @@ def _parse_experiment(d: dict, context: str, max_dim: int) -> ExperimentSpec:
         d, {"id", "N", "m", "grid", "base", "base_matrix", "perturbation", "p_values"}, context
     )
     exp_id = _require(d, "id", context)
-    # the id is a CSV field and a label: a comma, a quote or a line break would split its row
-    if not isinstance(exp_id, str) or not exp_id or any(c in exp_id for c in ',"\r\n'):
-        raise ConfigError(f"{context}: id must be a non-empty string with no comma, quote, CR or LF, got {exp_id!r}")
+    # the id is a CSV field and a label: a comma, a quote or a line break would split its row,
+    # and the studies join their row labels with "|" (clip's bound rows are those holding "|clip=")
+    if not isinstance(exp_id, str) or not exp_id or any(c in exp_id for c in ',"|\r\n'):
+        raise ConfigError(
+            f"{context}: id must be a non-empty string with no comma, quote, '|', CR or LF, got {exp_id!r}"
+        )
     context = f"{context} ({exp_id!r})"
     with _entry(context):
         grid_d = _require(d, "grid", context)
@@ -668,10 +671,11 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
     """The support-sized pass of one experiment; ``a_tilde`` defaults to its impurity.
 
     The resolvent difference is U Xi U* on the impurity's support; the one
-    solve against 1 + Z W gives Xi, from which the spectrum is read. The
+    inverse of 1 + Z W gives Xi, from which the spectrum is read. The
     factorization column is the larger of the chain gap and the moments gap,
     the Deift column the resolvent certificate (``schatten_analysis``). The
-    spectrum's eigh runs before the core, the kernels are looked up after it.
+    spectrum's eigh runs before the core, and no later step holds more
+    nu K x nu K matrices than the eigh does (README, "How an experiment is computed").
     """
     grid, a = exp.grid, exp.reference
     if a_tilde is None:
@@ -685,17 +689,17 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
     v = relative_perturbation(imp.at, imp.at_inv_sqrt, imp.a, imp.a_inv_sqrt)
     xi, solved = support_core(imp)
     svals = support_spectrum(factor, xi)
-    del factor
-    kernels = support_kernels(imp)
-    chain = chain_gap(imp, xi, solved, kernels[1], v, svals[0] if svals.size else 0.0)
+    del factor  # consumed by the spectrum
+    g2 = support_kernel(imp, "g2")
+    chain = chain_gap(imp, xi, solved, g2, v, svals[0] if svals.size else 0.0)
     del solved
-    moments = moments_gap(xi, kernels[1], svals)
+    moments = moments_gap(xi, g2, svals)
     return ExperimentArtifacts(
         grid=grid,
         delta_singular_values=svals,
         v_norms=pointwise_operator_norms(v),
         fact_residual=max(chain, moments),
-        deift_res=resolvent_certificate(imp, xi, kernels),
+        deift_res=resolvent_certificate(imp, xi, g2),
     )
 
 

@@ -57,7 +57,11 @@ def singular_spectrum(matrix: np.ndarray, hermitian: bool = False) -> np.ndarray
     m = np.asarray(matrix)
     if not hermitian:
         return np.linalg.svd(m, compute_uv=False)
-    eigenvalues = np.linalg.eigvalsh(0.5 * (m + np.conj(m.T)))
+    # the Hermitian part (m + m*) / 2, in one buffer beside m
+    part = np.conj(m.T)
+    part += m
+    part *= 0.5
+    eigenvalues = np.linalg.eigvalsh(part)
     return np.sort(np.abs(eigenvalues))[::-1]
 
 
@@ -86,7 +90,7 @@ class ImpuritySupport:
     (n^N, nu, nu), ``a`` and its roots (nu, nu); ``c_inv`` is the symbol of
     C^{-1}, from which ``support_core`` looks up Z = E C^{-1} E*; ``c_inv_d``
     is that of C^{-1} D, ``d`` that of D and ``u`` that of D (op + 1)^{-1},
-    from which ``support_kernels`` looks up the checks' kernels.
+    from which ``support_kernel`` looks up the checks' kernels one at a time.
     """
 
     grid: TorusGrid
@@ -134,16 +138,27 @@ def spectrum_factor(imp: ImpuritySupport) -> np.ndarray:
 
 
 def support_spectrum(factor: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """The nu K singular values of U Xi U*, non-increasing: those of R'* Xi R' for ``factor`` R' R'* = U* U."""
-    return singular_spectrum(np.conj(factor.T) @ (xi @ factor), hermitian=True)
+    """The nu K singular values of U Xi U*, non-increasing: those of R'* Xi R' for ``factor`` R' R'* = U* U.
+
+    ``factor`` is consumed: R'* Xi R' is written into its buffer, so that
+    Xi R' and then the Hermitian part are the one product of its size beside it.
+    """
+    product = xi @ factor
+    np.conjugate(factor, out=factor)
+    factor[...] = factor.T @ product
+    del product
+    return singular_spectrum(factor, hermitian=True)
 
 
-def support_kernels(imp: ImpuritySupport) -> np.ndarray:
-    """The checks' kernels G1, G2 and N, (3, nu K, nu K): the support lookups of
-    d d*, u u* = d d* / (1 + A)^2 and u d* = d d* / (1 + A)."""
-    d, u, size = imp.d, imp.u, imp.a.shape[0] * imp.points.size
-    symbols = np.concatenate([x[:, None] * np.conj(y[None]) for x, y in ((d, d), (u, u), (u, d))])
-    return circulant_lookup(symbols, imp.grid, rows=imp.points, cols=imp.points).reshape(3, size, size)
+# the checks' kernels by name: the support lookup of left right* for these two symbols
+_KERNEL_SYMBOLS = {"g1": ("d", "d"), "g2": ("u", "u"), "n": ("u", "d")}
+
+
+def support_kernel(imp: ImpuritySupport, name: str) -> np.ndarray:
+    """One of the checks' kernels, (nu K, nu K): the support lookup of G1 = d d*, G2 = u u* =
+    d d* / (1 + A)^2 or N = u d* = d d* / (1 + A), by ``name`` "g1", "g2" or "n"."""
+    left, right = (getattr(imp, symbol) for symbol in _KERNEL_SYMBOLS[name])
+    return circulant_lookup(left[:, None] * np.conj(right[None]), imp.grid, rows=imp.points, cols=imp.points)
 
 
 def _trace_form(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
@@ -169,16 +184,22 @@ def one_plus_zw(imp: ImpuritySupport) -> np.ndarray:
 
 
 def support_core(imp: ImpuritySupport) -> tuple[np.ndarray, np.ndarray]:
-    """Xi = a W S and S = (1 + Z W)^{-1} a, a at every support point, from the experiment's one solve.
+    """Xi = a W S and S = (1 + Z W)^{-1} a, a at every support point, from the experiment's one inverse.
 
     With U* = E D (op + 1)^{-1} the resolvent difference is U Xi U*; 1 + Z W
-    is freed on return. ``chain_gap`` reads S in place of a solve against 1 + W Z.
+    is freed once inverted. ``chain_gap`` reads S in place of a solve against 1 + W Z.
     """
-    solved = np.linalg.solve(one_plus_zw(imp), np.kron(imp.a, np.eye(imp.points.size)))
+    nu, k = imp.a.shape[0], imp.points.size
+    inverse = np.linalg.inv(one_plus_zw(imp))
+    # S = (1 + Z W)^{-1} (a x 1): a acts on the channels of each column's support point
+    solved = np.empty_like(inverse)
+    by_point = (nu * k, nu, k)
+    np.matmul(inverse.reshape(by_point).transpose(0, 2, 1), imp.a, out=solved.reshape(by_point).transpose(0, 2, 1))
+    del inverse  # before Xi is formed
     return pointwise_rows(imp.a @ imp.w, solved), solved
 
 
-def resolvent_certificate(imp: ImpuritySupport, xi: np.ndarray, kernels: np.ndarray) -> float:
+def resolvent_certificate(imp: ImpuritySupport, xi: np.ndarray, g2: np.ndarray) -> float:
     """||(Ht + 1)((op + 1)^{-1} + U Xi U*) - 1||_F, absolute, from the support alone.
 
     Ht = op + D* E* Omega E D with Omega = at - a, and (op + 1) U = D* E*, so
@@ -188,16 +209,17 @@ def resolvent_certificate(imp: ImpuritySupport, xi: np.ndarray, kernels: np.ndar
 
     G1 enters only this norm, tr(Y* G1 Y G2), where Y is roundoff on a
     correct core; so the residual is at least the relative gap between
-    tr(G1) and K sum_xi |d(xi)|^2 / P, the trace its symbol gives.
+    tr(G1) and K sum_xi |d(xi)|^2 / P, the trace its symbol gives. ``g2`` is
+    the kernel G2 = U* U; N and then G1 are looked up here, one at a time.
     """
-    g1, g2, n = kernels
     k = imp.points.size
     omega = imp.at[imp.points] - imp.a
-    y = pointwise_rows(omega, n @ xi)
+    y = pointwise_rows(omega, support_kernel(imp, "n") @ xi)
     y += xi
     # Omega's (c, c') entries sit on the diagonal of channel block (c, c'), point by point
     nu = omega.shape[-1]
     y.reshape(nu, k, nu, k)[:, np.arange(k), :, np.arange(k)] += omega
+    g1 = support_kernel(imp, "g1")
     expected = k * float(np.sum(np.abs(imp.d) ** 2)) / imp.grid.total_points
     g1_gap = abs(np.trace(g1) - expected) / (expected or 1.0)
     return max(_trace_form(y, g1, g2), g1_gap)

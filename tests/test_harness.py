@@ -394,7 +394,7 @@ class TestDenseCap:
 
     def test_one_dense_operator_per_experiment(self, monkeypatch):
         # verify, scale and refine form no dense operator and no P x P solve: every kernel
-        # lookup is support by support, and no eigen-solve or SVD is P x P
+        # lookup is support by support, and no eigen-solve, inverse or SVD is P x P
         from schatten_verify import schatten_analysis
         from schatten_verify.torus_operator import LinearOperatorRep
 
@@ -430,7 +430,7 @@ class TestDenseCap:
         monkeypatch.setattr(schatten_analysis, "resolvent", no_resolvent)
         monkeypatch.setattr(schatten_analysis, "circulant_lookup", sized_lookup)
         monkeypatch.setattr(harness, "impurity_support", recorded_support)
-        for name in ("eigvalsh", "eigh", "svd"):
+        for name in ("eigvalsh", "eigh", "inv", "svd"):
             monkeypatch.setattr(np.linalg, name, sized(getattr(np.linalg, name)))
         build_artifacts(self._n2_config(32).experiments[0])
         assert labels == [] and solves and max(size for _, size in solves) < 16
@@ -466,23 +466,27 @@ class TestDenseCap:
         assert [calls.count(call) for call in pinned] == [1, 1, 1]
 
     def test_one_solve_per_experiment(self, monkeypatch):
-        # the core solves against 1 + Z W once; the spectrum reads its Xi and the chain gap its S
-        solve, sizes = np.linalg.solve, []
+        # the core inverts 1 + Z W once and solves nothing; the spectrum reads its Xi and the chain gap its S
+        inv, sizes = np.linalg.inv, []
 
-        def counted(a, b):
+        def counted(a):
             sizes.append(np.shape(a))
-            return solve(a, b)
+            return inv(a)
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        def no_solve(*args):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
         art = build_artifacts(self._n2_config(32).experiments[0])
         k = np.count_nonzero(art.v_norms)
         assert k > 0 and sizes == [(2 * k, 2 * k)]
 
     def test_support_pass_peak_memory(self):
-        # traced peak inside build_artifacts, in units of one nu K x nu K complex matrix: 6.8 here,
-        # with the checks' kernels looked up after the spectrum's eigh, 1 + Z W freed when the
-        # core returns and no full-size product formed for a trace; with 1 + Z W alive through
-        # the checks it read 7.7, and with the kernels alive during the eigh too, 9.7
+        # traced peak inside build_artifacts, in units of one nu K x nu K complex matrix: 5.2 here,
+        # with the core's one inverse and no Kronecker right-hand side, R'* Xi R' written into the
+        # spectrum's factor and the kernels looked up one at a time; with a solve against a
+        # Kronecker right-hand side, R'* formed out of place and the three kernels stacked, 6.7
         from schatten_verify import TorusGrid
 
         config = load_config(default_config_path())
@@ -496,7 +500,7 @@ class TestDenseCap:
             tracemalloc.stop()
         nu_k = 2 * np.count_nonzero(art.v_norms)
         assert nu_k == 386
-        assert peak <= 7.5 * 16 * nu_k**2
+        assert peak <= 5.8 * 16 * nu_k**2
 
     def test_counts_channels_before_any_dense_object(self, monkeypatch):
         # P = 16 fits a cap of 20, the channel side nu * P = 32 does not; the grid is never sampled
@@ -583,7 +587,7 @@ def _both(*edits):
     return apply
 
 
-_BAD_ID = "experiments[0]: id must be a non-empty string with no comma, quote, CR or LF,"
+_BAD_ID = "experiments[0]: id must be a non-empty string with no comma, quote, '|', CR or LF,"
 
 # one malformed entry each; (subcommand, edit, the entry the message must name)
 MALFORMED = {
@@ -618,6 +622,10 @@ MALFORMED = {
     "id_with_quote": ("verify", _set(["experiments", 0, "id"], 'a"b'), f"{_BAD_ID} got 'a\"b'"),
     "id_with_line_feed": ("verify", _set(["experiments", 0, "id"], "x\ny"), f"{_BAD_ID} got 'x\\ny'"),
     "id_with_carriage_return": ("verify", _set(["experiments", 0, "id"], "x\ry"), f"{_BAD_ID} got 'x\\ry'"),
+    # the studies label their rows id|U=, id|n=, id|clip= and id|clip_pair=; clip picks its bound
+    # rows by "|clip=", so such an id would turn its Cauchy pair rows into vacuous bound flags
+    "id_with_bar": ("verify", _set(["experiments", 0, "id"], "a|b"), f"{_BAD_ID} got 'a|b'"),
+    "id_with_clip_label": ("clip", _set(["experiments", 0, "id"], "x|clip=1"), f"{_BAD_ID} got 'x|clip=1'"),
     "empty_id": ("verify", _set(["experiments", 0, "id"], ""), f"{_BAD_ID} got ''"),
     "null_id": ("verify", _set(["experiments", 0, "id"], None), f"{_BAD_ID} got None"),
     "bool_id": ("verify", _set(["experiments", 0, "id"], True), f"{_BAD_ID} got True"),

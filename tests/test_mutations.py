@@ -3,17 +3,19 @@
 Every defect runs the ``verify`` rows of one bundled experiment with one
 object or one function made wrong. Most hand the experiment a defective copy
 of its ``ImpuritySupport`` (``harness.impurity_support`` patched), of the
-core's 1 + Z W (``schatten_analysis.one_plus_zw`` patched) or of the checks'
-kernels (``harness.support_kernels`` patched); the rest patch one function
-that the CLI path calls. A defect is caught when the run would exit 1 (an
-assertion fails) or a residual column is over 1e-10, the bound that the
-frozen-reference test and perfbench/checks.py hold every row to. README.md
-tabulates which column fires for each.
+core's 1 + Z W (``schatten_analysis.one_plus_zw`` patched) or of one of the
+checks' kernels (``support_kernel`` patched where the pass and the
+certificate look them up); the rest patch one function that the CLI path
+calls. A defect is caught when the run would exit 1 (an assertion fails) or
+a residual column is over 1e-10, the bound that the frozen-reference test
+and perfbench/checks.py hold every row to. README.md tabulates which column
+fires for each.
 
 A conjugate is tried on a variant of the experiment whose reference has
 imaginary off-diagonal entries: on the bundled one, whose config matrices
 are real, the conjugates of W, C^{-1} D, a~ and a~^{-1/2} change nothing.
-So is the spectrum's factor taken without a^{-1}: on the bundled one a = 1.
+So are the spectrum's factor taken without a^{-1} and a applied to the rows of
+the core's inverse: on the bundled one a = 1.
 """
 
 import dataclasses
@@ -23,13 +25,13 @@ import pytest
 
 from schatten_verify import constant_field, harness, sampled_field, schatten_analysis
 from schatten_verify.cli import default_config_path
-from schatten_verify.torus_operator import circulant_lookup
+from schatten_verify.torus_operator import circulant_lookup, pointwise_rows
 
 RESIDUAL_GATE = 1e-10
 EXPERIMENT = "n2m1_bump_a05"
 SCALE = 1 + 1e-9
 _ORIGINAL = schatten_analysis.impurity_support
-_KERNELS = schatten_analysis.support_kernels
+_KERNEL = schatten_analysis.support_kernel
 _ONE_ZW = schatten_analysis.one_plus_zw
 _FACTOR = schatten_analysis.spectrum_factor
 
@@ -82,16 +84,16 @@ def _channels_swapped(imp, a, a_tilde):
     return dataclasses.replace(imp, c_inv_d=imp.c_inv_d[::-1])
 
 
-def _kernel_scaled(index):
-    def defect(kernels):
-        kernels[index] *= SCALE
-        return kernels
+def _kernel_scaled(scaled):
+    def defect(imp, name):
+        kernel = _KERNEL(imp, name)
+        return kernel * SCALE if name == scaled else kernel
 
     return defect
 
 
-def _g1_g2_swapped(kernels):
-    return kernels[[1, 0, 2]]
+def _g1_g2_swapped(imp, name):
+    return _KERNEL(imp, {"g1": "g2", "g2": "g1"}.get(name, name))
 
 
 def _conjugated(name):
@@ -118,14 +120,14 @@ CORE_DEFECTS = {
     "z_lookup_shifted": _z_lookup_shifted,
 }
 
-# defects of the kernels G1, G2, N, each a function of the looked-up (3, nu K, nu K) array
+# defects of the kernels G1, G2, N, each a function of the ImpuritySupport and the kernel's name
 KERNEL_DEFECTS = {
     # the moments check reads G2; the spectrum takes its own lookup of a G2 a from C^{-1} D,
     # so the two stay independent, and a wrong G2 shows in their gap
-    "g2_scaled": _kernel_scaled(1),
+    "g2_scaled": _kernel_scaled("g2"),
     # G1 enters the certificate's norm tr(Y* G1 Y G2), where Y is roundoff on a correct core;
     # the certificate also ties tr(G1) to its symbol
-    "g1_scaled": _kernel_scaled(0),
+    "g1_scaled": _kernel_scaled("g1"),
     "g1_g2_swapped": _g1_g2_swapped,
 }
 
@@ -151,10 +153,19 @@ def _v_scaled(monkeypatch):
     monkeypatch.setattr(harness, "relative_perturbation", lambda *args: perturbation(*args) * SCALE)
 
 
+def _factor_unconjugated(monkeypatch):
+    # the printed values from R'^T Xi R' in place of R'* Xi R'
+    def spectrum(factor, xi):
+        return schatten_analysis.singular_spectrum(factor.T @ (xi @ factor), hermitian=True)
+
+    monkeypatch.setattr(harness, "support_spectrum", spectrum)
+
+
 FUNCTION_DEFECTS = {
     "lookups_shifted": _lookups_shifted,
     "spectrum_scaled": _spectrum_scaled,
     "v_scaled": _v_scaled,
+    "factor_unconjugated": _factor_unconjugated,
 }
 
 
@@ -182,7 +193,9 @@ def _patch_support(monkeypatch, defect):
 
 
 def _patch_kernels(monkeypatch, defect):
-    monkeypatch.setattr(harness, "support_kernels", lambda imp: defect(_KERNELS(imp)))
+    # G2 is looked up by the pass, N and G1 by the certificate
+    for module in (harness, schatten_analysis):
+        monkeypatch.setattr(module, "support_kernel", defect)
 
 
 def _patch_core(monkeypatch, defect):
@@ -223,7 +236,7 @@ def test_the_complex_experiment_passes_as_built(complex_experiment):
 @pytest.mark.parametrize("name", CONJUGATED)
 def test_conjugate_defect_is_caught(name, complex_experiment, monkeypatch):
     if name == "kernels":
-        _patch_kernels(monkeypatch, np.conj)
+        _patch_kernels(monkeypatch, lambda imp, name: np.conj(_KERNEL(imp, name)))
     elif name == "one_zw":
         _patch_core(monkeypatch, lambda imp: np.conj(_ONE_ZW(imp)))
     else:
@@ -246,5 +259,17 @@ def test_spectrum_without_a_inverse_is_caught(complex_experiment, monkeypatch):
         return np.kron(imp.a, np.eye(imp.points.size)) @ _FACTOR(imp)
 
     monkeypatch.setattr(harness, "spectrum_factor", without_a_inverse)
+    residual, passed = _verdict(complex_experiment)
+    assert residual > RESIDUAL_GATE or not passed, f"residual {residual:.3g}"
+
+
+def test_a_on_the_inverse_rows_is_caught(complex_experiment, monkeypatch):
+    # S = (a x 1)(1 + Z W)^{-1} in place of (1 + Z W)^{-1}(a x 1): a acts on the inverse's rows
+    def core(imp):
+        inverse = np.linalg.inv(schatten_analysis.one_plus_zw(imp))
+        solved = pointwise_rows(np.broadcast_to(imp.a, imp.w.shape), inverse)
+        return pointwise_rows(imp.a @ imp.w, solved), solved
+
+    monkeypatch.setattr(harness, "support_core", core)
     residual, passed = _verdict(complex_experiment)
     assert residual > RESIDUAL_GATE or not passed, f"residual {residual:.3g}"

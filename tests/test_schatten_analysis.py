@@ -38,7 +38,7 @@ from schatten_verify.schatten_analysis import (
     resolvent_certificate,
     singular_spectrum,
     support_core,
-    support_kernels,
+    support_kernel,
 )
 from schatten_verify.torus_operator import channel_resolvent_symbols, circulant_lookup
 
@@ -430,9 +430,9 @@ class TestSupportCore:
         r = resolvent(assemble_constant_coefficient(a, grid).dense())
         x = (h_tilde + np.eye(grid.total_points)) @ (r + np.conj(u_star.T) @ xi @ u_star)
         dense = np.linalg.norm(x - np.eye(grid.total_points))
-        kernels = support_kernels(imp)
-        assert abs(resolvent_certificate(imp, xi, kernels) - dense) <= 1e-6 * dense
-        assert resolvent_certificate(imp, support_core(imp)[0], kernels) <= 1e-12
+        g2 = support_kernel(imp, "g2")
+        assert abs(resolvent_certificate(imp, xi, g2) - dense) <= 1e-6 * dense
+        assert resolvent_certificate(imp, support_core(imp)[0], g2) <= 1e-12
 
     @pytest.mark.parametrize("N,n,m", [(1, 16, 2), (2, 8, 1), (3, 4, 1)])
     def test_chain_gap_is_the_dense_gap(self, N, n, m):
@@ -447,18 +447,24 @@ class TestSupportCore:
         v = v.reshape(imp.at.shape)
         # the chain reads the core's solve S = (1 + Z W)^{-1} a, which the perturbation leaves exact
         core, solved = support_core(imp)
-        g2 = support_kernels(imp)[1]
+        g2 = support_kernel(imp, "g2")
         assert abs(chain_gap(imp, xi, solved, g2, v, 1.0) - dense) <= 1e-6 * dense
         assert chain_gap(imp, core, solved, g2, v, 1.0) <= 1e-12
 
-    def test_certificate_ties_g1_to_its_symbol(self):
+    def test_certificate_ties_g1_to_its_symbol(self, monkeypatch):
         # Y is roundoff on a correct core, so the norm tr(Y* G1 Y G2) cannot see a wrong G1;
         # tr(G1) against K sum_xi |d(xi)|^2 / P can
+        from schatten_verify import schatten_analysis
+
         _, _, _, imp, _ = _core_case(2, 8, 1, 2.0, 3)
-        xi, kernels = support_core(imp)[0], support_kernels(imp)
-        assert resolvent_certificate(imp, xi, kernels) <= 1e-12
-        kernels[0] *= 1 + 1e-9
-        assert resolvent_certificate(imp, xi, kernels) == pytest.approx(1e-9, rel=1e-3)
+        xi, g2 = support_core(imp)[0], support_kernel(imp, "g2")
+        assert resolvent_certificate(imp, xi, g2) <= 1e-12
+
+        def g1_scaled(imp, name):
+            return support_kernel(imp, name) * (1 + 1e-9 if name == "g1" else 1)
+
+        monkeypatch.setattr(schatten_analysis, "support_kernel", g1_scaled)
+        assert resolvent_certificate(imp, xi, g2) == pytest.approx(1e-9, rel=1e-3)
 
     def test_chain_gap_counts_v_off_the_support(self):
         # V is 0 off the support by construction; a value there adds ||V||_F / 4, the bound on its part
@@ -467,13 +473,13 @@ class TestSupportCore:
         v = relative_perturbation_of(a, at).reshape(imp.at.shape)
         outside = np.setdiff1d(np.arange(grid.total_points), imp.points)[0]
         v[outside] = np.eye(a.basis.nu)
-        gap = chain_gap(imp, xi, solved, support_kernels(imp)[1], v, 1.0)
+        gap = chain_gap(imp, xi, solved, support_kernel(imp, "g2"), v, 1.0)
         assert abs(gap - 0.25 * np.sqrt(a.basis.nu)) <= 1e-12
 
     @pytest.mark.parametrize("N,n,m", [(1, 16, 2), (2, 8, 1), (3, 4, 1)])
     def test_moments_gap(self, N, n, m):
         a, at, grid, imp, _ = _core_case(N, n, m, 2.0, N + m)
-        xi, g2 = support_core(imp)[0], support_kernels(imp)[1]
+        xi, g2 = support_core(imp)[0], support_kernel(imp, "g2")
         values = singular_spectrum(direct_difference(a, at, grid), hermitian=True)
         assert moments_gap(xi, g2, values) <= 1e-12
         # values 1e-6 too large: the 8th moment is off by 8e-6
