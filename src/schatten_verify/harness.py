@@ -672,10 +672,12 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
 
     The resolvent difference is U Xi U* on the impurity's support; the one
     inverse of 1 + Z W gives Xi, from which the spectrum is read. The
-    factorization column is the larger of the chain gap and the moments gap,
-    the Deift column the resolvent certificate (``schatten_analysis``). The
-    spectrum's eigh runs before the core, and no later step holds more
-    nu K x nu K matrices than the eigh does (README, "How an experiment is computed").
+    factorization column is the larger of the chain gap (relative to
+    ||Delta||_op) and the moments gap, the Deift column the resolvent
+    certificate (``schatten_analysis``). The core's inverse is the largest
+    step: no later step holds more nu K x nu K matrices than it does, so G2
+    is dropped while the spectrum's factor is alive and looked up again
+    (README, "How an experiment is computed").
     """
     grid, a = exp.grid, exp.reference
     if a_tilde is None:
@@ -685,14 +687,15 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
         imp = impurity_support(a, a_tilde, grid)
     except NonPositiveDefiniteError as exc:
         raise NonPositiveDefiniteError(exc.min_eigenvalue, exc.points, experiment=exp.id) from None
-    factor = spectrum_factor(imp)
     v = relative_perturbation(imp.at, imp.at_inv_sqrt, imp.a, imp.a_inv_sqrt)
     xi, solved = support_core(imp)
-    svals = support_spectrum(factor, xi)
-    del factor  # consumed by the spectrum
     g2 = support_kernel(imp, "g2")
-    chain = chain_gap(imp, xi, solved, g2, v, svals[0] if svals.size else 0.0)
-    del solved
+    chain = chain_gap(imp, xi, solved, g2, v)
+    del solved, g2  # before the spectrum's factor
+    svals = support_spectrum(spectrum_factor(imp), xi)
+    if svals.size and svals[0] > 1e-14:
+        chain /= svals[0]
+    g2 = support_kernel(imp, "g2")
     moments = moments_gap(xi, g2, svals)
     return ExperimentArtifacts(
         grid=grid,

@@ -4,8 +4,9 @@ The CLI checks an impurity experiment on its K support points alone. With
 U* = E D (op + 1)^{-1} the support rows of the derivative resolvent, the
 resolvent difference is Delta = U Xi U* with the nu K x nu K core
 Xi = a W (1 + Z W)^{-1} a (Woodbury; Hager, SIAM Rev. 31 (1989) 221-239).
-``support_spectrum`` reads its singular values from Xi (Birman-Schwinger;
-Simon, *Trace Ideals*, 2nd ed., AMS 2005), and three
+``support_spectrum`` reads its singular values from Xi through
+``spectrum_factor``'s Cholesky factor of U* U (Birman-Schwinger; Simon,
+*Trace Ideals*, 2nd ed., AMS 2005), and three
 nu K x nu K checks certify it: ``resolvent_certificate`` (the resolvent
 equation of the perturbed operator), ``chain_gap`` (the factorization chain
 through the printed V) and ``moments_gap`` (tr((Xi G2)^p) against the
@@ -44,7 +45,7 @@ from .torus_operator import (
 )
 
 
-# the number of row blocks in which _trace_form forms its two products
+# the number of row blocks in which _trace_form forms its two products, and of support_spectrum's column blocks
 _BLOCKS = 8
 
 
@@ -124,30 +125,75 @@ def impurity_support(
     return ImpuritySupport(grid, support, at, at_inv_sqrt, a_mat, a_sqrt, a_inv_sqrt, w, c_inv, c_inv_d, d, d * r[0])
 
 
-def spectrum_factor(imp: ImpuritySupport) -> np.ndarray:
-    """R' = (a^{-1} x 1) Q L^{1/2} with R' R'* = U* U, for G = Q L Q* = M M* and M = E C^{-1} D = a U*.
+def pivoted_cholesky(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L, (n, r), and ``order`` with g[order][:, order] = L L*, for g Hermitian and positive
+    semidefinite to working precision; written in g's own buffer.
 
+    Diagonally pivoted and left-looking (Higham, "Analysis of the Cholesky
+    decomposition of a semi-definite matrix", 1990; LAPACK xPSTRF): each step
+    swaps the largest remaining diagonal entry to the front and forms one
+    column of L, and the first non-positive pivot ends it, so r is the rank
+    found. L is the lower trapezoidal view of g's first r columns.
+    """
+    n = g.shape[0]
+    order = np.arange(n)
+    remaining = g.diagonal().real.copy()
+    for j in range(n):
+        p = j + int(np.argmax(remaining[j:]))
+        # swap j and p: the rows whole, the columns below row j, the only part read from here on
+        g[[j, p]] = g[[p, j]]
+        g[j:, [j, p]] = g[j:, [p, j]]
+        order[[j, p]] = order[[p, j]]
+        remaining[[j, p]] = remaining[[p, j]]
+        column = g[j:, j] - g[j:, :j] @ np.conj(g[j, :j])
+        pivot = column[0].real
+        if pivot <= 0.0:
+            return g[:, :j], order
+        column[0] = pivot
+        column /= np.sqrt(pivot)
+        g[j:, j] = column
+        g[:j, j] = 0.0
+        remaining[j + 1 :] -= np.abs(column[1:]) ** 2
+    return g, order
+
+
+def spectrum_factor(imp: ImpuritySupport) -> np.ndarray:
+    """R' = (a^{-1} x 1) R, (nu K, r), with R' R'* = U* U, for R R* = G = M M* and M = E C^{-1} D = a U*.
+
+    R is G's Cholesky factor, or P L of ``pivoted_cholesky`` with r the rank
+    it finds where LAPACK finds G not positive definite to working precision.
     G is the lookup of (a d)(a d)* / (1 + A)^2, apart from the kernels' G2, so the moments gap ties the two.
     """
     c_inv_d = imp.c_inv_d[:, 0]
-    g_symbol = c_inv_d[:, None] * np.conj(c_inv_d[None, :])
-    lam, r = np.linalg.eigh(circulant_lookup(g_symbol, imp.grid, rows=imp.points, cols=imp.points))
-    r *= np.sqrt(np.maximum(lam, 0.0))  # R = Q L^{1/2}, in place
+    g = circulant_lookup(c_inv_d[:, None] * np.conj(c_inv_d[None, :]), imp.grid, rows=imp.points, cols=imp.points)
+    try:
+        r = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        l, order = pivoted_cholesky(g)
+        r = l[np.argsort(order)]  # R = P L: row order[i] of R is row i of L
+        del l
+    del g  # before R' is formed
     a_inv = imp.a_inv_sqrt @ imp.a_inv_sqrt
     return pointwise_rows(np.broadcast_to(a_inv, (imp.points.size, *a_inv.shape)), r)
 
 
 def support_spectrum(factor: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """The nu K singular values of U Xi U*, non-increasing: those of R'* Xi R' for ``factor`` R' R'* = U* U.
+    """r singular values of U Xi U*, its nonzero ones among them, non-increasing: those of R'* Xi R'
+    for ``factor`` R' R'* = U* U, (nu K, r).
 
-    ``factor`` is consumed: R'* Xi R' is written into its buffer, so that
-    Xi R' and then the Hermitian part are the one product of its size beside it.
+    The r x r R'* Xi R' is formed in _BLOCKS column blocks, so that no product
+    of the factor's size is formed beside it. ``factor`` is consumed: it is
+    conjugated in place, and freed before the spectrum's eigvalsh when the
+    caller passes it without keeping a reference.
     """
-    product = xi @ factor
-    np.conjugate(factor, out=factor)
-    factor[...] = factor.T @ product
-    del product
-    return singular_spectrum(factor, hermitian=True)
+    np.conjugate(factor, out=factor)  # R'-bar, whose transpose is R'*
+    rank = factor.shape[1]
+    form = np.empty((rank, rank), dtype=complex)
+    step = max(1, -(-rank // _BLOCKS))
+    for i in range(0, rank, step):
+        form[:, i : i + step] = factor.T @ (xi @ np.conj(factor[:, i : i + step]))
+    del factor
+    return singular_spectrum(form, hermitian=True)
 
 
 # the checks' kernels by name: the support lookup of left right* for these two symbols
@@ -225,18 +271,15 @@ def resolvent_certificate(imp: ImpuritySupport, xi: np.ndarray, g2: np.ndarray) 
     return max(_trace_form(y, g1, g2), g1_gap)
 
 
-def chain_gap(
-    imp: ImpuritySupport, xi: np.ndarray, solved: np.ndarray, g2: np.ndarray, v: np.ndarray, scale: float
-) -> float:
-    """||U Xi U* - chain||_F for the chain Tt* (Gt+1)^{-1} (-V) (G+1)^{-1} T, relative to ``scale``.
+def chain_gap(imp: ImpuritySupport, xi: np.ndarray, solved: np.ndarray, g2: np.ndarray, v: np.ndarray) -> float:
+    """||U Xi U* - chain||_F for the chain Tt* (Gt+1)^{-1} (-V) (G+1)^{-1} T, absolute.
 
     On the support the chain is U Xi_V U* with Xi_V = -a (1 + W Z)^{-1} F,
     F = at^{-1/2} V a^{1/2}, for the printed values ``v`` of V. W and Z are
     Hermitian, so (1 + W Z)^{-1} = ((1 + Z W)^{-1})*, and a (1 + W Z)^{-1} is
     S* for the core's ``solved`` S = (1 + Z W)^{-1} a; Xi_V = -S* F needs no
     solve of its own. Off the support V vanishes; its part of the chain there
-    is at most ||V||_F / 4, which is added. Absolute when ``scale`` =
-    ||Delta||_op is 0. ``g2`` is the kernel G2 = U* U.
+    is at most ||V||_F / 4, which is added. ``g2`` is the kernel G2 = U* U.
     """
     support = imp.points
     field = imp.at_inv_sqrt[support] @ v[support] @ imp.a_sqrt
@@ -244,9 +287,7 @@ def chain_gap(
     x = pointwise_rows(np.conj(field.transpose(0, 2, 1)), solved)
     x = np.conjugate(x, out=x).T
     x += xi
-    gap = _trace_form(x, g2, g2)
-    gap += 0.25 * float(np.linalg.norm(np.delete(v, support, axis=0)))
-    return gap / scale if scale > 1e-14 else gap
+    return _trace_form(x, g2, g2) + 0.25 * float(np.linalg.norm(np.delete(v, support, axis=0)))
 
 
 def moments_gap(xi: np.ndarray, g2: np.ndarray, values: np.ndarray) -> float:

@@ -213,13 +213,25 @@ def _pointwise_matvec(field_values: np.ndarray, v: np.ndarray, grid: TorusGrid) 
     return out.reshape(v.shape)
 
 
+# the number of point blocks over which pointwise_rows sums
+_POINT_BLOCKS = 8
+
+
 def pointwise_rows(field_values: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Field (K, nu, nu) applied point by point to the channel-major rows (nu K, cols)."""
+    """Field (K, nu, nu) applied point by point to the channel-major rows (nu K, cols).
+
+    Summed over _POINT_BLOCKS blocks of points, so that _field_sum's term is
+    one block of a channel, not a whole channel: half of ``stack`` for nu = 2.
+    """
     nu = field_values.shape[-1]
     by_channel = (nu, stack.shape[0] // nu, stack.shape[1])
     f = field_values.transpose(1, 2, 0)[..., None]
+    rows = stack.reshape(by_channel)
     out = np.empty(stack.shape, dtype=complex)
-    _field_sum(f, stack.reshape(by_channel), out.reshape(by_channel))
+    out_rows = out.reshape(by_channel)
+    step = max(1, -(-by_channel[1] // _POINT_BLOCKS))
+    for i in range(0, by_channel[1], step):
+        _field_sum(f[:, :, i : i + step], rows[:, i : i + step], out_rows[:, i : i + step])
     return out
 
 

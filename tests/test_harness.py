@@ -443,10 +443,11 @@ class TestDenseCap:
         assert labels == []
 
     def test_one_coefficient_pass_per_experiment(self, monkeypatch):
-        # a~ is decomposed once over its P points and the reference's symbols are built once
+        # a~ is decomposed once over its P points and the reference's symbols are built once;
+        # the spectrum's G is factored by one Cholesky call of size nu K, and no eigh is nu K x nu K
         from schatten_verify import schatten_analysis, torus_operator
 
-        exp = self._n2_config(32).experiments[0]
+        exp = next(e for e in load_config(default_config_path()).experiments if e.id == "n2m1_bump_a05")
         calls = []
 
         def counted(module, name, size=lambda *args: None):
@@ -458,12 +459,21 @@ class TestDenseCap:
 
             monkeypatch.setattr(module, name, wrapped)
 
-        counted(np.linalg, "eigh", lambda values: int(np.prod(np.shape(values)[:-2])))
+        counted(np.linalg, "eigh", lambda values: (int(np.prod(np.shape(values)[:-2])), np.shape(values)[-1]))
+        counted(np.linalg, "cholesky", np.shape)
         counted(schatten_analysis, "channel_resolvent_symbols")
         counted(torus_operator, "constant_multiplier")
-        build_artifacts(exp)
-        pinned = [("eigh", exp.grid.total_points), ("channel_resolvent_symbols", None), ("constant_multiplier", None)]
-        assert [calls.count(call) for call in pinned] == [1, 1, 1]
+        art = build_artifacts(exp)
+        nu, nu_k = 2, 2 * np.count_nonzero(art.v_norms)
+        pinned = [
+            ("eigh", (exp.grid.total_points, nu)),
+            ("cholesky", (nu_k, nu_k)),
+            ("channel_resolvent_symbols", None),
+            ("constant_multiplier", None),
+        ]
+        assert nu_k == 90 and [calls.count(call) for call in pinned] == [1, 1, 1, 1]
+        assert all(shape[1] == nu for name, shape in calls if name == "eigh")
+        assert sum(name == "cholesky" for name, _ in calls) == 1
 
     def test_one_solve_per_experiment(self, monkeypatch):
         # the core inverts 1 + Z W once and solves nothing; the spectrum reads its Xi and the chain gap its S
@@ -483,10 +493,11 @@ class TestDenseCap:
         assert k > 0 and sizes == [(2 * k, 2 * k)]
 
     def test_support_pass_peak_memory(self):
-        # traced peak inside build_artifacts, in units of one nu K x nu K complex matrix: 5.2 here,
-        # with the core's one inverse and no Kronecker right-hand side, R'* Xi R' written into the
-        # spectrum's factor and the kernels looked up one at a time; with a solve against a
-        # Kronecker right-hand side, R'* formed out of place and the three kernels stacked, 6.7
+        # traced peak inside build_artifacts, in units of one nu K x nu K complex matrix: 4.7 here,
+        # in the certificate, with the spectrum's G factored by Cholesky after the core, G2 dropped
+        # while the factor is alive and pointwise_rows summed over point blocks; 5.2 with the
+        # spectrum's eigh before the core, and 6.7 with a Kronecker right-hand side, R'* formed
+        # out of place and the three kernels stacked
         from schatten_verify import TorusGrid
 
         config = load_config(default_config_path())
@@ -500,7 +511,7 @@ class TestDenseCap:
             tracemalloc.stop()
         nu_k = 2 * np.count_nonzero(art.v_norms)
         assert nu_k == 386
-        assert peak <= 5.8 * 16 * nu_k**2
+        assert peak <= 5.1 * 16 * nu_k**2
 
     def test_counts_channels_before_any_dense_object(self, monkeypatch):
         # P = 16 fits a cap of 20, the channel side nu * P = 32 does not; the grid is never sampled

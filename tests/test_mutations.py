@@ -16,6 +16,10 @@ imaginary off-diagonal entries: on the bundled one, whose config matrices
 are real, the conjugates of W, C^{-1} D, a~ and a~^{-1/2} change nothing.
 So are the spectrum's factor taken without a^{-1} and a applied to the rows of
 the core's inverse: on the bundled one a = 1.
+
+The bundled experiment's G is positive definite to working precision at its
+n = 16, so LAPACK's Cholesky factors it; the defects of the pivoted factor,
+which LAPACK's refusal selects from n = 32 on, run with that refusal forced.
 """
 
 import dataclasses
@@ -34,6 +38,7 @@ _ORIGINAL = schatten_analysis.impurity_support
 _KERNEL = schatten_analysis.support_kernel
 _ONE_ZW = schatten_analysis.one_plus_zw
 _FACTOR = schatten_analysis.spectrum_factor
+_PIVOTED = schatten_analysis.pivoted_cholesky
 
 
 def _middle(imp):
@@ -169,6 +174,31 @@ FUNCTION_DEFECTS = {
 }
 
 
+def _force_pivoted(monkeypatch):
+    # LAPACK refuses G, as it does from n = 32 on, so that spectrum_factor takes pivoted_cholesky
+    def not_definite(g):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_definite)
+
+
+def _pivoted_defect(defect):
+    def patch(monkeypatch):
+        monkeypatch.setattr(schatten_analysis, "pivoted_cholesky", lambda g: defect(*_PIVOTED(g)))
+
+    return patch
+
+
+# defects run on the pivoted factor; the spectrum reads the factor, so the moments gap sees them
+PIVOTED_DEFECTS = {
+    # R = L, its rows left in pivot order, in place of P L
+    "pivot_order_kept": _pivoted_defect(lambda factor, order: (factor, np.arange(order.size))),
+    # the factor's first r / 2 columns: R R* misses half of G
+    "half_rank": _pivoted_defect(lambda factor, order: (factor[:, : factor.shape[1] // 2], order)),
+    "factor_unconjugated": _factor_unconjugated,
+}
+
+
 @pytest.fixture(scope="module")
 def experiment():
     config = harness.load_config(default_config_path())
@@ -252,15 +282,33 @@ def test_function_defect_is_caught(name, experiment, monkeypatch):
     assert residual > RESIDUAL_GATE or not passed, f"{name}: residual {residual:.3g}"
 
 
+@pytest.mark.parametrize("name", sorted(PIVOTED_DEFECTS))
+def test_pivoted_factor_defect_is_caught(name, experiment, monkeypatch):
+    _force_pivoted(monkeypatch)
+    PIVOTED_DEFECTS[name](monkeypatch)
+    residual, passed = _verdict(experiment)
+    assert residual > RESIDUAL_GATE or not passed, f"{name}: residual {residual:.3g}"
+
+
+@pytest.mark.parametrize("variant", ["experiment", "complex_experiment"])
+def test_the_pivoted_path_passes_as_built(variant, request, monkeypatch):
+    _force_pivoted(monkeypatch)
+    residual, passed = _verdict(request.getfixturevalue(variant))
+    assert residual <= RESIDUAL_GATE and passed
+
+
 def test_spectrum_without_a_inverse_is_caught(complex_experiment, monkeypatch):
-    # the spectrum's factor R = Q L^{1/2} of G = a G2 a in place of R' = (a^{-1} x 1) R:
-    # R R* = a G2 a, not G2, so the printed values are those of U (a Xi a) U*
+    # the spectrum's factor R of G = a G2 a in place of R' = (a^{-1} x 1) R: R R* = a G2 a,
+    # not G2, so the printed values are those of U (a Xi a) U*; by LAPACK, then pivoted
     def without_a_inverse(imp):
         return np.kron(imp.a, np.eye(imp.points.size)) @ _FACTOR(imp)
 
     monkeypatch.setattr(harness, "spectrum_factor", without_a_inverse)
     residual, passed = _verdict(complex_experiment)
     assert residual > RESIDUAL_GATE or not passed, f"residual {residual:.3g}"
+    _force_pivoted(monkeypatch)
+    residual, passed = _verdict(complex_experiment)
+    assert residual > RESIDUAL_GATE or not passed, f"pivoted: residual {residual:.3g}"
 
 
 def test_a_on_the_inverse_rows_is_caught(complex_experiment, monkeypatch):

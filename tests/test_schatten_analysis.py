@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,11 +25,14 @@ from schatten_verify import harness
 from schatten_verify.cli import default_config_path
 from schatten_verify.coeff_algebra import clip_coefficients, matrix_inv_sqrt
 from schatten_verify.harness import (
+    PerturbationSpec,
     _clip_target_field,
     _ratio,
     build_artifacts,
+    indicator_profile,
     load_config,
     parse_config,
+    perturbed_coefficient,
 )
 from schatten_verify.norms import lp_norm_of_pointwise
 from schatten_verify.schatten_analysis import (
@@ -35,6 +40,7 @@ from schatten_verify.schatten_analysis import (
     factorization_residual,
     impurity_support,
     moments_gap,
+    pivoted_cholesky,
     resolvent_certificate,
     singular_spectrum,
     support_core,
@@ -327,15 +333,19 @@ class TestWoodburyLeftEnd:
         _assert_left_end_matches_dense(a, at, grid)
 
 
+def _assert_norms_match(values, expected_values):
+    """Schatten norms p = 4, 6, 8, inf of non-increasing ``values`` within 1e-12 of those of ``expected_values``."""
+    assert np.all(np.diff(values) <= 0.0)
+    for p in (4, 6, 8, np.inf):
+        expected = lp_norm_of_pointwise(expected_values, 1.0, p)
+        assert abs(lp_norm_of_pointwise(values, 1.0, p) - expected) <= 1e-12 * expected
+
+
 def _assert_spectrum_matches_dense(a, at, grid):
     """The support spectrum's Schatten norms against eigvalsh of the dense difference."""
-    dense = singular_spectrum(direct_difference(a, at, grid), hermitian=True)
     support = support_values(a, at, grid)
     assert support.size == a.basis.nu * _support_size(a, at)
-    assert np.all(np.diff(support) <= 0.0)
-    for p in (4, 6, 8, np.inf):
-        expected = lp_norm_of_pointwise(dense, 1.0, p)
-        assert abs(lp_norm_of_pointwise(support, 1.0, p) - expected) <= 1e-12 * expected
+    _assert_norms_match(support, singular_spectrum(direct_difference(a, at, grid), hermitian=True))
 
 
 def _off_diagonal_jump(grid, basis, a, amplitude, rng):
@@ -390,6 +400,52 @@ class TestSupportSpectrum:
         spectrum = harness.support_spectrum
         monkeypatch.setattr(harness, "support_spectrum", lambda *args: spectrum(*args) * (1 + 1e-6))
         assert build_artifacts(exp).fact_residual >= 1e-7
+
+
+def _no_lapack_cholesky(g):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+class TestSpectrumFactor:
+    def test_pivoted_factor_of_a_rank_deficient_matrix(self):
+        # G = X X*, complex, 60 x 60 of rank 20: R R* = G for R = P L, r at least the rank
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(60, 20)) + 1j * rng.normal(size=(60, 20))
+        g = x @ np.conj(x.T)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(g)
+        factor, order = pivoted_cholesky(g.copy())
+        r = factor[np.argsort(order)]
+        assert 20 <= r.shape[1] <= 60 and np.all(np.triu(factor, 1) == 0.0)
+        assert np.linalg.norm(r @ np.conj(r.T) - g) <= 1e-13 * np.linalg.norm(g)
+
+    def test_pivoted_factor_stops_at_once_on_zero(self):
+        factor, order = pivoted_cholesky(np.zeros((5, 5), dtype=complex))
+        assert factor.shape == (5, 0) and sorted(order) == list(range(5))
+
+    def test_pivoted_path_matches_lapack_and_dense(self, monkeypatch):
+        # n2m1_bump_a05 at its bundled n = 16, where LAPACK factors G, with the pivoted path forced
+        exp = next(e for e in load_config(default_config_path()).experiments if e.id == "n2m1_bump_a05")
+        a, at, grid = exp.reference, perturbed_coefficient(exp), exp.grid
+        lapack = support_values(a, at, grid)
+        dense = singular_spectrum(direct_difference(a, at, grid), hermitian=True)
+        monkeypatch.setattr(np.linalg, "cholesky", _no_lapack_cholesky)
+        pivoted = support_values(a, at, grid)
+        assert pivoted.size <= lapack.size == a.basis.nu * _support_size(a, at)
+        _assert_norms_match(pivoted, lapack)
+        _assert_norms_match(pivoted, dense)
+
+    def test_wide_impurity_matches_dense(self):
+        # a box of width L covers the torus: K = P, nu K = 2 P, and G = a G2 a has rank at most P
+        exp = next(e for e in load_config(default_config_path()).experiments if e.id == "n2m1_bump_a05")
+        grid = TorusGrid(N=2, n=8, L=exp.grid.L)
+        exp = dataclasses.replace(exp, grid=grid)
+        box = PerturbationSpec("box", exp.perturbation.center, width=(grid.L, grid.L))
+        a, at = exp.reference, perturbed_coefficient(exp, indicator_profile(box, grid))
+        assert a.basis.nu * _support_size(a, at) == 2 * grid.total_points
+        support = support_values(a, at, grid)
+        assert support.size < 2 * grid.total_points
+        _assert_norms_match(support, singular_spectrum(direct_difference(a, at, grid), hermitian=True))
 
 
 def _core_case(N, n, m, amplitude, seed):
@@ -448,8 +504,8 @@ class TestSupportCore:
         # the chain reads the core's solve S = (1 + Z W)^{-1} a, which the perturbation leaves exact
         core, solved = support_core(imp)
         g2 = support_kernel(imp, "g2")
-        assert abs(chain_gap(imp, xi, solved, g2, v, 1.0) - dense) <= 1e-6 * dense
-        assert chain_gap(imp, core, solved, g2, v, 1.0) <= 1e-12
+        assert abs(chain_gap(imp, xi, solved, g2, v) - dense) <= 1e-6 * dense
+        assert chain_gap(imp, core, solved, g2, v) <= 1e-12
 
     def test_certificate_ties_g1_to_its_symbol(self, monkeypatch):
         # Y is roundoff on a correct core, so the norm tr(Y* G1 Y G2) cannot see a wrong G1;
@@ -473,7 +529,7 @@ class TestSupportCore:
         v = relative_perturbation_of(a, at).reshape(imp.at.shape)
         outside = np.setdiff1d(np.arange(grid.total_points), imp.points)[0]
         v[outside] = np.eye(a.basis.nu)
-        gap = chain_gap(imp, xi, solved, support_kernel(imp, "g2"), v, 1.0)
+        gap = chain_gap(imp, xi, solved, support_kernel(imp, "g2"), v)
         assert abs(gap - 0.25 * np.sqrt(a.basis.nu)) <= 1e-12
 
     @pytest.mark.parametrize("N,n,m", [(1, 16, 2), (2, 8, 1), (3, 4, 1)])
