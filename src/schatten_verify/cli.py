@@ -8,10 +8,12 @@ bound constants). Exit codes: 0 all assertions pass, 1 an assertion failed,
 2 a bad input or an I/O error. Every input is refused at load, before any
 grid is sampled: a config error names the entry, including an experiment or
 refinement rung whose nu * n^N exceeds max_dim and a jump for which a + jump
-is not positive definite. Two refusals come later: a base whose coarea
-constant the sphere quadrature cannot resolve, and a coefficient that
-rounding leaves not positive definite at some grid point. No output depends
-on --seed: it is validated and kept for compatibility.
+is not positive definite. Three refusals come later: a base whose coarea
+constant the sphere quadrature cannot resolve, a coefficient that rounding
+leaves not positive definite at some grid point, and a run whose floating
+point overflows, divides by zero or forms a NaN (the subcommand runs under
+np.errstate with all three raising). No output depends on --seed: it is
+validated and kept for compatibility.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 from importlib import resources
+
+import numpy as np
 
 from .errors import ConfigError, NonPositiveDefiniteError, QuadratureError
 from .harness import (
@@ -70,14 +74,15 @@ def run_cli(argv: list[str] | None = None) -> int:
         config = load_config(args.config or default_config_path())
         if args.seed is not None:
             check_seed(args.seed)
-        return _execute(args.subcommand, config, args.out)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _execute(args.subcommand, config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
-    except (NonPositiveDefiniteError, QuadratureError) as exc:
+    except (NonPositiveDefiniteError, QuadratureError, FloatingPointError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

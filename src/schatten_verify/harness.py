@@ -45,7 +45,7 @@ from .coeff_algebra import (
     sqrt_field,
 )
 from .errors import ConfigError, NonPositiveDefiniteError, QuadratureError
-from .multiindex import MultiIndexBasis, enumerate_basis
+from .multiindex import MultiIndexBasis, basis_size, enumerate_basis
 # perfbench/tracer.py patches names of the next three imports here; matrix_field_lp_norm,
 # deift_residual, factorization_residual and assemble_derivative_factor have no caller in this module
 from .norms import (
@@ -243,15 +243,19 @@ def _distinct(values: tuple, name: str) -> None:
         raise ConfigError(f"{name} repeats an entry: {list(values)}")
 
 
-def _check_size(basis: MultiIndexBasis, grid: TorusGrid, max_dim: int, context: str) -> None:
+def _check_size(nu: int, grid: TorusGrid, max_dim: int, context: str) -> None:
     """Refuse a grid whose channel dimension nu * n^N exceeds ``max_dim``, before anything samples it.
 
     nu * n^N bounds the size nu K of the support core's solves and lookups
-    (K <= n^N), and n^N is the side of the clip study's dense matrices.
+    (K <= n^N), and n^N is the side of the clip study's dense matrices. It is
+    formed one axis at a time and stops once past the cap, so a huge N is
+    refused without forming n^N: the message then names the axes multiplied.
     """
-    dim = basis.nu * grid.total_points
+    dim, axes = nu, 0
+    while axes < grid.N and dim <= max_dim:
+        dim, axes = dim * grid.n, axes + 1
     if dim > max_dim:
-        raise ConfigError(f"{context}: nu * n^N = {dim} exceeds max_dim {max_dim}")
+        raise ConfigError(f"{context}: nu * n^{'N' if axes == grid.N else axes} = {dim} exceeds max_dim {max_dim}")
 
 
 def _require_grid_point(spec: PerturbationSpec, grid: TorusGrid, message: str) -> None:
@@ -323,15 +327,16 @@ def _parse_experiment(d: dict, context: str, max_dim: int) -> ExperimentSpec:
         if not p_values:
             raise ConfigError(f"{context}: p_values must not be empty")
         _distinct(p_values, f"{context}: p_values")
-        if any(p < 1 for p in p_values):
-            raise ConfigError(f"{context}: every p must be >= 1")
+        if any(p < 2 for p in p_values):
+            raise ConfigError(f"{context}: every p must be >= 2, where the KSS bound behind the ratio flags holds")
         grid = TorusGrid(
             N=_int(_require(d, "N", context), "N"),
             n=_int(_require(grid_d, "n", f"{context}.grid"), "grid.n"),
             L=_float(_require(grid_d, "L", f"{context}.grid"), "grid.L"),
         )
-        basis = enumerate_basis(grid.N, _int(_require(d, "m", context), "m"))
-        _check_size(basis, grid, max_dim, context)
+        m = _int(_require(d, "m", context), "m")
+        _check_size(basis_size(grid.N, m), grid, max_dim, context)
+        basis = enumerate_basis(grid.N, m)
         if base == "polyharmonic":
             reference = polyharmonic_coefficients(basis)
         else:
@@ -348,12 +353,13 @@ def _parse_experiment(d: dict, context: str, max_dim: int) -> ExperimentSpec:
 
 
 def _check_p(study, context: str):
-    """Refuse a study p below 1, or at or below N/m, where the constant of every bound row diverges."""
+    """Refuse a study p at or below N/m, where the constant of every bound row diverges, or below 2,
+    where the KSS bound behind its ratio flags does not hold."""
     exp = study.experiment
-    if study.p < 1:
-        raise ConfigError(f"{context}: p must be >= 1")
     if study.p <= exp.N / exp.m:
         raise ConfigError(f"{context}: p = {study.p:g} must be > N/m = {exp.N / exp.m:g} ({exp.id!r})")
+    if study.p < 2:
+        raise ConfigError(f"{context}: p = {study.p:g} must be >= 2, where the KSS bound behind the ratio flags holds")
     return study
 
 
@@ -405,7 +411,7 @@ def _parse_refine(d: dict, by_id: dict, max_dim: int) -> RefineStudy:
         raise ConfigError("refinement_study: n_values must be strictly increasing, >= 2 entries")
     grids = tuple(TorusGrid(N=exp.N, n=n, L=exp.grid.L) for n in n_values)
     for i, grid in enumerate(grids):
-        _check_size(exp.basis, grid, max_dim, f"refinement_study: n_values[{i}]")
+        _check_size(exp.basis.nu, grid, max_dim, f"refinement_study: n_values[{i}]")
         message = f"refinement_study: n_values[{i}] = {grid.n} gives a {exp.perturbation.shape} with no grid point"
         _require_grid_point(exp.perturbation, grid, message)
     return RefineStudy(exp, grids)

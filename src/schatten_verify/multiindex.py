@@ -56,8 +56,8 @@ def _compositions(n_vars: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_basis(N: int, m: int) -> MultiIndexBasis:
-    """All multi-indices with |alpha| = m in N variables, lexicographic order.
+def basis_size(N: int, m: int) -> int:
+    """nu = C(N+m-1, m), the number of multi-indices with |alpha| = m in N variables, without listing them.
 
     Rejects N = 0 or m = 0; the degenerate cases have no use here.
     """
@@ -65,8 +65,14 @@ def enumerate_basis(N: int, m: int) -> MultiIndexBasis:
         raise ValueError(f"spatial dimension must be >= 1, got {N}")
     if m < 1:
         raise ValueError(f"half-order must be >= 1, got {m}")
+    return comb(N + m - 1, m)
+
+
+def enumerate_basis(N: int, m: int) -> MultiIndexBasis:
+    """All multi-indices with |alpha| = m in N variables, lexicographic order."""
+    nu = basis_size(N, m)
     entries = tuple(MultiIndex(e) for e in _compositions(N, m))
-    assert len(entries) == comb(N + m - 1, N - 1)
+    assert len(entries) == nu
     return MultiIndexBasis(N=N, m=m, entries=entries)
 
 

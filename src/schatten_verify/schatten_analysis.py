@@ -41,6 +41,7 @@ from .torus_operator import (
     block_multiplication_matrix,
     channel_resolvent_symbols,
     circulant_lookup,
+    pointwise_cols,
     pointwise_rows,
 )
 
@@ -220,11 +221,7 @@ def _trace_form(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
 
 def one_plus_zw(imp: ImpuritySupport) -> np.ndarray:
     """1 + Z W, (nu K, nu K), for the lookup Z = E C^{-1} E* of C^{-1} on the support."""
-    nu, k = imp.a.shape[0], imp.points.size
-    z = circulant_lookup(imp.c_inv, imp.grid, rows=imp.points, cols=imp.points).reshape(nu * k, nu, k)
-    # Z W: W acts on the columns of Z, support point by support point, written in its final layout
-    zw = np.empty((nu * k, nu * k), dtype=complex)
-    np.matmul(z.transpose(2, 0, 1), imp.w, out=zw.reshape(nu * k, nu, k).transpose(2, 0, 1))
+    zw = pointwise_cols(circulant_lookup(imp.c_inv, imp.grid, rows=imp.points, cols=imp.points), imp.w)
     zw[np.diag_indices_from(zw)] += 1.0
     return zw
 
@@ -235,12 +232,8 @@ def support_core(imp: ImpuritySupport) -> tuple[np.ndarray, np.ndarray]:
     With U* = E D (op + 1)^{-1} the resolvent difference is U Xi U*; 1 + Z W
     is freed once inverted. ``chain_gap`` reads S in place of a solve against 1 + W Z.
     """
-    nu, k = imp.a.shape[0], imp.points.size
     inverse = np.linalg.inv(one_plus_zw(imp))
-    # S = (1 + Z W)^{-1} (a x 1): a acts on the channels of each column's support point
-    solved = np.empty_like(inverse)
-    by_point = (nu * k, nu, k)
-    np.matmul(inverse.reshape(by_point).transpose(0, 2, 1), imp.a, out=solved.reshape(by_point).transpose(0, 2, 1))
+    solved = pointwise_cols(inverse, np.broadcast_to(imp.a, imp.w.shape))
     del inverse  # before Xi is formed
     return pointwise_rows(imp.a @ imp.w, solved), solved
 

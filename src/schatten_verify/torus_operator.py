@@ -189,49 +189,28 @@ def _pointwise_field(b: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
     return b.sampled_on(grid.spatial_shape).reshape(grid.total_points, b.basis.nu, b.basis.nu)
 
 
-def _field_sum(f: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[a] = sum_b f[a, b] * v[b] over the leading channel axis.
-
-    ``f`` is (nu, nu, ...) and broadcasts against each channel v[b]; the nu^2
-    products are broadcast multiply-adds into ``out``, with no transposed copy.
-    """
-    nu = f.shape[0]
-    term = np.empty_like(out[0]) if nu > 1 else None
-    for a in range(nu):
-        np.multiply(f[a, 0], v[0], out=out[a])
-        for b in range(1, nu):
-            out[a] += np.multiply(f[a, b], v[b], out=term)
-    return out
-
-
 def _pointwise_matvec(field_values: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    # field from _pointwise_field; v (*batch, nu, *spatial)
-    flat = v.reshape(*v.shape[: v.ndim - grid.N], grid.total_points)
-    f = field_values.transpose(1, 2, 0)
-    out = np.empty(flat.shape, dtype=np.result_type(f, flat))
-    _field_sum(f, np.moveaxis(flat, -2, 0), np.moveaxis(out, -2, 0))
+    # field from _pointwise_field; v (*batch, nu, *spatial), read and written as (points, nu, batch) views
+    flat = v.reshape(-1, field_values.shape[1], grid.total_points)
+    out = np.empty(flat.shape, dtype=np.result_type(field_values, flat))
+    np.matmul(field_values, flat.transpose(2, 1, 0), out=out.transpose(2, 1, 0))
     return out.reshape(v.shape)
 
 
-# the number of point blocks over which pointwise_rows sums
-_POINT_BLOCKS = 8
-
-
 def pointwise_rows(field_values: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Field (K, nu, nu) applied point by point to the channel-major rows (nu K, cols).
-
-    Summed over _POINT_BLOCKS blocks of points, so that _field_sum's term is
-    one block of a channel, not a whole channel: half of ``stack`` for nu = 2.
-    """
-    nu = field_values.shape[-1]
-    by_channel = (nu, stack.shape[0] // nu, stack.shape[1])
-    f = field_values.transpose(1, 2, 0)[..., None]
-    rows = stack.reshape(by_channel)
+    """Field (K, nu, nu) applied point by point to the channel-major rows (nu K, cols), through (K, nu, cols) views."""
+    view = (field_values.shape[1], field_values.shape[0], stack.shape[1])
     out = np.empty(stack.shape, dtype=complex)
-    out_rows = out.reshape(by_channel)
-    step = max(1, -(-by_channel[1] // _POINT_BLOCKS))
-    for i in range(0, by_channel[1], step):
-        _field_sum(f[:, :, i : i + step], rows[:, i : i + step], out_rows[:, i : i + step])
+    np.matmul(field_values, stack.reshape(view).transpose(1, 0, 2), out=out.reshape(view).transpose(1, 0, 2))
+    return out
+
+
+def pointwise_cols(stack: np.ndarray, field_values: np.ndarray) -> np.ndarray:
+    """Field (K, nu, nu) applied point by point on the right of the channel-major columns (rows, nu K),
+    through (K, rows, nu) views."""
+    view = (stack.shape[0], field_values.shape[1], field_values.shape[0])
+    out = np.empty(stack.shape, dtype=complex)
+    np.matmul(stack.reshape(view).transpose(2, 0, 1), field_values, out=out.reshape(view).transpose(2, 0, 1))
     return out
 
 

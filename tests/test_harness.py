@@ -159,7 +159,7 @@ class TestConfigParsing:
         for section in ("scale_study", "clip_study"):
             data = small_config()
             data[section]["p"] = 0.5
-            with pytest.raises(ConfigError, match=f"{section}: p must be >= 1"):
+            with pytest.raises(ConfigError, match=f"{section}: p = 0.5 must be > N/m"):
                 parse_config(data)
 
     def test_absent_keys_keep_dataclass_defaults(self):
@@ -208,18 +208,18 @@ class TestVerifyStudy:
         assert result.rows and all(a.passed for a in result.assertions)
 
     def test_divergent_constant_reported(self):
-        # p = N/m sits at the divergence threshold: the row must carry a
+        # p = N/m = 2 (N = 2, m = 1) sits at the divergence threshold: the row must carry a
         # divergent constant and stay out of the ratio assertions
         data = small_config()
-        data["experiments"][0]["p_values"] = [1, 4]
-        data["experiments"] = data["experiments"][:1]
+        data["experiments"][2]["p_values"] = [2, 4]
+        data["experiments"] = data["experiments"][2:3]
         for key in ("scale_study", "clip_study", "refinement_study"):
             del data[key]
         result = run_verify(parse_config(data))
         divergent_rows = [r for r in result.rows if r.constant is None]
-        assert len(divergent_rows) == 1 and divergent_rows[0].p == 1.0
+        assert len(divergent_rows) == 1 and divergent_rows[0].p == 2.0
         assert divergent_rows[0].csv_line().split(",")[4] == "divergent"
-        assert not any("p=1" in a.name for a in result.assertions)
+        assert not any("p=2" in a.name for a in result.assertions)
 
 
 # (lhs, rhs) per (experiment, p) of the matrix-base and N=3 experiments,
@@ -493,9 +493,10 @@ class TestDenseCap:
         assert k > 0 and sizes == [(2 * k, 2 * k)]
 
     def test_support_pass_peak_memory(self):
-        # traced peak inside build_artifacts, in units of one nu K x nu K complex matrix: 4.7 here,
+        # traced peak inside build_artifacts, in units of one nu K x nu K complex matrix: 4.66 here,
         # in the certificate, with the spectrum's G factored by Cholesky after the core, G2 dropped
-        # while the factor is alive and pointwise_rows summed over point blocks; 5.2 with the
+        # while the factor is alive and every per-point field applied by one matmul into its
+        # output (the same 4.66 when pointwise_rows summed over point blocks); 5.2 with the
         # spectrum's eigh before the core, and 6.7 with a Kronecker right-hand side, R'* formed
         # out of place and the three kernels stacked
         from schatten_verify import TorusGrid
@@ -676,6 +677,16 @@ MALFORMED = {
         _set(["scale_study", "relative_widths"], [0.5, 1.0, 1.5]),
         "scale_study: relative_widths[2] = 1.5 must be in (0, 1]",
     ),
+    # the KSS bound behind every ratio flag needs p >= 2
+    "p_below_two": (
+        "verify",
+        _set(["experiments", 0, "p_values"], [1.5, 4]),
+        "experiments[0] ('quick_box'): every p must be >= 2",
+    ),
+    "clip_p_below_two": ("clip", _set(["clip_study", "p"], 1.5), "clip_study: p = 1.5 must be >= 2"),
+    # nu * n^N is checked before the basis is listed, one axis at a time: N = 2000 is refused
+    # at nu * n = 2000 * 32, with no n^N formed and no recursion through 2000 variables
+    "huge_N": ("verify", _set(["experiments", 0, "N"], 2000), "experiments[0] ('quick_box'): nu * n^1 = 64000 exceeds"),
     "scale_p_at_n_over_m": ("scale", _set(["scale_study", "p"], 1), "scale_study: p = 1 must be > N/m = 1 ('quick_box')"),
     "clip_p_at_n_over_m": ("clip", _set(["clip_study", "p"], 1), "clip_study: p = 1 must be > N/m = 1 ('quick_box')"),
     # impurities that perturb nothing: lhs = rhs = 0 would pass vacuously
@@ -966,6 +977,31 @@ class TestCli:
             assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
             err = capsys.readouterr().err
             assert err == "config error: experiments[0] ('quick_box'): nu * n^N = 32 exceeds max_dim 16\n"
+
+    @pytest.mark.parametrize(
+        "subcommand,edit",
+        [
+            # lhs 0 and NaN residuals, every flag passing
+            ("verify", _set(["experiments", 0, "grid", "L"], 1e-300)),
+            # rhs inf, ratio 0 and a NaN Deift column, every flag passing
+            ("verify", _set(["experiments", 0, "perturbation", "amplitude"], 1e308)),
+            # these three stopped with a traceback and exit 1, which means a failed estimate
+            ("verify", _set(["experiments", 0, "m"], 400)),
+            ("verify", _set(["experiments", 0, "p_values"], [4, 1e308])),
+            ("scale", _set(["scale_study", "p"], 1e308)),
+            ("clip", _set(["clip_study", "levels"], [1, 10**400])),
+        ],
+        ids=["tiny_L", "huge_amplitude", "m_400", "huge_p", "huge_scale_p", "huge_level"],
+    )
+    def test_exit_two_on_overflow(self, subcommand, edit, tmp_path, capsys):
+        # the subcommand runs with floating-point overflow, division by zero and NaN raising
+        data = small_config()
+        edit(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
 
     def test_exit_one_names_failing_row(self, tmp_path, capsys):
         data = small_config(tolerances={"ratio": 1e-6})

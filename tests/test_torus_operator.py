@@ -287,24 +287,38 @@ class TestMaterialize:
 class TestPointwiseField:
     @pytest.mark.parametrize("N,m,n", [(1, 1, 16), (1, 2, 16), (2, 1, 8), (2, 2, 8), (3, 1, 4)])
     def test_matches_einsum(self, N, m, n):
-        # bit for bit where nu = 1: H~ and its LU solve keep their arithmetic, and with them
-        # the roundoff lhs of clip level 1; to roundoff for nu > 1
-        from schatten_verify.torus_operator import _pointwise_field, _pointwise_matvec
+        # the three per-point products, each one matmul: the dense route's on the coefficient
+        # fields, and the support pass's on the rows and the columns of a channel-major stack,
+        # for complex fields and a constant one broadcast over the points. Bit for bit where
+        # nu = 1: H~ and its LU solve keep their arithmetic, and with them the roundoff lhs of
+        # clip level 1; to roundoff for nu > 1
+        from schatten_verify.torus_operator import _pointwise_field, _pointwise_matvec, pointwise_cols, pointwise_rows
 
         grid = TorusGrid(N=N, n=n, L=3.0)
         basis = enumerate_basis(N, m)
+        nu, k = basis.nu, grid.total_points
         rng = np.random.default_rng(37)
-        a = constant_field(basis, random_hermitian_pd(rng, basis.nu))
+
+        def complex_normal(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        a = constant_field(basis, random_hermitian_pd(rng, nu))
         at = bump_perturbed_field(grid, basis, a, amplitude=0.75, rel_radius=0.3)
-        v = rng.normal(size=(3, basis.nu, *grid.spatial_shape)) + 1j * rng.normal(
-            size=(3, basis.nu, *grid.spatial_shape)
-        )
-        flat = v.reshape(3, basis.nu, grid.total_points)
+        v = complex_normal(3, nu, *grid.spatial_shape)
+        flat = v.reshape(3, nu, k)
+        pairs = []
         for b in (a, at, sqrt_field(at)):
             field = _pointwise_field(b, grid)
             expected = np.einsum("pab,...bp->...ap", field, flat).reshape(v.shape)
-            got = _pointwise_matvec(field, v, grid)
-            if basis.nu == 1:
+            pairs.append((_pointwise_matvec(field, v, grid), expected))
+        rows, cols = complex_normal(nu * k, 5), complex_normal(5, nu * k)
+        for field in (complex_normal(k, nu, nu), np.broadcast_to(complex_normal(nu, nu), (k, nu, nu))):
+            expected = np.einsum("kab,bkj->akj", field, rows.reshape(nu, k, 5)).reshape(rows.shape)
+            pairs.append((pointwise_rows(field, rows), expected))
+            expected = np.einsum("rbk,kba->rak", cols.reshape(5, nu, k), field).reshape(cols.shape)
+            pairs.append((pointwise_cols(cols, field), expected))
+        for got, expected in pairs:
+            if nu == 1:
                 assert np.array_equal(got, expected)
             else:
                 assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
