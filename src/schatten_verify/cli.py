@@ -12,8 +12,9 @@ is not positive definite. Three refusals come later: a base whose coarea
 constant the sphere quadrature cannot resolve, a coefficient that rounding
 leaves not positive definite at some grid point, and a run whose floating
 point overflows, divides by zero or forms a NaN (the subcommand runs under
-np.errstate with all three raising). No output depends on --seed: it is
-validated and kept for compatibility.
+np.errstate with all three raising); each prints ``error: experiment
+'<row label>': ...``, naming the row it stopped at. No output depends on
+--seed: it is validated and kept for compatibility.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveDefiniteError, QuadratureError
+from .errors import ConfigError
 from .harness import (
     CSV_HEADER,
+    RUN_TIME_REFUSALS,
     HarnessConfig,
     StudyResult,
     check_seed,
@@ -82,7 +84,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
-    except (NonPositiveDefiniteError, QuadratureError, FloatingPointError, OverflowError) as exc:
+    except RUN_TIME_REFUSALS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

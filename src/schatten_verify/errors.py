@@ -7,10 +7,10 @@ class NonPositiveDefiniteError(ValueError):
     """A matrix (or matrix field) required to be positive definite is not.
 
     Carries the smallest offending eigenvalue and, for sampled fields, the
-    grid indices where positivity fails and the experiment they belong to.
+    grid indices where positivity fails.
     """
 
-    def __init__(self, min_eigenvalue: float, points: list | None = None, experiment: str | None = None):
+    def __init__(self, min_eigenvalue: float, points: list | None = None):
         self.min_eigenvalue = float(min_eigenvalue)
         self.points = points or []
         where = ""
@@ -18,8 +18,6 @@ class NonPositiveDefiniteError(ValueError):
             shown = ", ".join(str(p) for p in self.points[:8])
             more = "" if len(self.points) <= 8 else f" (+{len(self.points) - 8} more)"
             where = f" at grid points [{shown}]{more}"
-        if experiment is not None:
-            where += f" of experiment {experiment!r}"
         super().__init__(
             f"matrix not positive definite: smallest eigenvalue "
             f"{self.min_eigenvalue:.6g}{where}"

@@ -28,6 +28,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -644,10 +645,21 @@ def trace_norm_constant(p: float, basis: MultiIndexBasis, c_cov: float) -> float
 
 def experiment_coarea(exp: ExperimentSpec) -> tuple[float, float]:
     """c_cov of the experiment's reference coefficient and the quadrature's error estimate."""
+    return coarea_constant(sqrt_field(exp.reference).constant_matrix(), exp.basis)
+
+
+# what a run can refuse after load, each with exit 2; every step of a runner sits in one _named, never nested
+RUN_TIME_REFUSALS = (NonPositiveDefiniteError, QuadratureError, FloatingPointError, OverflowError)
+
+
+@contextmanager
+def _named(label: str):
+    """Prefix ``experiment '<label>': `` to a run-time refusal raised inside; its type and attributes stay."""
     try:
-        return coarea_constant(sqrt_field(exp.reference).constant_matrix(), exp.basis)
-    except QuadratureError as exc:
-        raise QuadratureError(f"experiment {exp.id!r}: {exc}") from exc
+        yield
+    except RUN_TIME_REFUSALS as exc:
+        exc.args = (f"experiment {label!r}: {exc}",)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +701,7 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
     if a_tilde is None:
         a_tilde = perturbed_coefficient(exp)
     # a~'s one decomposition and the reference's one symbol pass serve every step below
-    try:
-        imp = impurity_support(a, a_tilde, grid)
-    except NonPositiveDefiniteError as exc:
-        raise NonPositiveDefiniteError(exc.min_eigenvalue, exc.points, experiment=exp.id) from None
+    imp = impurity_support(a, a_tilde, grid)
     v = relative_perturbation(imp.at, imp.at_inv_sqrt, imp.a, imp.a_inv_sqrt)
     xi, solved = support_core(imp)
     g2 = support_kernel(imp, "g2")
@@ -725,19 +734,9 @@ def impurity_experiment(exp: ExperimentSpec, c_cov: float) -> list[ReportRow]:
     return rows
 
 
-def _ratio_assertions(rows: list[ReportRow], tol: Tolerances) -> list[Assertion]:
-    out = []
-    for row in rows:
-        if row.ratio is None:
-            continue
-        out.append(
-            Assertion(
-                name=f"ratio:{row.experiment}:p={_p_label(row.p)}",
-                passed=bool(row.ratio <= tol.ratio),
-                detail=f"ratio={row.ratio:.6g} <= {tol.ratio:g}",
-            )
-        )
-    return out
+def _bound_flags(rows: list[ReportRow], limit: float, name: Callable[[ReportRow], str]) -> list[Assertion]:
+    """One flag per bound row, named ``name(row)``: its ratio lhs / (constant * rhs) is at most ``limit``."""
+    return [Assertion(name(row), bool(row.ratio <= limit), f"ratio={row.ratio:.6g} <= {limit:g}") for row in rows]
 
 
 def _monotonicity_assertions(rows: list[ReportRow]) -> list[Assertion]:
@@ -767,7 +766,8 @@ def run_verify(config: HarnessConfig) -> StudyResult:
     """The impurity battery over every configured experiment."""
     rows: list[ReportRow] = []
     for exp in config.experiments:
-        rows.extend(impurity_experiment(exp, experiment_coarea(exp)[0]))
+        with _named(exp.id):
+            rows.extend(impurity_experiment(exp, experiment_coarea(exp)[0]))
     return StudyResult(rows=rows, assertions=study_assertions("verify", rows, config, {}), extras={})
 
 
@@ -791,15 +791,17 @@ def run_scale(config: HarnessConfig) -> StudyResult:
     """
     study = _study(config.scale, "scale_study")
     exp, p, grid = study.experiment, study.p, study.experiment.grid
-    constant = trace_norm_constant(p, exp.basis, experiment_coarea(exp)[0])
+    with _named(exp.id):
+        constant = trace_norm_constant(p, exp.basis, experiment_coarea(exp)[0])
+        profiles = [indicator_profile(_scale_box(exp, rel_w), grid) for rel_w in study.relative_widths]
+        volumes = [measured_support_volume(profile, grid) for profile in profiles]
     rows: list[ReportRow] = []
-    volumes: list[float] = []
-    for rel_w in study.relative_widths:
+    for profile, volume in zip(profiles, volumes):
         start = time.perf_counter()
-        profile = indicator_profile(_scale_box(exp, rel_w), grid)
-        volumes.append(measured_support_volume(profile, grid))
-        art = build_artifacts(exp, a_tilde=perturbed_coefficient(exp, profile))
-        rows.append(art.row(f"{exp.id}|U={volumes[-1]:.12g}", p, constant, start))
+        label = f"{exp.id}|U={volume:.12g}"
+        with _named(label):
+            art = build_artifacts(exp, a_tilde=perturbed_coefficient(exp, profile))
+            rows.append(art.row(label, p, constant, start))
     extras = {"volumes": volumes, "slope": _fit_slope(volumes, [r.rhs for r in rows])}
     return StudyResult(rows=rows, assertions=study_assertions("scale", rows, config, extras), extras=extras)
 
@@ -816,22 +818,12 @@ def _fit_slope(xs: list[float], ys: list[float]) -> float:
 
 def _scale_assertions(rows: list[ReportRow], tol: Tolerances, slope: float) -> list[Assertion]:
     p = rows[0].p
-    out = [
-        Assertion(
-            name="scale_slope",
-            passed=bool(abs(slope - 1.0 / p) <= tol.slope),
-            detail=f"log-log slope {slope:.12g} vs 1/p = {1.0/p:.12g}",
-        )
-    ]
-    for row in rows:
-        out.append(
-            Assertion(
-                name=f"scale_bound:{row.experiment}",
-                passed=bool(row.ratio is not None and row.ratio <= 1.0),
-                detail=f"lhs <= constant*rhs (ratio={row.ratio})",
-            )
-        )
-    return out
+    slope_flag = Assertion(
+        name="scale_slope",
+        passed=bool(abs(slope - 1.0 / p) <= tol.slope),
+        detail=f"log-log slope {slope:.12g} vs 1/p = {1.0/p:.12g}",
+    )
+    return [slope_flag] + _bound_flags(rows, 1.0, lambda row: f"scale_bound:{row.experiment}")
 
 
 # ---------------------------------------------------------------------------
@@ -840,12 +832,9 @@ def _scale_assertions(rows: list[ReportRow], tol: Tolerances, slope: float) -> l
 
 
 def _clip_target_field(exp: ExperimentSpec, floor: float) -> HermitianMatrixField:
-    """Degenerate coefficient: base scaled to the floor inside the support."""
-    profile = indicator_profile(exp.perturbation, exp.grid)
-    support = (profile > 0).astype(float)
-    scale = 1.0 + (floor - 1.0) * support
-    vals = exp.reference.constant_matrix()[(None,) * exp.N] * scale[..., None, None]
-    return sampled_field(exp.basis, np.ascontiguousarray(vals))
+    """Degenerate coefficient: base scaled to the floor inside the support, by the jump (floor - 1) a."""
+    support = (indicator_profile(exp.perturbation, exp.grid) > 0).astype(float)
+    return perturbed_coefficient(replace(exp, jump=(floor - 1.0) * exp.reference.constant_matrix()), support)
 
 
 def run_clip(config: HarnessConfig) -> StudyResult:
@@ -858,38 +847,38 @@ def run_clip(config: HarnessConfig) -> StudyResult:
     """
     study = _study(config.clip, "clip_study")
     exp, p, grid = study.experiment, study.p, study.experiment.grid
-    degenerate = _clip_target_field(exp, study.floor)
-    constant = trace_norm_constant(p, exp.basis, experiment_coarea(exp)[0])
-
+    with _named(exp.id):
+        degenerate = _clip_target_field(exp, study.floor)
+        constant = trace_norm_constant(p, exp.basis, experiment_coarea(exp)[0])
+        # gaps shrink only once the clip level exceeds the spectral range of the
+        # true (unclipped) operator: below that, halving 1/n still moves
+        # grid-resolved modes through the sensitive part of the resolvent
+        degenerate_op = assemble_variable_coefficient(degenerate, grid).dense()
+        spectral_max = float(singular_spectrum(degenerate_op, hermitian=True)[0])
+        # a level's lhs is the SVD norm of its difference to the reference resolvent,
+        # both by dense solve: at level 1 the clipped coefficient is the reference, the
+        # difference is roundoff (~1e-15), and this arithmetic keeps the value that
+        # perfbench/reference.json checks to 1e-10 relative
+        reference = resolvent(assemble_constant_coefficient(exp.reference, grid).dense())
     rows: list[ReportRow] = []
     cauchy: list[dict] = []
-    # gaps shrink only once the clip level exceeds the spectral range of the
-    # true (unclipped) operator: below that, halving 1/n still moves
-    # grid-resolved modes through the sensitive part of the resolvent
-    degenerate_op = assemble_variable_coefficient(degenerate, grid).dense()
-    spectral_max = float(singular_spectrum(degenerate_op, hermitian=True)[0])
-    # a level's lhs is the SVD norm of its difference to the reference resolvent,
-    # both by dense solve: at level 1 the clipped coefficient is the reference, the
-    # difference is roundoff (~1e-15), and this arithmetic keeps the value that
-    # perfbench/reference.json checks to 1e-10 relative
-    reference = resolvent(assemble_constant_coefficient(exp.reference, grid).dense())
     for level in study.levels:
         start = time.perf_counter()
-        clipped = clip_coefficients(degenerate, level)
-        art = build_artifacts(exp, a_tilde=clipped)
-        r_tilde = resolvent(assemble_variable_coefficient(clipped, grid).dense())
-        lhs = operator_norm(r_tilde - reference)
-        rhs = lp_norm_of_pointwise(art.v_norms, grid.cell_volume, p)
-        residuals = (art.fact_residual, art.deift_res)
         label = f"{exp.id}|clip={level}"
-        rows.append(_report_row(label, p, lhs, rhs, constant, residuals, grid, start))
-        doubled = assemble_variable_coefficient(clip_coefficients(degenerate, 2 * level), grid)
-        diff = operator_norm(resolvent(doubled.dense()) - r_tilde)
-        cauchy.append({"level": level, "next": 2 * level, "difference": diff})
-        # the Cauchy gap is no inequality instance: its row carries ratio 0
-        label = f"{exp.id}|clip_pair={level}:{2*level}"
-        pair = _report_row(label, p, diff, 0.0, 0.0, (0.0, 0.0), grid, start)
-        rows.append(replace(pair, ratio=0.0))
+        with _named(label):
+            clipped = clip_coefficients(degenerate, level)
+            art = build_artifacts(exp, a_tilde=clipped)
+            r_tilde = resolvent(assemble_variable_coefficient(clipped, grid).dense())
+            lhs = operator_norm(r_tilde - reference)
+            rhs = lp_norm_of_pointwise(art.v_norms, grid.cell_volume, p)
+            residuals = (art.fact_residual, art.deift_res)
+            rows.append(_report_row(label, p, lhs, rhs, constant, residuals, grid, start))
+            doubled = assemble_variable_coefficient(clip_coefficients(degenerate, 2 * level), grid)
+            diff = operator_norm(resolvent(doubled.dense()) - r_tilde)
+            cauchy.append({"level": level, "next": 2 * level, "difference": diff})
+            # the Cauchy gap is no inequality instance: its row carries ratio 0
+            pair = _report_row(f"{exp.id}|clip_pair={level}:{2*level}", p, diff, 0.0, 0.0, (0.0, 0.0), grid, start)
+            rows.append(replace(pair, ratio=0.0))
 
     extras = {"cauchy": cauchy, "spectral_max": spectral_max}
     return StudyResult(rows=rows, assertions=study_assertions("clip", rows, config, extras), extras=extras)
@@ -898,15 +887,7 @@ def run_clip(config: HarnessConfig) -> StudyResult:
 def _clip_assertions(
     rows: list[ReportRow], tol: Tolerances, spectral_max: float, cauchy: list[dict]
 ) -> list[Assertion]:
-    out = []
-    for row in (r for r in rows if "|clip=" in r.experiment):
-        out.append(
-            Assertion(
-                name=f"clip_bound:{row.experiment}",
-                passed=bool(row.ratio is not None and row.ratio <= tol.ratio),
-                detail=f"ratio={row.ratio} <= {tol.ratio:g}",
-            )
-        )
+    out = _bound_flags([r for r in rows if "|clip=" in r.experiment], tol.ratio, lambda r: f"clip_bound:{r.experiment}")
     # Cauchy monotonicity once the clip level dominates the true spectrum
     diffs = sorted((c["level"], c["difference"]) for c in cauchy if c["level"] >= spectral_max)
     monotone = all(d1 > d2 for (_, d1), (_, d2) in zip(diffs, diffs[1:]))
@@ -930,10 +911,13 @@ def run_refine(config: HarnessConfig) -> StudyResult:
     """Repeat the impurity experiment over a grid ladder to expose truncation error."""
     study = _study(config.refine, "refinement_study")
     exp = study.experiment
-    c_cov = experiment_coarea(exp)[0]
+    with _named(exp.id):
+        c_cov = experiment_coarea(exp)[0]
     rows: list[ReportRow] = []
     for grid in study.grids:
-        rows.extend(impurity_experiment(replace(exp, id=f"{exp.id}|n={grid.n}", grid=grid), c_cov))
+        rung = replace(exp, id=f"{exp.id}|n={grid.n}", grid=grid)
+        with _named(rung.id):
+            rows.extend(impurity_experiment(rung, c_cov))
     return StudyResult(rows=rows, assertions=study_assertions("refine", rows, config, {}), extras={})
 
 
@@ -993,7 +977,10 @@ def study_assertions(
     """
     tol = config.tolerances
     if study == "verify":
-        return _ratio_assertions(rows, tol) + _monotonicity_assertions(rows)
+        # a row whose weighted norm diverges has no ratio and no flag
+        bound_rows = [row for row in rows if row.ratio is not None]
+        ratio_flags = _bound_flags(bound_rows, tol.ratio, lambda row: f"ratio:{row.experiment}:p={_p_label(row.p)}")
+        return ratio_flags + _monotonicity_assertions(rows)
     if study == "scale":
         return _scale_assertions(rows, tol, float(_extra(extras, "slope", study)))
     if study == "clip":
@@ -1021,17 +1008,18 @@ def run_constants(config: HarnessConfig) -> tuple[list[str], dict]:
     lines = [CONSTANTS_CSV_HEADER]
     table = []
     for exp in config.experiments:
-        c_cov, error = experiment_coarea(exp)
-        for p in exp.p_values:
-            gstar = resolvent_profile_norm(p, exp.N, exp.m)
-            const = trace_norm_constant(p, exp.basis, c_cov)
-            if gstar is None:
-                g_str = const_str = "divergent"
-            else:
-                g_str, const_str = f"{gstar:.17g}", f"{const:.17g}"
-            lines.append(f"{exp.id},{p:g},{c_cov:.17g},{error:.17g},{g_str},{const_str}")
-            # the summary's table is keyed by the CSV's columns
-            table.append(dict(zip(CONSTANTS_CSV_HEADER.split(","), (exp.id, p, c_cov, error, gstar, const))))
+        with _named(exp.id):
+            c_cov, error = experiment_coarea(exp)
+            for p in exp.p_values:
+                gstar = resolvent_profile_norm(p, exp.N, exp.m)
+                const = trace_norm_constant(p, exp.basis, c_cov)
+                if gstar is None:
+                    g_str = const_str = "divergent"
+                else:
+                    g_str, const_str = f"{gstar:.17g}", f"{const:.17g}"
+                lines.append(f"{exp.id},{p:g},{c_cov:.17g},{error:.17g},{g_str},{const_str}")
+                # the summary's table is keyed by the CSV's columns
+                table.append(dict(zip(CONSTANTS_CSV_HEADER.split(","), (exp.id, p, c_cov, error, gstar, const))))
     return lines, {"constants": table}
 
 

@@ -89,9 +89,9 @@ class ImpuritySupport:
     With E the restriction to the nu K channels of the support ``points``
     (flat indices, where at != a exactly) and C = D D* + a^{-1}: ``w`` is
     W = at^{-1} - a^{-1} there, (K, nu, nu); ``at`` and ``at_inv_sqrt`` are
-    (n^N, nu, nu), ``a`` and its roots (nu, nu); ``c_inv`` is the symbol of
-    C^{-1}, from which ``support_core`` looks up Z = E C^{-1} E*; ``c_inv_d``
-    is that of C^{-1} D, ``d`` that of D and ``u`` that of D (op + 1)^{-1},
+    (n^N, nu, nu), ``a``, its inverse and its roots (nu, nu); ``c_inv`` is
+    the symbol of C^{-1}, from which ``support_core`` looks up Z = E C^{-1} E*;
+    ``c_inv_d`` is that of C^{-1} D, ``d`` that of D and ``u`` that of D (op + 1)^{-1},
     from which ``support_kernel`` looks up the checks' kernels one at a time.
     """
 
@@ -101,6 +101,7 @@ class ImpuritySupport:
     at_inv_sqrt: np.ndarray
     a: np.ndarray
     a_sqrt: np.ndarray
+    a_inv: np.ndarray
     a_inv_sqrt: np.ndarray
     w: np.ndarray
     c_inv: np.ndarray
@@ -123,7 +124,7 @@ def impurity_support(
     support = np.flatnonzero(np.any(at != a_mat, axis=(1, 2)))
     c_inv, c_inv_d, r, d = channel_resolvent_symbols(a, grid)
     w = at_inv[support] - a_inv
-    return ImpuritySupport(grid, support, at, at_inv_sqrt, a_mat, a_sqrt, a_inv_sqrt, w, c_inv, c_inv_d, d, d * r[0])
+    return ImpuritySupport(grid, support, at, at_inv_sqrt, a_mat, a_sqrt, a_inv, a_inv_sqrt, w, c_inv, c_inv_d, d, d * r[0])
 
 
 def pivoted_cholesky(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,8 +175,7 @@ def spectrum_factor(imp: ImpuritySupport) -> np.ndarray:
         r = l[np.argsort(order)]  # R = P L: row order[i] of R is row i of L
         del l
     del g  # before R' is formed
-    a_inv = imp.a_inv_sqrt @ imp.a_inv_sqrt
-    return pointwise_rows(np.broadcast_to(a_inv, (imp.points.size, *a_inv.shape)), r)
+    return pointwise_rows(np.broadcast_to(imp.a_inv, (imp.points.size, *imp.a_inv.shape)), r)
 
 
 def support_spectrum(factor: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -233,7 +233,8 @@ def support_core(imp: ImpuritySupport) -> tuple[np.ndarray, np.ndarray]:
     is freed once inverted. ``chain_gap`` reads S in place of a solve against 1 + W Z.
     """
     inverse = np.linalg.inv(one_plus_zw(imp))
-    solved = pointwise_cols(inverse, np.broadcast_to(imp.a, imp.w.shape))
+    # a on the channel index of each row's (nu, K) view: a^T from the left, no strided operand or output
+    solved = (imp.a.T @ inverse.reshape(len(inverse), imp.a.shape[0], imp.points.size)).reshape(inverse.shape)
     del inverse  # before Xi is formed
     return pointwise_rows(imp.a @ imp.w, solved), solved
 

@@ -966,8 +966,8 @@ class TestCli:
         cfg.write_text(json.dumps(small_config()))
         assert run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: matrix not positive definite") and "at grid points" in err
-        assert "of experiment 'quick_box'" in err and "Traceback" not in err
+        assert err.startswith("error: experiment 'quick_box': matrix not positive definite")
+        assert "at grid points" in err and "Traceback" not in err
 
     def test_exit_two_on_dense_cap(self, tmp_path, capsys):
         # an entry over the cap refuses the config for every subcommand, the ones that never run it too
@@ -979,29 +979,31 @@ class TestCli:
             assert err == "config error: experiments[0] ('quick_box'): nu * n^N = 32 exceeds max_dim 16\n"
 
     @pytest.mark.parametrize(
-        "subcommand,edit",
+        "subcommand,edit,label",
         [
             # lhs 0 and NaN residuals, every flag passing
-            ("verify", _set(["experiments", 0, "grid", "L"], 1e-300)),
+            ("verify", _set(["experiments", 0, "grid", "L"], 1e-300), "quick_box"),
             # rhs inf, ratio 0 and a NaN Deift column, every flag passing
-            ("verify", _set(["experiments", 0, "perturbation", "amplitude"], 1e308)),
+            ("verify", _set(["experiments", 0, "perturbation", "amplitude"], 1e308), "quick_box"),
             # these three stopped with a traceback and exit 1, which means a failed estimate
-            ("verify", _set(["experiments", 0, "m"], 400)),
-            ("verify", _set(["experiments", 0, "p_values"], [4, 1e308])),
-            ("scale", _set(["scale_study", "p"], 1e308)),
-            ("clip", _set(["clip_study", "levels"], [1, 10**400])),
+            ("verify", _set(["experiments", 0, "m"], 400), "quick_box"),
+            ("verify", _set(["experiments", 0, "p_values"], [4, 1e308]), "quick_box"),
+            ("scale", _set(["scale_study", "p"], 1e308), "quick_box"),
+            # the level fails in clip_coefficients, inside its own row
+            ("clip", _set(["clip_study", "levels"], [1, 10**400]), "quick_box|clip=1000"),
         ],
         ids=["tiny_L", "huge_amplitude", "m_400", "huge_p", "huge_scale_p", "huge_level"],
     )
-    def test_exit_two_on_overflow(self, subcommand, edit, tmp_path, capsys):
-        # the subcommand runs with floating-point overflow, division by zero and NaN raising
+    def test_exit_two_on_overflow(self, subcommand, edit, label, tmp_path, capsys):
+        # the subcommand runs with floating-point overflow, division by zero and NaN raising;
+        # the refusal names the row it stopped at
         data = small_config()
         edit(data)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
         assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err, err
+        assert err.startswith(f"error: experiment '{label}") and "Traceback" not in err, err
 
     def test_exit_one_names_failing_row(self, tmp_path, capsys):
         data = small_config(tolerances={"ratio": 1e-6})
