@@ -7,14 +7,16 @@ Subcommands: verify (impurity battery), scale (volume sweep), clip
 bound constants). Exit codes: 0 all assertions pass, 1 an assertion failed,
 2 a bad input or an I/O error. Every input is refused at load, before any
 grid is sampled: a config error names the entry, including an experiment or
-refinement rung whose nu * n^N exceeds max_dim and a jump for which a + jump
-is not positive definite. Three refusals come later: a base whose coarea
-constant the sphere quadrature cannot resolve, a coefficient that rounding
-leaves not positive definite at some grid point, and a run whose floating
-point overflows, divides by zero or forms a NaN (the subcommand runs under
-np.errstate with all three raising); each prints ``error: experiment
-'<row label>': ...``, naming the row it stopped at. No output depends on
---seed: it is validated and kept for compatibility.
+refinement rung whose nu * n^N exceeds max_dim, a jump for which a + jump
+is not positive definite, a p (in p_values or a study) at or below N/m or
+below 2, and an impurity profile that overflows on its grid (loading runs
+under the subcommands' np.errstate). Three refusals come later: a base
+whose coarea constant the sphere quadrature cannot resolve, a coefficient
+that rounding leaves not positive definite at some grid point, and a run
+whose floating point overflows, divides by zero or forms a NaN (the
+subcommand runs under np.errstate with all three raising); each prints
+``error: experiment '<row label>': ...``, naming the row it stopped at. No
+output depends on --seed: it is validated and kept for compatibility.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ import argparse
 import sys
 from importlib import resources
 
-import numpy as np
-
 from .errors import ConfigError
 from .harness import (
     CSV_HEADER,
+    RAISE_FLOAT_ERRORS,
     RUN_TIME_REFUSALS,
     HarnessConfig,
     StudyResult,
@@ -76,8 +77,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         config = load_config(args.config or default_config_path())
         if args.seed is not None:
             check_seed(args.seed)
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _execute(args.subcommand, config, args.out)
+        return _execute(args.subcommand, config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -89,6 +89,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 2
 
 
+@RAISE_FLOAT_ERRORS
 def _execute(subcommand: str, config: HarnessConfig, out_dir: str) -> int:
     if subcommand == "constants":
         lines, extras = run_constants(config)

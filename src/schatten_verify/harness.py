@@ -47,7 +47,7 @@ from .coeff_algebra import (
 )
 from .errors import ConfigError, NonPositiveDefiniteError, QuadratureError
 from .multiindex import MultiIndexBasis, basis_size, enumerate_basis
-# perfbench/tracer.py patches names of the next three imports here; matrix_field_lp_norm,
+# perfbench/tracer.py patches names of the next three imports here; matrix_field_lp_norm, singular_spectrum,
 # deift_residual, factorization_residual and assemble_derivative_factor have no caller in this module
 from .norms import (
     lp_norm_of_pointwise,
@@ -76,6 +76,7 @@ from .torus_operator import (
     assemble_constant_coefficient,
     assemble_derivative_factor,
     assemble_variable_coefficient,
+    constant_multiplier,
 )
 
 CSV_HEADER = "experiment,p,lhs,rhs,constant,ratio,factorization_residual,deift_residual,n,L,seconds"
@@ -89,6 +90,9 @@ REFINE_SHRINK_FLOOR = 1e-9
 
 # the default cap on nu * n^N per experiment and per refinement rung (config key max_dim)
 DEFAULT_MAX_DIM = 8192
+
+# the floating-point state of the loader and of every subcommand: overflow, division by zero and NaN raise
+RAISE_FLOAT_ERRORS = np.errstate(over="raise", invalid="raise", divide="raise")
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +192,12 @@ def check_seed(seed: int) -> None:
 
 @contextmanager
 def _entry(context: str):
-    """Re-raise a constructor's ValueError or TypeError as a ConfigError naming ``context``."""
+    """Re-raise a constructor's ValueError, TypeError or arithmetic error as a ConfigError naming ``context``."""
     try:
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -328,8 +332,6 @@ def _parse_experiment(d: dict, context: str, max_dim: int) -> ExperimentSpec:
         if not p_values:
             raise ConfigError(f"{context}: p_values must not be empty")
         _distinct(p_values, f"{context}: p_values")
-        if any(p < 2 for p in p_values):
-            raise ConfigError(f"{context}: every p must be >= 2, where the KSS bound behind the ratio flags holds")
         grid = TorusGrid(
             N=_int(_require(d, "N", context), "N"),
             n=_int(_require(grid_d, "n", f"{context}.grid"), "grid.n"),
@@ -337,6 +339,8 @@ def _parse_experiment(d: dict, context: str, max_dim: int) -> ExperimentSpec:
         )
         m = _int(_require(d, "m", context), "m")
         _check_size(basis_size(grid.N, m), grid, max_dim, context)
+        for i, p in enumerate(p_values):
+            _check_p(p, grid.N, m, f"{context}: p_values[{i}]")
         basis = enumerate_basis(grid.N, m)
         if base == "polyharmonic":
             reference = polyharmonic_coefficients(basis)
@@ -353,15 +357,11 @@ def _parse_experiment(d: dict, context: str, max_dim: int) -> ExperimentSpec:
     return ExperimentSpec(exp_id, grid, basis, reference, jump, perturbation, p_values)
 
 
-def _check_p(study, context: str):
-    """Refuse a study p at or below N/m, where the constant of every bound row diverges, or below 2,
-    where the KSS bound behind its ratio flags does not hold."""
-    exp = study.experiment
-    if study.p <= exp.N / exp.m:
-        raise ConfigError(f"{context}: p = {study.p:g} must be > N/m = {exp.N / exp.m:g} ({exp.id!r})")
-    if study.p < 2:
-        raise ConfigError(f"{context}: p = {study.p:g} must be >= 2, where the KSS bound behind the ratio flags holds")
-    return study
+def _check_p(p: float, N: int, m: int, context: str) -> None:
+    """The one rule on every p: p > N/m, where ||g||_p^* and so the bound's constant are finite, and
+    p >= 2, where the KSS bound behind the ratio flags holds. ``context`` names the entry."""
+    if p <= N / m or p < 2:
+        raise ConfigError(f"{context} = {p:g} must be > N/m = {N / m:g} and >= 2, the bound's hypotheses")
 
 
 def _study_experiment(d: dict, keys: set[str], by_id: dict, context: str) -> ExperimentSpec:
@@ -385,7 +385,9 @@ def _parse_scale(d: dict, by_id: dict) -> ScaleStudy:
             raise ConfigError(f"scale_study: relative_widths[{i}] = {rel_w:g} must be in (0, 1]")
         message = f"scale_study: relative_widths[{i}] = {rel_w:g} gives a box with no grid point"
         _require_grid_point(_scale_box(exp, rel_w), exp.grid, message)
-    return _check_p(ScaleStudy(exp, widths, **_present(d, p=_float)), "scale_study")
+    study = ScaleStudy(exp, widths, **_present(d, p=_float))
+    _check_p(study.p, exp.N, exp.m, f"scale_study ({exp.id!r}): p")
+    return study
 
 
 def _parse_clip(d: dict, by_id: dict) -> ClipStudy:
@@ -400,7 +402,8 @@ def _parse_clip(d: dict, by_id: dict) -> ClipStudy:
     # floor <= 0 degenerates past positive definiteness; floor >= 1 leaves nothing to clip
     if not 0 < study.floor < 1:
         raise ConfigError(f"clip_study.floor must be in (0, 1), got {study.floor:g}")
-    return _check_p(study, "clip_study")
+    _check_p(study.p, exp.N, exp.m, f"clip_study ({exp.id!r}): p")
+    return study
 
 
 def _parse_refine(d: dict, by_id: dict, max_dim: int) -> RefineStudy:
@@ -418,12 +421,15 @@ def _parse_refine(d: dict, by_id: dict, max_dim: int) -> RefineStudy:
     return RefineStudy(exp, grids)
 
 
+@RAISE_FLOAT_ERRORS
 def parse_config(data: dict) -> HarnessConfig:
     """Validate a config object into ready experiments and studies.
 
     Every malformed entry raises a ConfigError naming it; an absent optional
     key keeps the default of its dataclass. The size cap ``max_dim`` is read
-    first: every grid is checked against it before any is sampled.
+    first: every grid is checked against it before any is sampled. Loading
+    runs under the subcommands' floating-point state, so a profile that
+    overflows on its grid is refused here.
     """
     _check_keys(
         data,
@@ -553,8 +559,8 @@ class ReportRow:
     p: float  # math.inf marks operator-norm rows
     lhs: float
     rhs: float
-    constant: float | None  # None marks a divergent weighted norm
-    ratio: float | None
+    constant: float
+    ratio: float
     factorization_residual: float
     deift_residual: float
     n: int
@@ -565,16 +571,14 @@ class ReportRow:
         def num(x) -> str:
             return f"{x:.17g}"
 
-        const_str = "divergent" if self.constant is None else num(self.constant)
-        ratio_str = "" if self.ratio is None else num(self.ratio)
         return ",".join(
             [
                 self.experiment,
                 _p_label(self.p),
                 num(self.lhs),
                 num(self.rhs),
-                const_str,
-                ratio_str,
+                num(self.constant),
+                num(self.ratio),
                 num(self.factorization_residual),
                 num(self.deift_residual),
                 str(self.n),
@@ -584,9 +588,7 @@ class ReportRow:
         )
 
 
-def _ratio(lhs: float, rhs: float, constant: float | None) -> float | None:
-    if constant is None:
-        return None
+def _ratio(lhs: float, rhs: float, constant: float) -> float:
     denom = constant * rhs
     if denom > 0:
         return lhs / denom
@@ -598,7 +600,7 @@ def _report_row(
     p: float,
     lhs: float,
     rhs: float,
-    constant: float | None,
+    constant: float,
     residuals: tuple[float, float],
     grid: TorusGrid,
     start: float,
@@ -637,10 +639,9 @@ class StudyResult:
 # the trace-norm constant
 # ---------------------------------------------------------------------------
 
-def trace_norm_constant(p: float, basis: MultiIndexBasis, c_cov: float) -> float | None:
-    """(1/2) c_cov^(1/p) ||g||_p^*, or None when the weighted norm diverges."""
-    gstar = resolvent_profile_norm(p, basis.N, basis.m)
-    return None if gstar is None else 0.5 * c_cov ** (1.0 / p) * gstar
+def trace_norm_constant(p: float, basis: MultiIndexBasis, c_cov: float) -> float:
+    """(1/2) c_cov^(1/p) ||g||_p^*; finite, as the loader refuses every p <= N/m."""
+    return 0.5 * c_cov ** (1.0 / p) * resolvent_profile_norm(p, basis.N, basis.m)
 
 
 def experiment_coarea(exp: ExperimentSpec) -> tuple[float, float]:
@@ -677,7 +678,7 @@ class ExperimentArtifacts:
     fact_residual: float
     deift_res: float
 
-    def row(self, experiment: str, p: float, constant: float | None, start: float) -> ReportRow:
+    def row(self, experiment: str, p: float, constant: float, start: float) -> ReportRow:
         """Schatten-p norm of the resolvent difference against ||V||_p."""
         lhs = lp_norm_of_pointwise(self.delta_singular_values, 1.0, p)
         rhs = lp_norm_of_pointwise(self.v_norms, self.grid.cell_volume, p)
@@ -852,9 +853,10 @@ def run_clip(config: HarnessConfig) -> StudyResult:
         constant = trace_norm_constant(p, exp.basis, experiment_coarea(exp)[0])
         # gaps shrink only once the clip level exceeds the spectral range of the
         # true (unclipped) operator: below that, halving 1/n still moves
-        # grid-resolved modes through the sensitive part of the resolvent
-        degenerate_op = assemble_variable_coefficient(degenerate, grid).dense()
-        spectral_max = float(singular_spectrum(degenerate_op, hermitian=True)[0])
+        # grid-resolved modes through the sensitive part of the resolvent. The
+        # degenerate field is at most a, so its operator is at most H as a form,
+        # whose top eigenvalue is the symbol's maximum
+        spectral_max = float(constant_multiplier(exp.reference, grid).max())
         # a level's lhs is the SVD norm of its difference to the reference resolvent,
         # both by dense solve: at level 1 the clipped coefficient is the reference, the
         # difference is roundoff (~1e-15), and this arithmetic keeps the value that
@@ -930,7 +932,7 @@ def _refine_assertions(rows: list[ReportRow], tol: Tolerances, smooth: bool) -> 
         group = sorted(group, key=lambda r: r.n)
         p_str = _p_label(p)
         fine, finest = group[-2], group[-1]
-        if finest.ratio is not None and fine.ratio is not None and finest.ratio > 0:
+        if finest.ratio > 0:
             drift = abs(fine.ratio - finest.ratio) / finest.ratio
             out.append(
                 Assertion(
@@ -977,9 +979,7 @@ def study_assertions(
     """
     tol = config.tolerances
     if study == "verify":
-        # a row whose weighted norm diverges has no ratio and no flag
-        bound_rows = [row for row in rows if row.ratio is not None]
-        ratio_flags = _bound_flags(bound_rows, tol.ratio, lambda row: f"ratio:{row.experiment}:p={_p_label(row.p)}")
+        ratio_flags = _bound_flags(rows, tol.ratio, lambda row: f"ratio:{row.experiment}:p={_p_label(row.p)}")
         return ratio_flags + _monotonicity_assertions(rows)
     if study == "scale":
         return _scale_assertions(rows, tol, float(_extra(extras, "slope", study)))
@@ -1013,11 +1013,7 @@ def run_constants(config: HarnessConfig) -> tuple[list[str], dict]:
             for p in exp.p_values:
                 gstar = resolvent_profile_norm(p, exp.N, exp.m)
                 const = trace_norm_constant(p, exp.basis, c_cov)
-                if gstar is None:
-                    g_str = const_str = "divergent"
-                else:
-                    g_str, const_str = f"{gstar:.17g}", f"{const:.17g}"
-                lines.append(f"{exp.id},{p:g},{c_cov:.17g},{error:.17g},{g_str},{const_str}")
+                lines.append(f"{exp.id},{p:g},{c_cov:.17g},{error:.17g},{gstar:.17g},{const:.17g}")
                 # the summary's table is keyed by the CSV's columns
                 table.append(dict(zip(CONSTANTS_CSV_HEADER.split(","), (exp.id, p, c_cov, error, gstar, const))))
     return lines, {"constants": table}

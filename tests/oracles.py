@@ -327,8 +327,8 @@ def parse_csv_rows(text: str) -> list[ReportRow]:
                 p=float(rec[1]),
                 lhs=float(rec[2]),
                 rhs=float(rec[3]),
-                constant=None if rec[4] == "divergent" else float(rec[4]),
-                ratio=None if rec[5] == "" else float(rec[5]),
+                constant=float(rec[4]),
+                ratio=float(rec[5]),
                 factorization_residual=float(rec[6]),
                 deift_residual=float(rec[7]),
                 n=int(rec[8]),

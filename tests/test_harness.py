@@ -154,12 +154,12 @@ class TestConfigParsing:
     def test_p_below_one_rejected(self):
         data = small_config()
         data["experiments"][0]["p_values"] = [0.5]
-        with pytest.raises(ConfigError, match="p must be"):
+        with pytest.raises(ConfigError, match=r"\('quick_box'\): p_values\[0\] = 0.5 must be > N/m = 1 and >= 2"):
             parse_config(data)
         for section in ("scale_study", "clip_study"):
             data = small_config()
             data[section]["p"] = 0.5
-            with pytest.raises(ConfigError, match=f"{section}: p = 0.5 must be > N/m"):
+            with pytest.raises(ConfigError, match=rf"{section} \('quick_box'\): p = 0.5 must be > N/m = 1 and >= 2"):
                 parse_config(data)
 
     def test_absent_keys_keep_dataclass_defaults(self):
@@ -193,7 +193,7 @@ class TestVerifyStudy:
     def test_ratios_and_monotonicity(self):
         result = run_verify(parse_config(small_config()))
         assert all(a.passed for a in result.assertions)
-        finite = [r for r in result.rows if r.ratio is not None and not math.isinf(r.p)]
+        finite = [r for r in result.rows if not math.isinf(r.p)]
         assert finite and all(0 < r.ratio <= 1.05 for r in finite)
         by_p = {r.p: r.lhs for r in result.rows if r.experiment == "quick_box" and not math.isinf(r.p)}
         assert by_p[4.0] >= by_p[8.0]
@@ -206,20 +206,6 @@ class TestVerifyStudy:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         result = run_verify(parse_config(small_config()))
         assert result.rows and all(a.passed for a in result.assertions)
-
-    def test_divergent_constant_reported(self):
-        # p = N/m = 2 (N = 2, m = 1) sits at the divergence threshold: the row must carry a
-        # divergent constant and stay out of the ratio assertions
-        data = small_config()
-        data["experiments"][2]["p_values"] = [2, 4]
-        data["experiments"] = data["experiments"][2:3]
-        for key in ("scale_study", "clip_study", "refinement_study"):
-            del data[key]
-        result = run_verify(parse_config(data))
-        divergent_rows = [r for r in result.rows if r.constant is None]
-        assert len(divergent_rows) == 1 and divergent_rows[0].p == 2.0
-        assert divergent_rows[0].csv_line().split(",")[4] == "divergent"
-        assert not any("p=2" in a.name for a in result.assertions)
 
 
 # (lhs, rhs) per (experiment, p) of the matrix-base and N=3 experiments,
@@ -319,15 +305,19 @@ class TestClipStudy:
         assert gated == sorted(gated, reverse=True)
         assert len(gated) >= 2
 
-    def test_spectral_max_matches_svd(self):
-        from schatten_verify import assemble_variable_coefficient, operator_norm
+    def test_spectral_max_bounds_the_dense_spectrum(self):
+        # the degenerate field is at most a, so its operator's top eigenvalue is at most the symbol's maximum
+        from schatten_verify import assemble_variable_coefficient
         from schatten_verify.harness import _clip_target_field
+        from schatten_verify.torus_operator import constant_multiplier
 
         config = parse_config(small_config())
         exp = config.clip.experiment
         degenerate = _clip_target_field(exp, config.clip.floor)
-        svd = operator_norm(assemble_variable_coefficient(degenerate, exp.grid).dense())
-        assert run_clip(config).extras["spectral_max"] == pytest.approx(svd, rel=1e-12)
+        top = np.linalg.eigvalsh(assemble_variable_coefficient(degenerate, exp.grid).dense())[-1]
+        spectral_max = run_clip(config).extras["spectral_max"]
+        assert spectral_max == float(constant_multiplier(exp.reference, exp.grid).max())
+        assert 0 < top <= spectral_max
 
 
 class TestRefineStudy:
@@ -666,7 +656,7 @@ MALFORMED = {
         "scale_study: relative_widths[0] = 0",
     ),
     # scale and clip studies whose rows cannot hold: one width fits no slope, a width above 1
-    # wraps around the torus and repeats the width-1 row, and at p <= N/m every bound row diverges
+    # wraps around the torus and repeats the width-1 row
     "single_scale_width": (
         "scale",
         _set(["scale_study", "relative_widths"], [0.25]),
@@ -677,18 +667,40 @@ MALFORMED = {
         _set(["scale_study", "relative_widths"], [0.5, 1.0, 1.5]),
         "scale_study: relative_widths[2] = 1.5 must be in (0, 1]",
     ),
-    # the KSS bound behind every ratio flag needs p >= 2
+    # one rule for every p: the bound's constant is finite only for p > N/m, and the KSS bound
+    # behind every ratio flag needs p >= 2
     "p_below_two": (
         "verify",
         _set(["experiments", 0, "p_values"], [1.5, 4]),
-        "experiments[0] ('quick_box'): every p must be >= 2",
+        "experiments[0] ('quick_box'): p_values[0] = 1.5 must be > N/m = 1 and >= 2",
     ),
-    "clip_p_below_two": ("clip", _set(["clip_study", "p"], 1.5), "clip_study: p = 1.5 must be >= 2"),
+    "clip_p_below_two": (
+        "clip",
+        _set(["clip_study", "p"], 1.5),
+        "clip_study ('quick_box'): p = 1.5 must be > N/m = 1 and >= 2",
+    ),
+    # p = 2 = N/m sits on the divergence threshold: refused by every subcommand, constants too
+    "p_at_n_over_m": (
+        "verify",
+        _set(["experiments", 2, "p_values"], [2, 4]),
+        "experiments[2] ('quick_matrix_ball'): p_values[0] = 2 must be > N/m = 2 and >= 2",
+    ),
+    "constants_p_at_n_over_m": (
+        "constants",
+        _set(["experiments", 2, "p_values"], [2, 4]),
+        "experiments[2] ('quick_matrix_ball'): p_values[0] = 2 must be > N/m = 2 and >= 2",
+    ),
+    # the bump's profile squares distances of order L at load, under the subcommands' errstate
+    "overflowing_profile": (
+        "refine",
+        _set(["experiments", 1, "grid", "L"], 1e300),
+        "experiments[1] ('quick_bump'): overflow encountered in square",
+    ),
     # nu * n^N is checked before the basis is listed, one axis at a time: N = 2000 is refused
     # at nu * n = 2000 * 32, with no n^N formed and no recursion through 2000 variables
     "huge_N": ("verify", _set(["experiments", 0, "N"], 2000), "experiments[0] ('quick_box'): nu * n^1 = 64000 exceeds"),
-    "scale_p_at_n_over_m": ("scale", _set(["scale_study", "p"], 1), "scale_study: p = 1 must be > N/m = 1 ('quick_box')"),
-    "clip_p_at_n_over_m": ("clip", _set(["clip_study", "p"], 1), "clip_study: p = 1 must be > N/m = 1 ('quick_box')"),
+    "scale_p_at_n_over_m": ("scale", _set(["scale_study", "p"], 1), "scale_study ('quick_box'): p = 1 must be > N/m = 1 and >= 2"),
+    "clip_p_at_n_over_m": ("clip", _set(["clip_study", "p"], 1), "clip_study ('quick_box'): p = 1 must be > N/m = 1 and >= 2"),
     # impurities that perturb nothing: lhs = rhs = 0 would pass vacuously
     "zero_box_width": (
         "verify",
