@@ -9,14 +9,14 @@ bound constants). Exit codes: 0 all assertions pass, 1 an assertion failed,
 grid is sampled: a config error names the entry, including an experiment or
 refinement rung whose nu * n^N exceeds max_dim, a jump for which a + jump
 is not positive definite, a p (in p_values or a study) at or below N/m or
-below 2, and an impurity profile that overflows on its grid (loading runs
-under the subcommands' np.errstate). Three refusals come later: a base
-whose coarea constant the sphere quadrature cannot resolve, a coefficient
-that rounding leaves not positive definite at some grid point, and a run
-whose floating point overflows, divides by zero or forms a NaN (the
-subcommand runs under np.errstate with all three raising); each prints
-``error: experiment '<row label>': ...``, naming the row it stopped at. No
-output depends on --seed: it is validated and kept for compatibility.
+below 2, an impurity profile that overflows on its grid (loading runs under
+the subcommands' np.errstate), and a tolerances.ratio key (the bound flags
+have no tolerance). Three refusals come later: a base whose coarea constant
+the sphere quadrature cannot resolve (constants only), a coefficient that
+rounding leaves not positive definite at some grid point, and a run whose
+floating point overflows, divides by zero, forms a NaN (np.errstate) or
+underflows an l^p sum; each prints ``error: experiment '<row label>': ...``,
+naming the row it stopped at. No output depends on --seed: it is validated.
 """
 
 from __future__ import annotations

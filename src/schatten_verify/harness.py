@@ -13,13 +13,12 @@ the seed; the trailing seconds column is the wall time since the start of the
 experiment (or sweep step) that produced the row, not a per-row cost, and
 is excluded from the bit-identity contract.
 
-The trace-norm constant per p is (1/2) * c_cov^(1/p) * ||g||_p^* with the
-coarea constant from a deterministic quadrature on the unit sphere, once per
-experiment; the operator-norm rows (p = inf) use the constant 1/4.
-Ratios are lhs / (constant * rhs) and the acceptance envelope of 1.05
-absorbs the periodization error of the discrete model; an exact
-<= 1 assertion at coarse grids would encode discretization noise, not the
-underlying inequality.
+Every row's constant is the lattice constant C_lat(p) of its reference and
+grid (``lattice_constant``), for which lhs <= C_lat(p) * rhs holds exactly on
+the discrete torus (README, "The bound on the lattice"); p = inf rows included.
+Ratios are lhs / (constant * rhs), and a bound flag allows only roundoff and
+the row's certified error of lhs. The paper's continuum constant
+(1/2) c_cov^(1/p) ||g||_p^* is what the ``constants`` subcommand prints.
 """
 
 from __future__ import annotations
@@ -82,6 +81,8 @@ from .torus_operator import (
 CSV_HEADER = "experiment,p,lhs,rhs,constant,ratio,factorization_residual,deift_residual,n,L,seconds"
 
 RATIO_ZERO_LHS_TOL = 1e-12
+# the relative roundoff that a bound flag allows on C_lat * rhs
+BOUND_ROUNDOFF = 1e-12
 
 # a refinement study's successive lhs changes must shrink by this factor per doubling,
 # or sit below the floor relative to the finest lhs
@@ -141,7 +142,6 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class Tolerances:
-    ratio: float = 1.05
     slope: float = 1e-6
     refine_drift: float = 0.02
 
@@ -568,24 +568,9 @@ class ReportRow:
     seconds: float
 
     def csv_line(self) -> str:
-        def num(x) -> str:
-            return f"{x:.17g}"
-
-        return ",".join(
-            [
-                self.experiment,
-                _p_label(self.p),
-                num(self.lhs),
-                num(self.rhs),
-                num(self.constant),
-                num(self.ratio),
-                num(self.factorization_residual),
-                num(self.deift_residual),
-                str(self.n),
-                num(self.L),
-                f"{self.seconds:.3f}",
-            ]
-        )
+        values = (self.lhs, self.rhs, self.constant, self.ratio, self.factorization_residual, self.deift_residual)
+        head = [self.experiment, _p_label(self.p)] + [f"{x:.17g}" for x in values]
+        return ",".join([*head, str(self.n), f"{self.L:.17g}", f"{self.seconds:.3f}"])
 
 
 def _ratio(lhs: float, rhs: float, constant: float) -> float:
@@ -636,11 +621,17 @@ class StudyResult:
 
 
 # ---------------------------------------------------------------------------
-# the trace-norm constant
+# the bound constants
 # ---------------------------------------------------------------------------
 
+def lattice_constant(p: float, profile: np.ndarray, grid: TorusGrid) -> float:
+    """C_lat(p) = (1/2) (2 pi)^(-N/p) ((2 pi / L)^N sum_xi G(xi)^p)^(1/p), (1/2) max G at p = inf, of the
+    ``profile`` G = sqrt(A) / (1 + A) on the lattice; lhs <= C_lat(p) rhs holds exactly on the grid."""
+    return 0.5 * (2.0 * np.pi) ** (-grid.N / p) * lp_norm_of_pointwise(profile, (2.0 * np.pi / grid.L) ** grid.N, p)
+
+
 def trace_norm_constant(p: float, basis: MultiIndexBasis, c_cov: float) -> float:
-    """(1/2) c_cov^(1/p) ||g||_p^*; finite, as the loader refuses every p <= N/m."""
+    """The paper's (1/2) c_cov^(1/p) ||g||_p^*; finite, as the loader refuses every p <= N/m."""
     return 0.5 * c_cov ** (1.0 / p) * resolvent_profile_norm(p, basis.N, basis.m)
 
 
@@ -675,13 +666,15 @@ class ExperimentArtifacts:
     grid: TorusGrid
     delta_singular_values: np.ndarray
     v_norms: np.ndarray  # ||V(x)||_op at every point, one SVD pass for every p
+    profile: np.ndarray  # G(xi) = sqrt(A) / (1 + A) of the reference, for every p's lattice constant
     fact_residual: float
     deift_res: float
 
-    def row(self, experiment: str, p: float, constant: float, start: float) -> ReportRow:
-        """Schatten-p norm of the resolvent difference against ||V||_p."""
+    def row(self, experiment: str, p: float, start: float) -> ReportRow:
+        """Schatten-p norm of the resolvent difference against C_lat(p) ||V||_p."""
         lhs = lp_norm_of_pointwise(self.delta_singular_values, 1.0, p)
         rhs = lp_norm_of_pointwise(self.v_norms, self.grid.cell_volume, p)
+        constant = lattice_constant(p, self.profile, self.grid)
         residuals = (self.fact_residual, self.deift_res)
         return _report_row(experiment, p, lhs, rhs, constant, residuals, self.grid, start)
 
@@ -713,31 +706,33 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
         chain /= svals[0]
     g2 = support_kernel(imp, "g2")
     moments = moments_gap(xi, g2, svals)
+    symbol = constant_multiplier(a, grid)
     return ExperimentArtifacts(
         grid=grid,
         delta_singular_values=svals,
         v_norms=pointwise_operator_norms(v),
+        profile=np.sqrt(symbol) / (1.0 + symbol),
         fact_residual=max(chain, moments),
         deift_res=resolvent_certificate(imp, xi, g2),
     )
 
 
-def impurity_experiment(exp: ExperimentSpec, c_cov: float) -> list[ReportRow]:
+def impurity_experiment(exp: ExperimentSpec) -> list[ReportRow]:
     """Trace-norm rows per p plus the operator-norm (p = inf) row."""
     start = time.perf_counter()
     art = build_artifacts(exp)
-    rows = [
-        art.row(exp.id, p, trace_norm_constant(p, exp.basis, c_cov), start)
-        for p in exp.p_values
-    ]
-    # operator-norm row: constant 1/4, sup-norm of the perturbation
-    rows.append(art.row(exp.id, np.inf, 0.25, start))
-    return rows
+    return [art.row(exp.id, p, start) for p in (*exp.p_values, math.inf)]
 
 
-def _bound_flags(rows: list[ReportRow], limit: float, name: Callable[[ReportRow], str]) -> list[Assertion]:
-    """One flag per bound row, named ``name(row)``: its ratio lhs / (constant * rhs) is at most ``limit``."""
-    return [Assertion(name(row), bool(row.ratio <= limit), f"ratio={row.ratio:.6g} <= {limit:g}") for row in rows]
+def _bound_flags(rows: list[ReportRow], name: Callable[[ReportRow], str]) -> list[Assertion]:
+    """One flag per bound row, named ``name(row)``: lhs <= C_lat * rhs * (1 + BOUND_ROUNDOFF) plus the
+    row's Deift column, which bounds lhs's own error; a row with C_lat * rhs = 0 passes when its ratio is 0."""
+    out = []
+    for row in rows:
+        bound = row.constant * row.rhs * (1.0 + BOUND_ROUNDOFF) + row.deift_residual
+        detail = f"ratio={row.ratio:.6g}; lhs={row.lhs:.6g}, bound C_lat*rhs*(1+{BOUND_ROUNDOFF:g}) + deift = {bound:.6g}"
+        out.append(Assertion(name(row), bool(row.lhs <= bound or row.ratio == 0.0), detail))
+    return out
 
 
 def _monotonicity_assertions(rows: list[ReportRow]) -> list[Assertion]:
@@ -768,7 +763,7 @@ def run_verify(config: HarnessConfig) -> StudyResult:
     rows: list[ReportRow] = []
     for exp in config.experiments:
         with _named(exp.id):
-            rows.extend(impurity_experiment(exp, experiment_coarea(exp)[0]))
+            rows.extend(impurity_experiment(exp))
     return StudyResult(rows=rows, assertions=study_assertions("verify", rows, config, {}), extras={})
 
 
@@ -793,7 +788,6 @@ def run_scale(config: HarnessConfig) -> StudyResult:
     study = _study(config.scale, "scale_study")
     exp, p, grid = study.experiment, study.p, study.experiment.grid
     with _named(exp.id):
-        constant = trace_norm_constant(p, exp.basis, experiment_coarea(exp)[0])
         profiles = [indicator_profile(_scale_box(exp, rel_w), grid) for rel_w in study.relative_widths]
         volumes = [measured_support_volume(profile, grid) for profile in profiles]
     rows: list[ReportRow] = []
@@ -802,7 +796,7 @@ def run_scale(config: HarnessConfig) -> StudyResult:
         label = f"{exp.id}|U={volume:.12g}"
         with _named(label):
             art = build_artifacts(exp, a_tilde=perturbed_coefficient(exp, profile))
-            rows.append(art.row(label, p, constant, start))
+            rows.append(art.row(label, p, start))
     extras = {"volumes": volumes, "slope": _fit_slope(volumes, [r.rhs for r in rows])}
     return StudyResult(rows=rows, assertions=study_assertions("scale", rows, config, extras), extras=extras)
 
@@ -824,7 +818,7 @@ def _scale_assertions(rows: list[ReportRow], tol: Tolerances, slope: float) -> l
         passed=bool(abs(slope - 1.0 / p) <= tol.slope),
         detail=f"log-log slope {slope:.12g} vs 1/p = {1.0/p:.12g}",
     )
-    return [slope_flag] + _bound_flags(rows, 1.0, lambda row: f"scale_bound:{row.experiment}")
+    return [slope_flag] + _bound_flags(rows, lambda row: f"scale_bound:{row.experiment}")
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +844,6 @@ def run_clip(config: HarnessConfig) -> StudyResult:
     exp, p, grid = study.experiment, study.p, study.experiment.grid
     with _named(exp.id):
         degenerate = _clip_target_field(exp, study.floor)
-        constant = trace_norm_constant(p, exp.basis, experiment_coarea(exp)[0])
         # gaps shrink only once the clip level exceeds the spectral range of the
         # true (unclipped) operator: below that, halving 1/n still moves
         # grid-resolved modes through the sensitive part of the resolvent. The
@@ -873,6 +866,7 @@ def run_clip(config: HarnessConfig) -> StudyResult:
             r_tilde = resolvent(assemble_variable_coefficient(clipped, grid).dense())
             lhs = operator_norm(r_tilde - reference)
             rhs = lp_norm_of_pointwise(art.v_norms, grid.cell_volume, p)
+            constant = lattice_constant(p, art.profile, grid)
             residuals = (art.fact_residual, art.deift_res)
             rows.append(_report_row(label, p, lhs, rhs, constant, residuals, grid, start))
             doubled = assemble_variable_coefficient(clip_coefficients(degenerate, 2 * level), grid)
@@ -886,10 +880,8 @@ def run_clip(config: HarnessConfig) -> StudyResult:
     return StudyResult(rows=rows, assertions=study_assertions("clip", rows, config, extras), extras=extras)
 
 
-def _clip_assertions(
-    rows: list[ReportRow], tol: Tolerances, spectral_max: float, cauchy: list[dict]
-) -> list[Assertion]:
-    out = _bound_flags([r for r in rows if "|clip=" in r.experiment], tol.ratio, lambda r: f"clip_bound:{r.experiment}")
+def _clip_assertions(rows: list[ReportRow], spectral_max: float, cauchy: list[dict]) -> list[Assertion]:
+    out = _bound_flags([r for r in rows if "|clip=" in r.experiment], lambda r: f"clip_bound:{r.experiment}")
     # Cauchy monotonicity once the clip level dominates the true spectrum
     diffs = sorted((c["level"], c["difference"]) for c in cauchy if c["level"] >= spectral_max)
     monotone = all(d1 > d2 for (_, d1), (_, d2) in zip(diffs, diffs[1:]))
@@ -913,13 +905,11 @@ def run_refine(config: HarnessConfig) -> StudyResult:
     """Repeat the impurity experiment over a grid ladder to expose truncation error."""
     study = _study(config.refine, "refinement_study")
     exp = study.experiment
-    with _named(exp.id):
-        c_cov = experiment_coarea(exp)[0]
     rows: list[ReportRow] = []
     for grid in study.grids:
         rung = replace(exp, id=f"{exp.id}|n={grid.n}", grid=grid)
         with _named(rung.id):
-            rows.extend(impurity_experiment(rung, c_cov))
+            rows.extend(impurity_experiment(rung))
     return StudyResult(rows=rows, assertions=study_assertions("refine", rows, config, {}), extras={})
 
 
@@ -979,13 +969,13 @@ def study_assertions(
     """
     tol = config.tolerances
     if study == "verify":
-        ratio_flags = _bound_flags(rows, tol.ratio, lambda row: f"ratio:{row.experiment}:p={_p_label(row.p)}")
+        ratio_flags = _bound_flags(rows, lambda row: f"ratio:{row.experiment}:p={_p_label(row.p)}")
         return ratio_flags + _monotonicity_assertions(rows)
     if study == "scale":
         return _scale_assertions(rows, tol, float(_extra(extras, "slope", study)))
     if study == "clip":
         spectral_max = float(_extra(extras, "spectral_max", study))
-        return _clip_assertions(rows, tol, spectral_max, _extra(extras, "cauchy", study))
+        return _clip_assertions(rows, spectral_max, _extra(extras, "cauchy", study))
     if study == "refine":
         shape = _study(config.refine, "refinement_study").experiment.perturbation.shape
         return _refine_assertions(rows, tol, smooth=shape == "bump")

@@ -55,12 +55,16 @@ def pointwise_operator_norms(values: np.ndarray) -> np.ndarray:
 
 
 def lp_norm_of_pointwise(top: np.ndarray, cell_volume: float, p: float) -> float:
-    """(h^N sum_x top(x)^p)^(1/p) of pointwise norms ``top``; p = inf gives the sup, 0 when empty."""
+    """(h^N sum_x top(x)^p)^(1/p) of pointwise norms ``top``; p = inf gives the sup, 0 when empty.
+    A sum that underflows past the normal floats (p = 1e308), a norm of 0 or of few digits, raises."""
     if p != np.inf and p < 1:
         raise ValueError(f"norm exponent must be >= 1 or inf, got {p}")
     if p == np.inf:
         return float(top.max(initial=0.0))
-    return float((cell_volume * np.sum(top**p)) ** (1.0 / p))
+    total = np.sum(top**p)
+    if total < np.finfo(float).tiny and top.any():
+        raise FloatingPointError(f"underflow in the l^p sum at p = {p:g}")
+    return float((cell_volume * total) ** (1.0 / p))
 
 
 def matrix_field_lp_norm(values: np.ndarray, cell_volume: float, p: float) -> float:

@@ -109,3 +109,32 @@ def factorization_of(a, at, grid, direct):
     c_inv_d = channel_resolvent_symbols(a, grid)[1]
     v = relative_perturbation_of(a, at)
     return factorization_residual(a, c_inv_d, v, grid, direct, left, operator_norm(direct))
+
+
+def global_box(exp_id, N, m, n, L, p_values, **jump):
+    """An experiment whose box covers the torus, so a~ = a + jump is constant and H~ is a Fourier
+    multiplier too; ``jump`` is ``amplitude=`` or ``amplitude_matrix=``."""
+    box = {"shape": "box", "center": [0.0] * N, "width": [L] * N, **jump}
+    return {
+        "id": exp_id, "N": N, "m": m, "grid": {"n": n, "L": L},
+        "base": "polyharmonic", "perturbation": box, "p_values": p_values,
+    }
+
+
+# a short torus (N = 1, m = 2, L = 6) on which the continuum constant's ratios read 1.070 (p = 4)
+# and 1.067 (p = 8), over the old envelope of 1.05; the lattice ratios are at most 0.969
+SHORT_TORUS = global_box("short_torus", 1, 2, 16, 6.0, [4, 8], amplitude=-0.5)
+# a row at which the lattice bound is nearly attained: its ratios read 0.99998 at p = 16 and p = inf
+NEAR_SHARP = global_box("near_sharp", 1, 1, 8, 2.0, [16], amplitude=-0.9)
+
+
+def within_lattice_bound(row):
+    """The bound flags' rule: lhs <= C_lat * rhs * (1 + 1e-12) plus the row's Deift column, which
+    bounds the error of lhs itself; a row with C_lat * rhs = 0 holds when its ratio reads 0."""
+    return row.lhs <= row.constant * row.rhs * (1 + 1e-12) + row.deift_residual or row.ratio == 0.0
+
+
+def near_sharp_holds(rows):
+    """The two-sided check on NEAR_SHARP's rows: every lattice ratio in [0.99, 1 + 1e-12], so that a
+    lattice constant 2% too large shows as well as one too small."""
+    return all(0.99 <= row.ratio <= 1 + 1e-12 for row in rows)

@@ -36,6 +36,7 @@ from helpers import (
     direct_difference,
     factorization_of,
     polyharmonic_setup,
+    within_lattice_bound,
 )
 from oracles import (
     lattice_symbol_integral,
@@ -195,7 +196,7 @@ def test_criterion_05_coarea_constant():
 
 def test_criterion_06_trace_norm_battery(battery, refine):
     trace_rows = [r for r in battery.rows if not math.isinf(r.p)]
-    ratios_ok = all(r.ratio <= 1.05 for r in trace_rows)
+    ratios_ok = all(within_lattice_bound(r) for r in trace_rows)
     worst = max(r.ratio for r in trace_rows)
 
     drift_ok = all(
@@ -214,7 +215,7 @@ def test_criterion_06_trace_norm_battery(battery, refine):
 def test_criterion_07_operator_norm_bound(battery):
     op_rows = [r for r in battery.rows if math.isinf(r.p)]
     nonzero = [r for r in op_rows if r.ratio > 0]
-    ok = all(r.ratio <= 1.05 for r in op_rows)
+    ok = all(within_lattice_bound(r) for r in op_rows)
     worst = max(r.ratio for r in nonzero)
     report(
         7,
@@ -239,7 +240,7 @@ def test_criterion_08_impurity_scaling_law(default_config, scale):
 
 def test_criterion_09_clipping(clip):
     level_rows = [r for r in clip.rows if "|clip=" in r.experiment]
-    ratios_ok = all(r.ratio <= 1.05 for r in level_rows)
+    ratios_ok = all(within_lattice_bound(r) for r in level_rows)
     cauchy = clip.extras["cauchy"]
     gate = clip.extras["spectral_max"]
     gated = [c["difference"] for c in cauchy if c["level"] >= gate]

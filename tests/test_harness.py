@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schatten_verify import ConfigError, harness
+from schatten_verify import ConfigError, constant_field, harness
 from schatten_verify.cli import default_config_path, run_cli
 from schatten_verify.harness import (
     CSV_HEADER,
@@ -20,7 +20,6 @@ from schatten_verify.harness import (
     ScaleStudy,
     Tolerances,
     build_artifacts,
-    experiment_coarea,
     impurity_experiment,
     load_config,
     parse_config,
@@ -30,7 +29,9 @@ from schatten_verify.harness import (
     run_verify,
     study_assertions,
 )
+from schatten_verify.torus_operator import constant_multiplier
 
+from helpers import NEAR_SHARP, SHORT_TORUS, global_box, near_sharp_holds, within_lattice_bound
 from oracles import parse_csv_rows, recompute_assertions_from_csv
 
 
@@ -194,7 +195,7 @@ class TestVerifyStudy:
         result = run_verify(parse_config(small_config()))
         assert all(a.passed for a in result.assertions)
         finite = [r for r in result.rows if not math.isinf(r.p)]
-        assert finite and all(0 < r.ratio <= 1.05 for r in finite)
+        assert finite and all(0 < r.ratio and within_lattice_bound(r) for r in finite)
         by_p = {r.p: r.lhs for r in result.rows if r.experiment == "quick_box" and not math.isinf(r.p)}
         assert by_p[4.0] >= by_p[8.0]
 
@@ -221,16 +222,15 @@ PINNED_ROWS = {
 def test_matrix_base_and_three_dimensional_rows():
     config = parse_config(small_config())
     assert [e.id for e in config.experiments[2:]] == ["quick_matrix_ball", "quick_n3_ball"]
-    ratio_tol = config.tolerances.ratio
     experiments = config.experiments[2:]
-    rows = [r for e in experiments for r in impurity_experiment(e, experiment_coarea(e)[0])]
+    rows = [r for e in experiments for r in impurity_experiment(e)]
     assert {(r.experiment, r.p) for r in rows} == set(PINNED_ROWS)
     for row in rows:
         lhs, rhs = PINNED_ROWS[(row.experiment, row.p)]
         assert row.lhs == pytest.approx(lhs, rel=1e-12)
         assert row.rhs == pytest.approx(rhs, rel=1e-12)
         assert row.factorization_residual <= 1e-10 and row.deift_residual <= 1e-10
-        assert 0.0 < row.ratio <= ratio_tol
+        assert 0.0 < row.ratio and within_lattice_bound(row)
 
 
 def test_residual_budget_on_a_short_torus():
@@ -251,6 +251,47 @@ def test_residual_budget_on_a_short_torus():
     art = build_artifacts(parse_config({"experiments": [exp]}).experiments[0])
     assert art.delta_singular_values.size == 2
     assert art.fact_residual <= 1e-10 and art.deift_res <= 1e-10
+
+
+class TestLatticeBound:
+    def test_short_torus_passes(self, tmp_path):
+        # certified numbers (residuals 5.8e-15 and 1.3e-15) that the continuum constant's
+        # 1.05 envelope failed, and scale's limit of 1 too
+        scale = {"experiment": "short_torus", "relative_widths": [0.5, 1.0], "p": 4}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": [SHORT_TORUS], "scale_study": scale}))
+        for study in ("verify", "scale"):
+            out = tmp_path / study
+            assert run_cli([study, "--config", str(cfg), "--out", str(out)]) == 0, study
+            rows = parse_csv_rows((out / f"{study}_report.csv").read_text())
+            assert max(row.ratio for row in rows) <= 0.97, study
+
+    def test_near_sharp_row(self):
+        rows = impurity_experiment(parse_config({"experiments": [NEAR_SHARP]}).experiments[0])
+        assert [row.p for row in rows] == [16.0, math.inf]
+        assert near_sharp_holds(rows), [row.ratio for row in rows]
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            SHORT_TORUS,
+            global_box("n2m1_global", 2, 1, 16, 5.0, [4, 8], amplitude_matrix=[[0.5, 0.2], [0.2, -0.3]])
+            | {"base": "matrix", "base_matrix": [[2.0, 0.5], [0.5, 1.0]]},
+            NEAR_SHARP | {"p_values": [4, 8]},
+        ],
+        ids=["n1m2", "n2m1_matrix", "near_sharp"],
+    )
+    def test_global_box_matches_closed_form(self, experiment):
+        # a box over the whole torus makes a~ constant: Delta is the Fourier multiplier
+        # 1 / (1 + A~) - 1 / (1 + A), whose singular values are its moduli over the lattice
+        exp = parse_config({"experiments": [experiment]}).experiments[0]
+        a_tilde = constant_field(exp.basis, exp.reference.constant_matrix() + exp.jump)
+        symbol, symbol_tilde = (constant_multiplier(a, exp.grid) for a in (exp.reference, a_tilde))
+        moduli = np.abs(1.0 / (1.0 + symbol_tilde) - 1.0 / (1.0 + symbol)).ravel()
+        rows = impurity_experiment(exp)
+        assert [row.p for row in rows] == [4.0, 8.0, math.inf]
+        for row in rows:
+            assert row.lhs == pytest.approx(np.linalg.norm(moduli, ord=row.p), rel=1e-13, abs=0), row.p
 
 
 class TestScaleStudy:
@@ -639,7 +680,7 @@ MALFORMED = {
         "refinement_study: n_values[1] must be an integer",
     ),
     "nan_p": ("verify", _set(["experiments", 0, "p_values"], [float("nan")]), "non-finite number NaN"),
-    "nan_tolerance": ("verify", _set(["tolerances"], {"ratio": float("nan")}), "non-finite number NaN"),
+    "nan_tolerance": ("scale", _set(["tolerances"], {"slope": float("nan")}), "non-finite number NaN"),
     "nan_amplitude": (
         "verify",
         _set(["experiments", 0, "perturbation", "amplitude"], float("nan")),
@@ -765,11 +806,13 @@ MALFORMED = {
     "repeated_level": ("clip", _set(["clip_study", "levels"], [1, 4, 4]), "clip_study: levels repeats an entry"),
     "empty_levels": ("clip", _set(["clip_study", "levels"], []), "clip_study: levels must not be empty"),
     # a tolerance that no row can meet would exit 1, which means a failed estimate
-    "negative_ratio_tolerance": (
-        "verify",
-        _set(["tolerances"], {"ratio": -1}),
-        "tolerances: ratio must be > 0, got -1",
+    "negative_slope_tolerance": (
+        "scale",
+        _set(["tolerances"], {"slope": -1}),
+        "tolerances: slope must be > 0, got -1",
     ),
+    # every bound flag reads the lattice constant, which holds exactly on the grid: no envelope to set
+    "ratio_key_refused": ("verify", _set(["tolerances"], {"ratio": 1.05}), "unknown key(s) ['ratio'] in tolerances"),
     "zero_drift_tolerance": (
         "refine",
         _set(["tolerances"], {"refine_drift": 0}),
@@ -822,12 +865,12 @@ MALFORMED = {
         _set(["scale_study", "relative_widths"], ["0.0625", 0.125, 0.25]),
         "scale_study: relative_widths[0] must be a number, got '0.0625'",
     ),
-    "string_ratio_tolerance": (
-        "verify",
-        _set(["tolerances"], {"ratio": "1.05"}),
-        "tolerances: ratio must be a number, got '1.05'",
+    "string_slope_tolerance": (
+        "scale",
+        _set(["tolerances"], {"slope": "1e-6"}),
+        "tolerances: slope must be a number, got '1e-6'",
     ),
-    "bool_ratio_tolerance": ("verify", _set(["tolerances"], {"ratio": True}), "tolerances: ratio must be a number"),
+    "bool_slope_tolerance": ("scale", _set(["tolerances"], {"slope": True}), "tolerances: slope must be a number"),
     "bool_scale_p": ("scale", _set(["scale_study", "p"], True), "scale_study: p must be a number, got True"),
     "bool_clip_p": ("clip", _set(["clip_study", "p"], True), "clip_study: p must be a number, got True"),
     "string_floor": ("clip", _set(["clip_study", "floor"], "1e-6"), "clip_study: floor must be a number"),
@@ -1018,13 +1061,14 @@ class TestCli:
         assert err.startswith(f"error: experiment '{label}") and "Traceback" not in err, err
 
     def test_exit_one_names_failing_row(self, tmp_path, capsys):
-        data = small_config(tolerances={"ratio": 1e-6})
+        # the fitted slope's roundoff (5.6e-16 here) is over a slope tolerance of 1e-300
+        data = small_config(tolerances={"slope": 1e-300})
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
-        code = run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        code = run_cli(["scale", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "FAILED" in err and "quick_box" in err
+        assert err.startswith("FAILED scale_slope: log-log slope"), err
 
     def test_constants_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1056,15 +1100,17 @@ class TestCli:
         assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_exit_two_on_unresolved_coarea_constant(self, tmp_path, capsys):
-        # diag(1, 1e-12) puts A's reciprocal on a 1e-6 wide arc: the sphere rule cannot converge
+        # diag(1, 1e-12) puts A's reciprocal on a 1e-6 wide arc: the sphere rule cannot converge.
+        # Only constants takes c_cov; verify's lattice constant is a sum over the grid
         data = small_config()
         data["experiments"][2]["base_matrix"] = [[1.0, 0.0], [0.0, 1e-12]]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
-        assert run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert run_cli(["constants", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: experiment 'quick_matrix_ball': the coarea constant's sphere rule")
         assert "Traceback" not in err
+        assert run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestReportRoundTrip:

@@ -20,6 +20,10 @@ the core's inverse: on the bundled one a = 1.
 The bundled experiment's G is positive definite to working precision at its
 n = 16, so LAPACK's Cholesky factors it; the defects of the pivoted factor,
 which LAPACK's refusal selects from n = 32 on, run with that refusal forced.
+
+The defects of the lattice constant run on the near-sharp row, where the
+bound is nearly attained: a constant too small fails its upper flag, and one
+too large fails the two-sided check, which no upper flag can do.
 """
 
 import dataclasses
@@ -30,6 +34,8 @@ import pytest
 from schatten_verify import constant_field, harness, sampled_field, schatten_analysis
 from schatten_verify.cli import default_config_path
 from schatten_verify.torus_operator import circulant_lookup, pointwise_rows
+
+from helpers import NEAR_SHARP, near_sharp_holds
 
 RESIDUAL_GATE = 1e-10
 EXPERIMENT = "n2m1_bump_a05"
@@ -203,16 +209,16 @@ PIVOTED_DEFECTS = {
 def experiment():
     config = harness.load_config(default_config_path())
     exp = next(e for e in config.experiments if e.id == EXPERIMENT)
-    return config, exp, harness.experiment_coarea(exp)[0]
+    return config, exp
 
 
 @pytest.fixture(scope="module")
 def complex_experiment(experiment):
     """The bundled bump over the reference [[1, 0.3i], [-0.3i, 1]], with jump 0.5 times it."""
-    config, exp, _ = experiment
+    config, exp = experiment
     reference = np.array([[1.0, 0.3j], [-0.3j, 1.0]])
     exp = dataclasses.replace(exp, reference=constant_field(exp.basis, reference), jump=0.5 * reference)
-    return config, exp, harness.experiment_coarea(exp)[0]
+    return config, exp
 
 
 def _patch_support(monkeypatch, defect):
@@ -234,8 +240,8 @@ def _patch_core(monkeypatch, defect):
 
 def _verdict(experiment):
     """(largest residual, every assertion passed) of the experiment's verify rows."""
-    config, exp, c_cov = experiment
-    rows = harness.impurity_experiment(exp, c_cov)
+    config, exp = experiment
+    rows = harness.impurity_experiment(exp)
     residual = max(max(r.factorization_residual, r.deift_residual) for r in rows)
     passed = all(a.passed for a in harness.study_assertions("verify", rows, config, {}))
     return residual, passed
@@ -321,3 +327,40 @@ def test_a_on_the_inverse_rows_is_caught(complex_experiment, monkeypatch):
     monkeypatch.setattr(harness, "support_core", core)
     residual, passed = _verdict(complex_experiment)
     assert residual > RESIDUAL_GATE or not passed, f"residual {residual:.3g}"
+
+
+@pytest.fixture(scope="module")
+def near_sharp():
+    config = harness.parse_config({"experiments": [NEAR_SHARP]})
+    return config, config.experiments[0]
+
+
+def _upper_flags_pass(config, rows):
+    return all(a.passed for a in harness.study_assertions("verify", rows, config, {}))
+
+
+def _two_sided_holds(config, rows):
+    return near_sharp_holds(rows)
+
+
+# defects of the lattice constant: a factor on C_lat and the check on the near-sharp row that must fail
+LATTICE_DEFECTS = {
+    "lattice_constant_low": (0.98, _upper_flags_pass),
+    "lattice_constant_high": (1.02, _two_sided_holds),
+}
+
+
+def test_the_near_sharp_row_passes_as_built(near_sharp):
+    config, exp = near_sharp
+    rows = harness.impurity_experiment(exp)
+    assert _upper_flags_pass(config, rows) and _two_sided_holds(config, rows)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_DEFECTS))
+def test_lattice_constant_defect_is_caught(name, near_sharp, monkeypatch):
+    factor, check = LATTICE_DEFECTS[name]
+    constant = harness.lattice_constant
+    monkeypatch.setattr(harness, "lattice_constant", lambda *args: constant(*args) * factor)
+    config, exp = near_sharp
+    rows = harness.impurity_experiment(exp)
+    assert not check(config, rows), [row.ratio for row in rows]

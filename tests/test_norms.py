@@ -102,6 +102,13 @@ class TestMatrixFieldNorm:
         # an empty impurity support has no singular value: every Schatten norm of it is 0
         assert lp_norm_of_pointwise(np.array([]), 1.0, p) == 0.0
 
+    def test_underflowing_sum_raises(self):
+        # 0.5^1e308 is 0 in floating point: the norm would print 0 where it is 0.5
+        with pytest.raises(FloatingPointError, match="underflow"):
+            lp_norm_of_pointwise(np.array([0.0, 0.5]), 1.0, 1e308)
+        # all-zero values give 0, as the clip study's level-1 rhs does
+        assert lp_norm_of_pointwise(np.zeros(3), 1.0, 1e308) == 0.0
+
 
 class TestRelativePerturbation:
     def test_equal_coefficients_give_zero(self):

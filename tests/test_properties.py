@@ -21,7 +21,7 @@ from schatten_verify.harness import (
 from schatten_verify.norms import lp_norm_of_pointwise
 from schatten_verify.schatten_analysis import singular_spectrum
 
-from helpers import direct_difference, random_hermitian, random_hermitian_pd, support_values
+from helpers import direct_difference, random_hermitian, random_hermitian_pd, support_values, within_lattice_bound
 
 # n per axis, keeping P = n^N <= 64
 _SIDES = {1: (8, 16, 32, 64), 2: (4, 6, 8), 3: (4,)}
@@ -78,6 +78,8 @@ def test_dense_pass_on_random_box_impurities(N, m, data):
 
     norms = [lp_norm_of_pointwise(art.delta_singular_values, 1.0, p) for p in _P_VALUES]
     assert all(later <= earlier * (1 + 1e-12) for earlier, later in zip(norms, norms[1:]))
+    # the bound holds on the lattice for every draw, with the lattice constant
+    assert all(within_lattice_bound(art.row("drawn_box", p, 0.0)) for p in (2.0, 4.0, 8.0, np.inf))
 
 
 @pytest.mark.parametrize("N,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
