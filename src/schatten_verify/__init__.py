@@ -12,11 +12,9 @@ from .coeff_algebra import (
     sampled_field,
     sqrt_field,
     sublevel_volume,
-    symbol_vector,
 )
 from .errors import ConfigError, NonPositiveDefiniteError, QuadratureError
 from .multiindex import (
-    MultiIndex,
     enumerate_basis,
     monomial_matrix,
 )

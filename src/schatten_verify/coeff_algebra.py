@@ -3,9 +3,11 @@
 The coefficient of an order-2m operator is a Hermitian positive-definite
 nu x nu matrix (constant for the reference operator, sampled on a grid for
 the perturbed one), with rows/columns indexed by the order-m multi-index
-basis. On the Fourier side the constant-coefficient operator is described
-by the vector symbol B(xi) = b xi^(m) (b the matrix square root of the
-coefficient) and the scalar principal symbol A(xi) = |B(xi)|^2.
+basis. On the Fourier side the constant-coefficient operator is the scalar
+principal symbol A(xi) = xi^(m)T a xi^(m) of the coefficient a itself,
+xi^(m) the vector of basis monomials; ``principal_symbol`` is its one
+evaluator, on the frequency lattice, on the sphere rule's nodes and at the
+Monte Carlo oracle's samples alike.
 
 The coarea constant converts frequency-space integrals of g^2(A(xi)) into
 the weighted half-line integrals used by the trace-norm estimates:
@@ -103,12 +105,7 @@ def polyharmonic_coefficients(basis: MultiIndexBasis) -> HermitianMatrixField:
     The multinomial theorem gives sum_{|a|=m} (m!/a!) xi^(2a) = |xi|^(2m),
     so this is the canonical reference coefficient.
     """
-    from math import factorial
-
-    weights = [
-        factorial(basis.m) / np.prod([factorial(e) for e in mi.exponents])
-        for mi in basis.entries
-    ]
+    weights = [math.factorial(basis.m) / np.prod([math.factorial(e) for e in alpha]) for alpha in basis.entries]
     return constant_field(basis, np.diag(np.asarray(weights, dtype=float)))
 
 
@@ -124,10 +121,17 @@ def check_positive_definite(eigenvalues: np.ndarray) -> None:
         raise NonPositiveDefiniteError(eigenvalues.min(), points)
 
 
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m*) / 2 over the last two axes, formed in one new C-ordered buffer."""
+    part = np.conj(np.swapaxes(m, -1, -2), order="C")
+    part += m
+    part *= 0.5
+    return part
+
+
 def _spectral_rebuild(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Hermitian part of Q diag(w) Q*, pointwise over any leading axes."""
-    out = (q * w[..., None, :]) @ np.conj(np.swapaxes(q, -1, -2))
-    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+    return hermitian_part((q * w[..., None, :]) @ np.conj(np.swapaxes(q, -1, -2)))
 
 
 def field_powers(values, *exponents: float) -> tuple[np.ndarray, ...]:
@@ -174,19 +178,13 @@ def clip_coefficients(field: HermitianMatrixField, n) -> HermitianMatrixField:
     return HermitianMatrixField(field.basis, _spectral_rebuild(q, np.clip(w, 1.0 / n, float(n))))
 
 
-def symbol_vector(b: np.ndarray, xi, basis: MultiIndexBasis) -> np.ndarray:
-    """Vector symbol (b xi^(m))_alpha = sum_gamma b[alpha,gamma] xi^gamma."""
-    b = np.asarray(b)
-    if b.shape != (basis.nu, basis.nu):
-        raise ValueError(f"matrix shape {b.shape} does not match nu={basis.nu}")
-    mono = monomial_matrix(np.asarray(xi, dtype=float), basis)
-    return mono @ b.T
+def principal_symbol(a: np.ndarray, points, basis: MultiIndexBasis) -> np.ndarray:
+    """A(xi) = Re xi^(m)T a xi^(m) of the (nu, nu) coefficient ``a`` at (..., N) ``points``; (...).
 
-
-def principal_symbol(b: np.ndarray, xi, basis: MultiIndexBasis) -> np.ndarray:
-    """Scalar symbol |b xi^(m)|^2; non-negative, homogeneous of degree 2m."""
-    vec = symbol_vector(b, xi, basis)
-    return np.sum(np.abs(vec) ** 2, axis=-1)
+    Homogeneous of degree 2m, and positive off xi = 0 for a positive-definite a.
+    """
+    mono = monomial_matrix(np.asarray(points, dtype=float), basis)
+    return np.einsum("...a,ab,...b->...", mono, a, mono).real
 
 
 @dataclass(frozen=True)
@@ -198,21 +196,20 @@ class MonteCarloEstimate:
     samples: int
 
 
-def sublevel_bounding_radius(b: np.ndarray, basis: MultiIndexBasis) -> float:
-    """Radius of a ball guaranteed to contain {A < 1}.
+def sublevel_bounding_radius(a: np.ndarray, basis: MultiIndexBasis) -> float:
+    """Radius of a ball guaranteed to contain {A < 1} for the coefficient ``a``.
 
     From sum_{|g|=m} xi^(2g) >= (|xi|^2/N)^m one gets
     A(xi) >= lambda_min(a) (|xi|^2/N)^m, so {A < 1} is inside the ball of
     radius sqrt(N) lambda_min(a)^{-1/(2m)}.
     """
-    a = np.asarray(b) @ np.conj(np.asarray(b).T)
     w = np.linalg.eigvalsh(a)
     check_positive_definite(w)
     return float(np.sqrt(basis.N)) * float(w.min()) ** (-1.0 / (2 * basis.m))
 
 
 def sublevel_volume(
-    b: np.ndarray,
+    a: np.ndarray,
     basis: MultiIndexBasis,
     samples: int = 1_000_000,
     seed: int = 0,
@@ -224,11 +221,10 @@ def sublevel_volume(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    radius = sublevel_bounding_radius(b, basis)
+    radius = sublevel_bounding_radius(a, basis)
     box_volume = (2.0 * radius) ** basis.N
     pts = np.random.default_rng(seed).uniform(-radius, radius, size=(samples, basis.N))
-    vals = np.sum(np.abs(monomial_matrix(pts, basis) @ np.asarray(b).T) ** 2, axis=-1)
-    frac = int(np.count_nonzero(vals < 1.0)) / samples
+    frac = int(np.count_nonzero(principal_symbol(a, pts, basis) < 1.0)) / samples
     value = box_volume * frac
     stderr = box_volume * float(np.sqrt(max(frac * (1.0 - frac), 0.0) / samples))
     return MonteCarloEstimate(value=value, stderr=stderr, samples=samples)
@@ -265,8 +261,9 @@ def _rule_points(N: int, n: int) -> int:
     return n * (n // 2) ** max(N - 2, 0)
 
 
-def coarea_constant(b: np.ndarray, basis: MultiIndexBasis) -> tuple[float, float]:
-    """c_cov = (2pi)^{-N} (N/2m) vol{A < 1} by a rule on the unit sphere: (value, error).
+def coarea_constant(a: np.ndarray, basis: MultiIndexBasis) -> tuple[float, float]:
+    """c_cov = (2pi)^{-N} (N/2m) vol{A < 1} of the coefficient ``a`` by a rule on the unit sphere:
+    (value, error).
 
     A is homogeneous of degree 2m, so vol{A < 1} = (1/N) integral_{S^{N-1}} A^{-N/2m}.
     The integrand is smooth and periodic in the angles, where the trapezoid
@@ -281,7 +278,7 @@ def coarea_constant(b: np.ndarray, basis: MultiIndexBasis) -> tuple[float, float
     n, previous, relative_gap = 64, None, math.inf
     while _rule_points(N, n) <= SPHERE_RULE_MAX_POINTS:
         nodes, weights = _sphere_rule(N, n)
-        value = prefactor * float(weights @ principal_symbol(b, nodes, basis) ** (-N / (2.0 * m)))
+        value = prefactor * float(weights @ principal_symbol(a, nodes, basis) ** (-N / (2.0 * m)))
         if previous is not None:
             relative_gap = abs(value - previous) / value
             if relative_gap <= SPHERE_RULE_RTOL:

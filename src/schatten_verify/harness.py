@@ -34,6 +34,9 @@ from functools import partial
 
 import numpy as np
 
+# perfbench/tracer.py patches names of the coeff_algebra, norms, schatten_analysis and torus_operator imports
+# here; sqrt_field, matrix_field_lp_norm, singular_spectrum, deift_residual, factorization_residual and
+# assemble_derivative_factor have no caller in this module
 from .coeff_algebra import (
     HermitianMatrixField,
     check_positive_definite,
@@ -46,8 +49,6 @@ from .coeff_algebra import (
 )
 from .errors import ConfigError, NonPositiveDefiniteError, QuadratureError
 from .multiindex import MultiIndexBasis, basis_size, enumerate_basis
-# perfbench/tracer.py patches names of the next three imports here; matrix_field_lp_norm, singular_spectrum,
-# deift_residual, factorization_residual and assemble_derivative_factor have no caller in this module
 from .norms import (
     lp_norm_of_pointwise,
     matrix_field_lp_norm,
@@ -83,6 +84,8 @@ CSV_HEADER = "experiment,p,lhs,rhs,constant,ratio,factorization_residual,deift_r
 RATIO_ZERO_LHS_TOL = 1e-12
 # the relative roundoff that a bound flag allows on C_lat * rhs
 BOUND_ROUNDOFF = 1e-12
+# the largest residual column with which a bound flag can pass: past it the certificate vouches for no lhs
+RESIDUAL_GATE = 1e-10
 
 # a refinement study's successive lhs changes must shrink by this factor per doubling,
 # or sit below the floor relative to the finest lhs
@@ -637,7 +640,7 @@ def trace_norm_constant(p: float, basis: MultiIndexBasis, c_cov: float) -> float
 
 def experiment_coarea(exp: ExperimentSpec) -> tuple[float, float]:
     """c_cov of the experiment's reference coefficient and the quadrature's error estimate."""
-    return coarea_constant(sqrt_field(exp.reference).constant_matrix(), exp.basis)
+    return coarea_constant(exp.reference.constant_matrix(), exp.basis)
 
 
 # what a run can refuse after load, each with exit 2; every step of a runner sits in one _named, never nested
@@ -694,7 +697,7 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
     grid, a = exp.grid, exp.reference
     if a_tilde is None:
         a_tilde = perturbed_coefficient(exp)
-    # a~'s one decomposition and the reference's one symbol pass serve every step below
+    # a~'s one decomposition and the reference's one symbol pass, A included, serve every step below
     imp = impurity_support(a, a_tilde, grid)
     v = relative_perturbation(imp.at, imp.at_inv_sqrt, imp.a, imp.a_inv_sqrt)
     xi, solved = support_core(imp)
@@ -706,12 +709,11 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
         chain /= svals[0]
     g2 = support_kernel(imp, "g2")
     moments = moments_gap(xi, g2, svals)
-    symbol = constant_multiplier(a, grid)
     return ExperimentArtifacts(
         grid=grid,
         delta_singular_values=svals,
         v_norms=pointwise_operator_norms(v),
-        profile=np.sqrt(symbol) / (1.0 + symbol),
+        profile=np.sqrt(imp.symbol) / (1.0 + imp.symbol),
         fact_residual=max(chain, moments),
         deift_res=resolvent_certificate(imp, xi, g2),
     )
@@ -726,12 +728,16 @@ def impurity_experiment(exp: ExperimentSpec) -> list[ReportRow]:
 
 def _bound_flags(rows: list[ReportRow], name: Callable[[ReportRow], str]) -> list[Assertion]:
     """One flag per bound row, named ``name(row)``: lhs <= C_lat * rhs * (1 + BOUND_ROUNDOFF) plus the
-    row's Deift column, which bounds lhs's own error; a row with C_lat * rhs = 0 passes when its ratio is 0."""
+    row's Deift column, which bounds lhs's own error, and neither residual column over RESIDUAL_GATE, so
+    that a broken certificate cannot widen the bound; a row with C_lat * rhs = 0 holds when its ratio is 0."""
     out = []
     for row in rows:
         bound = row.constant * row.rhs * (1.0 + BOUND_ROUNDOFF) + row.deift_residual
         detail = f"ratio={row.ratio:.6g}; lhs={row.lhs:.6g}, bound C_lat*rhs*(1+{BOUND_ROUNDOFF:g}) + deift = {bound:.6g}"
-        out.append(Assertion(name(row), bool(row.lhs <= bound or row.ratio == 0.0), detail))
+        certified = row.factorization_residual <= RESIDUAL_GATE and row.deift_residual <= RESIDUAL_GATE
+        if not certified:
+            detail += f"; residuals {row.factorization_residual:.3g}, {row.deift_residual:.3g} over {RESIDUAL_GATE:g}"
+        out.append(Assertion(name(row), bool(certified and (row.lhs <= bound or row.ratio == 0.0)), detail))
     return out
 
 

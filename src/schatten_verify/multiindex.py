@@ -1,9 +1,9 @@
 """Multi-indices of a fixed total order and the monomials they index.
 
-Every object in this package whose size is the number of order-m
-multi-indices in N variables (coefficient matrices, symbol vectors,
-derivative channels) uses the enumeration order fixed here: ascending
-lexicographic on the exponent tuples.
+A multi-index is a plain tuple of N non-negative exponents. Every object in
+this package whose size is the number of order-m multi-indices in N
+variables (coefficient matrices, derivative channels) uses the enumeration
+order fixed here: ascending lexicographic on the exponent tuples.
 """
 
 from __future__ import annotations
@@ -16,34 +16,19 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class MultiIndex:
-    """Tuple of non-negative integer exponents."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.exponents):
-            raise ValueError(f"negative exponent in {self.exponents}")
-
-
-@dataclass(frozen=True)
 class MultiIndexBasis:
-    """All multi-indices of order ``m`` in ``N`` variables, lexicographically sorted.
+    """All multi-indices of order ``m`` in ``N`` variables, as exponent tuples, lexicographically sorted.
 
     The length is the stars-and-bars count C(N+m-1, N-1).
     """
 
     N: int
     m: int
-    entries: tuple[MultiIndex, ...]
+    entries: tuple[tuple[int, ...], ...]
 
     @property
     def nu(self) -> int:
         return len(self.entries)
-
-    def exponent_array(self) -> np.ndarray:
-        """(nu, N) integer array of exponents, row per basis entry."""
-        return np.array([mi.exponents for mi in self.entries], dtype=np.int64)
 
 
 def _compositions(n_vars: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -71,7 +56,7 @@ def basis_size(N: int, m: int) -> int:
 def enumerate_basis(N: int, m: int) -> MultiIndexBasis:
     """All multi-indices with |alpha| = m in N variables, lexicographic order."""
     nu = basis_size(N, m)
-    entries = tuple(MultiIndex(e) for e in _compositions(N, m))
+    entries = tuple(_compositions(N, m))
     assert len(entries) == nu
     return MultiIndexBasis(N=N, m=m, entries=entries)
 
@@ -87,6 +72,5 @@ def monomial_matrix(points: np.ndarray, basis: MultiIndexBasis) -> np.ndarray:
         raise ValueError(
             f"points have dimension {points.shape[-1]}, basis expects {basis.N}"
         )
-    exps = basis.exponent_array()  # (nu, N)
-    # broadcast: (..., 1, N) ** (nu, N) -> (..., nu, N) -> product over last axis
-    return np.prod(points[..., None, :] ** exps, axis=-1)
+    # broadcast: (..., 1, N) ** (nu, N) exponents -> (..., nu, N) -> product over last axis
+    return np.prod(points[..., None, :] ** np.array(basis.entries, dtype=np.int64), axis=-1)

@@ -28,6 +28,7 @@ import numpy as np
 from .coeff_algebra import (
     HermitianMatrixField,
     field_powers,
+    hermitian_part,
     matrix_inv_sqrt,
     matrix_sqrt,
 )
@@ -59,12 +60,7 @@ def singular_spectrum(matrix: np.ndarray, hermitian: bool = False) -> np.ndarray
     m = np.asarray(matrix)
     if not hermitian:
         return np.linalg.svd(m, compute_uv=False)
-    # the Hermitian part (m + m*) / 2, in one buffer beside m
-    part = np.conj(m.T)
-    part += m
-    part *= 0.5
-    eigenvalues = np.linalg.eigvalsh(part)
-    return np.sort(np.abs(eigenvalues))[::-1]
+    return np.sort(np.abs(np.linalg.eigvalsh(hermitian_part(m))))[::-1]
 
 
 def schatten_norm(matrix: np.ndarray, p: float) -> float:
@@ -79,7 +75,7 @@ def operator_norm(matrix: np.ndarray) -> float:
 def resolvent(matrix: np.ndarray) -> np.ndarray:
     """(M + 1)^{-1} of a dense Hermitian matrix M, by dense inverse (LU) of its Hermitian part plus 1."""
     m = np.asarray(matrix, dtype=complex)
-    return np.linalg.inv(0.5 * (m + np.conj(m.T)) + np.eye(m.shape[0]))
+    return np.linalg.inv(hermitian_part(m) + np.eye(m.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,8 @@ class ImpuritySupport:
     With E the restriction to the nu K channels of the support ``points``
     (flat indices, where at != a exactly) and C = D D* + a^{-1}: ``w`` is
     W = at^{-1} - a^{-1} there, (K, nu, nu); ``at`` and ``at_inv_sqrt`` are
-    (n^N, nu, nu), ``a``, its inverse and its roots (nu, nu); ``c_inv`` is
+    (n^N, nu, nu), ``a``, its inverse and its roots (nu, nu); ``symbol`` is the
+    reference's principal symbol A on the lattice, (*spatial); ``c_inv`` is
     the symbol of C^{-1}, from which ``support_core`` looks up Z = E C^{-1} E*;
     ``c_inv_d`` is that of C^{-1} D, ``d`` that of D and ``u`` that of D (op + 1)^{-1},
     from which ``support_kernel`` looks up the checks' kernels one at a time.
@@ -108,6 +105,7 @@ class ImpuritySupport:
     c_inv_d: np.ndarray
     d: np.ndarray
     u: np.ndarray
+    symbol: np.ndarray
 
 
 def impurity_support(
@@ -122,9 +120,9 @@ def impurity_support(
     at, at_inv_sqrt, at_inv = (x.reshape(points, nu, nu) for x in (at, *roots))
     a_inv, a_inv_sqrt, a_sqrt = field_powers(a_mat, -1.0, -0.5, 0.5)
     support = np.flatnonzero(np.any(at != a_mat, axis=(1, 2)))
-    c_inv, c_inv_d, r, d = channel_resolvent_symbols(a, grid)
-    w = at_inv[support] - a_inv
-    return ImpuritySupport(grid, support, at, at_inv_sqrt, a_mat, a_sqrt, a_inv, a_inv_sqrt, w, c_inv, c_inv_d, d, d * r[0])
+    c_inv, c_inv_d, r, d, symbol = channel_resolvent_symbols(a, grid)
+    w, u = at_inv[support] - a_inv, d * r[0]
+    return ImpuritySupport(grid, support, at, at_inv_sqrt, a_mat, a_sqrt, a_inv, a_inv_sqrt, w, c_inv, c_inv_d, d, u, symbol)
 
 
 def pivoted_cholesky(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

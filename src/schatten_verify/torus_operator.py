@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coeff_algebra import HermitianMatrixField, check_positive_definite
+from .coeff_algebra import HermitianMatrixField, check_positive_definite, principal_symbol
 from .multiindex import MultiIndexBasis, monomial_matrix
 
 
@@ -215,10 +215,8 @@ def pointwise_cols(stack: np.ndarray, field_values: np.ndarray) -> np.ndarray:
 
 
 def constant_multiplier(a: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
-    """The real scalar multiplier A(xi) of the constant-coefficient operator."""
-    a_mat = a.constant_matrix()
-    mono = monomial_matrix(grid.frequency_points(), a.basis)  # (*spatial, nu)
-    return np.einsum("...a,ab,...b->...", mono, a_mat, mono).real
+    """The real scalar multiplier A(xi) of the constant-coefficient operator: its principal symbol on the lattice."""
+    return principal_symbol(a.constant_matrix(), grid.frequency_points(), a.basis)
 
 
 def assemble_constant_coefficient(
@@ -272,23 +270,25 @@ def circulant_lookup(
 
 def channel_resolvent_symbols(
     a: HermitianMatrixField, grid: TorusGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Symbols of C^{-1}, C^{-1} D, (op + 1)^{-1} and D, for the channel-side C = D D* + a^{-1}.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Symbols of C^{-1}, C^{-1} D, (op + 1)^{-1}, D and op, for the channel-side C = D D* + a^{-1}.
 
     With d = ((i xi)^alpha)_alpha, C has the symbol d d* + a^{-1}, whose
     inverse is a - (a d)(a d)* / (1 + A) by Sherman-Morrison (d* a d = A);
     so C^{-1} D has the symbol a d / (1 + A), and a^{-1/2} C^{-1} D is the
     factor resolvent T (op + 1)^{-1} = (G + 1)^{-1} T of T = a^{1/2} D. The
     operator is the multiplier A(xi), so (op + 1)^{-1} has the symbol 1 / (1 + A).
-    Returns (nu, nu, *spatial), (nu, 1, *spatial), (1, 1, *spatial) and (nu, *spatial).
+    Returns (nu, nu, *spatial), (nu, 1, *spatial), (1, 1, *spatial), (nu, *spatial) and
+    A itself, (*spatial).
     """
     a_mat = a.constant_matrix()
     d = _derivative_multipliers(grid, a.basis)
     ad = np.einsum("ab,b...->a...", a_mat, d)
-    denominator = 1.0 + constant_multiplier(a, grid)
+    symbol = constant_multiplier(a, grid)
+    denominator = 1.0 + symbol
     spatial = (None,) * grid.N
     c_inv = a_mat[(..., *spatial)] - ad[:, None] * np.conj(ad[None, :]) / denominator
-    return c_inv, (ad / denominator)[:, None], (1.0 / denominator)[None, None], d
+    return c_inv, (ad / denominator)[:, None], (1.0 / denominator)[None, None], d, symbol
 
 
 def assemble_variable_coefficient(

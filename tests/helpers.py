@@ -129,8 +129,11 @@ NEAR_SHARP = global_box("near_sharp", 1, 1, 8, 2.0, [16], amplitude=-0.9)
 
 
 def within_lattice_bound(row):
-    """The bound flags' rule: lhs <= C_lat * rhs * (1 + 1e-12) plus the row's Deift column, which
-    bounds the error of lhs itself; a row with C_lat * rhs = 0 holds when its ratio reads 0."""
+    """The bound flags' rule: both residual columns at most 1e-10, and lhs <= C_lat * rhs * (1 + 1e-12)
+    plus the row's Deift column, which bounds the error of lhs itself; a row with C_lat * rhs = 0
+    holds when its ratio reads 0."""
+    if max(row.factorization_residual, row.deift_residual) > 1e-10:
+        return False
     return row.lhs <= row.constant * row.rhs * (1 + 1e-12) + row.deift_residual or row.ratio == 0.0
 
 

@@ -19,7 +19,7 @@ from schatten_verify import (
 from schatten_verify.coeff_algebra import HermitianMatrixField
 from schatten_verify.errors import ConfigError
 from schatten_verify.harness import CSV_HEADER, Assertion, HarnessConfig, ReportRow, study_assertions
-from schatten_verify.multiindex import MultiIndex, MultiIndexBasis
+from schatten_verify.multiindex import MultiIndexBasis
 from schatten_verify.schatten_analysis import one_plus_zw
 from schatten_verify.torus_operator import (
     _derivative_pipelines,
@@ -42,19 +42,17 @@ def plane_wave(grid: TorusGrid, k: tuple[int, ...]) -> np.ndarray:
     return np.exp(1j * np.tensordot(grid.points(), xi, axes=([-1], [0])))
 
 
-def monomial(xi, gamma: MultiIndex):
-    """Evaluate xi^gamma = prod_i xi_i**gamma_i, with the 0**0 = 1 convention.
+def monomial(xi, gamma: tuple[int, ...]):
+    """Evaluate xi^gamma = prod_i xi_i**gamma_i for the exponent tuple gamma, with the 0**0 = 1 convention.
 
     The empty-exponent convention makes the zero frequency well-defined:
     all-zero gamma gives 1 regardless of xi.
     """
     xi = np.asarray(xi)
-    if xi.shape[-1] != len(gamma.exponents):
-        raise ValueError(
-            f"point has dimension {xi.shape[-1]}, multi-index has {len(gamma.exponents)}"
-        )
+    if xi.shape[-1] != len(gamma):
+        raise ValueError(f"point has dimension {xi.shape[-1]}, multi-index has {len(gamma)}")
     # numpy already evaluates 0.0**0 as 1.0, matching the convention
-    return np.prod(xi ** np.asarray(gamma.exponents), axis=-1)
+    return np.prod(xi ** np.asarray(gamma), axis=-1)
 
 
 def resolvent_profile(t):

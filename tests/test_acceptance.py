@@ -169,10 +169,10 @@ def test_criterion_04_weighted_norm_oracle():
 def test_criterion_05_coarea_constant():
     # the sphere rule against the closed form 1/(4 pi) and the independent Monte Carlo volume
     basis = enumerate_basis(2, 1)
-    b = matrix_sqrt(polyharmonic_coefficients(basis).constant_matrix())
-    c_cov, error = coarea_constant(b, basis)
+    a = polyharmonic_coefficients(basis).constant_matrix()
+    c_cov, error = coarea_constant(a, basis)
     rule_ok = abs(c_cov * 4.0 * np.pi - 1.0) <= 1e-13 and error <= 1e-13 * c_cov
-    est = sublevel_volume(b, basis, samples=1_000_000, seed=20260810)
+    est = sublevel_volume(a, basis, samples=1_000_000, seed=20260810)
     z = abs(est.value - 4.0 * np.pi**2 * c_cov) / est.stderr
     mc_ok = z <= 3.0
 
@@ -181,11 +181,12 @@ def test_criterion_05_coarea_constant():
     details = [f"rule c_cov {c_cov:.15g} (error {error:.1e})", f"MC vol {est.value:.5f} (z={z:.2f})"]
     for N, m, radius, spacing in ((1, 1, 1100.0, 0.01), (2, 2, 32.0, 0.05)):
         bas = enumerate_basis(N, m)
-        bb = matrix_sqrt(polyharmonic_coefficients(bas).constant_matrix())
+        aa = polyharmonic_coefficients(bas).constant_matrix()
         edge = resolvent_profile(radius ** (2 * m)) ** 2
         assert edge < 1e-6
-        lhs = lattice_symbol_integral(bb, bas, resolvent_profile, spacing=spacing, radius=radius)
-        c_cov = coarea_constant(bb, bas)[0]
+        # the oracle sums |a^{1/2} xi^(m)|^2, the square-root form of the symbol that coarea_constant takes from a
+        lhs = lattice_symbol_integral(matrix_sqrt(aa), bas, resolvent_profile, spacing=spacing, radius=radius)
+        c_cov = coarea_constant(aa, bas)[0]
         gstar = resolvent_profile_norm(2, N, m)
         rhs = c_cov * gstar**2
         rel = abs(lhs - rhs) / rhs

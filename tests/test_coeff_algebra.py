@@ -12,11 +12,11 @@ from schatten_verify import (
     enumerate_basis,
     field_power,
     matrix_sqrt,
+    monomial_matrix,
     polyharmonic_coefficients,
     principal_symbol,
     sampled_field,
     sublevel_volume,
-    symbol_vector,
 )
 from schatten_verify.norms import resolvent_profile_norm
 
@@ -116,42 +116,57 @@ class TestClip:
 class TestSymbols:
     def test_identity_coefficient_single_variable(self):
         basis = enumerate_basis(1, 1)
-        assert symbol_vector(np.eye(1), np.array([2.5]), basis)[0] == pytest.approx(2.5)
+        assert principal_symbol(np.eye(1), np.array([2.5]), basis) == pytest.approx(6.25)
 
     def test_identity_coefficient_gives_monomials(self):
+        # the identity coefficient makes A the sum of the squared basis monomials
         basis = enumerate_basis(2, 2)
         xi = np.array([1.5, -2.0])
-        vec = symbol_vector(np.eye(basis.nu), xi, basis)
-        expected = [xi[0] ** mi.exponents[0] * xi[1] ** mi.exponents[1] for mi in basis.entries]
-        assert np.allclose(vec, expected)
+        expected = sum((xi[0] ** alpha[0] * xi[1] ** alpha[1]) ** 2 for alpha in basis.entries)
+        assert principal_symbol(np.eye(basis.nu), xi, basis) == pytest.approx(expected, rel=1e-14)
 
     def test_polyharmonic_squared_norm(self):
         basis = enumerate_basis(2, 1)
-        b = matrix_sqrt(polyharmonic_coefficients(basis).constant_matrix())
-        vec = symbol_vector(b, np.array([3.0, 4.0]), basis)
-        assert np.sum(np.abs(vec) ** 2) == pytest.approx(25.0)
+        a = polyharmonic_coefficients(basis).constant_matrix()
+        assert principal_symbol(a, np.array([3.0, 4.0]), basis) == pytest.approx(25.0)
 
     def test_principal_symbol_at_zero(self):
         basis = enumerate_basis(2, 2)
-        b = matrix_sqrt(polyharmonic_coefficients(basis).constant_matrix())
-        assert principal_symbol(b, np.zeros(2), basis) == 0.0
+        a = polyharmonic_coefficients(basis).constant_matrix()
+        assert principal_symbol(a, np.zeros(2), basis) == 0.0
 
     @pytest.mark.parametrize("N,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
     def test_polyharmonic_closed_form(self, N, m):
         basis = enumerate_basis(N, m)
-        b = matrix_sqrt(polyharmonic_coefficients(basis).constant_matrix())
+        a = polyharmonic_coefficients(basis).constant_matrix()
         rng = np.random.default_rng(14)
         for xi in rng.normal(size=(10, N)):
             expected = np.sum(xi**2) ** m
-            assert principal_symbol(b, xi, basis) == pytest.approx(expected, rel=1e-12)
+            assert principal_symbol(a, xi, basis) == pytest.approx(expected, rel=1e-12)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(15)
         basis = enumerate_basis(3, 2)
-        b = matrix_sqrt(random_hermitian_pd(rng, basis.nu))
+        a = random_hermitian_pd(rng, basis.nu)
         xi = rng.normal(size=3)
-        ratio = principal_symbol(b, 2.0 * xi, basis) / principal_symbol(b, xi, basis)
+        ratio = principal_symbol(a, 2.0 * xi, basis) / principal_symbol(a, xi, basis)
         assert ratio == pytest.approx(2.0 ** (2 * basis.m), rel=1e-12)
+
+    @pytest.mark.parametrize("N,m", [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_equals_the_square_root_form(self, N, m):
+        # xi^(m)T a xi^(m) = |a^{1/2} xi^(m)|^2 for a complex Hermitian a, at points of any batch shape
+        rng = np.random.default_rng(20 + 3 * N + m)
+        basis = enumerate_basis(N, m)
+        a = random_hermitian_pd(rng, basis.nu)
+        points = rng.normal(size=(4, 5, N))
+        vector = monomial_matrix(points, basis) @ matrix_sqrt(a).T
+        symbol = principal_symbol(a, points, basis)
+        assert symbol.shape == (4, 5) and symbol.dtype == float
+        assert np.abs(symbol - np.sum(np.abs(vector) ** 2, axis=-1)).max() <= 1e-12 * symbol.max()
+
+    def test_rejects_a_matrix_of_another_size(self):
+        with pytest.raises(ValueError):
+            principal_symbol(np.eye(2), np.zeros(2), enumerate_basis(2, 2))
 
 
 class TestSpectralSymbol:
@@ -172,11 +187,11 @@ class TestSpectralSymbol:
     def test_operator_norm_equals_profile_of_symbol(self):
         rng = np.random.default_rng(16)
         basis = enumerate_basis(2, 2)
-        b = matrix_sqrt(random_hermitian_pd(rng, basis.nu))
+        a = random_hermitian_pd(rng, basis.nu)
         xi = rng.normal(size=(10, 2))
-        out = spectral_symbol_lattice(b, xi, resolvent_profile, basis)
+        out = spectral_symbol_lattice(matrix_sqrt(a), xi, resolvent_profile, basis)
         top = np.linalg.svd(out, compute_uv=False)[:, 0]
-        expected = resolvent_profile(principal_symbol(b, xi, basis))
+        expected = resolvent_profile(principal_symbol(a, xi, basis))
         assert np.abs(top - expected).max() <= 1e-12
 
     def test_rank_at_most_one_and_psd(self):
@@ -192,13 +207,14 @@ class TestSpectralSymbol:
 
 
 def test_evaluate_symbol_bundle():
-    # vector, principal and rank-one symbols at one frequency agree
+    # the vector symbol a^{1/2} xi^(m), the principal symbol of a and the rank-one symbol at one frequency agree
     rng = np.random.default_rng(18)
     basis = enumerate_basis(2, 1)
-    b = matrix_sqrt(random_hermitian_pd(rng, basis.nu))
+    a = random_hermitian_pd(rng, basis.nu)
+    b = matrix_sqrt(a)
     xi = rng.normal(size=2)
-    vector = symbol_vector(b, xi, basis)
-    principal = principal_symbol(b, xi, basis)
+    vector = monomial_matrix(xi, basis) @ b.T
+    principal = principal_symbol(a, xi, basis)
     rank_one = spectral_symbol_lattice(b, xi, resolvent_profile, basis)
     assert principal == pytest.approx(np.sum(np.abs(vector) ** 2), rel=1e-12)
     assert np.allclose(rank_one, np.conj(rank_one.T))
@@ -216,39 +232,37 @@ def _polyharmonic_c_cov(N: int, m: int) -> float:
 class TestSublevelVolume:
     def test_interval(self):
         basis = enumerate_basis(1, 1)
-        b = np.eye(1)
-        est = sublevel_volume(b, basis, samples=10_000, seed=0)
+        est = sublevel_volume(np.eye(1), basis, samples=10_000, seed=0)
         assert est.value == pytest.approx(2.0)
 
     def test_unit_disk(self):
         basis = enumerate_basis(2, 1)
-        b = matrix_sqrt(polyharmonic_coefficients(basis).constant_matrix())
-        est = sublevel_volume(b, basis, samples=1_000_000, seed=101)
+        a = polyharmonic_coefficients(basis).constant_matrix()
+        est = sublevel_volume(a, basis, samples=1_000_000, seed=101)
         assert abs(est.value - np.pi) <= 3.0 * est.stderr
 
     def test_quartic_sublevel_is_still_the_disk(self):
         basis = enumerate_basis(2, 2)
-        b = matrix_sqrt(polyharmonic_coefficients(basis).constant_matrix())
-        est = sublevel_volume(b, basis, samples=1_000_000, seed=102)
+        a = polyharmonic_coefficients(basis).constant_matrix()
+        est = sublevel_volume(a, basis, samples=1_000_000, seed=102)
         assert abs(est.value - np.pi) <= 3.0 * est.stderr
 
     def test_scaling_of_coefficient(self):
-        # replacing b by lam*b scales vol{A < 1}, and with it c_cov, by exactly lam^(-N/m)
+        # replacing a by lam*a scales A by lam, so vol{A < 1}, and with it c_cov, by exactly lam^(-N/2m)
         rng = np.random.default_rng(103)
         lam = 1.7
         for N, m in ((1, 1), (2, 1), (2, 2), (3, 1)):
             basis = enumerate_basis(N, m)
-            b = matrix_sqrt(random_hermitian_pd(rng, basis.nu))
-            c1, _ = coarea_constant(b, basis)
-            c2, _ = coarea_constant(lam * b, basis)
-            assert c2 == pytest.approx(c1 * lam ** (-N / m), rel=1e-13), (N, m)
+            a = random_hermitian_pd(rng, basis.nu)
+            c1, _ = coarea_constant(a, basis)
+            c2, _ = coarea_constant(lam * a, basis)
+            assert c2 == pytest.approx(c1 * lam ** (-N / (2 * m)), rel=1e-13), (N, m)
 
 
 class TestCoareaConstant:
     def test_disk_value(self):
         basis = enumerate_basis(2, 1)
-        b = matrix_sqrt(polyharmonic_coefficients(basis).constant_matrix())
-        c, error = coarea_constant(b, basis)
+        c, error = coarea_constant(polyharmonic_coefficients(basis).constant_matrix(), basis)
         assert c == pytest.approx(1.0 / (4.0 * np.pi), rel=1e-13)
         assert error <= 1e-13 * c
 
@@ -262,8 +276,7 @@ class TestCoareaConstant:
     @pytest.mark.parametrize("N,m", [(1, 2), (2, 2), (3, 1), (3, 2)])
     def test_polyharmonic_closed_form(self, N, m):
         basis = enumerate_basis(N, m)
-        b = matrix_sqrt(polyharmonic_coefficients(basis).constant_matrix())
-        c, error = coarea_constant(b, basis)
+        c, error = coarea_constant(polyharmonic_coefficients(basis).constant_matrix(), basis)
         assert c == pytest.approx(_polyharmonic_c_cov(N, m), rel=1e-13)
         assert error <= 1e-13 * c
 
@@ -276,7 +289,7 @@ class TestCoareaConstant:
         basis = enumerate_basis(N, 1)
         for _ in range(4):
             a = random_hermitian_pd(rng, basis.nu)
-            c, _ = coarea_constant(matrix_sqrt(a), basis)
+            c, _ = coarea_constant(a, basis)
             exact = _polyharmonic_c_cov(N, 1) / np.sqrt(np.linalg.det(a.real))
             assert c == pytest.approx(exact, rel=1e-12)
 
@@ -285,9 +298,9 @@ class TestCoareaConstant:
         # m = 2 has no closed form: the Monte Carlo volume is the independent check
         rng = np.random.default_rng(110 + N)
         basis = enumerate_basis(N, 2)
-        b = matrix_sqrt(random_hermitian_pd(rng, basis.nu))
-        c, _ = coarea_constant(b, basis)
-        vol = sublevel_volume(b, basis, samples=400_000, seed=111)
+        a = random_hermitian_pd(rng, basis.nu)
+        c, _ = coarea_constant(a, basis)
+        vol = sublevel_volume(a, basis, samples=400_000, seed=111)
         prefactor = (2.0 * np.pi) ** (-N) * N / 4.0
         assert abs(c - prefactor * vol.value) <= 4.0 * prefactor * vol.stderr
 
@@ -295,7 +308,7 @@ class TestCoareaConstant:
         # A = xi_1^2 + 1e-12 xi_2^2 peaks over a 1e-6 wide arc: no rule under the cap resolves it
         basis = enumerate_basis(2, 1)
         with pytest.raises(QuadratureError, match="did not converge within"):
-            coarea_constant(matrix_sqrt(np.diag([1.0, 1e-12])), basis)
+            coarea_constant(np.diag([1.0, 1e-12]), basis)
 
     def test_lattice_identity(self):
         # (2pi)^-N integral g^2(A) dxi == c_cov * (||g||_2^*)^2, checked by

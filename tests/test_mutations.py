@@ -364,3 +364,16 @@ def test_lattice_constant_defect_is_caught(name, near_sharp, monkeypatch):
     config, exp = near_sharp
     rows = harness.impurity_experiment(exp)
     assert not check(config, rows), [row.ratio for row in rows]
+
+
+def test_a_broken_certificate_fails_the_ratio_flags(experiment, monkeypatch):
+    # with every lookup one point off, lhs prints about three times too large and the Deift column
+    # reads about 1.3: added to the bound, that column would pass all four ratio flags, while over
+    # the residual gate it fails them
+    _lookups_shifted(monkeypatch)
+    config, exp = experiment
+    rows = harness.impurity_experiment(exp)
+    flags = [a for a in harness.study_assertions("verify", rows, config, {}) if a.name.startswith("ratio:")]
+    assert min(row.deift_residual for row in rows) > 1.0
+    assert len(flags) == 4 and not any(a.passed for a in flags), [a.detail for a in flags]
+    assert all(a.detail.endswith(" over 1e-10") for a in flags)

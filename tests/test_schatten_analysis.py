@@ -46,7 +46,7 @@ from schatten_verify.schatten_analysis import (
     support_core,
     support_kernel,
 )
-from schatten_verify.torus_operator import channel_resolvent_symbols, circulant_lookup
+from schatten_verify.torus_operator import channel_resolvent_symbols, circulant_lookup, constant_multiplier
 
 from helpers import (
     DenseAdjoint,
@@ -181,9 +181,13 @@ class TestConstantResolvent:
         # polyharmonic, and a matrix base with off-diagonal entries (nu > 1)
         matrix_base = constant_field(basis, random_hermitian_pd(rng, basis.nu))
         for a in (polyharmonic_setup(N, m)[1], matrix_base):
-            closed = circulant_lookup(channel_resolvent_symbols(a, grid)[2], grid)
+            symbols = channel_resolvent_symbols(a, grid)
+            closed = circulant_lookup(symbols[2], grid)
             dense = resolvent(assemble_constant_coefficient(a, grid).dense())
             assert np.abs(closed - dense).max() <= 1e-12
+            # the symbol A that the resolvent's symbol is formed from, returned as the lattice's one A
+            assert np.array_equal(symbols[4], constant_multiplier(a, grid))
+            assert np.array_equal(symbols[2][0, 0], 1.0 / (1.0 + symbols[4]))
 
     def test_dimension_cap(self):
         # the size rule refuses P = 64 > 32 at load, so no closed form can run
@@ -456,7 +460,7 @@ def _core_case(N, n, m, amplitude, seed):
     a = constant_field(basis, random_hermitian_pd(rng, basis.nu))
     at = _off_diagonal_jump(grid, basis, a, amplitude, rng)
     imp = impurity_support(a, at, grid)
-    _, _, r, d = channel_resolvent_symbols(a, grid)
+    _, _, r, d, _ = channel_resolvent_symbols(a, grid)
     return a, at, grid, imp, circulant_lookup((d * r[0])[:, None], grid, rows=imp.points)
 
 
