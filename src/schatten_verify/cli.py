@@ -8,15 +8,17 @@ bound constants). Exit codes: 0 all assertions pass, 1 an assertion failed,
 2 a bad input or an I/O error. Every input is refused at load, before any
 grid is sampled: a config error names the entry, including an experiment or
 refinement rung whose nu * n^N exceeds max_dim, a jump for which a + jump
-is not positive definite, a p (in p_values or a study) at or below N/m or
-below 2, an impurity profile that overflows on its grid (loading runs under
-the subcommands' np.errstate), and a tolerances.ratio key (the bound flags
-have no tolerance). Three refusals come later: a base whose coarea constant
-the sphere quadrature cannot resolve (constants only), a coefficient that
-rounding leaves not positive definite at some grid point, and a run whose
-floating point overflows, divides by zero, forms a NaN (np.errstate) or
-underflows an l^p sum; each prints ``error: experiment '<row label>': ...``,
-naming the row it stopped at. No output depends on --seed: it is validated.
+is not positive definite, a p in p_values at or below N/m or below 2 (the
+scale and clip studies run at their experiment's smallest p), an impurity
+profile that overflows on its grid (loading runs under the subcommands'
+np.errstate), and a tolerances.ratio key, a study's p key or clip_study's
+floor key (no such setting exists). Three refusals come later: a base
+whose coarea constant the sphere quadrature cannot resolve (constants
+only), a coefficient that rounding leaves not positive definite at some
+grid point, and a run whose floating point overflows, divides by zero,
+forms a NaN (np.errstate) or underflows an l^p sum; each prints
+``error: experiment '<row label>': ...``, naming the row it stopped at. No
+output depends on --seed: it is validated.
 """
 
 from __future__ import annotations

@@ -95,6 +95,9 @@ REFINE_SHRINK_FLOOR = 1e-9
 # the default cap on nu * n^N per experiment and per refinement rung (config key max_dim)
 DEFAULT_MAX_DIM = 8192
 
+# the clip study's degenerate coefficient is CLIP_FLOOR * a inside the impurity
+CLIP_FLOOR = 1e-6
+
 # the floating-point state of the loader and of every subcommand: overflow, division by zero and NaN raise
 RAISE_FLOAT_ERRORS = np.errstate(over="raise", invalid="raise", divide="raise")
 
@@ -156,19 +159,17 @@ class Tolerances:
                 raise ValueError(f"{f.name} must be > 0, got {value:g}")
 
 
+# the scale and clip studies run at their experiment's smallest p
 @dataclass(frozen=True)
 class ScaleStudy:
     experiment: ExperimentSpec
     relative_widths: tuple[float, ...]
-    p: float = 4.0
 
 
 @dataclass(frozen=True)
 class ClipStudy:
     experiment: ExperimentSpec
     levels: tuple[int, ...]
-    p: float = 4.0
-    floor: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -238,11 +239,6 @@ def _floats(values, name: str) -> tuple[float, ...]:
 
 def _matrix(rows) -> list[tuple[float, ...]]:
     return [_floats(row, f"entry [{i}]") for i, row in enumerate(rows)]
-
-
-def _present(d: dict, **casts) -> dict:
-    """The keys of ``d`` that are set, as ``cast(value, key)``; an absent key keeps its dataclass default."""
-    return {key: cast(d[key], key) for key, cast in casts.items() if key in d}
 
 
 def _distinct(values: tuple, name: str) -> None:
@@ -342,8 +338,13 @@ def _parse_experiment(d: dict, context: str, max_dim: int) -> ExperimentSpec:
         )
         m = _int(_require(d, "m", context), "m")
         _check_size(basis_size(grid.N, m), grid, max_dim, context)
+        # the one rule on every p, the studies' included: p > N/m, where ||g||_p^* and so the bound's
+        # constant are finite, and p >= 2, where the KSS bound behind the ratio flags holds
         for i, p in enumerate(p_values):
-            _check_p(p, grid.N, m, f"{context}: p_values[{i}]")
+            if p <= grid.N / m or p < 2:
+                raise ConfigError(
+                    f"{context}: p_values[{i}] = {p:g} must be > N/m = {grid.N / m:g} and >= 2, the bound's hypotheses"
+                )
         basis = enumerate_basis(grid.N, m)
         if base == "polyharmonic":
             reference = polyharmonic_coefficients(basis)
@@ -360,13 +361,6 @@ def _parse_experiment(d: dict, context: str, max_dim: int) -> ExperimentSpec:
     return ExperimentSpec(exp_id, grid, basis, reference, jump, perturbation, p_values)
 
 
-def _check_p(p: float, N: int, m: int, context: str) -> None:
-    """The one rule on every p: p > N/m, where ||g||_p^* and so the bound's constant are finite, and
-    p >= 2, where the KSS bound behind the ratio flags holds. ``context`` names the entry."""
-    if p <= N / m or p < 2:
-        raise ConfigError(f"{context} = {p:g} must be > N/m = {N / m:g} and >= 2, the bound's hypotheses")
-
-
 def _study_experiment(d: dict, keys: set[str], by_id: dict, context: str) -> ExperimentSpec:
     _check_keys(d, keys | {"experiment"}, context)
     exp_id = _require(d, "experiment", context)
@@ -376,7 +370,7 @@ def _study_experiment(d: dict, keys: set[str], by_id: dict, context: str) -> Exp
 
 
 def _parse_scale(d: dict, by_id: dict) -> ScaleStudy:
-    exp = _study_experiment(d, {"relative_widths", "p"}, by_id, "scale_study")
+    exp = _study_experiment(d, {"relative_widths"}, by_id, "scale_study")
     if exp.perturbation.shape == "bump":
         raise ConfigError("scale_study needs an indicator (box/ball) perturbation")
     widths = _floats(_require(d, "relative_widths", "scale_study"), "relative_widths")
@@ -388,25 +382,18 @@ def _parse_scale(d: dict, by_id: dict) -> ScaleStudy:
             raise ConfigError(f"scale_study: relative_widths[{i}] = {rel_w:g} must be in (0, 1]")
         message = f"scale_study: relative_widths[{i}] = {rel_w:g} gives a box with no grid point"
         _require_grid_point(_scale_box(exp, rel_w), exp.grid, message)
-    study = ScaleStudy(exp, widths, **_present(d, p=_float))
-    _check_p(study.p, exp.N, exp.m, f"scale_study ({exp.id!r}): p")
-    return study
+    return ScaleStudy(exp, widths)
 
 
 def _parse_clip(d: dict, by_id: dict) -> ClipStudy:
-    exp = _study_experiment(d, {"levels", "p", "floor"}, by_id, "clip_study")
+    exp = _study_experiment(d, {"levels"}, by_id, "clip_study")
     levels = tuple(_int(v, f"levels[{i}]") for i, v in enumerate(_require(d, "levels", "clip_study")))
     if not levels:
         raise ConfigError("clip_study: levels must not be empty")
     if any(v < 1 for v in levels):
         raise ConfigError("clip_study: levels must be positive integers")
     _distinct(levels, "clip_study: levels")
-    study = ClipStudy(exp, levels, **_present(d, p=_float, floor=_float))
-    # floor <= 0 degenerates past positive definiteness; floor >= 1 leaves nothing to clip
-    if not 0 < study.floor < 1:
-        raise ConfigError(f"clip_study.floor must be in (0, 1), got {study.floor:g}")
-    _check_p(study.p, exp.N, exp.m, f"clip_study ({exp.id!r}): p")
-    return study
+    return ClipStudy(exp, levels)
 
 
 def _parse_refine(d: dict, by_id: dict, max_dim: int) -> RefineStudy:
@@ -638,11 +625,6 @@ def trace_norm_constant(p: float, basis: MultiIndexBasis, c_cov: float) -> float
     return 0.5 * c_cov ** (1.0 / p) * resolvent_profile_norm(p, basis.N, basis.m)
 
 
-def experiment_coarea(exp: ExperimentSpec) -> tuple[float, float]:
-    """c_cov of the experiment's reference coefficient and the quadrature's error estimate."""
-    return coarea_constant(exp.reference.constant_matrix(), exp.basis)
-
-
 # what a run can refuse after load, each with exit 2; every step of a runner sits in one _named, never nested
 RUN_TIME_REFUSALS = (NonPositiveDefiniteError, QuadratureError, FloatingPointError, OverflowError)
 
@@ -792,7 +774,8 @@ def run_scale(config: HarnessConfig) -> StudyResult:
     at every size.
     """
     study = _study(config.scale, "scale_study")
-    exp, p, grid = study.experiment, study.p, study.experiment.grid
+    exp, grid = study.experiment, study.experiment.grid
+    p = min(exp.p_values)
     with _named(exp.id):
         profiles = [indicator_profile(_scale_box(exp, rel_w), grid) for rel_w in study.relative_widths]
         volumes = [measured_support_volume(profile, grid) for profile in profiles]
@@ -832,10 +815,10 @@ def _scale_assertions(rows: list[ReportRow], tol: Tolerances, slope: float) -> l
 # ---------------------------------------------------------------------------
 
 
-def _clip_target_field(exp: ExperimentSpec, floor: float) -> HermitianMatrixField:
-    """Degenerate coefficient: base scaled to the floor inside the support, by the jump (floor - 1) a."""
+def _clip_target_field(exp: ExperimentSpec) -> HermitianMatrixField:
+    """Degenerate coefficient: base scaled to CLIP_FLOOR inside the support, by the jump (CLIP_FLOOR - 1) a."""
     support = (indicator_profile(exp.perturbation, exp.grid) > 0).astype(float)
-    return perturbed_coefficient(replace(exp, jump=(floor - 1.0) * exp.reference.constant_matrix()), support)
+    return perturbed_coefficient(replace(exp, jump=(CLIP_FLOOR - 1.0) * exp.reference.constant_matrix()), support)
 
 
 def run_clip(config: HarnessConfig) -> StudyResult:
@@ -847,9 +830,10 @@ def run_clip(config: HarnessConfig) -> StudyResult:
     the flags read, and to a ``clip_pair`` row, which is output only.
     """
     study = _study(config.clip, "clip_study")
-    exp, p, grid = study.experiment, study.p, study.experiment.grid
+    exp, grid = study.experiment, study.experiment.grid
+    p = min(exp.p_values)
     with _named(exp.id):
-        degenerate = _clip_target_field(exp, study.floor)
+        degenerate = _clip_target_field(exp)
         # gaps shrink only once the clip level exceeds the spectral range of the
         # true (unclipped) operator: below that, halving 1/n still moves
         # grid-resolved modes through the sensitive part of the resolvent. The
@@ -1005,7 +989,7 @@ def run_constants(config: HarnessConfig) -> tuple[list[str], dict]:
     table = []
     for exp in config.experiments:
         with _named(exp.id):
-            c_cov, error = experiment_coarea(exp)
+            c_cov, error = coarea_constant(exp.reference.constant_matrix(), exp.basis)
             for p in exp.p_values:
                 gstar = resolvent_profile_norm(p, exp.N, exp.m)
                 const = trace_norm_constant(p, exp.basis, c_cov)

@@ -86,10 +86,11 @@ class ImpuritySupport:
     (flat indices, where at != a exactly) and C = D D* + a^{-1}: ``w`` is
     W = at^{-1} - a^{-1} there, (K, nu, nu); ``at`` and ``at_inv_sqrt`` are
     (n^N, nu, nu), ``a``, its inverse and its roots (nu, nu); ``symbol`` is the
-    reference's principal symbol A on the lattice, (*spatial); ``c_inv`` is
-    the symbol of C^{-1}, from which ``support_core`` looks up Z = E C^{-1} E*;
-    ``c_inv_d`` is that of C^{-1} D, ``d`` that of D and ``u`` that of D (op + 1)^{-1},
-    from which ``support_kernel`` looks up the checks' kernels one at a time.
+    reference's principal symbol A on the lattice, (*spatial). ``kernels`` is
+    the table of the (nu, nu, *spatial) symbols that ``support_kernel`` looks
+    up, one at a time: "z" C^{-1}, "g" (a d)(a d)* / (1 + A)^2, "g1" d d*,
+    "g2" u u* and "n" u d*, for the symbols d of D and u = d / (1 + A) of
+    D (op + 1)^{-1}.
     """
 
     grid: TorusGrid
@@ -101,10 +102,7 @@ class ImpuritySupport:
     a_inv: np.ndarray
     a_inv_sqrt: np.ndarray
     w: np.ndarray
-    c_inv: np.ndarray
-    c_inv_d: np.ndarray
-    d: np.ndarray
-    u: np.ndarray
+    kernels: dict[str, np.ndarray]
     symbol: np.ndarray
 
 
@@ -121,8 +119,11 @@ def impurity_support(
     a_inv, a_inv_sqrt, a_sqrt = field_powers(a_mat, -1.0, -0.5, 0.5)
     support = np.flatnonzero(np.any(at != a_mat, axis=(1, 2)))
     c_inv, c_inv_d, r, d, symbol = channel_resolvent_symbols(a, grid)
-    w, u = at_inv[support] - a_inv, d * r[0]
-    return ImpuritySupport(grid, support, at, at_inv_sqrt, a_mat, a_sqrt, a_inv, a_inv_sqrt, w, c_inv, c_inv_d, d, u, symbol)
+    ad, u = c_inv_d[:, 0], d * r[0]  # (a d) / (1 + A) and d / (1 + A), (nu, *spatial)
+    pairs = {"g": (ad, ad), "g1": (d, d), "g2": (u, u), "n": (u, d)}
+    kernels = {"z": c_inv} | {name: left[:, None] * np.conj(right[None]) for name, (left, right) in pairs.items()}
+    w = at_inv[support] - a_inv
+    return ImpuritySupport(grid, support, at, at_inv_sqrt, a_mat, a_sqrt, a_inv, a_inv_sqrt, w, kernels, symbol)
 
 
 def pivoted_cholesky(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,10 +163,9 @@ def spectrum_factor(imp: ImpuritySupport) -> np.ndarray:
 
     R is G's Cholesky factor, or P L of ``pivoted_cholesky`` with r the rank
     it finds where LAPACK finds G not positive definite to working precision.
-    G is the lookup of (a d)(a d)* / (1 + A)^2, apart from the kernels' G2, so the moments gap ties the two.
+    G is the lookup of "g", (a d)(a d)* / (1 + A)^2, apart from "g2", so the moments gap ties the two.
     """
-    c_inv_d = imp.c_inv_d[:, 0]
-    g = circulant_lookup(c_inv_d[:, None] * np.conj(c_inv_d[None, :]), imp.grid, rows=imp.points, cols=imp.points)
+    g = support_kernel(imp, "g")
     try:
         r = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -195,15 +195,11 @@ def support_spectrum(factor: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return singular_spectrum(form, hermitian=True)
 
 
-# the checks' kernels by name: the support lookup of left right* for these two symbols
-_KERNEL_SYMBOLS = {"g1": ("d", "d"), "g2": ("u", "u"), "n": ("u", "d")}
-
-
 def support_kernel(imp: ImpuritySupport, name: str) -> np.ndarray:
-    """One of the checks' kernels, (nu K, nu K): the support lookup of G1 = d d*, G2 = u u* =
-    d d* / (1 + A)^2 or N = u d* = d d* / (1 + A), by ``name`` "g1", "g2" or "n"."""
-    left, right = (getattr(imp, symbol) for symbol in _KERNEL_SYMBOLS[name])
-    return circulant_lookup(left[:, None] * np.conj(right[None]), imp.grid, rows=imp.points, cols=imp.points)
+    """E K E*, (nu K, nu K), for the symbol K of ``name`` in the support's table: Z = E C^{-1} E*, the
+    spectrum's G, or one of the checks' kernels G1 = d d*, G2 = u u* = d d* / (1 + A)^2 and
+    N = u d* = d d* / (1 + A)."""
+    return circulant_lookup(imp.kernels[name], imp.grid, rows=imp.points, cols=imp.points)
 
 
 def _trace_form(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
@@ -219,7 +215,7 @@ def _trace_form(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
 
 def one_plus_zw(imp: ImpuritySupport) -> np.ndarray:
     """1 + Z W, (nu K, nu K), for the lookup Z = E C^{-1} E* of C^{-1} on the support."""
-    zw = pointwise_cols(circulant_lookup(imp.c_inv, imp.grid, rows=imp.points, cols=imp.points), imp.w)
+    zw = pointwise_cols(support_kernel(imp, "z"), imp.w)
     zw[np.diag_indices_from(zw)] += 1.0
     return zw
 
@@ -247,7 +243,7 @@ def resolvent_certificate(imp: ImpuritySupport, xi: np.ndarray, g2: np.ndarray) 
 
     G1 enters only this norm, tr(Y* G1 Y G2), where Y is roundoff on a
     correct core; so the residual is at least the relative gap between
-    tr(G1) and K sum_xi |d(xi)|^2 / P, the trace its symbol gives. ``g2`` is
+    tr(G1) and K sum_xi tr g1(xi) / P, the trace its symbol "g1" = d d* gives. ``g2`` is
     the kernel G2 = U* U; N and then G1 are looked up here, one at a time.
     """
     k = imp.points.size
@@ -258,7 +254,7 @@ def resolvent_certificate(imp: ImpuritySupport, xi: np.ndarray, g2: np.ndarray) 
     nu = omega.shape[-1]
     y.reshape(nu, k, nu, k)[:, np.arange(k), :, np.arange(k)] += omega
     g1 = support_kernel(imp, "g1")
-    expected = k * float(np.sum(np.abs(imp.d) ** 2)) / imp.grid.total_points
+    expected = k * float(np.trace(imp.kernels["g1"]).real.sum()) / imp.grid.total_points
     g1_gap = abs(np.trace(g1) - expected) / (expected or 1.0)
     return max(_trace_form(y, g1, g2), g1_gap)
 

@@ -127,16 +127,18 @@ def woodbury_left_end(a: HermitianMatrixField, imp) -> np.ndarray:
 
     with the lookups Z = E C^{-1} E* and M = E C^{-1} D; on the support rows
     the bracket is (1 + Z W)^{-1} M itself. Reads W, at^{-1/2} and the
-    C^{-1} D symbol from ``imp``, and the core's own 1 + Z W
-    (``one_plus_zw``). Returns (nu * n^N, n^N).
+    core's own 1 + Z W (``one_plus_zw``) from ``imp``, and the symbols of
+    C^{-1} D and C^{-1} from ``channel_resolvent_symbols``. Returns
+    (nu * n^N, n^N).
     """
     grid, support = imp.grid, imp.points
     (points, nu, _), k = imp.at.shape, support.size
     rest = np.setdiff1d(np.arange(points), support)
-    inner = circulant_lookup(imp.c_inv_d, grid).reshape(nu, points, points)  # C^{-1} D
+    c_inv, c_inv_d = channel_resolvent_symbols(a, grid)[:2]
+    inner = circulant_lookup(c_inv_d, grid).reshape(nu, points, points)  # C^{-1} D
     y = np.linalg.solve(one_plus_zw(imp), inner[:, support].reshape(nu * k, points))
     # on the support M - Z W Y is Y itself; off it, C^{-1} D - (C^{-1} E*) W Y
-    coupling = circulant_lookup(channel_resolvent_symbols(a, grid)[0], grid, rows=rest, cols=support)
+    coupling = circulant_lookup(c_inv, grid, rows=rest, cols=support)
     inner[:, rest] -= (coupling @ pointwise_rows(imp.w, y)).reshape(nu, rest.size, points)
     inner[:, support] = y.reshape(nu, k, points)
     return pointwise_rows(imp.at_inv_sqrt, inner.reshape(nu * points, points))

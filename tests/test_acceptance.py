@@ -228,7 +228,7 @@ def test_criterion_07_operator_norm_bound(battery):
 
 def test_criterion_08_impurity_scaling_law(default_config, scale):
     slope = scale.extras["slope"]
-    p = default_config.scale.p
+    p = min(default_config.scale.experiment.p_values)
     slope_ok = abs(slope - 1.0 / p) <= 1e-6
     bound_ok = all(r.lhs <= r.constant * r.rhs for r in scale.rows)
     report(

@@ -15,9 +15,7 @@ from schatten_verify import ConfigError, constant_field, harness
 from schatten_verify.cli import default_config_path, run_cli
 from schatten_verify.harness import (
     CSV_HEADER,
-    ClipStudy,
     HarnessConfig,
-    ScaleStudy,
     Tolerances,
     build_artifacts,
     impurity_experiment,
@@ -104,14 +102,8 @@ def small_config(**overrides):
         "scale_study": {
             "experiment": "quick_box",
             "relative_widths": [0.125, 0.25, 0.375, 0.5],
-            "p": 4,
         },
-        "clip_study": {
-            "experiment": "quick_box",
-            "levels": [1, 4],
-            "p": 4,
-            "floor": 1e-6,
-        },
+        "clip_study": {"experiment": "quick_box", "levels": [1, 4]},
         "refinement_study": {"experiment": "quick_bump", "n_values": [32, 64, 128]},
     }
     data.update(overrides)
@@ -157,11 +149,6 @@ class TestConfigParsing:
         data["experiments"][0]["p_values"] = [0.5]
         with pytest.raises(ConfigError, match=r"\('quick_box'\): p_values\[0\] = 0.5 must be > N/m = 1 and >= 2"):
             parse_config(data)
-        for section in ("scale_study", "clip_study"):
-            data = small_config()
-            data[section]["p"] = 0.5
-            with pytest.raises(ConfigError, match=rf"{section} \('quick_box'\): p = 0.5 must be > N/m = 1 and >= 2"):
-                parse_config(data)
 
     def test_absent_keys_keep_dataclass_defaults(self):
         config = parse_config({"experiments": small_config()["experiments"]})
@@ -169,11 +156,7 @@ class TestConfigParsing:
         assert config.tolerances == Tolerances()
         for key in ("scale", "clip", "refine"):
             assert getattr(config, key) == defaults[key], key
-        data = small_config()
-        del data["scale_study"]["p"], data["clip_study"]["p"], data["clip_study"]["floor"]
-        config = parse_config(data)
-        assert config.scale.p == ScaleStudy.p
-        assert (config.clip.p, config.clip.floor) == (ClipStudy.p, ClipStudy.floor)
+        config = parse_config(small_config())
         assert config.scale.experiment is config.clip.experiment is config.experiments[0]
 
 
@@ -257,7 +240,7 @@ class TestLatticeBound:
     def test_short_torus_passes(self, tmp_path):
         # certified numbers (residuals 5.8e-15 and 1.3e-15) that the continuum constant's
         # 1.05 envelope failed, and scale's limit of 1 too
-        scale = {"experiment": "short_torus", "relative_widths": [0.5, 1.0], "p": 4}
+        scale = {"experiment": "short_torus", "relative_widths": [0.5, 1.0]}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiments": [SHORT_TORUS], "scale_study": scale}))
         for study in ("verify", "scale"):
@@ -354,7 +337,7 @@ class TestClipStudy:
 
         config = parse_config(small_config())
         exp = config.clip.experiment
-        degenerate = _clip_target_field(exp, config.clip.floor)
+        degenerate = _clip_target_field(exp)
         top = np.linalg.eigvalsh(assemble_variable_coefficient(degenerate, exp.grid).dense())[-1]
         spectral_max = run_clip(config).extras["spectral_max"]
         assert spectral_max == float(constant_multiplier(exp.reference, exp.grid).max())
@@ -476,7 +459,8 @@ class TestDenseCap:
     def test_one_coefficient_pass_per_experiment(self, monkeypatch):
         # a~ is decomposed once over its P points and the reference's symbols, A included, are built
         # once: constant_multiplier is counted under harness's name too, which a second pass would
-        # take; the spectrum's G is factored by one Cholesky call of size nu K, and no eigh is nu K x nu K
+        # take; the spectrum's G is factored by one Cholesky call of size nu K, and no eigh is nu K x nu K.
+        # Every nu K x nu K lookup is support_kernel's, of one name in the table: Z, G2, G, G2 again, N, G1
         from schatten_verify import schatten_analysis, torus_operator
 
         exp = next(e for e in load_config(default_config_path()).experiments if e.id == "n2m1_bump_a05")
@@ -496,6 +480,9 @@ class TestDenseCap:
         counted(schatten_analysis, "channel_resolvent_symbols")
         counted(torus_operator, "constant_multiplier")
         counted(harness, "constant_multiplier")
+        counted(schatten_analysis, "circulant_lookup")
+        for module in (harness, schatten_analysis):
+            counted(module, "support_kernel", lambda imp, name: name)
         art = build_artifacts(exp)
         nu, nu_k = 2, 2 * np.count_nonzero(art.v_norms)
         pinned = [
@@ -507,6 +494,9 @@ class TestDenseCap:
         assert nu_k == 90 and [calls.count(call) for call in pinned] == [1, 1, 1, 1]
         assert all(shape[1] == nu for name, shape in calls if name == "eigh")
         assert sum(name == "cholesky" for name, _ in calls) == 1
+        lookups = [call for call in calls if call[0] in ("support_kernel", "circulant_lookup")]
+        names = ("z", "g2", "g", "g2", "n", "g1")
+        assert lookups == [call for name in names for call in (("support_kernel", name), ("circulant_lookup", None))]
 
     def test_one_solve_per_experiment(self, monkeypatch):
         # the core inverts 1 + Z W once and solves nothing; the spectrum reads its Xi and the chain gap its S
@@ -717,10 +707,11 @@ MALFORMED = {
         _set(["experiments", 0, "p_values"], [1.5, 4]),
         "experiments[0] ('quick_box'): p_values[0] = 1.5 must be > N/m = 1 and >= 2",
     ),
+    # the scale and clip studies run at their experiment's smallest p, which the same rule refuses
     "clip_p_below_two": (
         "clip",
-        _set(["clip_study", "p"], 1.5),
-        "clip_study ('quick_box'): p = 1.5 must be > N/m = 1 and >= 2",
+        _set(["experiments", 0, "p_values"], [1.5, 4]),
+        "experiments[0] ('quick_box'): p_values[0] = 1.5 must be > N/m = 1 and >= 2",
     ),
     # p = 2 = N/m sits on the divergence threshold: refused by every subcommand, constants too
     "p_at_n_over_m": (
@@ -742,8 +733,16 @@ MALFORMED = {
     # nu * n^N is checked before the basis is listed, one axis at a time: N = 2000 is refused
     # at nu * n = 2000 * 32, with no n^N formed and no recursion through 2000 variables
     "huge_N": ("verify", _set(["experiments", 0, "N"], 2000), "experiments[0] ('quick_box'): nu * n^1 = 64000 exceeds"),
-    "scale_p_at_n_over_m": ("scale", _set(["scale_study", "p"], 1), "scale_study ('quick_box'): p = 1 must be > N/m = 1 and >= 2"),
-    "clip_p_at_n_over_m": ("clip", _set(["clip_study", "p"], 1), "clip_study ('quick_box'): p = 1 must be > N/m = 1 and >= 2"),
+    "scale_p_at_n_over_m": (
+        "scale",
+        _set(["experiments", 0, "p_values"], [1, 4]),
+        "experiments[0] ('quick_box'): p_values[0] = 1 must be > N/m = 1 and >= 2",
+    ),
+    "clip_p_at_n_over_m": (
+        "clip",
+        _set(["experiments", 0, "p_values"], [4, 1]),
+        "experiments[0] ('quick_box'): p_values[1] = 1 must be > N/m = 1 and >= 2",
+    ),
     # impurities that perturb nothing: lhs = rhs = 0 would pass vacuously
     "zero_box_width": (
         "verify",
@@ -873,9 +872,10 @@ MALFORMED = {
         "tolerances: slope must be a number, got '1e-6'",
     ),
     "bool_slope_tolerance": ("scale", _set(["tolerances"], {"slope": True}), "tolerances: slope must be a number"),
-    "bool_scale_p": ("scale", _set(["scale_study", "p"], True), "scale_study: p must be a number, got True"),
-    "bool_clip_p": ("clip", _set(["clip_study", "p"], True), "clip_study: p must be a number, got True"),
-    "string_floor": ("clip", _set(["clip_study", "floor"], "1e-6"), "clip_study: floor must be a number"),
+    # a study's p is its experiment's smallest and the clip floor is a constant: neither is a key
+    "bool_scale_p": ("scale", _set(["scale_study", "p"], True), "unknown key(s) ['p'] in scale_study"),
+    "bool_clip_p": ("clip", _set(["clip_study", "p"], True), "unknown key(s) ['p'] in clip_study"),
+    "string_floor": ("clip", _set(["clip_study", "floor"], "1e-6"), "unknown key(s) ['floor'] in clip_study"),
     "string_base_matrix_entry": (
         "verify",
         _set(["experiments", 2, "base_matrix"], [["2.0", 0.5], [0.5, 1.0]]),
@@ -896,10 +896,6 @@ MALFORMED = {
         _set(["experiments", 2, "perturbation", "amplitude_matrix"], [[True, 0.0], [0.0, 1.0]]),
         "experiments[2] ('quick_matrix_ball').perturbation.amplitude_matrix: entry [0][0] must be a number",
     ),
-    # a floor of 0 or below is no coefficient; a floor of 1 leaves a unclipped, with every gap 0
-    "zero_floor": ("clip", _set(["clip_study", "floor"], 0.0), "clip_study.floor must be in (0, 1), got 0"),
-    "negative_floor": ("clip", _set(["clip_study", "floor"], -0.5), "clip_study.floor must be in (0, 1), got -0.5"),
-    "unit_floor": ("clip", _set(["clip_study", "floor"], 1.0), "clip_study.floor must be in (0, 1), got 1"),
     "indefinite_base_matrix": (
         "clip",
         _set(["experiments", 2, "base_matrix"], [[-1.0, 0.0], [0.0, 1.0]]),
@@ -1043,7 +1039,7 @@ class TestCli:
             # these three stopped with a traceback and exit 1, which means a failed estimate
             ("verify", _set(["experiments", 0, "m"], 400), "quick_box"),
             ("verify", _set(["experiments", 0, "p_values"], [4, 1e308]), "quick_box"),
-            ("scale", _set(["scale_study", "p"], 1e308), "quick_box"),
+            ("scale", _set(["experiments", 0, "p_values"], [1e308]), "quick_box"),
             # the level fails in clip_coefficients, inside its own row
             ("clip", _set(["clip_study", "levels"], [1, 10**400]), "quick_box|clip=1000"),
         ],

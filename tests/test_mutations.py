@@ -5,7 +5,9 @@ object or one function made wrong. Most hand the experiment a defective copy
 of its ``ImpuritySupport`` (``harness.impurity_support`` patched), of the
 core's 1 + Z W (``schatten_analysis.one_plus_zw`` patched) or of one of the
 checks' kernels (``support_kernel`` patched where the pass and the
-certificate look them up); the rest patch one function that the CLI path
+certificate look them up, the other names of its table passed through);
+the defects of C^{-1} D edit the table's G = (C^{-1} D)(C^{-1} D)*, which
+only the spectrum reads. The rest patch one function that the CLI path
 calls. A defect is caught when the run would exit 1 (an assertion fails) or
 a residual column is over 1e-10, the bound that the frozen-reference test
 and perfbench/checks.py hold every row to. README.md tabulates which column
@@ -81,18 +83,22 @@ def _dropped_support_point(imp, a, a_tilde):
 
 
 def _z_lookup_shifted(imp):
-    # Z = E C^{-1} E* read one point off: rows x + 1 instead of x
+    # Z = E C^{-1} E*, the table's "z", read one point off: rows x + 1 instead of x
     grid, points, w = imp.grid, imp.points, imp.w
     nu, k = imp.a.shape[0], points.size
     shifted = (points + 1) % grid.total_points
-    z = circulant_lookup(imp.c_inv, grid, rows=shifted, cols=points).reshape(nu * k, nu, k)
+    z = circulant_lookup(imp.kernels["z"], grid, rows=shifted, cols=points).reshape(nu * k, nu, k)
     zw = np.matmul(z.transpose(2, 0, 1), w).transpose(1, 2, 0).reshape(nu * k, nu * k)
     zw[np.diag_indices_from(zw)] += 1.0
     return zw
 
 
-def _channels_swapped(imp, a, a_tilde):
-    return dataclasses.replace(imp, c_inv_d=imp.c_inv_d[::-1])
+def _g_edited(edit):
+    # the spectrum's G = (C^{-1} D)(C^{-1} D)*: each edit of its table entry "g" is one of C^{-1} D
+    def defect(imp, a, a_tilde):
+        return dataclasses.replace(imp, kernels={**imp.kernels, "g": edit(imp.kernels["g"])})
+
+    return defect
 
 
 def _kernel_scaled(scaled):
@@ -116,12 +122,12 @@ def _conjugated(name):
 
 SUPPORT_DEFECTS = {
     "w_sign_one_point": _w_sign_one_point,
-    "c_inv_d_scaled": _scaled("c_inv_d"),
+    "c_inv_d_scaled": _g_edited(lambda g: g * SCALE**2),
     "at_inv_sqrt_scaled": _scaled("at_inv_sqrt"),
     "w_scaled": _scaled("w"),
     "at_scaled": _scaled("at"),
     "dropped_support_point": _dropped_support_point,
-    "channels_swapped": _channels_swapped,
+    "channels_swapped": _g_edited(lambda g: g[::-1, ::-1]),
 }
 
 # defects of the core's 1 + Z W, each a function of the ImpuritySupport in place of one_plus_zw;
@@ -131,7 +137,8 @@ CORE_DEFECTS = {
     "z_lookup_shifted": _z_lookup_shifted,
 }
 
-# defects of the kernels G1, G2, N, each a function of the ImpuritySupport and the kernel's name
+# defects of the kernels G1, G2, N, each a function of the ImpuritySupport and the kernel's name; support_kernel
+# looks up the core's Z and the spectrum's G too, which each defect passes through unchanged
 KERNEL_DEFECTS = {
     # the moments check reads G2; the spectrum takes its own lookup of a G2 a from C^{-1} D,
     # so the two stay independent, and a wrong G2 shows in their gap
@@ -143,6 +150,11 @@ KERNEL_DEFECTS = {
 }
 
 CONJUGATED = ("w", "one_zw", "c_inv_d", "kernels", "at", "at_inv_sqrt")
+
+
+def _kernels_conjugated(imp, name):
+    kernel = _KERNEL(imp, name)
+    return np.conj(kernel) if name in ("g1", "g2", "n") else kernel
 
 
 def _lookups_shifted(monkeypatch):
@@ -272,9 +284,11 @@ def test_the_complex_experiment_passes_as_built(complex_experiment):
 @pytest.mark.parametrize("name", CONJUGATED)
 def test_conjugate_defect_is_caught(name, complex_experiment, monkeypatch):
     if name == "kernels":
-        _patch_kernels(monkeypatch, lambda imp, name: np.conj(_KERNEL(imp, name)))
+        _patch_kernels(monkeypatch, _kernels_conjugated)
     elif name == "one_zw":
         _patch_core(monkeypatch, lambda imp: np.conj(_ONE_ZW(imp)))
+    elif name == "c_inv_d":
+        _patch_support(monkeypatch, _g_edited(np.conj))
     else:
         _patch_support(monkeypatch, _conjugated(name))
     residual, passed = _verdict(complex_experiment)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -311,8 +312,8 @@ class TestWoodburyLeftEnd:
 
     @pytest.fixture(scope="class")
     def clip_experiment(self):
-        study = load_config(default_config_path()).clip
-        return study.experiment, _clip_target_field(study.experiment, study.floor)
+        exp = load_config(default_config_path()).clip.experiment
+        return exp, _clip_target_field(exp)
 
     def test_clip_top_level(self, clip_experiment):
         # the degenerate coefficient clipped at 64: W = 63 a^{-1} on the support
@@ -376,8 +377,8 @@ class TestSupportSpectrum:
 
     @pytest.fixture(scope="class")
     def clip_experiment(self):
-        study = load_config(default_config_path()).clip
-        return study.experiment, _clip_target_field(study.experiment, study.floor)
+        exp = load_config(default_config_path()).clip.experiment
+        return exp, _clip_target_field(exp)
 
     @pytest.mark.parametrize("level", [4, 64])
     def test_clip_levels(self, clip_experiment, level):
@@ -410,6 +411,15 @@ def _no_lapack_cholesky(g):
     raise np.linalg.LinAlgError("Matrix is not positive definite")
 
 
+@functools.cache
+def _bundled_at_1024(exp_id):
+    """(a, at, grid) of a bundled N = 2 experiment at n = 32, P = 1024, and the dense oracle's spectrum."""
+    exp = next(e for e in load_config(default_config_path()).experiments if e.id == exp_id)
+    grid = TorusGrid(N=2, n=32, L=exp.grid.L)
+    a, at = exp.reference, perturbed_coefficient(dataclasses.replace(exp, grid=grid))
+    return a, at, grid, singular_spectrum(direct_difference(a, at, grid), hermitian=True)
+
+
 class TestSpectrumFactor:
     def test_pivoted_factor_of_a_rank_deficient_matrix(self):
         # G = X X*, complex, 60 x 60 of rank 20: R R* = G for R = P L, r at least the rank
@@ -438,6 +448,18 @@ class TestSpectrumFactor:
         assert pivoted.size <= lapack.size == a.basis.nu * _support_size(a, at)
         _assert_norms_match(pivoted, lapack)
         _assert_norms_match(pivoted, dense)
+
+    @pytest.mark.parametrize(
+        "exp_id,pivoted", [("n2m1_bump_a05", False), ("n2m1_bump_a05", True), ("n2m1_box_a8", False)]
+    )
+    def test_matches_dense_at_p_1024(self, exp_id, pivoted, monkeypatch):
+        # past the sweep's P <= 64, the bump both as LAPACK selects its factor and with the pivoted one
+        # forced: here LAPACK refuses G and the pivoted factor finds r = 380 of nu K = 386, but its
+        # verdict on a rank-deficient G may differ on another BLAS
+        a, at, grid, dense = _bundled_at_1024(exp_id)
+        if pivoted:
+            monkeypatch.setattr(np.linalg, "cholesky", _no_lapack_cholesky)
+        _assert_norms_match(support_values(a, at, grid), dense)
 
     def test_wide_impurity_matches_dense(self):
         # a box of width L covers the torus: K = P, nu K = 2 P, and G = a G2 a has rank at most P
