@@ -163,7 +163,8 @@ class Tolerances:
 @dataclass(frozen=True)
 class ScaleStudy:
     experiment: ExperimentSpec
-    relative_widths: tuple[float, ...]
+    steps: tuple[ExperimentSpec, ...]  # per relative width, the experiment on its centered box, as <id>|U=<volume>
+    volumes: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ class ClipStudy:
 @dataclass(frozen=True)
 class RefineStudy:
     experiment: ExperimentSpec
-    grids: tuple[TorusGrid, ...]
+    rungs: tuple[ExperimentSpec, ...]  # per n, the experiment on that grid, as <id>|n=<n>
 
 
 @dataclass(frozen=True)
@@ -377,12 +378,22 @@ def _parse_scale(d: dict, by_id: dict) -> ScaleStudy:
     # the slope needs two sizes; a box wider than L wraps around and repeats the width-1 row
     if any(w2 <= w1 for w1, w2 in zip(widths, widths[1:])) or len(widths) < 2:
         raise ConfigError("scale_study: relative_widths must be strictly increasing, >= 2 entries")
+    steps, volumes, previous = [], [], 0
     for i, rel_w in enumerate(widths):
         if not 0 < rel_w <= 1:
             raise ConfigError(f"scale_study: relative_widths[{i}] = {rel_w:g} must be in (0, 1]")
-        message = f"scale_study: relative_widths[{i}] = {rel_w:g} gives a box with no grid point"
-        _require_grid_point(_scale_box(exp, rel_w), exp.grid, message)
-    return ScaleStudy(exp, widths)
+        # centered on the impurity, each side rel_w * L: the boxes nest, so two hold the same cells
+        # exactly when their counts agree, and the second would repeat the first's row and label
+        box = PerturbationSpec("box", exp.perturbation.center, width=(rel_w * exp.grid.L,) * exp.N)
+        profile = indicator_profile(box, exp.grid)
+        cells = np.count_nonzero(profile)
+        if cells in (0, previous):
+            held = f"the cells of relative_widths[{i - 1}]" if cells else "no grid point"
+            raise ConfigError(f"scale_study: relative_widths[{i}] = {rel_w:g} gives a box with {held}")
+        previous = cells
+        volumes.append(measured_support_volume(profile, exp.grid))
+        steps.append(replace(exp, id=f"{exp.id}|U={volumes[-1]:.12g}", perturbation=box))
+    return ScaleStudy(exp, tuple(steps), tuple(volumes))
 
 
 def _parse_clip(d: dict, by_id: dict) -> ClipStudy:
@@ -403,12 +414,12 @@ def _parse_refine(d: dict, by_id: dict, max_dim: int) -> RefineStudy:
     )
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])) or len(n_values) < 2:
         raise ConfigError("refinement_study: n_values must be strictly increasing, >= 2 entries")
-    grids = tuple(TorusGrid(N=exp.N, n=n, L=exp.grid.L) for n in n_values)
-    for i, grid in enumerate(grids):
-        _check_size(exp.basis.nu, grid, max_dim, f"refinement_study: n_values[{i}]")
-        message = f"refinement_study: n_values[{i}] = {grid.n} gives a {exp.perturbation.shape} with no grid point"
-        _require_grid_point(exp.perturbation, grid, message)
-    return RefineStudy(exp, grids)
+    rungs = tuple(replace(exp, id=f"{exp.id}|n={n}", grid=replace(exp.grid, n=n)) for n in n_values)
+    for i, rung in enumerate(rungs):
+        _check_size(exp.basis.nu, rung.grid, max_dim, f"refinement_study: n_values[{i}]")
+        message = f"refinement_study: n_values[{i}] = {rung.grid.n} gives a {exp.perturbation.shape} with no grid point"
+        _require_grid_point(exp.perturbation, rung.grid, message)
+    return RefineStudy(exp, rungs)
 
 
 @RAISE_FLOAT_ERRORS
@@ -665,7 +676,7 @@ class ExperimentArtifacts:
 
 
 def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = None) -> ExperimentArtifacts:
-    """The support-sized pass of one experiment; ``a_tilde`` defaults to its impurity.
+    """The support-sized pass of one experiment; ``a_tilde`` defaults to its impurity (clip passes its own).
 
     The resolvent difference is U Xi U* on the impurity's support; the one
     inverse of 1 + Z W gives Xi, from which the spectrum is read. The
@@ -702,10 +713,11 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
 
 
 def impurity_experiment(exp: ExperimentSpec) -> list[ReportRow]:
-    """Trace-norm rows per p plus the operator-norm (p = inf) row."""
+    """Trace-norm rows per p plus the operator-norm (p = inf) row; a run-time refusal names ``exp.id``."""
     start = time.perf_counter()
-    art = build_artifacts(exp)
-    return [art.row(exp.id, p, start) for p in (*exp.p_values, math.inf)]
+    with _named(exp.id):
+        art = build_artifacts(exp)
+        return [art.row(exp.id, p, start) for p in (*exp.p_values, math.inf)]
 
 
 def _bound_flags(rows: list[ReportRow], name: Callable[[ReportRow], str]) -> list[Assertion]:
@@ -748,10 +760,7 @@ def _monotonicity_assertions(rows: list[ReportRow]) -> list[Assertion]:
 
 def run_verify(config: HarnessConfig) -> StudyResult:
     """The impurity battery over every configured experiment."""
-    rows: list[ReportRow] = []
-    for exp in config.experiments:
-        with _named(exp.id):
-            rows.extend(impurity_experiment(exp))
+    rows = [row for exp in config.experiments for row in impurity_experiment(exp)]
     return StudyResult(rows=rows, assertions=study_assertions("verify", rows, config, {}), extras={})
 
 
@@ -769,30 +778,15 @@ def _study(study, section: str):
 def run_scale(config: HarnessConfig) -> StudyResult:
     """Sweep the impurity volume; the rhs must follow the exact indicator law.
 
-    The sweep uses centered boxes (widths = relative_widths * L) with the
-    target experiment's jump so the support measure is an exact cell count
-    at every size.
+    The sweep's steps are centered boxes (widths = relative_widths * L) with
+    the target experiment's jump, so the support measure is an exact cell
+    count at every size; each step keeps its row at the experiment's smallest p.
     """
     study = _study(config.scale, "scale_study")
-    exp, grid = study.experiment, study.experiment.grid
-    p = min(exp.p_values)
-    with _named(exp.id):
-        profiles = [indicator_profile(_scale_box(exp, rel_w), grid) for rel_w in study.relative_widths]
-        volumes = [measured_support_volume(profile, grid) for profile in profiles]
-    rows: list[ReportRow] = []
-    for profile, volume in zip(profiles, volumes):
-        start = time.perf_counter()
-        label = f"{exp.id}|U={volume:.12g}"
-        with _named(label):
-            art = build_artifacts(exp, a_tilde=perturbed_coefficient(exp, profile))
-            rows.append(art.row(label, p, start))
-    extras = {"volumes": volumes, "slope": _fit_slope(volumes, [r.rhs for r in rows])}
+    p = min(study.experiment.p_values)
+    rows = [row for step in study.steps for row in impurity_experiment(step) if row.p == p]
+    extras = {"volumes": study.volumes, "slope": _fit_slope(study.volumes, [r.rhs for r in rows])}
     return StudyResult(rows=rows, assertions=study_assertions("scale", rows, config, extras), extras=extras)
-
-
-def _scale_box(exp: ExperimentSpec, rel_w: float) -> PerturbationSpec:
-    """The scale study's box: centered on the impurity, each side rel_w * L."""
-    return PerturbationSpec("box", exp.perturbation.center, width=(rel_w * exp.grid.L,) * exp.N)
 
 
 def _fit_slope(xs: list[float], ys: list[float]) -> float:
@@ -893,13 +887,7 @@ def _clip_assertions(rows: list[ReportRow], spectral_max: float, cauchy: list[di
 
 def run_refine(config: HarnessConfig) -> StudyResult:
     """Repeat the impurity experiment over a grid ladder to expose truncation error."""
-    study = _study(config.refine, "refinement_study")
-    exp = study.experiment
-    rows: list[ReportRow] = []
-    for grid in study.grids:
-        rung = replace(exp, id=f"{exp.id}|n={grid.n}", grid=grid)
-        with _named(rung.id):
-            rows.extend(impurity_experiment(rung))
+    rows = [row for rung in _study(config.refine, "refinement_study").rungs for row in impurity_experiment(rung)]
     return StudyResult(rows=rows, assertions=study_assertions("refine", rows, config, {}), extras={})
 
 

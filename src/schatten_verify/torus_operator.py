@@ -190,11 +190,9 @@ def _pointwise_field(b: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
 
 
 def _pointwise_matvec(field_values: np.ndarray, v: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    # field from _pointwise_field; v (*batch, nu, *spatial), read and written as (points, nu, batch) views
-    flat = v.reshape(-1, field_values.shape[1], grid.total_points)
-    out = np.empty(flat.shape, dtype=np.result_type(field_values, flat))
-    np.matmul(field_values, flat.transpose(2, 1, 0), out=out.transpose(2, 1, 0))
-    return out.reshape(v.shape)
+    # field from _pointwise_field; v (*batch, nu, *spatial), read and returned as (nu P, batch) views
+    flat = v.reshape(-1, field_values.shape[1] * grid.total_points)
+    return pointwise_rows(field_values, flat.T).T.reshape(v.shape)
 
 
 def pointwise_rows(field_values: np.ndarray, stack: np.ndarray) -> np.ndarray:

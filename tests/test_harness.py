@@ -359,9 +359,10 @@ class TestRefineStudy:
         data["refinement_study"]["n_values"] = [16, 32]
         config = parse_config(data)
         study = config.refine
-        exp = dataclasses.replace(study.experiment, jump=np.zeros_like(study.experiment.jump))
-        result = run_refine(dataclasses.replace(config, refine=dataclasses.replace(study, experiment=exp)))
-        assert all(r.lhs < 1e-12 for r in result.rows)
+        # each rung is built at load: the jump is zeroed on every rung, not on the study's experiment
+        rungs = tuple(dataclasses.replace(rung, jump=np.zeros_like(rung.jump)) for rung in study.rungs)
+        result = run_refine(dataclasses.replace(config, refine=dataclasses.replace(study, rungs=rungs)))
+        assert len(result.rows) == 2 * 2 and all(r.lhs < 1e-12 for r in result.rows)
 
 
 def _no_grid(*args, **kwargs):
@@ -700,6 +701,13 @@ MALFORMED = {
         _set(["scale_study", "relative_widths"], [0.5, 1.0, 1.5]),
         "scale_study: relative_widths[2] = 1.5 must be in (0, 1]",
     ),
+    # on quick_box's 32 points the boxes of widths 0.125, 0.13 and 0.14 hold 4, 5 and 5 cells:
+    # the third would repeat the second's row and its U= label
+    "scale_widths_with_the_same_cells": (
+        "scale",
+        _set(["scale_study", "relative_widths"], [0.125, 0.13, 0.14]),
+        "scale_study: relative_widths[2] = 0.14 gives a box with the cells of relative_widths[1]",
+    ),
     # one rule for every p: the bound's constant is finite only for p > N/m, and the KSS bound
     # behind every ratio flag needs p >= 2
     "p_below_two": (
@@ -996,6 +1004,20 @@ class TestCli:
 
     def test_exit_two_on_missing_config(self, tmp_path):
         assert run_cli(["verify", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "subcommand,section", [("scale", "scale_study"), ("clip", "clip_study"), ("refine", "refinement_study")]
+    )
+    def test_exit_two_on_missing_study_section(self, subcommand, section, tmp_path, capsys):
+        # the config loads, as verify and constants need no study; the study's subcommand refuses it
+        data = small_config()
+        del data[section]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert run_cli([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: config has no {section} section\n"
+        assert not out.exists()
 
     def test_exit_two_on_indefinite_coefficient(self, tmp_path, capsys, monkeypatch):
         # a + jump = 0 is a config error; a coefficient that loses positivity after load
