@@ -5,7 +5,6 @@ from .coeff_algebra import (
     clip_coefficients,
     coarea_constant,
     constant_field,
-    field_power,
     matrix_sqrt,
     polyharmonic_coefficients,
     principal_symbol,

@@ -145,24 +145,19 @@ def field_powers(values, *exponents: float) -> tuple[np.ndarray, ...]:
     return tuple(_spectral_rebuild(q, w**s) for s in exponents)
 
 
-def field_power(values, s: float) -> np.ndarray:
-    """Pointwise principal power a^s (``field_powers`` with one exponent)."""
-    return field_powers(values, s)[0]
-
-
 def matrix_sqrt(a: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian positive-definite matrix."""
-    return field_power(a, 0.5)
+    return field_powers(a, 0.5)[0]
 
 
 def matrix_inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Inverse principal square root of a Hermitian positive-definite matrix."""
-    return field_power(a, -0.5)
+    return field_powers(a, -0.5)[0]
 
 
 def sqrt_field(field: HermitianMatrixField) -> HermitianMatrixField:
     """Pointwise principal square root of a positive-definite field."""
-    return HermitianMatrixField(field.basis, field_power(field.values, 0.5))
+    return HermitianMatrixField(field.basis, field_powers(field.values, 0.5)[0])
 
 
 def clip_coefficients(field: HermitianMatrixField, n) -> HermitianMatrixField:

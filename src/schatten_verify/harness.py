@@ -263,10 +263,12 @@ def _check_size(nu: int, grid: TorusGrid, max_dim: int, context: str) -> None:
         raise ConfigError(f"{context}: nu * n^{'N' if axes == grid.N else axes} = {dim} exceeds max_dim {max_dim}")
 
 
-def _require_grid_point(spec: PerturbationSpec, grid: TorusGrid, message: str) -> None:
-    """Refuse, with ``message``, an impurity set whose profile vanishes at every point of ``grid``."""
-    if not indicator_profile(spec, grid).any():
-        raise ConfigError(message)
+def _require_perturbed(exp: ExperimentSpec, message: str) -> None:
+    """Refuse, with ``message``, an experiment whose a + profile * jump (``perturbed_coefficient``'s values) is a at
+    every grid point, as when the set holds none or the jump rounds away: its rows would pass with lhs = rhs = 0."""
+    a = exp.reference.constant_matrix()
+    if np.all(a + indicator_profile(exp.perturbation, exp.grid)[..., None, None] * exp.jump == a):
+        raise ConfigError(f"{message} where the jump changes a")
 
 
 def _parse_perturbation(d: dict, context: str, reference: HermitianMatrixField):
@@ -356,10 +358,9 @@ def _parse_experiment(d: dict, context: str, max_dim: int) -> ExperimentSpec:
         perturbation, jump = _parse_perturbation(
             _require(d, "perturbation", context), f"{context}.perturbation", reference
         )
-        _require_grid_point(
-            perturbation, grid, f"{context}.perturbation: the {perturbation.shape} holds no grid point"
-        )
-    return ExperimentSpec(exp_id, grid, basis, reference, jump, perturbation, p_values)
+        exp = ExperimentSpec(exp_id, grid, basis, reference, jump, perturbation, p_values)
+        _require_perturbed(exp, f"{context}.perturbation: the {perturbation.shape} holds no grid point")
+    return exp
 
 
 def _study_experiment(d: dict, keys: set[str], by_id: dict, context: str) -> ExperimentSpec:
@@ -415,10 +416,10 @@ def _parse_refine(d: dict, by_id: dict, max_dim: int) -> RefineStudy:
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])) or len(n_values) < 2:
         raise ConfigError("refinement_study: n_values must be strictly increasing, >= 2 entries")
     rungs = tuple(replace(exp, id=f"{exp.id}|n={n}", grid=replace(exp.grid, n=n)) for n in n_values)
+    shape = exp.perturbation.shape
     for i, rung in enumerate(rungs):
         _check_size(exp.basis.nu, rung.grid, max_dim, f"refinement_study: n_values[{i}]")
-        message = f"refinement_study: n_values[{i}] = {rung.grid.n} gives a {exp.perturbation.shape} with no grid point"
-        _require_grid_point(exp.perturbation, rung.grid, message)
+        _require_perturbed(rung, f"refinement_study: n_values[{i}] = {rung.grid.n} gives a {shape} with no grid point")
     return RefineStudy(exp, rungs)
 
 
@@ -666,9 +667,8 @@ class ExperimentArtifacts:
     fact_residual: float
     deift_res: float
 
-    def row(self, experiment: str, p: float, start: float) -> ReportRow:
-        """Schatten-p norm of the resolvent difference against C_lat(p) ||V||_p."""
-        lhs = lp_norm_of_pointwise(self.delta_singular_values, 1.0, p)
+    def row(self, experiment: str, p: float, lhs: float, start: float) -> ReportRow:
+        """The row of ``lhs``, a norm of the resolvent difference, against C_lat(p) ||V||_p."""
         rhs = lp_norm_of_pointwise(self.v_norms, self.grid.cell_volume, p)
         constant = lattice_constant(p, self.profile, self.grid)
         residuals = (self.fact_residual, self.deift_res)
@@ -717,7 +717,8 @@ def impurity_experiment(exp: ExperimentSpec) -> list[ReportRow]:
     start = time.perf_counter()
     with _named(exp.id):
         art = build_artifacts(exp)
-        return [art.row(exp.id, p, start) for p in (*exp.p_values, math.inf)]
+        svals = art.delta_singular_values
+        return [art.row(exp.id, p, lp_norm_of_pointwise(svals, 1.0, p), start) for p in (*exp.p_values, math.inf)]
 
 
 def _bound_flags(rows: list[ReportRow], name: Callable[[ReportRow], str]) -> list[Assertion]:
@@ -848,11 +849,7 @@ def run_clip(config: HarnessConfig) -> StudyResult:
             clipped = clip_coefficients(degenerate, level)
             art = build_artifacts(exp, a_tilde=clipped)
             r_tilde = resolvent(assemble_variable_coefficient(clipped, grid).dense())
-            lhs = operator_norm(r_tilde - reference)
-            rhs = lp_norm_of_pointwise(art.v_norms, grid.cell_volume, p)
-            constant = lattice_constant(p, art.profile, grid)
-            residuals = (art.fact_residual, art.deift_res)
-            rows.append(_report_row(label, p, lhs, rhs, constant, residuals, grid, start))
+            rows.append(art.row(label, p, operator_norm(r_tilde - reference), start))
             doubled = assemble_variable_coefficient(clip_coefficients(degenerate, 2 * level), grid)
             diff = operator_norm(resolvent(doubled.dense()) - r_tilde)
             cauchy.append({"level": level, "next": 2 * level, "difference": diff})

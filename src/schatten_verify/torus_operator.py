@@ -95,14 +95,12 @@ class LinearOperatorRep:
         out_channels: int,
         apply: Callable[[np.ndarray], np.ndarray],
         apply_adjoint: Callable[[np.ndarray], np.ndarray],
-        label: str = "",
     ):
         self.grid = grid
         self.in_channels = in_channels
         self.out_channels = out_channels
         self._apply = apply
         self._apply_adjoint = apply_adjoint
-        self.label = label
 
     @property
     def in_dim(self) -> int:
@@ -233,7 +231,7 @@ def assemble_constant_coefficient(
     def apply(u: np.ndarray) -> np.ndarray:
         return _ifft(mult * _fft(u, grid), grid)
 
-    return LinearOperatorRep(grid, 1, 1, apply, apply, label="constant_operator")
+    return LinearOperatorRep(grid, 1, 1, apply, apply)
 
 
 def circulant_lookup(
@@ -305,7 +303,7 @@ def assemble_variable_coefficient(
     def apply(u: np.ndarray) -> np.ndarray:
         return der_adj(_pointwise_matvec(vals, der(u), grid))
 
-    return LinearOperatorRep(grid, 1, 1, apply, apply, label="variable_operator")
+    return LinearOperatorRep(grid, 1, 1, apply, apply)
 
 
 def assemble_derivative_factor(
@@ -325,7 +323,7 @@ def assemble_derivative_factor(
     def apply_adjoint(v: np.ndarray) -> np.ndarray:
         return der_adj(_pointwise_matvec(vals_h, v, grid))
 
-    return LinearOperatorRep(grid, 1, b.basis.nu, apply, apply_adjoint, label="derivative_factor")
+    return LinearOperatorRep(grid, 1, b.basis.nu, apply, apply_adjoint)
 
 
 def block_multiplication_matrix(values: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -9,7 +9,6 @@ from schatten_verify import (
     deift_residual,
     enumerate_basis,
     factorization_residual,
-    field_power,
     operator_norm,
     polyharmonic_coefficients,
     relative_perturbation,
@@ -18,6 +17,7 @@ from schatten_verify import (
     sqrt_field,
 )
 
+from schatten_verify.coeff_algebra import field_powers
 from schatten_verify.schatten_analysis import impurity_support, spectrum_factor, support_core, support_spectrum
 from schatten_verify.torus_operator import channel_resolvent_symbols
 
@@ -97,7 +97,7 @@ def deift_of(s):
 def relative_perturbation_of(a, at):
     """relative_perturbation of the field ``at``, with the roots at^{-1/2} and a^{-1/2} taken here."""
     a_mat = a.constant_matrix()
-    return relative_perturbation(at.values, field_power(at.values, -0.5), a_mat, field_power(a_mat, -0.5))
+    return relative_perturbation(at.values, field_powers(at.values, -0.5)[0], a_mat, field_powers(a_mat, -0.5)[0])
 
 
 def factorization_of(a, at, grid, direct):

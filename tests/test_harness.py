@@ -413,11 +413,11 @@ class TestDenseCap:
         from schatten_verify import schatten_analysis
         from schatten_verify.torus_operator import LinearOperatorRep
 
-        labels, lookups, supports, solves = [], [], [], []
+        shapes, lookups, supports, solves = [], [], [], []
 
         def counted(op):
-            labels.append(op.label)
-            raise AssertionError(f"{op.label} materialized")
+            shapes.append(op.shape)
+            raise AssertionError(f"an operator of shape {op.shape} materialized")
 
         def no_resolvent(*args, **kwargs):
             raise AssertionError("a dense resolvent ran")
@@ -448,14 +448,14 @@ class TestDenseCap:
         for name in ("eigvalsh", "eigh", "inv", "svd"):
             monkeypatch.setattr(np.linalg, name, sized(getattr(np.linalg, name)))
         build_artifacts(self._n2_config(32).experiments[0])
-        assert labels == [] and solves and max(size for _, size in solves) < 16
+        assert shapes == [] and solves and max(size for _, size in solves) < 16
         config = parse_config(small_config())
         for runner in (run_verify, run_scale, run_refine):
             lookups.clear()
             supports.clear()
             runner(config)
             assert supports and set(lookups) <= {(k, k) for k in supports}, runner.__name__
-        assert labels == []
+        assert shapes == []
 
     def test_one_coefficient_pass_per_experiment(self, monkeypatch):
         # a~ is decomposed once over its P points and the reference's symbols, A included, are built
@@ -801,6 +801,29 @@ MALFORMED = {
         ),
         "refinement_study: n_values[0] = 4 gives a bump with no grid point",
     ),
+    # a jump that rounds away: a + 1e-20 a = a at every cell, so every row read lhs = rhs = 0 and
+    # passed, and scale's slope fit stopped at log(0) with an error that named no row
+    "jump_rounds_away": (
+        "verify",
+        _set(["experiments", 0, "perturbation", "amplitude"], 1e-20),
+        "experiments[0] ('quick_box').perturbation: the box holds no grid point where the jump changes a",
+    ),
+    "scale_jump_rounds_away": (
+        "scale",
+        _set(["experiments", 0, "perturbation", "amplitude"], 1e-20),
+        "experiments[0] ('quick_box').perturbation: the box holds no grid point where the jump changes a",
+    ),
+    # the n = 4 grid has the point 0, 0.3 from the center, where the bump is exp(-99.75) = 4.8e-44:
+    # a point of the set, but a + 4.8e-44 * jump = a there, and the rung printed lhs = rhs = 0
+    "refine_rung_whose_bump_rounds_away": (
+        "refine",
+        _both(
+            _set(["experiments", 1, "perturbation", "center"], [0.3]),
+            _set(["experiments", 1, "perturbation", "radius"], 0.3015),
+            _set(["refinement_study", "n_values"], [4, 32, 64]),
+        ),
+        "refinement_study: n_values[0] = 4 gives a bump with no grid point where the jump changes a",
+    ),
     "repeated_p": (
         "verify",
         _set(["experiments", 0, "p_values"], [4, 8, 4]),
@@ -937,7 +960,6 @@ def test_package_exports():
         "deift_residual",
         "enumerate_basis",
         "factorization_residual",
-        "field_power",
         "matrix_field_lp_norm",
         "matrix_sqrt",
         "monomial_matrix",

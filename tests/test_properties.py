@@ -79,7 +79,9 @@ def test_dense_pass_on_random_box_impurities(N, m, data):
     norms = [lp_norm_of_pointwise(art.delta_singular_values, 1.0, p) for p in _P_VALUES]
     assert all(later <= earlier * (1 + 1e-12) for earlier, later in zip(norms, norms[1:]))
     # the bound holds on the lattice for every draw, with the lattice constant
-    assert all(within_lattice_bound(art.row("drawn_box", p, 0.0)) for p in (2.0, 4.0, 8.0, np.inf))
+    svals = art.delta_singular_values
+    rows = [art.row("drawn_box", p, lp_norm_of_pointwise(svals, 1.0, p), 0.0) for p in (2.0, 4.0, 8.0, np.inf)]
+    assert all(within_lattice_bound(row) for row in rows)
 
 
 @pytest.mark.parametrize("N,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])

@@ -30,6 +30,7 @@ from schatten_verify.harness import (
     _clip_target_field,
     _ratio,
     build_artifacts,
+    impurity_experiment,
     indicator_profile,
     load_config,
     parse_config,
@@ -73,6 +74,7 @@ from oracles import (
     resolvent_difference,
     resolvent_profile,
     spectral_profile_operator,
+    stripe_spectrum,
     woodbury_left_end,
 )
 
@@ -587,6 +589,56 @@ class TestSupportRowGap:
         c_inv_d = channel_resolvent_symbols(a, grid)[1]
         support = factorization_residual(a, c_inv_d, v, grid, direct, left, 1.0)
         assert abs(support - full) <= 1e-12 * full
+
+
+def _stripe_experiment(m, n, width, perturbation, base_matrix=None):
+    """N = 2 on L = 2 pi with a box of x_1 width ``width`` spanning x_2: the stripe oracle's case."""
+    L = 2 * np.pi
+    exp = {
+        "id": "stripe",
+        "N": 2,
+        "m": m,
+        "grid": {"n": n, "L": L},
+        "base": "polyharmonic",
+        "perturbation": {"shape": "box", "center": [0.0, 0.0], "width": [width, L], **perturbation},
+        "p_values": [4, 8],
+    }
+    if base_matrix is not None:
+        exp.update(base="matrix", base_matrix=base_matrix)
+    return parse_config({"experiments": [exp]}).experiments[0]
+
+
+# (m, x_1 width, jump, base matrix): both jump signs at m = 1 and 2, and a matrix base with a jump
+# that is no multiple of it; m = 2 on a stripe half as wide (nu K = 384, not 768) for the suite's time
+STRIPES = {
+    "m1_softer": (1, np.pi / 2, {"amplitude": -0.5}, None),
+    "m1_stiffer": (1, np.pi / 2, {"amplitude": 1.0}, None),
+    "m2_softer": (2, np.pi / 4, {"amplitude": -0.5}, None),
+    "m2_stiffer": (2, np.pi / 4, {"amplitude": 1.0}, None),
+    "matrix_base": (1, np.pi / 2, {"amplitude_matrix": [[0.5, -0.3], [-0.3, 1.0]]}, [[2.0, 0.5], [0.5, 1.0]]),
+}
+
+
+class TestStripeOracle:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_the_dense_route(self, m):
+        # to the dense inverses' own roundoff, 4.8e-13 of the largest value at m = 2 here
+        exp = _stripe_experiment(m, 8, np.pi / 2, {"amplitude": 1.0})
+        at = perturbed_coefficient(exp)
+        dense = singular_spectrum(direct_difference(exp.reference, at, exp.grid), hermitian=True)
+        values = stripe_spectrum(exp.reference, at, exp.grid)
+        assert values.shape == dense.shape and np.abs(values - dense).max() <= 1e-11 * dense[0]
+
+    @pytest.mark.parametrize("case", STRIPES)
+    def test_support_route_matches_at_n_32(self, case):
+        # n^(N-1) = 32 blocks of 32 x 32 against a support of 8 or 4 columns of 32 points
+        m, width, perturbation, base_matrix = STRIPES[case]
+        exp = _stripe_experiment(m, 32, width, perturbation, base_matrix)
+        values = stripe_spectrum(exp.reference, perturbed_coefficient(exp), exp.grid)
+        rows = impurity_experiment(exp)
+        assert [row.p for row in rows] == [4.0, 8.0, np.inf]
+        for row in rows:
+            assert abs(row.lhs - lp_norm_of_pointwise(values, 1.0, row.p)) <= 1e-12 * row.lhs, row
 
 
 def _capped_config(N, n, max_dim):
