@@ -9,7 +9,9 @@ bound constants). Exit codes: 0 all assertions pass, 1 an assertion failed,
 grid is sampled: a config error names the entry, including an experiment or
 refinement rung whose nu * n^N exceeds max_dim, a jump for which a + jump
 is not positive definite, a p in p_values at or below N/m or below 2 (the
-scale and clip studies run at their experiment's smallest p), an impurity
+scale and clip studies run at their experiment's smallest p) or printed as
+another entry is, a clip study with fewer than two levels at or above
+spectral_max = max A (where its Cauchy flag compares gaps), an impurity
 profile that overflows on its grid (loading runs under the subcommands'
 np.errstate), and a tolerances.ratio key, a study's p key or clip_study's
 floor key (no such setting exists). Three refusals come later: a base

@@ -171,6 +171,7 @@ class ScaleStudy:
 class ClipStudy:
     experiment: ExperimentSpec
     levels: tuple[int, ...]
+    spectral_max: float  # max A(xi) of the reference: the Cauchy gaps shrink from this level on
 
 
 @dataclass(frozen=True)
@@ -333,7 +334,8 @@ def _parse_experiment(d: dict, context: str, max_dim: int) -> ExperimentSpec:
         p_values = _floats(_require(d, "p_values", context), "p_values")
         if not p_values:
             raise ConfigError(f"{context}: p_values must not be empty")
-        _distinct(p_values, f"{context}: p_values")
+        # the CSV and the flag names print a p by its label, so two p that print alike are a repeat
+        _distinct(tuple(map(_p_label, p_values)), f"{context}: p_values")
         grid = TorusGrid(
             N=_int(_require(d, "N", context), "N"),
             n=_int(_require(grid_d, "n", f"{context}.grid"), "grid.n"),
@@ -405,7 +407,14 @@ def _parse_clip(d: dict, by_id: dict) -> ClipStudy:
     if any(v < 1 for v in levels):
         raise ConfigError("clip_study: levels must be positive integers")
     _distinct(levels, "clip_study: levels")
-    return ClipStudy(exp, levels)
+    # gaps shrink only once the clip level exceeds the spectral range of the true (unclipped) operator:
+    # below it, halving 1/n still moves grid-resolved modes through the sensitive part of the resolvent.
+    # The degenerate field is at most a, so its operator is at most H, whose top eigenvalue is max A
+    with _entry(f"clip_study: the symbol of {exp.id!r}"):
+        spectral_max = float(constant_multiplier(exp.reference, exp.grid).max())
+    if sum(level >= spectral_max for level in levels) < 2:
+        raise ConfigError(f"clip_study: levels needs two entries >= spectral_max = {spectral_max:g}, got {list(levels)}")
+    return ClipStudy(exp, levels, spectral_max)
 
 
 def _parse_refine(d: dict, by_id: dict, max_dim: int) -> RefineStudy:
@@ -829,12 +838,6 @@ def run_clip(config: HarnessConfig) -> StudyResult:
     p = min(exp.p_values)
     with _named(exp.id):
         degenerate = _clip_target_field(exp)
-        # gaps shrink only once the clip level exceeds the spectral range of the
-        # true (unclipped) operator: below that, halving 1/n still moves
-        # grid-resolved modes through the sensitive part of the resolvent. The
-        # degenerate field is at most a, so its operator is at most H as a form,
-        # whose top eigenvalue is the symbol's maximum
-        spectral_max = float(constant_multiplier(exp.reference, grid).max())
         # a level's lhs is the SVD norm of its difference to the reference resolvent,
         # both by dense solve: at level 1 the clipped coefficient is the reference, the
         # difference is roundoff (~1e-15), and this arithmetic keeps the value that
@@ -857,7 +860,7 @@ def run_clip(config: HarnessConfig) -> StudyResult:
             pair = _report_row(f"{exp.id}|clip_pair={level}:{2*level}", p, diff, 0.0, 0.0, (0.0, 0.0), grid, start)
             rows.append(replace(pair, ratio=0.0))
 
-    extras = {"cauchy": cauchy, "spectral_max": spectral_max}
+    extras = {"cauchy": cauchy, "spectral_max": study.spectral_max}
     return StudyResult(rows=rows, assertions=study_assertions("clip", rows, config, extras), extras=extras)
 
 

@@ -15,7 +15,8 @@ operator norm from above.
 
 The dense functions run on small grids: ``resolvent`` by LU and Schatten
 norms by SVD, which the clip study uses, and the tests' dense identity
-checks ``deift_residual`` and ``factorization_residual``.
+checks ``deift_residual`` and ``factorization_residual``, which take dense
+matrices.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .coeff_algebra import (
 )
 from .norms import lp_norm_of_pointwise
 from .torus_operator import (
-    LinearOperatorRep,
     TorusGrid,
     assemble_constant_coefficient,
     assemble_derivative_factor,
@@ -294,16 +294,15 @@ def moments_gap(xi: np.ndarray, g2: np.ndarray, values: np.ndarray) -> float:
     return max(abs(trace - moment) / (moment or 1.0) for trace, moment in zip(traces, moments))
 
 
-def deift_residual(s_matrix: LinearOperatorRep, left: np.ndarray, r_in: np.ndarray) -> float:
-    """Frobenius norm of r_in + S* left - 1, with left = (SS*+1)^{-1} S.
+def deift_residual(s_matrix: np.ndarray, left: np.ndarray, r_in: np.ndarray) -> float:
+    """Frobenius norm of r_in + S* left - 1, with left = (SS*+1)^{-1} S, for a dense S.
 
     ``r_in`` is the given (S*S+1)^{-1} and ``left`` the given (SS*+1)^{-1} S;
-    the residual vanishes when the two agree. S is an operator whose adjoint
-    pipeline applies S* to the columns of ``left``
-    (``LinearOperatorRep.adjoint_matmul``). The Frobenius norm bounds the
+    the residual vanishes when the two agree. S* left is one product with the
+    conjugate transpose of ``s_matrix``. The Frobenius norm bounds the
     operator norm, so a small residual certifies the identity in both.
     """
-    x = s_matrix.adjoint_matmul(left)
+    x = np.conj(s_matrix.T) @ left
     x += r_in
     x[np.diag_indices_from(x)] -= 1.0
     return float(np.linalg.norm(x))
@@ -311,7 +310,6 @@ def deift_residual(s_matrix: LinearOperatorRep, left: np.ndarray, r_in: np.ndarr
 
 def factorization_residual(
     a: HermitianMatrixField,
-    c_inv_d: np.ndarray,
     v: np.ndarray,
     grid: TorusGrid,
     direct: np.ndarray,
@@ -325,12 +323,13 @@ def factorization_residual(
     for a given dense left end ``left`` = (Gt+1)^{-1} Tt and the values ``v``
     of V (``relative_perturbation``). V vanishes off the impurity's support,
     so the chain runs over the support rows, where the right end is the
-    lookup of a^{-1/2} times ``c_inv_d``, the symbol of C^{-1} D. Relative to
-    ``scale`` = ||direct||_op, or absolute when that is numerically 0.
+    lookup of a^{-1/2} times the symbol of C^{-1} D (``channel_resolvent_symbols``).
+    Relative to ``scale`` = ||direct||_op, or absolute when that is numerically 0.
     """
     nu, points = a.basis.nu, grid.total_points
     v = v.reshape(points, nu, nu)
     support = np.flatnonzero(np.any(v != 0, axis=(1, 2)))
+    c_inv_d = channel_resolvent_symbols(a, grid)[1]
     right_symbol = np.einsum("ab,bc...->ac...", matrix_inv_sqrt(a.constant_matrix()), c_inv_d)
     right = circulant_lookup(right_symbol, grid, rows=support)  # (nu K, P)
     left_support = left.reshape(nu, points, points)[:, support].reshape(-1, points)

@@ -6,9 +6,10 @@ the discrete inner product <u, v> = h^N sum_x u(x) conj(v(x)); since the
 weight is a uniform scalar, matrix adjoints reduce to conjugate transposes
 and singular values of the plain matrices are the operator singular values.
 
-Operators are represented matrix-free as FFT -> pointwise -> inverse FFT
-pipelines, with dense materialization (against the point basis, channel-
-major ordering) for small grids. The order-m derivative stack maps a scalar
+An operator is an FFT -> pointwise -> inverse FFT pipeline that applies
+forward only, materialized densely (against the point basis, channel-major
+ordering) for the clip study and the tests' dense oracles, which take its
+adjoint as the conjugate transpose. The order-m derivative stack maps a scalar
 function to the nu channels (i xi)^alpha u_hat(xi); because every bilinear
 pairing here has |alpha| = |beta| = m, the i-powers cancel and the constant-
 coefficient operator is the real Fourier multiplier
@@ -82,7 +83,7 @@ class TorusGrid:
 
 
 class LinearOperatorRep:
-    """An operator on grid functions: matrix-free apply plus dense materialization.
+    """An operator on grid functions: a forward pipeline plus dense materialization.
 
     Dense matrices are taken against the point basis with channel-major
     flattening: flat index = channel * n^N + C-order spatial index.
@@ -94,13 +95,11 @@ class LinearOperatorRep:
         in_channels: int,
         out_channels: int,
         apply: Callable[[np.ndarray], np.ndarray],
-        apply_adjoint: Callable[[np.ndarray], np.ndarray],
     ):
         self.grid = grid
         self.in_channels = in_channels
         self.out_channels = out_channels
         self._apply = apply
-        self._apply_adjoint = apply_adjoint
 
     @property
     def in_dim(self) -> int:
@@ -127,17 +126,6 @@ class LinearOperatorRep:
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = self._apply(self._normalize(values, self.in_channels))
         return self._present(out, self.out_channels)
-
-    def adjoint_matmul(self, stack: np.ndarray) -> np.ndarray:
-        """op* @ stack for a dense (out_dim, k) stack, without the dense matrix.
-
-        The adjoint pipeline maps the stack's k columns as one batch, read
-        through a transposed view, so the stack is not copied; returns an
-        (in_dim, k) view of the pipeline's output.
-        """
-        k = stack.shape[1]
-        columns = stack.T.reshape(k, self.out_channels, *self.grid.spatial_shape)
-        return self._apply_adjoint(columns).reshape(k, self.in_dim).T
 
     def dense(self) -> np.ndarray:
         """Dense matrix by one pipeline call on the identity block.
@@ -166,7 +154,7 @@ def _ifft(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 def _derivative_pipelines(grid: TorusGrid, basis: MultiIndexBasis):
-    """Raw (channels, *spatial) pipelines for the order-m derivative stack."""
+    """Raw (channels, *spatial) pipelines for the order-m derivative stack D and its adjoint, for H~ = D* a~ D."""
     if basis.N != grid.N:
         raise ValueError("basis dimension does not match grid")
     mult = _derivative_multipliers(grid, basis)
@@ -231,7 +219,7 @@ def assemble_constant_coefficient(
     def apply(u: np.ndarray) -> np.ndarray:
         return _ifft(mult * _fft(u, grid), grid)
 
-    return LinearOperatorRep(grid, 1, 1, apply, apply)
+    return LinearOperatorRep(grid, 1, 1, apply)
 
 
 def circulant_lookup(
@@ -303,7 +291,7 @@ def assemble_variable_coefficient(
     def apply(u: np.ndarray) -> np.ndarray:
         return der_adj(_pointwise_matvec(vals, der(u), grid))
 
-    return LinearOperatorRep(grid, 1, 1, apply, apply)
+    return LinearOperatorRep(grid, 1, 1, apply)
 
 
 def assemble_derivative_factor(
@@ -313,17 +301,13 @@ def assemble_derivative_factor(
 
     ``b`` is the pointwise principal square root of the coefficient field.
     """
-    der, der_adj = _derivative_pipelines(grid, b.basis)
+    der = _derivative_pipelines(grid, b.basis)[0]
     vals = _pointwise_field(b, grid)
-    vals_h = np.conj(np.swapaxes(vals, -1, -2))
 
     def apply(u: np.ndarray) -> np.ndarray:
         return _pointwise_matvec(vals, der(u), grid)
 
-    def apply_adjoint(v: np.ndarray) -> np.ndarray:
-        return der_adj(_pointwise_matvec(vals_h, v, grid))
-
-    return LinearOperatorRep(grid, 1, b.basis.nu, apply, apply_adjoint)
+    return LinearOperatorRep(grid, 1, b.basis.nu, apply)
 
 
 def block_multiplication_matrix(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -337,10 +321,7 @@ def block_multiplication_matrix(values: np.ndarray, grid: TorusGrid) -> np.ndarr
         values = np.broadcast_to(values, (*grid.spatial_shape, *values.shape))
     nu = values.shape[-1]
     pts = grid.total_points
-    flat = values.reshape(pts, nu, nu)
-    out = np.zeros((nu * pts, nu * pts), dtype=complex)
+    out = np.zeros((nu, pts, nu, pts), dtype=complex)
     idx = np.arange(pts)
-    for al in range(nu):
-        for be in range(nu):
-            out[al * pts + idx, be * pts + idx] = flat[:, al, be]
-    return out
+    out[:, idx, :, idx] = values.reshape(pts, nu, nu)
+    return out.reshape(nu * pts, nu * pts)

@@ -19,7 +19,6 @@ from schatten_verify import (
 
 from schatten_verify.coeff_algebra import field_powers
 from schatten_verify.schatten_analysis import impurity_support, spectrum_factor, support_core, support_spectrum
-from schatten_verify.torus_operator import channel_resolvent_symbols
 
 from oracles import channel_solve, resolvent_difference
 
@@ -77,21 +76,10 @@ def direct_difference(a, at, grid):
     )
 
 
-class DenseAdjoint:
-    """A dense matrix S in the role of an operator: ``adjoint_matmul`` is S* @ stack."""
-
-    def __init__(self, s):
-        self.s = np.asarray(s, dtype=complex)
-        self.shape = self.s.shape
-
-    def adjoint_matmul(self, stack):
-        return np.conj(self.s.T) @ stack
-
-
 def deift_of(s):
     """deift_residual of S with both of its solves, (S*S+1)^{-1} and (SS*+1)^{-1} S, done here."""
     s = np.asarray(s, dtype=complex)
-    return deift_residual(DenseAdjoint(s), channel_solve(s), resolvent(np.conj(s.T) @ s))
+    return deift_residual(s, channel_solve(s), resolvent(np.conj(s.T) @ s))
 
 
 def relative_perturbation_of(a, at):
@@ -106,9 +94,8 @@ def factorization_of(a, at, grid, direct):
     The shared solve is (G~+1)^{-1} T~ for the derivative factor T~ = at^{1/2} D.
     """
     left = channel_solve(assemble_derivative_factor(sqrt_field(at), grid).dense())
-    c_inv_d = channel_resolvent_symbols(a, grid)[1]
     v = relative_perturbation_of(a, at)
-    return factorization_residual(a, c_inv_d, v, grid, direct, left, operator_norm(direct))
+    return factorization_residual(a, v, grid, direct, left, operator_norm(direct))
 
 
 def global_box(exp_id, N, m, n, L, p_values, **jump):

@@ -98,8 +98,7 @@ def stripe_spectrum(a: HermitianMatrixField, at: HermitianMatrixField, grid: Tor
 
 def derivative_operator(grid: TorusGrid, basis: MultiIndexBasis) -> LinearOperatorRep:
     """The order-m derivative stack: scalar -> nu channels, exact on the lattice."""
-    apply, apply_adjoint = _derivative_pipelines(grid, basis)
-    return LinearOperatorRep(grid, 1, basis.nu, apply, apply_adjoint)
+    return LinearOperatorRep(grid, 1, basis.nu, _derivative_pipelines(grid, basis)[0])
 
 
 def assemble_channel_gram(b: HermitianMatrixField, grid: TorusGrid) -> LinearOperatorRep:
@@ -112,7 +111,7 @@ def assemble_channel_gram(b: HermitianMatrixField, grid: TorusGrid) -> LinearOpe
         back = der_adj(_pointwise_matvec(vals_h, v, grid))
         return _pointwise_matvec(vals, der(back), grid)
 
-    return LinearOperatorRep(grid, b.basis.nu, b.basis.nu, apply, apply)
+    return LinearOperatorRep(grid, b.basis.nu, b.basis.nu, apply)
 
 
 def spectral_symbol_lattice(

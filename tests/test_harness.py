@@ -103,7 +103,8 @@ def small_config(**overrides):
             "experiment": "quick_box",
             "relative_widths": [0.125, 0.25, 0.375, 0.5],
         },
-        "clip_study": {"experiment": "quick_box", "levels": [1, 4]},
+        # quick_box's spectral_max is 256: two levels at or above it give the Cauchy flag two gaps
+        "clip_study": {"experiment": "quick_box", "levels": [1, 4, 256, 1024]},
         "refinement_study": {"experiment": "quick_bump", "n_values": [32, 64, 128]},
     }
     data.update(overrides)
@@ -328,6 +329,26 @@ class TestClipStudy:
         ]
         assert gated == sorted(gated, reverse=True)
         assert len(gated) >= 2
+
+    def test_dense_lhs_is_the_support_top_value(self):
+        # a level's residual columns certify the support pass of its clipped coefficient, whose top
+        # singular value is the dense operator-norm lhs; level 1 clips nothing, so its support is empty
+        from schatten_verify import clip_coefficients
+        from schatten_verify.harness import _clip_target_field
+
+        config = load_config(default_config_path())
+        exp = config.clip.experiment
+        degenerate = _clip_target_field(exp)
+        lhs = {row.experiment: row.lhs for row in run_clip(config).rows}
+        for level in config.clip.levels:
+            art = build_artifacts(exp, a_tilde=clip_coefficients(degenerate, level))
+            dense = lhs[f"{exp.id}|clip={level}"]
+            if level == 1:
+                assert art.delta_singular_values.size == 0
+                assert art.fact_residual == art.deift_res == 0.0
+                assert dense <= 1e-14
+            else:
+                assert abs(dense - art.delta_singular_values[0]) <= 1e-12 * dense
 
     def test_spectral_max_bounds_the_dense_spectrum(self):
         # the degenerate field is at most a, so its operator's top eigenvalue is at most the symbol's maximum
@@ -623,6 +644,8 @@ def _both(*edits):
     return apply
 
 
+_CLIP_ON_BUMP = _set(["clip_study", "experiment"], "quick_bump")
+
 _BAD_ID = "experiments[0]: id must be a non-empty string with no comma, quote, '|', CR or LF,"
 
 # one malformed entry each; (subcommand, edit, the entry the message must name)
@@ -829,6 +852,12 @@ MALFORMED = {
         _set(["experiments", 0, "p_values"], [4, 8, 4]),
         "experiments[0] ('quick_box'): p_values repeats an entry",
     ),
+    # the CSV and the flag names print p as %g: 4.000001 would repeat the rows and the flag of p = 4
+    "p_values_print_alike": (
+        "verify",
+        _set(["experiments", 0, "p_values"], [4, 4.000001]),
+        "experiments[0] ('quick_box'): p_values repeats an entry: ['4', '4']",
+    ),
     # an empty list would leave only the p = inf row and no schatten_monotone flag
     "empty_p_values": (
         "verify",
@@ -837,6 +866,20 @@ MALFORMED = {
     ),
     "repeated_level": ("clip", _set(["clip_study", "levels"], [1, 4, 4]), "clip_study: levels repeats an entry"),
     "empty_levels": ("clip", _set(["clip_study", "levels"], []), "clip_study: levels must not be empty"),
+    # the Cauchy flag compares the gaps at levels >= spectral_max (256 for quick_box): with fewer
+    # than two it compared nothing and passed
+    "clip_levels_below_spectral_max": (
+        "clip",
+        _set(["clip_study", "levels"], [1, 4, 256]),
+        "clip_study: levels needs two entries >= spectral_max = 256, got [1, 4, 256]",
+    ),
+    # spectral_max is read at load, so a clip study whose reference symbol overflows (xi^800) is refused
+    # there, by every subcommand
+    "clip_symbol_overflows": (
+        "verify",
+        _set(["experiments", 0, "m"], 400),
+        "clip_study: the symbol of 'quick_box': overflow encountered",
+    ),
     # a tolerance that no row can meet would exit 1, which means a failed estimate
     "negative_slope_tolerance": (
         "scale",
@@ -1076,16 +1119,17 @@ class TestCli:
     @pytest.mark.parametrize(
         "subcommand,edit,label",
         [
-            # lhs 0 and NaN residuals, every flag passing
-            ("verify", _set(["experiments", 0, "grid", "L"], 1e-300), "quick_box"),
+            # lhs 0 and NaN residuals, every flag passing; the clip study moves to quick_bump, as the
+            # loader refuses a clip study whose reference symbol overflows (clip_symbol_overflows)
+            ("verify", _both(_set(["experiments", 0, "grid", "L"], 1e-300), _CLIP_ON_BUMP), "quick_box"),
             # rhs inf, ratio 0 and a NaN Deift column, every flag passing
             ("verify", _set(["experiments", 0, "perturbation", "amplitude"], 1e308), "quick_box"),
             # these three stopped with a traceback and exit 1, which means a failed estimate
-            ("verify", _set(["experiments", 0, "m"], 400), "quick_box"),
+            ("verify", _both(_set(["experiments", 0, "m"], 400), _CLIP_ON_BUMP), "quick_box"),
             ("verify", _set(["experiments", 0, "p_values"], [4, 1e308]), "quick_box"),
             ("scale", _set(["experiments", 0, "p_values"], [1e308]), "quick_box"),
             # the level fails in clip_coefficients, inside its own row
-            ("clip", _set(["clip_study", "levels"], [1, 10**400]), "quick_box|clip=1000"),
+            ("clip", _set(["clip_study", "levels"], [1, 256, 10**400]), "quick_box|clip=1000"),
         ],
         ids=["tiny_L", "huge_amplitude", "m_400", "huge_p", "huge_scale_p", "huge_level"],
     )
