@@ -137,10 +137,11 @@ def _spectral_rebuild(q: np.ndarray, w: np.ndarray) -> np.ndarray:
 def field_powers(values, *exponents: float) -> tuple[np.ndarray, ...]:
     """Pointwise principal powers a^s, one per exponent, of a Hermitian positive-definite matrix.
 
-    ``values`` is one (nu, nu) matrix or a (*spatial, nu, nu) field; one
-    eigendecomposition serves the positivity check and every power.
+    ``values`` is one (nu, nu) matrix or a (*spatial, nu, nu) field, real or
+    complex, and the powers take its dtype; one eigendecomposition serves the
+    positivity check and every power.
     """
-    w, q = np.linalg.eigh(np.asarray(values, dtype=complex))
+    w, q = np.linalg.eigh(np.asarray(values))
     check_positive_definite(w)
     return tuple(_spectral_rebuild(q, w**s) for s in exponents)
 

@@ -509,8 +509,9 @@ def load_config(path: str) -> HarnessConfig:
 
 
 def _min_image(points: np.ndarray, center: np.ndarray, L: float) -> np.ndarray:
+    """The periodic offset from ``center``, odd in points - center bit for bit (round halves to even)."""
     d = points - center
-    return (d + L / 2.0) % L - L / 2.0
+    return d - L * np.round(d / L)
 
 
 def indicator_profile(spec: PerturbationSpec, grid: TorusGrid) -> np.ndarray:

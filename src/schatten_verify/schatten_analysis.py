@@ -13,6 +13,12 @@ through the printed V) and ``moments_gap`` (tr((Xi G2)^p) against the
 printed spectrum). The residuals are Frobenius norms, which bound the
 operator norm from above.
 
+Where a and the sampled at are real and at is unchanged by a reflection
+x -> c - x of the grid, every nu K x nu K matrix is taken in a real basis of
+the support (``reflected_lookup``), and the pass runs in float64; otherwise
+in the point basis, in complex128. Both give the same traces, Frobenius norms
+and singular values, to roundoff.
+
 The dense functions run on small grids: ``resolvent`` by LU and Schatten
 norms by SVD, which the clip study uses, and the tests' dense identity
 checks ``deift_residual`` and ``factorization_residual``, which take dense
@@ -44,6 +50,7 @@ from .torus_operator import (
     circulant_lookup,
     pointwise_cols,
     pointwise_rows,
+    reflected_lookup,
 )
 
 
@@ -91,6 +98,14 @@ class ImpuritySupport:
     up, one at a time: "z" C^{-1}, "g" (a d)(a d)* / (1 + A)^2, "g1" d d*,
     "g2" u u* and "n" u d*, for the symbols d of D and u = d / (1 + A) of
     D (op + 1)^{-1}.
+
+    ``fixed`` is None where the pass runs in the point basis, in complex
+    arithmetic. Otherwise a and at are real, at is unchanged by a reflection
+    sigma, ``points`` lists the ``fixed`` points that sigma fixes, then p points
+    A and then sigma A, and every nu K x nu K matrix of the pass is real, taken
+    in the basis of ``reflected_lookup``. A field is read at ``points`` as in
+    the point basis: its values at x and sigma x are equal, so it acts on each
+    basis vector as at that vector's point.
     """
 
     grid: TorusGrid
@@ -104,26 +119,71 @@ class ImpuritySupport:
     w: np.ndarray
     kernels: dict[str, np.ndarray]
     symbol: np.ndarray
+    fixed: int | None
+
+
+def _mirror_sum(coords: np.ndarray, n: int) -> int:
+    """s with the occupied coordinates mapped onto themselves by j -> s - j (mod n), if any s does so.
+
+    Such a reflection maps the widest gap between occupied coordinates onto
+    itself when that gap is the only one so wide, so the gap's two ends are
+    partners. 0 for an axis that is empty or occupied throughout.
+    """
+    occupied = np.flatnonzero(np.bincount(coords, minlength=n))
+    if occupied.size in (0, n):
+        return 0
+    i = int(np.argmax(np.diff(occupied, append=occupied[0] + n)))
+    return int(occupied[i] + occupied[(i + 1) % occupied.size]) % n
+
+
+def _support_reflection(
+    at: np.ndarray, a: np.ndarray, support: np.ndarray, grid: TorusGrid
+) -> tuple[np.ndarray, int] | None:
+    """The support ordered as fixed points, A, sigma A, and the number of fixed points; or None.
+
+    sigma is x -> c - x on every axis, with c derived from the support
+    (``_mirror_sum``) and confirmed by one exact comparison of the (n^N, nu, nu)
+    ``at`` with its reflection. None where a or at has an imaginary part, or
+    at is not unchanged by that sigma.
+    """
+    if np.any(a.imag) or np.any(at.imag):
+        return None
+    index = np.indices(grid.spatial_shape)
+    sums = [_mirror_sum(coords, grid.n) for coords in np.unravel_index(support, grid.spatial_shape)]
+    mirror = np.ravel_multi_index(tuple((s - j) % grid.n for s, j in zip(sums, index)), grid.spatial_shape).ravel()
+    if not np.array_equal(at, at[mirror]):
+        return None
+    partner = mirror[support]
+    fixed, first = support[partner == support], support[support < partner]
+    return np.concatenate([fixed, first, mirror[first]]), fixed.size
 
 
 def impurity_support(
     a: HermitianMatrixField, a_tilde: HermitianMatrixField, grid: TorusGrid
 ) -> ImpuritySupport:
     """One eigendecomposition of at, which names the points where at is not positive
-    definite, one of a, and one pass over the reference's symbols; every check reads them here."""
+    definite, one of a, and one pass over the reference's symbols; every check reads them here.
+
+    Where ``_support_reflection`` finds the experiment reflection-symmetric, a
+    and at are taken real, and each step of the pass takes float64 from them."""
     nu, points = a.basis.nu, grid.total_points
     a_mat = a.constant_matrix()
     at = a_tilde.sampled_on(grid.spatial_shape)
+    flat = at.reshape(points, nu, nu)
+    support = np.flatnonzero(np.any(flat != a_mat, axis=(1, 2)))
+    reflection = _support_reflection(flat, a_mat, support, grid)
+    fixed = None
+    if reflection is not None:
+        (support, fixed), at, a_mat = reflection, np.ascontiguousarray(at.real), a_mat.real
     roots = field_powers(at, -0.5, -1.0)
     at, at_inv_sqrt, at_inv = (x.reshape(points, nu, nu) for x in (at, *roots))
     a_inv, a_inv_sqrt, a_sqrt = field_powers(a_mat, -1.0, -0.5, 0.5)
-    support = np.flatnonzero(np.any(at != a_mat, axis=(1, 2)))
     c_inv, c_inv_d, r, d, symbol = channel_resolvent_symbols(a, grid)
     ad, u = c_inv_d[:, 0], d * r[0]  # (a d) / (1 + A) and d / (1 + A), (nu, *spatial)
     pairs = {"g": (ad, ad), "g1": (d, d), "g2": (u, u), "n": (u, d)}
     kernels = {"z": c_inv} | {name: left[:, None] * np.conj(right[None]) for name, (left, right) in pairs.items()}
     w = at_inv[support] - a_inv
-    return ImpuritySupport(grid, support, at, at_inv_sqrt, a_mat, a_sqrt, a_inv, a_inv_sqrt, w, kernels, symbol)
+    return ImpuritySupport(grid, support, at, at_inv_sqrt, a_mat, a_sqrt, a_inv, a_inv_sqrt, w, kernels, symbol, fixed)
 
 
 def pivoted_cholesky(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +247,7 @@ def support_spectrum(factor: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """
     np.conjugate(factor, out=factor)  # R'-bar, whose transpose is R'*
     rank = factor.shape[1]
-    form = np.empty((rank, rank), dtype=complex)
+    form = np.empty((rank, rank), dtype=np.result_type(factor, xi))
     step = max(1, -(-rank // _BLOCKS))
     for i in range(0, rank, step):
         form[:, i : i + step] = factor.T @ (xi @ np.conj(factor[:, i : i + step]))
@@ -198,8 +258,10 @@ def support_spectrum(factor: np.ndarray, xi: np.ndarray) -> np.ndarray:
 def support_kernel(imp: ImpuritySupport, name: str) -> np.ndarray:
     """E K E*, (nu K, nu K), for the symbol K of ``name`` in the support's table: Z = E C^{-1} E*, the
     spectrum's G, or one of the checks' kernels G1 = d d*, G2 = u u* = d d* / (1 + A)^2 and
-    N = u d* = d d* / (1 + A)."""
-    return circulant_lookup(imp.kernels[name], imp.grid, rows=imp.points, cols=imp.points)
+    N = u d* = d d* / (1 + A); in the point basis, or in the real basis of the support's reflection."""
+    if imp.fixed is None:
+        return circulant_lookup(imp.kernels[name], imp.grid, rows=imp.points, cols=imp.points)
+    return reflected_lookup(imp.kernels[name], imp.grid, imp.points, imp.points, imp.fixed)
 
 
 def _trace_form(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:

@@ -65,7 +65,8 @@ class TorusGrid:
         return self.h**self.N
 
     def axis(self) -> np.ndarray:
-        return -self.L / 2.0 + self.h * np.arange(self.n)
+        """h (j - n/2): index n/2 is the origin, and the points at j and n - j are exact negatives."""
+        return self.h * (np.arange(self.n) - self.n // 2)
 
     def points(self) -> np.ndarray:
         """(*spatial, N) coordinates."""
@@ -184,7 +185,7 @@ def _pointwise_matvec(field_values: np.ndarray, v: np.ndarray, grid: TorusGrid) 
 def pointwise_rows(field_values: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Field (K, nu, nu) applied point by point to the channel-major rows (nu K, cols), through (K, nu, cols) views."""
     view = (field_values.shape[1], field_values.shape[0], stack.shape[1])
-    out = np.empty(stack.shape, dtype=complex)
+    out = np.empty(stack.shape, dtype=np.result_type(field_values, stack))
     np.matmul(field_values, stack.reshape(view).transpose(1, 0, 2), out=out.reshape(view).transpose(1, 0, 2))
     return out
 
@@ -193,7 +194,7 @@ def pointwise_cols(stack: np.ndarray, field_values: np.ndarray) -> np.ndarray:
     """Field (K, nu, nu) applied point by point on the right of the channel-major columns (rows, nu K),
     through (K, rows, nu) views."""
     view = (stack.shape[0], field_values.shape[1], field_values.shape[0])
-    out = np.empty(stack.shape, dtype=complex)
+    out = np.empty(stack.shape, dtype=np.result_type(stack, field_values))
     np.matmul(stack.reshape(view).transpose(2, 0, 1), field_values, out=out.reshape(view).transpose(2, 0, 1))
     return out
 
@@ -222,6 +223,14 @@ def assemble_constant_coefficient(
     return LinearOperatorRep(grid, 1, 1, apply)
 
 
+def _differences(grid: TorusGrid, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Flat index of the periodic difference x - y, (rows.size, cols.size), for the flat point indices
+    x in ``rows`` and y in ``cols``."""
+    shape = grid.spatial_shape
+    axes = zip(np.unravel_index(rows, shape), np.unravel_index(cols, shape))
+    return np.ravel_multi_index(tuple(np.subtract.outer(x, y) for x, y in axes), shape, mode="wrap")
+
+
 def circulant_lookup(
     symbols: np.ndarray,
     grid: TorusGrid,
@@ -240,16 +249,55 @@ def circulant_lookup(
     points = grid.total_points
     rows = np.arange(points) if rows is None else np.asarray(rows)
     cols = np.arange(points) if cols is None else np.asarray(cols)
-    wrap = np.subtract.outer(np.arange(grid.n), np.arange(grid.n)) % grid.n
-    difference = np.zeros((rows.size, cols.size), dtype=np.intp)
-    for axis in np.indices(grid.spatial_shape).reshape(grid.N, points):
-        difference = difference * grid.n + wrap[axis[rows, None], axis[None, cols]]
+    difference = _differences(grid, rows, cols)
     out_ch, in_ch = symbols.shape[:2]
     kernels = _ifft(symbols, grid).reshape(out_ch, in_ch, points)
     out = np.empty((out_ch, rows.size, in_ch, cols.size), dtype=complex)
     for c, d in np.ndindex(out_ch, in_ch):
         out[c, :, d] = kernels[c, d, difference]
     return out.reshape(out_ch * rows.size, in_ch * cols.size)
+
+
+def reflected_lookup(
+    symbols: np.ndarray, grid: TorusGrid, rows: np.ndarray, cols: np.ndarray, fixed: int
+) -> np.ndarray:
+    """circulant_lookup(symbols, grid, rows, cols) in the real basis of a reflection sigma: x -> c - x, real.
+
+    ``rows`` and ``cols`` each list the ``fixed`` points that sigma fixes, then
+    p points A and then sigma A in the same order. In every channel the basis
+    is e_x over the fixed points, then (e_x + e_sigma x) / sqrt 2 and then
+    i (e_x - e_sigma x) / sqrt 2 over x in A, a unitary change of the point
+    basis. J = conjugation after sigma commutes with a multiplier whose symbol
+    is a real matrix at every lattice frequency, the Nyquist lines included,
+    so its kernel has k(-z) = conj(k(z)), and with k1 = k(x - y),
+    k2 = k(sigma x - y) the entries are Re k1 + Re k2 (a plus row and column),
+    Re k1 - Re k2 (minus, minus), -(Im k1 + Im k2) (plus, minus) and
+    Im k1 - Im k2 (minus, plus), each times 1 / sqrt 2 per fixed point in
+    it. Formed from the real and the imaginary part of the kernel at the two
+    differences, one channel pair at a time: no complex array of the
+    result's size is formed.
+    """
+    k, pairs = rows.size, (rows.size - fixed) // 2
+    half, ends = fixed + pairs, slice(fixed, fixed + pairs)
+    plus, minus = slice(0, half), slice(half, k)
+    direct = _differences(grid, rows[:half], cols[:half])
+    mirrored = _differences(grid, np.concatenate([rows[:fixed], rows[half:]]), cols[:half])
+    out_ch, in_ch = symbols.shape[:2]
+    kernels = _ifft(symbols, grid).reshape(out_ch, in_ch, grid.total_points)
+    out = np.empty((out_ch, k, in_ch, k))
+    for c, d in np.ndindex(out_ch, in_ch):
+        block = out[c, :, d]
+        kernel = kernels[c, d]
+        k1, k2 = kernel.real[direct], kernel.real[mirrored]
+        np.add(k1, k2, out=block[plus, plus])
+        np.subtract(k1[ends, ends], k2[ends, ends], out=block[minus, minus])
+        k1, k2 = kernel.imag[direct], kernel.imag[mirrored]
+        np.subtract(k1[ends], k2[ends], out=block[minus, plus])
+        np.add(k1[:, ends], k2[:, ends], out=block[plus, minus])
+        block[plus, minus] *= -1.0
+    out[:, :fixed] *= np.sqrt(0.5)
+    out[..., :fixed] *= np.sqrt(0.5)
+    return out.reshape(out_ch * k, in_ch * k)
 
 
 def channel_resolvent_symbols(

@@ -141,6 +141,32 @@ def channel_solve(factor):
     return np.linalg.solve(gram, f)
 
 
+def support_unitary(imp) -> np.ndarray:
+    """Q, (nu K, nu K): the basis of the support pass over the point basis of ``imp.points``, channel-major.
+
+    A nu K x nu K matrix X of the pass is Q X Q* in the point basis. Q is the
+    identity where the pass runs in the point basis (``imp.fixed`` None);
+    otherwise its columns are, in every channel, e_x over the fixed points,
+    then (e_x + e_sigma x) / sqrt 2 and then i (e_x - e_sigma x) / sqrt 2 over
+    the points x of A, for ``imp.points`` = fixed points, A, sigma A.
+    """
+    k, nu = imp.points.size, imp.a.shape[0]
+    q = np.eye(k, dtype=complex)
+    if imp.fixed is not None:
+        pairs = (k - imp.fixed) // 2
+        first = np.arange(imp.fixed, imp.fixed + pairs)
+        second = first + pairs
+        q[first, first] = q[second, first] = np.sqrt(0.5)
+        q[first, second], q[second, second] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+    return np.kron(np.eye(nu), q)
+
+
+def in_point_basis(imp, matrix: np.ndarray) -> np.ndarray:
+    """Q X Q*: a nu K x nu K matrix of the support pass in the point basis of ``imp.points``."""
+    q = support_unitary(imp)
+    return q @ matrix @ np.conj(q.T)
+
+
 def woodbury_left_end(a: HermitianMatrixField, imp) -> np.ndarray:
     """(Gt+1)^{-1} Tt for Tt = at^{1/2} D, from the impurity's support ``imp``.
 
@@ -151,7 +177,7 @@ def woodbury_left_end(a: HermitianMatrixField, imp) -> np.ndarray:
 
     with the lookups Z = E C^{-1} E* and M = E C^{-1} D; on the support rows
     the bracket is (1 + Z W)^{-1} M itself. Reads W, at^{-1/2} and the
-    core's own 1 + Z W (``one_plus_zw``) from ``imp``, and the symbols of
+    core's own 1 + Z W (``one_plus_zw``, in the point basis) from ``imp``, and the symbols of
     C^{-1} D and C^{-1} from ``channel_resolvent_symbols``. Returns
     (nu * n^N, n^N).
     """
@@ -160,7 +186,7 @@ def woodbury_left_end(a: HermitianMatrixField, imp) -> np.ndarray:
     rest = np.setdiff1d(np.arange(points), support)
     c_inv, c_inv_d = channel_resolvent_symbols(a, grid)[:2]
     inner = circulant_lookup(c_inv_d, grid).reshape(nu, points, points)  # C^{-1} D
-    y = np.linalg.solve(one_plus_zw(imp), inner[:, support].reshape(nu * k, points))
+    y = np.linalg.solve(in_point_basis(imp, one_plus_zw(imp)), inner[:, support].reshape(nu * k, points))
     # on the support M - Z W Y is Y itself; off it, C^{-1} D - (C^{-1} E*) W Y
     coupling = circulant_lookup(c_inv, grid, rows=rest, cols=support)
     inner[:, rest] -= (coupling @ pointwise_rows(imp.w, y)).reshape(nu, rest.size, points)

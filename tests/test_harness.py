@@ -443,11 +443,17 @@ class TestDenseCap:
         def no_resolvent(*args, **kwargs):
             raise AssertionError("a dense resolvent ran")
 
-        lookup, support = schatten_analysis.circulant_lookup, harness.impurity_support
+        lookup, reflected, support = (
+            schatten_analysis.circulant_lookup, schatten_analysis.reflected_lookup, harness.impurity_support
+        )
 
         def sized_lookup(symbols, grid, rows=None, cols=None):
             lookups.append(tuple(None if x is None else len(x) for x in (rows, cols)))
             return lookup(symbols, grid, rows=rows, cols=cols)
+
+        def sized_reflected(symbols, grid, rows, cols, fixed):
+            lookups.append((len(rows), len(cols)))
+            return reflected(symbols, grid, rows, cols, fixed)
 
         def recorded_support(a, a_tilde, grid):
             imp = support(a, a_tilde, grid)
@@ -465,6 +471,7 @@ class TestDenseCap:
         monkeypatch.setattr(harness, "resolvent", no_resolvent)
         monkeypatch.setattr(schatten_analysis, "resolvent", no_resolvent)
         monkeypatch.setattr(schatten_analysis, "circulant_lookup", sized_lookup)
+        monkeypatch.setattr(schatten_analysis, "reflected_lookup", sized_reflected)
         monkeypatch.setattr(harness, "impurity_support", recorded_support)
         for name in ("eigvalsh", "eigh", "inv", "svd"):
             monkeypatch.setattr(np.linalg, name, sized(getattr(np.linalg, name)))
@@ -475,14 +482,15 @@ class TestDenseCap:
             lookups.clear()
             supports.clear()
             runner(config)
-            assert supports and set(lookups) <= {(k, k) for k in supports}, runner.__name__
+            assert supports and lookups and set(lookups) <= {(k, k) for k in supports}, runner.__name__
         assert shapes == []
 
     def test_one_coefficient_pass_per_experiment(self, monkeypatch):
         # a~ is decomposed once over its P points and the reference's symbols, A included, are built
         # once: constant_multiplier is counted under harness's name too, which a second pass would
         # take; the spectrum's G is factored by one Cholesky call of size nu K, and no eigh is nu K x nu K.
-        # Every nu K x nu K lookup is support_kernel's, of one name in the table: Z, G2, G, G2 again, N, G1
+        # Every nu K x nu K lookup is support_kernel's, of one name in the table: Z, G2, G, G2 again, N, G1,
+        # each in the real basis of the experiment's reflection
         from schatten_verify import schatten_analysis, torus_operator
 
         exp = next(e for e in load_config(default_config_path()).experiments if e.id == "n2m1_bump_a05")
@@ -503,6 +511,7 @@ class TestDenseCap:
         counted(torus_operator, "constant_multiplier")
         counted(harness, "constant_multiplier")
         counted(schatten_analysis, "circulant_lookup")
+        counted(schatten_analysis, "reflected_lookup")
         for module in (harness, schatten_analysis):
             counted(module, "support_kernel", lambda imp, name: name)
         art = build_artifacts(exp)
@@ -516,9 +525,9 @@ class TestDenseCap:
         assert nu_k == 90 and [calls.count(call) for call in pinned] == [1, 1, 1, 1]
         assert all(shape[1] == nu for name, shape in calls if name == "eigh")
         assert sum(name == "cholesky" for name, _ in calls) == 1
-        lookups = [call for call in calls if call[0] in ("support_kernel", "circulant_lookup")]
+        lookups = [call for call in calls if call[0] in ("support_kernel", "circulant_lookup", "reflected_lookup")]
         names = ("z", "g2", "g", "g2", "n", "g1")
-        assert lookups == [call for name in names for call in (("support_kernel", name), ("circulant_lookup", None))]
+        assert lookups == [call for name in names for call in (("support_kernel", name), ("reflected_lookup", None))]
 
     def test_one_solve_per_experiment(self, monkeypatch):
         # the core inverts 1 + Z W once and solves nothing; the spectrum reads its Xi and the chain gap its S

@@ -13,11 +13,15 @@ a residual column is over 1e-10, the bound that the frozen-reference test
 and perfbench/checks.py hold every row to. README.md tabulates which column
 fires for each.
 
-A conjugate is tried on a variant of the experiment whose reference has
-imaginary off-diagonal entries: on the bundled one, whose config matrices
-are real, the conjugates of W, C^{-1} D, a~ and a~^{-1/2} change nothing.
-So are the spectrum's factor taken without a^{-1} and a applied to the rows of
-the core's inverse: on the bundled one a = 1.
+The bundled experiment is real and symmetric about the origin, so its pass
+runs in the real basis of that reflection (``reflected_lookup``). Two defects
+of that basis run on it: the pair halves swapped on the lookups' rows, and
+the sign of the i / sqrt 2 columns flipped. A conjugate is tried on a variant
+of the experiment whose reference has imaginary off-diagonal entries, whose
+pass is complex: on the bundled one the conjugates of W, C^{-1} D, a~,
+a~^{-1/2}, the kernels and the spectrum's factor change nothing. So are the
+spectrum's factor taken without a^{-1} and a applied to the rows of the
+core's inverse: on the bundled one a = 1.
 
 The bundled experiment's G is positive definite to working precision at its
 n = 16, so LAPACK's Cholesky factors it; the defects of the pivoted factor,
@@ -35,7 +39,7 @@ import pytest
 
 from schatten_verify import constant_field, harness, sampled_field, schatten_analysis
 from schatten_verify.cli import default_config_path
-from schatten_verify.torus_operator import circulant_lookup, pointwise_rows
+from schatten_verify.torus_operator import circulant_lookup, pointwise_rows, reflected_lookup
 
 from helpers import NEAR_SHARP, near_sharp_holds
 
@@ -84,13 +88,9 @@ def _dropped_support_point(imp, a, a_tilde):
 
 def _z_lookup_shifted(imp):
     # Z = E C^{-1} E*, the table's "z", read one point off: rows x + 1 instead of x
-    grid, points, w = imp.grid, imp.points, imp.w
-    nu, k = imp.a.shape[0], points.size
-    shifted = (points + 1) % grid.total_points
-    z = circulant_lookup(imp.kernels["z"], grid, rows=shifted, cols=points).reshape(nu * k, nu, k)
-    zw = np.matmul(z.transpose(2, 0, 1), w).transpose(1, 2, 0).reshape(nu * k, nu * k)
-    zw[np.diag_indices_from(zw)] += 1.0
-    return zw
+    with pytest.MonkeyPatch.context() as patch:
+        _lookups_shifted(patch)
+        return _ONE_ZW(imp)
 
 
 def _g_edited(edit):
@@ -149,7 +149,7 @@ KERNEL_DEFECTS = {
     "g1_g2_swapped": _g1_g2_swapped,
 }
 
-CONJUGATED = ("w", "one_zw", "c_inv_d", "kernels", "at", "at_inv_sqrt")
+CONJUGATED = ("w", "one_zw", "c_inv_d", "kernels", "at", "at_inv_sqrt", "factor", "pivoted_factor")
 
 
 def _kernels_conjugated(imp, name):
@@ -158,12 +158,16 @@ def _kernels_conjugated(imp, name):
 
 
 def _lookups_shifted(monkeypatch):
-    # every kernel lookup of the support core reads its rows one point off
+    # every kernel lookup of the support core reads its rows one point off, in the point basis or the real one
     def shifted(symbols, grid, rows=None, cols=None):
         rows = np.arange(grid.total_points) if rows is None else np.asarray(rows)
         return circulant_lookup(symbols, grid, rows=(rows + 1) % grid.total_points, cols=cols)
 
+    def reflected_shifted(symbols, grid, rows, cols, fixed):
+        return reflected_lookup(symbols, grid, (rows + 1) % grid.total_points, cols, fixed)
+
     monkeypatch.setattr(schatten_analysis, "circulant_lookup", shifted)
+    monkeypatch.setattr(schatten_analysis, "reflected_lookup", reflected_shifted)
 
 
 def _spectrum_scaled(monkeypatch):
@@ -188,7 +192,27 @@ FUNCTION_DEFECTS = {
     "lookups_shifted": _lookups_shifted,
     "spectrum_scaled": _spectrum_scaled,
     "v_scaled": _v_scaled,
-    "factor_unconjugated": _factor_unconjugated,
+}
+
+
+def _pair_halves_swapped(symbols, grid, rows, cols, fixed):
+    # the rows' sigma A read where their A belongs, and back; the columns' halves kept
+    half = (rows.size + fixed) // 2
+    swapped = np.concatenate([rows[:fixed], rows[half:], rows[fixed:half]])
+    return reflected_lookup(symbols, grid, swapped, cols, fixed)
+
+
+def _minus_columns_negated(symbols, grid, rows, cols, fixed):
+    # the columns i (e_x - e_sigma x) / sqrt 2 taken with the opposite sign
+    lookup = reflected_lookup(symbols, grid, rows, cols, fixed)
+    lookup.reshape(lookup.shape[0], -1, cols.size)[..., (cols.size + fixed) // 2 :] *= -1.0
+    return lookup
+
+
+# defects of the real basis, each in place of reflected_lookup, so in every lookup of the pass
+REFLECTED_DEFECTS = {
+    "pair_halves_swapped": _pair_halves_swapped,
+    "minus_columns_negated": _minus_columns_negated,
 }
 
 
@@ -213,7 +237,6 @@ PIVOTED_DEFECTS = {
     "pivot_order_kept": _pivoted_defect(lambda factor, order: (factor, np.arange(order.size))),
     # the factor's first r / 2 columns: R R* misses half of G
     "half_rank": _pivoted_defect(lambda factor, order: (factor[:, : factor.shape[1] // 2], order)),
-    "factor_unconjugated": _factor_unconjugated,
 }
 
 
@@ -289,6 +312,10 @@ def test_conjugate_defect_is_caught(name, complex_experiment, monkeypatch):
         _patch_core(monkeypatch, lambda imp: np.conj(_ONE_ZW(imp)))
     elif name == "c_inv_d":
         _patch_support(monkeypatch, _g_edited(np.conj))
+    elif name in ("factor", "pivoted_factor"):
+        if name == "pivoted_factor":
+            _force_pivoted(monkeypatch)
+        _factor_unconjugated(monkeypatch)
     else:
         _patch_support(monkeypatch, _conjugated(name))
     residual, passed = _verdict(complex_experiment)
@@ -298,6 +325,13 @@ def test_conjugate_defect_is_caught(name, complex_experiment, monkeypatch):
 @pytest.mark.parametrize("name", sorted(FUNCTION_DEFECTS))
 def test_function_defect_is_caught(name, experiment, monkeypatch):
     FUNCTION_DEFECTS[name](monkeypatch)
+    residual, passed = _verdict(experiment)
+    assert residual > RESIDUAL_GATE or not passed, f"{name}: residual {residual:.3g}"
+
+
+@pytest.mark.parametrize("name", sorted(REFLECTED_DEFECTS))
+def test_reflected_basis_defect_is_caught(name, experiment, monkeypatch):
+    monkeypatch.setattr(schatten_analysis, "reflected_lookup", REFLECTED_DEFECTS[name])
     residual, passed = _verdict(experiment)
     assert residual > RESIDUAL_GATE or not passed, f"{name}: residual {residual:.3g}"
 

@@ -67,6 +67,7 @@ from oracles import (
     channel_solve,
     convolution_kernel,
     derivative_operator,
+    in_point_basis,
     matrix_function,
     plane_wave,
     polar_decomposition_check,
@@ -286,6 +287,75 @@ class TestImpuritySupport:
         assert np.abs(imp.w - w).max() <= 1e-12
 
 
+def _reflection_sums(imp):
+    """s per axis of the reflection j -> s - j (mod n) that the order of ``imp.points``, fixed points, A,
+    sigma A, names; each fixed point and each pair must give the same s."""
+    grid, f = imp.grid, imp.fixed
+    pairs = (imp.points.size - f) // 2
+    coords = np.stack(np.unravel_index(imp.points, grid.spatial_shape))
+    sums = np.concatenate([2 * coords[:, :f], coords[:, f : f + pairs] + coords[:, f + pairs :]], axis=1) % grid.n
+    assert imp.points.size == f + 2 * pairs == np.unique(imp.points).size
+    assert np.all(sums == sums[:, :1])
+    return sums[:, 0]
+
+
+def _assert_real_pass(exp):
+    """The experiment's pass runs in float64, and its sampled a~ is unchanged bit for bit, at every grid
+    point, by the reflection that the support's order names."""
+    grid, field = exp.grid, perturbed_coefficient(exp)
+    at = field.values.reshape(grid.total_points, exp.basis.nu, exp.basis.nu)
+    imp = impurity_support(exp.reference, field, grid)
+    assert imp.fixed is not None and imp.points.size > 0, exp.id
+    s = _reflection_sums(imp)
+    index = np.indices(grid.spatial_shape)
+    mirror = np.ravel_multi_index(tuple((s_i - j) % grid.n for s_i, j in zip(s, index)), grid.spatial_shape)
+    assert np.array_equal(at, at[mirror.ravel()]), exp.id
+    assert imp.at.dtype == imp.w.dtype == support_kernel(imp, "z").dtype == np.float64, exp.id
+    return imp
+
+
+def _bundled(exp_id):
+    return next(e for e in load_config(default_config_path()).experiments if e.id == exp_id)
+
+
+class TestReflection:
+    def test_every_bundled_experiment_runs_real(self):
+        # the battery, the scale steps, the refine rungs and the grid2d benchmark's n = 32 rung: a sampling
+        # edit that breaks the symmetry by one bit would send them back to complex128
+        config = load_config(default_config_path())
+        for exp in (*config.experiments, *config.scale.steps, *config.refine.rungs):
+            _assert_real_pass(exp)
+        # about a lattice point (one fixed point, the center) and about a half-cell (none)
+        bump = _bundled("n2m1_bump_a05")
+        grid = TorusGrid(N=2, n=32, L=bump.grid.L)
+        assert _assert_real_pass(dataclasses.replace(bump, grid=grid)).fixed == 1
+        assert _assert_real_pass(dataclasses.replace(_bundled("n2m1_box_a8"), grid=grid)).fixed == 0
+
+    def test_off_lattice_center_runs_complex(self):
+        bump = _bundled("n2m1_bump_a05")
+        exp = dataclasses.replace(bump, perturbation=dataclasses.replace(bump.perturbation, center=(0.1, 0.0)))
+        imp = impurity_support(exp.reference, perturbed_coefficient(exp), exp.grid)
+        assert imp.fixed is None and imp.w.dtype == support_kernel(imp, "z").dtype == np.complex128
+
+    def test_complex_reference_runs_complex(self):
+        # the mutation suite's complex variant: the reference [[1, 0.3i], [-0.3i, 1]], jump 0.5 times it
+        bump = _bundled("n2m1_bump_a05")
+        reference = np.array([[1.0, 0.3j], [-0.3j, 1.0]])
+        exp = dataclasses.replace(bump, reference=constant_field(bump.basis, reference), jump=0.5 * reference)
+        imp = impurity_support(exp.reference, perturbed_coefficient(exp), exp.grid)
+        assert imp.fixed is None and imp.w.dtype == support_kernel(imp, "z").dtype == np.complex128
+
+    @pytest.mark.parametrize("exp_id", ["n2m1_bump_a05", "n2m1_box_a8", "n1m2_ball_a2"])
+    def test_real_lookups_are_the_point_lookups(self, exp_id):
+        # Q X Q* of every real lookup X is the point basis lookup, to roundoff
+        exp = _bundled(exp_id)
+        imp = _assert_real_pass(exp)
+        for name, symbols in imp.kernels.items():
+            point = circulant_lookup(symbols, exp.grid, rows=imp.points, cols=imp.points)
+            real = in_point_basis(imp, support_kernel(imp, name))
+            assert np.abs(real - point).max() <= 1e-14 * np.abs(point).max(), name
+
+
 class TestWoodburyLeftEnd:
     @pytest.mark.parametrize("N,n", [(1, 16), (2, 8), (3, 4)])
     @pytest.mark.parametrize("m", [1, 2])
@@ -455,9 +525,11 @@ class TestSpectrumFactor:
     )
     def test_matches_dense_at_p_1024(self, exp_id, pivoted, monkeypatch):
         # past the sweep's P <= 64, the bump both as LAPACK selects its factor and with the pivoted one
-        # forced: here LAPACK refuses G and the pivoted factor finds r = 380 of nu K = 386, but its
-        # verdict on a rank-deficient G may differ on another BLAS
+        # forced: here LAPACK refuses G and the pivoted factor finds r = 381 of nu K = 386, but its
+        # verdict on a rank-deficient G may differ on another BLAS. Both run the real pass, the bump
+        # about a lattice point and the box about a half-cell
         a, at, grid, dense = _bundled_at_1024(exp_id)
+        assert impurity_support(a, at, grid).fixed == (1 if exp_id == "n2m1_bump_a05" else 0)
         if pivoted:
             monkeypatch.setattr(np.linalg, "cholesky", _no_lapack_cholesky)
         _assert_norms_match(support_values(a, at, grid), dense)
@@ -499,7 +571,7 @@ class TestSupportCore:
     @pytest.mark.parametrize("amplitude", [0.5, 8.0])
     def test_matches_dense_difference(self, N, n, m, amplitude):
         a, at, grid, imp, u_star = _core_case(N, n, m, amplitude, 10 * N + m)
-        core = np.conj(u_star.T) @ support_core(imp)[0] @ u_star
+        core = np.conj(u_star.T) @ in_point_basis(imp, support_core(imp)[0]) @ u_star
         dense = direct_difference(a, at, grid)
         # the dense LU's own roundoff grows with ||Ht||, up to 1e-12 relative here
         assert np.abs(core - dense).max() <= 1e-11 * np.abs(dense).max()
@@ -511,7 +583,7 @@ class TestSupportCore:
         xi = _perturbed_core(imp, N)
         h_tilde = assemble_variable_coefficient(at, grid).dense()
         r = resolvent(assemble_constant_coefficient(a, grid).dense())
-        x = (h_tilde + np.eye(grid.total_points)) @ (r + np.conj(u_star.T) @ xi @ u_star)
+        x = (h_tilde + np.eye(grid.total_points)) @ (r + np.conj(u_star.T) @ in_point_basis(imp, xi) @ u_star)
         dense = np.linalg.norm(x - np.eye(grid.total_points))
         g2 = support_kernel(imp, "g2")
         assert abs(resolvent_certificate(imp, xi, g2) - dense) <= 1e-6 * dense
@@ -526,7 +598,7 @@ class TestSupportCore:
         right = channel_solve(assemble_derivative_factor(sqrt_field(a), grid).dense())
         v = relative_perturbation_of(a, at)
         chain = np.conj(left.T) @ block_multiplication_matrix(v, grid) @ right
-        dense = np.linalg.norm(np.conj(u_star.T) @ xi @ u_star + chain)
+        dense = np.linalg.norm(np.conj(u_star.T) @ in_point_basis(imp, xi) @ u_star + chain)
         v = v.reshape(imp.at.shape)
         # the chain reads the core's solve S = (1 + Z W)^{-1} a, which the perturbation leaves exact
         core, solved = support_core(imp)
