@@ -23,6 +23,7 @@ independent check of it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -103,9 +104,10 @@ def polyharmonic_coefficients(basis: MultiIndexBasis) -> HermitianMatrixField:
     """Diagonal multinomial weights m!/alpha! making A(xi) = |xi|^(2m).
 
     The multinomial theorem gives sum_{|a|=m} (m!/a!) xi^(2a) = |xi|^(2m),
-    so this is the canonical reference coefficient.
+    so this is the canonical reference coefficient. Each weight is the product
+    of the binomials C(alpha_1 + ... + alpha_k, alpha_k), so no m! is formed.
     """
-    weights = [math.factorial(basis.m) / np.prod([math.factorial(e) for e in alpha]) for alpha in basis.entries]
+    weights = [math.prod(map(math.comb, itertools.accumulate(alpha), alpha)) for alpha in basis.entries]
     return constant_field(basis, np.diag(np.asarray(weights, dtype=float)))
 
 

@@ -66,7 +66,6 @@ from .schatten_analysis import (
     resolvent,
     resolvent_certificate,
     singular_spectrum,
-    spectrum_factor,
     support_core,
     support_kernel,
     support_spectrum,
@@ -707,7 +706,7 @@ def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = 
     g2 = support_kernel(imp, "g2")
     chain = chain_gap(imp, xi, solved, g2, v)
     del solved, g2  # before the spectrum's factor
-    svals = support_spectrum(spectrum_factor(imp), xi)
+    svals = support_spectrum(imp, xi)
     if svals.size and svals[0] > 1e-14:
         chain /= svals[0]
     g2 = support_kernel(imp, "g2")

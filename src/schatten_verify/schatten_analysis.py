@@ -48,13 +48,12 @@ from .torus_operator import (
     block_multiplication_matrix,
     channel_resolvent_symbols,
     circulant_lookup,
-    pointwise_cols,
     pointwise_rows,
     reflected_lookup,
 )
 
 
-# the number of row blocks in which _trace_form forms its two products, and of support_spectrum's column blocks
+# the number of row blocks in which _trace_form forms its two products
 _BLOCKS = 8
 
 
@@ -236,22 +235,16 @@ def spectrum_factor(imp: ImpuritySupport) -> np.ndarray:
     return pointwise_rows(np.broadcast_to(imp.a_inv, (imp.points.size, *imp.a_inv.shape)), r)
 
 
-def support_spectrum(factor: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def support_spectrum(imp: ImpuritySupport, xi: np.ndarray) -> np.ndarray:
     """r singular values of U Xi U*, its nonzero ones among them, non-increasing: those of R'* Xi R'
-    for ``factor`` R' R'* = U* U, (nu K, r).
+    for ``spectrum_factor``'s R' R'* = U* U, (nu K, r).
 
-    The r x r R'* Xi R' is formed in _BLOCKS column blocks, so that no product
-    of the factor's size is formed beside it. ``factor`` is consumed: it is
-    conjugated in place, and freed before the spectrum's eigvalsh when the
-    caller passes it without keeping a reference.
+    Xi R' is formed, then R' is conjugated in its own buffer, and its transpose multiplies Xi R'.
     """
-    np.conjugate(factor, out=factor)  # R'-bar, whose transpose is R'*
-    rank = factor.shape[1]
-    form = np.empty((rank, rank), dtype=np.result_type(factor, xi))
-    step = max(1, -(-rank // _BLOCKS))
-    for i in range(0, rank, step):
-        form[:, i : i + step] = factor.T @ (xi @ np.conj(factor[:, i : i + step]))
-    del factor
+    factor = spectrum_factor(imp)
+    right = xi @ factor
+    form = np.conjugate(factor, out=factor).T @ right
+    del factor, right  # before the eigvalsh
     return singular_spectrum(form, hermitian=True)
 
 
@@ -276,8 +269,12 @@ def _trace_form(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
 
 
 def one_plus_zw(imp: ImpuritySupport) -> np.ndarray:
-    """1 + Z W, (nu K, nu K), for the lookup Z = E C^{-1} E* of C^{-1} on the support."""
-    zw = pointwise_cols(support_kernel(imp, "z"), imp.w)
+    """1 + Z W, (nu K, nu K), for the lookup Z = E C^{-1} E* of C^{-1} on the support.
+
+    W and Z are Hermitian, so Z W = (W Z)*, formed in W Z's own buffer.
+    """
+    zw = pointwise_rows(imp.w, support_kernel(imp, "z"))
+    zw = np.conjugate(zw, out=zw).T
     zw[np.diag_indices_from(zw)] += 1.0
     return zw
 

@@ -190,15 +190,6 @@ def pointwise_rows(field_values: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def pointwise_cols(stack: np.ndarray, field_values: np.ndarray) -> np.ndarray:
-    """Field (K, nu, nu) applied point by point on the right of the channel-major columns (rows, nu K),
-    through (K, rows, nu) views."""
-    view = (stack.shape[0], field_values.shape[1], field_values.shape[0])
-    out = np.empty(stack.shape, dtype=np.result_type(stack, field_values))
-    np.matmul(stack.reshape(view).transpose(2, 0, 1), field_values, out=out.reshape(view).transpose(2, 0, 1))
-    return out
-
-
 def constant_multiplier(a: HermitianMatrixField, grid: TorusGrid) -> np.ndarray:
     """The real scalar multiplier A(xi) of the constant-coefficient operator: its principal symbol on the lattice."""
     return principal_symbol(a.constant_matrix(), grid.frequency_points(), a.basis)

@@ -1,5 +1,7 @@
 """Shared construction helpers for the test suite."""
 
+import dataclasses
+
 import numpy as np
 
 from schatten_verify import (
@@ -18,15 +20,22 @@ from schatten_verify import (
 )
 
 from schatten_verify.coeff_algebra import field_powers
-from schatten_verify.schatten_analysis import impurity_support, spectrum_factor, support_core, support_spectrum
+from schatten_verify.schatten_analysis import impurity_support, support_core, support_spectrum
 
 from oracles import channel_solve, resolvent_difference
 
 
 def support_values(a, at, grid):
-    """The support spectrum of at against a, as ``build_artifacts`` takes it: the factor, then the core."""
+    """The support spectrum of at against a, as ``build_artifacts`` takes it: the core, then its spectrum."""
     imp = impurity_support(a, at, grid)
-    return support_spectrum(spectrum_factor(imp), support_core(imp)[0])
+    return support_spectrum(imp, support_core(imp)[0])
+
+
+def recentered(exp, center):
+    """``exp`` with its impurity moved to ``center``; ``exp`` itself for None."""
+    if center is None:
+        return exp
+    return dataclasses.replace(exp, perturbation=dataclasses.replace(exp.perturbation, center=center))
 
 
 def random_hermitian(rng, nu):

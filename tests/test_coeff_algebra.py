@@ -125,6 +125,17 @@ class TestSymbols:
         expected = sum((xi[0] ** alpha[0] * xi[1] ** alpha[1]) ** 2 for alpha in basis.entries)
         assert principal_symbol(np.eye(basis.nu), xi, basis) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_polyharmonic_weights_are_multinomials(self, N):
+        # m!/alpha! bit for bit, summing to N^m; at N = 1 the one weight is 1 for any m, and a
+        # half-order of 3,000,000 returns at once, as no m! is formed
+        for m in range(1, 13):
+            basis = enumerate_basis(N, m)
+            weights = np.diag(polyharmonic_coefficients(basis).constant_matrix())
+            expected = [math.factorial(m) / math.prod(map(math.factorial, alpha)) for alpha in basis.entries]
+            assert np.array_equal(weights, expected) and weights.sum() == N**m
+        assert polyharmonic_coefficients(enumerate_basis(1, 3_000_000)).constant_matrix() == 1.0
+
     def test_polyharmonic_squared_norm(self):
         basis = enumerate_basis(2, 1)
         a = polyharmonic_coefficients(basis).constant_matrix()

@@ -29,7 +29,7 @@ from schatten_verify.harness import (
 )
 from schatten_verify.torus_operator import constant_multiplier
 
-from helpers import NEAR_SHARP, SHORT_TORUS, global_box, near_sharp_holds, within_lattice_bound
+from helpers import NEAR_SHARP, SHORT_TORUS, global_box, near_sharp_holds, recentered, within_lattice_bound
 from oracles import parse_csv_rows, recompute_assertions_from_csv
 
 
@@ -546,18 +546,15 @@ class TestDenseCap:
         k = np.count_nonzero(art.v_norms)
         assert k > 0 and sizes == [(2 * k, 2 * k)]
 
-    def test_support_pass_peak_memory(self):
-        # traced peak inside build_artifacts, in units of one nu K x nu K complex matrix: 4.66 here,
-        # in the certificate, with the spectrum's G factored by Cholesky after the core, G2 dropped
-        # while the factor is alive and every per-point field applied by one matmul into its
-        # output (the same 4.66 when pointwise_rows summed over point blocks); 5.2 with the
-        # spectrum's eigh before the core, and 6.7 with a Kronecker right-hand side, R'* formed
-        # out of place and the three kernels stacked
+    @staticmethod
+    def _support_pass_peak(center=None):
+        """(traced peak inside build_artifacts in units of one nu K x nu K complex matrix, 16 (nu K)^2 bytes,
+        and nu K) on n2m1_bump_a05 at n = 32, its bump moved to ``center`` if one is given."""
         from schatten_verify import TorusGrid
 
         config = load_config(default_config_path())
         exp = next(e for e in config.experiments if e.id == "n2m1_bump_a05")
-        exp = dataclasses.replace(exp, grid=TorusGrid(N=2, n=32, L=exp.grid.L))
+        exp = recentered(dataclasses.replace(exp, grid=TorusGrid(N=2, n=32, L=exp.grid.L)), center)
         tracemalloc.start()
         try:
             art = build_artifacts(exp)
@@ -565,8 +562,24 @@ class TestDenseCap:
         finally:
             tracemalloc.stop()
         nu_k = 2 * np.count_nonzero(art.v_norms)
+        return peak / (16 * nu_k**2), nu_k
+
+    def test_support_pass_peak_memory(self):
+        # the real pass, about a lattice point: 2.47 units, 4.9 real nu K x nu K matrices; 3.24 with
+        # _trace_form's row blocks undone, which the complex pass's bound of 5.1 would let through
+        peak, nu_k = self._support_pass_peak()
         assert nu_k == 386
-        assert peak <= 5.1 * 16 * nu_k**2
+        assert peak <= 2.8
+
+    def test_complex_pass_peak_memory(self):
+        # the bump off the lattice, at (0.1, 0): 4.65 units, in the certificate's lookup of G1 beside
+        # Xi, G2 and Y, with the spectrum's G factored by Cholesky after the core, G2 dropped while the
+        # factor is alive and every per-point field applied by one matmul into its output; 6.25 with
+        # _trace_form's row blocks undone, 5.2 with the spectrum's eigh before the core, and 6.7 with
+        # a Kronecker right-hand side, R'* formed out of place and the three kernels stacked
+        peak, nu_k = self._support_pass_peak(center=(0.1, 0.0))
+        assert nu_k == 392
+        assert peak <= 5.1
 
     def test_counts_channels_before_any_dense_object(self, monkeypatch):
         # P = 16 fits a cap of 20, the channel side nu * P = 32 does not; the grid is never sampled

@@ -42,6 +42,7 @@ from schatten_verify.schatten_analysis import (
     factorization_residual,
     impurity_support,
     moments_gap,
+    one_plus_zw,
     pivoted_cholesky,
     resolvent_certificate,
     singular_spectrum,
@@ -59,6 +60,7 @@ from helpers import (
     polyharmonic_setup,
     random_hermitian,
     random_hermitian_pd,
+    recentered,
     relative_perturbation_of,
     support_values,
 )
@@ -332,8 +334,7 @@ class TestReflection:
         assert _assert_real_pass(dataclasses.replace(_bundled("n2m1_box_a8"), grid=grid)).fixed == 0
 
     def test_off_lattice_center_runs_complex(self):
-        bump = _bundled("n2m1_bump_a05")
-        exp = dataclasses.replace(bump, perturbation=dataclasses.replace(bump.perturbation, center=(0.1, 0.0)))
+        exp = recentered(_bundled("n2m1_bump_a05"), (0.1, 0.0))
         imp = impurity_support(exp.reference, perturbed_coefficient(exp), exp.grid)
         assert imp.fixed is None and imp.w.dtype == support_kernel(imp, "z").dtype == np.complex128
 
@@ -483,11 +484,13 @@ def _no_lapack_cholesky(g):
 
 
 @functools.cache
-def _bundled_at_1024(exp_id):
-    """(a, at, grid) of a bundled N = 2 experiment at n = 32, P = 1024, and the dense oracle's spectrum."""
+def _bundled_at_1024(exp_id, center=None):
+    """(a, at, grid) of a bundled N = 2 experiment at n = 32, P = 1024, its impurity moved to ``center``
+    if one is given, and the dense oracle's spectrum."""
     exp = next(e for e in load_config(default_config_path()).experiments if e.id == exp_id)
     grid = TorusGrid(N=2, n=32, L=exp.grid.L)
-    a, at = exp.reference, perturbed_coefficient(dataclasses.replace(exp, grid=grid))
+    exp = recentered(dataclasses.replace(exp, grid=grid), center)
+    a, at = exp.reference, perturbed_coefficient(exp)
     return a, at, grid, singular_spectrum(direct_difference(a, at, grid), hermitian=True)
 
 
@@ -521,15 +524,24 @@ class TestSpectrumFactor:
         _assert_norms_match(pivoted, dense)
 
     @pytest.mark.parametrize(
-        "exp_id,pivoted", [("n2m1_bump_a05", False), ("n2m1_bump_a05", True), ("n2m1_box_a8", False)]
+        "exp_id,pivoted,center",
+        [
+            ("n2m1_bump_a05", False, None),
+            ("n2m1_bump_a05", True, None),
+            ("n2m1_box_a8", False, None),
+            ("n2m1_bump_a05", False, (0.1, 0.0)),
+        ],
+        ids=["n2m1_bump_a05-False", "n2m1_bump_a05-True", "n2m1_box_a8-False", "n2m1_bump_a05-off_lattice"],
     )
-    def test_matches_dense_at_p_1024(self, exp_id, pivoted, monkeypatch):
+    def test_matches_dense_at_p_1024(self, exp_id, pivoted, center, monkeypatch):
         # past the sweep's P <= 64, the bump both as LAPACK selects its factor and with the pivoted one
         # forced: here LAPACK refuses G and the pivoted factor finds r = 381 of nu K = 386, but its
-        # verdict on a rank-deficient G may differ on another BLAS. Both run the real pass, the bump
-        # about a lattice point and the box about a half-cell
-        a, at, grid, dense = _bundled_at_1024(exp_id)
-        assert impurity_support(a, at, grid).fixed == (1 if exp_id == "n2m1_bump_a05" else 0)
+        # verdict on a rank-deficient G may differ on another BLAS. Those run the real pass, the bump
+        # about a lattice point and the box about a half-cell; the bump moved off the lattice, to
+        # (0.1, 0), runs the complex one, where LAPACK refuses G too and r = 388 of nu K = 392
+        a, at, grid, dense = _bundled_at_1024(exp_id, center)
+        fixed = None if center else (1 if exp_id == "n2m1_bump_a05" else 0)
+        assert impurity_support(a, at, grid).fixed == fixed
         if pivoted:
             monkeypatch.setattr(np.linalg, "cholesky", _no_lapack_cholesky)
         _assert_norms_match(support_values(a, at, grid), dense)
@@ -575,6 +587,19 @@ class TestSupportCore:
         dense = direct_difference(a, at, grid)
         # the dense LU's own roundoff grows with ||Ht||, up to 1e-12 relative here
         assert np.abs(core - dense).max() <= 1e-11 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("center", [None, (0.1, 0.0)], ids=["real", "complex"])
+    def test_one_plus_zw_is_the_pointwise_product(self, center):
+        # 1 + Z W, formed as (W Z)*, against Z W summed point by point: on the bundled bump's support,
+        # in the real pass, and with the bump off the lattice, in the complex one
+        exp = recentered(_bundled("n2m1_bump_a05"), center)
+        imp = impurity_support(exp.reference, perturbed_coefficient(exp), exp.grid)
+        assert (imp.fixed is None) == (center is not None)
+        k = imp.points.size
+        nu_k = imp.w.shape[1] * k
+        z = support_kernel(imp, "z").reshape(nu_k, -1, k)
+        expected = np.einsum("rbk,kbc->rck", z, imp.w).reshape(nu_k, nu_k) + np.eye(nu_k)
+        assert np.abs(one_plus_zw(imp) - expected).max() <= 1e-14 * np.abs(expected).max()
 
     @pytest.mark.parametrize("N,n,m", [(1, 16, 2), (2, 8, 1), (3, 4, 1)])
     def test_certificate_is_the_dense_residual(self, N, n, m):

@@ -305,12 +305,11 @@ class TestMaterialize:
 class TestPointwiseField:
     @pytest.mark.parametrize("N,m,n", [(1, 1, 16), (1, 2, 16), (2, 1, 8), (2, 2, 8), (3, 1, 4)])
     def test_matches_einsum(self, N, m, n):
-        # the three per-point products, each one matmul: the dense route's on the coefficient
-        # fields, and the support pass's on the rows and the columns of a channel-major stack,
-        # for complex fields and a constant one broadcast over the points. Bit for bit where
-        # nu = 1: H~ and its LU solve keep their arithmetic, and with them the roundoff lhs of
-        # clip level 1; to roundoff for nu > 1
-        from schatten_verify.torus_operator import _pointwise_field, _pointwise_matvec, pointwise_cols, pointwise_rows
+        # the per-point product, one matmul: the dense route's on the coefficient fields, and the
+        # support pass's on the rows of a channel-major stack, for complex fields and a constant
+        # one broadcast over the points. Bit for bit where nu = 1: H~ and its LU solve keep their
+        # arithmetic, and with them the roundoff lhs of clip level 1; to roundoff for nu > 1
+        from schatten_verify.torus_operator import _pointwise_field, _pointwise_matvec, pointwise_rows
 
         grid = TorusGrid(N=N, n=n, L=3.0)
         basis = enumerate_basis(N, m)
@@ -329,12 +328,10 @@ class TestPointwiseField:
             field = _pointwise_field(b, grid)
             expected = np.einsum("pab,...bp->...ap", field, flat).reshape(v.shape)
             pairs.append((_pointwise_matvec(field, v, grid), expected))
-        rows, cols = complex_normal(nu * k, 5), complex_normal(5, nu * k)
+        rows = complex_normal(nu * k, 5)
         for field in (complex_normal(k, nu, nu), np.broadcast_to(complex_normal(nu, nu), (k, nu, nu))):
             expected = np.einsum("kab,bkj->akj", field, rows.reshape(nu, k, 5)).reshape(rows.shape)
             pairs.append((pointwise_rows(field, rows), expected))
-            expected = np.einsum("rbk,kba->rak", cols.reshape(5, nu, k), field).reshape(cols.shape)
-            pairs.append((pointwise_cols(cols, field), expected))
         for got, expected in pairs:
             if nu == 1:
                 assert np.array_equal(got, expected)
