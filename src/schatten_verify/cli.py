@@ -93,7 +93,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 2
 
 
-@RAISE_FLOAT_ERRORS
+@RAISE_FLOAT_ERRORS()
 def _execute(subcommand: str, config: HarnessConfig, out_dir: str) -> int:
     if subcommand == "constants":
         lines, extras = run_constants(config)

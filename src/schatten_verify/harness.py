@@ -1,9 +1,11 @@
 """Experiment driver: impurity, volume-scaling, clipping, and refinement studies.
 
-Each study builds the reference operator (constant coefficients) and a
-perturbed operator on a periodic grid, computes the trace-norm or
-operator-norm resolvent-difference inequality instance per exponent p, and
-emits one ReportRow per instance. Rows go to a CSV with the fixed header
+Each study pairs the constant reference coefficient with a perturbed one on
+a periodic grid, computes the trace-norm or operator-norm resolvent-difference
+inequality instance per exponent p, and emits one ReportRow per instance.
+``build_artifacts`` hands the impurity's support and V to
+``schatten_analysis.support_pass``, which computes the resolvent difference's
+spectrum and both residual columns. Rows go to a CSV with the fixed header
 
     experiment,p,lhs,rhs,constant,ratio,factorization_residual,deift_residual,n,L,seconds
 
@@ -57,18 +59,13 @@ from .norms import (
     resolvent_profile_norm,
 )
 from .schatten_analysis import (
-    chain_gap,
     deift_residual,
     factorization_residual,
     impurity_support,
-    moments_gap,
     operator_norm,
     resolvent,
-    resolvent_certificate,
     singular_spectrum,
-    support_core,
-    support_kernel,
-    support_spectrum,
+    support_pass,
 )
 from .torus_operator import (
     TorusGrid,
@@ -97,8 +94,9 @@ DEFAULT_MAX_DIM = 8192
 # the clip study's degenerate coefficient is CLIP_FLOOR * a inside the impurity
 CLIP_FLOOR = 1e-6
 
-# the floating-point state of the loader and of every subcommand: overflow, division by zero and NaN raise
-RAISE_FLOAT_ERRORS = np.errstate(over="raise", invalid="raise", divide="raise")
+# the floating-point state of the loader and of every subcommand: overflow, division by zero and NaN raise;
+# each call makes a new np.errstate, which can be entered once
+RAISE_FLOAT_ERRORS = partial(np.errstate, over="raise", invalid="raise", divide="raise")
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +429,7 @@ def _parse_refine(d: dict, by_id: dict, max_dim: int) -> RefineStudy:
     return RefineStudy(exp, rungs)
 
 
-@RAISE_FLOAT_ERRORS
+@RAISE_FLOAT_ERRORS()
 def parse_config(data: dict) -> HarnessConfig:
     """Validate a config object into ready experiments and studies.
 
@@ -685,40 +683,16 @@ class ExperimentArtifacts:
 
 
 def build_artifacts(exp: ExperimentSpec, a_tilde: HermitianMatrixField | None = None) -> ExperimentArtifacts:
-    """The support-sized pass of one experiment; ``a_tilde`` defaults to its impurity (clip passes its own).
-
-    The resolvent difference is U Xi U* on the impurity's support; the one
-    inverse of 1 + Z W gives Xi, from which the spectrum is read. The
-    factorization column is the larger of the chain gap (relative to
-    ||Delta||_op) and the moments gap, the Deift column the resolvent
-    certificate (``schatten_analysis``). The core's inverse is the largest
-    step: no later step holds more nu K x nu K matrices than it does, so G2
-    is dropped while the spectrum's factor is alive and looked up again
-    (README, "How an experiment is computed").
-    """
+    """One experiment's ``support_pass``; ``a_tilde`` defaults to its impurity (clip passes its own)."""
     grid, a = exp.grid, exp.reference
     if a_tilde is None:
         a_tilde = perturbed_coefficient(exp)
-    # a~'s one decomposition and the reference's one symbol pass, A included, serve every step below
+    # a~'s one decomposition and the reference's one symbol pass, A included, serve every step of the pass
     imp = impurity_support(a, a_tilde, grid)
     v = relative_perturbation(imp.at, imp.at_inv_sqrt, imp.a, imp.a_inv_sqrt)
-    xi, solved = support_core(imp)
-    g2 = support_kernel(imp, "g2")
-    chain = chain_gap(imp, xi, solved, g2, v)
-    del solved, g2  # before the spectrum's factor
-    svals = support_spectrum(imp, xi)
-    if svals.size and svals[0] > 1e-14:
-        chain /= svals[0]
-    g2 = support_kernel(imp, "g2")
-    moments = moments_gap(xi, g2, svals)
-    return ExperimentArtifacts(
-        grid=grid,
-        delta_singular_values=svals,
-        v_norms=pointwise_operator_norms(v),
-        profile=np.sqrt(imp.symbol) / (1.0 + imp.symbol),
-        fact_residual=max(chain, moments),
-        deift_res=resolvent_certificate(imp, xi, g2),
-    )
+    svals, fact_residual, deift_res = support_pass(imp, v)
+    profile = np.sqrt(imp.symbol) / (1.0 + imp.symbol)
+    return ExperimentArtifacts(grid, svals, pointwise_operator_norms(v), profile, fact_residual, deift_res)
 
 
 def impurity_experiment(exp: ExperimentSpec) -> list[ReportRow]:

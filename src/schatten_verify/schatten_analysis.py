@@ -11,7 +11,8 @@ nu K x nu K checks certify it: ``resolvent_certificate`` (the resolvent
 equation of the perturbed operator), ``chain_gap`` (the factorization chain
 through the printed V) and ``moments_gap`` (tr((Xi G2)^p) against the
 printed spectrum). The residuals are Frobenius norms, which bound the
-operator norm from above.
+operator norm from above. ``support_pass`` runs these steps in their order,
+and decides when each nu K x nu K matrix is formed and dropped.
 
 Where a and the sampled at are real and at is unchanged by a reflection
 x -> c - x of the grid, every nu K x nu K matrix is taken in a real basis of
@@ -351,6 +352,28 @@ def moments_gap(xi: np.ndarray, g2: np.ndarray, values: np.ndarray) -> float:
     traces = (np.trace(b4), np.einsum("ij,ji->", b4, b2), np.einsum("ij,ji->", b4, b4))
     moments = (float(np.sum(values**p)) for p in (4, 6, 8))
     return max(abs(trace - moment) / (moment or 1.0) for trace, moment in zip(traces, moments))
+
+
+def support_pass(imp: ImpuritySupport, v: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The support spectrum and its two residual columns, for the printed values ``v`` of V.
+
+    The one inverse of 1 + Z W gives Xi, from which the spectrum is read. The
+    factorization column is the larger of the chain gap (relative to
+    ||Delta||_op = s_1, or absolute where s_1 <= 1e-14) and the moments gap,
+    the Deift column the resolvent certificate. The core's inverse is the
+    largest step: no later step holds more nu K x nu K matrices than it does,
+    so S and G2 are dropped before the spectrum's factor is formed, and G2 is
+    looked up again after it (README, "How an experiment is computed").
+    """
+    xi, solved = support_core(imp)
+    g2 = support_kernel(imp, "g2")
+    chain = chain_gap(imp, xi, solved, g2, v)
+    del solved, g2  # before the spectrum's factor
+    values = support_spectrum(imp, xi)
+    if values.size and values[0] > 1e-14:
+        chain /= values[0]
+    g2 = support_kernel(imp, "g2")
+    return values, max(chain, moments_gap(xi, g2, values)), resolvent_certificate(imp, xi, g2)
 
 
 def deift_residual(s_matrix: np.ndarray, left: np.ndarray, r_in: np.ndarray) -> float:

@@ -110,11 +110,6 @@ class LinearOperatorRep:
     def out_dim(self) -> int:
         return self.out_channels * self.grid.total_points
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(out_dim, in_dim), the shape of the dense matrix."""
-        return self.out_dim, self.in_dim
-
     def _normalize(self, values: np.ndarray, channels: int) -> np.ndarray:
         arr = np.asarray(values, dtype=complex)
         return arr.reshape((channels, *self.grid.spatial_shape))

@@ -437,8 +437,8 @@ class TestDenseCap:
         shapes, lookups, supports, solves = [], [], [], []
 
         def counted(op):
-            shapes.append(op.shape)
-            raise AssertionError(f"an operator of shape {op.shape} materialized")
+            shapes.append((op.out_dim, op.in_dim))
+            raise AssertionError(f"an operator of shape {shapes[-1]} materialized")
 
         def no_resolvent(*args, **kwargs):
             raise AssertionError("a dense resolvent ran")
@@ -512,8 +512,7 @@ class TestDenseCap:
         counted(harness, "constant_multiplier")
         counted(schatten_analysis, "circulant_lookup")
         counted(schatten_analysis, "reflected_lookup")
-        for module in (harness, schatten_analysis):
-            counted(module, "support_kernel", lambda imp, name: name)
+        counted(schatten_analysis, "support_kernel", lambda imp, name: name)
         art = build_artifacts(exp)
         nu, nu_k = 2, 2 * np.count_nonzero(art.v_norms)
         pinned = [
@@ -565,14 +564,14 @@ class TestDenseCap:
         return peak / (16 * nu_k**2), nu_k
 
     def test_support_pass_peak_memory(self):
-        # the real pass, about a lattice point: 2.47 units, 4.9 real nu K x nu K matrices; 3.24 with
+        # the real pass, about a lattice point: 2.46 units, 4.9 real nu K x nu K matrices; 3.24 with
         # _trace_form's row blocks undone, which the complex pass's bound of 5.1 would let through
         peak, nu_k = self._support_pass_peak()
         assert nu_k == 386
         assert peak <= 2.8
 
     def test_complex_pass_peak_memory(self):
-        # the bump off the lattice, at (0.1, 0): 4.65 units, in the certificate's lookup of G1 beside
+        # the bump off the lattice, at (0.1, 0): 4.64 units, in the certificate's lookup of G1 beside
         # Xi, G2 and Y, with the spectrum's G factored by Cholesky after the core, G2 dropped while the
         # factor is alive and every per-point field applied by one matmul into its output; 6.25 with
         # _trace_form's row blocks undone, 5.2 with the spectrum's eigh before the core, and 6.7 with
@@ -997,6 +996,47 @@ MALFORMED = {
         _set(["experiments", 2, "base_matrix"], [[-1.0, 0.0], [0.0, 1.0]]),
         "experiments[2] ('quick_matrix_ball').base_matrix: matrix not positive definite",
     ),
+    "unknown_shape": (
+        "verify",
+        _set(["experiments", 0, "perturbation", "shape"], "disc"),
+        "experiments[0] ('quick_box').perturbation: shape must be box, ball, or bump, got 'disc'",
+    ),
+    "short_center": (
+        "verify",
+        _set(["experiments", 2, "perturbation", "center"], [0.0]),
+        "experiments[2] ('quick_matrix_ball').perturbation: center must have 2 entries",
+    ),
+    "long_box_width": (
+        "scale",
+        _set(["experiments", 0, "perturbation", "width"], [1.0, 1.0]),
+        "experiments[0] ('quick_box').perturbation: box width must have 1 entries",
+    ),
+    "no_amplitude": (
+        "verify",
+        _set(["experiments", 1, "perturbation", "amplitude"], None),
+        "experiments[1] ('quick_bump').perturbation: need 'amplitude' or 'amplitude_matrix'",
+    ),
+    "unknown_base": (
+        "verify",
+        _set(["experiments", 3, "base"], "laplace"),
+        "experiments[3] ('quick_n3_ball'): base must be 'polyharmonic' or 'matrix'",
+    ),
+    "study_of_unknown_experiment": (
+        "refine",
+        _set(["refinement_study", "experiment"], "quick_disc"),
+        "refinement_study: unknown experiment id 'quick_disc'",
+    ),
+    "zero_level": (
+        "clip",
+        _set(["clip_study", "levels"], [0, 256, 1024]),
+        "clip_study: levels must be positive integers",
+    ),
+    "decreasing_refine_n": (
+        "refine",
+        _set(["refinement_study", "n_values"], [64, 32, 128]),
+        "refinement_study: n_values must be strictly increasing, >= 2 entries",
+    ),
+    "no_experiments": ("constants", _set(["experiments"], []), "config needs at least one experiment"),
 }
 
 
@@ -1088,6 +1128,20 @@ class TestCli:
         cfg.write_text("{]")
         assert run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_float_error_state_enters_again(self):
+        # the loader and every subcommand enter it; a second entry in one process raises as the first did
+        for _ in range(2):
+            with harness.RAISE_FLOAT_ERRORS():
+                with pytest.raises(FloatingPointError):
+                    np.divide(1.0, np.zeros(1))
+        assert np.geterr()["divide"] != "raise"
+
+    def test_exit_two_on_config_that_is_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text(json.dumps([small_config()]))
+        assert run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: config {cfg} must be a JSON object\n"
 
     def test_exit_two_on_missing_config(self, tmp_path):
         assert run_cli(["verify", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2

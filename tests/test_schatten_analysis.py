@@ -22,7 +22,7 @@ from schatten_verify import (
     schatten_norm,
     sqrt_field,
 )
-from schatten_verify import harness
+from schatten_verify import schatten_analysis
 from schatten_verify.cli import default_config_path
 from schatten_verify.coeff_algebra import clip_coefficients, matrix_inv_sqrt
 from schatten_verify.harness import (
@@ -474,8 +474,8 @@ class TestSupportSpectrum:
         config = load_config(default_config_path())
         exp = next(e for e in config.experiments if e.id == "n2m1_bump_a05")
         assert build_artifacts(exp).fact_residual <= 1e-10
-        spectrum = harness.support_spectrum
-        monkeypatch.setattr(harness, "support_spectrum", lambda *args: spectrum(*args) * (1 + 1e-6))
+        spectrum = schatten_analysis.support_spectrum
+        monkeypatch.setattr(schatten_analysis, "support_spectrum", lambda *args: spectrum(*args) * (1 + 1e-6))
         assert build_artifacts(exp).fact_residual >= 1e-7
 
 
@@ -634,8 +634,6 @@ class TestSupportCore:
     def test_certificate_ties_g1_to_its_symbol(self, monkeypatch):
         # Y is roundoff on a correct core, so the norm tr(Y* G1 Y G2) cannot see a wrong G1;
         # tr(G1) against K sum_xi |d(xi)|^2 / P can
-        from schatten_verify import schatten_analysis
-
         _, _, _, imp, _ = _core_case(2, 8, 1, 2.0, 3)
         xi, g2 = support_core(imp)[0], support_kernel(imp, "g2")
         assert resolvent_certificate(imp, xi, g2) <= 1e-12
