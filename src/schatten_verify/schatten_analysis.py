@@ -6,13 +6,13 @@ resolvent difference is Delta = U Xi U* with the nu K x nu K core
 Xi = a W (1 + Z W)^{-1} a (Woodbury; Hager, SIAM Rev. 31 (1989) 221-239).
 ``support_spectrum`` reads its singular values from Xi through
 ``spectrum_factor``'s Cholesky factor of U* U (Birman-Schwinger; Simon,
-*Trace Ideals*, 2nd ed., AMS 2005), and three
-nu K x nu K checks certify it: ``resolvent_certificate`` (the resolvent
-equation of the perturbed operator), ``chain_gap`` (the factorization chain
-through the printed V) and ``moments_gap`` (tr((Xi G2)^p) against the
-printed spectrum). The residuals are Frobenius norms, which bound the
-operator norm from above. ``support_pass`` runs these steps in their order,
-and decides when each nu K x nu K matrix is formed and dropped.
+*Trace Ideals*, 2nd ed., AMS 2005), and three nu K x nu K checks certify it:
+``resolvent_certificate`` (the resolvent equation of the perturbed operator),
+``chain_gap`` (a bound on the gap to the factorization chain through the
+printed V) and ``moments_gap`` (tr((Xi G2)^p) against the printed spectrum).
+The residuals are Frobenius norms, which bound the operator norm from above.
+``support_pass`` runs these steps in their order, and decides when each
+nu K x nu K matrix is formed and dropped.
 
 Where a and the sampled at are real and at is unchanged by a reflection
 x -> c - x of the grid, every nu K x nu K matrix is taken in a real basis of
@@ -319,15 +319,15 @@ def resolvent_certificate(imp: ImpuritySupport, xi: np.ndarray, g2: np.ndarray) 
     return max(_trace_form(y, g1, g2), g1_gap)
 
 
-def chain_gap(imp: ImpuritySupport, xi: np.ndarray, solved: np.ndarray, g2: np.ndarray, v: np.ndarray) -> float:
-    """||U Xi U* - chain||_F for the chain Tt* (Gt+1)^{-1} (-V) (G+1)^{-1} T, absolute.
+def chain_gap(imp: ImpuritySupport, xi: np.ndarray, solved: np.ndarray, v: np.ndarray) -> float:
+    """A bound on ||U Xi U* - chain||_F for the chain Tt* (Gt+1)^{-1} (-V) (G+1)^{-1} T, absolute.
 
-    On the support the chain is U Xi_V U* with Xi_V = -a (1 + W Z)^{-1} F,
-    F = at^{-1/2} V a^{1/2}, for the printed values ``v`` of V. W and Z are
-    Hermitian, so (1 + W Z)^{-1} = ((1 + Z W)^{-1})*, and a (1 + W Z)^{-1} is
-    S* for the core's ``solved`` S = (1 + Z W)^{-1} a; Xi_V = -S* F needs no
-    solve of its own. Off the support V vanishes; its part of the chain there
-    is at most ||V||_F / 4, which is added. ``g2`` is the kernel G2 = U* U.
+    On the support the chain is U Xi_V U* with Xi_V = -a (1 + W Z)^{-1} F = -S* F (W, Z Hermitian)
+    for the core's ``solved`` S = (1 + Z W)^{-1} a, F = at^{-1/2} V a^{1/2} and the printed ``v``.
+    ||U X U*||_F <= ||G2||_op ||X||_F for X = Xi - Xi_V, and G2 = U* U compresses the block circulant
+    of symbol u u*, so ||G2||_op <= max_xi tr(u u*), read from the table's "g2" with no lookup: the
+    bound is at least the exact gap, and sees the part of X that U maps to 0. Off the support V
+    vanishes; its part of the chain there is at most ||V||_F / 4, which is added.
     """
     support = imp.points
     field = imp.at_inv_sqrt[support] @ v[support] @ imp.a_sqrt
@@ -335,7 +335,8 @@ def chain_gap(imp: ImpuritySupport, xi: np.ndarray, solved: np.ndarray, g2: np.n
     x = pointwise_rows(np.conj(field.transpose(0, 2, 1)), solved)
     x = np.conjugate(x, out=x).T
     x += xi
-    return _trace_form(x, g2, g2) + 0.25 * float(np.linalg.norm(np.delete(v, support, axis=0)))
+    g2_bound = float(np.trace(imp.kernels["g2"]).real.max())
+    return g2_bound * float(np.linalg.norm(x)) + 0.25 * float(np.linalg.norm(np.delete(v, support, axis=0)))
 
 
 def moments_gap(xi: np.ndarray, g2: np.ndarray, values: np.ndarray) -> float:
@@ -358,17 +359,16 @@ def support_pass(imp: ImpuritySupport, v: np.ndarray) -> tuple[np.ndarray, float
     """The support spectrum and its two residual columns, for the printed values ``v`` of V.
 
     The one inverse of 1 + Z W gives Xi, from which the spectrum is read. The
-    factorization column is the larger of the chain gap (relative to
+    factorization column is the larger of the chain gap's bound (relative to
     ||Delta||_op = s_1, or absolute where s_1 <= 1e-14) and the moments gap,
-    the Deift column the resolvent certificate. The core's inverse is the
-    largest step: no later step holds more nu K x nu K matrices than it does,
-    so S and G2 are dropped before the spectrum's factor is formed, and G2 is
-    looked up again after it (README, "How an experiment is computed").
+    the Deift column the resolvent certificate. Each kernel is looked up once:
+    Z by the core, G by the spectrum, G2 after it, N and G1 by the certificate.
+    The chain gap reads no lookup, and S is dropped before the spectrum's factor
+    (README, "How an experiment is computed").
     """
     xi, solved = support_core(imp)
-    g2 = support_kernel(imp, "g2")
-    chain = chain_gap(imp, xi, solved, g2, v)
-    del solved, g2  # before the spectrum's factor
+    chain = chain_gap(imp, xi, solved, v)
+    del solved  # before the spectrum's factor
     values = support_spectrum(imp, xi)
     if values.size and values[0] > 1e-14:
         chain /= values[0]

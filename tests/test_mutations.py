@@ -49,6 +49,7 @@ SCALE = 1 + 1e-9
 _ORIGINAL = schatten_analysis.impurity_support
 _KERNEL = schatten_analysis.support_kernel
 _ONE_ZW = schatten_analysis.one_plus_zw
+_CORE = schatten_analysis.support_core
 _FACTOR = schatten_analysis.spectrum_factor
 _PIVOTED = schatten_analysis.pivoted_cholesky
 
@@ -375,6 +376,32 @@ def test_a_on_the_inverse_rows_is_caught(complex_experiment, monkeypatch):
     monkeypatch.setattr(schatten_analysis, "support_core", core)
     residual, passed = _verdict(complex_experiment)
     assert residual > RESIDUAL_GATE or not passed, f"residual {residual:.3g}"
+
+
+def test_a_core_defect_that_u_nearly_annuls_is_caught_by_the_chain_bound(experiment, monkeypatch):
+    # Xi plus 1e-9 ||Xi||_F q q*, q the eigenvector of G2's least eigenvalue, 2.1e-11 against max tr(u u*)
+    # = 0.25 (G2 = U* U is positive definite at n = 16, so no defect of Xi is exactly in its null space):
+    # U q is 4.5e-6 |q|, so the printed values, the moments gap and the certificate move by roundoff, and
+    # the exact chain gap ||U X U*||_F by 2.1e-11 / 0.25 of what the bound max tr(u u*) ||X||_F reads
+    config, exp = experiment
+    built = [row.lhs for row in harness.impurity_experiment(exp)]
+    least = []
+
+    def core(imp):
+        xi, solved = _CORE(imp)
+        values, vectors = np.linalg.eigh(_KERNEL(imp, "g2"))
+        least.append(values[0] / np.trace(imp.kernels["g2"]).real.max())
+        return xi + 1e-9 * np.linalg.norm(xi) * np.outer(vectors[:, 0], np.conj(vectors[:, 0])), solved
+
+    monkeypatch.setattr(schatten_analysis, "support_core", core)
+    rows = harness.impurity_experiment(exp)
+    assert least and max(least) <= 1e-10
+    assert [row.lhs for row in rows] == pytest.approx(built, rel=1e-14, abs=0)
+    assert min(row.factorization_residual for row in rows) > RESIDUAL_GATE
+    # with the chain gap taken out, every other check passes the defect
+    monkeypatch.setattr(schatten_analysis, "chain_gap", lambda *args: 0.0)
+    residual, passed = _verdict(experiment)
+    assert residual <= RESIDUAL_GATE and passed
 
 
 @pytest.fixture(scope="module")

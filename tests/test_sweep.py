@@ -11,6 +11,10 @@ On every case of the grid:
   Delta <= 0, and a jump <= 0 makes Delta >= 0, each to 1e-10 of the top
   value. The eigenvalues come from the dense oracle, which the CLI does not run.
 
+The chain gap's bound rests on ||G2||_op <= max_xi tr(u u*) for the support's
+lookup G2 of the symbol u u*; ``test_g2_norm_is_at_most_its_symbols_max``
+checks it on the sweep's supports, in the real pass and the complex one.
+
 The sweep's lower side is the near-sharp row (helpers.NEAR_SHARP, run by
 ``TestLatticeBound`` in test_harness.py): its ratios must read at least 0.99,
 which a lattice constant 2% too large fails.
@@ -24,10 +28,10 @@ import pytest
 
 from schatten_verify import constant_field
 from schatten_verify.harness import impurity_experiment, parse_config, perturbed_coefficient
-from schatten_verify.schatten_analysis import singular_spectrum
+from schatten_verify.schatten_analysis import impurity_support, singular_spectrum, support_kernel
 from schatten_verify.torus_operator import constant_multiplier
 
-from helpers import direct_difference
+from helpers import direct_difference, recentered
 
 # (N, m, n, L) of the grids; every p in P_VALUES is > N/m and >= 2 on each
 GRIDS = [(1, 1, 16, 2 * math.pi), (1, 2, 16, 6.0), (2, 1, 8, 5.0), (2, 2, 8, 2 * math.pi)]
@@ -93,3 +97,23 @@ def test_sweep_case(name):
     assert top > 0 and (sign * eigenvalues).max() <= 1e-10 * top, (sign, eigenvalues.min(), eigenvalues.max())
     # and the dense spectrum is the one the support route printed
     assert rows[-1].lhs == pytest.approx(singular_spectrum(difference, hermitian=True)[0], rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "name,center",
+    [("n2m1_bump_+1", None), ("n2m1_bump_+1", (0.1, 0.0)), ("n2m1_global_box_+1", None)],
+    ids=["real", "complex", "whole_torus"],
+)
+def test_g2_norm_is_at_most_its_symbols_max(name, center):
+    # G2 = U* U is the block circulant of symbol u u* compressed to the support, so its largest eigenvalue
+    # is at most max_xi tr(u u*): on the bump's support in the real pass, and moved off the lattice, in the
+    # complex one; a box over the whole torus takes every point, and G2, the whole circulant, attains it
+    exp = recentered(parse_config({"experiments": [CASES[name]]}).experiments[0], center)
+    imp = impurity_support(exp.reference, perturbed_coefficient(exp), exp.grid)
+    assert (imp.fixed is None) == (center is not None)
+    top = np.linalg.eigvalsh(support_kernel(imp, "g2"))[-1]
+    bound = np.trace(imp.kernels["g2"]).real.max()
+    if imp.points.size == exp.grid.total_points:
+        assert top == pytest.approx(bound, rel=1e-12)
+    else:
+        assert top <= bound
