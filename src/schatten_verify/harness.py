@@ -10,10 +10,13 @@ spectrum and both residual columns. Rows go to a CSV with the fixed header
     experiment,p,lhs,rhs,constant,ratio,factorization_residual,deift_residual,n,L,seconds
 
 and a JSON summary records the config echo plus one pass/fail flag per
-assertion. An identical config gives identical numerical payloads, whatever
-the seed; the trailing seconds column is the wall time since the start of the
-experiment (or sweep step) that produced the row, not a per-row cost, and
-is excluded from the bit-identity contract.
+assertion. Each runner calls its own flag builder (``verify_flags``,
+``scale_flags``, ``clip_flags``, ``refine_flags``) on its rows, the config's
+tolerances and what its summary extras record. An identical config gives
+identical numerical payloads, whatever the seed; the trailing seconds column
+is the wall time since the start of the experiment (or sweep step) that
+produced the row, not a per-row cost, and is excluded from the bit-identity
+contract.
 
 Every row's constant is the lattice constant C_lat(p) of its reference and
 grid (``lattice_constant``), for which lhs <= C_lat(p) * rhs holds exactly on
@@ -385,13 +388,12 @@ def _parse_scale(d: dict, by_id: dict) -> ScaleStudy:
         # centered on the impurity, each side rel_w * L: the boxes nest, so two hold the same cells
         # exactly when their counts agree, and the second would repeat the first's row and label
         box = PerturbationSpec("box", exp.perturbation.center, width=(rel_w * exp.grid.L,) * exp.N)
-        profile = indicator_profile(box, exp.grid)
-        cells = np.count_nonzero(profile)
+        cells = np.count_nonzero(indicator_profile(box, exp.grid))
         if cells in (0, previous):
             held = f"the cells of relative_widths[{i - 1}]" if cells else "no grid point"
             raise ConfigError(f"scale_study: relative_widths[{i}] = {rel_w:g} gives a box with {held}")
         previous = cells
-        volumes.append(measured_support_volume(profile, exp.grid))
+        volumes.append(exp.grid.cell_volume * cells)
         steps.append(replace(exp, id=f"{exp.id}|U={volumes[-1]:.12g}", perturbation=box))
     return ScaleStudy(exp, tuple(steps), tuple(volumes))
 
@@ -533,11 +535,6 @@ def indicator_profile(spec: PerturbationSpec, grid: TorusGrid) -> np.ndarray:
     inside = s2 < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
     return out
-
-
-def measured_support_volume(profile: np.ndarray, grid: TorusGrid) -> float:
-    """Grid measure h^N * (number of cells in the support)."""
-    return grid.cell_volume * float(np.count_nonzero(profile))
 
 
 def perturbed_coefficient(
@@ -742,10 +739,16 @@ def _monotonicity_assertions(rows: list[ReportRow]) -> list[Assertion]:
     return out
 
 
+def verify_flags(rows: list[ReportRow]) -> list[Assertion]:
+    """One ``ratio:`` flag per row, then one ``schatten_monotone:`` flag per experiment."""
+    ratio_flags = _bound_flags(rows, lambda row: f"ratio:{row.experiment}:p={_p_label(row.p)}")
+    return ratio_flags + _monotonicity_assertions(rows)
+
+
 def run_verify(config: HarnessConfig) -> StudyResult:
     """The impurity battery over every configured experiment."""
     rows = [row for exp in config.experiments for row in impurity_experiment(exp)]
-    return StudyResult(rows=rows, assertions=study_assertions("verify", rows, config, {}), extras={})
+    return StudyResult(rows=rows, assertions=verify_flags(rows), extras={})
 
 
 def _study(study, section: str):
@@ -769,8 +772,9 @@ def run_scale(config: HarnessConfig) -> StudyResult:
     study = _study(config.scale, "scale_study")
     p = min(study.experiment.p_values)
     rows = [row for step in study.steps for row in impurity_experiment(step) if row.p == p]
-    extras = {"volumes": study.volumes, "slope": _fit_slope(study.volumes, [r.rhs for r in rows])}
-    return StudyResult(rows=rows, assertions=study_assertions("scale", rows, config, extras), extras=extras)
+    slope = _fit_slope(study.volumes, [r.rhs for r in rows])
+    extras = {"volumes": study.volumes, "slope": slope}
+    return StudyResult(rows=rows, assertions=scale_flags(rows, config.tolerances, slope), extras=extras)
 
 
 def _fit_slope(xs: list[float], ys: list[float]) -> float:
@@ -778,7 +782,7 @@ def _fit_slope(xs: list[float], ys: list[float]) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def _scale_assertions(rows: list[ReportRow], tol: Tolerances, slope: float) -> list[Assertion]:
+def scale_flags(rows: list[ReportRow], tol: Tolerances, slope: float) -> list[Assertion]:
     p = rows[0].p
     slope_flag = Assertion(
         name="scale_slope",
@@ -835,10 +839,10 @@ def run_clip(config: HarnessConfig) -> StudyResult:
             rows.append(replace(pair, ratio=0.0))
 
     extras = {"cauchy": cauchy, "spectral_max": study.spectral_max}
-    return StudyResult(rows=rows, assertions=study_assertions("clip", rows, config, extras), extras=extras)
+    return StudyResult(rows=rows, assertions=clip_flags(rows, study.spectral_max, cauchy), extras=extras)
 
 
-def _clip_assertions(rows: list[ReportRow], spectral_max: float, cauchy: list[dict]) -> list[Assertion]:
+def clip_flags(rows: list[ReportRow], spectral_max: float, cauchy: list[dict]) -> list[Assertion]:
     out = _bound_flags([r for r in rows if "|clip=" in r.experiment], lambda r: f"clip_bound:{r.experiment}")
     # Cauchy monotonicity once the clip level dominates the true spectrum
     diffs = sorted((c["level"], c["difference"]) for c in cauchy if c["level"] >= spectral_max)
@@ -861,11 +865,13 @@ def _clip_assertions(rows: list[ReportRow], spectral_max: float, cauchy: list[di
 
 def run_refine(config: HarnessConfig) -> StudyResult:
     """Repeat the impurity experiment over a grid ladder to expose truncation error."""
-    rows = [row for rung in _study(config.refine, "refinement_study").rungs for row in impurity_experiment(rung)]
-    return StudyResult(rows=rows, assertions=study_assertions("refine", rows, config, {}), extras={})
+    study = _study(config.refine, "refinement_study")
+    rows = [row for rung in study.rungs for row in impurity_experiment(rung)]
+    smooth = study.experiment.perturbation.shape == "bump"
+    return StudyResult(rows=rows, assertions=refine_flags(rows, config.tolerances, smooth), extras={})
 
 
-def _refine_assertions(rows: list[ReportRow], tol: Tolerances, smooth: bool) -> list[Assertion]:
+def refine_flags(rows: list[ReportRow], tol: Tolerances, smooth: bool) -> list[Assertion]:
     by_p: dict[float, list[ReportRow]] = {}
     for row in rows:
         by_p.setdefault(row.p, []).append(row)
@@ -898,40 +904,6 @@ def _refine_assertions(rows: list[ReportRow], tol: Tolerances, smooth: bool) -> 
                 )
             )
     return out
-
-
-# ---------------------------------------------------------------------------
-# the assertions of a study
-# ---------------------------------------------------------------------------
-
-
-def _extra(extras: dict, key: str, study: str):
-    if key not in extras:
-        raise ConfigError(f"{study} assertions need {key!r} from the {study} summary extras")
-    return extras[key]
-
-
-def study_assertions(
-    study: str, rows: list[ReportRow], config: HarnessConfig, extras: dict
-) -> list[Assertion]:
-    """The pass/fail flags of a study's rows.
-
-    ``extras`` is the study's summary extras, which hold what the rows do not: the
-    scale study's fitted ``slope``, the clip study's ``spectral_max`` and ``cauchy`` gaps.
-    """
-    tol = config.tolerances
-    if study == "verify":
-        ratio_flags = _bound_flags(rows, lambda row: f"ratio:{row.experiment}:p={_p_label(row.p)}")
-        return ratio_flags + _monotonicity_assertions(rows)
-    if study == "scale":
-        return _scale_assertions(rows, tol, float(_extra(extras, "slope", study)))
-    if study == "clip":
-        spectral_max = float(_extra(extras, "spectral_max", study))
-        return _clip_assertions(rows, spectral_max, _extra(extras, "cauchy", study))
-    if study == "refine":
-        shape = _study(config.refine, "refinement_study").experiment.perturbation.shape
-        return _refine_assertions(rows, tol, smooth=shape == "bump")
-    raise ConfigError(f"unknown study {study!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,16 @@ from schatten_verify import (
 )
 from schatten_verify.coeff_algebra import HermitianMatrixField
 from schatten_verify.errors import ConfigError
-from schatten_verify.harness import CSV_HEADER, Assertion, HarnessConfig, ReportRow, study_assertions
+from schatten_verify.harness import (
+    CSV_HEADER,
+    Assertion,
+    HarnessConfig,
+    ReportRow,
+    clip_flags,
+    refine_flags,
+    scale_flags,
+    verify_flags,
+)
 from schatten_verify.multiindex import MultiIndexBasis
 from schatten_verify.schatten_analysis import one_plus_zw
 from schatten_verify.torus_operator import (
@@ -389,8 +398,14 @@ def parse_csv_rows(text: str) -> list[ReportRow]:
     return rows
 
 
-def recompute_assertions_from_csv(
-    csv_text: str, config: HarnessConfig, study: str, extras: dict | None = None
-) -> list[Assertion]:
-    """Re-derive the pass/fail flags from a written CSV report and its summary extras."""
-    return study_assertions(study, parse_csv_rows(csv_text), config, extras or {})
+def recompute_assertions_from_csv(csv_text: str, config: HarnessConfig, study: str, extras: dict) -> list[Assertion]:
+    """Re-derive a study's pass/fail flags from its written CSV report, the config's tolerances and its summary
+    extras: each study's builder, as its runner calls it."""
+    rows, tol = parse_csv_rows(csv_text), config.tolerances
+    builders = {
+        "verify": lambda: verify_flags(rows),
+        "scale": lambda: scale_flags(rows, tol, extras["slope"]),
+        "clip": lambda: clip_flags(rows, extras["spectral_max"], extras["cauchy"]),
+        "refine": lambda: refine_flags(rows, tol, config.refine.experiment.perturbation.shape == "bump"),
+    }
+    return builders[study]()

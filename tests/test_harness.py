@@ -25,7 +25,6 @@ from schatten_verify.harness import (
     run_refine,
     run_scale,
     run_verify,
-    study_assertions,
 )
 from schatten_verify.torus_operator import constant_multiplier
 
@@ -572,10 +571,11 @@ class TestDenseCap:
 
     def test_complex_pass_peak_memory(self):
         # the bump off the lattice, at (0.1, 0): 4.64 units, in the certificate's lookup of G1 beside
-        # Xi, G2 and Y, with the spectrum's G factored by Cholesky after the core, G2 dropped while the
-        # factor is alive and every per-point field applied by one matmul into its output; 6.25 with
-        # _trace_form's row blocks undone, 5.2 with the spectrum's eigh before the core, and 6.7 with
-        # a Kronecker right-hand side, R'* formed out of place and the three kernels stacked
+        # Xi, G2 and Y, with the spectrum's G factored by Cholesky after the core, G2 first looked up
+        # after the spectrum, so never beside its factor, and every per-point field applied by one
+        # matmul into its output; 6.25 with _trace_form's row blocks undone, 5.2 with the spectrum's
+        # eigh before the core, and 6.7 with a Kronecker right-hand side, R'* formed out of place and
+        # the three kernels stacked
         peak, nu_k = self._support_pass_peak(center=(0.1, 0.0))
         assert nu_k == 392
         assert peak <= 5.1
@@ -1273,6 +1273,14 @@ class TestCli:
         assert run_cli(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+_STUDIES = ("verify", "scale", "clip", "refine")
+
+
+def _flag_row(experiment, p, lhs=0.0):
+    """A row whose lhs is ``lhs``, with C_lat * rhs = 1 and zero residuals."""
+    return harness.ReportRow(experiment, p, lhs, 1.0, 1.0, lhs, 0.0, 0.0, 16, 2 * math.pi, 0.0)
+
+
 class TestReportRoundTrip:
     def test_csv_parse_round_trip(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1283,10 +1291,18 @@ class TestReportRoundTrip:
         rows = parse_csv_rows(text)
         assert [r.csv_line() for r in rows] == text.splitlines()[1:]
 
-    @pytest.mark.parametrize("study", ["verify", "scale", "clip", "refine"])
-    def test_json_flags_agree_with_csv_recompute(self, study, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(small_config()))
+    @pytest.mark.parametrize(
+        "study, bundled",
+        [pytest.param(study, False, id=study) for study in _STUDIES]
+        + [pytest.param(study, True, id=f"bundled-{study}") for study in _STUDIES],
+    )
+    def test_json_flags_agree_with_csv_recompute(self, study, bundled, tmp_path):
+        # a summary's flags are a function of its CSV rows, the config's tolerances and its extras
+        if bundled:
+            cfg = Path(default_config_path())
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(small_config()))
         out = tmp_path / "out"
         assert run_cli([study, "--config", str(cfg), "--out", str(out)]) == 0
         config = load_config(str(cfg))
@@ -1298,30 +1314,29 @@ class TestReportRoundTrip:
         flags = {a["name"]: a["passed"] for a in summary["assertions"]}
         assert {a.name: a.passed for a in recomputed} == flags
 
-    def test_scale_recompute_needs_slope(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(small_config()))
-        out = tmp_path / "out"
-        assert run_cli(["scale", "--config", str(cfg), "--out", str(out)]) == 0
-        csv_text = (out / "scale_report.csv").read_text()
-        with pytest.raises(ConfigError, match="slope"):
-            recompute_assertions_from_csv(csv_text, load_config(str(cfg)), "scale", extras={})
+    def test_scale_recompute_needs_slope(self):
+        # scale_slope reads the slope it is given: it passes at 1/p and fails 2 tolerances off
+        tol = Tolerances()
+        rows = [_flag_row("box|U=1", 4.0)]
+        for slope, passed in ((0.25, True), (0.25 + 2 * tol.slope, False), (0.25 - 2 * tol.slope, False)):
+            flag = harness.scale_flags(rows, tol, slope)[0]
+            assert (flag.name, flag.passed) == ("scale_slope", passed), flag.detail
 
-    def test_clip_recompute_needs_spectral_max(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(small_config()))
-        out = tmp_path / "out"
-        assert run_cli(["clip", "--config", str(cfg), "--out", str(out)]) == 0
-        csv_text = (out / "clip_report.csv").read_text()
-        config = load_config(str(cfg))
-        for extras in (None, {"cauchy": []}):
-            with pytest.raises(ConfigError, match="spectral_max"):
-                recompute_assertions_from_csv(csv_text, config, "clip", extras=extras)
+    def test_clip_recompute_needs_spectral_max(self):
+        # the gap rises from level 1 to 4 and falls after: the rise counts only once spectral_max <= 1
+        gaps = ((1, 1e-3), (4, 2e-3), (16, 1e-4), (64, 1e-5))
+        cauchy = [{"level": level, "next": 2 * level, "difference": d} for level, d in gaps]
+        for spectral_max, passed in ((3.9, True), (4.0, True), (1.0, False), (0.5, False)):
+            flag = harness.clip_flags([], spectral_max, cauchy)[-1]
+            assert (flag.name, flag.passed) == ("clip_cauchy_monotone", passed), flag.detail
 
     def test_clip_flags_need_cauchy(self):
-        # the Cauchy flag reads the gaps from the extras, not from the clip_pair rows
-        with pytest.raises(ConfigError, match="'cauchy'"):
-            study_assertions("clip", [], parse_config(small_config()), {"spectral_max": 16.0})
+        # the Cauchy flag reads the gaps from its cauchy argument, not from the clip_pair rows
+        pairs = [_flag_row(f"box|clip_pair={level}:{2 * level}", 2.0, lhs=d) for level, d in ((256, 1e-3), (512, 1e-4))]
+        for differences, passed in (((1e-4, 1e-3), False), ((1e-3, 1e-4), True)):
+            cauchy = [{"level": level, "next": 2 * level, "difference": d} for level, d in zip((256, 512), differences)]
+            flags = harness.clip_flags(pairs, 16.0, cauchy)
+            assert [(a.name, a.passed) for a in flags] == [("clip_cauchy_monotone", passed)]
 
 
 def test_perfbench_tracer_installs():

@@ -244,18 +244,14 @@ PIVOTED_DEFECTS = {
 
 @pytest.fixture(scope="module")
 def experiment():
-    config = harness.load_config(default_config_path())
-    exp = next(e for e in config.experiments if e.id == EXPERIMENT)
-    return config, exp
+    return next(e for e in harness.load_config(default_config_path()).experiments if e.id == EXPERIMENT)
 
 
 @pytest.fixture(scope="module")
 def complex_experiment(experiment):
     """The bundled bump over the reference [[1, 0.3i], [-0.3i, 1]], with jump 0.5 times it."""
-    config, exp = experiment
     reference = np.array([[1.0, 0.3j], [-0.3j, 1.0]])
-    exp = dataclasses.replace(exp, reference=constant_field(exp.basis, reference), jump=0.5 * reference)
-    return config, exp
+    return dataclasses.replace(experiment, reference=constant_field(experiment.basis, reference), jump=0.5 * reference)
 
 
 def _patch_support(monkeypatch, defect):
@@ -274,12 +270,11 @@ def _patch_core(monkeypatch, defect):
     monkeypatch.setattr(schatten_analysis, "one_plus_zw", defect)
 
 
-def _verdict(experiment):
+def _verdict(exp):
     """(largest residual, every assertion passed) of the experiment's verify rows."""
-    config, exp = experiment
     rows = harness.impurity_experiment(exp)
     residual = max(max(r.factorization_residual, r.deift_residual) for r in rows)
-    passed = all(a.passed for a in harness.study_assertions("verify", rows, config, {}))
+    passed = all(a.passed for a in harness.verify_flags(rows))
     return residual, passed
 
 
@@ -383,8 +378,7 @@ def test_a_core_defect_that_u_nearly_annuls_is_caught_by_the_chain_bound(experim
     # = 0.25 (G2 = U* U is positive definite at n = 16, so no defect of Xi is exactly in its null space):
     # U q is 4.5e-6 |q|, so the printed values, the moments gap and the certificate move by roundoff, and
     # the exact chain gap ||U X U*||_F by 2.1e-11 / 0.25 of what the bound max tr(u u*) ||X||_F reads
-    config, exp = experiment
-    built = [row.lhs for row in harness.impurity_experiment(exp)]
+    built = [row.lhs for row in harness.impurity_experiment(experiment)]
     least = []
 
     def core(imp):
@@ -394,7 +388,7 @@ def test_a_core_defect_that_u_nearly_annuls_is_caught_by_the_chain_bound(experim
         return xi + 1e-9 * np.linalg.norm(xi) * np.outer(vectors[:, 0], np.conj(vectors[:, 0])), solved
 
     monkeypatch.setattr(schatten_analysis, "support_core", core)
-    rows = harness.impurity_experiment(exp)
+    rows = harness.impurity_experiment(experiment)
     assert least and max(least) <= 1e-10
     assert [row.lhs for row in rows] == pytest.approx(built, rel=1e-14, abs=0)
     assert min(row.factorization_residual for row in rows) > RESIDUAL_GATE
@@ -406,29 +400,23 @@ def test_a_core_defect_that_u_nearly_annuls_is_caught_by_the_chain_bound(experim
 
 @pytest.fixture(scope="module")
 def near_sharp():
-    config = harness.parse_config({"experiments": [NEAR_SHARP]})
-    return config, config.experiments[0]
+    return harness.parse_config({"experiments": [NEAR_SHARP]}).experiments[0]
 
 
-def _upper_flags_pass(config, rows):
-    return all(a.passed for a in harness.study_assertions("verify", rows, config, {}))
-
-
-def _two_sided_holds(config, rows):
-    return near_sharp_holds(rows)
+def _upper_flags_pass(rows):
+    return all(a.passed for a in harness.verify_flags(rows))
 
 
 # defects of the lattice constant: a factor on C_lat and the check on the near-sharp row that must fail
 LATTICE_DEFECTS = {
     "lattice_constant_low": (0.98, _upper_flags_pass),
-    "lattice_constant_high": (1.02, _two_sided_holds),
+    "lattice_constant_high": (1.02, near_sharp_holds),
 }
 
 
 def test_the_near_sharp_row_passes_as_built(near_sharp):
-    config, exp = near_sharp
-    rows = harness.impurity_experiment(exp)
-    assert _upper_flags_pass(config, rows) and _two_sided_holds(config, rows)
+    rows = harness.impurity_experiment(near_sharp)
+    assert _upper_flags_pass(rows) and near_sharp_holds(rows)
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_DEFECTS))
@@ -436,9 +424,8 @@ def test_lattice_constant_defect_is_caught(name, near_sharp, monkeypatch):
     factor, check = LATTICE_DEFECTS[name]
     constant = harness.lattice_constant
     monkeypatch.setattr(harness, "lattice_constant", lambda *args: constant(*args) * factor)
-    config, exp = near_sharp
-    rows = harness.impurity_experiment(exp)
-    assert not check(config, rows), [row.ratio for row in rows]
+    rows = harness.impurity_experiment(near_sharp)
+    assert not check(rows), [row.ratio for row in rows]
 
 
 def test_a_broken_certificate_fails_the_ratio_flags(experiment, monkeypatch):
@@ -446,9 +433,8 @@ def test_a_broken_certificate_fails_the_ratio_flags(experiment, monkeypatch):
     # reads about 1.3: added to the bound, that column would pass all four ratio flags, while over
     # the residual gate it fails them
     _lookups_shifted(monkeypatch)
-    config, exp = experiment
-    rows = harness.impurity_experiment(exp)
-    flags = [a for a in harness.study_assertions("verify", rows, config, {}) if a.name.startswith("ratio:")]
+    rows = harness.impurity_experiment(experiment)
+    flags = [a for a in harness.verify_flags(rows) if a.name.startswith("ratio:")]
     assert min(row.deift_residual for row in rows) > 1.0
     assert len(flags) == 4 and not any(a.passed for a in flags), [a.detail for a in flags]
     assert all(a.detail.endswith(" over 1e-10") for a in flags)
