@@ -166,14 +166,16 @@ def sqrt_field(field: HermitianMatrixField) -> HermitianMatrixField:
 def clip_coefficients(field: HermitianMatrixField, n) -> HermitianMatrixField:
     """Pointwise spectral clipping: each eigenvalue lambda -> max(1/n, min(lambda, n)).
 
-    Eigenvectors are unchanged; the result is Hermitian with spectrum in
-    [1/n, n], so the clipped field is uniformly elliptic by construction.
-    Positive definiteness of the input is not required.
+    Eigenvectors are unchanged, and a point whose spectrum lies in [1/n, n] is
+    returned bit for bit; the result is Hermitian with spectrum there, so it is
+    uniformly elliptic by construction. The input need not be positive definite.
     """
     if n is None or n < 1:
         raise ValueError(f"clip level must be >= 1, got {n}")
     w, q = np.linalg.eigh(field.values)
-    return HermitianMatrixField(field.basis, _spectral_rebuild(q, np.clip(w, 1.0 / n, float(n))))
+    clipped = np.clip(w, 1.0 / n, float(n))
+    kept = np.all(clipped == w, axis=-1)[..., None, None]
+    return HermitianMatrixField(field.basis, np.where(kept, field.values, _spectral_rebuild(q, clipped)))
 
 
 def principal_symbol(a: np.ndarray, points, basis: MultiIndexBasis) -> np.ndarray:

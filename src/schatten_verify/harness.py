@@ -265,10 +265,9 @@ def _check_size(nu: int, grid: TorusGrid, max_dim: int, context: str) -> None:
 
 
 def _require_perturbed(exp: ExperimentSpec, message: str) -> None:
-    """Refuse, with ``message``, an experiment whose a + profile * jump (``perturbed_coefficient``'s values) is a at
-    every grid point, as when the set holds none or the jump rounds away: its rows would pass with lhs = rhs = 0."""
-    a = exp.reference.constant_matrix()
-    if np.all(a + indicator_profile(exp.perturbation, exp.grid)[..., None, None] * exp.jump == a):
+    """Refuse, with ``message``, an experiment whose at (``_perturbed_values``) is a at every grid point, as when
+    the set holds none or the jump rounds away: its rows would pass with lhs = rhs = 0."""
+    if np.all(_perturbed_values(exp) == exp.reference.constant_matrix()):
         raise ConfigError(f"{message} where the jump changes a")
 
 
@@ -537,14 +536,17 @@ def indicator_profile(spec: PerturbationSpec, grid: TorusGrid) -> np.ndarray:
     return out
 
 
-def perturbed_coefficient(
-    exp: ExperimentSpec, profile: np.ndarray | None = None
-) -> HermitianMatrixField:
-    """a + profile(x) * jump, sampled on the experiment's grid."""
+def _perturbed_values(exp: ExperimentSpec, profile: np.ndarray | None = None) -> np.ndarray:
+    """a + profile(x) * jump, (*spatial, nu, nu), on the experiment's grid; by default the impurity's profile."""
     if profile is None:
         profile = indicator_profile(exp.perturbation, exp.grid)
-    vals = exp.reference.constant_matrix()[(None,) * exp.N] + profile[..., None, None] * exp.jump
-    return sampled_field(exp.basis, np.ascontiguousarray(vals))
+    return exp.reference.constant_matrix()[(None,) * exp.N] + profile[..., None, None] * exp.jump
+
+
+def perturbed_coefficient(exp: ExperimentSpec, profile: np.ndarray | None = None) -> HermitianMatrixField:
+    """``_perturbed_values`` as a field. Its Hermiticity norm overflows for a huge jump, which a run names by its
+    experiment; the loader reads the values alone."""
+    return sampled_field(exp.basis, np.ascontiguousarray(_perturbed_values(exp, profile)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ The residuals are Frobenius norms, which bound the operator norm from above.
 nu K x nu K matrix is formed and dropped.
 
 Where a and the sampled at are real and at is unchanged by a reflection
-x -> c - x of the grid, every nu K x nu K matrix is taken in a real basis of
-the support (``reflected_lookup``), and the pass runs in float64; otherwise
-in the point basis, in complex128. Both give the same traces, Frobenius norms
-and singular values, to roundoff.
+x -> c - x of the grid (``support_reflection``), every nu K x nu K matrix is
+taken in a real basis of the support (``reflected_lookup``), and the pass runs
+in float64; otherwise in the point basis, in complex128. Both give the same
+traces, Frobenius norms and singular values, to roundoff.
 
 The dense functions run on small grids: ``resolvent`` by LU and Schatten
 norms by SVD, which the clip study uses, and the tests' dense identity
@@ -51,6 +51,7 @@ from .torus_operator import (
     circulant_lookup,
     pointwise_rows,
     reflected_lookup,
+    support_reflection,
 )
 
 
@@ -100,12 +101,11 @@ class ImpuritySupport:
     D (op + 1)^{-1}.
 
     ``fixed`` is None where the pass runs in the point basis, in complex
-    arithmetic. Otherwise a and at are real, at is unchanged by a reflection
-    sigma, ``points`` lists the ``fixed`` points that sigma fixes, then p points
-    A and then sigma A, and every nu K x nu K matrix of the pass is real, taken
-    in the basis of ``reflected_lookup``. A field is read at ``points`` as in
-    the point basis: its values at x and sigma x are equal, so it acts on each
-    basis vector as at that vector's point.
+    arithmetic. Otherwise ``points`` is in the order of ``support_reflection``,
+    and every nu K x nu K matrix of the pass is real, taken in the basis of
+    ``reflected_lookup``. A field is read at ``points`` as in the point basis:
+    its values at x and sigma x are equal, so it acts on each basis vector as
+    at that vector's point.
     """
 
     grid: TorusGrid
@@ -122,56 +122,20 @@ class ImpuritySupport:
     fixed: int | None
 
 
-def _mirror_sum(coords: np.ndarray, n: int) -> int:
-    """s with the occupied coordinates mapped onto themselves by j -> s - j (mod n), if any s does so.
-
-    Such a reflection maps the widest gap between occupied coordinates onto
-    itself when that gap is the only one so wide, so the gap's two ends are
-    partners. 0 for an axis that is empty or occupied throughout.
-    """
-    occupied = np.flatnonzero(np.bincount(coords, minlength=n))
-    if occupied.size in (0, n):
-        return 0
-    i = int(np.argmax(np.diff(occupied, append=occupied[0] + n)))
-    return int(occupied[i] + occupied[(i + 1) % occupied.size]) % n
-
-
-def _support_reflection(
-    at: np.ndarray, a: np.ndarray, support: np.ndarray, grid: TorusGrid
-) -> tuple[np.ndarray, int] | None:
-    """The support ordered as fixed points, A, sigma A, and the number of fixed points; or None.
-
-    sigma is x -> c - x on every axis, with c derived from the support
-    (``_mirror_sum``) and confirmed by one exact comparison of the (n^N, nu, nu)
-    ``at`` with its reflection. None where a or at has an imaginary part, or
-    at is not unchanged by that sigma.
-    """
-    if np.any(a.imag) or np.any(at.imag):
-        return None
-    index = np.indices(grid.spatial_shape)
-    sums = [_mirror_sum(coords, grid.n) for coords in np.unravel_index(support, grid.spatial_shape)]
-    mirror = np.ravel_multi_index(tuple((s - j) % grid.n for s, j in zip(sums, index)), grid.spatial_shape).ravel()
-    if not np.array_equal(at, at[mirror]):
-        return None
-    partner = mirror[support]
-    fixed, first = support[partner == support], support[support < partner]
-    return np.concatenate([fixed, first, mirror[first]]), fixed.size
-
-
 def impurity_support(
     a: HermitianMatrixField, a_tilde: HermitianMatrixField, grid: TorusGrid
 ) -> ImpuritySupport:
     """One eigendecomposition of at, which names the points where at is not positive
     definite, one of a, and one pass over the reference's symbols; every check reads them here.
 
-    Where ``_support_reflection`` finds the experiment reflection-symmetric, a
-    and at are taken real, and each step of the pass takes float64 from them."""
+    Where ``support_reflection`` orders the support, a and at are taken real,
+    and each step of the pass takes float64 from them."""
     nu, points = a.basis.nu, grid.total_points
     a_mat = a.constant_matrix()
     at = a_tilde.sampled_on(grid.spatial_shape)
     flat = at.reshape(points, nu, nu)
     support = np.flatnonzero(np.any(flat != a_mat, axis=(1, 2)))
-    reflection = _support_reflection(flat, a_mat, support, grid)
+    reflection = support_reflection(flat, a_mat, support, grid)
     fixed = None
     if reflection is not None:
         (support, fixed), at, a_mat = reflection, np.ascontiguousarray(at.real), a_mat.real

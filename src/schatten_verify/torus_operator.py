@@ -244,13 +244,47 @@ def circulant_lookup(
     return out.reshape(out_ch * rows.size, in_ch * cols.size)
 
 
+def _mirror_sum(coords: np.ndarray, n: int) -> int:
+    """s with the occupied coordinates mapped onto themselves by j -> s - j (mod n), if any s does so.
+
+    Such a reflection maps the widest gap between occupied coordinates onto
+    itself when that gap is the only one so wide, so the gap's two ends are
+    partners. 0 for an axis that is empty or occupied throughout.
+    """
+    occupied = np.flatnonzero(np.bincount(coords, minlength=n))
+    if occupied.size in (0, n):
+        return 0
+    i = int(np.argmax(np.diff(occupied, append=occupied[0] + n)))
+    return int(occupied[i] + occupied[(i + 1) % occupied.size]) % n
+
+
+def support_reflection(
+    at: np.ndarray, a: np.ndarray, support: np.ndarray, grid: TorusGrid
+) -> tuple[np.ndarray, int] | None:
+    """The support ordered as fixed points, A, sigma A, and the number of fixed points; or None.
+
+    sigma is x -> c - x on every axis, with c derived from the support (``_mirror_sum``). ``at``,
+    (n^N, nu, nu), equals ``a`` off the ``support``, so one exact comparison of at[x] with at[sigma x]
+    over x in the support confirms sigma. None where a or at has an imaginary part, or that fails.
+    """
+    values = at[support]
+    if np.any(a.imag) or np.any(values.imag):
+        return None
+    coords = np.unravel_index(support, grid.spatial_shape)
+    partner = np.ravel_multi_index(tuple((_mirror_sum(j, grid.n) - j) % grid.n for j in coords), grid.spatial_shape)
+    if not np.array_equal(values, at[partner]):
+        return None
+    fixed, first = partner == support, support < partner
+    return np.concatenate([support[fixed], support[first], partner[first]]), int(np.count_nonzero(fixed))
+
+
 def reflected_lookup(
     symbols: np.ndarray, grid: TorusGrid, rows: np.ndarray, cols: np.ndarray, fixed: int
 ) -> np.ndarray:
     """circulant_lookup(symbols, grid, rows, cols) in the real basis of a reflection sigma: x -> c - x, real.
 
     ``rows`` and ``cols`` each list the ``fixed`` points that sigma fixes, then
-    p points A and then sigma A in the same order. In every channel the basis
+    p points A and then sigma A in the same order (``support_reflection``). In every channel the basis
     is e_x over the fixed points, then (e_x + e_sigma x) / sqrt 2 and then
     i (e_x - e_sigma x) / sqrt 2 over x in A, a unitary change of the point
     basis. J = conjugation after sigma commutes with a multiplier whose symbol

@@ -170,6 +170,19 @@ def support_unitary(imp) -> np.ndarray:
     return np.kron(np.eye(nu), q)
 
 
+def reflection_centers(at: np.ndarray, grid: TorusGrid) -> list[tuple[int, ...]]:
+    """Every c with at(x) = at(c - x) at every grid point, each axis mod n, found by trying each c in turn.
+
+    ``at`` is (*spatial, nu, nu), compared exactly over the whole grid.
+    """
+    index = np.indices(grid.spatial_shape)
+    return [
+        c
+        for c in np.ndindex(grid.spatial_shape)
+        if np.array_equal(at, at[tuple((ci - j) % grid.n for ci, j in zip(c, index))])
+    ]
+
+
 def in_point_basis(imp, matrix: np.ndarray) -> np.ndarray:
     """Q X Q*: a nu K x nu K matrix of the support pass in the point basis of ``imp.points``."""
     q = support_unitary(imp)

@@ -107,6 +107,17 @@ class TestClip:
         clipped = clip_coefficients(field, 8)  # 8 > 5 and 1/8 < 0.3
         assert np.abs(clipped.values - a).max() < 1e-12
 
+    def test_in_band_points_returned_bit_for_bit(self):
+        # only the points it clips are rebuilt from their eigh; the others keep every bit
+        rng = np.random.default_rng(14)
+        basis = enumerate_basis(2, 1)
+        a = random_hermitian_pd(rng, basis.nu, spread=(0.5, 2.0))
+        values = np.stack([a, 10.0 * a, a, 0.01 * a])
+        clipped = clip_coefficients(sampled_field(basis, values), 4).values
+        assert np.array_equal(clipped[[0, 2]], values[[0, 2]])
+        w = np.linalg.eigvalsh(clipped[[1, 3]])
+        assert np.all(w[0] <= 4 + 1e-12) and np.isclose(w[0].max(), 4) and np.isclose(w[1].min(), 0.25)
+
     def test_rejects_level_zero(self):
         basis = enumerate_basis(1, 1)
         with pytest.raises(ValueError):

@@ -314,6 +314,26 @@ class TestClipStudy:
         clipped = clip_coefficients(at, 2)
         assert np.abs(clipped.values - at.values).max() < 1e-12
 
+    def test_clipped_support_is_the_impurity(self):
+        # a non-diagonal reference: at each level whose [1/n, n] holds a's spectrum, the points off the box
+        # keep a bit for bit, so the support is the box's cells and the pass is real; level 1 clips a too
+        from schatten_verify import clip_coefficients
+        from schatten_verify.harness import _clip_target_field, indicator_profile
+        from schatten_verify.schatten_analysis import impurity_support
+
+        entry = {
+            "id": "n2m1_offdiag_box", "N": 2, "m": 1, "grid": {"n": 16, "L": 2 * np.pi}, "base": "matrix",
+            "base_matrix": [[2.0, 0.5], [0.5, 1.0]], "p_values": [4],
+            "perturbation": {"shape": "box", "center": [0.0, 0.0], "width": [np.pi / 2] * 2, "amplitude": 0.5},
+        }
+        exp = parse_config({"experiments": [entry]}).experiments[0]
+        cells = np.flatnonzero(indicator_profile(exp.perturbation, exp.grid))
+        degenerate = _clip_target_field(exp)
+        for level in (4, 256, 1024):
+            imp = impurity_support(exp.reference, clip_coefficients(degenerate, level), exp.grid)
+            assert np.array_equal(np.sort(imp.points), cells) and imp.fixed is not None, level
+        assert impurity_support(exp.reference, clip_coefficients(degenerate, 1), exp.grid).points.size == 256
+
     def test_default_levels_pass(self):
         config = load_config(default_config_path())
         result = run_clip(config)
@@ -1102,18 +1122,18 @@ class TestCli:
         summary = json.loads((out / "verify_summary.json").read_text())
         assert summary["all_passed"] is True
 
-    def test_verify_imports_no_scipy(self, tmp_path):
-        # the dense path is numpy-only; scipy serves the quadrature cross-check alone
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(small_config()))
-        args = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    @pytest.mark.parametrize("subcommand", ["verify", "scale", "clip", "refine", "constants"])
+    def test_subcommand_imports_no_scipy(self, subcommand, tmp_path):
+        # the dense path is numpy-only, and scipy serves the quadrature cross-check alone; numpy 2 loads
+        # numpy.random (6 MB of RSS) and numpy.ma only on first use, and no subcommand uses either
+        args, lazy = [subcommand, "--out", str(tmp_path / "out")], ("scipy", "numpy.random", "numpy.ma")
         script = (
             "import sys; sys.path[:0] = ['src']; from schatten_verify.cli import run_cli; "
-            f"code = run_cli({args!r}); print(code, 'scipy' in sys.modules)"
+            f"code = run_cli({args!r}); print(code, *[name for name in {lazy!r} if name in sys.modules])"
         )
         root = Path(__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True, text=True)
-        assert proc.stdout.splitlines()[-1].split() == ["0", "False"], proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == ["0"], proc.stderr
 
     def test_exit_two_on_negative_seed_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -54,6 +54,7 @@ from schatten_verify.torus_operator import (
     circulant_lookup,
     constant_multiplier,
     pointwise_rows,
+    support_reflection,
 )
 
 from helpers import (
@@ -78,6 +79,7 @@ from oracles import (
     matrix_function,
     plane_wave,
     polar_decomposition_check,
+    reflection_centers,
     resolvent_difference,
     resolvent_profile,
     spectral_profile_operator,
@@ -325,6 +327,69 @@ def _bundled(exp_id):
     return next(e for e in load_config(default_config_path()).experiments if e.id == exp_id)
 
 
+def _field_of(profile, grid):
+    """a + profile(x) * jump, (*spatial, nu, nu), and a, for integer values ``profile`` on the grid; nu = N,
+    and the jump is no multiple of a."""
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])[: grid.N, : grid.N]
+    jump = np.array([[0.5, 0.25], [0.25, -0.2]])[: grid.N, : grid.N]
+    return a + profile[..., None, None] * jump, a
+
+
+def _unique_widest_gaps(support, grid):
+    """Whether the support's coordinates on each axis leave exactly one widest gap (an empty support: True)."""
+    for coords in np.unravel_index(support, grid.spatial_shape):
+        occupied = np.unique(coords)
+        if occupied.size:
+            gaps = np.diff(occupied, append=occupied[0] + grid.n)
+            if np.count_nonzero(gaps == gaps.max()) > 1:
+                return False
+    return True
+
+
+def _check_finder(at, a, grid):
+    """``support_reflection`` against the brute-force ``reflection_centers``: an order it returns lists the
+    support as fixed points, A, sigma A for a sigma that leaves at unchanged on the whole grid; and it returns
+    one wherever such a sigma exists and every axis of the support has one widest gap. Returns the order."""
+    flat = at.reshape(grid.total_points, *a.shape)
+    support = np.flatnonzero(np.any(flat != a, axis=(1, 2)))
+    found, centers = support_reflection(flat, a, support, grid), reflection_centers(at, grid)
+    if found is None:
+        assert not centers or not _unique_widest_gaps(support, grid), centers
+        return None
+    order, fixed = found
+    pairs = (order.size - fixed) // 2
+    assert np.array_equal(np.sort(order), support) and order.size == fixed + 2 * pairs
+    coords = np.unravel_index(order, grid.spatial_shape)
+    # sigma maps the fixed points to themselves, A onto sigma A and sigma A onto A, point by point
+    swapped = np.concatenate([order[:fixed], order[fixed + pairs :], order[fixed : fixed + pairs]])
+    images = (tuple((ci - j) % grid.n for ci, j in zip(c, coords)) for c in centers)
+    assert any(np.array_equal(np.ravel_multi_index(image, grid.spatial_shape), swapped) for image in images), centers
+    return found
+
+
+_RING = {j: 1 + min(j, 8 - j) for j in range(8)}  # about 0 on n = 8, every point occupied
+_REFLECTION_CASES = {
+    # name: (N, {point: value} on n = 8, the fixed-point count that the finder returns, or None)
+    "n1_lattice_point": (1, {2: 1, 3: 2, 4: 3, 5: 2, 6: 1}, 1),
+    "n1_half_cell": (1, {2: 2, 3: 1, 4: 1, 5: 2}, 0),
+    "n1_wraps_edge": (1, {7: 2, 0: 3, 1: 2}, 1),
+    "n1_wraps_edge_half_cell": (1, {6: 1, 7: 2, 0: 2, 1: 1}, 0),
+    "n1_fills_axis": (1, _RING, 2),
+    # symmetric about 3 alone: the axis is full, so the finder tries the origin only
+    "n1_fills_axis_off_origin": (1, {j: _RING[(j - 3) % 8] for j in range(8)}, None),
+    "n1_empty": (1, {}, 0),
+    "n1_asymmetric": (1, {2: 1, 3: 2, 4: 3}, None),
+    "n2_lattice_point": (2, {(4, 4): 3, (3, 4): 1, (5, 4): 1, (4, 3): 2, (4, 5): 2}, 1),
+    "n2_half_cell": (2, {(i, j): 1 for i in (3, 4) for j in range(2, 6)}, 0),
+    "n2_wraps_edge": (2, {(i, j): 2 if j == 0 else 1 for i in (7, 0) for j in (7, 0, 1)}, 0),
+    "n2_fills_axis": (2, {(i, j): 2 if j == 4 else 1 for i in range(8) for j in (3, 4, 5)}, 2),
+    "n2_fills_axis_varying": (2, {(i, j): _RING[(i - 1) % 8] for i in range(8) for j in (3, 4, 5)}, None),
+    "n2_empty": (2, {}, 0),
+    "n2_asymmetric": (2, {(2, 2): 1, (2, 3): 1, (3, 2): 1}, None),
+    "n2_symmetric_support_asymmetric_values": (2, {(3, 3): 1, (3, 4): 2, (4, 3): 2, (4, 4): 2}, None),
+}
+
+
 class TestReflection:
     def test_every_bundled_experiment_runs_real(self):
         # the battery, the scale steps, the refine rungs and the grid2d benchmark's n = 32 rung: a sampling
@@ -337,6 +402,32 @@ class TestReflection:
         grid = TorusGrid(N=2, n=32, L=bump.grid.L)
         assert _assert_real_pass(dataclasses.replace(bump, grid=grid)).fixed == 1
         assert _assert_real_pass(dataclasses.replace(_bundled("n2m1_box_a8"), grid=grid)).fixed == 0
+
+    @pytest.mark.parametrize("name", list(_REFLECTION_CASES))
+    def test_finder_against_brute_force(self, name):
+        N, values, fixed = _REFLECTION_CASES[name]
+        grid = TorusGrid(N=N, n=8, L=2 * np.pi)
+        profile = np.zeros(grid.spatial_shape)
+        for point, value in values.items():
+            profile[point] = value
+        found = _check_finder(*_field_of(profile, grid), grid)
+        assert (None if found is None else found[1]) == fixed
+
+    def test_finder_against_brute_force_random(self):
+        # random supports symmetric about a random center, on lattice points and half-cells alike, a third
+        # of them with one value changed
+        rng = np.random.default_rng(45)
+        returned = 0
+        for _ in range(300):
+            grid = TorusGrid(N=int(rng.integers(1, 3)), n=int(rng.choice([4, 6, 8])), L=2 * np.pi)
+            center = rng.integers(grid.n, size=grid.N)
+            profile = rng.integers(0, 3, size=grid.spatial_shape) * (rng.random(grid.spatial_shape) < 0.4)
+            mirror = tuple((c - j) % grid.n for c, j in zip(center, np.indices(grid.spatial_shape)))
+            profile = np.maximum(profile, profile[mirror])
+            if rng.random() < 1 / 3:
+                profile[tuple(rng.integers(grid.n, size=grid.N))] += 1
+            returned += _check_finder(*_field_of(profile.astype(float), grid), grid) is not None
+        assert 100 < returned < 300
 
     def test_off_lattice_center_runs_complex(self):
         exp = recentered(_bundled("n2m1_bump_a05"), (0.1, 0.0))
