@@ -1,6 +1,13 @@
 """Desk-scale verification of Schatten-class resolvent-difference estimates
 for higher-order elliptic operators with one constant-coefficient side."""
 
+import os
+
+# set before the first import of numpy, which starts OpenBLAS's threads: an idle worker sleeps after
+# 2^4 cycles (OpenBLAS's minimum) instead of busy-waiting 2^28 after each threaded call; the thread
+# count, and so every digit, stays as it was, and a value the user set is kept
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .coeff_algebra import (
     clip_coefficients,
     coarea_constant,

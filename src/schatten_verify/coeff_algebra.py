@@ -51,11 +51,15 @@ class HermitianMatrixField:
         v = np.asarray(self.values, dtype=complex)
         if v.ndim < 2 or v.shape[-1] != nu or v.shape[-2] != nu:
             raise ValueError(f"field values must end in ({nu}, {nu}), got {v.shape}")
-        herm_gap = np.linalg.norm(v - np.conj(np.swapaxes(v, -1, -2)))
-        scale = np.linalg.norm(v)
-        if herm_gap > HERMITICITY_RTOL * max(scale, 1.0):
+        # ||a - a*|| > rtol * max(||a||, 1) with both norms taken of a over its largest |entry|, so
+        # that neither overflows for entries near the float range's end (a Python float product
+        # that overflows is inf, not an error)
+        peak = float(np.abs(v).max(initial=0.0))
+        w = v / peak if peak > 0.0 else v
+        herm_gap = float(np.linalg.norm(w - np.conj(np.swapaxes(w, -1, -2))))
+        if herm_gap > HERMITICITY_RTOL * np.linalg.norm(w) and herm_gap * peak > HERMITICITY_RTOL:
             raise ValueError(
-                f"field is not Hermitian: ||a - a*|| = {herm_gap:.3g} "
+                f"field is not Hermitian: ||a - a*|| = {herm_gap * peak:.3g} "
                 f"exceeds {HERMITICITY_RTOL:g} * ||a||"
             )
         object.__setattr__(self, "values", v)

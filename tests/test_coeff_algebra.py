@@ -350,6 +350,18 @@ def test_field_rejects_non_hermitian():
         constant_field(basis, np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_hermiticity_rule_at_every_scale():
+    # ||a - a*|| > 1e-12 max(||a||, 1): relative for a large field, absolute for a small one, and
+    # taken with no overflow on an exactly Hermitian field near the float range's end
+    basis = enumerate_basis(2, 1)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for matrix in ([[1e308, 1e307j], [-1e307j, 1e308]], np.zeros((2, 2)), [[0.0, 1e-13], [0.0, 0.0]]):
+            constant_field(basis, np.array(matrix))
+        for matrix in ([[1e300, 1e289], [0.0, 1e300]], [[0.0, 1e-11], [0.0, 0.0]]):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                constant_field(basis, np.array(matrix))
+
+
 def test_sampled_field_shape_check():
     basis = enumerate_basis(2, 1)
     with pytest.raises(ValueError):

@@ -1218,7 +1218,8 @@ class TestCli:
             # lhs 0 and NaN residuals, every flag passing; the clip study moves to quick_bump, as the
             # loader refuses a clip study whose reference symbol overflows (clip_symbol_overflows)
             ("verify", _both(_set(["experiments", 0, "grid", "L"], 1e-300), _CLIP_ON_BUMP), "quick_box"),
-            # rhs inf, ratio 0 and a NaN Deift column, every flag passing
+            # a + jump ~ 1e308 passes the Hermiticity check and the support pass; the Deift column's
+            # certificate stops it, adding inf and -inf in its trace form
             ("verify", _set(["experiments", 0, "perturbation", "amplitude"], 1e308), "quick_box"),
             # these three stopped with a traceback and exit 1, which means a failed estimate
             ("verify", _both(_set(["experiments", 0, "m"], 400), _CLIP_ON_BUMP), "quick_box"),
